@@ -9,7 +9,8 @@
 //!        record --corpus DIR [--scenario NAME] [--block-bytes N] [--snaplen N]|
 //!        merge --corpus DIR [--from US --to US] [--verify] [--max-buffered N]|
 //!        analyze --corpus DIR [--from US --to US]|
-//!        tail --corpus DIR [--chunk-bytes N] [--max-lag-us N] [--verify]|
+//!        tail --corpus DIR [--chunk-bytes N] [--max-lag-us N] [--verify]
+//!             [--max-buffered N]|
 //!        diagnose --corpus DIR [--from US --to US] [--golden FILE] [--bless]|
 //!        bench-stream [--corpus DIR] [--from US --to US] [--out F]|
 //!        bench-live [--corpus DIR] [--chunk-bytes N] [--out F]|
@@ -57,7 +58,11 @@
 //!   the same tailed sources through the channel-sharded batch merge
 //!   instead; `--verify` re-merges the corpus in batch mode and asserts
 //!   the live jframe stream is identical (count + digest) — the
-//!   chunking-invariance gate, pinned at several chunk sizes;
+//!   chunking-invariance gate, pinned at several chunk sizes — naming any
+//!   re-anchors applied and lagged sources (the contract's two documented
+//!   exceptions) when it is not; `--max-buffered N` fails the run if the
+//!   merger ever held more than N events, as for `merge` — watermark-paced
+//!   polling keeps that a search window's worth, whatever the corpus size;
 //! * `bench-live` records a corpus and times the chunk-fed live merge,
 //!   writing `BENCH_live.json` (events/s, p50/p99/max emission lag, peak
 //!   buffered events, scenario/seed/git_sha provenance).
@@ -158,8 +163,8 @@ struct Args {
     snaplen: u32,
     /// `merge`: re-simulate from the manifest and assert disk ≡ memory.
     verify: bool,
-    /// `merge`: fail if peak merger residency exceeds this many events
-    /// (0 = no limit).
+    /// `merge`/`tail`: fail if peak merger residency exceeds this many
+    /// events (0 = no limit).
     max_buffered: u64,
     /// Replay window start, anchor-universal µs (`merge`/`analyze`/
     /// `bench-stream`).
@@ -177,6 +182,20 @@ struct Args {
 /// subcommand shares (correctness failures exit 1 instead).
 fn usage_error(msg: &str) -> ! {
     cli::usage_error("repro", msg)
+}
+
+/// `--max-buffered N` (`merge` / `tail`): exits 1 if peak merger residency
+/// exceeded `N` events — the CI gate that streaming memory stays bounded by
+/// the search window.
+fn check_max_buffered(args: &Args, peak: u64) {
+    if args.max_buffered > 0 && peak > args.max_buffered {
+        eprintln!(
+            "FAIL: peak buffered {peak} events exceeds --max-buffered {} — \
+             streaming memory is no longer bounded by the window",
+            args.max_buffered
+        );
+        std::process::exit(1);
+    }
 }
 
 /// Every flag `repro` accepts, as one declarative table (see
@@ -932,14 +951,7 @@ fn run_corpus_merge(args: &Args) {
         corpus.total_events(),
         "merge dropped events relative to the manifest"
     );
-    if args.max_buffered > 0 && peak > args.max_buffered {
-        eprintln!(
-            "FAIL: peak buffered {peak} events exceeds --max-buffered {} — \
-             streaming memory is no longer bounded by the window",
-            args.max_buffered
-        );
-        std::process::exit(1);
-    }
+    check_max_buffered(args, peak);
 
     if args.verify {
         let Some(cfg_sim) = jigsaw_bench::scenario_by_name(&m.scenario, m.seed, m.scale) else {
@@ -1020,14 +1032,7 @@ fn run_windowed_merge(args: &Args, corpus: &jigsaw_trace::corpus::Corpus, window
         events <= corpus.total_events(),
         "windowed merge read more events than the corpus holds"
     );
-    if args.max_buffered > 0 && peak > args.max_buffered {
-        eprintln!(
-            "FAIL: peak buffered {peak} events exceeds --max-buffered {} — \
-             streaming memory is no longer bounded by the window",
-            args.max_buffered
-        );
-        std::process::exit(1);
-    }
+    check_max_buffered(args, peak);
 
     if args.verify {
         // The reference: the FULL corpus replayed from t = 0, with only
@@ -1201,8 +1206,10 @@ fn corpus_tails(corpus: &jigsaw_trace::corpus::Corpus, chunk: usize) -> Vec<Chun
 /// batch merge (`TailStream` adapts a live source back into a pull-mode
 /// stream). `--verify` re-merges the corpus through the batch disk path
 /// and asserts the live jframe stream is identical — count and stream
-/// digest — exiting 1 on divergence: the chunking-invariance contract,
-/// checkable at any `--chunk-bytes`.
+/// digest — exiting 1 on divergence (the message names re-anchors applied
+/// and lagged sources, the contract's documented exceptions): the
+/// chunking-invariance contract, checkable at any `--chunk-bytes`.
+/// `--max-buffered N` exits 1 if the merger ever held more than N events.
 fn run_tail(args: &Args) {
     banner("TAIL — live streaming ingest from a recorded corpus");
     let dir = corpus_dir(args);
@@ -1323,6 +1330,7 @@ fn run_tail(args: &Args) {
             );
         }
     }
+    check_max_buffered(args, peak);
 
     if args.verify {
         let cfg = pipeline_config(args);
@@ -1331,12 +1339,26 @@ fn run_tail(args: &Args) {
             || b_digest.count() != digest.count()
             || b_digest.hex() != digest.hex()
         {
+            // Live ≡ batch is promised only while nothing lags and no
+            // re-anchor is applied; say whether either happened, so a
+            // documented exception is distinguishable from a bug.
+            let (reanchors, lagged) = live_report.as_ref().map_or((0, 0), |rep| {
+                (
+                    rep.reanchors,
+                    rep.sources.iter().filter(|s| s.lagged).count(),
+                )
+            });
             eprintln!(
-                "FAIL: live stream diverges from the batch merge: live {} jframes digest {}, batch {} jframes digest {}",
+                "FAIL: live stream diverges from the batch merge: live {} jframes digest {}, batch {} jframes digest {} ({reanchors} re-anchors applied, {lagged} sources lagged{})",
                 digest.count(),
                 digest.hex(),
                 b_digest.count(),
                 b_digest.hex(),
+                if reanchors == 0 && lagged == 0 {
+                    " — outside the contract's documented exceptions"
+                } else {
+                    ""
+                },
             );
             std::process::exit(1);
         }

@@ -19,14 +19,33 @@
 //!    `safe − 2×search_window` has been emitted; nothing older stays
 //!    buffered. The `2×` covers a full search window of grouping slack plus
 //!    a window of reorder slack between channels.
-//! 2. **Stall eviction** — a radio that delivers nothing for
+//! 2. **Paced polling** — the merger reads a live radio only up to that
+//!    same `2×search_window` hold-back past the slowest *other* live
+//!    radio's watermark, and stops a read mid-batch at the first event
+//!    beyond it. Nothing past the slowest watermark can be emitted, so
+//!    reading further only moves events from the source into memory. What
+//!    is not read stays in the source: on disk for a file tail, in a
+//!    bounded channel for a [`ChannelSource`], whose [`LiveSender::send`]
+//!    then returns [`SendOutcome::Full`] — explicit back-pressure on the
+//!    producer, never silent growth. Merger residency therefore tracks the
+//!    search window × traffic rate, not stream length or rate skew between
+//!    radios (its floor is the bootstrap window, which every radio must
+//!    accumulate once before offsets exist). The bound is derived, not a
+//!    knob;
+//!    [`LiveConfig::poll_budget`] only caps the work of one round. Lagging
+//!    radios are exempt (they must drain to catch up), as is a lone live
+//!    radio.
+//! 3. **Stall eviction** — a radio that delivers nothing for
 //!    [`LiveConfig::max_lag_us`] of wall-clock time is declared *lagging*:
 //!    it stops holding the safe horizon back, but its channel stays open.
+//!    A radio the merger is *holding* under clause 2 is not silent: its
+//!    timer restarts when it is released, so the stalled radio everyone
+//!    waits on is the one evicted, not the radios held behind it.
 //!    This is the only decision in the crate that consults real time, and
 //!    it does so through the [`LiveClock`] trait ([`SystemClock`] in
 //!    production, [`ManualClock`] in tests) — everything *emitted* remains
 //!    a pure function of the trace bytes.
-//! 3. **Re-admission** — a lagging radio rejoins the horizon only once a
+//! 4. **Re-admission** — a lagging radio rejoins the horizon only once a
 //!    poll round delivers events that survive the horizon filter *and*
 //!    reach the current safe horizon. Until then it stays lagging: catch-up
 //!    events below what has already been emitted are counted
@@ -34,26 +53,33 @@
 //!    the horizon minimum — a deep backlog drains under the filter round by
 //!    round, a permanently-behind radio cannot freeze the horizon, and
 //!    emission order is never violated.
-//! 4. **Re-anchoring** — every [`LiveConfig::reanchor_interval_us`] of
-//!    horizon progress, the offset bootstrap re-runs over each radio's
-//!    recent events and re-anchors clocks that drifted past
+//! 5. **Re-anchoring** — each time the safe horizon crosses a multiple of
+//!    [`LiveConfig::reanchor_interval_us`] past the bootstrap anchor (a
+//!    trace-time grid, independent of how polling was paced), every radio
+//!    whose clock took **no** resync correction since the previous
+//!    crossing is checked: the offset bootstrap re-runs over the radios'
+//!    recent events and re-anchors those that drifted past
 //!    [`LiveConfig::reanchor_drift_us`] (shifts of `2×search_window` or
-//!    more are rejected as glitches) — recovery for drift that continuous
-//!    resynchronization missed.
-//! 5. **Chunking invariance** — when nothing lags and no re-anchor fires,
+//!    more are rejected as glitches). A clock continuous resynchronization
+//!    is still correcting is never touched — it is already tracked more
+//!    tightly than a fresh bootstrap can estimate — so on a healthy mesh
+//!    re-anchoring never fires.
+//! 6. **Chunking invariance** — when nothing lags and no re-anchor fires,
 //!    the emitted jframe sequence (count, order,
 //!    [`jigsaw_core::JFrame::stable_digest`]) is identical to a batch merge
 //!    of the same events, for *every* chunking of the input bytes. This is
 //!    the equivalence `repro tail --verify` and the chunk-invariance
-//!    proptests pin in CI.
+//!    proptests pin in CI; `--verify` names any re-anchors applied and
+//!    lagged sources when it fails, so the two documented exceptions are
+//!    distinguishable from a bug.
 //!
 //! ## Layout
 //!
 //! * [`source`] — the [`LiveSource`] trait and its implementations:
 //!   [`ChunkedFileTail`] (tail a growing trace file in arbitrary-size
 //!   chunks, resuming decode at block boundaries) and [`ChannelSource`]
-//!   (in-process mpsc); [`TailStream`] adapts any live source back into a
-//!   pull-mode `EventStream` for the batch drivers;
+//!   (bounded in-process channel); [`TailStream`] adapts any live source
+//!   back into a pull-mode `EventStream` for the batch drivers;
 //! * [`merger`] — [`LiveMerger`], the bootstrap → stream → lag → re-anchor
 //!   driver, and its [`LiveReport`];
 //! * [`clock`] — [`LiveClock`] and friends: the wall-clock boundary.
@@ -88,4 +114,7 @@ pub use clock::{LiveClock, ManualClock, SystemClock};
 pub use merger::{
     LagStats, LiveConfig, LiveError, LiveMerger, LiveReport, SourceReport, SourceStatus,
 };
-pub use source::{ChannelSource, ChunkedFileTail, LiveSender, LiveSource, SourcePoll, TailStream};
+pub use source::{
+    ChannelSource, ChunkedFileTail, LiveSender, LiveSource, SendOutcome, SourcePoll, TailStream,
+    CHANNEL_CAPACITY,
+};

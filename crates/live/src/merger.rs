@@ -10,6 +10,15 @@
 //! * the *safe horizon* is the minimum watermark over radios that are
 //!   currently live and not lagging; the merger emits every jframe older
 //!   than `safe − 2×search_window` and buffers nothing older than that;
+//! * polling is **watermark-paced**: a live radio is not read — and a read
+//!   stops mid-batch — once its newest event is more than that same
+//!   `2×search_window` hold-back ahead of the slowest *other* live radio.
+//!   Nothing past the slowest watermark can be emitted, so reading further
+//!   would only move events out of the source (a file on disk, a bounded
+//!   channel pushing back on its producer) into memory: what the merger
+//!   buffers tracks the search window, not the length of the stream or the
+//!   rate skew between radios. A radio the merger declines to read is
+//!   *held*, which is not silence — it accrues no lag (below);
 //! * a radio that delivers nothing for [`LiveConfig::max_lag_us`] of
 //!   *wall-clock* time (the one decision real time is consulted for — via
 //!   [`LiveClock`]) is declared **lagging**: it stops holding the safe
@@ -21,6 +30,11 @@
 //!   reaches the safe horizon. A deep backlog therefore drains under the
 //!   filter round by round, and a permanently-behind radio stays lagging
 //!   instead of freezing the horizon — emission order is never violated.
+//!
+//! Periodic re-anchoring (every [`LiveConfig::reanchor_interval_us`] of
+//! trace time past the bootstrap anchor) touches only radios whose clock
+//! took no resync correction for a whole interval; on a healthy mesh it
+//! checks and applies nothing.
 //!
 //! When nothing lags and no re-anchor fires, the emitted jframe sequence is
 //! **byte-identical** (count, order, [`JFrame::stable_digest`]) to a batch
@@ -55,11 +69,16 @@ pub struct LiveConfig {
     pub merge: MergeConfig,
     /// Wall-clock silence after which a radio is declared lagging (µs).
     pub max_lag_us: u64,
-    /// Safe-horizon progress between re-anchor attempts (µs of trace time).
+    /// Spacing of re-anchor checks (µs of trace time): a check fires each
+    /// time the safe horizon crosses a multiple of this past the bootstrap
+    /// anchor, and considers only radios whose clock took no resync
+    /// correction since the previous check.
     pub reanchor_interval_us: Micros,
     /// Minimum offset disagreement before a re-anchor is applied (µs).
     pub reanchor_drift_us: Micros,
-    /// Max events polled from one source per [`LiveMerger::step`].
+    /// Work bound for one [`LiveMerger::step`]: at most this many events
+    /// are read from one source per round. It does not pace the sources
+    /// against each other — the watermark rule does (see [`LiveMerger`]).
     pub poll_budget: usize,
 }
 
@@ -276,6 +295,10 @@ struct SourceState<S> {
     last_progress: u64,
     /// Index into the merger's radio table (dead sources have none).
     merger_idx: Option<usize>,
+    /// The clock's correction count at the previous re-anchor check; one
+    /// that has not moved by the next check marks a radio continuous
+    /// resynchronization is not reaching.
+    corrections_seen: u64,
 }
 
 impl<S> SourceState<S> {
@@ -293,6 +316,7 @@ impl<S> SourceState<S> {
             ready: false,
             last_progress: now,
             merger_idx: None,
+            corrections_seen: 0,
         }
     }
 
@@ -315,18 +339,38 @@ impl<S> SourceState<S> {
 /// embedding in a service loop) or [`LiveMerger::run`] (steps until every
 /// source ends — the recorded-corpus replay mode; do not use it with
 /// sources that can stay silent forever).
+///
+/// **Pacing.** Each round reads a live source only up to
+/// `2×search_window` (the emission hold-back — derived, not configurable)
+/// past the slowest *other* live source's watermark, stopping mid-batch at
+/// the first event beyond it; [`LiveConfig::poll_budget`] only bounds the
+/// work of one round. So a round moves the safe horizon by about one
+/// hold-back at most: a service loop should step again at once while
+/// [`LiveMerger::safe_horizon`] advances and idle only when it does not. A
+/// lone live source, and every lagging one, is bound by the budget alone.
+///
+/// **Held is not stalled.** A source the merger declined to read this
+/// round stays where it is — on disk, or in a [`crate::ChannelSource`]
+/// whose sender starts reporting [`crate::SendOutcome::Full`] — and its
+/// `max_lag_us` silence timer restarts from the moment it is released. When
+/// the slowest source stalls, it is that source, not the ones held behind
+/// it, that is declared lagging.
 pub struct LiveMerger<S, C> {
     cfg: LiveConfig,
     clock: C,
     sources: Vec<SourceState<S>>,
     merger: Option<Merger<MemoryStream>>,
     last_safe: Micros,
-    next_reanchor: Option<Micros>,
+    /// Safe-horizon value at which the next re-anchor check fires: the
+    /// bootstrap anchor plus a whole number of `reanchor_interval_us`.
+    next_reanchor: Micros,
     reanchors: u64,
     reanchors_skipped: u64,
     lag: LagStats,
     components: usize,
     coarse_radios: usize,
+    /// Poll buffer, recycled across sources and rounds.
+    batch: Vec<PhyEvent>,
 }
 
 impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
@@ -338,12 +382,13 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
             sources: Vec::new(),
             merger: None,
             last_safe: 0,
-            next_reanchor: None,
+            next_reanchor: Micros::MAX,
             reanchors: 0,
             reanchors_skipped: 0,
             lag: LagStats::new(),
             components: 0,
             coarse_radios: 0,
+            batch: Vec::new(),
         }
     }
 
@@ -575,25 +620,75 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
                 merger.close_radio(r);
             }
         }
+        // Re-anchor checks sit on a trace-time grid rooted at the bootstrap
+        // anchor, so when they fire does not depend on how polling was paced.
+        let anchor = (0..active.len())
+            .map(|r| merger.universal_of(r, window_los[r]))
+            .min()
+            .unwrap_or(0);
+        self.next_reanchor = anchor.saturating_add(self.cfg.reanchor_interval_us);
         self.merger = Some(merger);
         Ok(())
     }
 
-    /// One streaming round: poll → feed → lag policy → re-anchor → advance.
+    /// One streaming round: pace → poll → feed → lag policy → re-anchor →
+    /// advance.
     fn stream_step(&mut self, sink: &mut impl FnMut(JFrame)) -> Result<(), LiveError> {
         let now = self.clock.now_us();
         let budget = self.cfg.poll_budget.max(1);
         let merger = self.merger.as_mut().expect("stream_step after transition");
-        for s in &mut self.sources {
+        // Pacing: nothing can be emitted past the slowest live watermark,
+        // so reading a live radio further than the emission hold-back beyond
+        // the slowest *other* live radio only moves events from the source
+        // into memory. (Measuring each radio against the others lets the
+        // slowest one catch up in one round, and leaves a lone live radio
+        // bound by `poll_budget` alone.) Lagging radios are exempt: they
+        // must drain under the horizon filter to catch up.
+        let hold = 2 * self.cfg.merge.search_window_us;
+        let mut slowest: Option<(Micros, usize)> = None;
+        let mut runner_up: Option<Micros> = None;
+        for (i, s) in self.sources.iter().enumerate() {
+            if s.status != SourceStatus::Live {
+                continue;
+            }
+            match slowest {
+                Some((w, _)) if s.watermark >= w => {
+                    runner_up = Some(runner_up.map_or(s.watermark, |n| n.min(s.watermark)));
+                }
+                _ => {
+                    runner_up = slowest.map(|(w, _)| w);
+                    slowest = Some((s.watermark, i));
+                }
+            }
+        }
+        let mut batch = std::mem::take(&mut self.batch);
+        for (i, s) in self.sources.iter_mut().enumerate() {
             if !s.open() {
                 continue;
             }
             let r = s.merger_idx.expect("open sources joined the merge");
-            let mut batch = Vec::new();
+            let read_limit = match (s.status, slowest) {
+                (SourceStatus::Live, Some((_, k))) if k == i => runner_up,
+                (SourceStatus::Live, Some((w, _))) => Some(w),
+                _ => None,
+            }
+            .map_or(Micros::MAX, |w| w.saturating_add(hold));
+            if s.watermark > read_limit {
+                // Held, not stalled: the silence is the merger's choice, so
+                // it must not count toward `max_lag_us`.
+                s.last_progress = now;
+                continue;
+            }
             let mut ended = false;
             for _ in 0..budget {
                 match s.src.poll()? {
-                    SourcePoll::Event(ev) => batch.push(ev),
+                    SourcePoll::Event(ev) => {
+                        let ahead = merger.universal_of(r, ev.ts_local) > read_limit;
+                        batch.push(ev);
+                        if ahead {
+                            break;
+                        }
+                    }
                     SourcePoll::Pending => break,
                     SourcePoll::End => {
                         ended = true;
@@ -601,10 +696,9 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
                     }
                 }
             }
-            if !batch.is_empty() {
+            if let Some(newest) = batch.last().map(|ev| ev.ts_local) {
                 s.events += batch.len() as u64;
                 s.last_progress = now;
-                let newest = batch.last().expect("checked non-empty").ts_local;
                 if s.status == SourceStatus::Lagging {
                     // Catch-up: the horizon moved on without this radio.
                     // Anything below what has already been emitted is
@@ -633,7 +727,7 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
                     s.remember(ev);
                 }
                 if !batch.is_empty() {
-                    merger.feed(r, batch)?;
+                    merger.feed(r, batch.drain(..))?;
                 }
                 s.watermark = merger.universal_of(r, newest);
             } else if s.status == SourceStatus::Live
@@ -648,6 +742,7 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
                 merger.close_radio(r);
             }
         }
+        self.batch = batch;
 
         // The safe horizon: nothing below the slowest live radio's
         // watermark can still arrive. Lagging radios are excluded — that
@@ -671,40 +766,63 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
         Ok(())
     }
 
-    /// Every `reanchor_interval_us` of safe-horizon progress, re-run the
-    /// offset bootstrap over each radio's recent events and re-anchor
-    /// clocks whose offsets drifted past `reanchor_drift_us` — the escape
-    /// hatch for drift that continuous resynchronization missed (e.g. a
-    /// radio that heard no shared frames for a long stretch). Shifts of
-    /// `2×search_window` or more are rejected as bootstrap glitches
-    /// (`reanchors_skipped`); coarse (NTP-only) estimates are never
-    /// applied.
+    /// At every `reanchor_interval_us` boundary of trace time past the
+    /// bootstrap anchor, re-run the offset bootstrap over each radio's
+    /// recent events and re-anchor clocks whose offsets drifted past
+    /// `reanchor_drift_us` — the escape hatch for drift that continuous
+    /// resynchronization missed (e.g. a radio that heard no shared frames
+    /// for a long stretch). Only a radio whose clock took **no** correction
+    /// since the previous boundary is a candidate: a clock the merge is
+    /// still correcting is already tracked to microseconds, and replacing
+    /// it with a coarser ring estimate would fork the stream from the batch
+    /// merge on perfectly healthy clocks. Shifts of `2×search_window` or
+    /// more are rejected as bootstrap glitches (`reanchors_skipped`);
+    /// coarse (NTP-only) estimates are never applied.
     fn maybe_reanchor(&mut self, safe: Micros) {
-        let interval = self.cfg.reanchor_interval_us;
-        match self.next_reanchor {
-            None => {
-                self.next_reanchor = Some(safe.saturating_add(interval));
-                return;
-            }
-            Some(at) if safe < at => return,
-            Some(_) => self.next_reanchor = Some(safe.saturating_add(interval)),
+        if safe < self.next_reanchor {
+            return;
         }
+        // The next boundary past `safe`, staying on the anchor's grid however
+        // far one round moved the horizon.
+        let interval = self.cfg.reanchor_interval_us.max(1);
+        let crossed = (safe - self.next_reanchor) / interval + 1;
+        self.next_reanchor = self
+            .next_reanchor
+            .saturating_add(interval.saturating_mul(crossed));
+
         let merger = self.merger.as_mut().expect("re-anchor while streaming");
-        let window_us = self.cfg.bootstrap.window_us;
-        let joined: Vec<&SourceState<S>> = self
+        let joined: Vec<(usize, usize)> = self
             .sources
             .iter()
-            .filter(|s| s.merger_idx.is_some())
+            .enumerate()
+            .filter_map(|(i, s)| Some((i, s.merger_idx?)))
             .collect();
+        let idle: Vec<bool> = joined
+            .iter()
+            .map(|&(i, r)| {
+                let now = merger.clock(r).corrections;
+                std::mem::replace(&mut self.sources[i].corrections_seen, now) == now
+            })
+            .collect();
+        if !idle.contains(&true) {
+            return;
+        }
+        let window_us = self.cfg.bootstrap.window_us;
         let metas: Vec<_> = joined
             .iter()
-            .map(|s| s.src.meta().expect("joined sources have metas"))
+            .map(|&(i, _)| {
+                self.sources[i]
+                    .src
+                    .meta()
+                    .expect("joined sources have metas")
+            })
             .collect();
         // Window each radio at the tail of its ring: the freshest
         // bootstrap-window's worth of evidence.
         let window_los: Vec<Micros> = joined
             .iter()
-            .map(|s| {
+            .map(|&(i, _)| {
+                let s = &self.sources[i];
                 s.ring
                     .back()
                     .map(|e| e.ts_local.saturating_sub(window_us))
@@ -714,17 +832,13 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
             .collect();
         let prefixes: Vec<Vec<PhyEvent>> = joined
             .iter()
-            .map(|s| s.ring.iter().cloned().collect())
+            .map(|&(i, _)| self.sources[i].ring.iter().cloned().collect())
             .collect();
         let Ok(boot) = bootstrap_at(&metas, &prefixes, &window_los, &self.cfg.bootstrap) else {
             return;
         };
-        let radios: Vec<usize> = joined
-            .iter()
-            .map(|s| s.merger_idx.expect("filtered on merger_idx"))
-            .collect();
-        for (k, &r) in radios.iter().enumerate() {
-            if boot.coarse[k] {
+        for (k, &(i, r)) in joined.iter().enumerate() {
+            if !idle[k] || boot.coarse[k] {
                 continue;
             }
             // Offset convention (see `bootstrap_at`): universal = local −
@@ -741,6 +855,8 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
                 continue;
             }
             merger.reanchor_clock(r, boot.offsets[k], lo);
+            // The fresh clock state counts its corrections from zero.
+            self.sources[i].corrections_seen = 0;
             self.reanchors += 1;
         }
     }
@@ -750,7 +866,7 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
 mod tests {
     use super::*;
     use crate::clock::ManualClock;
-    use crate::source::{ChannelSource, LiveSender};
+    use crate::source::{ChannelSource, LiveSender, SendOutcome};
     use jigsaw_ieee80211::{Channel, PhyRate};
     use jigsaw_trace::{MonitorId, PhyStatus, RadioMeta};
 
@@ -826,6 +942,17 @@ mod tests {
         out
     }
 
+    /// Sends one event; the scenarios that use this never fill the channel.
+    fn send(tx: &LiveSender, ev: PhyEvent) {
+        assert_eq!(tx.send(ev), SendOutcome::Inserted);
+    }
+
+    fn send_all(tx: &LiveSender, evs: &[PhyEvent]) {
+        for e in evs {
+            send(tx, e.clone());
+        }
+    }
+
     fn key(jf: &JFrame) -> (Micros, u8, u64, usize) {
         (
             jf.ts,
@@ -843,6 +970,18 @@ mod tests {
             lm.step(&mut |jf| out.push(jf)).unwrap();
         }
         panic!("never reached streaming");
+    }
+
+    /// Steps until a round leaves the safe horizon where it was: everything
+    /// the pacing rule lets the merger read has been read.
+    fn settle(lm: &mut LiveMerger<ChannelSource, ManualClock>, out: &mut Vec<JFrame>) {
+        loop {
+            let before = lm.safe_horizon();
+            lm.step(&mut |jf| out.push(jf)).unwrap();
+            if lm.safe_horizon() == before {
+                return;
+            }
+        }
     }
 
     #[test]
@@ -864,13 +1003,13 @@ mod tests {
         while i < a.len() || j < b.len() {
             for _ in 0..1 + round % 3 {
                 if i < a.len() {
-                    tx0.send(a[i].clone());
+                    send(&tx0, a[i].clone());
                     i += 1;
                 }
             }
             for _ in 0..1 + (round + 1) % 2 {
                 if j < b.len() {
-                    tx1.send(b[j].clone());
+                    send(&tx1, b[j].clone());
                     j += 1;
                 }
             }
@@ -912,22 +1051,15 @@ mod tests {
 
         // Both radios deliver the first half; radio 1 then goes silent.
         let half = 60usize;
-        for e in &a[..half] {
-            tx0.send(e.clone());
-        }
-        for e in &b[..half] {
-            tx1.send(e.clone());
-        }
+        send_all(&tx0, &a[..half]);
+        send_all(&tx1, &b[..half]);
         let mut out = Vec::new();
         drive_to_streaming(&mut lm, &mut out);
-        for _ in 0..8 {
-            lm.step(&mut |jf| out.push(jf)).unwrap();
-        }
-        // Radio 0 keeps going alone.
-        for e in &a[half..90] {
-            tx0.send(e.clone());
-        }
-        lm.step(&mut |jf| out.push(jf)).unwrap();
+        settle(&mut lm, &mut out);
+        // Radio 0 keeps going alone — but the merger reads it no further
+        // than the hold-back past radio 1; the rest waits in its channel.
+        send_all(&tx0, &a[half..90]);
+        settle(&mut lm, &mut out);
         let stalled_at = out.len();
         let horizon_before = lm.safe_horizon();
         // Within max_lag_us: the silent radio still holds the horizon.
@@ -936,9 +1068,7 @@ mod tests {
         // Past max_lag_us — with radio 0 still delivering, so only radio 1
         // is silent: radio 1 is declared lagging and emission resumes.
         clock.advance(1_500_000);
-        for e in &a[90..] {
-            tx0.send(e.clone());
-        }
+        send_all(&tx0, &a[90..]);
         lm.step(&mut |jf| out.push(jf)).unwrap();
         lm.step(&mut |jf| out.push(jf)).unwrap();
         assert!(
@@ -951,9 +1081,7 @@ mod tests {
         );
         // Radio 1 catches up: its stale half-way events fall below the
         // emitted horizon and are dropped; it rejoins live.
-        for e in &b[half..] {
-            tx1.send(e.clone());
-        }
+        send_all(&tx1, &b[half..]);
         lm.step(&mut |jf| out.push(jf)).unwrap();
         drop(tx0);
         drop(tx1);
@@ -999,29 +1127,19 @@ mod tests {
         lm.add_source(s1);
 
         let half = 60usize;
-        for e in &a[..half] {
-            tx0.send(e.clone());
-        }
-        for e in &b[..half] {
-            tx1.send(e.clone());
-        }
+        send_all(&tx0, &a[..half]);
+        send_all(&tx1, &b[..half]);
         let mut out = Vec::new();
         drive_to_streaming(&mut lm, &mut out);
-        for _ in 0..40 {
-            lm.step(&mut |jf| out.push(jf)).unwrap();
-        }
-        // Radio 1 goes silent; radio 0 runs far ahead.
-        for e in &a[half..110] {
-            tx0.send(e.clone());
-        }
-        for _ in 0..20 {
-            lm.step(&mut |jf| out.push(jf)).unwrap();
-        }
-        // Past max_lag_us, with radio 0 still delivering: radio 1 lags.
+        settle(&mut lm, &mut out);
+        // Radio 1 goes silent; radio 0's producer runs far ahead (the
+        // merger holds those events in the channel while radio 1 is live).
+        send_all(&tx0, &a[half..110]);
+        settle(&mut lm, &mut out);
+        // Past max_lag_us, with radio 0 still delivering: radio 1 lags, and
+        // the horizon follows radio 0 through its backlog.
         clock.advance(1_500_000);
-        for e in &a[110..] {
-            tx0.send(e.clone());
-        }
+        send_all(&tx0, &a[110..]);
         for _ in 0..10 {
             lm.step(&mut |jf| out.push(jf)).unwrap();
         }
@@ -1033,9 +1151,7 @@ mod tests {
         // first catch-up round is b[60..68] — hours below the horizon in
         // trace time. It must be fully dropped WITHOUT flipping the radio
         // live, and the horizon must not move backwards.
-        for e in &b[half..] {
-            tx1.send(e.clone());
-        }
+        send_all(&tx1, &b[half..]);
         lm.step(&mut |jf| out.push(jf)).unwrap();
         assert_eq!(
             lm.source_status(1),
@@ -1051,7 +1167,10 @@ mod tests {
         // Fresh events past the horizon: now a retained round reaches the
         // safe horizon and the radio rejoins live.
         for k in 0..4u64 {
-            tx1.send(ev(1, 6_200_000 + k * 10_000, frame_bytes(200 + k as u16)));
+            send(
+                &tx1,
+                ev(1, 6_200_000 + k * 10_000, frame_bytes(200 + k as u16)),
+            );
         }
         lm.step(&mut |jf| out.push(jf)).unwrap();
         assert_eq!(
@@ -1091,30 +1210,23 @@ mod tests {
         let (tx1, s1) = ChannelSource::new(meta(1));
         lm.add_source(s0);
         lm.add_source(s1);
-        for e in &a[..30] {
-            tx0.send(e.clone());
-        }
-        for e in &b[..30] {
-            tx1.send(e.clone());
-        }
+        send_all(&tx0, &a[..30]);
+        send_all(&tx1, &b[..30]);
         let mut out = Vec::new();
         drive_to_streaming(&mut lm, &mut out);
-        for _ in 0..20 {
-            lm.step(&mut |jf| out.push(jf)).unwrap();
-        }
-        // Radio 1 stalls; radio 0 pulls 70 events (3.5 s of trace) ahead.
-        for e in &a[30..100] {
-            tx0.send(e.clone());
-        }
+        settle(&mut lm, &mut out);
+        // Radio 1 stalls past max_lag_us while radio 0 keeps delivering, and
+        // is declared lagging.
+        clock.advance(1_500_000);
+        send_all(&tx0, &a[30..32]);
+        lm.step(&mut |jf| out.push(jf)).unwrap();
+        assert_eq!(lm.source_status(1), SourceStatus::Lagging);
+        // Radio 0 — the only live radio now, so nothing paces it — pulls 70
+        // events (3.5 s of trace) ahead.
+        send_all(&tx0, &a[32..102]);
         for _ in 0..15 {
             lm.step(&mut |jf| out.push(jf)).unwrap();
         }
-        clock.advance(1_500_000);
-        for e in &a[100..102] {
-            tx0.send(e.clone());
-        }
-        lm.step(&mut |jf| out.push(jf)).unwrap();
-        assert_eq!(lm.source_status(1), SourceStatus::Lagging);
 
         // From here on, BOTH radios deliver two events per step, but radio
         // 1 replays its backlog and stays ~70 events behind forever. The
@@ -1125,10 +1237,10 @@ mod tests {
         let mut last_horizon = lm.safe_horizon();
         let mut advanced = 0usize;
         while k0 < 200 {
-            tx0.send(a[k0].clone());
-            tx0.send(a[k0 + 1].clone());
-            tx1.send(b[k1].clone());
-            tx1.send(b[k1 + 1].clone());
+            send(&tx0, a[k0].clone());
+            send(&tx0, a[k0 + 1].clone());
+            send(&tx1, b[k1].clone());
+            send(&tx1, b[k1 + 1].clone());
             k0 += 2;
             k1 += 2;
             lm.step(&mut |jf| out.push(jf)).unwrap();
@@ -1158,14 +1270,18 @@ mod tests {
     }
 
     /// Runs two radios where radio 1's clock skews 1500 ppm fast, with
-    /// continuous resync disabled, under the given re-anchor settings.
-    fn run_skewed(reanchor_interval_us: Micros) -> LiveReport {
+    /// continuous resync on or off, under the given re-anchor settings.
+    fn run_skewed(
+        reanchor_interval_us: Micros,
+        reanchor_drift_us: Micros,
+        resync_enabled: bool,
+    ) -> LiveReport {
         let mut cfg = LiveConfig {
             reanchor_interval_us,
-            reanchor_drift_us: 2_000,
+            reanchor_drift_us,
             ..LiveConfig::default()
         };
-        cfg.merge.resync_enabled = false;
+        cfg.merge.resync_enabled = resync_enabled;
         // A re-anchor corrects the offset at its bridging frame, up to one
         // bootstrap window behind the live edge, so ~1.5 ms of skew residual
         // remains at 1500 ppm; widen the dispersion guard so corrected
@@ -1180,8 +1296,8 @@ mod tests {
         for k in 0..400u64 {
             let ts = 10_000 + k * 50_000;
             let f = frame_bytes(k as u16);
-            tx0.send(ev(0, ts, f.clone()));
-            tx1.send(ev(1, ts + (ts * 15) / 10_000, f));
+            send(&tx0, ev(0, ts, f.clone()));
+            send(&tx1, ev(1, ts + (ts * 15) / 10_000, f));
             if k % 4 == 3 {
                 lm.step(&mut |jf| out.push(jf)).unwrap();
             }
@@ -1200,14 +1316,14 @@ mod tests {
         // By t=10 s radio 1's stamps lead true time by 15 ms — far past
         // the 2 ms drift threshold, inside the 20 ms shift clamp at each
         // 3 s checkpoint.
-        let with = run_skewed(3_000_000);
+        let with = run_skewed(3_000_000, 2_000, false);
         assert!(
             with.reanchors >= 1,
             "drift must trigger a re-anchor (got {} applied, {} skipped)",
             with.reanchors,
             with.reanchors_skipped
         );
-        let without = run_skewed(Micros::MAX);
+        let without = run_skewed(Micros::MAX, 2_000, false);
         assert_eq!(without.reanchors, 0);
         assert!(
             with.merge.instances_unified > without.merge.instances_unified,
@@ -1215,6 +1331,137 @@ mod tests {
             with.merge.instances_unified,
             without.merge.instances_unified
         );
+    }
+
+    /// The same skew with continuous resync running: every shared frame
+    /// corrects radio 1's clock, so each 3 s check finds its correction
+    /// count advanced and leaves it alone — even though the ring bootstrap,
+    /// up to a window staler than the tracked clock, disagrees with it by
+    /// more than the (here deliberately tight) drift threshold. Re-anchoring
+    /// a clock resync is tracking would fork the stream from the batch merge.
+    #[test]
+    fn reanchor_leaves_resynced_clocks_alone() {
+        let report = run_skewed(3_000_000, 300, true);
+        assert!(report.merge.resyncs > 0, "resync must be tracking the skew");
+        assert_eq!(
+            (report.reanchors, report.reanchors_skipped),
+            (0, 0),
+            "a clock continuous resync is correcting must not be re-anchored"
+        );
+    }
+
+    /// A source the merger chose not to read is *held*, not stalled: the
+    /// silence is the merger's doing and must not count toward
+    /// `max_lag_us`. The stalled radio holding everyone back is the one
+    /// that gets evicted.
+    #[test]
+    fn held_source_is_not_stalled() {
+        let (a, b) = shared_events(80, 3);
+        let cfg = LiveConfig {
+            max_lag_us: 1_000_000,
+            ..LiveConfig::default()
+        };
+        let clock = ManualClock::new();
+        let mut lm = LiveMerger::new(cfg, clock.clone());
+        let (tx0, s0) = ChannelSource::new(meta(0));
+        let (tx1, s1) = ChannelSource::new(meta(1));
+        lm.add_source(s0);
+        lm.add_source(s1);
+        // Radio 0 is one event ahead of radio 1 when radio 1 goes silent:
+        // that event is past the hold-back, so radio 0 is held with an
+        // empty channel behind it.
+        send_all(&tx0, &a[..41]);
+        send_all(&tx1, &b[..40]);
+        let mut out = Vec::new();
+        drive_to_streaming(&mut lm, &mut out);
+        settle(&mut lm, &mut out);
+        let held_at = lm.safe_horizon();
+
+        // Wall time passes max_lag_us. The first round evicts the stalled
+        // floor while radio 0 is still held; the second reads radio 0, finds
+        // its channel empty — and must measure that silence from the moment
+        // it was released, not from before the hold.
+        clock.advance(1_500_000);
+        for _ in 0..2 {
+            lm.step(&mut |jf| out.push(jf)).unwrap();
+            assert_eq!(lm.source_status(0), SourceStatus::Live);
+            assert_eq!(lm.source_status(1), SourceStatus::Lagging);
+        }
+        assert!(
+            lm.safe_horizon() > held_at,
+            "the horizon moves on without the stalled radio"
+        );
+
+        send_all(&tx0, &a[41..]);
+        drop(tx0);
+        drop(tx1);
+        while lm.step(&mut |jf| out.push(jf)).unwrap() {}
+        let report = lm.finish(|jf| out.push(jf)).unwrap();
+        assert!(!report.sources[0].lagged);
+        assert_eq!(report.sources[0].late_dropped, 0);
+        assert_eq!(report.sources[0].events, 80);
+        assert!(report.sources[1].lagged);
+    }
+
+    /// A source that keeps what has not been polled out of memory — the
+    /// shape of a file tail, whose unread bytes stay on disk.
+    struct Replay {
+        meta: RadioMeta,
+        events: std::vec::IntoIter<PhyEvent>,
+    }
+
+    impl LiveSource for Replay {
+        fn meta(&self) -> Option<RadioMeta> {
+            Some(self.meta)
+        }
+        fn poll(&mut self) -> Result<SourcePoll, FormatError> {
+            Ok(self
+                .events
+                .next()
+                .map_or(SourcePoll::End, SourcePoll::Event))
+        }
+    }
+
+    /// Peak merger residency for a busy radio (an event per ms) beside a
+    /// sparse one hearing every 50th frame, over `ms` of trace.
+    fn skewed_rate_peak(ms: u64) -> u64 {
+        let busy: Vec<PhyEvent> = (0..ms)
+            .map(|k| ev(0, 10_000 + k * 1_000, frame_bytes(k as u16)))
+            .collect();
+        let sparse: Vec<PhyEvent> = (0..ms)
+            .step_by(50)
+            .map(|k| ev(1, 10_003 + k * 1_000, frame_bytes(k as u16)))
+            .collect();
+        let mut cfg = LiveConfig::default();
+        // Keep the bootstrap accumulation (one window of the busy radio)
+        // below the steady-state residency this test is about.
+        cfg.bootstrap.window_us = 20_000;
+        let mut lm = LiveMerger::new(cfg, ManualClock::new());
+        for (r, events) in [busy, sparse].into_iter().enumerate() {
+            lm.add_source(Replay {
+                meta: meta(r as u16),
+                events: events.into_iter(),
+            });
+        }
+        let report = lm.run(|_| {}).unwrap();
+        assert_eq!(report.merge.events_in, ms + ms.div_ceil(50));
+        assert!(report.sources.iter().all(|s| !s.lagged));
+        report.merge.peak_buffered
+    }
+
+    /// The live mirror of unify's `peak_buffered_tracks_window_not_trace_length`:
+    /// count-paced polling let the sparse radio race `poll_budget` *events*
+    /// — seconds of trace — ahead of the busy one each round, and all of it
+    /// sat in the merger waiting on the slow watermark, so residency grew
+    /// with the trace. Watermark pacing leaves unread events in the source.
+    #[test]
+    fn live_residency_tracks_window_not_length() {
+        let short = skewed_rate_peak(20_000);
+        let long = skewed_rate_peak(40_000);
+        assert_eq!(short, long, "doubling the trace must not move the peak");
+        // The hold-back (20 ms) ahead of the floor plus the same again
+        // awaiting emission behind it, at ~1 event/ms: ~80 events.
+        assert!(short <= 100, "peak residency {short} is not window-bounded");
     }
 
     #[test]
@@ -1251,12 +1498,8 @@ mod tests {
         let (tx1, s1) = ChannelSource::new(meta(1));
         lm.add_source(s0);
         lm.add_source(s1);
-        for e in &a {
-            tx0.send(e.clone());
-        }
-        for e in &b {
-            tx1.send(e.clone());
-        }
+        send_all(&tx0, &a);
+        send_all(&tx1, &b);
         drop(tx0);
         drop(tx1);
         let mut out = Vec::new();
@@ -1310,11 +1553,6 @@ mod tests {
         lm.add_source(Either::Chan(s0));
         lm.add_source(Either::Headless(Headless));
         lm.add_source(Either::Chan(s1));
-        let send_all = |tx: &LiveSender, evs: &[PhyEvent]| {
-            for e in evs {
-                tx.send(e.clone());
-            }
-        };
         send_all(&tx0, &a);
         send_all(&tx1, &b);
         drop(tx0);

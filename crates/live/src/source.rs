@@ -19,9 +19,11 @@
 //!   *still being written* — it reports [`SourcePoll::Pending`] and picks
 //!   up appended bytes on later polls, ending only after
 //!   [`ChunkedFileTail::stop`] declares the writer done.
-//! * [`ChannelSource`] — an in-process channel, for radios whose capture
-//!   process lives in the same address space (and for tests that need to
-//!   stall, kill, or revive a radio at will).
+//! * [`ChannelSource`] — a bounded in-process channel, for radios whose
+//!   capture process lives in the same address space (and for tests that
+//!   need to stall, kill, or revive a radio at will). Its [`LiveSender`]
+//!   reports every send as a [`SendOutcome`], so a full channel is explicit
+//!   back-pressure on the producer, never silent growth.
 //!
 //! [`TailStream`] adapts any `LiveSource` back into a pull-mode
 //! `EventStream`, so the existing batch and sharded pipeline drivers can
@@ -156,28 +158,52 @@ impl LiveSource for ChunkedFileTail {
     }
 }
 
+/// Events a [`ChannelSource`] queues between its producer and the merger. A
+/// fixed bound, not a knob: a source the merger holds back (see the pacing
+/// clause of the crate docs) must push back on its producer, not move the
+/// pile into the channel.
+pub const CHANNEL_CAPACITY: usize = 1024;
+
+/// What became of one [`LiveSender::send`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[must_use = "a Full outcome hands the event back; dropping it loses the event"]
+pub enum SendOutcome {
+    /// The event is queued for the merger.
+    Inserted,
+    /// The channel already holds [`CHANNEL_CAPACITY`] events — the merger is
+    /// holding this radio back, or has not stepped. The event is returned
+    /// unsent: retry it (in order) after the merger's next step.
+    Full(PhyEvent),
+    /// The receiving [`ChannelSource`] is gone; nothing will ever be read.
+    Closed,
+}
+
 /// The sending half of an in-process live radio; drop it to end the stream.
 #[derive(Debug, Clone)]
-pub struct LiveSender(mpsc::Sender<PhyEvent>);
+pub struct LiveSender(mpsc::SyncSender<PhyEvent>);
 
 impl LiveSender {
-    /// Sends one event (nondecreasing `ts_local`). Returns `false` if the
-    /// receiving [`ChannelSource`] is gone.
-    pub fn send(&self, ev: PhyEvent) -> bool {
-        self.0.send(ev).is_ok()
+    /// Offers one event (nondecreasing `ts_local`) without blocking.
+    pub fn send(&self, ev: PhyEvent) -> SendOutcome {
+        match self.0.try_send(ev) {
+            Ok(()) => SendOutcome::Inserted,
+            Err(mpsc::TrySendError::Full(ev)) => SendOutcome::Full(ev),
+            Err(mpsc::TrySendError::Disconnected(_)) => SendOutcome::Closed,
+        }
     }
 }
 
-/// An in-process channel-backed live radio.
+/// An in-process channel-backed live radio, bounded at
+/// [`CHANNEL_CAPACITY`] queued events.
 pub struct ChannelSource {
     meta: RadioMeta,
     rx: mpsc::Receiver<PhyEvent>,
 }
 
 impl ChannelSource {
-    /// Creates a live radio fed through an in-process channel.
+    /// Creates a live radio fed through a bounded in-process channel.
     pub fn new(meta: RadioMeta) -> (LiveSender, ChannelSource) {
-        let (tx, rx) = mpsc::channel();
+        let (tx, rx) = mpsc::sync_channel(CHANNEL_CAPACITY);
         (LiveSender(tx), ChannelSource { meta, rx })
     }
 }
@@ -389,11 +415,36 @@ mod tests {
     fn channel_source_pends_then_ends() {
         let (tx, mut src) = ChannelSource::new(meta());
         assert_eq!(src.poll().unwrap(), SourcePoll::Pending);
-        assert!(tx.send(ev(5, 1)));
+        assert_eq!(tx.send(ev(5, 1)), SendOutcome::Inserted);
         assert!(matches!(src.poll().unwrap(), SourcePoll::Event(_)));
         assert_eq!(src.poll().unwrap(), SourcePoll::Pending);
         drop(tx);
         assert_eq!(src.poll().unwrap(), SourcePoll::End);
+    }
+
+    /// Back-pressure is explicit: a full channel hands the event back, a
+    /// poll frees a slot so the retry lands (in order), and a dropped
+    /// receiver reports `Closed`.
+    #[test]
+    fn channel_source_full_then_retry_then_closed() {
+        let (tx, mut src) = ChannelSource::new(meta());
+        for i in 0..CHANNEL_CAPACITY as u64 {
+            assert_eq!(tx.send(ev(i, 0)), SendOutcome::Inserted);
+        }
+        let overflow = ev(CHANNEL_CAPACITY as u64, 9);
+        let SendOutcome::Full(returned) = tx.send(overflow.clone()) else {
+            panic!("a full channel must hand the event back");
+        };
+        assert_eq!(returned, overflow);
+        assert_eq!(src.poll().unwrap(), SourcePoll::Event(ev(0, 0)));
+        assert_eq!(tx.send(returned), SendOutcome::Inserted);
+        let mut last = None;
+        while let SourcePoll::Event(e) = src.poll().unwrap() {
+            last = Some(e);
+        }
+        assert_eq!(last, Some(overflow), "the retried event keeps its place");
+        drop(src);
+        assert_eq!(tx.send(ev(9_999, 1)), SendOutcome::Closed);
     }
 
     #[test]

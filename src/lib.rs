@@ -23,9 +23,10 @@
 //! * [`live`] — online ingest: chunk-fed live sources ([`live::LiveSource`])
 //!   and the always-on [`live::LiveMerger`], which unifies streams *while
 //!   they are still being written*, emitting jframes continuously with
-//!   bounded lag (2×search-window behind the slowest live radio), evicting
-//!   stalled radios from the emission horizon after `max_lag_us`, and
-//!   re-anchoring drifting clocks on the fly;
+//!   bounded lag (2×search-window behind the slowest live radio) and
+//!   window-bounded memory (watermark-paced polling pushes back on sources
+//!   that run ahead), evicting stalled radios from the emission horizon
+//!   after `max_lag_us`, and re-anchoring clocks resync stopped reaching;
 //! * [`analysis`] — every table and figure of the paper's evaluation,
 //!   each an [`analysis::Analyzer`] (observer → [`analysis::Figure`]),
 //!   with [`analysis::Suite`] fanning one streaming pass to all of them.
@@ -164,6 +165,35 @@
 //! println!("p99 emission lag: {} µs", report.lag_quantile(0.99));
 //! # Ok(())
 //! # }
+//! ```
+//!
+//! The merger reads each live radio only a hold-back (`2×search_window`)
+//! past the slowest other one, so what it buffers tracks the search window,
+//! not the length of the day; what it has not read stays in the source. For
+//! a radio captured in-process that source is a bounded channel, and
+//! `send` reports the back-pressure instead of queueing without limit:
+//!
+//! ```no_run
+//! use jigsaw::live::{ChannelSource, SendOutcome};
+//!
+//! # fn radio_meta() -> jigsaw::trace::RadioMeta { unimplemented!() }
+//! # fn next_capture() -> jigsaw::trace::PhyEvent { unimplemented!() }
+//! let (tx, source) = ChannelSource::new(radio_meta());
+//! // `lm.add_source(source)`, then on the capture thread:
+//! let mut ev = next_capture();
+//! loop {
+//!     ev = match tx.send(ev) {
+//!         SendOutcome::Inserted => next_capture(),
+//!         // The merger is holding this radio behind a slower one (or has
+//!         // not stepped yet): keep the event and offer it again, in order.
+//!         SendOutcome::Full(unsent) => {
+//!             std::thread::yield_now();
+//!             unsent
+//!         }
+//!         // The merger is gone.
+//!         SendOutcome::Closed => break,
+//!     };
+//! }
 //! ```
 //!
 //! ## Adversarial scenarios and the golden sweep
