@@ -3,7 +3,7 @@
 //!
 //! Compares the Jigsaw merger against the Yeo-style and naive baselines on
 //! the same synthetic trace set, and reports events/second — plus the
-//! merge stage alone, serial vs channel-sharded (`jigsaw_core::shard`).
+//! merge stage alone at 1..=3 shard threads (`jigsaw_core::shard`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use jigsaw_core::baseline::{naive_merge, yeo_merge};
@@ -47,10 +47,8 @@ fn bench_mergers(c: &mut Criterion) {
     g.finish();
 }
 
-/// The merge stage alone (bootstrap + unification, no reconstruction):
-/// serial vs channel-sharded at 1..=3 shard threads. The 1-thread sharded
-/// case measures pure sharding overhead (it degenerates to the serial
-/// merger inline).
+/// The merge stage alone (bootstrap + unification, no reconstruction) at
+/// 1..=3 shard threads. One thread is the serial merger, run inline.
 fn bench_sharded_merge(c: &mut Criterion) {
     let out = small_world();
     let events = out.total_events();
@@ -58,11 +56,6 @@ fn bench_sharded_merge(c: &mut Criterion) {
     g.throughput(Throughput::Elements(events));
     g.sample_size(10);
 
-    g.bench_function(BenchmarkId::new("serial", events), |b| {
-        b.iter(|| {
-            Pipeline::merge_only(out.memory_streams(), &PipelineConfig::default(), ()).unwrap()
-        })
-    });
     for threads in [1usize, 2, 3] {
         let cfg = PipelineConfig {
             shard: ShardConfig {
@@ -71,8 +64,8 @@ fn bench_sharded_merge(c: &mut Criterion) {
             },
             ..PipelineConfig::default()
         };
-        g.bench_function(BenchmarkId::new("sharded", threads), |b| {
-            b.iter(|| Pipeline::merge_only_parallel(out.memory_streams(), &cfg, ()).unwrap())
+        g.bench_function(BenchmarkId::new("threads", threads), |b| {
+            b.iter(|| Pipeline::merge_only(out.memory_streams(), &cfg, ()).unwrap())
         });
     }
     g.finish();

@@ -1,7 +1,8 @@
 //! Criterion benchmark: the zero-copy payload path (PR 10).
 //!
-//! Two micro-benchmarks isolate what `BENCH_stream.json` measures
-//! end-to-end. `block_decode` decodes a compressed trace two ways: the
+//! Two micro-benchmarks isolate what jigtrace's `trace.decode_s` and
+//! `trace.decode_allocs_per_event` (`benchmark/`) measure over a whole
+//! corpus. `block_decode` decodes a compressed trace two ways: the
 //! shared path hands out [`jigsaw_trace::Payload`] range handles into the
 //! decompressed block (what `TraceReader` does now), and the owned path
 //! re-materializes every payload with `to_vec()` — the per-event copy the

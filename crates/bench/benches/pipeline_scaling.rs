@@ -58,7 +58,7 @@ fn bench_parallel_pipeline(c: &mut Criterion) {
         ..PipelineConfig::default()
     };
     g.bench_function(BenchmarkId::new("sharded3", events), |b| {
-        b.iter(|| Pipeline::run_parallel(out.memory_streams(), &cfg, ()).unwrap())
+        b.iter(|| Pipeline::run(out.memory_streams(), &cfg, ()).unwrap())
     });
     g.finish();
 }

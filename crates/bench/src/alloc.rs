@@ -1,24 +1,25 @@
-//! Allocation accounting for the bench harness: a counting global
-//! allocator and region-scoped measurement.
+//! Allocation accounting for the benchmark's traced run: a counting
+//! global allocator and region-scoped measurement.
 //!
 //! The zero-copy payload path (PR 10) claims the merge hot path performs
 //! ~no per-event heap traffic: block decode decompresses once into a
 //! shared block and hands out `Payload` range handles, the merger recycles
 //! its batch scratch, and jframe construction clones handles. This module
 //! makes that claim a *recorded number* instead of an assertion:
-//! `repro` installs [`CountingAlloc`] as its `#[global_allocator]`, every
-//! `bench-merge`/`bench-stream`/`bench-live` run brackets its timed merge
-//! in an [`AllocRegion`], and the resulting allocs/event and peak live
-//! bytes land in the `BENCH_*.json` records next to the throughput they
-//! explain.
+//! `jigtrace` (`benchmark/`) installs [`CountingAlloc`] as its
+//! `#[global_allocator]` and brackets each traced layer in an
+//! [`AllocRegion`]; the resulting allocs/event land in its
+//! `*_allocs_per_event` metrics next to the layer times they explain. The
+//! allocator lives here, not there, because this file is the tree's one
+//! audited `unsafe` site; nothing else in the workspace installs it — the
+//! `repro` binary in particular runs on the system allocator, uncounted.
 //!
 //! Counting costs three relaxed atomic ops per allocator call — noise
 //! next to the allocation itself — so the counted runs are the timed
 //! runs; no separate instrumented pass. When the counting allocator is
-//! *not* installed (unit tests of the record shapes, external users of
-//! this library), the counters never move and every report reads zero;
-//! [`counting_installed`] lets callers tell "zero allocations" apart from
-//! "not counting".
+//! *not* installed (this library's own tests, `repro`), the counters
+//! never move and every report reads zero; [`counting_installed`] lets
+//! callers tell "zero allocations" apart from "not counting".
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
@@ -120,8 +121,8 @@ impl AllocReport {
 /// An open measurement region. `begin` resets the peak high-water mark to
 /// the current live-byte level and snapshots the call counter; `end`
 /// reads both. Regions are process-global (the counters are), so nested
-/// or concurrent regions would double-count — the bench harness brackets
-/// one timed merge at a time.
+/// or concurrent regions would double-count — the traced run brackets one
+/// layer at a time.
 #[derive(Debug)]
 pub struct AllocRegion {
     allocs_at_begin: u64,
@@ -151,8 +152,8 @@ mod tests {
 
     // The library's own test binary does NOT install the allocator, so
     // counters stay at zero: exactly the "not counting" story the docs
-    // promise. The real end-to-end check lives in the repro binary (CI
-    // asserts the BENCH_*.json fields are nonzero there).
+    // promise. The installed case is jigtrace's: its `*_allocs_per_event`
+    // metrics are nonzero.
     #[test]
     fn uninstalled_process_reads_zero() {
         let region = AllocRegion::begin();

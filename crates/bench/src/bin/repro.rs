@@ -5,30 +5,28 @@
 //! repro [--seed N] [--scale F] [--parallel] [--threads N]
 //!       [all|smoke|table1|fig4|fig6|fig7|fig8|fig9|fig10|fig11|
 //!        link-stats|coverage-oracle|ablations|baselines|
-//!        bench-merge [--out F]|
 //!        record --corpus DIR [--scenario NAME] [--block-bytes N] [--snaplen N]|
 //!        merge --corpus DIR [--from US --to US] [--verify] [--max-buffered N]|
 //!        analyze --corpus DIR [--from US --to US]|
 //!        tail --corpus DIR [--chunk-bytes N] [--max-lag-us N] [--verify]
 //!             [--max-buffered N]|
 //!        diagnose --corpus DIR [--from US --to US] [--golden FILE] [--bless]|
-//!        bench-stream [--corpus DIR] [--from US --to US] [--out F]|
-//!        bench-live [--corpus DIR] [--chunk-bytes N] [--out F]|
 //!        sweep [--scenario NAME] [--golden DIR] [--corpus DIR] [--bless]]
 //! ```
 //!
 //! Usage errors — an unknown flag or subcommand, a flag value that does
-//! not parse, a missing required flag, or a second subcommand — exit 2
-//! with a one-line message. Correctness failures (verify divergence,
-//! `--max-buffered` exceeded, golden mismatch) exit 1.
+//! not parse, a missing required flag, a second subcommand, or a
+//! `--corpus` that cannot be opened — exit 2 with a one-line message.
+//! Correctness failures (a corpus that fails its digest check or cannot be
+//! read, verify divergence, `--max-buffered` exceeded, golden mismatch)
+//! exit 1 with a one-line `FAIL:`.
 //!
 //! `smoke` is the CI entry point: a seconds-long `ScenarioConfig::tiny`
-//! run through the full pipeline — once with the serial merger and once
-//! with the channel-sharded parallel merge (`--threads` caps the shards),
-//! asserting both produce the same jframe stream — failing loudly if
-//! anything degenerates.
+//! run through the full pipeline — once serial and once with the merge
+//! channel-sharded (`--threads` caps the shards), asserting both produce
+//! the same jframe stream — failing loudly if anything degenerates.
 //!
-//! The corpus trio reproduces the paper's actual deployment shape, where
+//! The corpus subcommands reproduce the paper's actual deployment shape, where
 //! day-long jigdump traces lived on disk and the merger streamed them:
 //! * `record` simulates a scenario and writes it as a corpus (one
 //!   compressed, indexed trace per radio + manifest + digest);
@@ -38,9 +36,6 @@
 //!   disk-backed stream is identical to the in-memory serial AND sharded
 //!   runs, and `--max-buffered N` fails the run if peak merger residency
 //!   ever exceeds N events (the CI memory-bound check);
-//! * `bench-stream` times record + streaming merge and writes
-//!   `BENCH_stream.json` (events/s, peak buffered events, disk bytes
-//!   in/out);
 //! * `analyze` streams the **entire figure suite** off a recorded corpus
 //!   through the full pipeline (serial or, with `--parallel`, the
 //!   channel-sharded merge) in one bounded-memory pass — no `Vec<JFrame>`
@@ -62,23 +57,24 @@
 //!   re-anchors applied and lagged sources (the contract's two documented
 //!   exceptions) when it is not; `--max-buffered N` fails the run if the
 //!   merger ever held more than N events, as for `merge` — watermark-paced
-//!   polling keeps that a search window's worth, whatever the corpus size;
-//! * `bench-live` records a corpus and times the chunk-fed live merge,
-//!   writing `BENCH_live.json` (events/s, p50/p99/max emission lag, peak
-//!   buffered events, scenario/seed/git_sha provenance).
+//!   polling keeps that a search window's worth, whatever the corpus size.
+//!
+//! Timing and allocation measurement is not this binary's job: `benchmark/`
+//! (jigbench + jigtrace, `bash benchmark/run.sh`) measures these
+//! subcommands from outside the process and each layer in isolation.
 //!
 //! `sweep` is the standing golden-record harness: every scenario of the
 //! adversarial sweep matrix (`jigsaw_sim::spec::ScenarioSpec::sweep_matrix`
 //! — roaming, hidden terminals, co-channel re-allocation, protection-mode
 //! coexistence, QoS mixes, error stress) runs end-to-end — record to a
-//! disk corpus, full merges on both drivers from memory and disk, the
+//! disk corpus, full merges serial and sharded from memory and disk, the
 //! figure suite's machine records serial vs sharded, and a windowed
 //! replay — and the surviving digests + `record` lines are diffed line by
 //! line against per-scenario golden files under `.github/golden/sweep/`.
 //! `--bless` rewrites the goldens from the current run; `--scenario`
 //! restricts to one matrix entry.
 //!
-//! `merge`, `analyze`, and `bench-stream` accept a **replay window**:
+//! `merge`, `analyze`, and `diagnose` accept a **replay window**:
 //! `--from US --to US` (anchor-universal µs, half-open `[from, to)`)
 //! restricts the run to that interval of the corpus — reads index-seek to
 //! the window, the clock bootstrap re-anchors at its warm-up start, and
@@ -91,11 +87,9 @@
 //! documented re-anchor tolerance, so the byte-exact comparison is on
 //! capture-side fields).
 //!
-//! `--parallel` switches the single-trace figures onto
-//! `Pipeline::run_parallel` (`--threads` caps the shard threads).
-//! `bench-merge` (also part of `all`) times the merge stage serial vs
-//! sharded and writes the comparison to `BENCH_merge.json` (`--out`
-//! overrides the path).
+//! There is one pipeline driver; `--parallel` is the only thing that
+//! changes its shard layout, from the serial default to one merge thread
+//! per channel shard (`--threads` caps them, 0 = up to the core count).
 //!
 //! Each figure subcommand simulates the building (or reuses the shared run
 //! in `all` mode), pushes the traces through the Jigsaw pipeline, and
@@ -105,12 +99,6 @@
 
 // The repro CLI's output *is* stdout; the workspace denial targets library code.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
-
-/// Every `bench-*` subcommand records allocs/event and peak live bytes
-/// into its `BENCH_*.json`; counting happens here, at the one allocator
-/// the whole process shares (see [`jigsaw_bench::alloc`]).
-#[global_allocator]
-static ALLOC: jigsaw_bench::alloc::CountingAlloc = jigsaw_bench::alloc::CountingAlloc;
 
 use jigsaw_analysis::activity::ActivityAnalysis;
 use jigsaw_analysis::coverage::{pods_subset, radios_of_pods, CoverageAnalysis, OracleCoverage};
@@ -122,32 +110,31 @@ use jigsaw_analysis::summary::SummaryBuilder;
 use jigsaw_analysis::tcploss::TcpLossAnalysis;
 use jigsaw_bench::cli::{self, ArgSpec};
 use jigsaw_bench::{
-    minute_bin_us, paper_scenario, practical_minute_us, subset_streams, MergeBench,
+    minute_bin_us, paper_scenario, practical_minute_us, subset_streams, CorpusSession,
+    JframeStreamDigest, SessionError, WindowedStreamDigest,
 };
 use jigsaw_core::baseline::{naive_merge, yeo_merge};
 use jigsaw_core::observer::{OnExchange, OnJFrame};
 use jigsaw_core::pipeline::{Pipeline, PipelineConfig, Reconstruction};
-use jigsaw_core::shard::ShardConfig;
-use jigsaw_core::unify::MergeConfig;
+use jigsaw_core::unify::{MergeConfig, MergeStats};
 use jigsaw_core::JFrame;
 use jigsaw_live::{ChunkedFileTail, LiveConfig, LiveMerger, ManualClock, TailStream};
 use jigsaw_sim::output::SimOutput;
 use jigsaw_sim::scenario::TruthConfig;
+use jigsaw_trace::corpus::Corpus;
 use jigsaw_trace::TimeWindow;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-#[derive(Clone)]
 struct Args {
     seed: u64,
     scale: f64,
-    /// Run single-trace figures through the channel-sharded merge.
+    /// Shard the merge by channel across threads (serial otherwise).
     parallel: bool,
-    /// Shard-thread cap (0 = one per channel, up to the core count).
+    /// Shard-thread cap under `--parallel` (0 = one per channel, up to the
+    /// core count).
     threads: usize,
-    /// Corpus directory (`record` / `merge` / `bench-stream`).
+    /// Corpus directory (every corpus subcommand; `sweep`'s output root).
     corpus: Option<String>,
-    /// Output path override (`bench-merge` / `bench-stream`).
-    out: Option<String>,
     /// Scenario name: a preset (tiny | small | paper_day) or a sweep-matrix
     /// entry for `record`; a matrix filter for `sweep`.
     scenario: Option<String>,
@@ -167,11 +154,11 @@ struct Args {
     /// events (0 = no limit).
     max_buffered: u64,
     /// Replay window start, anchor-universal µs (`merge`/`analyze`/
-    /// `bench-stream`).
+    /// `diagnose`).
     from: Option<u64>,
     /// Replay window end (exclusive), anchor-universal µs.
     to: Option<u64>,
-    /// `tail`/`bench-live`: chunk size each trace tail is fed in, bytes.
+    /// `tail`: chunk size each trace tail is fed in, bytes.
     chunk_bytes: usize,
     /// `tail`: wall-clock silence before a radio is declared lagging, µs.
     max_lag_us: u64,
@@ -184,17 +171,32 @@ fn usage_error(msg: &str) -> ! {
     cli::usage_error("repro", msg)
 }
 
+/// Exits 1 with a one-line `FAIL:` — the correctness-failure contract.
+fn fail(msg: &str) -> ! {
+    eprintln!("FAIL: {msg}");
+    std::process::exit(1);
+}
+
+/// Unwraps a corpus-session result onto the exit-code contract: what
+/// cannot be served as asked is a usage error, a wrong corpus a failure.
+fn or_exit<T>(r: Result<T, SessionError>) -> T {
+    match r {
+        Ok(v) => v,
+        Err(SessionError::Usage(msg)) => usage_error(&msg),
+        Err(SessionError::Fail(msg)) => fail(&msg),
+    }
+}
+
 /// `--max-buffered N` (`merge` / `tail`): exits 1 if peak merger residency
 /// exceeded `N` events — the CI gate that streaming memory stays bounded by
 /// the search window.
 fn check_max_buffered(args: &Args, peak: u64) {
     if args.max_buffered > 0 && peak > args.max_buffered {
-        eprintln!(
-            "FAIL: peak buffered {peak} events exceeds --max-buffered {} — \
+        fail(&format!(
+            "peak buffered {peak} events exceeds --max-buffered {} — \
              streaming memory is no longer bounded by the window",
             args.max_buffered
-        );
-        std::process::exit(1);
+        ));
     }
 }
 
@@ -215,7 +217,6 @@ static FLAGS: &[ArgSpec<Args>] = &[
         cli::assign(&mut a.threads, v)
     }),
     ArgSpec::text("--corpus", |a, v| a.corpus = Some(v)),
-    ArgSpec::text("--out", |a, v| a.out = Some(v)),
     ArgSpec::text("--scenario", |a, v| a.scenario = Some(v)),
     ArgSpec::text("--golden", |a, v| a.golden = Some(v)),
     ArgSpec::switch("--bless", |a| a.bless = true),
@@ -250,7 +251,6 @@ fn parse_args() -> Args {
         parallel: false,
         threads: 0,
         corpus: None,
-        out: None,
         scenario: None,
         golden: None,
         bless: false,
@@ -274,13 +274,21 @@ fn parse_args() -> Args {
     args
 }
 
+/// The run's pipeline configuration: serial unless `--parallel` asks for
+/// the channel-sharded merge layout.
 fn pipeline_config(args: &Args) -> PipelineConfig {
-    PipelineConfig {
-        shard: ShardConfig {
-            max_threads: args.threads,
-            ..ShardConfig::default()
-        },
-        ..PipelineConfig::default()
+    let mut cfg = PipelineConfig::default();
+    if args.parallel {
+        cfg.shard.max_threads = args.threads;
+    }
+    cfg
+}
+
+fn driver_label(args: &Args) -> &'static str {
+    if args.parallel {
+        "sharded"
+    } else {
+        "serial"
     }
 }
 
@@ -334,14 +342,11 @@ fn main() {
         "coverage-oracle" => run_oracle(args.seed, args.scale),
         "ablations" => run_ablations(args.seed, args.scale),
         "baselines" => run_baselines(args.seed, args.scale),
-        "bench-merge" => run_bench_merge(&args),
         "record" => run_record(&args),
         "merge" => run_corpus_merge(&args),
         "analyze" => run_analyze(&args),
         "tail" => run_tail(&args),
         "diagnose" => run_diagnose(&args),
-        "bench-stream" => run_bench_stream(&args),
-        "bench-live" => run_bench_live(&args),
         "sweep" => run_sweep(&args),
         other => usage_error(&format!("unknown subcommand `{other}`")),
     }
@@ -353,13 +358,6 @@ fn run_all(args: &Args) {
     run_oracle(args.seed, args.scale);
     run_ablations(args.seed, args.scale);
     run_baselines(args.seed, args.scale);
-    run_bench_merge(args);
-    // `--out` names one file; in `all` mode the two bench records would
-    // clobber each other through it, so bench-stream keeps its default.
-    run_bench_stream(&Args {
-        out: None,
-        ..args.clone()
-    });
 }
 
 /// One shared simulation + pipeline pass feeding every single-trace figure.
@@ -394,22 +392,15 @@ fn run_main_trace(args: &Args, only: Option<&str>) {
         &mut coverage,
         &mut tcploss,
     );
-    let report = if args.parallel {
-        Pipeline::run_parallel(out.memory_streams(), &cfg, obs)
-    } else {
-        Pipeline::run(out.memory_streams(), &cfg, obs)
-    }
-    .expect("pipeline");
+    let report = Pipeline::run(out.memory_streams(), &cfg, obs).expect("pipeline");
     let elapsed = t0.elapsed();
     let realtime_factor = day as f64 / 1e6 / elapsed.as_secs_f64();
-    let driver = if args.parallel {
-        "sharded merge"
-    } else {
-        "serial merge"
-    };
     eprintln!(
-        "[pipeline] merged {} events into {} jframes in {:.1?} ({realtime_factor:.1}x faster than real time, {driver})",
-        report.merge.events_in, report.merge.jframes_out, elapsed
+        "[pipeline] merged {} events into {} jframes in {:.1?} ({realtime_factor:.1}x faster than real time, {} merge)",
+        report.merge.events_in,
+        report.merge.jframes_out,
+        elapsed,
+        driver_label(args)
     );
 
     let run = |name: &str| only.is_none() || only == Some(name);
@@ -618,59 +609,46 @@ fn run_ablations(seed: u64, scale: f64) {
 
 /// CI smoke: the tiny scenario through the whole sim → merge → analysis
 /// path in a few seconds, with hard failures on degenerate output — run
-/// once serial and once through the channel-sharded merge, asserting both
-/// drivers produce the identical jframe stream.
+/// once serial and once with the merge channel-sharded, asserting both
+/// layouts produce the identical jframe stream.
 fn run_smoke(args: &Args) {
     banner("SMOKE — ScenarioConfig::tiny, serial vs channel-sharded");
     let t0 = Instant::now();
     let out = jigsaw_sim::scenario::ScenarioConfig::tiny(args.seed).run();
     let events = out.total_events();
 
-    let mut exchanges = 0u64;
-    let mut serial_keys: Vec<(u64, u8, u32)> = Vec::new();
-    let ts = Instant::now();
-    let report = Pipeline::run(
-        out.memory_streams(),
-        &PipelineConfig::default(),
-        (
-            OnJFrame(|jf: &JFrame| serial_keys.push((jf.ts, jf.channel.number(), jf.wire_len))),
-            OnExchange(|_: &jigsaw_core::link::exchange::Exchange| exchanges += 1),
-        ),
-    )
-    .expect("pipeline");
-    let serial_t = ts.elapsed();
+    // One pass of the one driver at a given shard layout.
+    let pass = |max_threads: usize| {
+        let mut cfg = PipelineConfig::default();
+        cfg.shard.max_threads = max_threads;
+        let mut exchanges = 0u64;
+        let mut keys: Vec<(u64, u8, u32)> = Vec::new();
+        let t = Instant::now();
+        let report = Pipeline::run(
+            out.memory_streams(),
+            &cfg,
+            (
+                OnJFrame(|jf: &JFrame| keys.push((jf.ts, jf.channel.number(), jf.wire_len))),
+                OnExchange(|_: &jigsaw_core::link::exchange::Exchange| exchanges += 1),
+            ),
+        )
+        .expect("pipeline");
+        (report, keys, exchanges, t.elapsed())
+    };
+    let (report, serial_keys, exchanges, serial_t) = pass(1);
 
-    // Parallel pass: by default force one shard thread per channel even on
+    // Sharded pass: by default force one shard thread per channel even on
     // small machines — CI must exercise the threaded path, not the
-    // degenerate single-shard fallback. `--threads N` overrides, so the CI
-    // thread matrix (1/2/4) can pin the serial ≡ sharded assertion at
-    // every shard layout, including channels split across fewer shards.
+    // single-shard inline one. `--threads N` overrides, so the CI thread
+    // matrix (1/2/4) can pin the serial ≡ sharded assertion at every shard
+    // layout, including channels split across fewer shards.
     let channels = jigsaw_trace::stream::distinct_channels(&out.radio_meta).len();
     let threads = if args.threads == 0 {
         channels.max(1)
     } else {
         args.threads
     };
-    let cfg = PipelineConfig {
-        shard: ShardConfig {
-            max_threads: threads,
-            ..ShardConfig::default()
-        },
-        ..PipelineConfig::default()
-    };
-    let mut par_exchanges = 0u64;
-    let mut par_keys: Vec<(u64, u8, u32)> = Vec::new();
-    let tp = Instant::now();
-    let par_report = Pipeline::run_parallel(
-        out.memory_streams(),
-        &cfg,
-        (
-            OnJFrame(|jf: &JFrame| par_keys.push((jf.ts, jf.channel.number(), jf.wire_len))),
-            OnExchange(|_: &jigsaw_core::link::exchange::Exchange| par_exchanges += 1),
-        ),
-    )
-    .expect("parallel pipeline");
-    let par_t = tp.elapsed();
+    let (par_report, par_keys, par_exchanges, par_t) = pass(threads);
 
     println!(
         "events {events}  jframes {}  exchanges {exchanges}  flows {}  serial {serial_t:.1?}  sharded({channels} ch, {threads} thr) {par_t:.1?}  total {:.1?}",
@@ -708,90 +686,54 @@ fn run_smoke(args: &Args) {
     );
 }
 
-/// Times the merge stage (bootstrap + unification only) serial vs sharded
-/// on the paper-day scenario and records the comparison in
-/// `BENCH_merge.json`.
-fn run_bench_merge(args: &Args) {
-    banner("BENCH — merge stage, serial vs channel-sharded");
-    let out = simulate(args.seed, args.scale);
-    let bench = MergeBench::run(&out, "paper_day", args.seed, args.scale, args.threads);
-    println!(
-        "events {}  channels {}  threads {}  cores {}  serial {:.3}s  parallel {:.3}s  speedup {:.2}x",
-        bench.events,
-        bench.channels,
-        bench.threads,
-        bench.cores,
-        bench.serial_s,
-        bench.parallel_s,
-        bench.speedup()
-    );
-    println!(
-        "serial merge: {:.0} events/s  {:.4} allocs/event  peak heap {:.1} MB",
-        bench.events as f64 / bench.serial_s.max(1e-12),
-        bench.allocs_per_event,
-        bench.peak_alloc_bytes as f64 / 1e6,
-    );
-    if bench.cores < bench.threads {
-        println!(
-            "(note: {} shard threads on {} core(s) — speedup needs ≥ {} cores to materialize)",
-            bench.threads, bench.cores, bench.threads
-        );
-    }
-    assert_eq!(
-        bench.jframes_serial, bench.jframes_parallel,
-        "sharded merge diverged from serial"
-    );
-    let path = args.out.as_deref().unwrap_or("BENCH_merge.json");
-    std::fs::write(path, bench.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
-}
-
-/// The corpus directory or a loud exit (the corpus subcommands are useless
-/// without one).
+/// The corpus directory or a usage error (the corpus subcommands are
+/// useless without one).
 fn corpus_dir(args: &Args) -> std::path::PathBuf {
     match &args.corpus {
         Some(dir) => std::path::PathBuf::from(dir),
-        None => {
-            eprintln!("{}: --corpus <dir> is required", args.cmd);
-            std::process::exit(2);
-        }
+        None => usage_error(&format!("{}: --corpus <dir> is required", args.cmd)),
     }
 }
 
-/// The validated replay window, or `None` when no `--from`/`--to` was
-/// given. Rejects half-specified windows, `from ≥ to`, and windows that
-/// miss the corpus's recorded span — every one of these would otherwise be
-/// an empty run that *looks* like a clean result.
-fn replay_window(args: &Args, corpus: &jigsaw_trace::corpus::Corpus) -> Option<TimeWindow> {
-    let window = match (args.from, args.to) {
-        (None, None) => return None,
-        (Some(from), Some(to)) => TimeWindow::new(from, to).unwrap_or_else(|| {
-            eprintln!(
-                "{}: --from {from} must be strictly below --to {to}",
-                args.cmd
-            );
-            std::process::exit(2);
-        }),
-        _ => {
-            eprintln!("{}: --from and --to must be given together", args.cmd);
-            std::process::exit(2);
-        }
-    };
-    let span = corpus.universal_span().expect("read corpus indexes");
-    match span {
-        Some((lo, hi)) if window.overlaps(lo, hi) => Some(window),
-        Some((lo, hi)) => {
-            eprintln!(
-                "{}: window {window} lies outside the corpus span [{lo}, {hi}] (universal µs)",
-                args.cmd
-            );
-            std::process::exit(2);
-        }
-        None => {
-            eprintln!("{}: corpus records no events, nothing to window", args.cmd);
-            std::process::exit(2);
-        }
+/// Opens the session every corpus-reading subcommand runs in — open,
+/// digest check, and the exit-code contract for both — and prints the
+/// corpus line.
+fn open_session(args: &Args) -> CorpusSession {
+    let dir = corpus_dir(args);
+    let session = or_exit(CorpusSession::open(&dir));
+    let corpus = session.corpus();
+    let m = corpus.manifest();
+    println!(
+        "corpus {}: scenario {} seed {} scale {} — {} radios, {} events, {:.2} MB",
+        dir.display(),
+        m.scenario,
+        m.seed,
+        m.scale,
+        m.radios.len(),
+        corpus.total_events(),
+        corpus.data_bytes().unwrap_or(0) as f64 / 1e6
+    );
+    session
+}
+
+/// A full replay must consume exactly the events the manifest records.
+fn check_all_events(what: &str, events_in: u64, corpus: &Corpus) {
+    if events_in != corpus.total_events() {
+        fail(&format!(
+            "{what} consumed {events_in} events, the manifest records {}",
+            corpus.total_events()
+        ));
     }
+}
+
+/// Renders every figure, then the stable machine-readable record lines.
+fn print_figures(figures: &[Box<dyn Figure>]) {
+    for fig in figures {
+        banner(fig.title());
+        print!("{}", fig.render());
+    }
+    banner("MACHINE RECORDS — figure key/value summary");
+    print!("{}", record_lines(figures));
 }
 
 /// `record`: simulate a scenario and persist it as an on-disk corpus.
@@ -829,79 +771,30 @@ fn run_record(args: &Args) {
     );
 }
 
-/// Opens a corpus and streams it through the merge (serial or sharded),
-/// returning `(events_in, digest, peak_buffered, disk_bytes_in, elapsed)`.
-fn stream_merge_corpus(
-    corpus: &jigsaw_trace::corpus::Corpus,
-    cfg: &PipelineConfig,
-    parallel: bool,
-) -> (
-    u64,
-    jigsaw_bench::JframeStreamDigest,
-    u64,
-    u64,
-    std::time::Duration,
-) {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    let counter = std::sync::Arc::new(AtomicU64::new(0));
-    let sources =
-        jigsaw_bench::corpus_sources(corpus, std::sync::Arc::clone(&counter)).expect("open corpus");
-    let mut digest = jigsaw_bench::JframeStreamDigest::new();
-    let t0 = Instant::now();
-    let (_, stats) = if parallel {
-        Pipeline::merge_only_parallel(sources, cfg, OnJFrame(|jf: &JFrame| digest.observe(jf)))
-            .expect("merge")
-    } else {
-        Pipeline::merge_only(sources, cfg, OnJFrame(|jf: &JFrame| digest.observe(jf)))
-            .expect("merge")
-    };
-    (
-        stats.events_in,
-        digest,
-        stats.peak_buffered,
-        counter.load(Ordering::Relaxed),
-        t0.elapsed(),
-    )
+/// What one merge-only pass over a corpus cost.
+struct MergeRun {
+    stats: MergeStats,
+    disk_bytes: u64,
+    elapsed: Duration,
 }
 
-/// Streams a corpus through the merge restricted to a replay window:
-/// index-seeked windowed sources, mid-trace clock bootstrap, emission
-/// clipped to `[from, to)`. The window comes from `cfg.window` — the one
-/// place it lives, so sources and emission clipping cannot disagree.
-/// Returns `(events_in, digest, peak_buffered, disk_bytes_in, elapsed)`.
-fn stream_merge_corpus_windowed(
-    corpus: &jigsaw_trace::corpus::Corpus,
+/// Streams the session's corpus through the merge — sources reading
+/// `read`, emission clipped to `cfg.window` (see `CorpusSession::merge`) —
+/// feeding every emitted jframe to the caller's digest.
+fn stream_merge_corpus(
+    session: &CorpusSession,
+    read: Option<TimeWindow>,
     cfg: &PipelineConfig,
-    parallel: bool,
-) -> (
-    u64,
-    jigsaw_bench::WindowedStreamDigest,
-    u64,
-    u64,
-    std::time::Duration,
-) {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    let window = cfg.window.expect("windowed merge requires cfg.window");
-    let counter = std::sync::Arc::new(AtomicU64::new(0));
-    let sources =
-        jigsaw_bench::corpus_sources_windowed(corpus, std::sync::Arc::clone(&counter), window)
-            .expect("open corpus");
-    let mut digest = jigsaw_bench::WindowedStreamDigest::new();
+    on_jframe: impl FnMut(&JFrame),
+) -> MergeRun {
+    let before = session.disk_bytes();
     let t0 = Instant::now();
-    let (_, stats) = if parallel {
-        Pipeline::merge_only_parallel(sources, cfg, OnJFrame(|jf: &JFrame| digest.observe(jf)))
-            .expect("merge")
-    } else {
-        Pipeline::merge_only(sources, cfg, OnJFrame(|jf: &JFrame| digest.observe(jf)))
-            .expect("merge")
-    };
-    (
-        stats.events_in,
-        digest,
-        stats.peak_buffered,
-        counter.load(Ordering::Relaxed),
-        t0.elapsed(),
-    )
+    let stats = or_exit(session.merge(read, cfg, on_jframe));
+    MergeRun {
+        stats,
+        disk_bytes: session.disk_bytes() - before,
+        elapsed: t0.elapsed(),
+    }
 }
 
 /// `merge --corpus`: stream a recorded corpus through the pipeline with
@@ -912,81 +805,56 @@ fn stream_merge_corpus_windowed(
 /// same window unifies (per-channel count + clock-invariant digest).
 fn run_corpus_merge(args: &Args) {
     banner("MERGE — stream an on-disk corpus through unification");
-    let dir = corpus_dir(args);
-    let corpus = jigsaw_trace::corpus::Corpus::open(&dir).expect("open corpus");
-    let m = corpus.manifest();
-    println!(
-        "corpus {}: scenario {} seed {} scale {} — {} radios, {} events, {:.2} MB",
-        dir.display(),
-        m.scenario,
-        m.seed,
-        m.scale,
-        m.radios.len(),
-        corpus.total_events(),
-        corpus.data_bytes().unwrap_or(0) as f64 / 1e6
-    );
-    assert!(
-        corpus.verify_digest().expect("digest check"),
-        "corpus files do not match their recorded digest (corrupt or tampered)"
-    );
-    if let Some(window) = replay_window(args, &corpus) {
-        return run_windowed_merge(args, &corpus, window);
+    let session = open_session(args);
+    if let Some(window) = or_exit(session.window(args.from, args.to)) {
+        return run_windowed_merge(args, &session, window);
     }
+    let corpus = session.corpus();
 
     let cfg = pipeline_config(args);
-    let (events, digest, peak, bytes_in, elapsed) =
-        stream_merge_corpus(&corpus, &cfg, args.parallel);
-    let driver = if args.parallel { "sharded" } else { "serial" };
+    let mut digest = JframeStreamDigest::new();
+    let run = stream_merge_corpus(&session, None, &cfg, |jf| digest.observe(jf));
+    let events = run.stats.events_in;
     println!(
-        "merged {events} events -> {} jframes in {elapsed:.1?} ({driver}, {:.0} events/s)",
+        "merged {events} events -> {} jframes in {:.1?} ({}, {:.0} events/s)",
         digest.count(),
-        events as f64 / elapsed.as_secs_f64().max(1e-12)
+        run.elapsed,
+        driver_label(args),
+        events as f64 / run.elapsed.as_secs_f64().max(1e-12)
     );
     println!(
-        "stream digest {}  peak buffered {peak} events  disk bytes in {bytes_in}",
-        digest.hex()
+        "stream digest {}  peak buffered {} events  disk bytes in {}",
+        digest.hex(),
+        run.stats.peak_buffered,
+        run.disk_bytes
     );
-    assert_eq!(
-        events,
-        corpus.total_events(),
-        "merge dropped events relative to the manifest"
-    );
-    check_max_buffered(args, peak);
+    check_all_events("merge", events, corpus);
+    check_max_buffered(args, run.stats.peak_buffered);
 
     if args.verify {
+        let m = corpus.manifest();
         let Some(cfg_sim) = jigsaw_bench::scenario_by_name(&m.scenario, m.seed, m.scale) else {
-            eprintln!("manifest scenario `{}` unknown to this binary", m.scenario);
-            std::process::exit(1);
+            fail(&format!(
+                "manifest scenario `{}` unknown to this binary",
+                m.scenario
+            ));
         };
         eprintln!("[verify] re-simulating {} at seed {}…", m.scenario, m.seed);
         let out = cfg_sim.run();
-
-        let mut mem_serial = jigsaw_bench::JframeStreamDigest::new();
-        Pipeline::merge_only(
-            out.memory_streams(),
-            &cfg,
-            OnJFrame(|jf: &JFrame| mem_serial.observe(jf)),
-        )
-        .expect("in-memory serial merge");
-        let mut mem_sharded = jigsaw_bench::JframeStreamDigest::new();
-        let par_cfg = PipelineConfig {
-            shard: ShardConfig {
-                max_threads: jigsaw_trace::stream::distinct_channels(&out.radio_meta)
-                    .len()
-                    .max(1),
-                ..ShardConfig::default()
-            },
-            ..cfg.clone()
-        };
-        Pipeline::merge_only_parallel(
-            out.memory_streams(),
-            &par_cfg,
-            OnJFrame(|jf: &JFrame| mem_sharded.observe(jf)),
-        )
-        .expect("in-memory sharded merge");
+        let layouts = [
+            ("serial", PipelineConfig::default()),
+            ("sharded", jigsaw_bench::sharded_config(&out.radio_meta).0),
+        ];
 
         let mut ok = true;
-        for (name, mem) in [("serial", &mem_serial), ("sharded", &mem_sharded)] {
+        for (name, mem_cfg) in layouts {
+            let mut mem = JframeStreamDigest::new();
+            Pipeline::merge_only(
+                out.memory_streams(),
+                &mem_cfg,
+                OnJFrame(|jf: &JFrame| mem.observe(jf)),
+            )
+            .expect("in-memory merge");
             if mem.count() != digest.count() || mem.hex() != digest.hex() {
                 eprintln!(
                     "FAIL: disk stream ({} jframes, {}) != in-memory {name} ({} jframes, {})",
@@ -1012,64 +880,69 @@ fn run_corpus_merge(args: &Args) {
 /// The windowed leg of `merge --corpus --from --to`: seek-bounded replay of
 /// `[from, to)`, with `--verify` comparing against the full corpus replay
 /// clipped to the same window.
-fn run_windowed_merge(args: &Args, corpus: &jigsaw_trace::corpus::Corpus, window: TimeWindow) {
+fn run_windowed_merge(args: &Args, session: &CorpusSession, window: TimeWindow) {
+    let corpus = session.corpus();
     let mut cfg = pipeline_config(args);
     cfg.window = Some(window);
-    let (events, digest, peak, bytes_in, elapsed) =
-        stream_merge_corpus_windowed(corpus, &cfg, args.parallel);
-    let driver = if args.parallel { "sharded" } else { "serial" };
-    let total_bytes = corpus.data_bytes().unwrap_or(0);
+    let mut digest = WindowedStreamDigest::new();
+    let run = stream_merge_corpus(session, Some(window), &cfg, |jf| digest.observe(jf));
+    let events = run.stats.events_in;
     println!(
-        "window {window}: merged {events} events -> {} in-window jframes in {elapsed:.1?} ({driver}, {:.0} events/s)",
+        "window {window}: merged {events} events -> {} in-window jframes in {:.1?} ({}, {:.0} events/s)",
         digest.count(),
-        events as f64 / elapsed.as_secs_f64().max(1e-12)
+        run.elapsed,
+        driver_label(args),
+        events as f64 / run.elapsed.as_secs_f64().max(1e-12)
     );
     println!(
-        "window digest {}  peak buffered {peak} events  disk bytes in {bytes_in} (corpus holds {total_bytes})",
-        digest.hex()
+        "window digest {}  peak buffered {} events  disk bytes in {} (corpus holds {})",
+        digest.hex(),
+        run.stats.peak_buffered,
+        run.disk_bytes,
+        corpus.data_bytes().unwrap_or(0)
     );
-    assert!(
-        events <= corpus.total_events(),
-        "windowed merge read more events than the corpus holds"
-    );
-    check_max_buffered(args, peak);
+    if events > corpus.total_events() {
+        fail("windowed merge read more events than the corpus holds");
+    }
+    check_max_buffered(args, run.stats.peak_buffered);
 
     if args.verify {
-        // The reference: the FULL corpus replayed from t = 0, with only
-        // emission clipped to the window. Equality is on the per-channel
-        // clock-invariant digest — the windowed-replay contract (merged
-        // timestamps agree only to the re-anchor tolerance; unification
-        // must agree exactly).
+        // The reference: the FULL corpus replayed from t = 0, serially,
+        // with only emission clipped to the window. Equality is on the
+        // per-channel clock-invariant digest — the windowed-replay
+        // contract (merged timestamps agree only to the re-anchor
+        // tolerance; unification must agree exactly).
         eprintln!("[verify] full replay clipped to {window}…");
-        let counter = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let sources = jigsaw_bench::corpus_sources(corpus, std::sync::Arc::clone(&counter))
-            .expect("open corpus");
-        let mut full = jigsaw_bench::WindowedStreamDigest::new();
-        Pipeline::merge_only(sources, &cfg, OnJFrame(|jf: &JFrame| full.observe(jf)))
-            .expect("clipped-full merge");
-        let full_bytes = counter.load(std::sync::atomic::Ordering::Relaxed);
+        let full_cfg = PipelineConfig {
+            window: Some(window),
+            ..PipelineConfig::default()
+        };
+        let mut full = WindowedStreamDigest::new();
+        let full_run = stream_merge_corpus(session, None, &full_cfg, |jf| full.observe(jf));
         if full.count() != digest.count() || full.hex() != digest.hex() {
-            eprintln!(
-                "FAIL: windowed replay ({} jframes, {}) != clipped-full replay ({} jframes, {})",
+            fail(&format!(
+                "windowed replay ({} jframes, {}) != clipped-full replay ({} jframes, {})",
                 digest.count(),
                 digest.hex(),
                 full.count(),
                 full.hex()
-            );
-            std::process::exit(1);
+            ));
         }
-        if bytes_in >= full_bytes {
+        if run.disk_bytes >= full_run.disk_bytes {
             // Not fatal (a window covering the whole span legitimately
             // reads everything), but worth shouting about in CI logs.
             eprintln!(
-                "WARNING: windowed replay read {bytes_in} disk bytes, the full scan {full_bytes} — \
-                 the index seek saved nothing"
+                "WARNING: windowed replay read {} disk bytes, the full scan {} — \
+                 the index seek saved nothing",
+                run.disk_bytes, full_run.disk_bytes
             );
         }
         println!(
-            "verify OK: windowed == clipped-full ({} jframes, digest {}); disk bytes {bytes_in} vs full scan {full_bytes}",
+            "verify OK: windowed == clipped-full ({} jframes, digest {}); disk bytes {} vs full scan {}",
             digest.count(),
-            digest.hex()
+            digest.hex(),
+            run.disk_bytes,
+            full_run.disk_bytes
         );
     }
 }
@@ -1088,97 +961,33 @@ fn run_windowed_merge(args: &Args, corpus: &jigsaw_trace::corpus::Corpus, window
 /// trace clips to the same `[from, to)`).
 fn run_analyze(args: &Args) {
     banner("ANALYZE — stream the figure suite off a recorded corpus");
-    let dir = corpus_dir(args);
-    let corpus = jigsaw_trace::corpus::Corpus::open(&dir).expect("open corpus");
-    let m = corpus.manifest();
-    println!(
-        "corpus {}: scenario {} seed {} scale {} — {} radios, {} events, {:.2} MB",
-        dir.display(),
-        m.scenario,
-        m.seed,
-        m.scale,
-        m.radios.len(),
-        corpus.total_events(),
-        corpus.data_bytes().unwrap_or(0) as f64 / 1e6
-    );
-    assert!(
-        corpus.verify_digest().expect("digest check"),
-        "corpus files do not match their recorded digest (corrupt or tampered)"
-    );
-    let window = replay_window(args, &corpus);
-
-    let (wired, ap_table) = jigsaw_bench::corpus_wired(&corpus).unwrap_or_else(|e| {
-        eprintln!("analyze: {e}");
-        std::process::exit(2);
-    });
-    // A windowed analyze clips the wired side-channel to the same window
-    // (wired timestamps are wall-clock, the same timeline the window is
-    // phrased in, up to the documented NTP tolerance).
-    let wired: Vec<jigsaw_sim::wired::WiredTraceRecord> = match window {
-        Some(w) => wired.into_iter().filter(|r| w.contains(r.ts)).collect(),
-        None => wired,
-    };
-    let ap_lookup = move |sid: u16| ap_table[&sid];
-    let mut suite =
-        jigsaw_bench::figure_suite_parts(m.radios.len(), m.duration_us, &wired, &ap_lookup);
-    drop(wired);
-
+    let session = open_session(args);
     let mut cfg = pipeline_config(args);
-    cfg.window = window;
-    let counter = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
+    cfg.window = or_exit(session.window(args.from, args.to));
     let t0 = Instant::now();
-    let report = if let Some(w) = window {
-        let sources =
-            jigsaw_bench::corpus_sources_windowed(&corpus, std::sync::Arc::clone(&counter), w)
-                .expect("open corpus sources");
-        if args.parallel {
-            Pipeline::run_parallel(sources, &cfg, &mut suite)
-        } else {
-            Pipeline::run(sources, &cfg, &mut suite)
-        }
-    } else {
-        let sources = jigsaw_bench::corpus_sources(&corpus, std::sync::Arc::clone(&counter))
-            .expect("open corpus sources");
-        if args.parallel {
-            Pipeline::run_parallel(sources, &cfg, &mut suite)
-        } else {
-            Pipeline::run(sources, &cfg, &mut suite)
-        }
-    }
-    .expect("pipeline");
+    let (report, figures) = or_exit(session.analyze(&cfg));
     let elapsed = t0.elapsed();
-    let driver = if args.parallel { "sharded" } else { "serial" };
-    match window {
+    match cfg.window {
         Some(w) => println!("window {w}: replay restricted to the requested interval"),
-        None => assert_eq!(
-            report.merge.events_in,
-            corpus.total_events(),
-            "analyze dropped events relative to the manifest"
-        ),
+        None => check_all_events("analyze", report.merge.events_in, session.corpus()),
     }
     println!(
-        "analyzed {} events -> {} jframes, {} exchanges, {} flows in {elapsed:.1?} ({driver}, peak buffered {} events, disk bytes in {})",
+        "analyzed {} events -> {} jframes, {} exchanges, {} flows in {elapsed:.1?} ({}, peak buffered {} events, disk bytes in {})",
         report.merge.events_in,
         report.merge.jframes_out,
         report.link.exchanges,
         report.transport.flows,
+        driver_label(args),
         report.merge.peak_buffered,
-        counter.load(std::sync::atomic::Ordering::Relaxed)
+        session.disk_bytes()
     );
-
-    let figures = suite.finish();
-    for fig in &figures {
-        banner(fig.title());
-        print!("{}", fig.render());
-    }
-    banner("MACHINE RECORDS — figure key/value summary");
-    print!("{}", record_lines(&figures));
+    print_figures(&figures);
 }
 
 /// Opens every radio of a corpus as a chunk-fed file tail, in manifest
 /// (radio) order — the byte stream each tail delivers is identical to what
 /// a still-growing trace file would, for any chunk size.
-fn corpus_tails(corpus: &jigsaw_trace::corpus::Corpus, chunk: usize) -> Vec<ChunkedFileTail> {
+fn corpus_tails(corpus: &Corpus, chunk: usize) -> Vec<ChunkedFileTail> {
     corpus
         .manifest()
         .radios
@@ -1212,95 +1021,60 @@ fn corpus_tails(corpus: &jigsaw_trace::corpus::Corpus, chunk: usize) -> Vec<Chun
 /// `--max-buffered N` exits 1 if the merger ever held more than N events.
 fn run_tail(args: &Args) {
     banner("TAIL — live streaming ingest from a recorded corpus");
-    let dir = corpus_dir(args);
-    let corpus = jigsaw_trace::corpus::Corpus::open(&dir).expect("open corpus");
-    let m = corpus.manifest();
+    let session = open_session(args);
+    let corpus = session.corpus();
     let chunk = args.chunk_bytes.max(1);
-    println!(
-        "corpus {}: scenario {} seed {} scale {} — {} radios, {} events, {:.2} MB (chunk {} B)",
-        dir.display(),
-        m.scenario,
-        m.seed,
-        m.scale,
-        m.radios.len(),
-        corpus.total_events(),
-        corpus.data_bytes().unwrap_or(0) as f64 / 1e6,
-        chunk,
-    );
-    assert!(
-        corpus.verify_digest().expect("digest check"),
-        "corpus files do not match their recorded digest (corrupt or tampered)"
-    );
+    let cfg = pipeline_config(args);
 
-    let (wired, ap_table) = jigsaw_bench::corpus_wired(&corpus).unwrap_or_else(|e| {
-        eprintln!("tail: {e}");
-        std::process::exit(2);
-    });
-    let ap_lookup = move |sid: u16| ap_table[&sid];
-    let mut suite =
-        jigsaw_bench::figure_suite_parts(m.radios.len(), m.duration_us, &wired, &ap_lookup);
-    drop(wired);
-
-    let mut digest = jigsaw_bench::JframeStreamDigest::new();
+    let mut digest = JframeStreamDigest::new();
     let t0 = Instant::now();
-    let (events_in, jframes, peak, exchanges, flows, live_report) = if args.parallel {
-        let cfg = pipeline_config(args);
-        let sources: Vec<TailStream<ChunkedFileTail>> = corpus_tails(&corpus, chunk)
+    let (merge, exchanges, flows, figures, live_report) = if args.parallel {
+        let sources: Vec<TailStream<ChunkedFileTail>> = corpus_tails(corpus, chunk)
             .into_iter()
             .map(|t| TailStream::open(t).expect("read trace header"))
             .collect();
-        let obs = (&mut suite, OnJFrame(|jf: &JFrame| digest.observe(jf)));
-        let report = Pipeline::run_parallel(sources, &cfg, obs).expect("pipeline");
-        (
-            report.merge.events_in,
-            report.merge.jframes_out,
-            report.merge.peak_buffered,
-            report.link.exchanges,
-            report.transport.flows,
-            None,
-        )
+        let also = OnJFrame(|jf: &JFrame| digest.observe(jf));
+        let (report, figures) = or_exit(session.analyze_sources(sources, &cfg, also));
+        let (exchanges, flows) = (report.link.exchanges, report.transport.flows);
+        (report.merge, exchanges, flows, figures, None)
     } else {
         let lcfg = LiveConfig {
             max_lag_us: args.max_lag_us,
             ..LiveConfig::default()
         };
         let mut lm = LiveMerger::new(lcfg, ManualClock::new());
-        for tail in corpus_tails(&corpus, chunk) {
+        for tail in corpus_tails(corpus, chunk) {
             lm.add_source(tail);
         }
+        let mut suite = or_exit(session.suite(None));
         let mut rec = Reconstruction::new(&mut suite);
         let report = lm
             .run(|jf| {
                 digest.observe(&jf);
                 rec.push(&jf);
             })
-            .unwrap_or_else(|e| {
-                eprintln!("FAIL: live merge: {e}");
-                std::process::exit(1);
-            });
+            .unwrap_or_else(|e| fail(&format!("live merge: {e}")));
         let (_, link, _, transport) = rec.finish();
+        let (merge, figures) = (report.merge.clone(), suite.finish());
         (
-            report.merge.events_in,
-            report.merge.jframes_out,
-            report.merge.peak_buffered,
+            merge,
             link.exchanges,
             transport.flows,
+            figures,
             Some(report),
         )
     };
     let elapsed = t0.elapsed();
-    assert_eq!(
-        events_in,
-        corpus.total_events(),
-        "tail dropped events relative to the manifest"
-    );
+    let (events_in, peak) = (merge.events_in, merge.peak_buffered);
+    check_all_events("tail", events_in, corpus);
     let driver = if args.parallel {
         "sharded-tail"
     } else {
         "live"
     };
     println!(
-        "tailed {events_in} events -> {jframes} jframes, {exchanges} exchanges, {flows} flows in {elapsed:.1?} ({driver}, peak buffered {peak} events)"
+        "tailed {events_in} events -> {} jframes, {exchanges} exchanges, {flows} flows in {elapsed:.1?} ({driver}, chunk {chunk} B, peak buffered {peak} events)",
+        merge.jframes_out
     );
     if let Some(rep) = &live_report {
         let lag_q = rep.lag.quantiles(&[0.5, 0.99]);
@@ -1333,11 +1107,11 @@ fn run_tail(args: &Args) {
     check_max_buffered(args, peak);
 
     if args.verify {
-        let cfg = pipeline_config(args);
-        let (b_events, b_digest, _, _, _) = stream_merge_corpus(&corpus, &cfg, args.parallel);
-        if b_events != events_in
-            || b_digest.count() != digest.count()
-            || b_digest.hex() != digest.hex()
+        let mut batch = JframeStreamDigest::new();
+        let run = stream_merge_corpus(&session, None, &cfg, |jf| batch.observe(jf));
+        if run.stats.events_in != events_in
+            || batch.count() != digest.count()
+            || batch.hex() != digest.hex()
         {
             // Live ≡ batch is promised only while nothing lags and no
             // re-anchor is applied; say whether either happened, so a
@@ -1348,19 +1122,18 @@ fn run_tail(args: &Args) {
                     rep.sources.iter().filter(|s| s.lagged).count(),
                 )
             });
-            eprintln!(
-                "FAIL: live stream diverges from the batch merge: live {} jframes digest {}, batch {} jframes digest {} ({reanchors} re-anchors applied, {lagged} sources lagged{})",
+            fail(&format!(
+                "live stream diverges from the batch merge: live {} jframes digest {}, batch {} jframes digest {} ({reanchors} re-anchors applied, {lagged} sources lagged{})",
                 digest.count(),
                 digest.hex(),
-                b_digest.count(),
-                b_digest.hex(),
+                batch.count(),
+                batch.hex(),
                 if reanchors == 0 && lagged == 0 {
                     " — outside the contract's documented exceptions"
                 } else {
                     ""
                 },
-            );
-            std::process::exit(1);
+            ));
         }
         println!(
             "verify OK: live ≡ batch — {} jframes, digest {}",
@@ -1368,14 +1141,7 @@ fn run_tail(args: &Args) {
             digest.hex()
         );
     }
-
-    let figures = suite.finish();
-    for fig in &figures {
-        banner(fig.title());
-        print!("{}", fig.render());
-    }
-    banner("MACHINE RECORDS — figure key/value summary");
-    print!("{}", record_lines(&figures));
+    print_figures(&figures);
 }
 
 /// `diagnose`: evidence-grounded triage off a recorded corpus. One
@@ -1390,97 +1156,32 @@ fn run_tail(args: &Args) {
 fn run_diagnose(args: &Args) {
     use jigsaw_diagnosis::{run_diagnosis, standard_detectors, RecordSet, Thresholds};
     banner("DIAGNOSE — evidence-grounded triage over the figure suite");
-    let dir = corpus_dir(args);
-    let corpus = jigsaw_trace::corpus::Corpus::open(&dir).expect("open corpus");
-    let m = corpus.manifest();
-    println!(
-        "corpus {}: scenario {} seed {} scale {} — {} radios, {} events",
-        dir.display(),
-        m.scenario,
-        m.seed,
-        m.scale,
-        m.radios.len(),
-        corpus.total_events()
-    );
-    assert!(
-        corpus.verify_digest().expect("digest check"),
-        "corpus files do not match their recorded digest (corrupt or tampered)"
-    );
-    let restrict = replay_window(args, &corpus);
-    let span = match corpus.universal_span().expect("read corpus indexes") {
-        Some((lo, hi)) => match restrict {
-            // Diagnose only the requested interval (already validated
-            // to overlap the span).
-            Some(w) => (w.from.max(lo), w.to.saturating_sub(1).min(hi)),
-            None => (lo, hi),
-        },
-        None => {
-            eprintln!("diagnose: corpus records no events, nothing to diagnose");
-            std::process::exit(2);
-        }
+    let session = open_session(args);
+    let restrict = or_exit(session.window(args.from, args.to));
+    let (lo, hi) = or_exit(session.span());
+    let span = match restrict {
+        // Diagnose only the requested interval (already validated to
+        // overlap the span).
+        Some(w) => (w.from.max(lo), w.to.saturating_sub(1).min(hi)),
+        None => (lo, hi),
     };
-
-    let (wired, ap_table) = jigsaw_bench::corpus_wired(&corpus).unwrap_or_else(|e| {
-        eprintln!("diagnose: {e}");
-        std::process::exit(2);
-    });
     // One figure-suite pass over a window (or, for the coarse pass, the
     // whole span) — the same streaming path `analyze` runs, reduced to
-    // its typed records.
-    let analyze_span = |w: Option<TimeWindow>| -> Result<RecordSet, String> {
-        let wired_clipped: Vec<jigsaw_sim::wired::WiredTraceRecord> = match w {
-            Some(win) => wired
-                .iter()
-                .filter(|r| win.contains(r.ts))
-                .cloned()
-                .collect(),
-            None => wired.clone(),
+    // its typed records. Every pass shares the session: one open, one
+    // digest check, one wired decode.
+    let base = pipeline_config(args);
+    let analyze_span = |w: Option<TimeWindow>| {
+        let cfg = PipelineConfig {
+            window: w,
+            ..base.clone()
         };
-        let ap_lookup = |sid: u16| ap_table[&sid];
-        let mut suite = jigsaw_bench::figure_suite_parts(
-            m.radios.len(),
-            m.duration_us,
-            &wired_clipped,
-            &ap_lookup,
-        );
-        let mut cfg = pipeline_config(args);
-        cfg.window = w;
-        let counter = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        match w {
-            Some(win) => {
-                let sources = jigsaw_bench::corpus_sources_windowed(
-                    &corpus,
-                    std::sync::Arc::clone(&counter),
-                    win,
-                )
-                .map_err(|e| format!("open corpus sources: {e}"))?;
-                if args.parallel {
-                    Pipeline::run_parallel(sources, &cfg, &mut suite)
-                } else {
-                    Pipeline::run(sources, &cfg, &mut suite)
-                }
-            }
-            None => {
-                let sources =
-                    jigsaw_bench::corpus_sources(&corpus, std::sync::Arc::clone(&counter))
-                        .map_err(|e| format!("open corpus sources: {e}"))?;
-                if args.parallel {
-                    Pipeline::run_parallel(sources, &cfg, &mut suite)
-                } else {
-                    Pipeline::run(sources, &cfg, &mut suite)
-                }
-            }
-        }
-        .map_err(|e| format!("pipeline: {e}"))?;
-        Ok(RecordSet::from_figures(&suite.finish()))
+        let (_, figures) = session.analyze(&cfg)?;
+        Ok::<_, SessionError>(RecordSet::from_figures(&figures))
     };
 
     let t0 = Instant::now();
-    let coarse = analyze_span(restrict).unwrap_or_else(|e| {
-        eprintln!("diagnose: coarse pass failed: {e}");
-        std::process::exit(1);
-    });
-    let mut deep = |w: TimeWindow| analyze_span(Some(w));
+    let coarse = or_exit(analyze_span(restrict));
+    let mut deep = |w: TimeWindow| analyze_span(Some(w)).map_err(|e| e.to_string());
     let report = run_diagnosis(
         &standard_detectors(),
         &coarse,
@@ -1488,11 +1189,9 @@ fn run_diagnose(args: &Args) {
         &Thresholds::default(),
         &mut deep,
     )
-    .unwrap_or_else(|e| {
-        eprintln!("diagnose: windowed re-analysis failed: {e}");
-        std::process::exit(1);
-    });
+    .unwrap_or_else(|e| fail(&format!("windowed re-analysis: {e}")));
     let triggered = report.detectors.iter().filter(|d| d.triggered).count();
+    let (m, dir) = (session.corpus().manifest(), session.corpus().dir());
     // One stable stdout line — what CI greps into the step summary.
     println!(
         "diagnose {}: span {} {} detectors {} triggered {} windows_analyzed {} incidents {} ({:.1?})",
@@ -1533,243 +1232,18 @@ fn run_diagnose(args: &Args) {
             match std::fs::read_to_string(path) {
                 Ok(expected) => match jigsaw_bench::sweep::diff_lines(&expected, &body) {
                     None => println!("diagnose golden MATCHED: {golden}"),
-                    Some(diff) => {
-                        eprintln!(
-                            "FAIL: diagnosis drifted from {golden}:\n{diff}(intentional change? re-bless with `repro diagnose --corpus {} --golden {golden} --bless`)",
-                            dir.display()
-                        );
-                        std::process::exit(1);
-                    }
-                },
-                Err(_) => {
-                    eprintln!(
-                        "FAIL: no diagnosis golden at {golden} (bless with `repro diagnose --corpus {} --golden {golden} --bless`)",
+                    Some(diff) => fail(&format!(
+                        "diagnosis drifted from {golden}:\n{diff}(intentional change? re-bless with `repro diagnose --corpus {} --golden {golden} --bless`)",
                         dir.display()
-                    );
-                    std::process::exit(1);
-                }
+                    )),
+                },
+                Err(_) => fail(&format!(
+                    "no diagnosis golden at {golden} (bless with `repro diagnose --corpus {} --golden {golden} --bless`)",
+                    dir.display()
+                )),
             }
         }
     }
-}
-
-/// `bench-stream`: record a corpus, stream-merge it back, and write the
-/// throughput/memory/IO record to `BENCH_stream.json`.
-fn run_bench_stream(args: &Args) {
-    banner("BENCH — disk-backed streaming: record + merge from corpus");
-    let dir = args
-        .corpus
-        .clone()
-        .unwrap_or_else(|| "target/bench_stream_corpus".into());
-    let dir = std::path::Path::new(&dir);
-    let out = simulate(args.seed, args.scale);
-    let channels = jigsaw_trace::stream::distinct_channels(&out.radio_meta).len();
-
-    let t0 = Instant::now();
-    let summary = jigsaw_bench::record_corpus(
-        &out,
-        dir,
-        "paper_day",
-        args.seed,
-        args.scale,
-        args.snaplen,
-        args.block_bytes,
-    )
-    .expect("record corpus");
-    let record_s = t0.elapsed().as_secs_f64();
-    // The whole point: the merge below must not touch the in-memory world.
-    drop(out);
-
-    let corpus = jigsaw_trace::corpus::Corpus::open(dir).expect("open corpus");
-    // Like bench-merge: with no --threads, force one shard per channel even
-    // on machines with fewer cores, so the recorded layout is the same
-    // everywhere and CI's multi-core runners actually exercise it. The
-    // merge below runs with exactly this shard config — `threads` in the
-    // JSON is the count that really ran.
-    let shard = ShardConfig {
-        max_threads: if args.threads == 0 {
-            channels.max(1)
-        } else {
-            args.threads
-        },
-        ..ShardConfig::default()
-    };
-    let threads = shard.shards_for(channels);
-    let cfg = PipelineConfig {
-        shard,
-        ..PipelineConfig::default()
-    };
-    let region = jigsaw_bench::alloc::AllocRegion::begin();
-    let (events, digest, peak, bytes_in, elapsed) = stream_merge_corpus(&corpus, &cfg, true);
-    let alloc_report = region.end();
-    assert_eq!(events, summary.events, "streaming merge dropped events");
-    assert!(digest.count() > 0, "streaming merge produced no jframes");
-
-    // The seek-bounded leg: replay only [--from, --to) and record how much
-    // cheaper it is than the full scan above.
-    let window_bench = replay_window(args, &corpus).map(|w| {
-        let mut wcfg = cfg.clone();
-        wcfg.window = Some(w);
-        let (w_events, w_digest, _, w_bytes, w_elapsed) =
-            stream_merge_corpus_windowed(&corpus, &wcfg, true);
-        jigsaw_bench::WindowBench {
-            from: w.from,
-            to: w.to,
-            events: w_events,
-            jframes: w_digest.count(),
-            merge_s: w_elapsed.as_secs_f64(),
-            disk_bytes_in: w_bytes,
-        }
-    });
-
-    let bench = jigsaw_bench::StreamBench {
-        scenario: "paper_day".into(),
-        seed: args.seed,
-        git_sha: jigsaw_bench::git_sha(),
-        scale: args.scale,
-        events,
-        jframes: digest.count(),
-        channels,
-        threads,
-        cores: std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
-        record_s,
-        disk_bytes_out: summary.data_bytes,
-        merge_s: elapsed.as_secs_f64(),
-        disk_bytes_in: bytes_in,
-        peak_buffered_events: peak,
-        allocs_per_event: alloc_report.per_event(events),
-        peak_alloc_bytes: alloc_report.peak_bytes,
-        digest: digest.hex(),
-        window: window_bench,
-    };
-    println!(
-        "events {}  jframes {}  record {:.3}s ({:.1} MB/s out)  merge {:.3}s ({:.0} events/s, {:.1} MB/s in)  peak buffered {}  threads {}/{} cores",
-        bench.events,
-        bench.jframes,
-        bench.record_s,
-        bench.write_mb_s(),
-        bench.merge_s,
-        bench.events_per_s(),
-        bench.read_mb_s(),
-        bench.peak_buffered_events,
-        bench.threads,
-        bench.cores,
-    );
-    println!(
-        "alloc accounting: {:.4} allocs/event  peak heap {:.1} MB",
-        bench.allocs_per_event,
-        bench.peak_alloc_bytes as f64 / 1e6,
-    );
-    if let Some(w) = &bench.window {
-        println!(
-            "window [{}, {}): {} events -> {} jframes in {:.3}s — {:.2}x faster than the full scan, {} of {} disk bytes read",
-            w.from,
-            w.to,
-            w.events,
-            w.jframes,
-            w.merge_s,
-            bench.seek_speedup(),
-            w.disk_bytes_in,
-            bench.disk_bytes_in,
-        );
-    }
-    let path = args.out.as_deref().unwrap_or("BENCH_stream.json");
-    std::fs::write(path, bench.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
-}
-
-/// `bench-live`: record a corpus (at `--corpus`, default
-/// `target/bench_live_corpus`) and time the chunk-fed live merge over it,
-/// writing `BENCH_live.json` — events/s through the always-on service,
-/// the emission-lag quantiles the bounded-lag contract caps, and peak
-/// buffered events, with scenario/seed/git_sha provenance.
-fn run_bench_live(args: &Args) {
-    banner("BENCH — live ingest: chunk-fed tail merge from corpus");
-    let dir = args
-        .corpus
-        .clone()
-        .unwrap_or_else(|| "target/bench_live_corpus".into());
-    let dir = std::path::Path::new(&dir);
-    let out = simulate(args.seed, args.scale);
-    let t0 = Instant::now();
-    let summary = jigsaw_bench::record_corpus(
-        &out,
-        dir,
-        "paper_day",
-        args.seed,
-        args.scale,
-        args.snaplen,
-        args.block_bytes,
-    )
-    .expect("record corpus");
-    let record_s = t0.elapsed().as_secs_f64();
-    // Like bench-stream: the merge below must not touch the in-memory world.
-    drop(out);
-
-    let corpus = jigsaw_trace::corpus::Corpus::open(dir).expect("open corpus");
-    let chunk = args.chunk_bytes.max(1);
-    let lcfg = LiveConfig {
-        max_lag_us: args.max_lag_us,
-        ..LiveConfig::default()
-    };
-    let mut lm = LiveMerger::new(lcfg, ManualClock::new());
-    for tail in corpus_tails(&corpus, chunk) {
-        lm.add_source(tail);
-    }
-    let mut digest = jigsaw_bench::JframeStreamDigest::new();
-    let region = jigsaw_bench::alloc::AllocRegion::begin();
-    let t0 = Instant::now();
-    let report = lm.run(|jf| digest.observe(&jf)).expect("live merge");
-    let merge_s = t0.elapsed().as_secs_f64();
-    let alloc_report = region.end();
-    assert_eq!(
-        report.merge.events_in, summary.events,
-        "live merge dropped events"
-    );
-    assert!(digest.count() > 0, "live merge produced no jframes");
-
-    let lag_q = report.lag.quantiles(&[0.5, 0.99]);
-    let bench = jigsaw_bench::LiveBench {
-        scenario: "paper_day".into(),
-        seed: args.seed,
-        git_sha: jigsaw_bench::git_sha(),
-        scale: args.scale,
-        events: report.merge.events_in,
-        jframes: digest.count(),
-        sources: corpus.manifest().radios.len(),
-        chunk_bytes: chunk,
-        record_s,
-        merge_s,
-        lag_p50_us: lag_q[0],
-        lag_p99_us: lag_q[1],
-        lag_max_us: report.lag_max(),
-        peak_buffered_events: report.merge.peak_buffered,
-        allocs_per_event: alloc_report.per_event(report.merge.events_in),
-        peak_alloc_bytes: alloc_report.peak_bytes,
-        digest: digest.hex(),
-    };
-    println!(
-        "events {}  jframes {}  record {:.3}s  live merge {:.3}s ({:.0} events/s)  lag p50/p99/max {}/{}/{} µs  peak buffered {}",
-        bench.events,
-        bench.jframes,
-        bench.record_s,
-        bench.merge_s,
-        bench.events_per_s(),
-        bench.lag_p50_us,
-        bench.lag_p99_us,
-        bench.lag_max_us,
-        bench.peak_buffered_events,
-    );
-    println!(
-        "alloc accounting: {:.4} allocs/event  peak heap {:.1} MB",
-        bench.allocs_per_event,
-        bench.peak_alloc_bytes as f64 / 1e6,
-    );
-    let path = args.out.as_deref().unwrap_or("BENCH_live.json");
-    std::fs::write(path, bench.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
 }
 
 /// `sweep`: the standing golden-record matrix over adversarial traffic

@@ -1,16 +1,16 @@
 //! # jigsaw-bench
 //!
 //! The reproduction harness: scenario presets scaled to a CPU/RAM budget,
-//! shared runners, and the `repro` binary that regenerates every table and
-//! figure of the paper's evaluation. Criterion benchmarks (merge
-//! throughput, scaling, baselines) live under `benches/`.
+//! the [`CorpusSession`] every corpus-backed run goes through, and the
+//! `repro` binary that regenerates every table and figure of the paper's
+//! evaluation. Criterion micro-benchmarks live under `benches/`; the
+//! repo's measurement surface is `benchmark/` (jigbench + jigtrace).
 
-use jigsaw_core::pipeline::{
-    CorpusSource, Pipeline, PipelineConfig, PipelineReport, WindowedCorpusSource,
-};
-use jigsaw_core::shard::ShardConfig;
+use jigsaw_analysis::suite::{Figure, Suite};
+use jigsaw_core::observer::OnJFrame;
+use jigsaw_core::pipeline::{CorpusSource, EventSource, Pipeline, PipelineConfig, PipelineReport};
 use jigsaw_core::unify::MergeStats;
-use jigsaw_core::JFrame;
+use jigsaw_core::{JFrame, PipelineObserver};
 use jigsaw_ieee80211::MacAddr;
 use jigsaw_sim::output::SimOutput;
 use jigsaw_sim::scenario::ScenarioConfig;
@@ -18,12 +18,12 @@ use jigsaw_sim::spec::ScenarioSpec;
 use jigsaw_sim::wired::WiredTraceRecord;
 use jigsaw_trace::corpus::{Corpus, CorpusError, CorpusSummary, CorpusWriter};
 use jigsaw_trace::digest::Fnv64;
-use jigsaw_trace::TimeWindow;
-use std::collections::BTreeMap;
+use jigsaw_trace::{RadioMeta, TimeWindow};
+use std::cell::OnceCell;
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 pub mod alloc;
 pub mod cli;
@@ -58,7 +58,7 @@ pub fn practical_minute_us(day_us: u64) -> u64 {
     ((60_000_000.0 / (86_400_000_000.0 / day_us as f64)) as u64).max(1)
 }
 
-/// The full paper figure [`Suite`](jigsaw_analysis::Suite) for a simulated
+/// The full paper figure [`Suite`] for a simulated
 /// world, coverage included: Table 1, Figures 4/6/8/9/10/11, and the
 /// station census, all parameterized exactly the way `repro` wires them
 /// ("hour" bins of the represented day, one-minute practical timeout).
@@ -66,7 +66,7 @@ pub fn practical_minute_us(day_us: u64) -> u64 {
 /// The suite holds no borrow of `out` — the coverage expectation index is
 /// built here from the wired trace — so callers may drop the simulation
 /// and stream the pipeline from an on-disk corpus instead.
-pub fn figure_suite(out: &SimOutput) -> jigsaw_analysis::Suite {
+pub fn figure_suite(out: &SimOutput) -> Suite {
     let ap_addrs: Vec<MacAddr> = out.stations.iter().map(|s| s.addr).collect();
     let ap_lookup = move |sid: u16| ap_addrs[usize::from(sid)];
     figure_suite_parts(
@@ -85,7 +85,7 @@ pub fn figure_suite_parts(
     duration_us: u64,
     wired: &[WiredTraceRecord],
     ap_addr_of: &dyn Fn(u16) -> MacAddr,
-) -> jigsaw_analysis::Suite {
+) -> Suite {
     let params = jigsaw_analysis::PaperParams {
         radios,
         origin: 0,
@@ -93,7 +93,20 @@ pub fn figure_suite_parts(
         practical_timeout_us: practical_minute_us(duration_us),
     };
     let coverage = jigsaw_analysis::coverage::CoverageAnalysis::new(wired, ap_addr_of, 10_000_000);
-    jigsaw_analysis::Suite::paper(&params).register(coverage)
+    Suite::paper(&params).register(coverage)
+}
+
+/// The sharded counterpart of the default (serial) config for a radio set
+/// — one merge shard per distinct channel, whatever the core count — plus
+/// the number of shards it plans. Every serial ≡ sharded check (the sweep,
+/// `merge --verify`, the equivalence tests) runs this against the default;
+/// fewer than two shards means the comparison would be vacuous.
+pub fn sharded_config(metas: &[RadioMeta]) -> (PipelineConfig, usize) {
+    let channels = jigsaw_trace::stream::distinct_channels(metas).len();
+    let mut cfg = PipelineConfig::default();
+    cfg.shard.max_threads = channels.max(1);
+    let shards = cfg.shard.shards_for(channels);
+    (cfg, shards)
 }
 
 /// A scenario resolved from a manifest (or CLI) name: either one of the
@@ -194,18 +207,13 @@ pub fn record_corpus(
     w.finish()
 }
 
+/// A decoded wired member: the records plus the AP id → MAC table.
+pub type WiredTrace = (Vec<WiredTraceRecord>, HashMap<u16, MacAddr>);
+
 /// Decodes a corpus's wired member into records plus the AP id → MAC table
 /// (the Figure 6 inputs). Errors when the corpus has none — corpora
 /// recorded before the wired member existed must be re-recorded.
-pub fn corpus_wired(
-    corpus: &Corpus,
-) -> Result<
-    (
-        Vec<WiredTraceRecord>,
-        std::collections::HashMap<u16, MacAddr>,
-    ),
-    String,
-> {
+pub fn corpus_wired(corpus: &Corpus) -> Result<WiredTrace, String> {
     let payload = corpus
         .wired_payload()
         .map_err(|e| e.to_string())?
@@ -213,34 +221,228 @@ pub fn corpus_wired(
     jigsaw_sim::wired::decode_wired_trace(&payload)
 }
 
-/// Opens every radio of a corpus as a pipeline source, all feeding one
-/// shared disk-bytes counter.
+/// The records of a wired trace that fall in `window` (all of them for
+/// `None`), borrowed. `decode_wired_trace` accumulates delta-encoded
+/// timestamps, so records are nondecreasing in `ts` by construction and a
+/// `[from, to)` window is the contiguous sub-slice between two partition
+/// points — a windowed run never clones the trace.
+pub fn wired_window(wired: &[WiredTraceRecord], window: Option<TimeWindow>) -> &[WiredTraceRecord] {
+    let Some(w) = window else { return wired };
+    let lo = wired.partition_point(|r| r.ts < w.from);
+    let hi = wired.partition_point(|r| r.ts < w.to);
+    wired.get(lo..hi).unwrap_or(&[])
+}
+
+/// Opens every radio of a corpus as a pipeline source for a full replay,
+/// all feeding one shared disk-bytes counter.
 pub fn corpus_sources(
     corpus: &Corpus,
     counter: Arc<AtomicU64>,
 ) -> Result<Vec<CorpusSource>, CorpusError> {
-    Ok(corpus
-        .sources(counter)?
-        .into_iter()
-        .map(CorpusSource)
-        .collect())
+    corpus_sources_windowed(corpus, counter, None)
 }
 
-/// Opens every radio of a corpus as a **windowed** pipeline source: reads
-/// index-seek to `window` (clock bootstrap re-anchored at its warm-up
+/// Opens every radio of a corpus as a pipeline source on `window`: given
+/// one, reads index-seek to it (clock bootstrap re-anchored at its warm-up
 /// start), so disk bytes and merge work scale with the window, not the
-/// corpus. Pair with `PipelineConfig::window = Some(window)` so emission
-/// is clipped to `[from, to)` as well.
+/// corpus; `None` is the full replay. Pair a window with
+/// `PipelineConfig::window = Some(window)` so emission is clipped to
+/// `[from, to)` as well.
 pub fn corpus_sources_windowed(
     corpus: &Corpus,
     counter: Arc<AtomicU64>,
-    window: TimeWindow,
-) -> Result<Vec<WindowedCorpusSource>, CorpusError> {
+    window: impl Into<Option<TimeWindow>>,
+) -> Result<Vec<CorpusSource>, CorpusError> {
+    let window = window.into();
     Ok(corpus
         .sources(counter)?
         .into_iter()
-        .map(|s| WindowedCorpusSource::new(s, window))
+        .map(|s| CorpusSource::new(s, window))
         .collect())
+}
+
+/// Why a corpus-backed run stopped, split the way `repro`'s exit codes
+/// are: a request that cannot be served as asked versus a corpus (or a run
+/// over it) that is wrong.
+#[derive(Debug)]
+pub enum SessionError {
+    /// No corpus or manifest at the path, a malformed or out-of-span
+    /// window, a corpus recorded without a wired member — `repro` exits 2.
+    Usage(String),
+    /// Digest mismatch, an unreadable index or wired member, a failed
+    /// pipeline run — `repro` prints `FAIL:` and exits 1.
+    Fail(String),
+}
+
+impl std::fmt::Display for SessionError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (SessionError::Usage(msg) | SessionError::Fail(msg)) = self;
+        f.write_str(msg)
+    }
+}
+
+fn usage(msg: impl Into<String>) -> SessionError {
+    SessionError::Usage(msg.into())
+}
+
+fn fail(what: &str, e: impl std::fmt::Display) -> SessionError {
+    SessionError::Fail(format!("{what}: {e}"))
+}
+
+/// One opened, digest-checked corpus and everything a run over it needs —
+/// the single owner of what `repro merge`/`analyze`/`tail`/`diagnose`, the
+/// sweep and the equivalence tests would otherwise each redo: the open and
+/// the digest check (an input check, made on every open), one decode of
+/// the wired member (on first use, shared by every later suite), window
+/// validation, suite construction over a borrowed wired slice, source
+/// opening, and the pipeline call itself. A diagnosis run — coarse pass
+/// plus every deep dive — is one session.
+pub struct CorpusSession {
+    corpus: Corpus,
+    wired: OnceCell<WiredTrace>,
+    disk_bytes: Arc<AtomicU64>,
+}
+
+impl CorpusSession {
+    /// Opens the corpus at `dir` and checks its files against the recorded
+    /// digest.
+    pub fn open(dir: &Path) -> Result<Self, SessionError> {
+        let corpus = Corpus::open(dir)
+            .map_err(|e| usage(format!("cannot open corpus {}: {e}", dir.display())))?;
+        if !corpus
+            .verify_digest()
+            .map_err(|e| fail("corpus digest check", e))?
+        {
+            return Err(SessionError::Fail(
+                "corpus files do not match their recorded digest (corrupt or tampered)".into(),
+            ));
+        }
+        Ok(CorpusSession {
+            corpus,
+            wired: OnceCell::new(),
+            disk_bytes: Arc::new(AtomicU64::new(0)),
+        })
+    }
+
+    /// The opened corpus.
+    pub fn corpus(&self) -> &Corpus {
+        &self.corpus
+    }
+
+    /// Bytes read from disk through this session's sources so far.
+    pub fn disk_bytes(&self) -> u64 {
+        self.disk_bytes.load(Ordering::Relaxed)
+    }
+
+    /// The corpus's span on the anchor-universal timeline.
+    pub fn span(&self) -> Result<(u64, u64), SessionError> {
+        self.corpus
+            .universal_span()
+            .map_err(|e| fail("read corpus indexes", e))?
+            .ok_or_else(|| usage("corpus records no events"))
+    }
+
+    /// The validated replay window of a `--from/--to` request, or `None`
+    /// when neither was given. Rejects half-specified windows, `from ≥ to`,
+    /// and windows that miss the corpus's recorded span — every one of
+    /// these would otherwise be an empty run that *looks* like a clean
+    /// result.
+    pub fn window(
+        &self,
+        from: Option<u64>,
+        to: Option<u64>,
+    ) -> Result<Option<TimeWindow>, SessionError> {
+        let window = match (from, to) {
+            (None, None) => return Ok(None),
+            (Some(from), Some(to)) => TimeWindow::new(from, to)
+                .ok_or_else(|| usage(format!("--from {from} must be strictly below --to {to}")))?,
+            _ => return Err(usage("--from and --to must be given together")),
+        };
+        let (lo, hi) = self.span()?;
+        if !window.overlaps(lo, hi) {
+            return Err(usage(format!(
+                "window {window} lies outside the corpus span [{lo}, {hi}] (universal µs)"
+            )));
+        }
+        Ok(Some(window))
+    }
+
+    fn wired(&self) -> Result<&WiredTrace, SessionError> {
+        if let Some(wired) = self.wired.get() {
+            return Ok(wired);
+        }
+        if self.corpus.manifest().wired.is_none() {
+            return Err(usage("corpus has no wired member (re-record it)"));
+        }
+        let decoded = corpus_wired(&self.corpus).map_err(|e| fail("wired member", e))?;
+        Ok(self.wired.get_or_init(|| decoded))
+    }
+
+    /// The paper figure suite for this corpus, its Figure 6 expectations
+    /// built from the wired records in `window` (wired timestamps are
+    /// wall-clock, the timeline a window is phrased in, up to the
+    /// documented NTP tolerance). The suite keeps no borrow.
+    pub fn suite(&self, window: Option<TimeWindow>) -> Result<Suite, SessionError> {
+        let (wired, ap_table) = self.wired()?;
+        let m = self.corpus.manifest();
+        Ok(figure_suite_parts(
+            m.radios.len(),
+            m.duration_us,
+            wired_window(wired, window),
+            &|sid| ap_table[&sid],
+        ))
+    }
+
+    /// Every radio as a pipeline source reading `read` (`None`: the whole
+    /// trace), counted into [`CorpusSession::disk_bytes`].
+    pub fn sources(&self, read: Option<TimeWindow>) -> Result<Vec<CorpusSource>, SessionError> {
+        corpus_sources_windowed(&self.corpus, Arc::clone(&self.disk_bytes), read)
+            .map_err(|e| fail("open corpus sources", e))
+    }
+
+    /// Bootstrap + merge only over sources reading `read`, handing every
+    /// jframe `cfg.window` admits to `on_jframe`. `read` is `cfg.window`
+    /// for an ordinary run; `None` under a set `cfg.window` is the
+    /// clipped-full replay a windowed run is verified against.
+    pub fn merge(
+        &self,
+        read: Option<TimeWindow>,
+        cfg: &PipelineConfig,
+        on_jframe: impl FnMut(&JFrame),
+    ) -> Result<MergeStats, SessionError> {
+        Pipeline::merge_only(self.sources(read)?, cfg, OnJFrame(on_jframe))
+            .map(|(_, stats)| stats)
+            .map_err(|e| fail("merge", e))
+    }
+
+    /// Streams the figure suite off the corpus — `cfg.window` of it, when
+    /// set — in one bounded-memory pass.
+    pub fn analyze(
+        &self,
+        cfg: &PipelineConfig,
+    ) -> Result<(PipelineReport, Vec<Box<dyn Figure>>), SessionError> {
+        self.analyze_sources(self.sources(cfg.window)?, cfg, ())
+    }
+
+    /// [`CorpusSession::analyze`] over caller-opened sources of the same
+    /// radios (`repro tail --parallel` feeds file tails), with `also`
+    /// observing beside the suite. The one place a corpus-backed run calls
+    /// [`Pipeline::run`].
+    pub fn analyze_sources<I>(
+        &self,
+        sources: Vec<I>,
+        cfg: &PipelineConfig,
+        also: impl PipelineObserver,
+    ) -> Result<(PipelineReport, Vec<Box<dyn Figure>>), SessionError>
+    where
+        I: EventSource,
+        I::Stream: Send + 'static,
+    {
+        let mut suite = self.suite(cfg.window)?;
+        let report =
+            Pipeline::run(sources, cfg, (&mut suite, also)).map_err(|e| fail("pipeline", e))?;
+        Ok((report, suite.finish()))
+    }
 }
 
 /// A running digest over a jframe stream: count + order + content. Two
@@ -324,441 +526,6 @@ impl WindowedStreamDigest {
     }
 }
 
-/// Runs the full pipeline unobserved and returns the report
-/// (benchmarks; figure runners attach their own observers).
-pub fn run_pipeline_plain(out: &SimOutput) -> PipelineReport {
-    Pipeline::run(out.memory_streams(), &PipelineConfig::default(), ()).expect("pipeline")
-}
-
-/// Wall-clocks the merge stage alone (bootstrap + unification, no-op sink):
-/// serial when `threads == Some(1)` or sharding is forced off, otherwise
-/// the channel-sharded parallel merge with the given thread cap
-/// (`None` → auto). Returns elapsed time and the merge counters.
-pub fn merge_wallclock(out: &SimOutput, threads: Option<usize>) -> (Duration, MergeStats) {
-    let cfg = PipelineConfig {
-        shard: ShardConfig {
-            max_threads: threads.unwrap_or(0),
-            ..ShardConfig::default()
-        },
-        ..PipelineConfig::default()
-    };
-    // Build the streams before the clock starts: the deep clone of every
-    // event buffer is setup cost, not merge cost, and counting it in both
-    // runs would bias the recorded speedup toward 1×.
-    let streams = out.memory_streams();
-    let t0 = Instant::now();
-    let (_, stats) = if threads == Some(1) {
-        Pipeline::merge_only(streams, &cfg, ()).expect("merge")
-    } else {
-        Pipeline::merge_only_parallel(streams, &cfg, ()).expect("merge")
-    };
-    (t0.elapsed(), stats)
-}
-
-/// A serial-vs-sharded merge comparison, serialized to `BENCH_merge.json`
-/// by the `repro` binary so CI and evaluation runs leave a machine-readable
-/// record of the merge-stage speedup.
-#[derive(Debug, Clone)]
-pub struct MergeBench {
-    /// Scenario label.
-    pub scenario: String,
-    /// Simulation seed the scenario ran at.
-    pub seed: u64,
-    /// Source revision the record was produced at (see [`git_sha`]).
-    pub git_sha: String,
-    /// Scale factor the scenario ran at.
-    pub scale: f64,
-    /// Capture events merged.
-    pub events: u64,
-    /// Distinct channels in the radio set (= maximum useful shards).
-    pub channels: usize,
-    /// Shard threads the parallel run actually used (the request is
-    /// capped at the number of distinct channels).
-    pub threads: usize,
-    /// CPU parallelism available to the process — interpret the speedup
-    /// against this: with fewer cores than shards the parallel run can
-    /// only tie or lose (thread overhead), with ≥ `channels` cores the
-    /// shards actually run concurrently.
-    pub cores: usize,
-    /// Serial merge wall-clock (seconds).
-    pub serial_s: f64,
-    /// Sharded merge wall-clock (seconds).
-    pub parallel_s: f64,
-    /// Jframes out of the serial merge.
-    pub jframes_serial: u64,
-    /// Jframes out of the sharded merge.
-    pub jframes_parallel: u64,
-    /// Allocator calls per event during the timed serial merge — the
-    /// zero-copy payload path's headline metric. 0.0 when the counting
-    /// allocator is not installed (see [`alloc::counting_installed`]).
-    pub allocs_per_event: f64,
-    /// Peak live heap bytes during the timed serial merge (process-wide
-    /// high-water mark; the event buffers themselves are part of it).
-    pub peak_alloc_bytes: u64,
-}
-
-impl MergeBench {
-    /// Runs both mergers over the same simulated world.
-    pub fn run(out: &SimOutput, scenario: &str, seed: u64, scale: f64, threads: usize) -> Self {
-        let channels = jigsaw_trace::stream::distinct_channels(&out.radio_meta).len();
-        // Untimed warmup pass: fault in every event buffer and warm the
-        // allocator so the first timed run is not charged for cold caches
-        // (without this, whichever merger runs first looks slower).
-        let _ = merge_wallclock(out, Some(1));
-        let region = alloc::AllocRegion::begin();
-        let (serial_t, serial_stats) = merge_wallclock(out, Some(1));
-        let alloc_report = region.end();
-        // Record the shard count that actually runs, not the request:
-        // run_sharded never spawns more shards than distinct channels.
-        let want = if threads == 0 { channels } else { threads };
-        let effective = ShardConfig {
-            max_threads: want,
-            ..ShardConfig::default()
-        }
-        .shards_for(channels);
-        let (par_t, par_stats) = merge_wallclock(out, Some(want));
-        MergeBench {
-            scenario: scenario.to_string(),
-            seed,
-            git_sha: git_sha(),
-            scale,
-            events: serial_stats.events_in,
-            channels,
-            threads: effective,
-            cores: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-            serial_s: serial_t.as_secs_f64(),
-            parallel_s: par_t.as_secs_f64(),
-            jframes_serial: serial_stats.jframes_out,
-            jframes_parallel: par_stats.jframes_out,
-            allocs_per_event: alloc_report.per_event(serial_stats.events_in),
-            peak_alloc_bytes: alloc_report.peak_bytes,
-        }
-    }
-
-    /// Serial time / parallel time.
-    pub fn speedup(&self) -> f64 {
-        self.serial_s / self.parallel_s.max(1e-12)
-    }
-
-    /// Renders the record as a JSON object (no serde in the dependency
-    /// set; every field is a number or a plain label).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"scenario\": \"{}\",\n",
-                "  \"seed\": {},\n",
-                "  \"git_sha\": \"{}\",\n",
-                "  \"scale\": {},\n",
-                "  \"events\": {},\n",
-                "  \"channels\": {},\n",
-                "  \"threads\": {},\n",
-                "  \"cores\": {},\n",
-                "  \"serial_s\": {:.6},\n",
-                "  \"parallel_s\": {:.6},\n",
-                "  \"speedup\": {:.3},\n",
-                "  \"jframes_serial\": {},\n",
-                "  \"jframes_parallel\": {},\n",
-                "  \"allocs_per_event\": {:.4},\n",
-                "  \"peak_alloc_bytes\": {}\n",
-                "}}\n"
-            ),
-            self.scenario,
-            self.seed,
-            self.git_sha,
-            self.scale,
-            self.events,
-            self.channels,
-            self.threads,
-            self.cores,
-            self.serial_s,
-            self.parallel_s,
-            self.speedup(),
-            self.jframes_serial,
-            self.jframes_parallel,
-            self.allocs_per_event,
-            self.peak_alloc_bytes,
-        )
-    }
-}
-
-/// A disk-streaming benchmark record, serialized to `BENCH_stream.json` by
-/// `repro bench-stream`: record throughput (simulate → corpus on disk) and
-/// merge throughput (corpus on disk → jframe stream), with the memory and
-/// I/O numbers that make the bounded-memory claim checkable — peak buffered
-/// events and disk bytes in/out.
-#[derive(Debug, Clone)]
-pub struct StreamBench {
-    /// Scenario label.
-    pub scenario: String,
-    /// Simulation seed the scenario ran at.
-    pub seed: u64,
-    /// Source revision the record was produced at (see [`git_sha`]).
-    pub git_sha: String,
-    /// Scale factor the scenario ran at.
-    pub scale: f64,
-    /// Capture events recorded and re-merged.
-    pub events: u64,
-    /// Jframes out of the streaming merge.
-    pub jframes: u64,
-    /// Distinct channels (= maximum useful merge shards).
-    pub channels: usize,
-    /// Shard threads the streaming merge ran with (1 = serial).
-    pub threads: usize,
-    /// CPU parallelism available to the process.
-    pub cores: usize,
-    /// Corpus write wall-clock (seconds), excluding simulation.
-    pub record_s: f64,
-    /// Bytes written to disk (compressed data + index files).
-    pub disk_bytes_out: u64,
-    /// Streaming merge wall-clock (seconds), bootstrap included.
-    pub merge_s: f64,
-    /// Bytes read back from disk during the merge (bootstrap-window reads
-    /// included — slightly more than the file sizes because window blocks
-    /// are decoded twice).
-    pub disk_bytes_in: u64,
-    /// Peak events simultaneously buffered across all shard mergers
-    /// (upper bound; see `MergeStats::peak_buffered`).
-    pub peak_buffered_events: u64,
-    /// Allocator calls per event during the streaming merge (block decode
-    /// included — the leg the zero-copy payload path optimizes). 0.0 when
-    /// the counting allocator is not installed.
-    pub allocs_per_event: f64,
-    /// Peak live heap bytes during the streaming merge (process-wide
-    /// high-water mark).
-    pub peak_alloc_bytes: u64,
-    /// Digest of the emitted jframe stream (count is `jframes`).
-    pub digest: String,
-    /// The seek-bounded windowed replay of the same corpus, when
-    /// `bench-stream --from/--to` ran one.
-    pub window: Option<WindowBench>,
-}
-
-/// The windowed leg of a `bench-stream` run: the same corpus replayed
-/// through index-seeked, `[from, to)`-clipped sources, recording how much
-/// cheaper the seek-bounded replay is than the full scan.
-#[derive(Debug, Clone)]
-pub struct WindowBench {
-    /// Window start, anchor-universal µs.
-    pub from: u64,
-    /// Window end (exclusive), anchor-universal µs.
-    pub to: u64,
-    /// Events merged inside the read window (warm-up + slack included).
-    pub events: u64,
-    /// In-window jframes emitted.
-    pub jframes: u64,
-    /// Windowed merge wall-clock (seconds), mid-trace bootstrap included.
-    pub merge_s: f64,
-    /// Disk bytes read by the windowed replay — bounded by the window's
-    /// blocks, the number that makes "cost proportional to the window"
-    /// checkable.
-    pub disk_bytes_in: u64,
-}
-
-impl StreamBench {
-    /// Events merged per second of merge wall-clock.
-    pub fn events_per_s(&self) -> f64 {
-        self.events as f64 / self.merge_s.max(1e-12)
-    }
-
-    /// Write throughput in MB/s (compressed bytes hitting disk).
-    pub fn write_mb_s(&self) -> f64 {
-        self.disk_bytes_out as f64 / 1e6 / self.record_s.max(1e-12)
-    }
-
-    /// Read throughput in MB/s during the merge.
-    pub fn read_mb_s(&self) -> f64 {
-        self.disk_bytes_in as f64 / 1e6 / self.merge_s.max(1e-12)
-    }
-
-    /// Full-scan merge time / windowed merge time — the payoff of the
-    /// index-seeked replay (1.0 when no windowed leg ran).
-    pub fn seek_speedup(&self) -> f64 {
-        match &self.window {
-            Some(w) => self.merge_s / w.merge_s.max(1e-12),
-            None => 1.0,
-        }
-    }
-
-    /// Renders the record as a JSON object (no serde in the dependency
-    /// set; every field is a number or a plain label).
-    pub fn to_json(&self) -> String {
-        let window = match &self.window {
-            None => String::new(),
-            Some(w) => format!(
-                concat!(
-                    "  \"window_from\": {},\n",
-                    "  \"window_to\": {},\n",
-                    "  \"window_events\": {},\n",
-                    "  \"window_jframes\": {},\n",
-                    "  \"window_merge_s\": {:.6},\n",
-                    "  \"window_disk_bytes_in\": {},\n",
-                    "  \"seek_speedup\": {:.3},\n",
-                ),
-                w.from,
-                w.to,
-                w.events,
-                w.jframes,
-                w.merge_s,
-                w.disk_bytes_in,
-                self.seek_speedup(),
-            ),
-        };
-        format!(
-            concat!(
-                "{{\n",
-                "  \"scenario\": \"{}\",\n",
-                "  \"seed\": {},\n",
-                "  \"git_sha\": \"{}\",\n",
-                "  \"scale\": {},\n",
-                "  \"events\": {},\n",
-                "  \"jframes\": {},\n",
-                "  \"channels\": {},\n",
-                "  \"threads\": {},\n",
-                "  \"cores\": {},\n",
-                "  \"record_s\": {:.6},\n",
-                "  \"disk_bytes_out\": {},\n",
-                "  \"write_mb_s\": {:.3},\n",
-                "  \"merge_s\": {:.6},\n",
-                "  \"disk_bytes_in\": {},\n",
-                "  \"read_mb_s\": {:.3},\n",
-                "  \"events_per_s\": {:.0},\n",
-                "{}",
-                "  \"peak_buffered_events\": {},\n",
-                "  \"allocs_per_event\": {:.4},\n",
-                "  \"peak_alloc_bytes\": {},\n",
-                "  \"digest\": \"{}\"\n",
-                "}}\n"
-            ),
-            self.scenario,
-            self.seed,
-            self.git_sha,
-            self.scale,
-            self.events,
-            self.jframes,
-            self.channels,
-            self.threads,
-            self.cores,
-            self.record_s,
-            self.disk_bytes_out,
-            self.write_mb_s(),
-            self.merge_s,
-            self.disk_bytes_in,
-            self.read_mb_s(),
-            self.events_per_s(),
-            window,
-            self.peak_buffered_events,
-            self.allocs_per_event,
-            self.peak_alloc_bytes,
-            self.digest,
-        )
-    }
-}
-
-/// A live-ingest benchmark record, serialized to `BENCH_live.json` by
-/// `repro bench-live`: throughput of the chunk-fed live merge (corpus on
-/// disk → tailed sources → jframe stream) plus the numbers the bounded-lag
-/// contract makes checkable — emission-lag quantiles and peak buffered
-/// events.
-#[derive(Debug, Clone)]
-pub struct LiveBench {
-    /// Scenario label.
-    pub scenario: String,
-    /// Simulation seed the scenario ran at.
-    pub seed: u64,
-    /// Source revision the record was produced at (see [`git_sha`]).
-    pub git_sha: String,
-    /// Scale factor the scenario ran at.
-    pub scale: f64,
-    /// Capture events recorded and live-merged.
-    pub events: u64,
-    /// Jframes out of the live merge.
-    pub jframes: u64,
-    /// Live sources (one tailed trace per radio).
-    pub sources: usize,
-    /// Chunk size each tail was fed in, bytes.
-    pub chunk_bytes: usize,
-    /// Corpus write wall-clock (seconds), excluding simulation.
-    pub record_s: f64,
-    /// Live merge wall-clock (seconds), bootstrap included.
-    pub merge_s: f64,
-    /// Median emission lag: jframe timestamp behind the safe horizon at
-    /// emission, trace µs.
-    pub lag_p50_us: u64,
-    /// 99th-percentile emission lag, trace µs.
-    pub lag_p99_us: u64,
-    /// Worst emission lag observed, trace µs (the bounded-lag contract
-    /// caps this at `2×search_window` plus one batch of slack).
-    pub lag_max_us: u64,
-    /// Peak events simultaneously buffered in the live merger.
-    pub peak_buffered_events: u64,
-    /// Allocator calls per event during the live merge (chunk staging and
-    /// block decode included). 0.0 when the counting allocator is not
-    /// installed.
-    pub allocs_per_event: f64,
-    /// Peak live heap bytes during the live merge (process-wide
-    /// high-water mark).
-    pub peak_alloc_bytes: u64,
-    /// Digest of the emitted jframe stream (count is `jframes`).
-    pub digest: String,
-}
-
-impl LiveBench {
-    /// Events merged per second of live-merge wall-clock.
-    pub fn events_per_s(&self) -> f64 {
-        self.events as f64 / self.merge_s.max(1e-12)
-    }
-
-    /// Renders the record as a JSON object (no serde in the dependency
-    /// set; every field is a number or a plain label).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"scenario\": \"{}\",\n",
-                "  \"seed\": {},\n",
-                "  \"git_sha\": \"{}\",\n",
-                "  \"scale\": {},\n",
-                "  \"events\": {},\n",
-                "  \"jframes\": {},\n",
-                "  \"sources\": {},\n",
-                "  \"chunk_bytes\": {},\n",
-                "  \"record_s\": {:.6},\n",
-                "  \"merge_s\": {:.6},\n",
-                "  \"events_per_s\": {:.0},\n",
-                "  \"lag_p50_us\": {},\n",
-                "  \"lag_p99_us\": {},\n",
-                "  \"lag_max_us\": {},\n",
-                "  \"peak_buffered_events\": {},\n",
-                "  \"allocs_per_event\": {:.4},\n",
-                "  \"peak_alloc_bytes\": {},\n",
-                "  \"digest\": \"{}\"\n",
-                "}}\n"
-            ),
-            self.scenario,
-            self.seed,
-            self.git_sha,
-            self.scale,
-            self.events,
-            self.jframes,
-            self.sources,
-            self.chunk_bytes,
-            self.record_s,
-            self.merge_s,
-            self.events_per_s(),
-            self.lag_p50_us,
-            self.lag_p99_us,
-            self.lag_max_us,
-            self.peak_buffered_events,
-            self.allocs_per_event,
-            self.peak_alloc_bytes,
-            self.digest,
-        )
-    }
-}
-
 /// Builds memory streams for a subset of radios (Figure 7 pod reduction).
 pub fn subset_streams(
     out: &SimOutput,
@@ -830,93 +597,42 @@ mod tests {
         assert!(sha.len() <= 12);
     }
 
+    /// The borrowed wired slice is exactly what filtering would keep: the
+    /// decoder's output is ordered, a record at `from` is in, one at `to`
+    /// is out.
     #[test]
-    fn stream_bench_json_shape() {
-        let mut b = StreamBench {
-            scenario: "paper_day".into(),
-            seed: 20060124,
-            git_sha: "abc123def456".into(),
-            scale: 0.25,
-            events: 1_000_000,
-            jframes: 400_000,
-            channels: 3,
-            threads: 3,
-            cores: 4,
-            record_s: 2.0,
-            disk_bytes_out: 50_000_000,
-            merge_s: 4.0,
-            disk_bytes_in: 52_000_000,
-            peak_buffered_events: 12_345,
-            allocs_per_event: 0.0312,
-            peak_alloc_bytes: 7_654_321,
-            digest: "0123456789abcdef".into(),
-            window: None,
-        };
-        assert!((b.events_per_s() - 250_000.0).abs() < 1e-6);
-        assert!((b.write_mb_s() - 25.0).abs() < 1e-6);
-        assert!((b.read_mb_s() - 13.0).abs() < 1e-6);
-        assert!((b.seek_speedup() - 1.0).abs() < 1e-9);
-        let j = b.to_json();
-        assert!(j.contains("\"events_per_s\": 250000"));
-        assert!(j.contains("\"seed\": 20060124"));
-        assert!(j.contains("\"git_sha\": \"abc123def456\""));
-        assert!(j.contains("\"peak_buffered_events\": 12345"));
-        assert!(j.contains("\"allocs_per_event\": 0.0312"));
-        assert!(j.contains("\"peak_alloc_bytes\": 7654321"));
-        assert!(j.contains("\"digest\": \"0123456789abcdef\""));
-        assert!(!j.contains("window_from"), "no window leg, no window keys");
-        assert!(j.trim_end().ends_with('}'));
+    fn wired_window_is_the_contiguous_slice_a_filter_would_keep() {
+        let out = ScenarioConfig::tiny(20060124).run();
+        let ap_addrs: Vec<MacAddr> = out.stations.iter().map(|s| s.addr).collect();
+        let payload =
+            jigsaw_sim::wired::encode_wired_trace(&out.wired, &|sid| ap_addrs[usize::from(sid)]);
+        let (wired, _) = jigsaw_sim::wired::decode_wired_trace(&payload).unwrap();
+        assert!(wired.len() > 10, "tiny world has wired traffic");
+        assert!(wired.windows(2).all(|p| p[0].ts <= p[1].ts));
 
-        b.window = Some(WindowBench {
-            from: 10_000_000,
-            to: 20_000_000,
-            events: 120_000,
-            jframes: 48_000,
-            merge_s: 0.5,
-            disk_bytes_in: 6_500_000,
-        });
-        assert!((b.seek_speedup() - 8.0).abs() < 1e-9);
-        let j = b.to_json();
-        assert!(j.contains("\"window_from\": 10000000"));
-        assert!(j.contains("\"window_disk_bytes_in\": 6500000"));
-        assert!(j.contains("\"seek_speedup\": 8.000"));
-        assert!(j.trim_end().ends_with('}'));
-    }
-
-    #[test]
-    fn live_bench_json_shape() {
-        let b = LiveBench {
-            scenario: "paper_day".into(),
-            seed: 20060124,
-            git_sha: "abc123def456".into(),
-            scale: 0.05,
-            events: 500_000,
-            jframes: 200_000,
-            sources: 8,
-            chunk_bytes: 65_536,
-            record_s: 1.0,
-            merge_s: 2.0,
-            lag_p50_us: 9_000,
-            lag_p99_us: 19_500,
-            lag_max_us: 20_000,
-            peak_buffered_events: 4_321,
-            allocs_per_event: 0.125,
-            peak_alloc_bytes: 1_234_567,
-            digest: "0123456789abcdef".into(),
-        };
-        assert!((b.events_per_s() - 250_000.0).abs() < 1e-6);
-        let j = b.to_json();
-        assert!(j.contains("\"scenario\": \"paper_day\""));
-        assert!(j.contains("\"events_per_s\": 250000"));
-        assert!(j.contains("\"chunk_bytes\": 65536"));
-        assert!(j.contains("\"lag_p50_us\": 9000"));
-        assert!(j.contains("\"lag_p99_us\": 19500"));
-        assert!(j.contains("\"lag_max_us\": 20000"));
-        assert!(j.contains("\"peak_buffered_events\": 4321"));
-        assert!(j.contains("\"allocs_per_event\": 0.1250"));
-        assert!(j.contains("\"peak_alloc_bytes\": 1234567"));
-        assert!(j.contains("\"git_sha\": \"abc123def456\""));
-        assert!(j.trim_end().ends_with('}'));
+        assert_eq!(wired_window(&wired, None).len(), wired.len());
+        // Edges exactly on record timestamps (duplicates included), plus
+        // windows before, across and past the whole trace.
+        let (first, last) = (wired[0].ts, wired[wired.len() - 1].ts);
+        let (a, b) = (wired[wired.len() / 3].ts, wired[2 * wired.len() / 3].ts);
+        assert!(a < b);
+        for (from, to) in [
+            (a, b),
+            (first, last),
+            (first, last + 1),
+            (0, first.max(1)),
+            (a, a + 1),
+            (last + 1, last + 2),
+        ] {
+            let w = TimeWindow::new(from, to).unwrap();
+            let kept = wired.iter().filter(|r| w.contains(r.ts));
+            assert!(wired_window(&wired, Some(w)).iter().eq(kept), "window {w}");
+        }
+        // A record exactly at `from` is in; one exactly at `to` is out.
+        let w = TimeWindow::new(a, b).unwrap();
+        let slice = wired_window(&wired, Some(w));
+        assert_eq!(slice[0].ts, a);
+        assert!(slice[slice.len() - 1].ts < b);
     }
 
     #[test]
@@ -971,34 +687,5 @@ mod tests {
             moved.observe(&f);
         }
         assert_ne!(fwd.hex(), moved.hex());
-    }
-
-    #[test]
-    fn merge_bench_json_shape() {
-        let b = MergeBench {
-            scenario: "paper_day".into(),
-            seed: 20060124,
-            git_sha: "abc123def456".into(),
-            scale: 0.25,
-            events: 1000,
-            channels: 3,
-            threads: 3,
-            cores: 4,
-            serial_s: 3.0,
-            parallel_s: 1.5,
-            jframes_serial: 400,
-            jframes_parallel: 400,
-            allocs_per_event: 0.0417,
-            peak_alloc_bytes: 9_876_543,
-        };
-        assert!((b.speedup() - 2.0).abs() < 1e-9);
-        let j = b.to_json();
-        assert!(j.contains("\"speedup\": 2.000"));
-        assert!(j.contains("\"scenario\": \"paper_day\""));
-        assert!(j.contains("\"seed\": 20060124"));
-        assert!(j.contains("\"git_sha\": \"abc123def456\""));
-        assert!(j.contains("\"allocs_per_event\": 0.0417"));
-        assert!(j.contains("\"peak_alloc_bytes\": 9876543"));
-        assert!(j.trim_end().ends_with('}'));
     }
 }

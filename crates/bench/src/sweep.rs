@@ -2,18 +2,18 @@
 //! over adversarial traffic shapes.
 //!
 //! Each scenario of [`ScenarioSpec::sweep_matrix`] runs end-to-end —
-//! simulate, record to a disk corpus, merge back on **both** drivers
-//! (serial and channel-sharded, from memory and from disk), stream the
-//! full figure suite, and replay a `[from, to)` window — and every leg is
-//! cross-checked:
+//! simulate, record to a disk corpus, merge back at **both** shard layouts
+//! (serial and one shard per channel, from memory and from disk), stream
+//! the full figure suite, and replay a `[from, to)` window — and every leg
+//! is cross-checked:
 //!
 //! * the four full merges (mem-serial, mem-sharded, disk-serial,
 //!   disk-sharded) must emit the identical jframe stream
 //!   ([`crate::JframeStreamDigest`]: count + order + content);
 //! * the figure suite's machine `record` lines must be byte-identical
-//!   between the serial and sharded drivers;
+//!   between the serial and sharded layouts;
 //! * the windowed replay (seek-bounded, mid-trace clock bootstrap) must be
-//!   identical between the two drivers ([`crate::WindowedStreamDigest`]),
+//!   identical between the two layouts ([`crate::WindowedStreamDigest`]),
 //!   and its digest is pinned by the golden file. Windowed-vs-clipped-full
 //!   equality is *not* asserted here — adversarial scenarios starve radios
 //!   of sync corrections long enough that the replays' extrapolated clocks
@@ -29,21 +29,16 @@
 //! changes re-bless with `repro sweep --bless`.
 
 use crate::{
-    corpus_sources, corpus_sources_windowed, corpus_wired, figure_suite_parts, record_corpus,
-    JframeStreamDigest, WindowedStreamDigest,
+    record_corpus, sharded_config, CorpusSession, JframeStreamDigest, WindowedStreamDigest,
 };
 use jigsaw_analysis::suite::record_lines;
 use jigsaw_core::observer::OnJFrame;
 use jigsaw_core::pipeline::{Pipeline, PipelineConfig};
-use jigsaw_core::shard::ShardConfig;
 use jigsaw_core::JFrame;
 use jigsaw_sim::spec::ScenarioSpec;
-use jigsaw_trace::corpus::Corpus;
 use jigsaw_trace::TimeWindow;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
 
 /// The seed every golden file is blessed at (the paper's trace date).
 pub const SWEEP_SEED: u64 = 20060124;
@@ -109,16 +104,6 @@ impl GoldenStatus {
     }
 }
 
-fn sharded_cfg(channels: usize) -> PipelineConfig {
-    PipelineConfig {
-        shard: ShardConfig {
-            max_threads: channels.max(1),
-            ..ShardConfig::default()
-        },
-        ..PipelineConfig::default()
-    }
-}
-
 /// Runs one sweep scenario end-to-end with every cross-check, leaving its
 /// corpus under `corpus_root/<name>`. `Err` carries a human-readable
 /// account of the first invariant that broke.
@@ -132,62 +117,43 @@ pub fn run_scenario(
     if out.total_events() == 0 {
         return Err(format!("{name}: simulation produced no capture events"));
     }
-    let channels = jigsaw_trace::stream::distinct_channels(&out.radio_meta).len();
     let dir = corpus_root.join(&name);
     let summary = record_corpus(&out, &dir, &name, seed, 1.0, 65_535, 4096)
         .map_err(|e| format!("{name}: record corpus: {e}"))?;
 
-    // Leg 1 — the four full merges must agree byte-for-byte.
     let serial = PipelineConfig::default();
-    let sharded = sharded_cfg(channels);
-    let mut mem_serial = JframeStreamDigest::new();
-    Pipeline::merge_only(
-        out.memory_streams(),
-        &serial,
-        OnJFrame(|jf: &JFrame| mem_serial.observe(jf)),
-    )
-    .map_err(|e| format!("{name}: in-memory serial merge: {e}"))?;
-    let mut mem_sharded = JframeStreamDigest::new();
-    Pipeline::merge_only_parallel(
-        out.memory_streams(),
-        &sharded,
-        OnJFrame(|jf: &JFrame| mem_sharded.observe(jf)),
-    )
-    .map_err(|e| format!("{name}: in-memory sharded merge: {e}"))?;
+    let (sharded, shards) = sharded_config(&out.radio_meta);
+    if shards < 2 {
+        return Err(format!(
+            "{name}: the radio set plans one shard — the serial ≡ sharded legs would be vacuous"
+        ));
+    }
+    let layouts = [("serial", &serial), ("sharded", &sharded)];
+
+    // Leg 1 — the four full merges must agree byte-for-byte.
+    let mut merges = Vec::new();
+    for (layout, cfg) in layouts {
+        let mut digest = JframeStreamDigest::new();
+        Pipeline::merge_only(
+            out.memory_streams(),
+            cfg,
+            OnJFrame(|jf: &JFrame| digest.observe(jf)),
+        )
+        .map_err(|e| format!("{name}: in-memory {layout} merge: {e}"))?;
+        merges.push((format!("mem-{layout}"), digest));
+    }
     drop(out);
 
-    let corpus = Corpus::open(&dir).map_err(|e| format!("{name}: open corpus: {e}"))?;
-    if !corpus
-        .verify_digest()
-        .map_err(|e| format!("{name}: digest check: {e}"))?
-    {
-        return Err(format!("{name}: corpus files do not match their digest"));
+    let session = CorpusSession::open(&dir).map_err(|e| format!("{name}: {e}"))?;
+    for (layout, cfg) in layouts {
+        let mut digest = JframeStreamDigest::new();
+        session
+            .merge(None, cfg, |jf| digest.observe(jf))
+            .map_err(|e| format!("{name}: disk {layout} {e}"))?;
+        merges.push((format!("disk-{layout}"), digest));
     }
-    let mut disk_serial = JframeStreamDigest::new();
-    let counter = Arc::new(AtomicU64::new(0));
-    let sources = corpus_sources(&corpus, Arc::clone(&counter))
-        .map_err(|e| format!("{name}: open sources: {e}"))?;
-    Pipeline::merge_only(
-        sources,
-        &serial,
-        OnJFrame(|jf: &JFrame| disk_serial.observe(jf)),
-    )
-    .map_err(|e| format!("{name}: disk serial merge: {e}"))?;
-    let mut disk_sharded = JframeStreamDigest::new();
-    let sources = corpus_sources(&corpus, Arc::clone(&counter))
-        .map_err(|e| format!("{name}: open sources: {e}"))?;
-    Pipeline::merge_only_parallel(
-        sources,
-        &sharded,
-        OnJFrame(|jf: &JFrame| disk_sharded.observe(jf)),
-    )
-    .map_err(|e| format!("{name}: disk sharded merge: {e}"))?;
-
-    for (leg, d) in [
-        ("mem-sharded", &mem_sharded),
-        ("disk-serial", &disk_serial),
-        ("disk-sharded", &disk_sharded),
-    ] {
+    let mem_serial = merges[0].1.clone();
+    for (leg, d) in &merges[1..] {
         if d.count() != mem_serial.count() || d.hex() != mem_serial.hex() {
             return Err(format!(
                 "{name}: {leg} merge diverged: {} jframes / {} vs mem-serial {} jframes / {}",
@@ -203,37 +169,41 @@ pub fn run_scenario(
     }
 
     // Leg 2 — the figure suite's machine records, serial vs sharded.
-    let lines_serial = analyze_records(&corpus, &serial, false)
-        .map_err(|e| format!("{name}: serial analyze: {e}"))?;
-    let lines_sharded = analyze_records(&corpus, &sharded, true)
-        .map_err(|e| format!("{name}: sharded analyze: {e}"))?;
+    let records = |layout: &str, cfg: &PipelineConfig| {
+        let (_, figures) = session
+            .analyze(cfg)
+            .map_err(|e| format!("{name}: {layout} analyze: {e}"))?;
+        Ok::<_, String>(record_lines(&figures))
+    };
+    let lines_serial = records("serial", &serial)?;
+    let lines_sharded = records("sharded", &sharded)?;
     if lines_serial != lines_sharded {
         let diff = diff_lines(&lines_serial, &lines_sharded)
             .unwrap_or_else(|| "  (diff unavailable)\n".into());
         return Err(format!(
-            "{name}: analyze record lines differ between serial and sharded drivers:\n{diff}"
+            "{name}: analyze record lines differ between serial and sharded layouts:\n{diff}"
         ));
     }
 
     // Leg 3 — the windowed replay over the middle third of the span.
-    let span = corpus
-        .universal_span()
-        .map_err(|e| format!("{name}: read indexes: {e}"))?
-        .ok_or_else(|| format!("{name}: corpus records no events"))?;
-    let (lo, hi) = span;
+    let (lo, hi) = session.span().map_err(|e| format!("{name}: {e}"))?;
     let third = (hi - lo) / 3;
     let window = TimeWindow::new(lo + third, lo + 2 * third)
         .ok_or_else(|| format!("{name}: corpus span [{lo}, {hi}] too short to window"))?;
-    let mut wserial = serial.clone();
-    wserial.window = Some(window);
-    let mut wsharded = sharded.clone();
-    wsharded.window = Some(window);
-
-    let win_serial = windowed_digest(&corpus, &wserial, false, window)
-        .map_err(|e| format!("{name}: windowed serial merge: {e}"))?;
-    let win_sharded = windowed_digest(&corpus, &wsharded, true, window)
-        .map_err(|e| format!("{name}: windowed sharded merge: {e}"))?;
-    // Both drivers must agree on the windowed replay exactly; the digest
+    let windowed = |layout: &str, cfg: &PipelineConfig| {
+        let cfg = PipelineConfig {
+            window: Some(window),
+            ..cfg.clone()
+        };
+        let mut digest = WindowedStreamDigest::new();
+        session
+            .merge(Some(window), &cfg, |jf| digest.observe(jf))
+            .map_err(|e| format!("{name}: windowed {layout} {e}"))?;
+        Ok::<_, String>(digest)
+    };
+    let win_serial = windowed("serial", &serial)?;
+    let win_sharded = windowed("sharded", &sharded)?;
+    // Both layouts must agree on the windowed replay exactly; the digest
     // itself is then pinned by the golden file. (Equality with a
     // clipped-full replay is deliberately NOT asserted here: it holds only
     // while every radio keeps receiving sync-quality frames, and the
@@ -244,7 +214,7 @@ pub fn run_scenario(
     // `crates/bench/tests/windowed_replay.rs`.)
     if win_serial.count() != win_sharded.count() || win_serial.hex() != win_sharded.hex() {
         return Err(format!(
-            "{name}: windowed replay diverged between drivers: serial {} jframes / {} vs sharded {} jframes / {}",
+            "{name}: windowed replay diverged between layouts: serial {} jframes / {} vs sharded {} jframes / {}",
             win_serial.count(),
             win_serial.hex(),
             win_sharded.count(),
@@ -267,48 +237,6 @@ pub fn run_scenario(
     };
     run.golden_body = golden_body(&run);
     Ok(run)
-}
-
-/// Streams the full figure suite off a corpus and returns its machine
-/// `record` lines.
-fn analyze_records(
-    corpus: &Corpus,
-    cfg: &PipelineConfig,
-    parallel: bool,
-) -> Result<String, String> {
-    let m = corpus.manifest();
-    let (wired, ap_table) = corpus_wired(corpus)?;
-    let ap_lookup = move |sid: u16| ap_table[&sid];
-    let mut suite = figure_suite_parts(m.radios.len(), m.duration_us, &wired, &ap_lookup);
-    let counter = Arc::new(AtomicU64::new(0));
-    let sources = corpus_sources(corpus, counter).map_err(|e| e.to_string())?;
-    if parallel {
-        Pipeline::run_parallel(sources, cfg, &mut suite)
-    } else {
-        Pipeline::run(sources, cfg, &mut suite)
-    }
-    .map_err(|e| e.to_string())?;
-    Ok(record_lines(&suite.finish()))
-}
-
-/// Merges a corpus through index-seeked windowed sources, returning the
-/// clock-invariant window digest. `cfg.window` must already be set.
-fn windowed_digest(
-    corpus: &Corpus,
-    cfg: &PipelineConfig,
-    parallel: bool,
-    window: TimeWindow,
-) -> Result<WindowedStreamDigest, String> {
-    let counter = Arc::new(AtomicU64::new(0));
-    let sources = corpus_sources_windowed(corpus, counter, window).map_err(|e| e.to_string())?;
-    let mut digest = WindowedStreamDigest::new();
-    let r = if parallel {
-        Pipeline::merge_only_parallel(sources, cfg, OnJFrame(|jf: &JFrame| digest.observe(jf)))
-    } else {
-        Pipeline::merge_only(sources, cfg, OnJFrame(|jf: &JFrame| digest.observe(jf)))
-    };
-    r.map_err(|e| e.to_string())?;
-    Ok(digest)
 }
 
 /// Serializes a run to its golden-file body: a short header of pinned

@@ -1,8 +1,10 @@
-//! Pins the `repro` binary's usage-error contract: every malformed
+//! Pins the `repro` binary's exit-code contract: every malformed
 //! invocation — unknown flag or subcommand, a flag value that does not
-//! parse, a missing flag value or required flag, a second subcommand —
-//! exits 2 with a one-line stderr message, before any simulation starts.
-//! (Correctness failures exit 1; that split is what CI keys off.)
+//! parse, a missing flag value or required flag, a second subcommand, a
+//! corpus that cannot be opened — exits 2 with a one-line stderr message,
+//! before any simulation starts. Correctness failures — a corpus that
+//! fails its digest check among them — exit 1, equally in one line; that
+//! split is what CI keys off.
 
 use std::process::Command;
 
@@ -13,13 +15,14 @@ fn repro(args: &[&str]) -> std::process::Output {
         .expect("spawn repro")
 }
 
-fn assert_usage_error(args: &[&str]) {
+/// The invocation must exit `code` with exactly one line on stderr.
+fn assert_exit(args: &[&str], code: i32) {
     let out = repro(args);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(
         out.status.code(),
-        Some(2),
-        "{args:?}: expected exit 2, got {:?}\nstderr: {stderr}",
+        Some(code),
+        "{args:?}: expected exit {code}, got {:?}\nstderr: {stderr}",
         out.status.code()
     );
     assert_eq!(
@@ -27,6 +30,10 @@ fn assert_usage_error(args: &[&str]) {
         1,
         "{args:?}: expected a one-line message, got:\n{stderr}"
     );
+}
+
+fn assert_usage_error(args: &[&str]) {
+    assert_exit(args, 2);
 }
 
 #[test]
@@ -54,6 +61,12 @@ fn unknown_flags_and_subcommands_exit_2() {
     assert_usage_error(&["--bogus-flag"]);
     assert_usage_error(&["definitely-not-a-subcommand"]);
     assert_usage_error(&["smoke", "extra-subcommand"]);
+    // The in-tree bench trio is gone (benchmark/ measures from outside):
+    // its subcommands and its flag are unknown like any other.
+    assert_usage_error(&["bench-merge"]);
+    assert_usage_error(&["bench-stream"]);
+    assert_usage_error(&["bench-live"]);
+    assert_usage_error(&["--out", "BENCH.json", "smoke"]);
 }
 
 #[test]
@@ -76,9 +89,39 @@ fn tail_shares_the_usage_contract() {
     assert_usage_error(&["--max-lag-us", "forever", "tail"]);
     assert_usage_error(&["--max-lag-us"]);
     assert_usage_error(&["tail", "extra-subcommand"]);
-    assert_usage_error(&["--chunk-bytes", "soon", "bench-live"]);
-    assert_usage_error(&["--seed", "notanumber", "bench-live"]);
-    assert_usage_error(&["bench-live", "extra-subcommand"]);
+}
+
+/// A corpus that cannot be opened is a usage error (exit 2); one that is
+/// there but fails its digest check is a correctness failure (exit 1).
+/// Either way one line, no panic backtrace, on every corpus-reading
+/// subcommand.
+#[test]
+fn corpus_errors_honour_the_exit_code_contract() {
+    let dir = std::env::temp_dir().join(format!("jigsaw-cli-usage-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let corpus = dir.to_str().expect("utf-8 temp path");
+    let recorded = repro(&[
+        "record",
+        "--corpus",
+        corpus,
+        "--scenario",
+        "tiny",
+        "--block-bytes",
+        "4096",
+    ]);
+    assert!(recorded.status.success(), "record failed: {recorded:?}");
+    // Flip one byte in the middle of a radio trace.
+    let victim = dir.join("r000.jigt");
+    let mut bytes = std::fs::read(&victim).expect("read trace member");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    std::fs::write(&victim, bytes).expect("rewrite trace member");
+
+    for cmd in ["merge", "analyze", "tail", "diagnose"] {
+        assert_exit(&[cmd, "--corpus", "/nonexistent/jigsaw-corpus"], 2);
+        assert_exit(&[cmd, "--corpus", corpus], 1);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

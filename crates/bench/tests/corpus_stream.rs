@@ -1,19 +1,15 @@
-//! The tentpole acceptance test, in-process: record a simulated scenario
-//! to an on-disk corpus, stream it back through both merge drivers, and
+//! The disk-corpus acceptance test, in-process: record a simulated scenario
+//! to an on-disk corpus, stream it back at both merge layouts, and
 //! require the jframe stream to be identical — count, order, and digest —
 //! to the in-memory runs at the same seed, with merger residency bounded
 //! by the window rather than the corpus size.
 
-use jigsaw_bench::{corpus_sources, record_corpus, JframeStreamDigest};
+use jigsaw_bench::{record_corpus, sharded_config, CorpusSession, JframeStreamDigest};
 use jigsaw_core::observer::OnJFrame;
 use jigsaw_core::pipeline::{Pipeline, PipelineConfig};
-use jigsaw_core::shard::ShardConfig;
 use jigsaw_core::JFrame;
 use jigsaw_sim::scenario::ScenarioConfig;
-use jigsaw_trace::corpus::Corpus;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir =
@@ -36,50 +32,35 @@ fn disk_corpus_merge_matches_memory_serial_and_sharded() {
     assert_eq!(summary.events, events);
 
     let cfg = PipelineConfig::default();
+    let (par_cfg, shards) = sharded_config(&out.radio_meta);
+    assert!(shards >= 2, "the sharded legs would be vacuous");
 
     // In-memory references: serial and channel-sharded.
-    let mut mem_serial = JframeStreamDigest::new();
-    let (_, mem_stats) = Pipeline::merge_only(
-        out.memory_streams(),
-        &cfg,
-        OnJFrame(|jf: &JFrame| mem_serial.observe(jf)),
-    )
-    .unwrap();
-    let par_cfg = PipelineConfig {
-        shard: ShardConfig {
-            max_threads: jigsaw_trace::stream::distinct_channels(&out.radio_meta)
-                .len()
-                .max(1),
-            ..ShardConfig::default()
-        },
-        ..PipelineConfig::default()
-    };
-    let mut mem_sharded = JframeStreamDigest::new();
-    Pipeline::merge_only_parallel(
-        out.memory_streams(),
-        &par_cfg,
-        OnJFrame(|jf: &JFrame| mem_sharded.observe(jf)),
-    )
-    .unwrap();
-    drop(out);
-
-    // Disk-backed: serial and sharded, from the recorded corpus.
-    let corpus = Corpus::open(&dir).unwrap();
-    assert!(corpus.verify_digest().unwrap());
-    let run_disk = |parallel: bool, cfg: &PipelineConfig| {
-        let counter = Arc::new(AtomicU64::new(0));
-        let sources = corpus_sources(&corpus, Arc::clone(&counter)).unwrap();
+    let run_mem = |cfg: &PipelineConfig| {
         let mut digest = JframeStreamDigest::new();
-        let (_, stats) = if parallel {
-            Pipeline::merge_only_parallel(sources, cfg, OnJFrame(|jf: &JFrame| digest.observe(jf)))
-                .unwrap()
-        } else {
-            Pipeline::merge_only(sources, cfg, OnJFrame(|jf: &JFrame| digest.observe(jf))).unwrap()
-        };
-        (digest, stats, counter.load(Ordering::Relaxed))
+        let (_, stats) = Pipeline::merge_only(
+            out.memory_streams(),
+            cfg,
+            OnJFrame(|jf: &JFrame| digest.observe(jf)),
+        )
+        .unwrap();
+        (digest, stats)
     };
-    let (disk_serial, serial_stats, bytes_serial) = run_disk(false, &cfg);
-    let (disk_sharded, sharded_stats, _) = run_disk(true, &par_cfg);
+    let (mem_serial, mem_stats) = run_mem(&cfg);
+    let (mem_sharded, _) = run_mem(&par_cfg);
+
+    // Disk-backed: serial and sharded, from the recorded corpus (opening
+    // the session checks the corpus digest).
+    let session = CorpusSession::open(&dir).unwrap();
+    let run_disk = |cfg: &PipelineConfig| {
+        let before = session.disk_bytes();
+        let mut digest = JframeStreamDigest::new();
+        let stats = session.merge(None, cfg, |jf| digest.observe(jf)).unwrap();
+        (digest, stats, session.disk_bytes() - before)
+    };
+    let (disk_serial, serial_stats, bytes_serial) = run_disk(&cfg);
+    let (disk_sharded, sharded_stats, _) = run_disk(&par_cfg);
+    drop(out);
 
     // Identical streams: count + order + content, across all four runs.
     assert_eq!(mem_serial.count(), disk_serial.count());
@@ -100,7 +81,7 @@ fn disk_corpus_merge_matches_memory_serial_and_sharded() {
     // The disk merge actually read the corpus (data files + re-read of the
     // bootstrap-window blocks), and never materialized it: peak residency
     // must be well under the event count even on this small trace.
-    let data_bytes = corpus.data_bytes().unwrap();
+    let data_bytes = session.corpus().data_bytes().unwrap();
     assert!(
         bytes_serial >= data_bytes / 2,
         "merge did not stream the corpus"

@@ -1,7 +1,7 @@
 //! Chunk-boundary invariance: the live ingest service must emit a jframe
 //! stream **byte-identical to the batch merge** of the same corpus — same
 //! count, same order, same stream digest — for *every* chunking of the
-//! input bytes, on both drivers (the `LiveMerger` and the sharded batch
+//! input bytes, on both paths (the `LiveMerger` and the sharded batch
 //! pipeline fed through `TailStream` adapters). One-byte chunks and chunks
 //! straddling trace-block seams are the adversarial cases: they force the
 //! tail reader's partial-block staging and block-boundary resume on nearly
@@ -15,7 +15,7 @@
 //! re-read (the bootstrap window) plus a small multiple of what the batch
 //! merge buffers, whatever the chunking.
 
-use jigsaw_bench::{corpus_sources, record_corpus, JframeStreamDigest};
+use jigsaw_bench::{record_corpus, sharded_config, CorpusSession, JframeStreamDigest};
 use jigsaw_core::observer::OnJFrame;
 use jigsaw_core::pipeline::{Pipeline, PipelineConfig};
 use jigsaw_core::JFrame;
@@ -25,8 +25,7 @@ use jigsaw_sim::scenario::ScenarioConfig;
 use jigsaw_trace::corpus::Corpus;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 const SEED: u64 = 20060124;
 /// Small trace blocks so even modest chunk sizes straddle block seams.
@@ -44,6 +43,8 @@ struct Fixture {
     /// Events the live merger must accumulate before it can bootstrap: each
     /// radio's first window, plus the one event that proves it complete.
     bootstrap_events: u64,
+    /// One merge shard per channel — the sharded-tail leg's layout.
+    sharded: PipelineConfig,
 }
 
 /// Records `out` as a corpus and computes the batch reference digest every
@@ -53,6 +54,8 @@ fn record_fixture(tag: &str, out: &SimOutput, block_bytes: usize) -> Fixture {
     let _ = std::fs::remove_dir_all(&dir);
     record_corpus(out, &dir, tag, SEED, 1.0, 65_535, block_bytes).unwrap();
     let cfg = PipelineConfig::default();
+    let (sharded, shards) = sharded_config(&out.radio_meta);
+    assert!(shards >= 2, "the sharded-tail leg would be vacuous");
     let bootstrap_events = out
         .radio_meta
         .iter()
@@ -62,11 +65,9 @@ fn record_fixture(tag: &str, out: &SimOutput, block_bytes: usize) -> Fixture {
             (t.partition_point(|e| e.ts_local <= hi) + 1).min(t.len()) as u64
         })
         .sum();
-    let corpus = Corpus::open(&dir).unwrap();
-    let sources = corpus_sources(&corpus, Arc::new(AtomicU64::new(0))).unwrap();
+    let session = CorpusSession::open(&dir).unwrap();
     let mut digest = JframeStreamDigest::new();
-    let (_, stats) =
-        Pipeline::merge_only(sources, &cfg, OnJFrame(|jf: &JFrame| digest.observe(jf))).unwrap();
+    let stats = session.merge(None, &cfg, |jf| digest.observe(jf)).unwrap();
     assert!(digest.count() > 0, "batch reference produced no jframes");
     Fixture {
         dir,
@@ -75,6 +76,7 @@ fn record_fixture(tag: &str, out: &SimOutput, block_bytes: usize) -> Fixture {
         batch_hex: digest.hex(),
         batch_peak: stats.peak_buffered,
         bootstrap_events,
+        sharded,
     }
 }
 
@@ -143,17 +145,17 @@ fn live_run(f: &Fixture, chunk: usize) -> Run {
     }
 }
 
-/// The same, through the channel-sharded batch driver over `TailStream`
-/// adapters — the `--parallel` leg of `repro tail`.
+/// The same, through the batch pipeline sharded one thread per channel
+/// over `TailStream` adapters — the `--parallel` leg of `repro tail`.
 fn sharded_tail_run(f: &Fixture, chunk: usize) -> Run {
     let sources: Vec<TailStream<ChunkedFileTail>> = tails(&f.dir, chunk)
         .into_iter()
         .map(|t| TailStream::open(t).unwrap())
         .collect();
     let mut digest = JframeStreamDigest::new();
-    let (_, stats) = Pipeline::merge_only_parallel(
+    let (_, stats) = Pipeline::merge_only(
         sources,
-        &PipelineConfig::default(),
+        &f.sharded,
         OnJFrame(|jf: &JFrame| digest.observe(jf)),
     )
     .unwrap();
@@ -229,7 +231,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Arbitrary chunk sizes — the emitted stream never depends on where
-    /// the byte boundaries fall, on either driver, and neither does the
+    /// the byte boundaries fall, on either path, and neither does the
     /// live merger's residency bound.
     #[test]
     fn any_chunking_yields_the_batch_stream(chunk in 1usize..4096) {

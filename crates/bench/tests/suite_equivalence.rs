@@ -1,7 +1,7 @@
-//! The PR's acceptance test: the figure `Suite` streamed off a recorded
+//! The figure-suite acceptance test: the `Suite` streamed off a recorded
 //! disk corpus must produce figure-for-figure identical output — rendered
-//! text AND machine records — to the in-memory, hand-wired serial run, on
-//! both the serial and the channel-sharded merge drivers. This is what
+//! text AND machine records — to the in-memory, hand-wired serial run, at
+//! both the serial and the channel-sharded merge layouts. This is what
 //! lets `repro analyze --corpus` stand in for the hand-wired evaluation.
 
 use jigsaw_analysis::activity::ActivityAnalysis;
@@ -14,16 +14,11 @@ use jigsaw_analysis::suite::Figure;
 use jigsaw_analysis::summary::SummaryBuilder;
 use jigsaw_analysis::tcploss::TcpLossAnalysis;
 use jigsaw_bench::{
-    corpus_sources, corpus_sources_windowed, corpus_wired, figure_suite_parts, minute_bin_us,
-    practical_minute_us, record_corpus,
+    corpus_wired, minute_bin_us, practical_minute_us, record_corpus, sharded_config, CorpusSession,
 };
 use jigsaw_core::pipeline::{Pipeline, PipelineConfig};
-use jigsaw_core::shard::ShardConfig;
 use jigsaw_sim::scenario::ScenarioConfig;
-use jigsaw_trace::corpus::Corpus;
 use std::path::PathBuf;
-use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("jigsaw-suite-equiv-{tag}-{}", std::process::id()));
@@ -87,40 +82,20 @@ fn suite_over_corpus_matches_hand_wired_memory_run() {
         output_of(&coverage.finish()),
     ];
 
-    // --- Suite runs streaming off the disk corpus, both drivers. The
+    // --- Suite runs streaming off the disk corpus, both layouts. The
     // suite itself is built from the corpus alone (duration from the
     // manifest, wired trace + AP table decoded from `wired.jigw`), exactly
     // as `repro analyze` builds it — so this also pins the wired member's
     // roundtrip fidelity: Figure 6 must come out identical whether the
     // wired trace was held in memory or read back from the corpus. ---
-    let corpus = Corpus::open(&dir).unwrap();
-    assert_eq!(corpus.manifest().duration_us, out.duration_us);
-    let (disk_wired, ap_table) = corpus_wired(&corpus).unwrap();
+    let session = CorpusSession::open(&dir).unwrap();
+    assert_eq!(session.corpus().manifest().duration_us, out.duration_us);
+    let (disk_wired, _) = corpus_wired(session.corpus()).unwrap();
     assert_eq!(disk_wired.len(), out.wired.len());
-    let par_cfg = PipelineConfig {
-        shard: ShardConfig {
-            max_threads: jigsaw_trace::stream::distinct_channels(&out.radio_meta)
-                .len()
-                .max(1),
-            ..ShardConfig::default()
-        },
-        ..PipelineConfig::default()
-    };
-    let run_disk = |parallel: bool| -> Vec<FigureOutput> {
-        let sources = corpus_sources(&corpus, Arc::new(AtomicU64::new(0))).unwrap();
-        let disk_ap_lookup = |sid: u16| ap_table[&sid];
-        let mut suite = figure_suite_parts(
-            corpus.manifest().radios.len(),
-            corpus.manifest().duration_us,
-            &disk_wired,
-            &disk_ap_lookup,
-        );
-        let report = if parallel {
-            Pipeline::run_parallel(sources, &par_cfg, &mut suite)
-        } else {
-            Pipeline::run(sources, &PipelineConfig::default(), &mut suite)
-        }
-        .unwrap();
+    let (par_cfg, shards) = sharded_config(&out.radio_meta);
+    assert!(shards >= 2, "the sharded leg would be vacuous");
+    let run_disk = |cfg: &PipelineConfig| -> Vec<FigureOutput> {
+        let (report, figures) = session.analyze(cfg).unwrap();
         // The figures streamed: nothing was materialized — residency stays
         // window-bounded, far below the corpus event count.
         assert_eq!(report.merge.events_in, events);
@@ -129,14 +104,10 @@ fn suite_over_corpus_matches_hand_wired_memory_run() {
             "peak residency {} vs {events} events: not streaming",
             report.merge.peak_buffered
         );
-        suite
-            .finish()
-            .iter()
-            .map(|f| output_of(f.as_ref()))
-            .collect()
+        figures.iter().map(|f| output_of(f.as_ref())).collect()
     };
-    let disk_serial = run_disk(false);
-    let disk_sharded = run_disk(true);
+    let disk_serial = run_disk(&PipelineConfig::default());
+    let disk_sharded = run_disk(&par_cfg);
 
     assert_eq!(reference.len(), disk_serial.len());
     for ((r, s), p) in reference.iter().zip(&disk_serial).zip(&disk_sharded) {
@@ -162,8 +133,8 @@ fn suite_over_corpus_matches_hand_wired_memory_run() {
 
 /// The diagnosis layer inherits the suite's determinism: `repro
 /// diagnose` — coarse pass plus every windowed deep dive — must produce
-/// byte-identical machine records whether the merges under it ran the
-/// serial or the channel-sharded driver.
+/// byte-identical machine records whether the merges under it ran
+/// serial or channel-sharded.
 #[test]
 fn diagnosis_over_corpus_identical_serial_vs_sharded() {
     use jigsaw_diagnosis::{run_diagnosis, standard_detectors, RecordSet, Thresholds};
@@ -173,72 +144,24 @@ fn diagnosis_over_corpus_identical_serial_vs_sharded() {
     let out = ScenarioConfig::tiny(seed).run();
     let dir = tmpdir("diag");
     record_corpus(&out, &dir, "tiny", seed, 1.0, 65_535, 4096).unwrap();
-    let par_cfg = PipelineConfig {
-        shard: ShardConfig {
-            max_threads: jigsaw_trace::stream::distinct_channels(&out.radio_meta)
-                .len()
-                .max(1),
-            ..ShardConfig::default()
-        },
-        ..PipelineConfig::default()
-    };
+    let (par_cfg, shards) = sharded_config(&out.radio_meta);
+    assert!(shards >= 2, "the sharded leg would be vacuous");
     drop(out);
-    let corpus = Corpus::open(&dir).unwrap();
-    let (wired, ap_table) = corpus_wired(&corpus).unwrap();
-    let span = corpus
-        .universal_span()
-        .unwrap()
-        .expect("tiny corpus has events");
+    let session = CorpusSession::open(&dir).unwrap();
+    let span = session.span().expect("tiny corpus has events");
 
-    // The same per-window analysis `repro diagnose` wires up, on either
-    // driver.
-    let analyze = |parallel: bool, w: Option<TimeWindow>| -> RecordSet {
-        let clipped: Vec<_> = match w {
-            Some(win) => wired
-                .iter()
-                .filter(|r| win.contains(r.ts))
-                .cloned()
-                .collect(),
-            None => wired.clone(),
+    // The same per-window analysis `repro diagnose` wires up, at either
+    // layout.
+    let diagnose = |layout: &PipelineConfig| {
+        let analyze = |w: Option<TimeWindow>| {
+            let cfg = PipelineConfig {
+                window: w,
+                ..layout.clone()
+            };
+            RecordSet::from_figures(&session.analyze(&cfg).unwrap().1)
         };
-        let ap_lookup = |sid: u16| ap_table[&sid];
-        let mut suite = figure_suite_parts(
-            corpus.manifest().radios.len(),
-            corpus.manifest().duration_us,
-            &clipped,
-            &ap_lookup,
-        );
-        let counter = Arc::new(AtomicU64::new(0));
-        let mut cfg = if parallel {
-            par_cfg.clone()
-        } else {
-            PipelineConfig::default()
-        };
-        cfg.window = w;
-        match w {
-            Some(win) => {
-                let sources = corpus_sources_windowed(&corpus, counter, win).unwrap();
-                if parallel {
-                    Pipeline::run_parallel(sources, &cfg, &mut suite)
-                } else {
-                    Pipeline::run(sources, &cfg, &mut suite)
-                }
-            }
-            None => {
-                let sources = corpus_sources(&corpus, counter).unwrap();
-                if parallel {
-                    Pipeline::run_parallel(sources, &cfg, &mut suite)
-                } else {
-                    Pipeline::run(sources, &cfg, &mut suite)
-                }
-            }
-        }
-        .unwrap();
-        RecordSet::from_figures(&suite.finish())
-    };
-    let diagnose = |parallel: bool| {
-        let coarse = analyze(parallel, None);
-        let mut deep = |w: TimeWindow| Ok(analyze(parallel, Some(w)));
+        let coarse = analyze(None);
+        let mut deep = |w: TimeWindow| Ok(analyze(Some(w)));
         run_diagnosis(
             &standard_detectors(),
             &coarse,
@@ -249,13 +172,13 @@ fn diagnosis_over_corpus_identical_serial_vs_sharded() {
         .unwrap()
     };
 
-    let serial = diagnose(false);
-    let sharded = diagnose(true);
-    assert_eq!(serial, sharded, "diagnosis reports diverged across drivers");
+    let serial = diagnose(&PipelineConfig::default());
+    let sharded = diagnose(&par_cfg);
+    assert_eq!(serial, sharded, "diagnosis reports diverged across layouts");
     assert_eq!(
         serial.record_lines(),
         sharded.record_lines(),
-        "diagnosis record lines diverged across drivers"
+        "diagnosis record lines diverged across layouts"
     );
     // The comparison had substance: the tiny corpus confirms at least
     // one incident, with quoted evidence.

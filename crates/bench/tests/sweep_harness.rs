@@ -5,24 +5,20 @@
 //!   simulated twice under the same seed records byte-identical corpora
 //!   (same corpus digest). This is the precondition for golden files: a
 //!   scenario that is not a pure function of (spec, seed) cannot be pinned.
-//! * **Dual-driver survival** — every scenario of the shipped sweep matrix
-//!   survives record → merge verification on both drivers: the disk-backed
+//! * **Dual-layout survival** — every scenario of the shipped sweep matrix
+//!   survives record → merge verification at both layouts: the disk-backed
 //!   serial and channel-sharded merges reproduce the in-memory serial
 //!   jframe stream exactly.
 
 use jigsaw_bench::sweep::SWEEP_SEED;
-use jigsaw_bench::{corpus_sources, record_corpus, JframeStreamDigest};
+use jigsaw_bench::{record_corpus, sharded_config, CorpusSession, JframeStreamDigest};
 use jigsaw_core::observer::OnJFrame;
 use jigsaw_core::pipeline::{Pipeline, PipelineConfig};
-use jigsaw_core::shard::ShardConfig;
 use jigsaw_core::JFrame;
 use jigsaw_sim::scenario::{ScenarioConfig, TruthConfig};
 use jigsaw_sim::spec::{CoChannel, HiddenTerminals, QosMix, Roaming, ScenarioSpec, SessionChurn};
-use jigsaw_trace::corpus::Corpus;
 use proptest::prelude::*;
 use std::path::PathBuf;
-use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
 
 /// A spec with an arbitrary subset of the five perturbations enabled, on
 /// a deliberately small base (3 s, 2 pods) so property cases stay cheap.
@@ -113,37 +109,28 @@ fn matrix_scenarios_survive_record_and_dual_driver_merge() {
         )
         .expect("in-memory merge");
         assert!(mem.count() > 0, "{}: no jframes", spec.name);
-        let channels = jigsaw_trace::stream::distinct_channels(&out.radio_meta).len();
-        drop(out);
-
-        let corpus = Corpus::open(&dir).expect("open corpus");
+        let (sharded_cfg, shards) = sharded_config(&out.radio_meta);
         assert!(
-            corpus.verify_digest().expect("digest"),
-            "{}: corrupt corpus",
+            shards >= 2,
+            "{}: the sharded leg would be vacuous",
             spec.name
         );
-        let serial_cfg = PipelineConfig::default();
-        let sharded_cfg = PipelineConfig {
-            shard: ShardConfig {
-                max_threads: channels.max(1),
-                ..ShardConfig::default()
-            },
-            ..PipelineConfig::default()
-        };
-        for (driver, parallel) in [("serial", false), ("sharded", true)] {
-            let counter = Arc::new(AtomicU64::new(0));
-            let sources = corpus_sources(&corpus, counter).expect("sources");
+        drop(out);
+
+        // Opening the session checks the corpus digest.
+        let session = CorpusSession::open(&dir).expect("open corpus");
+        for (layout, cfg) in [
+            ("serial", &PipelineConfig::default()),
+            ("sharded", &sharded_cfg),
+        ] {
             let mut disk = JframeStreamDigest::new();
-            let obs = OnJFrame(|jf: &JFrame| disk.observe(jf));
-            if parallel {
-                Pipeline::merge_only_parallel(sources, &sharded_cfg, obs).expect("merge")
-            } else {
-                Pipeline::merge_only(sources, &serial_cfg, obs).expect("merge")
-            };
+            session
+                .merge(None, cfg, |jf| disk.observe(jf))
+                .expect("merge");
             assert_eq!(
                 (disk.count(), disk.hex()),
                 (mem.count(), mem.hex()),
-                "{}: disk {driver} merge diverged from in-memory serial",
+                "{}: disk {layout} merge diverged from in-memory serial",
                 spec.name
             );
         }

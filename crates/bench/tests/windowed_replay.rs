@@ -13,25 +13,18 @@
 //!    and the full replay clipped to the same window;
 //! 3. merged universal timestamps of matching jframes agree within a
 //!    tolerance bounded by NTP anchor error + oscillator drift;
-//! 4. both merge drivers produce byte-identical windowed output (stream
-//!    and figure records), and the windowed replay's disk reads are
-//!    bounded by the window's blocks, not the corpus.
+//! 4. both merge layouts (serial, channel-sharded) produce byte-identical
+//!    windowed output (stream and figure records), and the windowed
+//!    replay's disk reads are bounded by the window's blocks, not the
+//!    corpus.
 
-use jigsaw_bench::{
-    corpus_sources, corpus_sources_windowed, corpus_wired, figure_suite_parts, record_corpus,
-    WindowedStreamDigest,
-};
-use jigsaw_core::observer::OnJFrame;
-use jigsaw_core::pipeline::{Pipeline, PipelineConfig, WindowClipper};
-use jigsaw_core::shard::ShardConfig;
+use jigsaw_bench::{record_corpus, sharded_config, CorpusSession, WindowedStreamDigest};
+use jigsaw_core::pipeline::{PipelineConfig, WindowClipper};
 use jigsaw_core::JFrame;
 use jigsaw_sim::scenario::ScenarioConfig;
-use jigsaw_trace::corpus::Corpus;
 use jigsaw_trace::TimeWindow;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// A figure reduced to its comparable identity: (name, render, records).
 type FigureOutput = (String, String, Vec<jigsaw_analysis::Record>);
@@ -47,63 +40,45 @@ fn tmpdir(tag: &str) -> PathBuf {
 /// well under a ms). 10 ms bounds both with margin.
 const TS_TOLERANCE_US: u64 = 10_000;
 
-fn sharded_cfg(corpus: &Corpus, window: Option<TimeWindow>) -> PipelineConfig {
-    let channels: std::collections::BTreeSet<u8> = corpus
-        .manifest()
-        .radios
-        .iter()
-        .map(|r| r.meta.channel.number())
-        .collect();
-    PipelineConfig {
-        shard: ShardConfig {
-            max_threads: channels.len().max(1),
-            ..ShardConfig::default()
-        },
-        window,
-        ..PipelineConfig::default()
+/// The config for one leg: emission clipped to `window`, merged serially
+/// or one shard per channel (never vacuously: ≥ 2 shards).
+fn leg_cfg(session: &CorpusSession, window: TimeWindow, parallel: bool) -> PipelineConfig {
+    let mut cfg = PipelineConfig::default();
+    if parallel {
+        let (sharded, shards) = sharded_config(&session.corpus().metas());
+        assert!(shards >= 2, "the sharded leg would be vacuous");
+        cfg = sharded;
     }
+    cfg.window = Some(window);
+    cfg
+}
+
+/// Merges sources reading `read` under `cfg`, returning the emitted
+/// jframes plus the disk bytes the run read.
+fn merged_jframes(
+    session: &CorpusSession,
+    read: Option<TimeWindow>,
+    cfg: &PipelineConfig,
+) -> (Vec<JFrame>, u64) {
+    let before = session.disk_bytes();
+    let mut out = Vec::new();
+    session.merge(read, cfg, |jf| out.push(jf.clone())).unwrap();
+    (out, session.disk_bytes() - before)
 }
 
 /// Runs a windowed merge, returning the emitted jframes plus disk bytes.
-fn windowed_jframes(corpus: &Corpus, window: TimeWindow, parallel: bool) -> (Vec<JFrame>, u64) {
-    let counter = Arc::new(AtomicU64::new(0));
-    let sources = corpus_sources_windowed(corpus, Arc::clone(&counter), window).unwrap();
-    let cfg = if parallel {
-        sharded_cfg(corpus, Some(window))
-    } else {
-        PipelineConfig {
-            window: Some(window),
-            ..PipelineConfig::default()
-        }
-    };
-    let mut out = Vec::new();
-    let run = |sources, cfg: &PipelineConfig, out: &mut Vec<JFrame>| {
-        if parallel {
-            Pipeline::merge_only_parallel(
-                sources,
-                cfg,
-                OnJFrame(|jf: &JFrame| out.push(jf.clone())),
-            )
-        } else {
-            Pipeline::merge_only(sources, cfg, OnJFrame(|jf: &JFrame| out.push(jf.clone())))
-        }
-    };
-    run(sources, &cfg, &mut out).unwrap();
-    (out, counter.load(Ordering::Relaxed))
+fn windowed_jframes(
+    session: &CorpusSession,
+    window: TimeWindow,
+    parallel: bool,
+) -> (Vec<JFrame>, u64) {
+    merged_jframes(session, Some(window), &leg_cfg(session, window, parallel))
 }
 
 /// Runs the FULL corpus replay with emission clipped to the window — the
 /// reference side of the contract.
-fn clipped_full_jframes(corpus: &Corpus, window: TimeWindow) -> (Vec<JFrame>, u64) {
-    let counter = Arc::new(AtomicU64::new(0));
-    let sources = corpus_sources(corpus, Arc::clone(&counter)).unwrap();
-    let cfg = PipelineConfig {
-        window: Some(window),
-        ..PipelineConfig::default()
-    };
-    let mut out = Vec::new();
-    Pipeline::merge_only(sources, &cfg, OnJFrame(|jf: &JFrame| out.push(jf.clone()))).unwrap();
-    (out, counter.load(Ordering::Relaxed))
+fn clipped_full_jframes(session: &CorpusSession, window: TimeWindow) -> (Vec<JFrame>, u64) {
+    merged_jframes(session, None, &leg_cfg(session, window, false))
 }
 
 fn digest_of(frames: &[JFrame]) -> WindowedStreamDigest {
@@ -160,11 +135,11 @@ fn windowed_replay_matches_clipped_full_replay() {
     let out = ScenarioConfig::tiny(seed).run();
     let dir = tmpdir("contract");
     record_corpus(&out, &dir, "tiny", seed, 1.0, 65_535, 4096).unwrap();
-    let corpus = Corpus::open(&dir).unwrap();
+    let session = CorpusSession::open(&dir).unwrap();
     let window = TimeWindow::new(3_000_000, 6_000_000).unwrap();
 
-    let (win_serial, win_bytes) = windowed_jframes(&corpus, window, false);
-    let (full, full_bytes) = clipped_full_jframes(&corpus, window);
+    let (win_serial, win_bytes) = windowed_jframes(&session, window, false);
+    let (full, full_bytes) = clipped_full_jframes(&session, window);
     assert!(!win_serial.is_empty(), "window selected no jframes");
 
     // Contract #2: identical per-channel multisets of clock-invariant
@@ -197,8 +172,8 @@ fn windowed_replay_matches_clipped_full_replay() {
         "re-anchored timestamps {worst} µs off, tolerance {TS_TOLERANCE_US}"
     );
 
-    // Contract #4a: both drivers emit the byte-identical windowed stream.
-    let (win_sharded, _) = windowed_jframes(&corpus, window, true);
+    // Contract #4a: both layouts emit the byte-identical windowed stream.
+    let (win_sharded, _) = windowed_jframes(&session, window, true);
     assert_eq!(win_serial.len(), win_sharded.len());
     for (a, b) in win_serial.iter().zip(&win_sharded) {
         assert_eq!(a.ts, b.ts);
@@ -215,8 +190,7 @@ fn windowed_replay_matches_clipped_full_replay() {
     );
 
     // Contract #1 sanity: every emitted jframe's anchor key is in-window.
-    let metas: Vec<_> = corpus.manifest().radios.iter().map(|r| r.meta).collect();
-    let clip = WindowClipper::new(&metas, window);
+    let clip = WindowClipper::new(&session.corpus().metas(), window);
     for f in win_serial.iter().chain(&full) {
         assert!(clip.admits(f), "out-of-window jframe emitted");
     }
@@ -224,63 +198,73 @@ fn windowed_replay_matches_clipped_full_replay() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `[from, to)` boundary behavior at exact event/block timestamps, on both
-/// drivers: an event at `from` is in, an event at `to` is out, block seams
+/// `[from, to)` boundary behavior at exact event/block timestamps, at both
+/// layouts: an event at `from` is in, an event at `to` is out, block seams
 /// do not duplicate or drop anything.
 #[test]
 fn window_clipping_pins_half_open_boundaries() {
     use jigsaw_trace::corpus::CorpusWriter;
     use jigsaw_trace::stream::EventStream;
     use jigsaw_trace::{MonitorId, PhyEvent, PhyStatus, RadioId, RadioMeta};
+    use std::sync::atomic::AtomicU64;
+    use std::sync::Arc;
 
-    // One radio, zero anchors (local time == anchor time), events every
-    // 500 µs; a small block target forces many blocks so `from`/`to` land
+    // One radio per channel (so the sharded leg really shards), zero
+    // anchors (local time == anchor time), the same events every 500 µs on
+    // each; a small block target forces many blocks so `from`/`to` land
     // exactly on block-boundary timestamps.
-    let meta = RadioMeta {
-        radio: RadioId(0),
-        monitor: MonitorId(0),
-        channel: jigsaw_ieee80211::Channel::of(1),
-        anchor_wall_us: 0,
-        anchor_local_us: 0,
-    };
-    let events: Vec<PhyEvent> = (0..400u64)
-        .map(|k| PhyEvent {
-            radio: RadioId(0),
-            ts_local: 1_000 + k * 500,
-            channel: jigsaw_ieee80211::Channel::of(1),
-            rate: jigsaw_ieee80211::PhyRate::R11,
-            rssi_dbm: -50,
-            status: PhyStatus::Ok,
-            wire_len: 60,
-            bytes: vec![k as u8; 60].into(),
-        })
-        .collect();
     let dir = tmpdir("edges");
     let mut w = CorpusWriter::create(&dir, "edges", 1, 1.0, 200, 201_000, 2048).unwrap();
-    w.record_radio(meta, events.iter()).unwrap();
+    let ts_of = |k: u64| 1_000 + k * 500;
+    for (r, chan) in [(0u16, 1u8), (1, 6)] {
+        let meta = RadioMeta {
+            radio: RadioId(r),
+            monitor: MonitorId(r),
+            channel: jigsaw_ieee80211::Channel::of(chan),
+            anchor_wall_us: 0,
+            anchor_local_us: 0,
+        };
+        let events: Vec<PhyEvent> = (0..400u64)
+            .map(|k| PhyEvent {
+                radio: RadioId(r),
+                ts_local: ts_of(k),
+                channel: meta.channel,
+                rate: jigsaw_ieee80211::PhyRate::R11,
+                rssi_dbm: -50,
+                status: PhyStatus::Ok,
+                wire_len: 60,
+                bytes: vec![k as u8; 60].into(),
+            })
+            .collect();
+        w.record_radio(meta, events.iter()).unwrap();
+    }
     w.finish().unwrap();
-    let corpus = Corpus::open(&dir).unwrap();
+    let session = CorpusSession::open(&dir).unwrap();
 
     // Pick window edges exactly at block-boundary event timestamps.
-    let src = corpus.source(0, Arc::new(AtomicU64::new(0))).unwrap();
+    let src = session
+        .corpus()
+        .source(0, Arc::new(AtomicU64::new(0)))
+        .unwrap();
     let index = src.index().to_vec();
     assert!(index.len() >= 4, "need several blocks, got {}", index.len());
     let from = index[1].first_ts; // exact first event of block 1
     let to = index[3].first_ts; // exact first event of block 3: excluded
     let window = TimeWindow::new(from, to).unwrap();
 
-    let expected: Vec<u64> = events
-        .iter()
-        .map(|e| e.ts_local)
+    // Each in-window instant once per channel, channel 1 first.
+    let expected: Vec<u64> = (0..400)
+        .map(ts_of)
         .filter(|&t| t >= from && t < to)
+        .flat_map(|t| [t, t])
         .collect();
     for parallel in [false, true] {
-        let (got, _) = windowed_jframes(&corpus, window, parallel);
+        let (got, _) = windowed_jframes(&session, window, parallel);
         let got_ts: Vec<u64> = got.iter().map(|j| j.ts).collect();
         assert_eq!(got_ts, expected, "parallel={parallel}");
     }
     // The same edges, clipped from a full replay: identical selection.
-    let (full, _) = clipped_full_jframes(&corpus, window);
+    let (full, _) = clipped_full_jframes(&session, window);
     assert_eq!(full.iter().map(|j| j.ts).collect::<Vec<_>>(), expected);
 
     // A stream seeked to an exact block seam starts exactly there.
@@ -294,7 +278,7 @@ fn window_clipping_pins_half_open_boundaries() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The windowed figure suite: serial and sharded drivers agree
+/// The windowed figure suite: the serial and sharded layouts agree
 /// byte-for-byte on every figure's render and machine records (what the
 /// CI windowed-analyze comparison asserts at the CLI level).
 #[test]
@@ -304,40 +288,14 @@ fn windowed_figure_suite_serial_equals_sharded() {
     let dir = tmpdir("suite");
     record_corpus(&out, &dir, "tiny", seed, 1.0, 65_535, 4096).unwrap();
     drop(out);
-    let corpus = Corpus::open(&dir).unwrap();
+    let session = CorpusSession::open(&dir).unwrap();
     let window = TimeWindow::new(2_000_000, 7_000_000).unwrap();
 
-    let (wired_all, ap_table) = corpus_wired(&corpus).unwrap();
-    let wired: Vec<_> = wired_all
-        .into_iter()
-        .filter(|r| window.contains(r.ts))
-        .collect();
-
     let run = |parallel: bool| -> Vec<FigureOutput> {
-        let ap_lookup = |sid: u16| ap_table[&sid];
-        let mut suite = figure_suite_parts(
-            corpus.manifest().radios.len(),
-            corpus.manifest().duration_us,
-            &wired,
-            &ap_lookup,
-        );
-        let sources =
-            corpus_sources_windowed(&corpus, Arc::new(AtomicU64::new(0)), window).unwrap();
-        let cfg = if parallel {
-            sharded_cfg(&corpus, Some(window))
-        } else {
-            PipelineConfig {
-                window: Some(window),
-                ..PipelineConfig::default()
-            }
-        };
-        if parallel {
-            Pipeline::run_parallel(sources, &cfg, &mut suite).unwrap();
-        } else {
-            Pipeline::run(sources, &cfg, &mut suite).unwrap();
-        }
-        suite
-            .finish()
+        let (_, figures) = session
+            .analyze(&leg_cfg(&session, window, parallel))
+            .unwrap();
+        figures
             .iter()
             .map(|f| (f.name().to_string(), f.render(), f.records()))
             .collect()
@@ -348,10 +306,10 @@ fn windowed_figure_suite_serial_equals_sharded() {
     let mut nonempty = 0;
     for (s, p) in serial.iter().zip(&sharded) {
         assert_eq!(s.0, p.0, "figure order diverged");
-        assert_eq!(s.1, p.1, "{}: windowed render diverged across drivers", s.0);
+        assert_eq!(s.1, p.1, "{}: windowed render diverged across layouts", s.0);
         assert_eq!(
             s.2, p.2,
-            "{}: windowed records diverged across drivers",
+            "{}: windowed records diverged across layouts",
             s.0
         );
         nonempty += usize::from(!s.2.is_empty());
@@ -370,14 +328,14 @@ fn window_outside_span_is_empty_not_wrong() {
     let dir = tmpdir("outside");
     record_corpus(&out, &dir, "tiny", seed, 1.0, 65_535, 4096).unwrap();
     drop(out);
-    let corpus = Corpus::open(&dir).unwrap();
-    let (lo, hi) = corpus.universal_span().unwrap().unwrap();
+    let session = CorpusSession::open(&dir).unwrap();
+    let (lo, hi) = session.span().unwrap();
     assert!(lo < hi);
 
     // Far enough out that even the warm-up pre-roll starts past the end.
     let beyond = TimeWindow::new(hi + 10_000_000, hi + 20_000_000).unwrap();
     assert!(!beyond.overlaps(lo, hi));
-    let (frames, bytes) = windowed_jframes(&corpus, beyond, false);
+    let (frames, bytes) = windowed_jframes(&session, beyond, false);
     assert!(frames.is_empty());
     // Nothing decoded either: index says no block overlaps.
     assert_eq!(bytes, 0);
@@ -385,7 +343,7 @@ fn window_outside_span_is_empty_not_wrong() {
     // A window whose warm-up clips the trace tail still emits nothing
     // in-window (jframes past `to` or before `from` never escape).
     let tail = TimeWindow::new(hi + 1_000_000, hi + 2_000_000).unwrap();
-    let (frames, _) = windowed_jframes(&corpus, tail, false);
+    let (frames, _) = windowed_jframes(&session, tail, false);
     assert!(frames.is_empty());
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -26,17 +26,19 @@
 //! * [`transport`] — **transport reconstruction** (§5.2): TCP flow
 //!   reassembly, covering-ACK delivery oracle, monitor-omission inference,
 //!   and wireless/wired loss attribution;
-//! * [`shard`] — **channel-sharded parallel unification**: radios tuned to
+//! * [`shard`] — **channel-sharded unification**: radios tuned to
 //!   different channels never share a jframe, so the merge partitions by
-//!   channel, runs one `Merger` per shard on its own thread, and K-way
-//!   merges the results back into the serial emission order;
+//!   channel, runs one `Merger` per shard (inline for one shard, else one
+//!   thread each), and K-way merges the results back into the serial
+//!   emission order;
 //! * [`pipeline`] — the single-pass streaming driver tying it together
-//!   (requirement 3 of §4: faster than real time, one pass), with
-//!   [`pipeline::Pipeline::run_parallel`] as the sharded variant; its
-//!   [`pipeline::EventSource`] abstraction feeds the same drivers from
-//!   in-memory streams or from an on-disk trace corpus
-//!   ([`pipeline::CorpusSource`]) with window-bounded memory;
-//! * [`observer`] — the pipeline→analysis boundary: every driver takes
+//!   (requirement 3 of §4: faster than real time, one pass): one entry
+//!   point, [`pipeline::Pipeline::run`], whose shard layout is
+//!   configuration ([`ShardConfig`], serial by default); its
+//!   [`pipeline::EventSource`] abstraction feeds it from in-memory
+//!   streams or from an on-disk trace corpus ([`pipeline::CorpusSource`],
+//!   whole or time-windowed) with window-bounded memory;
+//! * [`observer`] — the pipeline→analysis boundary: a run takes
 //!   one [`observer::PipelineObserver`] with default-no-op hooks for
 //!   jframes, attempts, exchanges, and flows; closures lift in via the
 //!   `On*` adapters and tuples fan one pass out to several analyses;

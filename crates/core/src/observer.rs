@@ -5,9 +5,9 @@
 //! unified jframe stream (plus the attempt, exchange, and flow streams
 //! derived from it). [`PipelineObserver`] is the single subscription
 //! point: every hook is default-no-op, so an analysis implements exactly
-//! the hooks it needs and the drivers
-//! ([`Pipeline::run`](crate::pipeline::Pipeline::run) and friends) take
-//! *one* observer instead of a closure per stream.
+//! the hooks it needs and the driver
+//! ([`Pipeline::run`](crate::pipeline::Pipeline::run)) takes *one*
+//! observer instead of a closure per stream.
 //!
 //! Composition is structural:
 //!
@@ -46,8 +46,9 @@ use crate::transport::flow::FlowRecord;
 /// transmission attempt; `on_exchange` fires for every closed frame
 /// exchange in transmission-time order; `on_flows` fires exactly once, at
 /// the end of the run, with every reconstructed flow record (order
-/// unspecified — treat it as a set). Merge-only drivers fire `on_jframe`
-/// only.
+/// unspecified — treat it as a set). A merge-only run
+/// ([`Pipeline::merge_only`](crate::pipeline::Pipeline::merge_only)) fires
+/// `on_jframe` only.
 pub trait PipelineObserver {
     /// Observes one unified frame.
     fn on_jframe(&mut self, _jf: &JFrame) {}

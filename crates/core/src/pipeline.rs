@@ -10,32 +10,33 @@
 //! [`crate::observer`] adapters, and tuples fan one pass out to several
 //! analyses.
 //!
-//! Every driver takes a `Vec` of [`EventSource`]s — one per radio. A source
+//! The driver takes a `Vec` of [`EventSource`]s — one per radio. A source
 //! abstracts *where events come from*: any in-memory or decoded
 //! [`EventStream`] is a source (consumed once, with the bootstrap prefix
-//! re-seeded into the merger), and a disk corpus radio
-//! ([`jigsaw_trace::corpus::RadioTraceSource`]) is a source whose bootstrap
-//! window is served by an index-bounded file read while the merge re-streams
-//! the file from the start — so a day-long corpus is merged with memory
-//! bounded by the search window, never by trace length
+//! re-seeded into the merger), and a disk corpus radio ([`CorpusSource`])
+//! is a source whose bootstrap window is served by an index-bounded file
+//! read while the merge re-streams the file — so a day-long corpus is
+//! merged with memory bounded by the search window, never by trace length
 //! ([`MergeStats::peak_buffered`](crate::unify::MergeStats) measures it).
 //!
-//! Replays need not start at t = 0: a [`WindowedCorpusSource`] re-anchors
-//! the clock bootstrap at any corpus timestamp (index-seeked reads, coarse
-//! NTP-anchor seed, [`bootstrap_at`] refinement) and
+//! Replays need not start at t = 0: a [`CorpusSource`] given a window
+//! re-anchors the clock bootstrap at any corpus timestamp (index-seeked
+//! reads, coarse NTP-anchor seed, [`bootstrap_at`] refinement) and
 //! [`PipelineConfig::window`] clips emission to the requested `[from, to)`
 //! — the paper's "start at 11 am" replay, with I/O and merge cost
 //! proportional to the window. [`WindowClipper`] documents the
 //! clock-invariant membership rule and the equivalence contract a windowed
 //! replay is pinned against.
 //!
-//! Two drivers share every stage:
-//! * [`Pipeline::run`] — the serial merger;
-//! * [`Pipeline::run_parallel`] — the channel-sharded merge
-//!   ([`crate::shard`]): one merge thread per channel shard, with
-//!   link/transport reconstruction consuming the K-way-merged jframe
-//!   stream on the calling thread (so merging and reconstruction
-//!   overlap). Output is jframe-for-jframe identical to the serial driver.
+//! There is one driver, [`Pipeline::run`]: open → bootstrap → clip →
+//! merge ([`crate::shard::run_sharded`]) → reconstruct. How the merge is
+//! laid out is configuration, not a second entry point:
+//! [`PipelineConfig::shard`] plans one shard by default — the serial
+//! [`Merger`](crate::unify::Merger) inline on the calling thread — and
+//! with more threads one merge thread per channel shard, with
+//! link/transport reconstruction consuming the K-way-merged jframe stream
+//! on the calling thread (so merging and reconstruction overlap). Output
+//! is jframe-for-jframe identical at every layout.
 
 use crate::jframe::JFrame;
 use crate::link::attempt::{Attempt, AttemptAssembler, AttemptStats};
@@ -44,7 +45,7 @@ use crate::observer::{OnExchange, OnJFrame, PipelineObserver};
 use crate::shard::ShardConfig;
 use crate::sync::bootstrap::{bootstrap_at, BootstrapConfig, BootstrapError, BootstrapReport};
 use crate::transport::flow::{FlowRecord, TransportAnalyzer, TransportStats};
-use crate::unify::{MergeConfig, MergeStats, Merger};
+use crate::unify::{MergeConfig, MergeStats};
 use jigsaw_ieee80211::Micros;
 use jigsaw_trace::format::FormatError;
 use jigsaw_trace::stream::EventStream;
@@ -60,14 +61,16 @@ pub struct PipelineConfig {
     pub bootstrap: BootstrapConfig,
     /// Unification parameters.
     pub merge: MergeConfig,
-    /// Channel-sharding parameters (the parallel drivers only).
+    /// Merge layout: serial by default, channel-sharded across threads
+    /// when [`ShardConfig::max_threads`] says so.
     pub shard: ShardConfig,
     /// Replay window: when set, only jframes whose anchor-time key falls
     /// in `[from, to)` reach the observer (see [`WindowClipper`] for the
     /// clock-invariant membership rule and the equivalence contract).
-    /// Pair it with windowed sources ([`WindowedCorpusSource`]) so reads
-    /// are window-bounded too; with ordinary sources it clips a full
-    /// replay — the reference side of the windowed-equivalence check.
+    /// Pair it with sources opened on the same window
+    /// ([`CorpusSource::new`]) so reads are window-bounded too; with
+    /// whole-trace sources it clips a full replay — the reference side of
+    /// the windowed-equivalence check.
     pub window: Option<TimeWindow>,
 }
 
@@ -193,35 +196,6 @@ impl<S: EventStream> EventSource for S {
     }
 }
 
-/// A disk-corpus radio as a pipeline source (newtype, because the blanket
-/// stream impl above forbids implementing [`EventSource`] directly for the
-/// foreign [`RadioTraceSource`](jigsaw_trace::corpus::RadioTraceSource)
-/// type): the bootstrap window comes from an index-bounded file read, the
-/// merge stream replays the file from the start, and nothing is buffered
-/// between the two stages.
-pub struct CorpusSource(pub jigsaw_trace::corpus::RadioTraceSource);
-
-impl EventSource for CorpusSource {
-    type Stream = jigsaw_trace::corpus::CorpusStream;
-
-    fn open(self, window_us: u64) -> Result<OpenedRadio<Self::Stream>, FormatError> {
-        let meta = self.0.meta();
-        // Index-bounded prefix read (`index::find_block` delimits the
-        // blocks overlapping the window); the merge stream re-reads the
-        // file from the start, so nothing needs seeding.
-        let window = self.0.read_bootstrap_window(window_us)?;
-        let stream = self.0.open_stream()?;
-        Ok(OpenedRadio {
-            meta,
-            window,
-            carry: Vec::new(),
-            replay: true,
-            window_lo: meta.anchor_local_us,
-            stream,
-        })
-    }
-}
-
 /// Left-edge warm-up: how far before `window.from` a windowed replay
 /// starts reading and merging (µs). The first [`BootstrapConfig::window_us`]
 /// of it feeds the mid-trace offset bootstrap; the rest gives continuous
@@ -236,61 +210,56 @@ pub const WINDOW_WARMUP_US: Micros = 2_000_000;
 /// per radio.
 pub const WINDOW_READ_SLACK_US: Micros = 100_000;
 
-/// A disk-corpus radio opened for a **time-windowed replay**: reads are
-/// index-seeked to the window, the mid-trace bootstrap window comes from a
-/// block-bounded read at the warm-up start, and the merge stream is
-/// clipped so nothing past the window (plus slack) is ever decoded — disk
-/// bytes are proportional to the window's blocks, not the corpus.
+/// A disk-corpus radio as a pipeline source (a wrapper, because the
+/// blanket stream impl above forbids implementing [`EventSource`] directly
+/// for the foreign [`RadioTraceSource`](jigsaw_trace::corpus::RadioTraceSource)
+/// type): the bootstrap window comes from an index-bounded file read, the
+/// merge stream replays the same local-time range from disk, and nothing
+/// is buffered between the two stages.
 ///
-/// The window is phrased in anchor-universal time; each radio locates it
-/// on its own local clock through [`RadioMeta::coarse_local`] (the NTP
-/// anchor pair as the coarse seed), and [`bootstrap_at`] then refines the
-/// offsets from sync-quality frames found right there.
-pub struct WindowedCorpusSource {
+/// The range is the whole trace, or — given a replay window — the window
+/// plus [`WINDOW_WARMUP_US`] before and [`WINDOW_READ_SLACK_US`] after:
+/// reads are then index-seeked, the bootstrap window sits at the warm-up
+/// start, and nothing past the range is ever decoded, so disk bytes are
+/// proportional to the window's blocks, not the corpus. The window is
+/// phrased in anchor-universal time; each radio locates it on its own
+/// local clock through [`RadioMeta::coarse_local`] (the NTP anchor pair as
+/// the coarse seed), and [`bootstrap_at`] then refines the offsets from
+/// sync-quality frames found right there.
+pub struct CorpusSource {
     source: jigsaw_trace::corpus::RadioTraceSource,
-    window: TimeWindow,
-    warmup_us: Micros,
-    slack_us: Micros,
+    window: Option<TimeWindow>,
 }
 
-impl WindowedCorpusSource {
-    /// Wraps a corpus radio for a `[from, to)` replay with the default
-    /// warm-up and read slack.
-    pub fn new(source: jigsaw_trace::corpus::RadioTraceSource, window: TimeWindow) -> Self {
-        Self::with_margins(source, window, WINDOW_WARMUP_US, WINDOW_READ_SLACK_US)
-    }
-
-    /// [`WindowedCorpusSource::new`] with explicit margins (tests pin edge
-    /// behavior with tight ones).
-    pub fn with_margins(
-        source: jigsaw_trace::corpus::RadioTraceSource,
-        window: TimeWindow,
-        warmup_us: Micros,
-        slack_us: Micros,
-    ) -> Self {
-        WindowedCorpusSource {
-            source,
-            window,
-            warmup_us,
-            slack_us,
-        }
+impl CorpusSource {
+    /// Wraps a corpus radio for a full replay (`None`) or a `[from, to)`
+    /// one.
+    pub fn new(source: jigsaw_trace::corpus::RadioTraceSource, window: Option<TimeWindow>) -> Self {
+        CorpusSource { source, window }
     }
 }
 
-impl EventSource for WindowedCorpusSource {
+impl EventSource for CorpusSource {
     type Stream = jigsaw_trace::corpus::WindowedCorpusStream;
 
     fn open(self, window_us: u64) -> Result<OpenedRadio<Self::Stream>, FormatError> {
         let meta = self.source.meta();
-        let lo = meta.coarse_local(self.window.from.saturating_sub(self.warmup_us));
-        let hi = meta
-            .coarse_local(self.window.to)
-            .saturating_add(self.slack_us);
-        // Mid-trace bootstrap window: one `window_us` of events starting at
-        // the warm-up start, read through the block index.
+        // (read range, bootstrap window start). A full replay reads
+        // everything — pre-anchor events included, the merger must see
+        // them — and bootstraps at the NTP anchor.
+        let (lo, hi, window_lo) = match self.window {
+            None => (0, u64::MAX, meta.anchor_local_us),
+            Some(w) => {
+                let lo = meta.coarse_local(w.from.saturating_sub(WINDOW_WARMUP_US));
+                let hi = meta.coarse_local(w.to).saturating_add(WINDOW_READ_SLACK_US);
+                (lo, hi, lo)
+            }
+        };
+        // One `window_us` of events from the bootstrap start, read through
+        // the block index (`index::find_block` bounds the decode).
         let window = self
             .source
-            .read_window(lo, lo.saturating_add(window_us).min(hi))?;
+            .read_window(lo, window_lo.saturating_add(window_us).min(hi))?;
         // The merge stream replays the same range from disk (bootstrap
         // events included — `replay` tells the driver not to seed them).
         let stream = self.source.open_stream_range(lo, hi)?;
@@ -299,7 +268,7 @@ impl EventSource for WindowedCorpusSource {
             window,
             carry: Vec::new(),
             replay: true,
-            window_lo: lo,
+            window_lo,
             stream,
         })
     }
@@ -437,8 +406,8 @@ impl<S: EventStream> SourceSet<S> {
 /// reconstruction needs transmission-time order, so closed exchanges sit in
 /// a small heap until a 1 s watermark passes them).
 ///
-/// Both the serial and the sharded drivers feed this consumer, so parallel
-/// runs reconstruct exactly what serial runs reconstruct.
+/// Every shard layout feeds this one consumer, so sharded runs reconstruct
+/// exactly what serial runs reconstruct.
 struct Downstream<O> {
     attempts: AttemptAssembler,
     exchanges: ExchangeAssembler,
@@ -568,45 +537,14 @@ impl Pipeline {
     /// Pass `()` for no observation, a closure adapter such as
     /// [`OnJFrame`] for one stream, a tuple to fan out to several
     /// analyses, or `&mut analysis` to keep the analysis afterwards.
-    pub fn run<I: EventSource>(
-        sources: Vec<I>,
-        cfg: &PipelineConfig,
-        obs: impl PipelineObserver,
-    ) -> Result<PipelineReport, PipelineError> {
-        let set = SourceSet::open(sources, cfg.bootstrap.window_us)?;
-        let boot = set.bootstrap(&cfg.bootstrap)?;
-        let clip = set.clipper(cfg);
-
-        let (streams, seeds, refs) = set.into_merge_input();
-        let mut merger = Merger::new_at(streams, &boot.offsets, &refs, cfg.merge.clone());
-        for (r, seed) in seeds.into_iter().enumerate() {
-            merger.seed_pending(r, seed);
-        }
-        let mut ds = Downstream::new(obs);
-        let merge_stats = merger.run(|jf| {
-            if clip.as_ref().is_none_or(|c| c.admits(&jf)) {
-                ds.observe(&jf);
-            }
-        })?;
-        let (attempts, link, flows, transport) = ds.finish();
-
-        Ok(PipelineReport {
-            bootstrap: boot,
-            merge: merge_stats,
-            attempts,
-            link,
-            flows,
-            transport,
-        })
-    }
-
-    /// [`Pipeline::run`] with the channel-sharded parallel merge
-    /// ([`crate::shard`]): bootstrap is unchanged (it is global — monitor
-    /// clocks bridge channels), the merge fans out one thread per channel
-    /// shard, and reconstruction consumes the re-merged stream here on the
-    /// calling thread — so the observer needs no `Send` bound and sees
-    /// exactly what [`Pipeline::run`] would deliver.
-    pub fn run_parallel<I>(
+    ///
+    /// The merge runs at the layout [`PipelineConfig::shard`] plans
+    /// (bootstrap is global either way — monitor clocks bridge channels);
+    /// reconstruction always consumes the merged stream here on the
+    /// calling thread, so the observer needs no `Send` bound and sees the
+    /// same callbacks at every layout. The streams do need `Send`: a shard
+    /// thread may own them.
+    pub fn run<I>(
         sources: Vec<I>,
         cfg: &PipelineConfig,
         obs: impl PipelineObserver,
@@ -615,30 +553,12 @@ impl Pipeline {
         I: EventSource,
         I::Stream: Send + 'static,
     {
-        let set = SourceSet::open(sources, cfg.bootstrap.window_us)?;
-        let boot = set.bootstrap(&cfg.bootstrap)?;
-        let clip = set.clipper(cfg);
-
-        let (streams, seeds, refs) = set.into_merge_input();
         let mut ds = Downstream::new(obs);
-        let merge_stats = crate::shard::run_sharded(
-            streams,
-            &boot.offsets,
-            seeds,
-            &refs,
-            &cfg.merge,
-            &cfg.shard,
-            |jf| {
-                if clip.as_ref().is_none_or(|c| c.admits(&jf)) {
-                    ds.observe(&jf);
-                }
-            },
-        )?;
+        let (bootstrap, merge) = Self::drive(sources, cfg, |jf| ds.observe(jf))?;
         let (attempts, link, flows, transport) = ds.finish();
-
         Ok(PipelineReport {
-            bootstrap: boot,
-            merge: merge_stats,
+            bootstrap,
+            merge,
             attempts,
             link,
             flows,
@@ -646,36 +566,29 @@ impl Pipeline {
         })
     }
 
-    /// Bootstrap + serial merge only — no link/transport reconstruction,
-    /// so only [`PipelineObserver::on_jframe`] fires. Benchmarks isolate
-    /// the merge stage with this; `repro merge --corpus` streams jframes
-    /// off disk through it.
-    pub fn merge_only<I: EventSource>(
+    /// Bootstrap + merge only — no link/transport reconstruction, so only
+    /// [`PipelineObserver::on_jframe`] fires. Benchmarks isolate the merge
+    /// stage with this; `repro merge --corpus` streams jframes off disk
+    /// through it.
+    pub fn merge_only<I>(
         sources: Vec<I>,
         cfg: &PipelineConfig,
         mut obs: impl PipelineObserver,
-    ) -> Result<(BootstrapReport, MergeStats), PipelineError> {
-        let set = SourceSet::open(sources, cfg.bootstrap.window_us)?;
-        let boot = set.bootstrap(&cfg.bootstrap)?;
-        let clip = set.clipper(cfg);
-        let (streams, seeds, refs) = set.into_merge_input();
-        let mut merger = Merger::new_at(streams, &boot.offsets, &refs, cfg.merge.clone());
-        for (r, seed) in seeds.into_iter().enumerate() {
-            merger.seed_pending(r, seed);
-        }
-        let stats = merger.run(|jf| {
-            if clip.as_ref().is_none_or(|c| c.admits(&jf)) {
-                obs.on_jframe(&jf);
-            }
-        })?;
-        Ok((boot, stats))
+    ) -> Result<(BootstrapReport, MergeStats), PipelineError>
+    where
+        I: EventSource,
+        I::Stream: Send + 'static,
+    {
+        Self::drive(sources, cfg, |jf| obs.on_jframe(jf))
     }
 
-    /// Bootstrap + channel-sharded merge only (see [`Pipeline::merge_only`]).
-    pub fn merge_only_parallel<I>(
+    /// The one path every run takes: open the sources, bootstrap the
+    /// clocks, and merge at the configured shard layout, handing `emit`
+    /// each jframe the replay window (if any) admits.
+    fn drive<I>(
         sources: Vec<I>,
         cfg: &PipelineConfig,
-        mut obs: impl PipelineObserver,
+        mut emit: impl FnMut(&JFrame),
     ) -> Result<(BootstrapReport, MergeStats), PipelineError>
     where
         I: EventSource,
@@ -694,7 +607,7 @@ impl Pipeline {
             &cfg.shard,
             |jf| {
                 if clip.as_ref().is_none_or(|c| c.admits(&jf)) {
-                    obs.on_jframe(&jf);
+                    emit(&jf);
                 }
             },
         )?;
@@ -703,10 +616,14 @@ impl Pipeline {
 
     /// Convenience wrapper that materializes jframes and exchanges
     /// (small runs and tests only).
-    pub fn run_collect<I: EventSource>(
+    pub fn run_collect<I>(
         sources: Vec<I>,
         cfg: &PipelineConfig,
-    ) -> Result<(Vec<JFrame>, Vec<Exchange>, PipelineReport), PipelineError> {
+    ) -> Result<(Vec<JFrame>, Vec<Exchange>, PipelineReport), PipelineError>
+    where
+        I: EventSource,
+        I::Stream: Send + 'static,
+    {
         let mut jframes = Vec::new();
         let mut xs = Vec::new();
         let report = Self::run(
@@ -956,65 +873,65 @@ mod tests {
         assert!(probe.jframes > 0 && probe.attempts > 0 && probe.exchanges > 0);
     }
 
-    /// Serial and parallel drivers agree end to end (jframes, exchanges,
-    /// and the figures derived from them all hang off these sinks).
+    /// The one driver is layout- and source-invariant end to end: at every
+    /// shard layout (serial, channels sharing a shard, one shard per
+    /// channel, auto), over consumed-once streams — whose bootstrap prefix
+    /// is seeded back into the merger — and replaying sources alike, it
+    /// delivers identical jframes, exchanges and merge counters.
     #[test]
     fn parallel_pipeline_matches_serial() {
-        let mk_streams = || {
-            let chans = [1u8, 6, 11, 1];
-            let mut per_radio: Vec<Vec<PhyEvent>> = vec![Vec::new(); 4];
-            for k in 0..30u64 {
-                for (r, &c) in chans.iter().enumerate() {
+        let chans = [1u8, 6, 11, 1];
+        // 1.6 s of traffic: the first second is bootstrap prefix, the
+        // rest arrives through the merge stream.
+        let events = |r: usize| -> Vec<PhyEvent> {
+            (0..400u64)
+                .map(|k| {
                     let mut e = ev(
                         r as u16,
                         1_000 + k * 4_000 + r as u64,
-                        frame_bytes((k % 4000) as u16),
+                        frame_bytes(k as u16),
                     );
-                    e.channel = Channel::of(c);
-                    per_radio[r].push(e);
-                }
-            }
-            per_radio
-                .into_iter()
-                .enumerate()
-                .map(|(r, evs)| {
-                    let m = RadioMeta {
-                        channel: Channel::of(chans[r]),
-                        ..meta(r as u16, 0)
-                    };
-                    MemoryStream::new(m, evs)
+                    e.channel = Channel::of(chans[r]);
+                    e
                 })
-                .collect::<Vec<_>>()
+                .collect()
         };
-        let cfg = PipelineConfig {
-            shard: ShardConfig {
-                max_threads: 3,
-                ..ShardConfig::default()
-            },
-            ..PipelineConfig::default()
+        let meta_of = |r: usize| RadioMeta {
+            channel: Channel::of(chans[r]),
+            ..meta(r as u16, 0)
         };
-        let mut serial = Vec::new();
-        let rs = Pipeline::run(
-            mk_streams(),
-            &cfg,
-            OnJFrame(|jf: &JFrame| serial.push(jf.clone())),
-        )
-        .unwrap();
-        let mut par = Vec::new();
-        let rp = Pipeline::run_parallel(
-            mk_streams(),
-            &cfg,
-            OnJFrame(|jf: &JFrame| par.push(jf.clone())),
-        )
-        .unwrap();
-        assert_eq!(serial.len(), par.len());
-        assert_eq!(rs.merge.events_in, rp.merge.events_in);
-        assert_eq!(rs.merge.jframes_out, rp.merge.jframes_out);
-        for (a, b) in serial.iter().zip(&par) {
-            assert_eq!(a.ts, b.ts);
-            assert_eq!(a.bytes, b.bytes);
-            assert_eq!(a.channel, b.channel);
-            assert_eq!(a.instances, b.instances);
+        // Everything a run delivers, in comparable form.
+        let run = |threads: usize, replay: bool| {
+            let mut cfg = PipelineConfig::default();
+            cfg.shard.max_threads = threads;
+            let radios = 0..chans.len();
+            let (jframes, xs, mut report) = if replay {
+                let sources = radios.map(|r| ReplaySource {
+                    meta: meta_of(r),
+                    events: events(r),
+                });
+                Pipeline::run_collect(sources.collect(), &cfg)
+            } else {
+                let sources = radios.map(|r| MemoryStream::new(meta_of(r), events(r)));
+                Pipeline::run_collect(sources.collect(), &cfg)
+            }
+            .unwrap();
+            assert_eq!(report.merge.events_in, 1_600, "every event merged");
+            assert!(!xs.is_empty(), "the comparison needs exchanges");
+            // The one layout-dependent counter: shard peaks sum.
+            report.merge.peak_buffered = 0;
+            let (merge, link) = (report.merge, report.link);
+            format!("{jframes:?}\n{xs:?}\n{merge:?}\n{link:?}")
+        };
+        let reference = run(1, false);
+        let channels = 3; // 1, 6, 11
+        for threads in [1, 2, channels, 0] {
+            for replay in [false, true] {
+                assert!(
+                    run(threads, replay) == reference,
+                    "max_threads={threads} replay={replay} diverged from the serial stream run"
+                );
+            }
         }
     }
 }

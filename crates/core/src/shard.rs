@@ -1,6 +1,8 @@
-//! Channel-sharded parallel unification.
+//! Channel-sharded unification: the merge stage of the one pipeline
+//! driver ([`crate::pipeline::Pipeline`]), whose shard layout is
+//! configuration ([`ShardConfig`]) rather than a second code path.
 //!
-//! The serial [`Merger`] is the pipeline's bottleneck
+//! A single [`Merger`] is the pipeline's bottleneck
 //! by construction: one priority queue serializes every radio, even though
 //! radios tuned to different channels can never capture the same
 //! transmission and therefore never contribute instances to the same
@@ -37,10 +39,10 @@
 //!
 //! # Degenerate cases
 //!
-//! * **Single channel** (or `max_threads = 1`): everything lands in one
-//!   shard, which runs the serial `Merger` inline on the caller's thread —
-//!   no threads, no channels, no behavioral difference from
-//!   [`Merger::run`]. Sharding is free to enable unconditionally.
+//! * **Single channel** (or `max_threads = 1`, the default): everything
+//!   lands in one shard, which runs the serial `Merger` inline on the
+//!   caller's thread — no threads, no channels, no behavioral difference
+//!   from [`Merger::run`]. This *is* the serial driver.
 //! * **More channels than threads**: channels are assigned round-robin to
 //!   shards; a multi-channel shard is still correct because the `Merger`
 //!   itself is channel-aware.
@@ -62,9 +64,10 @@ use std::sync::{mpsc, Arc};
 /// Knobs for the channel-sharded merge.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
-    /// Maximum merge threads (= shards). `0` means one shard per distinct
-    /// channel, capped at the machine's available parallelism. `1` forces
-    /// the serial inline path.
+    /// Maximum merge threads (= shards). `1` (the default) is the serial
+    /// inline path; `0` means one shard per distinct channel, capped at the
+    /// machine's available parallelism. The default never consults the
+    /// machine, so a `PipelineConfig::default()` run is the same everywhere.
     pub max_threads: usize,
     /// Jframes per mpsc message: amortizes channel synchronization without
     /// adding meaningful latency (jframes are merged, not displayed).
@@ -82,7 +85,7 @@ pub struct ShardConfig {
 impl Default for ShardConfig {
     fn default() -> Self {
         ShardConfig {
-            max_threads: 0,
+            max_threads: 1,
             batch: 64,
             queue_batches: 8,
         }
@@ -465,7 +468,7 @@ mod tests {
             |jf| sharded.push(jf),
         )
         .unwrap();
-        // Tuned channels differ → two jframes, in both drivers.
+        // Tuned channels differ → two jframes, at both layouts.
         assert_eq!(serial.len(), 2);
         assert_eq!(keys(&sharded), keys(&serial));
         assert_eq!(serial[0].channel, Channel::of(1));
@@ -555,10 +558,7 @@ mod tests {
         assert_eq!(cfg.shards_for(3), 3);
         assert_eq!(cfg.shards_for(9), 4);
         assert_eq!(cfg.shards_for(1), 1);
-        let serial = ShardConfig {
-            max_threads: 1,
-            ..ShardConfig::default()
-        };
-        assert_eq!(serial.shards_for(3), 1);
+        // The default is serial — it never consults the machine.
+        assert_eq!(ShardConfig::default().shards_for(3), 1);
     }
 }

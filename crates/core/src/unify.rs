@@ -417,7 +417,7 @@ impl<S: EventStream> Merger<S> {
     /// caller's watermark: the slowest live radio's last fed event). Emits
     /// finalized jframes to `sink`; bounded lag means nothing older than
     /// `2×search_window` below `safe` stays buffered. Call with a
-    /// nondecreasing `safe`; finish with [`Merger::finish_live`].
+    /// nondecreasing `safe`; finish with [`Merger::run`].
     pub fn advance(
         &mut self,
         safe: Micros,
@@ -428,22 +428,6 @@ impl<S: EventStream> Merger<S> {
         let horizon = self.live_horizon(safe);
         self.flush_out(horizon, sink);
         Ok(())
-    }
-
-    /// Completes a live merge: every radio must already be closed
-    /// ([`Merger::close_radio`]); drains all remaining windows and the
-    /// reorder buffer, returning the final stats. Equivalent to what
-    /// [`Merger::run`] would have produced had the fed events arrived as
-    /// batch streams.
-    pub fn finish_live(mut self, mut sink: impl FnMut(JFrame)) -> Result<MergeStats, FormatError> {
-        debug_assert!(
-            self.cursors.iter().all(|c| !c.live),
-            "finish_live with live radios still open"
-        );
-        self.live_init()?;
-        self.drain(Micros::MAX, &mut sink)?;
-        self.flush_out(Micros::MAX, &mut sink);
-        Ok(self.stats)
     }
 
     /// Clock state access (diagnostics, tests).
@@ -540,7 +524,17 @@ impl<S: EventStream> Merger<S> {
     /// interleaving come out identical no matter which other channels
     /// share this merger. That invariance is what lets the channel-sharded
     /// driver ([`crate::shard`]) reproduce the serial output exactly.
+    ///
+    /// This also completes a push-driven merge ([`Merger::feed`] /
+    /// [`Merger::advance`]): every live radio must already be closed
+    /// ([`Merger::close_radio`]); what remains — all open windows and the
+    /// reorder buffer — drains exactly as if the fed events had arrived as
+    /// batch streams.
     pub fn run(mut self, mut sink: impl FnMut(JFrame)) -> Result<MergeStats, FormatError> {
+        debug_assert!(
+            self.cursors.iter().all(|c| !c.live),
+            "run with live radios still open"
+        );
         self.live_init()?;
         self.drain(Micros::MAX, &mut sink)?;
         self.flush_out(Micros::MAX, &mut sink);
@@ -1586,7 +1580,7 @@ mod tests {
             }
             round += 1;
         }
-        let live_stats = merger.finish_live(|jf| out.push(jf)).unwrap();
+        let live_stats = merger.run(|jf| out.push(jf)).unwrap();
 
         assert_eq!(out.len(), batch.len(), "jframe count diverged");
         for (a, b) in out.iter().zip(batch.iter()) {
@@ -1640,7 +1634,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].ts, 1_000);
         merger.close_radio(0);
-        let stats = merger.finish_live(|jf| out.push(jf)).unwrap();
+        let stats = merger.run(|jf| out.push(jf)).unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(stats.jframes_out, 2);
     }
@@ -1649,7 +1643,7 @@ mod tests {
     fn closed_radio_lets_channel_finish() {
         // Radio 1 dies mid-run (close_radio without stream end): radio 0's
         // channel must keep emitting once 1 is closed, and the dead
-        // radio's absence must not wedge finish_live.
+        // radio's absence must not wedge the final run.
         let s0 = MemoryStream::new(meta(0), Vec::new());
         let s1 = MemoryStream::new(meta(1), Vec::new());
         let mut merger = Merger::new(vec![s0, s1], &[0, 0], MergeConfig::default());
@@ -1676,7 +1670,7 @@ mod tests {
             out.len()
         );
         merger.close_radio(0);
-        let stats = merger.finish_live(|jf| out.push(jf)).unwrap();
+        let stats = merger.run(|jf| out.push(jf)).unwrap();
         assert_eq!(out.len(), 40);
         assert_eq!(stats.jframes_out, 40);
     }

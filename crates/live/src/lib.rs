@@ -79,7 +79,7 @@
 //!   [`ChunkedFileTail`] (tail a growing trace file in arbitrary-size
 //!   chunks, resuming decode at block boundaries) and [`ChannelSource`]
 //!   (bounded in-process channel); [`TailStream`] adapts any live source
-//!   back into a pull-mode `EventStream` for the batch drivers;
+//!   back into a pull-mode `EventStream` for the batch pipeline;
 //! * [`merger`] — [`LiveMerger`], the bootstrap → stream → lag → re-anchor
 //!   driver, and its [`LiveReport`];
 //! * [`clock`] — [`LiveClock`] and friends: the wall-clock boundary.

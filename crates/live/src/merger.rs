@@ -479,7 +479,7 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
         }
         let last_safe = self.last_safe;
         let lag = &mut self.lag;
-        let merge = merger.finish_live(|jf| {
+        let merge = merger.run(|jf| {
             lag.push(last_safe.saturating_sub(jf.ts));
             sink(jf);
         })?;

@@ -26,7 +26,7 @@
 //!   back-pressure on the producer, never silent growth.
 //!
 //! [`TailStream`] adapts any `LiveSource` back into a pull-mode
-//! `EventStream`, so the existing batch and sharded pipeline drivers can
+//! `EventStream`, so the batch pipeline — at any shard layout — can
 //! consume live sources unchanged.
 
 use jigsaw_trace::format::FormatError;

@@ -48,7 +48,6 @@
 //!              [--scale F] [--block-bytes N]     # simulate → write corpus
 //! repro merge  --corpus DIR [--parallel --threads N] [--verify]
 //!              [--from US --to US] [--max-buffered N]  # corpus → jframes
-//! repro bench-stream [--corpus DIR] [--from US --to US] [--out F]
 //! ```
 //!
 //! `merge` never materializes the corpus in memory: each radio's bootstrap

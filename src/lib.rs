@@ -17,9 +17,12 @@
 //!   UCSD CSE deployment (39 pods / 156 radios / 44 APs / diurnal clients);
 //! * [`core`] — the paper's contribution: bootstrap synchronization,
 //!   continuous clock management, frame unification, link-layer and
-//!   transport-layer reconstruction, plus baseline mergers; every driver
-//!   takes one [`core::observer::PipelineObserver`] with default-no-op
-//!   hooks for jframes, attempts, exchanges, and flows;
+//!   transport-layer reconstruction, plus baseline mergers; the one
+//!   driver, [`core::pipeline::Pipeline::run`], takes one
+//!   [`core::observer::PipelineObserver`] with default-no-op hooks for
+//!   jframes, attempts, exchanges, and flows, and its merge layout (serial
+//!   by default, channel-sharded across threads on request) is
+//!   configuration;
 //! * [`live`] — online ingest: chunk-fed live sources ([`live::LiveSource`])
 //!   and the always-on [`live::LiveMerger`], which unifies streams *while
 //!   they are still being written*, emitting jframes continuously with
@@ -88,7 +91,7 @@
 //! let sources: Vec<CorpusSource> = corpus
 //!     .sources(Arc::new(AtomicU64::new(0)))?
 //!     .into_iter()
-//!     .map(CorpusSource)
+//!     .map(|s| CorpusSource::new(s, None))
 //!     .collect();
 //! // Any observer plugs in here — a Suite streams every paper figure.
 //! let mut suite = jigsaw::analysis::Suite::new()
@@ -100,7 +103,8 @@
 //! ```
 //!
 //! Replays need not start at t = 0. A **time-windowed replay** opens each
-//! radio at any `[from, to)` interval of the corpus (anchor-universal µs):
+//! radio — the same source type, given a window — at any `[from, to)`
+//! interval of the corpus (anchor-universal µs):
 //! reads index-seek to the window, the clock bootstrap re-anchors there
 //! through the manifest's NTP anchors, and only in-window jframes reach
 //! the observer — cost proportional to the window, not the corpus (the
@@ -109,7 +113,7 @@
 //! windowed run against the full replay clipped to the same window):
 //!
 //! ```no_run
-//! use jigsaw::core::pipeline::{Pipeline, PipelineConfig, WindowedCorpusSource};
+//! use jigsaw::core::pipeline::{CorpusSource, Pipeline, PipelineConfig};
 //! use jigsaw::trace::corpus::Corpus;
 //! use jigsaw::trace::TimeWindow;
 //! use std::sync::{atomic::AtomicU64, Arc};
@@ -117,10 +121,10 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let corpus = Corpus::open(std::path::Path::new("target/my_corpus"))?;
 //! let window = TimeWindow::new(3_000_000, 6_000_000).expect("from < to");
-//! let sources: Vec<WindowedCorpusSource> = corpus
+//! let sources: Vec<CorpusSource> = corpus
 //!     .sources(Arc::new(AtomicU64::new(0)))?
 //!     .into_iter()
-//!     .map(|s| WindowedCorpusSource::new(s, window))
+//!     .map(|s| CorpusSource::new(s, Some(window)))
 //!     .collect();
 //! let cfg = PipelineConfig { window: Some(window), ..PipelineConfig::default() };
 //! let mut suite = jigsaw::analysis::Suite::new()
@@ -139,7 +143,7 @@
 //! contract. The emitted stream is byte-identical to a batch merge of the
 //! same events — for every chunking (the CLI spelling is `repro tail
 //! --corpus <dir> [--chunk-bytes N] [--verify]`, and CI pins the
-//! equivalence at several chunk sizes on both drivers):
+//! equivalence at several chunk sizes, serial and sharded):
 //!
 //! ```no_run
 //! use jigsaw::live::{ChunkedFileTail, LiveConfig, LiveMerger, SystemClock};
@@ -223,8 +227,8 @@
 //! `ScenarioSpec::sweep_matrix()` names six shipped adversarial shapes
 //! (`roaming`, `hidden_terminal`, `cochannel_realloc`, `protection_mix`,
 //! `qos_mix`, `error_stress`). `repro sweep` runs each end-to-end —
-//! record to disk, full merges on both drivers from memory and disk, the
-//! figure suite serial vs sharded, a windowed replay — and diffs the
+//! record to disk, full merges serial and sharded from memory and disk,
+//! the figure suite serial vs sharded, a windowed replay — and diffs the
 //! surviving digests + `record` lines against per-scenario golden files
 //! under `.github/golden/sweep/` (re-bless intentional changes with
 //! `repro sweep --bless`; see `.github/golden/README.md`).
