@@ -1144,57 +1144,50 @@ fn run_tail(args: &Args) {
     print_figures(&figures);
 }
 
-/// `diagnose`: evidence-grounded triage off a recorded corpus. One
-/// coarse figure-suite pass feeds the detector catalogue
-/// (`jigsaw_diagnosis::standard_detectors`); each triggered detector's
-/// suspect windows are re-analyzed through the windowed-replay
-/// machinery (index-seek, re-anchored clocks — cost proportional to the
-/// window) and confirmed incidents print with their severity,
-/// reliability, and quoted record evidence. `--from/--to` restrict the
-/// diagnosed span; `--golden FILE` compares the machine records against
-/// a blessed golden (exit 1 on drift), `--bless` rewrites it.
+/// `diagnose`: evidence-grounded triage off a recorded corpus, in **one
+/// pass** over it (`CorpusSession::diagnose`). The coarse figure suite
+/// feeds the detector catalogue (`jigsaw_diagnosis::standard_detectors`),
+/// and the deep-dive tiles of the diagnosed span ride the same pass
+/// through a tile fan-out (`jigsaw_core::pipeline::TileFanout`), so each
+/// triggered detector re-checks its gate against tile records that are
+/// byte-identical to `analyze` of the same sources clipped to that tile —
+/// the clipped-full side of the windowed ≡ clipped-full contract, on the
+/// clocks of the run being diagnosed — with `disk bytes in` equal to a
+/// single `analyze`'s. Confirmed incidents print with their severity,
+/// reliability, and quoted record evidence. A jframe keyed into a tile
+/// the stream had already closed (anchor time a second behind merged time)
+/// fails the run, as does a full replay that did not consume every
+/// recorded event (`FAIL:`, exit 1). `--from/--to` restrict the pass — and
+/// with it the diagnosed span and its tiles — to a windowed replay;
+/// `--golden FILE` compares the machine records against a blessed golden
+/// (exit 1 on drift), `--bless` rewrites it.
+///
+/// A tile is deliberately *not* a fresh windowed replay: a re-anchored
+/// mid-trace bootstrap agrees with the full run on grouping but only to
+/// the re-anchor tolerance on time, so clock-sensitive evidence can read
+/// differently from the run whose gate fired. On clean captures the two
+/// agree (the tiny golden is the same under both); on the capture-lossy
+/// DAY corpus (jigbench seed 7) the first tile's `fig4.p99_us` is 740 on
+/// the coarse clocks and 780 after a fresh bootstrap, and the µs-scale
+/// fig9 overlap tests confirm one retry-storm tile where replays, reading
+/// `fig9.frac_with_interference` at 0.60 and 0.50 against the 0.5 gate in
+/// two more, confirmed three — 12 incidents against 14.
 fn run_diagnose(args: &Args) {
-    use jigsaw_diagnosis::{run_diagnosis, standard_detectors, RecordSet, Thresholds};
     banner("DIAGNOSE — evidence-grounded triage over the figure suite");
     let session = open_session(args);
-    let restrict = or_exit(session.window(args.from, args.to));
-    let (lo, hi) = or_exit(session.span());
-    let span = match restrict {
-        // Diagnose only the requested interval (already validated to
-        // overlap the span).
-        Some(w) => (w.from.max(lo), w.to.saturating_sub(1).min(hi)),
-        None => (lo, hi),
-    };
-    // One figure-suite pass over a window (or, for the coarse pass, the
-    // whole span) — the same streaming path `analyze` runs, reduced to
-    // its typed records. Every pass shares the session: one open, one
-    // digest check, one wired decode.
-    let base = pipeline_config(args);
-    let analyze_span = |w: Option<TimeWindow>| {
-        let cfg = PipelineConfig {
-            window: w,
-            ..base.clone()
-        };
-        let (_, figures) = session.analyze(&cfg)?;
-        Ok::<_, SessionError>(RecordSet::from_figures(&figures))
-    };
+    let mut cfg = pipeline_config(args);
+    cfg.window = or_exit(session.window(args.from, args.to));
 
     let t0 = Instant::now();
-    let coarse = or_exit(analyze_span(restrict));
-    let mut deep = |w: TimeWindow| analyze_span(Some(w)).map_err(|e| e.to_string());
-    let report = run_diagnosis(
-        &standard_detectors(),
-        &coarse,
-        span,
-        &Thresholds::default(),
-        &mut deep,
-    )
-    .unwrap_or_else(|e| fail(&format!("windowed re-analysis: {e}")));
+    let (pass, report) = or_exit(session.diagnose(&cfg, &jigsaw_diagnosis::Thresholds::default()));
+    if cfg.window.is_none() {
+        check_all_events("diagnose", pass.merge.events_in, session.corpus());
+    }
     let triggered = report.detectors.iter().filter(|d| d.triggered).count();
     let (m, dir) = (session.corpus().manifest(), session.corpus().dir());
     // One stable stdout line — what CI greps into the step summary.
     println!(
-        "diagnose {}: span {} {} detectors {} triggered {} windows_analyzed {} incidents {} ({:.1?})",
+        "diagnose {}: span {} {} detectors {} triggered {} windows_analyzed {} incidents {} disk bytes in {} ({:.1?})",
         m.scenario,
         report.span.0,
         report.span.1,
@@ -1202,6 +1195,7 @@ fn run_diagnose(args: &Args) {
         triggered,
         report.windows_analyzed,
         report.incidents.len(),
+        session.disk_bytes(),
         t0.elapsed()
     );
     for inc in &report.incidents {
@@ -1223,10 +1217,13 @@ fn run_diagnose(args: &Args) {
             m.scenario, m.seed
         );
         if args.bless {
-            if let Some(parent) = path.parent() {
-                std::fs::create_dir_all(parent).expect("create golden dir");
+            let written = path
+                .parent()
+                .map_or(Ok(()), std::fs::create_dir_all)
+                .and_then(|()| std::fs::write(path, &body));
+            if let Err(e) = written {
+                fail(&format!("cannot write golden {golden}: {e}"));
             }
-            std::fs::write(path, &body).unwrap_or_else(|e| panic!("write {golden}: {e}"));
             println!("diagnose golden BLESSED: {golden}");
         } else {
             match std::fs::read_to_string(path) {

@@ -8,9 +8,15 @@
 
 use jigsaw_analysis::suite::{Figure, Suite};
 use jigsaw_core::observer::OnJFrame;
-use jigsaw_core::pipeline::{CorpusSource, EventSource, Pipeline, PipelineConfig, PipelineReport};
+use jigsaw_core::pipeline::{
+    CorpusSource, EventSource, Pipeline, PipelineConfig, PipelineReport, Tile, TileFanout,
+};
 use jigsaw_core::unify::MergeStats;
 use jigsaw_core::{JFrame, PipelineObserver};
+use jigsaw_diagnosis::{
+    deep_dive_windows, run_diagnosis, standard_detectors, DiagnosisReport, RecordSet, Thresholds,
+    TileRecords,
+};
 use jigsaw_ieee80211::MacAddr;
 use jigsaw_sim::output::SimOutput;
 use jigsaw_sim::scenario::ScenarioConfig;
@@ -296,7 +302,7 @@ fn fail(what: &str, e: impl std::fmt::Display) -> SessionError {
 /// the wired member (on first use, shared by every later suite), window
 /// validation, suite construction over a borrowed wired slice, source
 /// opening, and the pipeline call itself. A diagnosis run — coarse pass
-/// plus every deep dive — is one session.
+/// with every deep-dive tile riding it — is one session and one pass.
 pub struct CorpusSession {
     corpus: Corpus,
     wired: OnceCell<WiredTrace>,
@@ -443,6 +449,79 @@ impl CorpusSession {
             Pipeline::run(sources, cfg, (&mut suite, also)).map_err(|e| fail("pipeline", e))?;
         Ok((report, suite.finish()))
     }
+
+    /// [`CorpusSession::analyze`] with one more figure suite per tile
+    /// riding the same pass ([`TileFanout`]): each of the sorted, disjoint
+    /// `tiles` gets exactly the jframes `analyze` of the same sources with
+    /// `cfg.window` set to that tile would see, so its figures are
+    /// byte-identical to that run's — at one read of the corpus, not one
+    /// per tile. `reduce` turns a tile's finished figures into what the
+    /// caller keeps, as soon as the stream is past the tile. A jframe
+    /// keyed into a tile that had already closed fails the run.
+    pub fn analyze_tiled<R>(
+        &self,
+        cfg: &PipelineConfig,
+        tiles: &[TimeWindow],
+        mut reduce: impl FnMut(Vec<Box<dyn Figure>>) -> R,
+    ) -> Result<TiledAnalysis<R>, SessionError> {
+        let suites = tiles
+            .iter()
+            .map(|&w| Ok((w, self.suite(Some(w))?)))
+            .collect::<Result<Vec<_>, SessionError>>()?;
+        let mut fanout = TileFanout::new(&self.corpus.metas(), suites, |suite: Suite| {
+            reduce(suite.finish())
+        });
+        let (report, figures) =
+            self.analyze_sources(self.sources(cfg.window)?, cfg, &mut fanout)?;
+        let (tiles, late) = fanout.finish();
+        if late > 0 {
+            return Err(SessionError::Fail(format!(
+                "{late} jframes were keyed into a tile the stream had already closed \
+                 (anchor time over a second behind merged time): tiles would not equal clipped replays"
+            )));
+        }
+        Ok(TiledAnalysis {
+            report,
+            figures,
+            tiles,
+        })
+    }
+
+    /// The triage `repro diagnose` runs, in one pass over the corpus: the
+    /// coarse figure suite over `cfg.window` (the whole corpus for `None`)
+    /// gates the standard detectors, and the deep-dive tiles of the
+    /// diagnosed span ride that same pass ([`CorpusSession::analyze_tiled`])
+    /// — so each tile's records are those of `analyze` clipped to the tile,
+    /// on the coarse pass's own clocks.
+    pub fn diagnose(
+        &self,
+        cfg: &PipelineConfig,
+        thresholds: &Thresholds,
+    ) -> Result<(PipelineReport, DiagnosisReport), SessionError> {
+        let (lo, hi) = self.span()?;
+        let span = match cfg.window {
+            Some(w) => (w.from.max(lo), w.to.saturating_sub(1).min(hi)),
+            None => (lo, hi),
+        };
+        let tiles = deep_dive_windows(span, thresholds.windows);
+        let run = self.analyze_tiled(cfg, &tiles, |figures| RecordSet::from_figures(&figures))?;
+        let coarse = RecordSet::from_figures(&run.figures);
+        let mut tiles = TileRecords::new(run.tiles.into_iter().map(|t| (t.window, t.output)));
+        let report = run_diagnosis(&standard_detectors(), &coarse, span, thresholds, &mut tiles)
+            .map_err(|e| fail("deep dive", e))?;
+        Ok((run.report, report))
+    }
+}
+
+/// What [`CorpusSession::analyze_tiled`] returns: the coarse pass as
+/// [`CorpusSession::analyze`] returns it, plus every tile.
+pub struct TiledAnalysis<R> {
+    /// The one pipeline run's report.
+    pub report: PipelineReport,
+    /// The coarse suite's figures (over `cfg.window`).
+    pub figures: Vec<Box<dyn Figure>>,
+    /// Each tile in window order: its jframe count and `reduce`d figures.
+    pub tiles: Vec<Tile<R>>,
 }
 
 /// A running digest over a jframe stream: count + order + content. Two

@@ -124,6 +124,60 @@ fn corpus_errors_honour_the_exit_code_contract() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A full replay that consumes fewer events than the manifest records is
+/// a failed run on every full-replay subcommand — `diagnose`'s one pass
+/// included. The manifest is forged (one radio claims an event more) and
+/// the digest recomputed, so only the event check can catch it.
+#[test]
+fn a_replay_short_of_the_manifest_event_count_exits_1() {
+    let dir = std::env::temp_dir().join(format!("jigsaw-cli-short-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let corpus = dir.to_str().expect("utf-8 temp path");
+    let recorded = repro(&["record", "--corpus", corpus, "--scenario", "tiny"]);
+    assert!(recorded.status.success(), "record failed: {recorded:?}");
+    let manifest = std::fs::read_to_string(dir.join("MANIFEST")).expect("read manifest");
+    assert!(
+        manifest.contains(" events 400 "),
+        "tiny radios record 400 events"
+    );
+    let forged = manifest.replacen(" events 400 ", " events 401 ", 1);
+    std::fs::write(dir.join("MANIFEST"), forged).expect("rewrite manifest");
+    let digest = jigsaw_trace::corpus::Corpus::open(&dir)
+        .and_then(|c| c.compute_digest())
+        .expect("recompute digest");
+    std::fs::write(dir.join("corpus.digest"), digest).expect("rewrite digest");
+
+    for cmd in ["merge", "analyze", "tail", "diagnose"] {
+        assert_exit(&[cmd, "--corpus", corpus], 1);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A golden that cannot be written is a failed run (exit 1, one `FAIL:`
+/// line), not a panic: `--bless` into a path whose parent is a regular
+/// file can neither create the directory nor the file.
+#[test]
+fn unwritable_diagnose_golden_exits_1() {
+    let dir = std::env::temp_dir().join(format!("jigsaw-cli-bless-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let corpus = dir.join("corpus");
+    let corpus = corpus.to_str().expect("utf-8 temp path");
+    let recorded = repro(&["record", "--corpus", corpus, "--scenario", "tiny"]);
+    assert!(recorded.status.success(), "record failed: {recorded:?}");
+    let blocker = dir.join("not-a-directory");
+    std::fs::write(&blocker, "a regular file").expect("write blocker");
+    let golden = blocker.join("diagnose.golden");
+    let golden = golden.to_str().expect("utf-8 temp path");
+
+    let args = [
+        "diagnose", "--corpus", corpus, "--golden", golden, "--bless",
+    ];
+    assert_exit(&args, 1);
+    let stderr = repro(&args).stderr;
+    assert!(String::from_utf8_lossy(&stderr).starts_with("FAIL: cannot write golden"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn diagnose_shares_the_usage_contract() {
     // The same flag table drives every subcommand: window timestamps

@@ -15,6 +15,8 @@
 //! re-read (the bootstrap window) plus a small multiple of what the batch
 //! merge buffers, whatever the chunking.
 
+mod common;
+
 use jigsaw_bench::{record_corpus, sharded_config, CorpusSession, JframeStreamDigest};
 use jigsaw_core::observer::OnJFrame;
 use jigsaw_core::pipeline::{Pipeline, PipelineConfig};
@@ -30,9 +32,6 @@ use std::sync::OnceLock;
 const SEED: u64 = 20060124;
 /// Small trace blocks so even modest chunk sizes straddle block seams.
 const BLOCK_BYTES: usize = 512;
-/// Length of the skewed-rate day: several bootstrap windows, so steady-state
-/// residency — not the bootstrap accumulation — is what the bound sees.
-const SKEWED_DAY_US: u64 = 40_000_000;
 
 struct Fixture {
     dir: PathBuf,
@@ -86,25 +85,11 @@ fn tiny() -> &'static Fixture {
     FIX.get_or_init(|| record_fixture("tiny", &ScenarioConfig::tiny(SEED).run(), BLOCK_BYTES))
 }
 
-/// A longer tiny day where one radio keeps every capture and the rest keep
-/// one in 25: per-event polling would run the sparse radios seconds ahead.
+/// The skewed-rate cut (`common::skewed_tiny`): per-event polling would
+/// run the sparse radios seconds ahead of the busy one.
 fn skewed() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
-    FIX.get_or_init(|| {
-        let mut out = ScenarioConfig {
-            day_us: SKEWED_DAY_US,
-            ..ScenarioConfig::tiny(SEED)
-        }
-        .run();
-        for trace in out.traces.iter_mut().skip(1) {
-            let mut k = 0u32;
-            trace.retain(|_| {
-                k += 1;
-                k % 25 == 1
-            });
-        }
-        record_fixture("skewed", &out, BLOCK_BYTES)
-    })
+    FIX.get_or_init(|| record_fixture("skewed", &common::skewed_tiny(SEED), BLOCK_BYTES))
 }
 
 fn fixtures() -> [(&'static str, &'static Fixture); 2] {

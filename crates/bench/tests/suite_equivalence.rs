@@ -4,21 +4,33 @@
 //! both the serial and the channel-sharded merge layouts. This is what
 //! lets `repro analyze --corpus` stand in for the hand-wired evaluation.
 
+mod common;
+
 use jigsaw_analysis::activity::ActivityAnalysis;
 use jigsaw_analysis::coverage::CoverageAnalysis;
 use jigsaw_analysis::dispersion::DispersionAnalysis;
 use jigsaw_analysis::interference::InterferenceAnalysis;
 use jigsaw_analysis::protection::ProtectionAnalysis;
 use jigsaw_analysis::stations::StationsAnalysis;
-use jigsaw_analysis::suite::Figure;
+use jigsaw_analysis::suite::{record_lines, Figure};
 use jigsaw_analysis::summary::SummaryBuilder;
 use jigsaw_analysis::tcploss::TcpLossAnalysis;
 use jigsaw_bench::{
     corpus_wired, minute_bin_us, practical_minute_us, record_corpus, sharded_config, CorpusSession,
 };
 use jigsaw_core::pipeline::{Pipeline, PipelineConfig};
+use jigsaw_diagnosis::{deep_dive_windows, Thresholds};
 use jigsaw_sim::scenario::ScenarioConfig;
+use jigsaw_trace::TimeWindow;
 use std::path::PathBuf;
+
+const SEED: u64 = 20060124;
+
+/// A `--from/--to` restriction of the tiny corpus that still holds the TCP
+/// loss its diagnosis confirms, so a restricted diagnosis runs its dives.
+fn restricted() -> Option<TimeWindow> {
+    TimeWindow::new(200_000, 4_000_000)
+}
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("jigsaw-suite-equiv-{tag}-{}", std::process::id()));
@@ -35,11 +47,9 @@ fn output_of(f: &dyn Figure) -> FigureOutput {
 
 #[test]
 fn suite_over_corpus_matches_hand_wired_memory_run() {
-    let seed = 20060124;
-    let out = ScenarioConfig::tiny(seed).run();
+    let out = ScenarioConfig::tiny(SEED).run();
     let events = out.total_events();
-    let dir = tmpdir("figs");
-    record_corpus(&out, &dir, "tiny", seed, 1.0, 65_535, 4096).unwrap();
+    let (dir, session, par_cfg) = recorded("figs", &out, 4096);
 
     // --- Reference: hand-wired analyses over the in-memory serial run,
     // with exactly the parameters `figure_suite` uses. ---
@@ -88,12 +98,9 @@ fn suite_over_corpus_matches_hand_wired_memory_run() {
     // as `repro analyze` builds it — so this also pins the wired member's
     // roundtrip fidelity: Figure 6 must come out identical whether the
     // wired trace was held in memory or read back from the corpus. ---
-    let session = CorpusSession::open(&dir).unwrap();
     assert_eq!(session.corpus().manifest().duration_us, out.duration_us);
     let (disk_wired, _) = corpus_wired(session.corpus()).unwrap();
     assert_eq!(disk_wired.len(), out.wired.len());
-    let (par_cfg, shards) = sharded_config(&out.radio_meta);
-    assert!(shards >= 2, "the sharded leg would be vacuous");
     let run_disk = |cfg: &PipelineConfig| -> Vec<FigureOutput> {
         let (report, figures) = session.analyze(cfg).unwrap();
         // The figures streamed: nothing was materialized — residency stays
@@ -131,63 +138,164 @@ fn suite_over_corpus_matches_hand_wired_memory_run() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The diagnosis layer inherits the suite's determinism: `repro
-/// diagnose` — coarse pass plus every windowed deep dive — must produce
-/// byte-identical machine records whether the merges under it ran
-/// serial or channel-sharded.
-#[test]
-fn diagnosis_over_corpus_identical_serial_vs_sharded() {
-    use jigsaw_diagnosis::{run_diagnosis, standard_detectors, RecordSet, Thresholds};
-    use jigsaw_trace::TimeWindow;
-
-    let seed = 20060124;
-    let out = ScenarioConfig::tiny(seed).run();
-    let dir = tmpdir("diag");
-    record_corpus(&out, &dir, "tiny", seed, 1.0, 65_535, 4096).unwrap();
+/// Records `out` under a fresh temp dir and opens a session on it, with
+/// the sharded layout for its radio set.
+fn recorded(
+    tag: &str,
+    out: &jigsaw_sim::output::SimOutput,
+    block_bytes: usize,
+) -> (PathBuf, CorpusSession, PipelineConfig) {
+    let dir = tmpdir(tag);
+    record_corpus(out, &dir, tag, SEED, 1.0, 65_535, block_bytes).unwrap();
     let (par_cfg, shards) = sharded_config(&out.radio_meta);
     assert!(shards >= 2, "the sharded leg would be vacuous");
-    drop(out);
     let session = CorpusSession::open(&dir).unwrap();
-    let span = session.span().expect("tiny corpus has events");
+    (dir, session, par_cfg)
+}
 
-    // The same per-window analysis `repro diagnose` wires up, at either
-    // layout.
-    let diagnose = |layout: &PipelineConfig| {
-        let analyze = |w: Option<TimeWindow>| {
+/// The value of `record <path> …` among a run's record lines.
+fn record_u64(lines: &str, path: &str) -> u64 {
+    let prefix = format!("record {path} ");
+    let line = lines.lines().find_map(|l| l.strip_prefix(&prefix));
+    line.unwrap_or_else(|| panic!("no `{prefix}` line"))
+        .parse()
+        .unwrap()
+}
+
+/// The tiles-ride-the-coarse-pass contract, on one corpus at one layout
+/// and one restriction: every tile's record lines equal `analyze` of the
+/// same sources clipped to that tile byte for byte, the tiles partition
+/// the coarse pass's jframes, and the coarse figures are those of a run
+/// with no tiles riding it.
+fn assert_tiles_equal_clipped_runs(session: &CorpusSession, cfg: &PipelineConfig) {
+    let what = format!("window {:?} threads {}", cfg.window, cfg.shard.max_threads);
+    let span = match cfg.window {
+        Some(w) => (w.from, w.to - 1),
+        None => session.span().unwrap(),
+    };
+    let tiles = deep_dive_windows(span, 4);
+    assert_eq!(tiles.len(), 4);
+    let run = session
+        .analyze_tiled(cfg, &tiles, |figures| record_lines(&figures))
+        .unwrap();
+
+    let coarse = record_lines(&run.figures);
+    assert_eq!(
+        coarse,
+        record_lines(&session.analyze(cfg).unwrap().1),
+        "{what}"
+    );
+    let routed: u64 = run.tiles.iter().map(|t| t.jframes).sum();
+    assert_eq!(routed, record_u64(&coarse, "table1.jframes"), "{what}");
+    let busy = run.tiles.iter().filter(|t| t.jframes > 0).count();
+    assert!(busy >= 3, "{what}: only {busy} tiles saw jframes");
+
+    for (tile, window) in run.tiles.iter().zip(&tiles) {
+        assert_eq!(tile.window, *window);
+        let clipped = PipelineConfig {
+            window: Some(*window),
+            ..cfg.clone()
+        };
+        let sources = session.sources(cfg.window).unwrap();
+        let (_, figures) = session.analyze_sources(sources, &clipped, ()).unwrap();
+        let reference = record_lines(&figures);
+        assert_eq!(tile.output, reference, "{what}: tile {window} diverged");
+        assert_eq!(tile.jframes, record_u64(&reference, "table1.jframes"));
+    }
+}
+
+/// Tiles ≡ clipped-full `analyze`: on the tiny corpus and the skewed-rate
+/// cut, serial and sharded, unrestricted and under a `--from/--to` window.
+#[test]
+fn tiles_riding_the_coarse_pass_equal_clipped_analyze_runs() {
+    let tiny = ScenarioConfig::tiny(SEED).run();
+    let skewed = common::skewed_tiny(SEED);
+    for (tag, out, block_bytes, restrict) in [
+        ("tiles-tiny", &tiny, 4096, (3_000_000, 6_000_000)),
+        ("tiles-skewed", &skewed, 512, (9_000_000, 31_000_000)),
+    ] {
+        let (dir, session, par_cfg) = recorded(tag, out, block_bytes);
+        let restrict = session.window(Some(restrict.0), Some(restrict.1)).unwrap();
+        assert!(restrict.is_some());
+        for layout in [PipelineConfig::default(), par_cfg] {
+            for window in [None, restrict] {
+                let cfg = PipelineConfig {
+                    window,
+                    ..layout.clone()
+                };
+                assert_tiles_equal_clipped_runs(&session, &cfg);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The diagnosis layer inherits the suite's determinism: what `repro
+/// diagnose` runs (`CorpusSession::diagnose` — the coarse pass with the
+/// deep-dive tiles riding it) must produce byte-identical machine records
+/// whether the merge under it ran serial or channel-sharded, with and
+/// without a `--from/--to` restriction.
+#[test]
+fn diagnosis_over_corpus_identical_serial_vs_sharded() {
+    let out = ScenarioConfig::tiny(SEED).run();
+    let (dir, session, par_cfg) = recorded("diag", &out, 4096);
+    drop(out);
+
+    let thresholds = Thresholds::default();
+    for window in [None, restricted()] {
+        let diagnose = |layout: &PipelineConfig| {
             let cfg = PipelineConfig {
-                window: w,
+                window,
                 ..layout.clone()
             };
-            RecordSet::from_figures(&session.analyze(&cfg).unwrap().1)
+            session.diagnose(&cfg, &thresholds).unwrap().1
         };
-        let coarse = analyze(None);
-        let mut deep = |w: TimeWindow| Ok(analyze(Some(w)));
-        run_diagnosis(
-            &standard_detectors(),
-            &coarse,
-            span,
-            &Thresholds::default(),
-            &mut deep,
-        )
-        .unwrap()
-    };
+        let serial = diagnose(&PipelineConfig::default());
+        let sharded = diagnose(&par_cfg);
+        assert_eq!(serial, sharded, "diagnosis reports diverged across layouts");
+        assert_eq!(
+            serial.record_lines(),
+            sharded.record_lines(),
+            "diagnosis record lines diverged across layouts"
+        );
+        // The comparison had substance: a gate fired, every tile was
+        // looked at, and the tiny corpus confirms at least one incident,
+        // with quoted evidence.
+        assert_eq!(serial.windows_analyzed, thresholds.windows as usize);
+        assert!(
+            !serial.incidents.is_empty(),
+            "tiny corpus produced no incidents: {}",
+            serial.record_lines()
+        );
+        assert!(serial.incidents.iter().all(|i| !i.evidence.is_empty()));
+    }
 
-    let serial = diagnose(&PipelineConfig::default());
-    let sharded = diagnose(&par_cfg);
-    assert_eq!(serial, sharded, "diagnosis reports diverged across layouts");
-    assert_eq!(
-        serial.record_lines(),
-        sharded.record_lines(),
-        "diagnosis record lines diverged across layouts"
-    );
-    // The comparison had substance: the tiny corpus confirms at least
-    // one incident, with quoted evidence.
-    assert!(
-        !serial.incidents.is_empty(),
-        "tiny corpus produced no incidents: {}",
-        serial.record_lines()
-    );
-    assert!(serial.incidents.iter().all(|i| !i.evidence.is_empty()));
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
+/// A diagnosis is one pass over disk: after it — gates fired, all four
+/// tiles consulted — the session has read exactly the bytes a single
+/// `analyze` reads, unrestricted and windowed.
+#[test]
+fn diagnosis_reads_the_corpus_once() {
+    let out = ScenarioConfig::tiny(SEED).run();
+    let (dir, _, _) = recorded("diag-bytes", &out, 4096);
+    for window in [None, restricted()] {
+        let cfg = PipelineConfig {
+            window,
+            ..PipelineConfig::default()
+        };
+        let analyze = CorpusSession::open(&dir).unwrap();
+        analyze.analyze(&cfg).unwrap();
+        let diagnose = CorpusSession::open(&dir).unwrap();
+        let (_, report) = diagnose.diagnose(&cfg, &Thresholds::default()).unwrap();
+        assert_eq!(report.windows_analyzed, 4, "the deep dives must have run");
+        assert!(analyze.disk_bytes() > 0);
+        assert_eq!(
+            diagnose.disk_bytes(),
+            analyze.disk_bytes(),
+            "window {window:?}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -26,7 +26,9 @@
 //! — the paper's "start at 11 am" replay, with I/O and merge cost
 //! proportional to the window. [`WindowClipper`] documents the
 //! clock-invariant membership rule and the equivalence contract a windowed
-//! replay is pinned against.
+//! replay is pinned against. Several clipped analyses of one run need not
+//! be several runs: a [`TileFanout`] observer routes the one merged stream
+//! to disjoint time tiles by the same membership rule.
 //!
 //! There is one driver, [`Pipeline::run`]: open → bootstrap → clip →
 //! merge ([`crate::shard::run_sharded`]) → reconstruct. How the merge is
@@ -51,8 +53,8 @@ use jigsaw_trace::format::FormatError;
 use jigsaw_trace::stream::EventStream;
 use jigsaw_trace::{PhyEvent, RadioMeta, TimeWindow};
 use std::cmp::Reverse;
-// tidy:allow-file(hash-order): coarse-offset and reorder maps are keyed lookup only; emission order comes from the replay heap
-use std::collections::{BinaryHeap, HashMap};
+// tidy:allow-file(hash-order): the reorder map is keyed lookup only; emission order comes from the replay heap
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 /// Pipeline configuration.
 #[derive(Debug, Clone, Default)]
@@ -274,20 +276,60 @@ impl EventSource for CorpusSource {
     }
 }
 
+/// A jframe's clock-invariant **anchor key**: the minimum over its
+/// instances of [`RadioMeta::anchor_universal`]`(ts_local)` — a value
+/// derived purely from captured timestamps and manifest anchors, so every
+/// replay of a corpus computes the same key for the same jframe whatever
+/// its clock state. [`WindowClipper`] and [`TileFanout`] both decide
+/// membership on it; this is the one place it is computed.
+pub struct AnchorKey {
+    /// Coarse offset by radio id (radio ids are small and dense; an id
+    /// past the table keys with offset 0).
+    coarse: Vec<i64>,
+}
+
+impl AnchorKey {
+    /// Builds the per-radio offset table for a radio set.
+    pub fn new(metas: &[RadioMeta]) -> Self {
+        let len = metas.iter().map(|m| usize::from(m.radio.0) + 1).max();
+        let mut coarse = vec![0; len.unwrap_or(0)];
+        for m in metas {
+            coarse[usize::from(m.radio.0)] = m.coarse_offset_us();
+        }
+        AnchorKey { coarse }
+    }
+
+    /// The jframe's key: its earliest instance in anchor time (falls back
+    /// to the merged `ts` for an instance-less jframe, which the merger
+    /// never emits).
+    pub fn of(&self, jf: &JFrame) -> Micros {
+        jf.instances
+            .iter()
+            .map(|i| {
+                let off = self
+                    .coarse
+                    .get(usize::from(i.radio.0))
+                    .copied()
+                    .unwrap_or(0);
+                (i.ts_local as i64 - off).max(0) as Micros
+            })
+            .min()
+            .unwrap_or(jf.ts)
+    }
+}
+
 /// Decides which jframes belong to a replay window.
 ///
-/// Membership is keyed on **anchor time**, not merged universal time: a
-/// jframe's window key is the minimum over its instances of
-/// [`RadioMeta::anchor_universal`]`(ts_local)` — a value derived purely
-/// from captured timestamps and manifest anchors. Merged universal
-/// timestamps depend on clock state (a mid-trace bootstrap re-derives the
-/// timeline, so windowed and full replays agree on `ts` only to the
-/// re-anchor tolerance); the anchor key is identical in both, which is
-/// what makes "windowed ≡ full-clipped-to-window" an exact, pinnable
-/// equivalence on [`JFrame::stable_digest`] multisets.
+/// Membership is keyed on **anchor time** ([`AnchorKey`]), not merged
+/// universal time. Merged universal timestamps depend on clock state (a
+/// mid-trace bootstrap re-derives the timeline, so windowed and full
+/// replays agree on `ts` only to the re-anchor tolerance); the anchor key
+/// is identical in both, which is what makes "windowed ≡
+/// full-clipped-to-window" an exact, pinnable equivalence on
+/// [`JFrame::stable_digest`] multisets.
 pub struct WindowClipper {
     window: TimeWindow,
-    coarse: HashMap<u16, i64>,
+    key: AnchorKey,
 }
 
 impl WindowClipper {
@@ -295,10 +337,7 @@ impl WindowClipper {
     pub fn new(metas: &[RadioMeta], window: TimeWindow) -> Self {
         WindowClipper {
             window,
-            coarse: metas
-                .iter()
-                .map(|m| (m.radio.0, m.coarse_offset_us()))
-                .collect(),
+            key: AnchorKey::new(metas),
         }
     }
 
@@ -307,18 +346,9 @@ impl WindowClipper {
         self.window
     }
 
-    /// The jframe's clock-invariant window key: the earliest instance in
-    /// anchor time (falls back to the merged `ts` for an instance-less
-    /// jframe, which the merger never emits).
+    /// The jframe's clock-invariant window key ([`AnchorKey::of`]).
     pub fn anchor_ts(&self, jf: &JFrame) -> Micros {
-        jf.instances
-            .iter()
-            .map(|i| {
-                let off = self.coarse.get(&i.radio.0).copied().unwrap_or(0);
-                (i.ts_local as i64 - off).max(0) as Micros
-            })
-            .min()
-            .unwrap_or(jf.ts)
+        self.key.of(jf)
     }
 
     /// True when the jframe belongs to the window.
@@ -465,7 +495,9 @@ impl<O: PipelineObserver> Downstream<O> {
         }
     }
 
-    fn finish(mut self) -> (AttemptStats, LinkStats, Vec<FlowRecord>, TransportStats) {
+    /// Flushes every assembler, delivers the flow records, and hands the
+    /// observer back beside the aggregates.
+    fn finish(mut self) -> (O, Aggregates) {
         self.attempts.finish(&mut self.attempt_buf);
         for a in self.attempt_buf.drain(..) {
             self.obs.on_attempt(&a);
@@ -480,14 +512,19 @@ impl<O: PipelineObserver> Downstream<O> {
         }
         let (flows, transport_stats) = self.transport.finish();
         self.obs.on_flows(&flows);
-        (
+        let aggregates = (
             self.attempts.stats.clone(),
             self.exchanges.stats.clone(),
             flows,
             transport_stats,
-        )
+        );
+        (self.obs, aggregates)
     }
 }
+
+/// What a finished reconstruction chain reports: `(attempts, link, flows,
+/// transport)`.
+type Aggregates = (AttemptStats, LinkStats, Vec<FlowRecord>, TransportStats);
 
 /// Public handle over the post-unification reconstruction chain (attempt
 /// assembly → exchange assembly → transport reconstruction, with the same
@@ -519,7 +556,130 @@ impl<O: PipelineObserver> Reconstruction<O> {
     /// `(attempts, link, flows, transport)` — the same aggregates
     /// [`PipelineReport`] carries.
     pub fn finish(self) -> (AttemptStats, LinkStats, Vec<FlowRecord>, TransportStats) {
-        self.inner.finish()
+        self.inner.finish().1
+    }
+
+    /// [`Reconstruction::finish`] for a chain that owns its observer:
+    /// flushes and delivers the same way, then hands the observer back.
+    pub fn into_observer(self) -> O {
+        self.inner.finish().0
+    }
+}
+
+/// One finished tile of a [`TileFanout`].
+#[derive(Debug)]
+pub struct Tile<R> {
+    /// The tile's `[from, to)` in anchor time.
+    pub window: TimeWindow,
+    /// Jframes routed to it.
+    pub jframes: u64,
+    /// What the fan-out's `close` made of the tile's observer.
+    pub output: R,
+}
+
+/// Fans one merged jframe stream out to disjoint time tiles, each with its
+/// own reconstruction chain and observer — several clipped analyses for the
+/// price of one merge.
+///
+/// Hand it to [`Pipeline::run`] beside (in a tuple with) any other
+/// observer. Each jframe's [`AnchorKey`] is computed once and the jframe is
+/// pushed into the [`Reconstruction`] of the tile whose window contains the
+/// key, so a tile's observer sees **exactly the callback stream a run of
+/// the same sources with [`PipelineConfig::window`] set to that tile
+/// delivers** — the reference side of the windowed ≡ clipped-full contract,
+/// on this run's own clocks. Jframes keyed outside every tile are not
+/// routed.
+///
+/// Tiles **close as the stream passes them**: once a jframe's merged `ts`
+/// is a full exchange-reorder horizon (1 s) past a tile's end, the tile's
+/// chain is flushed, its observer receives `on_flows`, and `close` reduces
+/// it to the tile's output — so the pending attempts and exchanges of a
+/// finished tile (and the decoded trace blocks their payload handles pin)
+/// are released there and not at the end of the run. Anchor keys and merged
+/// timestamps differ by the NTP anchor error — milliseconds — so on a sane
+/// corpus nothing arrives for a closed tile; a jframe that does is
+/// **counted, never delivered and never silently dropped**:
+/// [`TileFanout::finish`] reports the count, and a caller that promises
+/// tiles ≡ clipped-full must treat a non-zero count as a failed run.
+pub struct TileFanout<O, R, F> {
+    key: AnchorKey,
+    windows: Vec<TimeWindow>,
+    /// The chains of `windows[closed.len()..]` with their jframe counts.
+    open: VecDeque<(Reconstruction<O>, u64)>,
+    closed: Vec<Tile<R>>,
+    close: F,
+    late: u64,
+}
+
+impl<O: PipelineObserver, R, F: FnMut(O) -> R> TileFanout<O, R, F> {
+    /// One chain per `(window, observer)` tile over the given radio set.
+    ///
+    /// # Panics
+    ///
+    /// When the windows are not sorted and disjoint — routing and the
+    /// streaming close both rely on it.
+    pub fn new(metas: &[RadioMeta], tiles: Vec<(TimeWindow, O)>, close: F) -> Self {
+        let (windows, open): (Vec<_>, VecDeque<_>) = tiles
+            .into_iter()
+            .map(|(w, obs)| (w, (Reconstruction::new(obs), 0)))
+            .unzip();
+        assert!(
+            windows.windows(2).all(|p| p[0].to <= p[1].from),
+            "tiles must be sorted and disjoint: {windows:?}"
+        );
+        TileFanout {
+            key: AnchorKey::new(metas),
+            closed: Vec::with_capacity(windows.len()),
+            windows,
+            open,
+            close,
+            late: 0,
+        }
+    }
+
+    /// Closes the earliest open tile.
+    fn close_front(&mut self) {
+        if let Some((chain, jframes)) = self.open.pop_front() {
+            self.closed.push(Tile {
+                window: self.windows[self.closed.len()],
+                jframes,
+                output: (self.close)(chain.into_observer()),
+            });
+        }
+    }
+
+    /// Closes the tiles still open and returns every tile in window order,
+    /// plus the number of jframes that were keyed into a tile after it had
+    /// closed.
+    pub fn finish(mut self) -> (Vec<Tile<R>>, u64) {
+        while !self.open.is_empty() {
+            self.close_front();
+        }
+        (self.closed, self.late)
+    }
+}
+
+impl<O: PipelineObserver, R, F: FnMut(O) -> R> PipelineObserver for TileFanout<O, R, F> {
+    fn on_jframe(&mut self, jf: &JFrame) {
+        let key = self.key.of(jf);
+        let tile = self.windows.partition_point(|w| w.to <= key);
+        if self.windows.get(tile).is_some_and(|w| w.from <= key) {
+            match tile.checked_sub(self.closed.len()) {
+                Some(k) => {
+                    let (chain, jframes) = &mut self.open[k];
+                    chain.push(jf);
+                    *jframes += 1;
+                }
+                None => self.late += 1,
+            }
+        }
+        while self
+            .windows
+            .get(self.closed.len())
+            .is_some_and(|w| jf.ts >= w.to.saturating_add(REORDER_HORIZON_US))
+        {
+            self.close_front();
+        }
     }
 }
 
@@ -555,7 +715,7 @@ impl Pipeline {
     {
         let mut ds = Downstream::new(obs);
         let (bootstrap, merge) = Self::drive(sources, cfg, |jf| ds.observe(jf))?;
-        let (attempts, link, flows, transport) = ds.finish();
+        let (_, (attempts, link, flows, transport)) = ds.finish();
         Ok(PipelineReport {
             bootstrap,
             merge,
@@ -871,6 +1031,150 @@ mod tests {
             "on_flows fires after the streams"
         );
         assert!(probe.jframes > 0 && probe.attempts > 0 && probe.exchanges > 0);
+    }
+
+    /// A hand-built jframe seen by `radios` at the given local times.
+    fn jframe(ts: u64, seq: u16, receptions: &[(u16, u64)]) -> JFrame {
+        let bytes = frame_bytes(seq);
+        let mut instances = crate::Instances::new();
+        for &(radio, ts_local) in receptions {
+            instances.push(crate::jframe::Instance {
+                radio: RadioId(radio),
+                ts_local,
+                ts_universal: ts,
+                rssi_dbm: -50,
+                status: PhyStatus::Ok,
+            });
+        }
+        JFrame {
+            ts,
+            wire_len: bytes.len() as u32,
+            bytes: bytes.into(),
+            rate: PhyRate::R11,
+            channel: Channel::of(1),
+            instances,
+            dispersion: 0,
+            valid: true,
+            unique: true,
+        }
+    }
+
+    /// Counts what a tile's chain delivers.
+    #[derive(Default, Debug, PartialEq)]
+    struct TileProbe {
+        seqs: Vec<u16>,
+        flows_calls: u32,
+    }
+
+    impl PipelineObserver for TileProbe {
+        fn on_jframe(&mut self, jf: &JFrame) {
+            let Some(Frame::Data(d)) = jf.parse() else {
+                panic!("test jframes are data frames");
+            };
+            self.seqs.push(d.seq.value());
+        }
+        fn on_flows(&mut self, _flows: &[FlowRecord]) {
+            self.flows_calls += 1;
+        }
+    }
+
+    fn window(from: u64, to: u64) -> TimeWindow {
+        TimeWindow::new(from, to).unwrap()
+    }
+
+    /// The fan-out partitions the stream: every jframe reaches exactly the
+    /// tile whose window holds its anchor key — the tile a clipped run
+    /// would admit it to — edges included (`from` is in, `to` belongs to
+    /// the next tile), and keys in no tile reach none.
+    #[test]
+    fn tile_fanout_partitions_the_stream_by_anchor_key() {
+        // Radio 1's clock reads 1000 µs ahead of anchor time; radio 0's 0.
+        let metas = [
+            meta(0, 0),
+            RadioMeta {
+                anchor_wall_us: 0,
+                ..meta(1, 1_000)
+            },
+        ];
+        let windows = [window(100, 200), window(200, 300), window(400, 500)];
+        let tiles = windows.iter().map(|&w| (w, TileProbe::default())).collect();
+        let mut fanout = TileFanout::new(&metas, tiles, |probe| probe);
+        // (anchor key, receptions): the key is the earliest reception in
+        // anchor time, whichever radio holds it.
+        let stream: Vec<(u64, Vec<(u16, u64)>)> = vec![
+            (99, vec![(0, 99)]),               // before every tile
+            (100, vec![(0, 100)]),             // exactly tile 0's `from`
+            (199, vec![(0, 210), (1, 1_199)]), // radio 1 holds the key
+            (200, vec![(1, 1_200)]),           // exactly the shared edge
+            (299, vec![(0, 299)]),             //
+            (300, vec![(0, 300)]),             // tile 1's `to`, in the gap
+            (400, vec![(1, 1_400), (0, 401)]), //
+            (499, vec![(0, 499)]),             //
+            (500, vec![(0, 500), (1, 1_777)]), // past every tile
+        ];
+        let mut expected = vec![Vec::new(); windows.len()];
+        for (seq, (key, receptions)) in stream.iter().enumerate() {
+            let jf = jframe(*key, seq as u16, receptions);
+            for (w, admitted) in windows.iter().zip(&mut expected) {
+                let clip = WindowClipper::new(&metas, *w);
+                assert_eq!(clip.anchor_ts(&jf), *key);
+                if clip.admits(&jf) {
+                    admitted.push(seq as u16);
+                }
+            }
+            fanout.on_jframe(&jf);
+        }
+        assert_eq!(expected, [vec![1, 2], vec![3, 4], vec![6, 7]]);
+        let (tiles, late) = fanout.finish();
+        assert_eq!(late, 0);
+        for ((tile, w), admitted) in tiles.iter().zip(windows).zip(expected) {
+            assert_eq!(tile.window, w);
+            assert_eq!(tile.jframes, admitted.len() as u64);
+            assert_eq!(tile.output.seqs, admitted, "tile {w}");
+            assert_eq!(
+                tile.output.flows_calls, 1,
+                "each tile's chain finishes once"
+            );
+        }
+    }
+
+    /// Tiles close as the stream passes them, and a jframe keyed into a
+    /// closed tile is counted — not delivered to any tile, not lost
+    /// without trace.
+    #[test]
+    fn tile_fanout_closes_passed_tiles_and_counts_late_arrivals() {
+        let metas = [meta(0, 0)];
+        let windows = [window(0, 1_000), window(1_000, 2_000)];
+        let tiles = windows.iter().map(|&w| (w, TileProbe::default())).collect();
+        let mut fanout = TileFanout::new(&metas, tiles, |probe| probe);
+        fanout.on_jframe(&jframe(500, 0, &[(0, 500)]));
+        // One µs short of the horizon past tile 0's end: still open.
+        fanout.on_jframe(&jframe(1_000 + REORDER_HORIZON_US - 1, 1, &[(0, 1_500)]));
+        assert!(fanout.closed.is_empty());
+        fanout.on_jframe(&jframe(1_000 + REORDER_HORIZON_US, 2, &[(0, 1_600)]));
+        assert_eq!(fanout.closed.len(), 1, "the stream is past tile 0");
+        assert_eq!(
+            fanout.closed[0].output.flows_calls, 1,
+            "closed means flushed"
+        );
+        // Merged time says "long past", the capture timestamp says tile 0.
+        fanout.on_jframe(&jframe(1_000 + REORDER_HORIZON_US + 1, 3, &[(0, 700)]));
+        let (tiles, late) = fanout.finish();
+        assert_eq!(late, 1, "the late arrival is counted");
+        assert_eq!(
+            tiles[0].output.seqs,
+            [0],
+            "and not delivered to the closed tile"
+        );
+        assert_eq!(tiles[1].output.seqs, [1, 2], "nor to another");
+        assert_eq!((tiles[0].jframes, tiles[1].jframes), (1, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted and disjoint")]
+    fn tile_fanout_rejects_overlapping_tiles() {
+        let tiles = vec![(window(0, 10), ()), (window(9, 20), ())];
+        TileFanout::new(&[meta(0, 0)], tiles, |()| ());
     }
 
     /// The one driver is layout- and source-invariant end to end: at every

@@ -5,9 +5,9 @@
 //! The analyses in `jigsaw_analysis` answer "what does the trace look
 //! like"; this crate answers "what went wrong, when, and how sure are
 //! we". A [`Detector`] inspects the whole-corpus figure records (the
-//! *coarse* pass), and when its gate fires, each suspect time window is
-//! re-analyzed through the PR 5 windowed-replay machinery and handed
-//! back for a *windowed* confirmation. Every emitted [`Incident`] is
+//! *coarse* pass), and when its gate fires, the figure records of each
+//! suspect time window alone (see "Wiring" for where they come from) are
+//! handed back for a *windowed* confirmation. Every emitted [`Incident`] is
 //! grounded in machine-readable [`Record`] evidence copied verbatim
 //! from the figure records that justified it — a diagnosis you can grep.
 //!
@@ -50,10 +50,29 @@
 //! ## Wiring
 //!
 //! The crate never touches the pipeline: callers hand [`run_diagnosis`]
-//! a coarse [`RecordSet`] plus a [`WindowAnalyzer`] callback that
-//! re-analyzes one [`TimeWindow`] (the `repro diagnose` subcommand
-//! implements it over the corpus's windowed replay). Distinct windows
-//! are analyzed once and cached, however many detectors inspect them.
+//! a coarse [`RecordSet`] plus a [`WindowAnalyzer`] that yields the
+//! records of one [`TimeWindow`]. Distinct windows are looked at once and
+//! cached, however many detectors inspect them.
+//!
+//! `repro diagnose` (`jigsaw_bench::CorpusSession::diagnose`) reads the
+//! corpus **once**: the deep-dive tiles ([`deep_dive_windows`] over the
+//! diagnosed span) ride the coarse pass through a tile fan-out
+//! (`jigsaw_core::pipeline::TileFanout`), and the analyzer it passes is
+//! [`TileRecords`] — a lookup into those precomputed per-tile records,
+//! which refuses a window that is not one of its tiles. A tile's records
+//! are byte-identical to `repro analyze` of the same sources clipped to
+//! the tile: the reference side of the windowed ≡ clipped-full contract,
+//! on the coarse pass's continuously resynchronised clocks — the clocks
+//! that fired the gate a detector re-checks — and not a re-anchored
+//! mid-trace replay's, whose fresh bootstrap can read a clock-sensitive
+//! figure (`fig4.p99_us`, the µs-scale fig9 overlap tests) differently
+//! from the run being diagnosed. Tiles close as the stream passes them
+//! (merged time a second past the tile's end); a jframe whose anchor key
+//! lands in a closed tile is counted and fails the run rather than being
+//! dropped. A [`WindowAnalyzer`] backed by windowed
+//! replays (`repro analyze --from/--to` per window; what jigtrace's
+//! `diagnose.dive_s` times) remains a valid implementation, at the cost
+//! of re-reading the corpus per window.
 
 #![forbid(unsafe_code)]
 
@@ -219,12 +238,11 @@ pub trait Detector {
     ) -> Option<Incident>;
 }
 
-/// Re-analyzes one time window into a [`RecordSet`] — the seam between
-/// this crate and the replay machinery (`repro diagnose` implements it
-/// over `corpus_sources_windowed` + the figure suite; tests implement
-/// it with a closure).
+/// Yields one time window's [`RecordSet`] — the seam between this crate
+/// and the pipeline (`repro diagnose` passes [`TileRecords`], precomputed
+/// by its one pass over the corpus; tests implement it with a closure).
 pub trait WindowAnalyzer {
-    /// Runs the figure suite over `[window.from, window.to)` only.
+    /// The figure suite's records over `[window.from, window.to)` only.
     fn analyze_window(&mut self, window: TimeWindow) -> Result<RecordSet, String>;
 }
 
@@ -234,6 +252,35 @@ where
 {
     fn analyze_window(&mut self, window: TimeWindow) -> Result<RecordSet, String> {
         self(window)
+    }
+}
+
+/// A [`WindowAnalyzer`] over records computed ahead of time, one set per
+/// deep-dive tile. Asking for a window that is not a tile is an error,
+/// never an empty answer.
+#[derive(Debug)]
+pub struct TileRecords {
+    tiles: BTreeMap<(u64, u64), RecordSet>,
+}
+
+impl TileRecords {
+    /// The records of each `(tile, records)` pair, keyed by the tile.
+    pub fn new(tiles: impl IntoIterator<Item = (TimeWindow, RecordSet)>) -> Self {
+        TileRecords {
+            tiles: tiles
+                .into_iter()
+                .map(|(w, records)| ((w.from, w.to), records))
+                .collect(),
+        }
+    }
+}
+
+impl WindowAnalyzer for TileRecords {
+    fn analyze_window(&mut self, window: TimeWindow) -> Result<RecordSet, String> {
+        self.tiles
+            .get(&(window.from, window.to))
+            .cloned()
+            .ok_or_else(|| format!("window {window} is not a precomputed deep-dive tile"))
     }
 }
 
