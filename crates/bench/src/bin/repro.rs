@@ -35,7 +35,10 @@
 //!   `--verify` re-simulates from the manifest seed and asserts the
 //!   disk-backed stream is identical to the in-memory serial AND sharded
 //!   runs, and `--max-buffered N` fails the run if peak merger residency
-//!   ever exceeds N events (the CI memory-bound check);
+//!   — the `peak buffered` it prints: the bootstrap window every source
+//!   seeds the merger with, disk and memory alike, or the search window's
+//!   worth held later, whichever is larger — ever exceeds N events (the CI
+//!   memory-bound check);
 //! * `analyze` streams the **entire figure suite** off a recorded corpus
 //!   through the full pipeline (serial or, with `--parallel`, the
 //!   channel-sharded merge) in one bounded-memory pass — no `Vec<JFrame>`
@@ -150,8 +153,8 @@ struct Args {
     snaplen: u32,
     /// `merge`: re-simulate from the manifest and assert disk ≡ memory.
     verify: bool,
-    /// `merge`/`tail`: fail if peak merger residency exceeds this many
-    /// events (0 = no limit).
+    /// `merge`/`tail`: fail if peak merger residency (seeded bootstrap
+    /// window included) exceeds this many events (0 = no limit).
     max_buffered: u64,
     /// Replay window start, anchor-universal µs (`merge`/`analyze`/
     /// `diagnose`).
@@ -189,12 +192,13 @@ fn or_exit<T>(r: Result<T, SessionError>) -> T {
 
 /// `--max-buffered N` (`merge` / `tail`): exits 1 if peak merger residency
 /// exceeded `N` events — the CI gate that streaming memory stays bounded by
-/// the search window.
+/// the bootstrap window (seeded into the merger on every run) and the
+/// search window, never by the corpus.
 fn check_max_buffered(args: &Args, peak: u64) {
     if args.max_buffered > 0 && peak > args.max_buffered {
         fail(&format!(
             "peak buffered {peak} events exceeds --max-buffered {} — \
-             streaming memory is no longer bounded by the window",
+             streaming memory is no longer bounded by the bootstrap and search windows",
             args.max_buffered
         ));
     }
@@ -759,7 +763,7 @@ fn run_record(args: &Args) {
         args.snaplen,
         args.block_bytes,
     )
-    .expect("record corpus");
+    .unwrap_or_else(|e| fail(&format!("cannot record corpus {}: {e}", dir.display())));
     println!(
         "recorded {} radios / {} events to {} in {:.1?} (sim {sim_t:.1?}): {:.2} MB on disk, digest {}",
         summary.radios,
@@ -986,7 +990,8 @@ fn run_analyze(args: &Args) {
 
 /// Opens every radio of a corpus as a chunk-fed file tail, in manifest
 /// (radio) order — the byte stream each tail delivers is identical to what
-/// a still-growing trace file would, for any chunk size.
+/// a still-growing trace file would, for any chunk size. A member that
+/// cannot be opened fails the run: the digest check has just read it.
 fn corpus_tails(corpus: &Corpus, chunk: usize) -> Vec<ChunkedFileTail> {
     corpus
         .manifest()
@@ -995,7 +1000,7 @@ fn corpus_tails(corpus: &Corpus, chunk: usize) -> Vec<ChunkedFileTail> {
         .map(|r| {
             let path = corpus.dir().join(&r.data);
             ChunkedFileTail::open(&path, chunk)
-                .unwrap_or_else(|e| panic!("open trace tail {}: {e}", path.display()))
+                .unwrap_or_else(|e| fail(&format!("open trace tail {}: {e}", path.display())))
         })
         .collect()
 }
@@ -1031,7 +1036,11 @@ fn run_tail(args: &Args) {
     let (merge, exchanges, flows, figures, live_report) = if args.parallel {
         let sources: Vec<TailStream<ChunkedFileTail>> = corpus_tails(corpus, chunk)
             .into_iter()
-            .map(|t| TailStream::open(t).expect("read trace header"))
+            .zip(&corpus.manifest().radios)
+            .map(|(t, r)| {
+                TailStream::open(t)
+                    .unwrap_or_else(|e| fail(&format!("read trace header of {}: {e}", r.data)))
+            })
             .collect();
         let also = OnJFrame(|jf: &JFrame| digest.observe(jf));
         let (report, figures) = or_exit(session.analyze_sources(sources, &cfg, also));

@@ -178,6 +178,57 @@ fn unwritable_diagnose_golden_exits_1() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A corpus that cannot be written is a failed run, not a panic: `record`
+/// into a path whose parent is a regular file can create nothing.
+#[test]
+fn unwritable_record_directory_exits_1() {
+    let dir = std::env::temp_dir().join(format!("jigsaw-cli-record-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let blocker = dir.join("not-a-directory");
+    std::fs::write(&blocker, "a regular file").expect("write blocker");
+    let corpus = blocker.join("corpus");
+    let corpus = corpus.to_str().expect("utf-8 temp path");
+
+    let args = ["record", "--corpus", corpus, "--scenario", "tiny"];
+    assert_exit(&args, 1);
+    let stderr = repro(&args).stderr;
+    assert!(String::from_utf8_lossy(&stderr).starts_with("FAIL: cannot record corpus"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `tail` opens the radio members itself, after the digest check: a
+/// member cut short of its header (digest recomputed, so only the tail
+/// open can notice) or gone altogether fails the run in one `FAIL:` line
+/// on both drivers.
+#[test]
+fn tail_over_a_truncated_or_missing_member_exits_1() {
+    let dir = std::env::temp_dir().join(format!("jigsaw-cli-tail-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let corpus = dir.to_str().expect("utf-8 temp path");
+    let recorded = repro(&["record", "--corpus", corpus, "--scenario", "tiny"]);
+    assert!(recorded.status.success(), "record failed: {recorded:?}");
+    let victim = dir.join("r000.jigt");
+    let bytes = std::fs::read(&victim).expect("read trace member");
+    std::fs::write(&victim, &bytes[..10]).expect("truncate trace member");
+    let digest = jigsaw_trace::corpus::Corpus::open(&dir)
+        .and_then(|c| c.compute_digest())
+        .expect("recompute digest");
+    std::fs::write(dir.join("corpus.digest"), digest).expect("rewrite digest");
+    let drivers: [&[&str]; 2] = [&[], &["--parallel"]];
+    for driver in drivers {
+        let args = [driver, &["tail", "--corpus", corpus]].concat();
+        assert_exit(&args, 1);
+        let stderr = repro(&args).stderr;
+        assert!(String::from_utf8_lossy(&stderr).starts_with("FAIL: "));
+    }
+    std::fs::remove_file(&victim).expect("remove trace member");
+    for driver in drivers {
+        assert_exit(&[driver, &["tail", "--corpus", corpus]].concat(), 1);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn diagnose_shares_the_usage_contract() {
     // The same flag table drives every subcommand: window timestamps

@@ -2,13 +2,15 @@
 //! to an on-disk corpus, stream it back at both merge layouts, and
 //! require the jframe stream to be identical — count, order, and digest —
 //! to the in-memory runs at the same seed, with merger residency bounded
-//! by the window rather than the corpus size.
+//! by the window rather than the corpus size and every trace block read
+//! from disk exactly once.
 
 use jigsaw_bench::{record_corpus, sharded_config, CorpusSession, JframeStreamDigest};
 use jigsaw_core::observer::OnJFrame;
 use jigsaw_core::pipeline::{Pipeline, PipelineConfig};
 use jigsaw_core::JFrame;
 use jigsaw_sim::scenario::ScenarioConfig;
+use jigsaw_trace::TimeWindow;
 use std::path::PathBuf;
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -78,27 +80,51 @@ fn disk_corpus_merge_matches_memory_serial_and_sharded() {
     assert_eq!(serial_stats.events_in, events);
     assert_eq!(sharded_stats.events_in, events);
 
-    // The disk merge actually read the corpus (data files + re-read of the
-    // bootstrap-window blocks), and never materialized it: peak residency
-    // must be well under the event count even on this small trace.
-    let data_bytes = session.corpus().data_bytes().unwrap();
+    // The disk merge streamed the radio traces and decoded each block
+    // once: the bytes read are at most the trace files' (a second read of
+    // the bootstrap-window blocks would push past them), and most of them.
+    let trace_bytes: u64 = session
+        .corpus()
+        .manifest()
+        .radios
+        .iter()
+        .map(|r| std::fs::metadata(dir.join(&r.data)).unwrap().len())
+        .sum();
     assert!(
-        bytes_serial >= data_bytes / 2,
+        bytes_serial <= trace_bytes,
+        "a full replay read {bytes_serial} bytes of {trace_bytes}: some block was decoded twice"
+    );
+    assert!(
+        bytes_serial >= trace_bytes / 2,
         "merge did not stream the corpus"
     );
+    // A windowed replay reads strictly less than the full one.
+    let (lo, hi) = session.span().unwrap();
+    let third = (hi - lo) / 3;
+    let window = TimeWindow::new(lo + third, lo + 2 * third).unwrap();
+    let before = session.disk_bytes();
+    let win_cfg = PipelineConfig {
+        window: Some(window),
+        ..PipelineConfig::default()
+    };
+    let win_stats = session.merge(Some(window), &win_cfg, |_| {}).unwrap();
+    let bytes_window = session.disk_bytes() - before;
+    assert!(win_stats.jframes_out > 0, "the window is not empty");
+    assert!(
+        bytes_window < bytes_serial,
+        "the windowed replay read {bytes_window} bytes, the full one {bytes_serial}"
+    );
+
+    // Never materialized: peak residency must be well under the event
+    // count even on this small trace. Disk and memory sources reach the
+    // merger the same way — bootstrap window seeded ahead of the stream —
+    // so they buffer exactly the same.
     assert!(
         serial_stats.peak_buffered < events / 2,
         "peak residency {} vs {events} events: not window-bounded",
         serial_stats.peak_buffered
     );
-    // The in-memory path seeds its bootstrap prefix into the merger; the
-    // replaying disk path must never buffer more than it.
-    assert!(
-        serial_stats.peak_buffered <= mem_stats.peak_buffered,
-        "disk path ({}) buffers more than the seeding memory path ({})",
-        serial_stats.peak_buffered,
-        mem_stats.peak_buffered
-    );
+    assert_eq!(serial_stats.peak_buffered, mem_stats.peak_buffered);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -11,15 +11,16 @@
 //! with most radios thinned to a capture in 25 — sparse radios beside a
 //! busy one, the rate skew under which count-paced polling let the sparse
 //! sources race ahead and the merger buffer the difference. On both, the
-//! live driver must also hold its residency bound: what a stream cannot
-//! re-read (the bootstrap window) plus a small multiple of what the batch
-//! merge buffers, whatever the chunking.
+//! live driver must also hold its residency bound: the bootstrap window
+//! plus a small multiple of what the batch merge buffers once its own
+//! bootstrap window has drained, whatever the chunking.
 
 mod common;
 
 use jigsaw_bench::{record_corpus, sharded_config, CorpusSession, JframeStreamDigest};
 use jigsaw_core::observer::OnJFrame;
 use jigsaw_core::pipeline::{Pipeline, PipelineConfig};
+use jigsaw_core::shard::run_sharded;
 use jigsaw_core::JFrame;
 use jigsaw_live::{ChunkedFileTail, LiveConfig, LiveMerger, ManualClock, TailStream};
 use jigsaw_sim::output::SimOutput;
@@ -38,6 +39,8 @@ struct Fixture {
     events: u64,
     batch_count: u64,
     batch_hex: String,
+    /// The batch merge's steady-state residency: its peak once the
+    /// bootstrap window it is seeded with has drained.
     batch_peak: u64,
     /// Events the live merger must accumulate before it can bootstrap: each
     /// radio's first window, plus the one event that proves it complete.
@@ -66,17 +69,57 @@ fn record_fixture(tag: &str, out: &SimOutput, block_bytes: usize) -> Fixture {
         .sum();
     let session = CorpusSession::open(&dir).unwrap();
     let mut digest = JframeStreamDigest::new();
-    let stats = session.merge(None, &cfg, |jf| digest.observe(jf)).unwrap();
+    let (boot, stats) = Pipeline::merge_only(
+        session.sources(None).unwrap(),
+        &cfg,
+        OnJFrame(|jf: &JFrame| digest.observe(jf)),
+    )
+    .unwrap();
     assert!(digest.count() > 0, "batch reference produced no jframes");
     Fixture {
+        batch_peak: steady_state_peak(session.corpus(), &boot.offsets, &cfg, &digest),
         dir,
         events: stats.events_in,
         batch_count: digest.count(),
         batch_hex: digest.hex(),
-        batch_peak: stats.peak_buffered,
         bootstrap_events,
         sharded,
     }
+}
+
+/// What the batch merge buffers with nothing seeded. The batch run's own
+/// `peak_buffered` counts the bootstrap window it is seeded with — the very
+/// term the live bound adds separately as `bootstrap_events` — so the
+/// multiplier must not apply to it: the same merge (the batch run's
+/// offsets, clocks referenced at the anchors) is driven over whole-file
+/// streams instead, which must emit the identical stream while holding
+/// only the search window's worth.
+fn steady_state_peak(
+    corpus: &Corpus,
+    offsets: &[i64],
+    cfg: &PipelineConfig,
+    batch: &JframeStreamDigest,
+) -> u64 {
+    let sources = corpus.sources(Default::default()).unwrap();
+    let refs: Vec<u64> = sources.iter().map(|s| s.meta().anchor_local_us).collect();
+    let streams = sources.iter().map(|s| s.open_stream().unwrap()).collect();
+    let mut digest = JframeStreamDigest::new();
+    let stats = run_sharded(
+        streams,
+        offsets,
+        Vec::new(),
+        &refs,
+        &cfg.merge,
+        &cfg.shard,
+        |jf| digest.observe(&jf),
+    )
+    .unwrap();
+    assert_eq!(
+        (digest.count(), digest.hex()),
+        (batch.count(), batch.hex()),
+        "the unseeded merge is not the batch merge"
+    );
+    stats.peak_buffered
 }
 
 /// The tiny corpus, recorded once per test process.
@@ -173,7 +216,7 @@ fn check_chunking(name: &str, f: &Fixture, chunk: usize) -> Result<(), String> {
     if live.peak_buffered > bound {
         return Err(format!(
             "{name} live chunk={chunk}: peak buffered {} of {} events exceeds {bound} \
-             (bootstrap window {} + 4 × batch peak {})",
+             (bootstrap window {} + 4 × steady-state batch peak {})",
             live.peak_buffered, f.events, f.bootstrap_events, f.batch_peak
         ));
     }

@@ -12,12 +12,14 @@
 //!
 //! The driver takes a `Vec` of [`EventSource`]s — one per radio. A source
 //! abstracts *where events come from*: any in-memory or decoded
-//! [`EventStream`] is a source (consumed once, with the bootstrap prefix
-//! re-seeded into the merger), and a disk corpus radio ([`CorpusSource`])
-//! is a source whose bootstrap window is served by an index-bounded file
-//! read while the merge re-streams the file — so a day-long corpus is
-//! merged with memory bounded by the search window, never by trace length
-//! ([`MergeStats::peak_buffered`](crate::unify::MergeStats) measures it).
+//! [`EventStream`] is a source, and a disk corpus radio ([`CorpusSource`])
+//! is a source that index-seeks its trace file to the range a replay
+//! needs. Either way the stream is consumed exactly once: the bootstrap
+//! window is split off its front and re-seeded into the merger, so every
+//! trace block is decoded once and a day-long corpus is merged with memory
+//! bounded by the bootstrap window plus the search window, never by trace
+//! length ([`MergeStats::peak_buffered`](crate::unify::MergeStats)
+//! measures it).
 //!
 //! Replays need not start at t = 0: a [`CorpusSource`] given a window
 //! re-anchors the clock bootstrap at any corpus timestamp (index-seeked
@@ -127,18 +129,17 @@ impl From<FormatError> for PipelineError {
 
 /// A per-radio supplier of pipeline input.
 ///
-/// Opening a source splits it into the *bootstrap window* (the NTP-anchored
-/// first second, input to offset estimation) and the *merge stream*. The
-/// two flavors differ in what happens to window events:
+/// Opening a source splits it into the *bootstrap window* (one second of
+/// events, input to offset estimation) and the *merge stream*. Every
+/// source is consumed once: the window events — plus the one past-window
+/// event the split necessarily reads — are handed back for re-seeding into
+/// the merger ahead of the stream. The two implementations differ only in
+/// where the stream starts and where its window sits:
 ///
-/// * any [`EventStream`] is a source (blanket impl): streams are
-///   consumed-once, so window events — plus the one past-window event the
-///   split necessarily reads — are handed back for re-seeding into the
-///   merger;
-/// * a rewindable disk source (e.g.
-///   [`jigsaw_trace::corpus::RadioTraceSource`]) reads the window in a
-///   separate index-bounded pass and lets the merge stream replay the file
-///   from the start, so nothing is buffered across stages.
+/// * any [`EventStream`] is a source (blanket impl), read from its first
+///   event with the window at the radio's NTP anchor;
+/// * a [`CorpusSource`] index-seeks its trace file to the range a replay
+///   needs and puts the window at the start of that range.
 pub trait EventSource {
     /// The merge stream this source opens into.
     type Stream: EventStream;
@@ -156,13 +157,10 @@ pub struct OpenedRadio<S> {
     /// estimation, and nothing else: one out-of-window reference frame is
     /// enough to skew a synchronization set.
     pub window: Vec<PhyEvent>,
-    /// Events consumed from the stream beyond the window (at most one for
-    /// the stream impl). They must reach the merger ahead of `stream` —
-    /// dropping them would lose events.
+    /// Events consumed from the stream beyond the window (at most one).
+    /// They must reach the merger ahead of `stream` — dropping them would
+    /// lose events.
     pub carry: Vec<PhyEvent>,
-    /// True when `stream` itself replays the window events (rewindable
-    /// sources): the merger then must *not* be seeded with them.
-    pub replay: bool,
     /// Local time the bootstrap window starts at: the NTP anchor for a
     /// from-the-start source, or the coarse-local image of the replay
     /// window's read start for a windowed one. Offset estimation windows
@@ -172,15 +170,16 @@ pub struct OpenedRadio<S> {
     pub stream: S,
 }
 
-impl<S: EventStream> EventSource for S {
-    type Stream = S;
-
-    fn open(mut self, window_us: u64) -> Result<OpenedRadio<S>, FormatError> {
-        let meta = self.meta();
-        let hi = meta.anchor_local_us.saturating_add(window_us);
+impl<S: EventStream> OpenedRadio<S> {
+    /// Splits the bootstrap window — every event up to `window_lo +
+    /// window_us`, whatever precedes `window_lo` included — off the front
+    /// of `stream`. The split reads one event past the window to know it
+    /// is complete; that event is the carry.
+    fn split(mut stream: S, window_lo: Micros, window_us: u64) -> Result<Self, FormatError> {
+        let hi = window_lo.saturating_add(window_us);
         let mut window = Vec::new();
         let mut carry = Vec::new();
-        while let Some(ev) = self.next_event()? {
+        while let Some(ev) = stream.next_event()? {
             if ev.ts_local > hi {
                 carry.push(ev);
                 break;
@@ -188,13 +187,21 @@ impl<S: EventStream> EventSource for S {
             window.push(ev);
         }
         Ok(OpenedRadio {
-            meta,
+            meta: stream.meta(),
             window,
             carry,
-            replay: false,
-            window_lo: meta.anchor_local_us,
-            stream: self,
+            window_lo,
+            stream,
         })
+    }
+}
+
+impl<S: EventStream> EventSource for S {
+    type Stream = S;
+
+    fn open(self, window_us: u64) -> Result<OpenedRadio<S>, FormatError> {
+        let window_lo = self.meta().anchor_local_us;
+        OpenedRadio::split(self, window_lo, window_us)
     }
 }
 
@@ -215,9 +222,9 @@ pub const WINDOW_READ_SLACK_US: Micros = 100_000;
 /// A disk-corpus radio as a pipeline source (a wrapper, because the
 /// blanket stream impl above forbids implementing [`EventSource`] directly
 /// for the foreign [`RadioTraceSource`](jigsaw_trace::corpus::RadioTraceSource)
-/// type): the bootstrap window comes from an index-bounded file read, the
-/// merge stream replays the same local-time range from disk, and nothing
-/// is buffered between the two stages.
+/// type): one index-seeked stream over the local-time range the replay
+/// needs, its bootstrap window split off the front like any other
+/// stream's — each block of the range is decoded exactly once.
 ///
 /// The range is the whole trace, or — given a replay window — the window
 /// plus [`WINDOW_WARMUP_US`] before and [`WINDOW_READ_SLACK_US`] after:
@@ -257,22 +264,7 @@ impl EventSource for CorpusSource {
                 (lo, hi, lo)
             }
         };
-        // One `window_us` of events from the bootstrap start, read through
-        // the block index (`index::find_block` bounds the decode).
-        let window = self
-            .source
-            .read_window(lo, window_lo.saturating_add(window_us).min(hi))?;
-        // The merge stream replays the same range from disk (bootstrap
-        // events included — `replay` tells the driver not to seed them).
-        let stream = self.source.open_stream_range(lo, hi)?;
-        Ok(OpenedRadio {
-            meta,
-            window,
-            carry: Vec::new(),
-            replay: true,
-            window_lo,
-            stream,
-        })
+        OpenedRadio::split(self.source.open_stream_range(lo, hi)?, window_lo, window_us)
     }
 }
 
@@ -362,7 +354,6 @@ pub(crate) struct SourceSet<S> {
     pub metas: Vec<RadioMeta>,
     pub windows: Vec<Vec<PhyEvent>>,
     pub carries: Vec<Vec<PhyEvent>>,
-    pub replays: Vec<bool>,
     pub window_los: Vec<Micros>,
     pub streams: Vec<S>,
 }
@@ -378,7 +369,6 @@ impl<S: EventStream> SourceSet<S> {
             metas: Vec::with_capacity(n),
             windows: Vec::with_capacity(n),
             carries: Vec::with_capacity(n),
-            replays: Vec::with_capacity(n),
             window_los: Vec::with_capacity(n),
             streams: Vec::with_capacity(n),
         };
@@ -387,7 +377,6 @@ impl<S: EventStream> SourceSet<S> {
             set.metas.push(opened.meta);
             set.windows.push(opened.window);
             set.carries.push(opened.carry);
-            set.replays.push(opened.replay);
             set.window_los.push(opened.window_lo);
             set.streams.push(opened.stream);
         }
@@ -407,22 +396,16 @@ impl<S: EventStream> SourceSet<S> {
     }
 
     /// Splits into merge input: the streams, plus per radio the events to
-    /// seed ahead of them (empty for replaying sources) and the local time
-    /// to reference the clock EWMA at.
+    /// seed ahead of them (window, then carry) and the local time to
+    /// reference the clock EWMA at.
     pub fn into_merge_input(self) -> (Vec<S>, Vec<Vec<PhyEvent>>, Vec<Micros>) {
         let seeds = self
             .windows
             .into_iter()
             .zip(self.carries)
-            .zip(self.replays)
-            .map(|((mut window, carry), replay)| {
-                if replay {
-                    debug_assert!(carry.is_empty(), "replay sources never carry");
-                    Vec::new()
-                } else {
-                    window.extend(carry);
-                    window
-                }
+            .map(|(mut window, carry)| {
+                window.extend(carry);
+                window
             })
             .collect();
         (self.streams, seeds, self.window_los)
@@ -874,7 +857,6 @@ mod tests {
         assert_eq!(set.carries[0].len(), 1);
         assert_eq!(set.windows[1].len(), 1);
         assert!(set.carries[1].is_empty());
-        assert!(set.replays.iter().all(|&r| !r), "streams are consumed-once");
         // The stream still holds the unread tail.
         assert_eq!(set.streams[0].len(), 1);
 
@@ -891,73 +873,6 @@ mod tests {
         assert_eq!(streams[0].len(), 1);
         // Stream sources reference their clocks at the NTP anchor.
         assert_eq!(refs, vec![0, 0]);
-    }
-
-    /// A rewindable test double: the window is served out-of-band and the
-    /// stream replays everything — the disk-corpus shape of a source.
-    struct ReplaySource {
-        meta: RadioMeta,
-        events: Vec<PhyEvent>,
-    }
-
-    impl EventSource for ReplaySource {
-        type Stream = MemoryStream;
-
-        fn open(self, window_us: u64) -> Result<OpenedRadio<MemoryStream>, FormatError> {
-            let hi = self.meta.anchor_local_us.saturating_add(window_us);
-            let window = self
-                .events
-                .iter()
-                .filter(|e| e.ts_local <= hi)
-                .cloned()
-                .collect();
-            Ok(OpenedRadio {
-                meta: self.meta,
-                window,
-                carry: Vec::new(),
-                replay: true,
-                window_lo: self.meta.anchor_local_us,
-                stream: MemoryStream::new(self.meta, self.events),
-            })
-        }
-    }
-
-    /// Replaying sources and consumed-once streams must produce identical
-    /// pipelines: same bootstrap input, same merged stream, nothing seeded
-    /// twice and nothing dropped.
-    #[test]
-    fn replay_source_matches_stream_source() {
-        let window = BootstrapConfig::default().window_us;
-        let mk_events = |r: u16| {
-            vec![
-                ev(r, 100 + u64::from(r), frame_bytes(1)),
-                ev(r, window + 1 + u64::from(r), frame_bytes(3)),
-                ev(r, window + 40_000 + u64::from(r), frame_bytes(7)),
-            ]
-        };
-        let streams: Vec<MemoryStream> = (0..2)
-            .map(|r| MemoryStream::new(meta(r, 0), mk_events(r)))
-            .collect();
-        let (jf_stream, _, rs) =
-            Pipeline::run_collect(streams, &PipelineConfig::default()).unwrap();
-
-        let replays: Vec<ReplaySource> = (0..2)
-            .map(|r| ReplaySource {
-                meta: meta(r, 0),
-                events: mk_events(r),
-            })
-            .collect();
-        let (jf_replay, _, rr) =
-            Pipeline::run_collect(replays, &PipelineConfig::default()).unwrap();
-
-        assert_eq!(rs.merge.events_in, rr.merge.events_in);
-        assert_eq!(rs.bootstrap.candidates, rr.bootstrap.candidates);
-        assert_eq!(jf_stream.len(), jf_replay.len());
-        for (a, b) in jf_stream.iter().zip(&jf_replay) {
-            assert_eq!(a.ts, b.ts);
-            assert_eq!(a.bytes, b.bytes);
-            assert_eq!(a.instances, b.instances);
-        }
     }
 
     /// End-to-end: the consumed out-of-window event still reaches the
@@ -1177,10 +1092,9 @@ mod tests {
         TileFanout::new(&[meta(0, 0)], tiles, |()| ());
     }
 
-    /// The one driver is layout- and source-invariant end to end: at every
-    /// shard layout (serial, channels sharing a shard, one shard per
-    /// channel, auto), over consumed-once streams — whose bootstrap prefix
-    /// is seeded back into the merger — and replaying sources alike, it
+    /// The one driver is layout-invariant end to end: at every shard
+    /// layout (serial, channels sharing a shard, one shard per channel,
+    /// auto), with the bootstrap prefix seeded back into the merger, it
     /// delivers identical jframes, exchanges and merge counters.
     #[test]
     fn parallel_pipeline_matches_serial() {
@@ -1205,21 +1119,11 @@ mod tests {
             ..meta(r as u16, 0)
         };
         // Everything a run delivers, in comparable form.
-        let run = |threads: usize, replay: bool| {
+        let run = |threads: usize| {
             let mut cfg = PipelineConfig::default();
             cfg.shard.max_threads = threads;
-            let radios = 0..chans.len();
-            let (jframes, xs, mut report) = if replay {
-                let sources = radios.map(|r| ReplaySource {
-                    meta: meta_of(r),
-                    events: events(r),
-                });
-                Pipeline::run_collect(sources.collect(), &cfg)
-            } else {
-                let sources = radios.map(|r| MemoryStream::new(meta_of(r), events(r)));
-                Pipeline::run_collect(sources.collect(), &cfg)
-            }
-            .unwrap();
+            let sources = (0..chans.len()).map(|r| MemoryStream::new(meta_of(r), events(r)));
+            let (jframes, xs, mut report) = Pipeline::run_collect(sources.collect(), &cfg).unwrap();
             assert_eq!(report.merge.events_in, 1_600, "every event merged");
             assert!(!xs.is_empty(), "the comparison needs exchanges");
             // The one layout-dependent counter: shard peaks sum.
@@ -1227,15 +1131,13 @@ mod tests {
             let (merge, link) = (report.merge, report.link);
             format!("{jframes:?}\n{xs:?}\n{merge:?}\n{link:?}")
         };
-        let reference = run(1, false);
+        let reference = run(1);
         let channels = 3; // 1, 6, 11
-        for threads in [1, 2, channels, 0] {
-            for replay in [false, true] {
-                assert!(
-                    run(threads, replay) == reference,
-                    "max_threads={threads} replay={replay} diverged from the serial stream run"
-                );
-            }
+        for threads in [2, channels, 0] {
+            assert!(
+                run(threads) == reference,
+                "max_threads={threads} diverged from the serial run"
+            );
         }
     }
 }

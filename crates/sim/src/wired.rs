@@ -5,6 +5,7 @@
 use crate::station::WiredHost;
 use crate::{HostId, StationId};
 use jigsaw_ieee80211::{MacAddr, Micros};
+use jigsaw_packet::ipv4::IpPayload;
 use jigsaw_packet::Msdu;
 // tidy:allow-file(hash-order): host maps are lookup-only; AP/record lists are collected into Vecs and sorted before use
 use std::collections::HashMap;
@@ -149,18 +150,41 @@ pub const WIRED_TRACE_MAGIC: [u8; 4] = *b"JIGW";
 /// Format version of the wired-trace encoding.
 pub const WIRED_TRACE_VERSION: u8 = 1;
 
+/// How many trailing bytes of `msdu`'s wire form are the transport
+/// payload's zero-fill. The model keeps payload *lengths* only, which the
+/// IP total-length and UDP length fields already carry.
+fn zero_fill_len(msdu: &Msdu) -> usize {
+    match msdu {
+        Msdu::Ipv4(ip) => usize::from(match &ip.payload {
+            IpPayload::Tcp(t) => t.payload_len,
+            IpPayload::Udp(u) => u.payload_len,
+            IpPayload::Other { len, .. } => *len,
+        }),
+        Msdu::Arp(_) | Msdu::Other { .. } => 0,
+    }
+}
+
+/// Fewest bytes an AP table entry encodes to: a one-byte id + the MAC.
+const MIN_AP_ENTRY_BYTES: usize = 7;
+/// Fewest bytes a record encodes to: one-byte `dts`, two MACs, one-byte AP
+/// reference, direction code, one-byte MSDU length.
+const MIN_RECORD_BYTES: usize = 16;
+
 /// Encodes a wired trace (plus the AP id → MAC table the coverage analysis
 /// needs to attribute `ToWireless` packets) into the corpus's `wired.jigw`
 /// member. Records are delta/varint packed; MSDUs serialize through their
-/// LLC/SNAP wire form ([`Msdu::to_bytes`]), so the exact header fields the
-/// Figure 6 comparison keys on survive the roundtrip. `ap_addr_of` maps a
-/// station id to its MAC (only ids appearing in the records are consulted).
+/// LLC/SNAP wire form ([`Msdu::to_bytes`]) snapped to the headers — the
+/// transport payload is all zeros and the parsers take snap-truncated
+/// packets, deriving its length from the IP/UDP length fields — so every
+/// field of the record survives the roundtrip at ≈65 B/record
+/// ([`Msdu::Other`] keeps its raw payload). `ap_addr_of` maps a station id
+/// to its MAC (only ids appearing in the records are consulted).
 pub fn encode_wired_trace(
     records: &[WiredTraceRecord],
     ap_addr_of: &dyn Fn(u16) -> MacAddr,
 ) -> Vec<u8> {
     use jigsaw_trace::varint::put_uvarint;
-    let mut out = Vec::with_capacity(32 + records.len() * 48);
+    let mut out = Vec::with_capacity(32 + records.len() * 72);
     out.extend_from_slice(&WIRED_TRACE_MAGIC);
     out.push(WIRED_TRACE_VERSION);
     // AP table: every station id referenced by a record, in id order.
@@ -181,7 +205,8 @@ pub fn encode_wired_trace(
         out.extend_from_slice(r.dst_mac.bytes());
         put_uvarint(&mut out, r.ap.map(|s| u64::from(s.0) + 1).unwrap_or(0));
         out.push(r.direction.code());
-        let msdu = r.msdu.to_bytes();
+        let mut msdu = r.msdu.to_bytes();
+        msdu.truncate(msdu.len() - zero_fill_len(&r.msdu));
         put_uvarint(&mut out, msdu.len() as u64);
         out.extend_from_slice(&msdu);
     }
@@ -196,8 +221,9 @@ pub fn decode_wired_trace(
     use jigsaw_trace::varint::get_uvarint;
     let mut pos = 0usize;
     let take = |pos: &mut usize, n: usize| -> Result<&[u8], String> {
-        let s = bytes
-            .get(*pos..*pos + n)
+        let s = pos
+            .checked_add(n)
+            .and_then(|end| bytes.get(*pos..end))
             .ok_or_else(|| format!("wired trace truncated at byte {pos}", pos = *pos))?;
         *pos += n;
         Ok(s)
@@ -222,9 +248,14 @@ pub fn decode_wired_trace(
     let station_id = |v: u64| -> Result<u16, String> {
         u16::try_from(v).map_err(|_| format!("station id {v} out of range"))
     };
+    // Declared counts are untrusted: one the remaining bytes cannot hold
+    // is refused before anything is allocated for it.
+    let fits = |pos: usize, count: u64, min_encoded: usize| {
+        count <= ((bytes.len() - pos) / min_encoded) as u64
+    };
     let n_aps = varint(&mut pos)?;
-    if n_aps > 1_000_000 {
-        return Err("AP table implausibly large".into());
+    if !fits(pos, n_aps, MIN_AP_ENTRY_BYTES) {
+        return Err(format!("AP table of {n_aps} entries exceeds the payload"));
     }
     let mut aps = HashMap::with_capacity(n_aps as usize);
     for _ in 0..n_aps {
@@ -233,13 +264,15 @@ pub fn decode_wired_trace(
     }
 
     let n = varint(&mut pos)?;
-    if n > 1_000_000_000 {
-        return Err("record count implausibly large".into());
+    if !fits(pos, n, MIN_RECORD_BYTES) {
+        return Err(format!("{n} records exceed the payload"));
     }
     let mut records = Vec::with_capacity(n as usize);
     let mut ts = 0u64;
     for _ in 0..n {
-        ts += varint(&mut pos)?;
+        ts = ts
+            .checked_add(varint(&mut pos)?)
+            .ok_or("wired-trace timestamp overflows")?;
         let src_mac = mac6(&mut pos)?;
         let dst_mac = mac6(&mut pos)?;
         let ap = match varint(&mut pos)? {
@@ -388,6 +421,43 @@ mod tests {
         // Empty trace is fine.
         let (none, table) = decode_wired_trace(&encode_wired_trace(&[], &ap_addr)).unwrap();
         assert!(none.is_empty() && table.is_empty());
+    }
+
+    /// A payload declaring more entries than its bytes could hold is
+    /// refused before anything is allocated for the declared count — a
+    /// 20-byte member must not be able to ask for gigabytes.
+    #[test]
+    fn declared_counts_beyond_the_payload_are_refused_before_allocating() {
+        use jigsaw_trace::varint::put_uvarint;
+        let header = || {
+            let mut b = WIRED_TRACE_MAGIC.to_vec();
+            b.push(WIRED_TRACE_VERSION);
+            b
+        };
+        // 10⁹ records (the old cap admitted it: a ~100 GB `Vec`).
+        let mut records = header();
+        put_uvarint(&mut records, 0); // no APs
+        put_uvarint(&mut records, 1_000_000_000);
+        records.resize(20, 0);
+        assert!(decode_wired_trace(&records)
+            .unwrap_err()
+            .contains("records exceed the payload"));
+        // 10⁶ AP entries.
+        let mut aps = header();
+        put_uvarint(&mut aps, 1_000_000);
+        aps.resize(20, 0);
+        assert!(decode_wired_trace(&aps)
+            .unwrap_err()
+            .contains("AP table of 1000000 entries"));
+        // An MSDU length that would wrap the cursor is a truncation.
+        let mut wrap = header();
+        put_uvarint(&mut wrap, 0);
+        put_uvarint(&mut wrap, 1);
+        wrap.push(0); // dts
+        wrap.extend_from_slice(&[0; 12]); // src + dst MAC
+        wrap.extend_from_slice(&[0, 0]); // no AP, FromWireless
+        put_uvarint(&mut wrap, u64::MAX);
+        assert!(decode_wired_trace(&wrap).unwrap_err().contains("truncated"));
     }
 
     #[test]

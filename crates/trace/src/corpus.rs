@@ -14,7 +14,8 @@
 //!   r000.jigt        radio 0 trace (jigdump format, crate::format)
 //!   r000.jigx        radio 0 block index (crate::index)
 //!   r001.jigt        ...
-//!   wired.jigw       wired distribution-network trace (opaque payload)
+//!   wired.jigw       wired distribution-network trace (opaque payload;
+//!                    the simulator stores MSDU headers only, ≈65 B/record)
 //! ```
 //!
 //! The manifest is a line-oriented text file (`JIGC 2` magic) so corpora
@@ -41,21 +42,25 @@
 //! error (ms) plus oscillator drift since the anchor. Anchor time is what
 //! time-windowed replay speaks: a `[from, to)` request in anchor-universal
 //! µs becomes, per radio, a local-clock range via `coarse_local`, and
-//! [`RadioTraceSource::read_window`] / [`RadioTraceSource::open_stream_range`]
-//! serve exactly that range through the block index ([`find_block`] seeks
+//! [`RadioTraceSource::open_stream_range`] (or `read_window`)
+//! serves exactly that range through the block index ([`find_block`] seeks
 //! to the first overlapping block; decoding stops inside the first block
 //! past the range) — the paper's "start at 11 am without decompressing the
 //! morning", with I/O proportional to the window rather than the corpus.
 //!
 //! Reading back, [`Corpus::sources`] hands the pipeline one
-//! [`RadioTraceSource`] per radio. Unlike an in-memory stream, a trace file
-//! can be read twice, so the bootstrap window is served by a *separate*,
-//! index-bounded read ([`RadioTraceSource::read_bootstrap_window`] for the
-//! NTP-anchored first second, or `read_window` at any mid-trace anchor
-//! timestamp) and the merge stream then replays the file from wherever the
-//! index says the replay starts — no prefix ever needs to be buffered
-//! across pipeline stages. Peak memory is one decompressed block per radio
-//! plus the merger's search-window state, independent of corpus size.
+//! [`RadioTraceSource`] per radio, and a replay reads each trace **once**:
+//! [`RadioTraceSource::open_stream_range`] index-seeks to the first block
+//! of the range the replay needs (the whole trace, or a window plus its
+//! warm-up), the pipeline splits the bootstrap window off the front of
+//! that one stream and seeds it back into the merger, and every block of
+//! the range is read and decoded exactly once — what `repro`'s `disk bytes
+//! in` reports is at most the trace files' size. Peak memory is one
+//! decompressed block per radio ([`crate::format::BLOCK_TARGET`], 64 KB)
+//! plus the bootstrap window and the merger's search-window state,
+//! independent of corpus size. [`RadioTraceSource::read_window`] /
+//! [`RadioTraceSource::read_bootstrap_window`] remain for callers that want
+//! a window's events on their own (a separate, index-bounded read).
 
 use crate::digest::{Fnv64, HashingWriter};
 use crate::format::{FormatError, TraceReader, TraceWriter};
@@ -492,9 +497,9 @@ impl RadioTraceSource {
     /// both sides: the reader seeks straight to the first overlapping
     /// block, decoding stops inside the first block holding a past-range
     /// event, and when the index shows no block can overlap the range the
-    /// file is not opened at all. This is the windowed bootstrap read —
-    /// `lo` is typically [`RadioMeta::coarse_local`] of the replay window's
-    /// start, and `hi` one bootstrap window later.
+    /// file is not opened at all. A standalone read: the pipeline splits
+    /// its bootstrap window off the merge stream
+    /// ([`RadioTraceSource::open_stream_range`]) rather than read it twice.
     pub fn read_window(&self, lo: u64, hi: u64) -> Result<Vec<PhyEvent>, FormatError> {
         // `find_block` returns in-bounds positions, but the index came off
         // disk, so this path stays `get`-based (tidy: `decode-no-panic`).

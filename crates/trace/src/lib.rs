@@ -50,11 +50,12 @@
 //!              [--from US --to US] [--max-buffered N]  # corpus → jframes
 //! ```
 //!
-//! `merge` never materializes the corpus in memory: each radio's bootstrap
-//! window is read through the block index ([`index::find_block`] bounds the
-//! decode), the merge then re-streams every file from the start, and peak
-//! resident events stay bounded by the search window and the shard queues —
-//! not by corpus size. `--verify` re-simulates from the manifest's seed and
+//! `merge` never materializes the corpus in memory: each radio's trace is
+//! streamed once (the block index, [`index::find_block`], positions the
+//! read), the bootstrap window is split off the front of that stream and
+//! seeded back into the merger, and peak resident events stay bounded by
+//! the bootstrap window, the search window and the shard queues — not by
+//! corpus size. `--verify` re-simulates from the manifest's seed and
 //! asserts the disk-backed jframe stream is identical (count, order, and
 //! digest) to the in-memory serial and channel-sharded runs.
 //!
