@@ -51,6 +51,16 @@ impl IpPayload {
         }
     }
 
+    /// On-wire length of the transport header alone: [`Self::wire_len`] less
+    /// the zero-filled payload bytes `write` appends after it.
+    pub fn header_len(&self) -> usize {
+        match self {
+            IpPayload::Tcp(t) => t.header_len(),
+            IpPayload::Udp(u) => u.wire_len() - usize::from(u.payload_len),
+            IpPayload::Other { .. } => 0,
+        }
+    }
+
     fn proto_number(&self) -> u8 {
         match self {
             IpPayload::Tcp(_) => 6,

@@ -108,6 +108,19 @@ impl Msdu {
         out
     }
 
+    /// [`Msdu::to_bytes`] snapped to the headers. An IPv4 transport payload
+    /// is modeled by length only and written as trailing zeros; those are
+    /// cut, and [`Msdu::parse`] still recovers every field because the
+    /// parsers take snap-truncated packets and read lengths off the IP/UDP
+    /// length fields. ARP and [`Msdu::Other`] keep every byte.
+    pub fn header_bytes(&self) -> Vec<u8> {
+        let mut out = self.to_bytes();
+        if let Msdu::Ipv4(ip) = self {
+            out.truncate(LLC_SNAP_LEN + ipv4::IPV4_HEADER_LEN + ip.payload.header_len());
+        }
+        out
+    }
+
     /// Parses an 802.11 data-frame body (LLC/SNAP + network packet).
     pub fn parse(bytes: &[u8]) -> Result<Msdu, PacketError> {
         let (ethertype, rest) = llc::parse_llc_snap(bytes)?;
@@ -166,6 +179,48 @@ mod tests {
         };
         let bytes = m.to_bytes();
         assert_eq!(Msdu::parse(&bytes).unwrap(), m);
+    }
+
+    #[test]
+    fn header_bytes_cut_only_zero_fill_and_parse_back() {
+        let (a, b) = (Ipv4Addr::new(10, 1, 2, 3), Ipv4Addr::new(172, 16, 0, 1));
+        let ip_other = Ipv4Packet {
+            payload: ipv4::IpPayload::Other { proto: 1, len: 64 },
+            ..Ipv4Packet::udp(a, b, UdpDatagram::new(0, 0, 0))
+        };
+        let cases = [
+            (
+                Msdu::Ipv4(Ipv4Packet::tcp(a, b, TcpSegment::syn(1234, 80, 7, 1460))),
+                0,
+            ),
+            (
+                Msdu::Ipv4(Ipv4Packet::tcp(
+                    a,
+                    b,
+                    TcpSegment::data(1234, 80, 1000, 2000, 1460),
+                )),
+                1460,
+            ),
+            (
+                Msdu::Ipv4(Ipv4Packet::udp(a, b, UdpDatagram::new(5353, 53, 300))),
+                300,
+            ),
+            (Msdu::Ipv4(ip_other), 64),
+            (
+                Msdu::Other {
+                    ethertype: 0x86dd,
+                    payload: vec![0, 0, 9, 0, 0],
+                },
+                0,
+            ),
+        ];
+        for (m, cut) in cases {
+            let (full, snapped) = (m.to_bytes(), m.header_bytes());
+            assert_eq!(snapped.len() + cut, full.len(), "{m:?}");
+            assert_eq!(snapped, full[..snapped.len()], "{m:?}");
+            assert!(full[snapped.len()..].iter().all(|&b| b == 0), "{m:?}");
+            assert_eq!(Msdu::parse(&snapped).unwrap(), m);
+        }
     }
 
     #[test]

@@ -5,7 +5,6 @@
 use crate::station::WiredHost;
 use crate::{HostId, StationId};
 use jigsaw_ieee80211::{MacAddr, Micros};
-use jigsaw_packet::ipv4::IpPayload;
 use jigsaw_packet::Msdu;
 // tidy:allow-file(hash-order): host maps are lookup-only; AP/record lists are collected into Vecs and sorted before use
 use std::collections::HashMap;
@@ -150,20 +149,6 @@ pub const WIRED_TRACE_MAGIC: [u8; 4] = *b"JIGW";
 /// Format version of the wired-trace encoding.
 pub const WIRED_TRACE_VERSION: u8 = 1;
 
-/// How many trailing bytes of `msdu`'s wire form are the transport
-/// payload's zero-fill. The model keeps payload *lengths* only, which the
-/// IP total-length and UDP length fields already carry.
-fn zero_fill_len(msdu: &Msdu) -> usize {
-    match msdu {
-        Msdu::Ipv4(ip) => usize::from(match &ip.payload {
-            IpPayload::Tcp(t) => t.payload_len,
-            IpPayload::Udp(u) => u.payload_len,
-            IpPayload::Other { len, .. } => *len,
-        }),
-        Msdu::Arp(_) | Msdu::Other { .. } => 0,
-    }
-}
-
 /// Fewest bytes an AP table entry encodes to: a one-byte id + the MAC.
 const MIN_AP_ENTRY_BYTES: usize = 7;
 /// Fewest bytes a record encodes to: one-byte `dts`, two MACs, one-byte AP
@@ -173,12 +158,11 @@ const MIN_RECORD_BYTES: usize = 16;
 /// Encodes a wired trace (plus the AP id → MAC table the coverage analysis
 /// needs to attribute `ToWireless` packets) into the corpus's `wired.jigw`
 /// member. Records are delta/varint packed; MSDUs serialize through their
-/// LLC/SNAP wire form ([`Msdu::to_bytes`]) snapped to the headers — the
-/// transport payload is all zeros and the parsers take snap-truncated
-/// packets, deriving its length from the IP/UDP length fields — so every
-/// field of the record survives the roundtrip at ≈65 B/record
-/// ([`Msdu::Other`] keeps its raw payload). `ap_addr_of` maps a station id
-/// to its MAC (only ids appearing in the records are consulted).
+/// LLC/SNAP wire form snapped to the headers ([`Msdu::header_bytes`]: the
+/// transport payload's zero-fill is cut, its length rides the IP/UDP length
+/// fields), so every field of the record survives the roundtrip at
+/// ≈65 B/record ([`Msdu::Other`] keeps its raw payload). `ap_addr_of` maps
+/// a station id to its MAC (only ids appearing in the records are consulted).
 pub fn encode_wired_trace(
     records: &[WiredTraceRecord],
     ap_addr_of: &dyn Fn(u16) -> MacAddr,
@@ -205,8 +189,7 @@ pub fn encode_wired_trace(
         out.extend_from_slice(r.dst_mac.bytes());
         put_uvarint(&mut out, r.ap.map(|s| u64::from(s.0) + 1).unwrap_or(0));
         out.push(r.direction.code());
-        let mut msdu = r.msdu.to_bytes();
-        msdu.truncate(msdu.len() - zero_fill_len(&r.msdu));
+        let msdu = r.msdu.header_bytes();
         put_uvarint(&mut out, msdu.len() as u64);
         out.extend_from_slice(&msdu);
     }
