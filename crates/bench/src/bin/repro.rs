@@ -8,8 +8,7 @@
 //!        record --corpus DIR [--scenario NAME] [--block-bytes N] [--snaplen N]|
 //!        merge --corpus DIR [--from US --to US] [--verify] [--max-buffered N]|
 //!        analyze --corpus DIR [--from US --to US]|
-//!        tail --corpus DIR [--chunk-bytes N] [--max-lag-us N] [--verify]
-//!             [--max-buffered N]|
+//!        tail --corpus DIR [--chunk-bytes N] [--verify] [--max-buffered N]|
 //!        diagnose --corpus DIR [--from US --to US] [--golden FILE] [--bless]|
 //!        sweep [--scenario NAME] [--golden DIR] [--corpus DIR] [--bless]]
 //! ```
@@ -52,10 +51,11 @@
 //!   chunks, exactly the byte stream a still-growing file would deliver,
 //!   and the always-on merger emits jframes continuously under the
 //!   bounded-lag contract, then renders the same figure suite and `record`
-//!   lines as `analyze` — CI diffs them byte for byte. `--parallel` drives
-//!   the same tailed sources through the channel-sharded batch merge
-//!   instead; `--verify` re-merges the corpus in batch mode and asserts
-//!   the live jframe stream is identical (count + digest) — the
+//!   lines as `analyze` — CI diffs them byte for byte. The `LiveMerger` is
+//!   its one driver (`--parallel` and `--from/--to` are usage errors; a
+//!   sharded run of a finished corpus is `analyze --parallel`); `--verify`
+//!   re-merges the corpus in batch mode and asserts the live jframe
+//!   stream is identical (count + digest) — the
 //!   chunking-invariance gate, pinned at several chunk sizes — naming any
 //!   re-anchors applied and lagged sources (the contract's two documented
 //!   exceptions) when it is not; `--max-buffered N` fails the run if the
@@ -121,7 +121,7 @@ use jigsaw_core::observer::{OnExchange, OnJFrame};
 use jigsaw_core::pipeline::{Pipeline, PipelineConfig, Reconstruction};
 use jigsaw_core::unify::{MergeConfig, MergeStats};
 use jigsaw_core::JFrame;
-use jigsaw_live::{ChunkedFileTail, LiveConfig, LiveMerger, ManualClock, TailStream};
+use jigsaw_live::{ChunkedFileTail, LiveConfig, LiveMerger, ManualClock};
 use jigsaw_sim::output::SimOutput;
 use jigsaw_sim::scenario::TruthConfig;
 use jigsaw_trace::corpus::Corpus;
@@ -163,8 +163,6 @@ struct Args {
     to: Option<u64>,
     /// `tail`: chunk size each trace tail is fed in, bytes.
     chunk_bytes: usize,
-    /// `tail`: wall-clock silence before a radio is declared lagging, µs.
-    max_lag_us: u64,
     cmd: String,
 }
 
@@ -178,6 +176,19 @@ fn usage_error(msg: &str) -> ! {
 fn fail(msg: &str) -> ! {
     eprintln!("FAIL: {msg}");
     std::process::exit(1);
+}
+
+/// Unwraps an in-memory run onto the exit-code contract: an error is a
+/// failed run, one `FAIL:` line.
+fn or_fail<T>(what: &str, r: Result<T, impl std::fmt::Display>) -> T {
+    r.unwrap_or_else(|e| fail(&format!("{what}: {e}")))
+}
+
+/// Fails the run with `msg` unless `ok` — `smoke`'s hard checks.
+fn ensure(ok: bool, msg: &str) {
+    if !ok {
+        fail(msg);
+    }
 }
 
 /// Unwraps a corpus-session result onto the exit-code contract: what
@@ -243,9 +254,6 @@ static FLAGS: &[ArgSpec<Args>] = &[
     ArgSpec::parsed("--chunk-bytes", "a chunk size in bytes", |a, v| {
         cli::assign(&mut a.chunk_bytes, v)
     }),
-    ArgSpec::parsed("--max-lag-us", "a lag bound in µs", |a, v| {
-        cli::assign(&mut a.max_lag_us, v)
-    }),
 ];
 
 fn parse_args() -> Args {
@@ -265,7 +273,6 @@ fn parse_args() -> Args {
         from: None,
         to: None,
         chunk_bytes: 64 * 1024,
-        max_lag_us: 2_000_000,
         cmd: String::from("all"),
     };
     let parser = cli::Parser {
@@ -396,7 +403,7 @@ fn run_main_trace(args: &Args, only: Option<&str>) {
         &mut coverage,
         &mut tcploss,
     );
-    let report = Pipeline::run(out.memory_streams(), &cfg, obs).expect("pipeline");
+    let report = or_fail("pipeline", Pipeline::run(out.memory_streams(), &cfg, obs));
     let elapsed = t0.elapsed();
     let realtime_factor = day as f64 / 1e6 / elapsed.as_secs_f64();
     eprintln!(
@@ -509,8 +516,10 @@ fn run_fig7(seed: u64, scale: f64) {
         let ap_addrs = ap_addrs.clone();
         let ap_lookup = move |sid: u16| ap_addrs[usize::from(sid)];
         let mut coverage = CoverageAnalysis::new(&out.wired, &ap_lookup, 10_000_000);
-        let report =
-            Pipeline::run(streams, &PipelineConfig::default(), &mut coverage).expect("pipeline");
+        let report = or_fail(
+            "pipeline",
+            Pipeline::run(streams, &PipelineConfig::default(), &mut coverage),
+        );
         let fig = coverage.finish();
         println!(
             "{keep:>4} {:>7} {:>20} {:>12.3} {:>16.3}",
@@ -529,19 +538,19 @@ fn run_oracle(seed: u64, scale: f64) {
     let mut cfg = paper_scenario(seed, (scale * 0.5).max(0.05));
     cfg.truth = TruthConfig::OracleClient(0);
     let out = cfg.run();
-    let oracle_addr = out
-        .stations
-        .iter()
-        .find(|s| !s.is_ap)
-        .expect("client exists")
-        .addr;
+    let Some(oracle_client) = out.stations.iter().find(|s| !s.is_ap) else {
+        fail("the oracle scenario simulated no client");
+    };
+    let oracle_addr = oracle_client.addr;
     let mut oracle = OracleCoverage::new(&out.truth.transmissions, oracle_addr, 5_000);
-    Pipeline::run(
-        out.memory_streams(),
-        &PipelineConfig::default(),
-        &mut oracle,
-    )
-    .expect("pipeline");
+    or_fail(
+        "pipeline",
+        Pipeline::run(
+            out.memory_streams(),
+            &PipelineConfig::default(),
+            &mut oracle,
+        ),
+    );
     let fig = oracle.finish();
     println!(
         "oracle client {oracle_addr}: {}/{} link events captured = {:.3} (paper: 0.95; prior work 0.80-0.97)",
@@ -598,7 +607,10 @@ fn run_ablations(seed: u64, scale: f64) {
             ..PipelineConfig::default()
         };
         let mut disp = DispersionAnalysis::new();
-        let report = Pipeline::run(out.memory_streams(), &cfg, &mut disp).expect("pipeline");
+        let report = or_fail(
+            "pipeline",
+            Pipeline::run(out.memory_streams(), &cfg, &mut disp),
+        );
         let fig = disp.finish();
         println!(
             "{name:<22} {:>9} {:>9.2} {:>8.0} {:>9.0} {:>8}",
@@ -628,15 +640,17 @@ fn run_smoke(args: &Args) {
         let mut exchanges = 0u64;
         let mut keys: Vec<(u64, u8, u32)> = Vec::new();
         let t = Instant::now();
-        let report = Pipeline::run(
-            out.memory_streams(),
-            &cfg,
-            (
-                OnJFrame(|jf: &JFrame| keys.push((jf.ts, jf.channel.number(), jf.wire_len))),
-                OnExchange(|_: &jigsaw_core::link::exchange::Exchange| exchanges += 1),
+        let report = or_fail(
+            "pipeline",
+            Pipeline::run(
+                out.memory_streams(),
+                &cfg,
+                (
+                    OnJFrame(|jf: &JFrame| keys.push((jf.ts, jf.channel.number(), jf.wire_len))),
+                    OnExchange(|_: &jigsaw_core::link::exchange::Exchange| exchanges += 1),
+                ),
             ),
-        )
-        .expect("pipeline");
+        );
         (report, keys, exchanges, t.elapsed())
     };
     let (report, serial_keys, exchanges, serial_t) = pass(1);
@@ -660,29 +674,38 @@ fn run_smoke(args: &Args) {
         report.flows.len(),
         t0.elapsed()
     );
-    assert!(events > 0, "simulation produced no capture events");
-    assert!(report.merge.jframes_out > 0, "merger produced no jframes");
-    assert!(exchanges > 0, "link layer reconstructed no exchanges");
-    assert_eq!(
-        report.merge.events_in, events,
-        "merger dropped events on the floor"
+    ensure(events > 0, "simulation produced no capture events");
+    ensure(report.merge.jframes_out > 0, "merger produced no jframes");
+    ensure(exchanges > 0, "link layer reconstructed no exchanges");
+    ensure(
+        report.merge.events_in == events,
+        &format!(
+            "merger dropped events on the floor: {} of {events} merged",
+            report.merge.events_in
+        ),
     );
     // Sharded ≡ serial: same events, same jframe count, same stream.
-    assert_eq!(
-        par_report.merge.events_in, report.merge.events_in,
-        "sharded merge dropped events"
+    ensure(
+        par_report.merge.events_in == report.merge.events_in,
+        &format!(
+            "sharded merge dropped events: {} vs serial {}",
+            par_report.merge.events_in, report.merge.events_in
+        ),
     );
-    assert_eq!(
-        par_report.merge.jframes_out, report.merge.jframes_out,
-        "sharded merge jframe count diverged from serial"
+    ensure(
+        par_report.merge.jframes_out == report.merge.jframes_out,
+        &format!(
+            "sharded merge jframe count diverged from serial: {} vs {}",
+            par_report.merge.jframes_out, report.merge.jframes_out
+        ),
     );
-    assert_eq!(
-        par_keys, serial_keys,
-        "sharded merge jframe stream diverged from serial"
+    ensure(
+        par_keys == serial_keys,
+        "sharded merge jframe stream diverged from serial",
     );
-    assert_eq!(
-        par_exchanges, exchanges,
-        "downstream reconstruction diverged"
+    ensure(
+        par_exchanges == exchanges,
+        &format!("downstream reconstruction diverged: {par_exchanges} vs {exchanges} exchanges"),
     );
     println!(
         "smoke OK (serial == sharded, {} jframes)",
@@ -853,12 +876,14 @@ fn run_corpus_merge(args: &Args) {
         let mut ok = true;
         for (name, mem_cfg) in layouts {
             let mut mem = JframeStreamDigest::new();
-            Pipeline::merge_only(
-                out.memory_streams(),
-                &mem_cfg,
-                OnJFrame(|jf: &JFrame| mem.observe(jf)),
-            )
-            .expect("in-memory merge");
+            or_fail(
+                "in-memory merge",
+                Pipeline::merge_only(
+                    out.memory_streams(),
+                    &mem_cfg,
+                    OnJFrame(|jf: &JFrame| mem.observe(jf)),
+                ),
+            );
             if mem.count() != digest.count() || mem.hex() != digest.hex() {
                 eprintln!(
                     "FAIL: disk stream ({} jframes, {}) != in-memory {name} ({} jframes, {})",
@@ -1011,113 +1036,92 @@ fn corpus_tails(corpus: &Corpus, chunk: usize) -> Vec<ChunkedFileTail> {
 /// always-on merger bootstraps, streams jframes under the bounded-lag
 /// contract, and the same figure suite as `analyze` observes the stream —
 /// the `record` lines must match `analyze` byte for byte, which is what
-/// CI's live job diffs. Replaying a finished file never starves, so the
-/// `ManualClock` stays at zero and the `--max-lag-us` policy is
-/// configured but never provoked (the lag state machine is exercised by
-/// the crate's channel-source tests instead).
+/// CI's live job diffs. Replaying a finished file never starves and the
+/// `ManualClock` stays at zero, so the lag policy is never provoked here
+/// (the crate's channel-source tests exercise it) and `tail` takes the
+/// default `LiveConfig`.
 ///
-/// `--parallel` drives the same tailed sources through the channel-sharded
-/// batch merge (`TailStream` adapts a live source back into a pull-mode
-/// stream). `--verify` re-merges the corpus through the batch disk path
-/// and asserts the live jframe stream is identical — count and stream
-/// digest — exiting 1 on divergence (the message names re-anchors applied
-/// and lagged sources, the contract's documented exceptions): the
-/// chunking-invariance contract, checkable at any `--chunk-bytes`.
-/// `--max-buffered N` exits 1 if the merger ever held more than N events.
+/// `LiveMerger` is the only tail driver: `--parallel` (a sharded batch run
+/// of a finished corpus is `analyze --corpus DIR --parallel`) and
+/// `--from/--to` (a tail replays the whole corpus) are usage errors.
+/// `--verify` re-merges the corpus through the batch disk path and asserts
+/// the live jframe stream is identical — count and stream digest — exiting
+/// 1 on divergence (the message names re-anchors applied and lagged
+/// sources, the contract's documented exceptions): the chunking-invariance
+/// contract, checkable at any `--chunk-bytes`. `--max-buffered N` exits 1
+/// if the merger ever held more than N events.
 fn run_tail(args: &Args) {
+    if args.parallel {
+        usage_error(
+            "tail has one driver, the live merger; for a sharded run use `analyze --corpus DIR --parallel`",
+        );
+    }
+    if args.from.is_some() || args.to.is_some() {
+        usage_error(
+            "tail replays the whole corpus; --from/--to window merge, analyze and diagnose",
+        );
+    }
     banner("TAIL — live streaming ingest from a recorded corpus");
     let session = open_session(args);
     let corpus = session.corpus();
     let chunk = args.chunk_bytes.max(1);
-    let cfg = pipeline_config(args);
 
     let mut digest = JframeStreamDigest::new();
     let t0 = Instant::now();
-    let (merge, exchanges, flows, figures, live_report) = if args.parallel {
-        let sources: Vec<TailStream<ChunkedFileTail>> = corpus_tails(corpus, chunk)
-            .into_iter()
-            .zip(&corpus.manifest().radios)
-            .map(|(t, r)| {
-                TailStream::open(t)
-                    .unwrap_or_else(|e| fail(&format!("read trace header of {}: {e}", r.data)))
-            })
-            .collect();
-        let also = OnJFrame(|jf: &JFrame| digest.observe(jf));
-        let (report, figures) = or_exit(session.analyze_sources(sources, &cfg, also));
-        let (exchanges, flows) = (report.link.exchanges, report.transport.flows);
-        (report.merge, exchanges, flows, figures, None)
-    } else {
-        let lcfg = LiveConfig {
-            max_lag_us: args.max_lag_us,
-            ..LiveConfig::default()
-        };
-        let mut lm = LiveMerger::new(lcfg, ManualClock::new());
-        for tail in corpus_tails(corpus, chunk) {
-            lm.add_source(tail);
-        }
-        let mut suite = or_exit(session.suite(None));
-        let mut rec = Reconstruction::new(&mut suite);
-        let report = lm
-            .run(|jf| {
-                digest.observe(&jf);
-                rec.push(&jf);
-            })
-            .unwrap_or_else(|e| fail(&format!("live merge: {e}")));
-        let (_, link, _, transport) = rec.finish();
-        let (merge, figures) = (report.merge.clone(), suite.finish());
-        (
-            merge,
-            link.exchanges,
-            transport.flows,
-            figures,
-            Some(report),
-        )
-    };
+    let mut lm = LiveMerger::new(LiveConfig::default(), ManualClock::new());
+    for tail in corpus_tails(corpus, chunk) {
+        lm.add_source(tail);
+    }
+    let mut suite = or_exit(session.suite(None));
+    let mut rec = Reconstruction::new(&mut suite);
+    let report = lm
+        .run(|jf| {
+            digest.observe(&jf);
+            rec.push(&jf);
+        })
+        .unwrap_or_else(|e| fail(&format!("live merge: {e}")));
+    let (_, link, _, transport) = rec.finish();
+    let figures = suite.finish();
     let elapsed = t0.elapsed();
-    let (events_in, peak) = (merge.events_in, merge.peak_buffered);
+    let (events_in, peak) = (report.merge.events_in, report.merge.peak_buffered);
     check_all_events("tail", events_in, corpus);
-    let driver = if args.parallel {
-        "sharded-tail"
-    } else {
-        "live"
-    };
     println!(
-        "tailed {events_in} events -> {} jframes, {exchanges} exchanges, {flows} flows in {elapsed:.1?} ({driver}, chunk {chunk} B, peak buffered {peak} events)",
-        merge.jframes_out
+        "tailed {events_in} events -> {} jframes, {} exchanges, {} flows in {elapsed:.1?} (live, chunk {chunk} B, peak buffered {peak} events)",
+        report.merge.jframes_out, link.exchanges, transport.flows
     );
-    if let Some(rep) = &live_report {
-        let lag_q = rep.lag.quantiles(&[0.5, 0.99]);
+    let lag_q = report.lag.quantiles(&[0.5, 0.99]);
+    println!(
+        "emission lag p50 {} µs  p99 {} µs  max {} µs (trace time behind the safe horizon)",
+        lag_q[0],
+        lag_q[1],
+        report.lag.max(),
+    );
+    for (k, s) in report.sources.iter().enumerate() {
+        let radio = match s.radio {
+            Some(r) => format!("{r:?}"),
+            None => "unknown".into(),
+        };
         println!(
-            "emission lag p50 {} µs  p99 {} µs  max {} µs (trace time behind the safe horizon)",
-            lag_q[0],
-            lag_q[1],
-            rep.lag_max(),
+            "source {k}: {radio}  events {}  late_dropped {}  status {:?}{}",
+            s.events,
+            s.late_dropped,
+            s.status,
+            if s.lagged { " (lagged)" } else { "" },
         );
-        for (k, s) in rep.sources.iter().enumerate() {
-            let radio = match s.radio {
-                Some(r) => format!("{r:?}"),
-                None => "unknown".into(),
-            };
-            println!(
-                "source {k}: {radio}  events {}  late_dropped {}  status {:?}{}",
-                s.events,
-                s.late_dropped,
-                s.status,
-                if s.lagged { " (lagged)" } else { "" },
-            );
-        }
-        if rep.reanchors + rep.reanchors_skipped > 0 {
-            println!(
-                "reanchors: {} applied, {} skipped",
-                rep.reanchors, rep.reanchors_skipped
-            );
-        }
+    }
+    if report.reanchors + report.reanchors_skipped > 0 {
+        println!(
+            "reanchors: {} applied, {} skipped",
+            report.reanchors, report.reanchors_skipped
+        );
     }
     check_max_buffered(args, peak);
 
     if args.verify {
         let mut batch = JframeStreamDigest::new();
-        let run = stream_merge_corpus(&session, None, &cfg, |jf| batch.observe(jf));
+        let run = stream_merge_corpus(&session, None, &PipelineConfig::default(), |jf| {
+            batch.observe(jf)
+        });
         if run.stats.events_in != events_in
             || batch.count() != digest.count()
             || batch.hex() != digest.hex()
@@ -1125,12 +1129,8 @@ fn run_tail(args: &Args) {
             // Live ≡ batch is promised only while nothing lags and no
             // re-anchor is applied; say whether either happened, so a
             // documented exception is distinguishable from a bug.
-            let (reanchors, lagged) = live_report.as_ref().map_or((0, 0), |rep| {
-                (
-                    rep.reanchors,
-                    rep.sources.iter().filter(|s| s.lagged).count(),
-                )
-            });
+            let reanchors = report.reanchors;
+            let lagged = report.sources.iter().filter(|s| s.lagged).count();
             fail(&format!(
                 "live stream diverges from the batch merge: live {} jframes digest {}, batch {} jframes digest {} ({reanchors} re-anchors applied, {lagged} sources lagged{})",
                 digest.count(),
@@ -1352,27 +1352,34 @@ fn run_baselines(seed: u64, scale: f64) {
     // Jigsaw.
     let mut disp = DispersionAnalysis::new();
     let t0 = Instant::now();
-    let report = Pipeline::run(out.memory_streams(), &PipelineConfig::default(), &mut disp)
-        .expect("pipeline");
+    let report = or_fail(
+        "pipeline",
+        Pipeline::run(out.memory_streams(), &PipelineConfig::default(), &mut disp),
+    );
     let jig_t = t0.elapsed();
     let jig_fig = disp.finish();
 
     // Yeo-style: bootstrap once, never resync.
     let mut yeo_disp = DispersionAnalysis::new();
     let t0 = Instant::now();
-    let (yeo_stats, _) = yeo_merge(
-        out.memory_streams(),
-        &Default::default(),
-        &MergeConfig::default(),
-        |jf| yeo_disp.observe(&jf),
-    )
-    .expect("yeo");
+    let (yeo_stats, _) = or_fail(
+        "yeo merge",
+        yeo_merge(
+            out.memory_streams(),
+            &Default::default(),
+            &MergeConfig::default(),
+            |jf| yeo_disp.observe(&jf),
+        ),
+    );
     let yeo_t = t0.elapsed();
     let yeo_fig = yeo_disp.finish();
 
     // Naive: no synchronization at all.
     let t0 = Instant::now();
-    let naive_stats = naive_merge(out.memory_streams(), 10_000, |_| {}).expect("naive");
+    let naive_stats = or_fail(
+        "naive merge",
+        naive_merge(out.memory_streams(), 10_000, |_| {}),
+    );
     let naive_t = t0.elapsed();
 
     println!("merger   events  jframes  unified_evts  p99_disp_us  time");
@@ -1396,5 +1403,3 @@ fn run_baselines(seed: u64, scale: f64) {
         "(naive merging cannot unify duplicates across unsynchronized clocks: jframes ≈ events)"
     );
 }
-
-// (diagnostics appended during bring-up; kept: it prints with fig11)

@@ -9,7 +9,7 @@
 use jigsaw_analysis::suite::{Figure, Suite};
 use jigsaw_core::observer::OnJFrame;
 use jigsaw_core::pipeline::{
-    CorpusSource, EventSource, Pipeline, PipelineConfig, PipelineReport, Tile, TileFanout,
+    CorpusSource, Pipeline, PipelineConfig, PipelineReport, Tile, TileFanout,
 };
 use jigsaw_core::unify::MergeStats;
 use jigsaw_core::{JFrame, PipelineObserver};
@@ -427,26 +427,19 @@ impl CorpusSession {
         &self,
         cfg: &PipelineConfig,
     ) -> Result<(PipelineReport, Vec<Box<dyn Figure>>), SessionError> {
-        self.analyze_sources(self.sources(cfg.window)?, cfg, ())
+        self.run_suite(cfg, ())
     }
 
-    /// [`CorpusSession::analyze`] over caller-opened sources of the same
-    /// radios (`repro tail --parallel` feeds file tails), with `also`
-    /// observing beside the suite. The one place a corpus-backed run calls
-    /// [`Pipeline::run`].
-    pub fn analyze_sources<I>(
+    /// The suite over `cfg.window`, with `also` observing beside it — the
+    /// one place a corpus-backed run calls [`Pipeline::run`].
+    fn run_suite(
         &self,
-        sources: Vec<I>,
         cfg: &PipelineConfig,
         also: impl PipelineObserver,
-    ) -> Result<(PipelineReport, Vec<Box<dyn Figure>>), SessionError>
-    where
-        I: EventSource,
-        I::Stream: Send + 'static,
-    {
+    ) -> Result<(PipelineReport, Vec<Box<dyn Figure>>), SessionError> {
         let mut suite = self.suite(cfg.window)?;
-        let report =
-            Pipeline::run(sources, cfg, (&mut suite, also)).map_err(|e| fail("pipeline", e))?;
+        let report = Pipeline::run(self.sources(cfg.window)?, cfg, (&mut suite, also))
+            .map_err(|e| fail("pipeline", e))?;
         Ok((report, suite.finish()))
     }
 
@@ -471,8 +464,7 @@ impl CorpusSession {
         let mut fanout = TileFanout::new(&self.corpus.metas(), suites, |suite: Suite| {
             reduce(suite.finish())
         });
-        let (report, figures) =
-            self.analyze_sources(self.sources(cfg.window)?, cfg, &mut fanout)?;
+        let (report, figures) = self.run_suite(cfg, &mut fanout)?;
         let (tiles, late) = fanout.finish();
         if late > 0 {
             return Err(SessionError::Fail(format!(

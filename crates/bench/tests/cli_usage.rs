@@ -15,8 +15,9 @@ fn repro(args: &[&str]) -> std::process::Output {
         .expect("spawn repro")
 }
 
-/// The invocation must exit `code` with exactly one line on stderr.
-fn assert_exit(args: &[&str], code: i32) {
+/// The invocation must exit `code` with exactly one line on stderr, which
+/// is returned.
+fn assert_exit(args: &[&str], code: i32) -> String {
     let out = repro(args);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(
@@ -30,10 +31,11 @@ fn assert_exit(args: &[&str], code: i32) {
         1,
         "{args:?}: expected a one-line message, got:\n{stderr}"
     );
+    stderr.into_owned()
 }
 
-fn assert_usage_error(args: &[&str]) {
-    assert_exit(args, 2);
+fn assert_usage_error(args: &[&str]) -> String {
+    assert_exit(args, 2)
 }
 
 #[test]
@@ -86,9 +88,23 @@ fn tail_shares_the_usage_contract() {
     assert_usage_error(&["--chunk-bytes", "big", "tail"]);
     assert_usage_error(&["--chunk-bytes", "-1", "tail"]);
     assert_usage_error(&["--chunk-bytes"]);
-    assert_usage_error(&["--max-lag-us", "forever", "tail"]);
-    assert_usage_error(&["--max-lag-us"]);
     assert_usage_error(&["tail", "extra-subcommand"]);
+}
+
+/// `tail` has one driver and replays the whole corpus: the sharded-tail
+/// flag, a replay window and the retired lag flag are usage errors — the
+/// first two before the corpus is even looked for, so no corpus is needed.
+#[test]
+fn tail_rejects_what_its_one_driver_does_not_do() {
+    let stderr = assert_usage_error(&["tail", "--parallel"]);
+    assert!(
+        stderr.contains("analyze --corpus DIR --parallel"),
+        "{stderr}"
+    );
+    let stderr = assert_usage_error(&["tail", "--from", "1", "--to", "2"]);
+    assert!(stderr.contains("--from/--to"), "{stderr}");
+    let stderr = assert_usage_error(&["--max-lag-us", "5", "tail"]);
+    assert!(stderr.contains("unknown flag `--max-lag-us`"), "{stderr}");
 }
 
 /// A corpus that cannot be opened is a usage error (exit 2); one that is
@@ -199,8 +215,7 @@ fn unwritable_record_directory_exits_1() {
 
 /// `tail` opens the radio members itself, after the digest check: a
 /// member cut short of its header (digest recomputed, so only the tail
-/// open can notice) or gone altogether fails the run in one `FAIL:` line
-/// on both drivers.
+/// open can notice) or gone altogether fails the run in one `FAIL:` line.
 #[test]
 fn tail_over_a_truncated_or_missing_member_exits_1() {
     let dir = std::env::temp_dir().join(format!("jigsaw-cli-tail-{}", std::process::id()));
@@ -215,17 +230,10 @@ fn tail_over_a_truncated_or_missing_member_exits_1() {
         .and_then(|c| c.compute_digest())
         .expect("recompute digest");
     std::fs::write(dir.join("corpus.digest"), digest).expect("rewrite digest");
-    let drivers: [&[&str]; 2] = [&[], &["--parallel"]];
-    for driver in drivers {
-        let args = [driver, &["tail", "--corpus", corpus]].concat();
-        assert_exit(&args, 1);
-        let stderr = repro(&args).stderr;
-        assert!(String::from_utf8_lossy(&stderr).starts_with("FAIL: "));
-    }
+    let args = ["tail", "--corpus", corpus];
+    assert!(assert_exit(&args, 1).starts_with("FAIL: "));
     std::fs::remove_file(&victim).expect("remove trace member");
-    for driver in drivers {
-        assert_exit(&[driver, &["tail", "--corpus", corpus]].concat(), 1);
-    }
+    assert_exit(&args, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

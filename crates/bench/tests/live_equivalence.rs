@@ -1,8 +1,7 @@
-//! Chunk-boundary invariance: the live ingest service must emit a jframe
-//! stream **byte-identical to the batch merge** of the same corpus — same
-//! count, same order, same stream digest — for *every* chunking of the
-//! input bytes, on both paths (the `LiveMerger` and the sharded batch
-//! pipeline fed through `TailStream` adapters). One-byte chunks and chunks
+//! Chunk-boundary invariance: the live ingest service (`LiveMerger`, the
+//! one tail driver) must emit a jframe stream **byte-identical to the batch
+//! merge** of the same corpus — same count, same order, same stream digest
+//! — for *every* chunking of the input bytes. One-byte chunks and chunks
 //! straddling trace-block seams are the adversarial cases: they force the
 //! tail reader's partial-block staging and block-boundary resume on nearly
 //! every poll.
@@ -17,11 +16,9 @@
 
 mod common;
 
-use jigsaw_bench::{record_corpus, sharded_config, CorpusSession, JframeStreamDigest};
-use jigsaw_core::observer::OnJFrame;
-use jigsaw_core::pipeline::{Pipeline, PipelineConfig};
-use jigsaw_core::JFrame;
-use jigsaw_live::{ChunkedFileTail, LiveConfig, LiveMerger, ManualClock, TailStream};
+use jigsaw_bench::{record_corpus, CorpusSession, JframeStreamDigest};
+use jigsaw_core::pipeline::PipelineConfig;
+use jigsaw_live::{ChunkedFileTail, LiveConfig, LiveMerger, ManualClock};
 use jigsaw_sim::output::SimOutput;
 use jigsaw_sim::scenario::ScenarioConfig;
 use jigsaw_trace::corpus::Corpus;
@@ -56,8 +53,6 @@ struct Fixture {
     /// Events the live merger must accumulate before it can bootstrap: each
     /// radio's first window, plus the one event that proves it complete.
     bootstrap_events: u64,
-    /// One merge shard per channel — the sharded-tail leg's layout.
-    sharded: PipelineConfig,
 }
 
 /// Records `out` as a corpus and computes the batch reference digest every
@@ -67,8 +62,6 @@ fn record_fixture(tag: &str, out: &SimOutput, block_bytes: usize, steady_peak: u
     let _ = std::fs::remove_dir_all(&dir);
     record_corpus(out, &dir, tag, SEED, 1.0, 65_535, block_bytes).unwrap();
     let cfg = PipelineConfig::default();
-    let (sharded, shards) = sharded_config(&out.radio_meta);
-    assert!(shards >= 2, "the sharded-tail leg would be vacuous");
     let bootstrap_events = out
         .radio_meta
         .iter()
@@ -94,7 +87,6 @@ fn record_fixture(tag: &str, out: &SimOutput, block_bytes: usize, steady_peak: u
         batch_count: digest.count(),
         batch_hex: digest.hex(),
         bootstrap_events,
-        sharded,
     }
 }
 
@@ -127,7 +119,7 @@ fn tails(dir: &Path, chunk: usize) -> Vec<ChunkedFileTail> {
         .collect()
 }
 
-/// What one driver made of a corpus at one chunking.
+/// What the live merger made of a corpus at one chunking.
 #[derive(Debug)]
 struct Run {
     jframes: u64,
@@ -151,44 +143,17 @@ fn live_run(f: &Fixture, chunk: usize) -> Run {
     }
 }
 
-/// The same, through the batch pipeline sharded one thread per channel
-/// over `TailStream` adapters — the `--parallel` leg of `repro tail`.
-fn sharded_tail_run(f: &Fixture, chunk: usize) -> Run {
-    let sources: Vec<TailStream<ChunkedFileTail>> = tails(&f.dir, chunk)
-        .into_iter()
-        .map(|t| TailStream::open(t).unwrap())
-        .collect();
-    let mut digest = JframeStreamDigest::new();
-    let (_, stats) = Pipeline::merge_only(
-        sources,
-        &f.sharded,
-        OnJFrame(|jf: &JFrame| digest.observe(jf)),
-    )
-    .unwrap();
-    Run {
-        jframes: digest.count(),
-        hex: digest.hex(),
-        events_in: stats.events_in,
-        peak_buffered: stats.peak_buffered,
-    }
-}
-
-/// Both drivers at one chunking: the batch stream exactly, and the live
-/// merger within its residency bound. `Err` carries the first mismatch.
+/// One chunking: the batch stream exactly, within the residency bound.
+/// `Err` carries the first mismatch.
 fn check_chunking(name: &str, f: &Fixture, chunk: usize) -> Result<(), String> {
     let live = live_run(f, chunk);
-    for (driver, run) in [
-        ("live", &live),
-        ("sharded-tail", &sharded_tail_run(f, chunk)),
-    ] {
-        if (run.events_in, run.jframes, run.hex.as_str())
-            != (f.events, f.batch_count, f.batch_hex.as_str())
-        {
-            return Err(format!(
-                "{name} {driver} chunk={chunk}: {run:?} != batch ({} events, {} jframes, {})",
-                f.events, f.batch_count, f.batch_hex
-            ));
-        }
+    if (live.events_in, live.jframes, live.hex.as_str())
+        != (f.events, f.batch_count, f.batch_hex.as_str())
+    {
+        return Err(format!(
+            "{name} live chunk={chunk}: {live:?} != batch ({} events, {} jframes, {})",
+            f.events, f.batch_count, f.batch_hex
+        ));
     }
     let bound = f.bootstrap_events + 4 * f.batch_peak;
     if live.peak_buffered > bound {
@@ -222,7 +187,7 @@ fn one_byte_and_block_straddling_chunks_match_batch() {
 /// clocks; it must not, and the residency bound must hold at 4 M events as
 /// it does at 1,200.
 #[test]
-#[ignore = "simulates a 4 M-event day and merges it three times (minutes in release): \
+#[ignore = "simulates a 4 M-event day and merges it twice (minutes in release): \
             cargo test --release -p jigsaw_bench --test live_equivalence -- --ignored"]
 fn diurnal_day_matches_batch_within_the_residency_bound() {
     let out = jigsaw_bench::paper_scenario(SEED, 0.2).run();
@@ -237,8 +202,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Arbitrary chunk sizes — the emitted stream never depends on where
-    /// the byte boundaries fall, on either path, and neither does the
-    /// live merger's residency bound.
+    /// the byte boundaries fall, and neither does the residency bound.
     #[test]
     fn any_chunking_yields_the_batch_stream(chunk in 1usize..4096) {
         for (name, f) in fixtures() {

@@ -196,9 +196,11 @@ fn assert_tiles_equal_clipped_runs(session: &CorpusSession, cfg: &PipelineConfig
             window: Some(*window),
             ..cfg.clone()
         };
-        let sources = session.sources(cfg.window).unwrap();
-        let (_, figures) = session.analyze_sources(sources, &clipped, ()).unwrap();
-        let reference = record_lines(&figures);
+        // Sources read `cfg.window` (the coarse pass's range), emission is
+        // clipped to the tile: the clipped-full reference.
+        let mut suite = session.suite(clipped.window).unwrap();
+        Pipeline::run(session.sources(cfg.window).unwrap(), &clipped, &mut suite).unwrap();
+        let reference = record_lines(&suite.finish());
         assert_eq!(tile.output, reference, "{what}: tile {window} diverged");
         assert_eq!(tile.jframes, record_u64(&reference, "table1.jframes"));
     }

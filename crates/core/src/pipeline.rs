@@ -54,9 +54,7 @@ use jigsaw_ieee80211::Micros;
 use jigsaw_trace::format::FormatError;
 use jigsaw_trace::stream::EventStream;
 use jigsaw_trace::{PhyEvent, RadioMeta, TimeWindow};
-use std::cmp::Reverse;
-// tidy:allow-file(hash-order): the reorder map is keyed lookup only; emission order comes from the replay heap
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Pipeline configuration.
 #[derive(Debug, Clone, Default)]
@@ -413,11 +411,11 @@ impl<S: EventStream> SourceSet<S> {
 }
 
 /// Everything downstream of unification: attempt assembly → exchange
-/// assembly → transport reconstruction, plus the exchange reordering heap
+/// assembly → transport reconstruction, plus the exchange reorder queue
 /// (exchanges close out of order — a delivered exchange closes at its ACK,
 /// an ambiguous one lingers to the 500 ms timeout — but transport
-/// reconstruction needs transmission-time order, so closed exchanges sit in
-/// a small heap until a 1 s watermark passes them).
+/// reconstruction needs transmission-time order, so closed exchanges wait
+/// in a small ordered map until a 1 s watermark passes them).
 ///
 /// Every shard layout feeds this one consumer, so sharded runs reconstruct
 /// exactly what serial runs reconstruct.
@@ -427,8 +425,9 @@ struct Downstream<O> {
     transport: TransportAnalyzer,
     attempt_buf: Vec<Attempt>,
     exchange_buf: Vec<Exchange>,
-    reorder: BinaryHeap<Reverse<(u64, u64)>>,
-    reorder_store: HashMap<u64, Exchange>,
+    /// Closed exchanges by `(first_ts, arrival seq)`: transmission order,
+    /// ties in closing order.
+    reorder: BTreeMap<(u64, u64), Exchange>,
     reorder_seq: u64,
     obs: O,
 }
@@ -443,8 +442,7 @@ impl<O: PipelineObserver> Downstream<O> {
             transport: TransportAnalyzer::new(),
             attempt_buf: Vec::new(),
             exchange_buf: Vec::new(),
-            reorder: BinaryHeap::new(),
-            reorder_store: HashMap::new(),
+            reorder: BTreeMap::new(),
             reorder_seq: 0,
             obs,
         }
@@ -452,8 +450,7 @@ impl<O: PipelineObserver> Downstream<O> {
 
     fn enqueue_closed(&mut self) {
         for x in self.exchange_buf.drain(..) {
-            self.reorder.push(Reverse((x.first_ts, self.reorder_seq)));
-            self.reorder_store.insert(self.reorder_seq, x);
+            self.reorder.insert((x.first_ts, self.reorder_seq), x);
             self.reorder_seq += 1;
         }
     }
@@ -467,12 +464,11 @@ impl<O: PipelineObserver> Downstream<O> {
         }
         self.enqueue_closed();
         let watermark = jf.ts.saturating_sub(REORDER_HORIZON_US);
-        while let Some(&Reverse((ts, seq))) = self.reorder.peek() {
-            if ts >= watermark {
+        while let Some(oldest) = self.reorder.first_entry() {
+            if oldest.key().0 >= watermark {
                 break;
             }
-            self.reorder.pop();
-            let x = self.reorder_store.remove(&seq).expect("stored exchange");
+            let x = oldest.remove();
             self.transport.push(&x);
             self.obs.on_exchange(&x);
         }
@@ -488,8 +484,7 @@ impl<O: PipelineObserver> Downstream<O> {
         }
         self.exchanges.finish(&mut self.exchange_buf);
         self.enqueue_closed();
-        while let Some(Reverse((_, seq))) = self.reorder.pop() {
-            let x = self.reorder_store.remove(&seq).expect("stored exchange");
+        while let Some((_, x)) = self.reorder.pop_first() {
             self.transport.push(&x);
             self.obs.on_exchange(&x);
         }

@@ -357,11 +357,6 @@ impl<S: EventStream> Merger<S> {
         self.cursors[radio].live = false;
     }
 
-    /// True if the radio is currently marked live.
-    pub fn is_live(&self, radio: usize) -> bool {
-        self.cursors[radio].live
-    }
-
     /// Pushes freshly arrived events (in nondecreasing `ts_local` order,
     /// continuing where the previous feed left off) onto a live radio's
     /// cursor. The push-mode dual of the pull-mode stream: a live driver

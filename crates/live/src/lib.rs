@@ -78,10 +78,11 @@
 //! * [`source`] — the [`LiveSource`] trait and its implementations:
 //!   [`ChunkedFileTail`] (tail a growing trace file in arbitrary-size
 //!   chunks, resuming decode at block boundaries) and [`ChannelSource`]
-//!   (bounded in-process channel); [`TailStream`] adapts any live source
-//!   back into a pull-mode `EventStream` for the batch pipeline;
+//!   (bounded in-process channel);
 //! * [`merger`] — [`LiveMerger`], the bootstrap → stream → lag → re-anchor
-//!   driver, and its [`LiveReport`];
+//!   driver and the only one that tails sources (a finished corpus is
+//!   `Pipeline::run`'s job), and its [`LiveReport`]; it fails with the
+//!   batch pipeline's own [`jigsaw_core::pipeline::PipelineError`];
 //! * [`clock`] — [`LiveClock`] and friends: the wall-clock boundary.
 //!
 //! ## Quickstart
@@ -111,10 +112,8 @@ pub mod merger;
 pub mod source;
 
 pub use clock::{LiveClock, ManualClock, SystemClock};
-pub use merger::{
-    LagStats, LiveConfig, LiveError, LiveMerger, LiveReport, SourceReport, SourceStatus,
-};
+pub use merger::{LagStats, LiveConfig, LiveMerger, LiveReport, SourceReport, SourceStatus};
 pub use source::{
-    ChannelSource, ChunkedFileTail, LiveSender, LiveSource, SendOutcome, SourcePoll, TailStream,
+    ChannelSource, ChunkedFileTail, LiveSender, LiveSource, SendOutcome, SourcePoll,
     CHANNEL_CAPACITY,
 };

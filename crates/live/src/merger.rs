@@ -44,11 +44,11 @@
 
 use crate::clock::LiveClock;
 use crate::source::{LiveSource, SourcePoll};
-use jigsaw_core::sync::bootstrap::{bootstrap_at, BootstrapConfig, BootstrapError};
+use jigsaw_core::pipeline::PipelineError;
+use jigsaw_core::sync::bootstrap::{bootstrap_at, BootstrapConfig};
 use jigsaw_core::unify::{MergeConfig, MergeStats, Merger};
 use jigsaw_core::JFrame;
 use jigsaw_ieee80211::Micros;
-use jigsaw_trace::format::FormatError;
 use jigsaw_trace::stream::MemoryStream;
 use jigsaw_trace::{PhyEvent, RadioId};
 use std::collections::VecDeque;
@@ -95,38 +95,6 @@ impl Default for LiveConfig {
     }
 }
 
-/// Errors a live merge can hit.
-#[derive(Debug)]
-pub enum LiveError {
-    /// A source's byte stream failed to decode.
-    Format(FormatError),
-    /// The initial offset bootstrap failed (no usable radios).
-    Bootstrap(BootstrapError),
-}
-
-impl std::fmt::Display for LiveError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LiveError::Format(e) => write!(f, "live source: {e}"),
-            LiveError::Bootstrap(e) => write!(f, "live bootstrap: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for LiveError {}
-
-impl From<FormatError> for LiveError {
-    fn from(e: FormatError) -> Self {
-        LiveError::Format(e)
-    }
-}
-
-impl From<BootstrapError> for LiveError {
-    fn from(e: BootstrapError) -> Self {
-        LiveError::Bootstrap(e)
-    }
-}
-
 /// Where a source stands in the liveness state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SourceStatus {
@@ -165,10 +133,6 @@ pub struct LiveReport {
     pub merge: MergeStats,
     /// Per-source liveness outcomes, in `add_source` order.
     pub sources: Vec<SourceReport>,
-    /// Connected components in the bootstrap synchronization graph.
-    pub components: usize,
-    /// Radios that could only be NTP-anchored at bootstrap.
-    pub coarse_radios: usize,
     /// Re-anchors applied (drift above threshold, shift within clamp).
     pub reanchors: u64,
     /// Re-anchors rejected by the `2×search_window` shift clamp.
@@ -176,20 +140,6 @@ pub struct LiveReport {
     /// Emission-lag statistics: safe horizon minus jframe timestamp at the
     /// moment each jframe left the merger (µs).
     pub lag: LagStats,
-}
-
-impl LiveReport {
-    /// The `q`-quantile of emission lag (`0.5` = p50, `0.99` = p99); 0 when
-    /// nothing was emitted. For several quantiles at once, use
-    /// [`LagStats::quantiles`] on [`LiveReport::lag`] — it sorts only once.
-    pub fn lag_quantile(&self, q: f64) -> Micros {
-        self.lag.quantile(q)
-    }
-
-    /// Worst-case emission lag (µs). Always exact, even past the reservoir.
-    pub fn lag_max(&self) -> Micros {
-        self.lag.max()
-    }
 }
 
 /// Bounded emission-lag accumulator for the always-on service.
@@ -367,8 +317,6 @@ pub struct LiveMerger<S, C> {
     reanchors: u64,
     reanchors_skipped: u64,
     lag: LagStats,
-    components: usize,
-    coarse_radios: usize,
     /// Poll buffer, recycled across sources and rounds.
     batch: Vec<PhyEvent>,
 }
@@ -386,8 +334,6 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
             reanchors: 0,
             reanchors_skipped: 0,
             lag: LagStats::new(),
-            components: 0,
-            coarse_radios: 0,
             batch: Vec::new(),
         }
     }
@@ -437,7 +383,7 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
     /// One poll-feed-advance round. Returns `true` while any source is
     /// still open (live or lagging) — i.e. while there is reason to step
     /// again; call [`LiveMerger::finish`] once it returns `false`.
-    pub fn step(&mut self, sink: &mut impl FnMut(JFrame)) -> Result<bool, LiveError> {
+    pub fn step(&mut self, sink: &mut impl FnMut(JFrame)) -> Result<bool, PipelineError> {
         if self.merger.is_none() {
             self.bootstrap_step()?;
             if self.merger.is_none() {
@@ -451,7 +397,7 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
     /// Steps until every source has ended, then finishes. The replay mode:
     /// with sources that always progress (file tails over a recorded
     /// corpus) this terminates; a forever-silent channel source would not.
-    pub fn run(mut self, mut sink: impl FnMut(JFrame)) -> Result<LiveReport, LiveError> {
+    pub fn run(mut self, mut sink: impl FnMut(JFrame)) -> Result<LiveReport, PipelineError> {
         while self.step(&mut sink)? {}
         self.finish(sink)
     }
@@ -459,7 +405,7 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
     /// Closes every remaining radio, drains all buffered state, and
     /// reports. Jframes still buffered (the last `2×search_window`) are
     /// emitted here.
-    pub fn finish(mut self, mut sink: impl FnMut(JFrame)) -> Result<LiveReport, LiveError> {
+    pub fn finish(mut self, mut sink: impl FnMut(JFrame)) -> Result<LiveReport, PipelineError> {
         // A finish before bootstrap completes (all sources ended inside the
         // bootstrap window — short corpus) must still merge what arrived.
         if self.merger.is_none() {
@@ -496,8 +442,6 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
                     status: s.status,
                 })
                 .collect(),
-            components: self.components,
-            coarse_radios: self.coarse_radios,
             reanchors: self.reanchors,
             reanchors_skipped: self.reanchors_skipped,
             lag: std::mem::take(&mut self.lag),
@@ -506,7 +450,7 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
 
     /// Accumulation phase: poll every open source toward bootstrap
     /// readiness; transition to streaming once all are ready.
-    fn bootstrap_step(&mut self) -> Result<(), LiveError> {
+    fn bootstrap_step(&mut self) -> Result<(), PipelineError> {
         let now = self.clock.now_us();
         let budget = self.cfg.poll_budget.max(1);
         let window_us = self.cfg.bootstrap.window_us;
@@ -568,7 +512,7 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
     /// [`bootstrap_at`] windowed at each radio's NTP anchor, clocks are
     /// referenced there, and **all** accumulated events are fed (replay
     /// semantics — nothing is seeded).
-    fn transition(&mut self) -> Result<(), LiveError> {
+    fn transition(&mut self) -> Result<(), PipelineError> {
         let window_us = self.cfg.bootstrap.window_us;
         let active: Vec<usize> = (0..self.sources.len())
             .filter(|&i| self.sources[i].src.meta().is_some())
@@ -589,8 +533,6 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
             })
             .collect();
         let boot = bootstrap_at(&metas, &prefixes, &window_los, &self.cfg.bootstrap)?;
-        self.components = boot.components;
-        self.coarse_radios = boot.coarse.iter().filter(|&&c| c).count();
 
         let placeholders: Vec<MemoryStream> = metas
             .iter()
@@ -633,7 +575,7 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
 
     /// One streaming round: pace → poll → feed → lag policy → re-anchor →
     /// advance.
-    fn stream_step(&mut self, sink: &mut impl FnMut(JFrame)) -> Result<(), LiveError> {
+    fn stream_step(&mut self, sink: &mut impl FnMut(JFrame)) -> Result<(), PipelineError> {
         let now = self.clock.now_us();
         let budget = self.cfg.poll_budget.max(1);
         let merger = self.merger.as_mut().expect("stream_step after transition");
@@ -868,6 +810,7 @@ mod tests {
     use crate::clock::ManualClock;
     use crate::source::{ChannelSource, LiveSender, SendOutcome};
     use jigsaw_ieee80211::{Channel, PhyRate};
+    use jigsaw_trace::format::FormatError;
     use jigsaw_trace::{MonitorId, PhyStatus, RadioMeta};
 
     fn meta(r: u16) -> RadioMeta {
@@ -1508,6 +1451,43 @@ mod tests {
         let got: Vec<_> = out.iter().map(key).collect();
         assert_eq!(got, want);
         assert_eq!(report.merge.events_in, 20);
+    }
+
+    /// An idle radio's trace is a header and nothing else. Tailed beside
+    /// two busy radios, it ends cleanly — `Ended`, no events, no error, not
+    /// lagged — and the run emits exactly the batch stream of the others.
+    #[test]
+    fn header_only_tail_ends_beside_busy_radios() {
+        use crate::source::ChunkedFileTail;
+        use jigsaw_trace::format::TraceWriter;
+        let (a, b) = shared_events(80, 5);
+        let cfg = LiveConfig::default();
+        let want: Vec<_> = batch_reference(&a, &b, &cfg).iter().map(key).collect();
+        let dir = std::env::temp_dir().join(format!("jigsaw_live_idle_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut lm = LiveMerger::new(cfg, ManualClock::new());
+        for (r, events) in [a, b, Vec::new()].into_iter().enumerate() {
+            let path = dir.join(format!("r{r:03}.jigt"));
+            let f = std::fs::File::create(&path).unwrap();
+            let mut w = TraceWriter::with_block_target(f, meta(r as u16), 200, 256).unwrap();
+            for e in &events {
+                w.append(e).unwrap();
+            }
+            w.finish().unwrap();
+            lm.add_source(ChunkedFileTail::open(&path, 11).unwrap());
+        }
+        let mut out = Vec::new();
+        let report = lm.run(|jf| out.push(jf)).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+
+        let idle = &report.sources[2];
+        assert_eq!(idle.radio, Some(RadioId(2)));
+        assert_eq!(
+            (idle.events, idle.status, idle.lagged),
+            (0, SourceStatus::Ended, false)
+        );
+        assert_eq!(out.iter().map(key).collect::<Vec<_>>(), want);
+        assert_eq!(report.merge.events_in, 160);
     }
 
     #[test]

@@ -25,12 +25,9 @@
 //!   reports every send as a [`SendOutcome`], so a full channel is explicit
 //!   back-pressure on the producer, never silent growth.
 //!
-//! [`TailStream`] adapts any `LiveSource` back into a pull-mode
-//! `EventStream`, so the batch pipeline — at any shard layout — can
-//! consume live sources unchanged.
+//! The one consumer of both is [`crate::LiveMerger`].
 
 use jigsaw_trace::format::FormatError;
-use jigsaw_trace::stream::EventStream;
 use jigsaw_trace::tail::{TailPoll, TailReader};
 use jigsaw_trace::{PhyEvent, RadioMeta};
 use std::fs::File;
@@ -119,11 +116,6 @@ impl ChunkedFileTail {
     /// partial trailing block as a truncation error). No-op in replay mode.
     pub fn stop(&mut self) {
         self.follow = false;
-    }
-
-    /// Bytes committed to the decoder so far.
-    pub fn committed_bytes(&self) -> u64 {
-        self.tail.committed_bytes()
     }
 }
 
@@ -218,72 +210,6 @@ impl LiveSource for ChannelSource {
             Ok(ev) => Ok(SourcePoll::Event(ev)),
             Err(mpsc::TryRecvError::Empty) => Ok(SourcePoll::Pending),
             Err(mpsc::TryRecvError::Disconnected) => Ok(SourcePoll::End),
-        }
-    }
-}
-
-/// Pull-mode adapter: presents a [`LiveSource`] as an
-/// [`EventStream`], so the batch pipeline (serial or channel-sharded) can
-/// merge live sources through the existing
-/// [`jigsaw_core::EventSource`] machinery.
-///
-/// `next_event` **spins** on [`SourcePoll::Pending`] (yielding the thread
-/// between polls): correct for file tails, which always progress; for
-/// channel sources it blocks until the producer sends or hangs up.
-pub struct TailStream<S> {
-    src: S,
-    meta: RadioMeta,
-    lookahead: std::collections::VecDeque<PhyEvent>,
-}
-
-impl<S: LiveSource> TailStream<S> {
-    /// Wraps a live source, polling (and buffering any decoded events)
-    /// until its metadata is known.
-    pub fn open(mut src: S) -> Result<Self, FormatError> {
-        let mut lookahead = std::collections::VecDeque::new();
-        let meta = loop {
-            if let Some(m) = src.meta() {
-                break m;
-            }
-            match src.poll()? {
-                SourcePoll::Event(ev) => lookahead.push_back(ev),
-                SourcePoll::Pending => std::thread::yield_now(),
-                SourcePoll::End => match src.meta() {
-                    // A zero-event source ends with its header decoded and
-                    // nothing else — a legitimate (if idle) radio. Polling
-                    // past `End` is stable, so `next_event` needs no flag.
-                    Some(m) => break m,
-                    // One that ends before its header decodes has no
-                    // identity; surface it as the header truncation it is.
-                    None => {
-                        return Err(FormatError::BadRecord("source ended before header"));
-                    }
-                },
-            }
-        };
-        Ok(TailStream {
-            src,
-            meta,
-            lookahead,
-        })
-    }
-}
-
-impl<S: LiveSource> EventStream for TailStream<S> {
-    fn meta(&self) -> RadioMeta {
-        self.meta
-    }
-
-    fn next_event(&mut self) -> Result<Option<PhyEvent>, FormatError> {
-        if let Some(ev) = self.lookahead.pop_front() {
-            return Ok(Some(ev));
-        }
-        loop {
-            match self.src.poll()? {
-                SourcePoll::Event(ev) => return Ok(Some(ev)),
-                SourcePoll::End => return Ok(None),
-                SourcePoll::Pending => std::thread::yield_now(),
-            }
         }
     }
 }
@@ -445,34 +371,5 @@ mod tests {
         assert_eq!(last, Some(overflow), "the retried event keeps its place");
         drop(src);
         assert_eq!(tx.send(ev(9_999, 1)), SendOutcome::Closed);
-    }
-
-    #[test]
-    fn tail_stream_accepts_zero_event_source() {
-        // An idle radio's trace is a header and nothing else; the adapter
-        // must present it as an empty stream, not a truncation error.
-        let dir = tmpdir("empty");
-        let path = write_trace(&dir, &[]);
-        let mut s = TailStream::open(ChunkedFileTail::open(&path, 11).unwrap()).unwrap();
-        assert_eq!(EventStream::meta(&s), meta());
-        assert!(s.next_event().unwrap().is_none());
-        assert!(s.next_event().unwrap().is_none());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn tail_stream_adapts_to_event_stream() {
-        let dir = tmpdir("adapt");
-        let events: Vec<PhyEvent> = (0..100u64).map(|i| ev(1_000 + i * 40, i as u8)).collect();
-        let path = write_trace(&dir, &events);
-        let src = ChunkedFileTail::open(&path, 7).unwrap();
-        let mut s = TailStream::open(src).unwrap();
-        assert_eq!(EventStream::meta(&s), meta());
-        let mut got = Vec::new();
-        while let Some(e) = s.next_event().unwrap() {
-            got.push(e);
-        }
-        assert_eq!(got, events);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

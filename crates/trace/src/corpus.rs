@@ -572,19 +572,6 @@ impl RadioTraceSource {
         };
         Ok(WindowedStream::new(self.meta, inner, lo, hi))
     }
-
-    /// Opens a stream positioned at the first *block* that may contain
-    /// events at or after `ts` (index seek — the "start at 11 am" read).
-    /// Events earlier in that block still appear; callers filter. Returns
-    /// `None` when `ts` is past the end of the trace.
-    pub fn open_stream_at(&self, ts: u64) -> Result<Option<CorpusStream>, FormatError> {
-        let Some(entry) = find_block(&self.index, ts).and_then(|b| self.index.get(b)) else {
-            return Ok(None);
-        };
-        let mut reader = self.open_counted()?;
-        reader.seek_to_block(entry.offset)?;
-        Ok(Some(ReaderStream::new(reader)))
-    }
 }
 
 /// An opened corpus directory.
@@ -968,44 +955,6 @@ mod tests {
         early.meta.anchor_local_us = 0;
         assert!(early.read_bootstrap_window(5).unwrap().is_empty());
         assert_eq!(counter.load(Ordering::Relaxed), before, "no bytes read");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stream_at_seeks_past_the_morning() {
-        let dir = tmpdir("seek");
-        let (traces, _) = write_sample(&dir);
-        let c = Corpus::open(&dir).unwrap();
-        let counter = Arc::new(AtomicU64::new(0));
-        let src = c.source(0, Arc::clone(&counter)).unwrap();
-
-        // Start reading at the 70% mark of the trace.
-        let pivot = traces[0][280].ts_local;
-        let got = drain(src.open_stream_at(pivot).unwrap().unwrap());
-        // Block granularity: a prefix of the block may precede the pivot.
-        let tail: Vec<PhyEvent> = got
-            .iter()
-            .filter(|e| e.ts_local >= pivot)
-            .cloned()
-            .collect();
-        let expect: Vec<PhyEvent> = traces[0]
-            .iter()
-            .filter(|e| e.ts_local >= pivot)
-            .cloned()
-            .collect();
-        assert_eq!(tail, expect);
-        // The seek skipped most of the file.
-        let file_len = std::fs::metadata(dir.join(&c.manifest().radios[0].data))
-            .unwrap()
-            .len();
-        assert!(
-            counter.load(Ordering::Relaxed) < file_len / 2,
-            "seek did not skip the morning: read {} of {file_len}",
-            counter.load(Ordering::Relaxed)
-        );
-
-        // Past the end → None.
-        assert!(src.open_stream_at(u64::MAX).unwrap().is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -7,9 +7,7 @@ use crate::format::{FormatError, TraceReader};
 use crate::{PhyEvent, RadioMeta};
 use jigsaw_ieee80211::Channel;
 use std::collections::{BTreeMap, VecDeque};
-use std::fs::File;
-use std::io::{BufReader, Read, Seek, SeekFrom};
-use std::path::Path;
+use std::io::{Read, Seek, SeekFrom};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -93,12 +91,6 @@ impl<R: Read> EventStream for ReaderStream<R> {
     }
 }
 
-/// Opens a trace file from disk as a buffered stream.
-pub fn open_file(path: &Path) -> Result<ReaderStream<BufReader<File>>, FormatError> {
-    let f = File::open(path)?;
-    Ok(ReaderStream::new(TraceReader::open(BufReader::new(f))?))
-}
-
 /// A [`Read`] adapter counting the bytes flowing through it into a shared
 /// counter — how the corpus merge path reports disk bytes actually read
 /// (which, with index-guided seeks, can be far less than the file size).
@@ -151,11 +143,6 @@ impl<S: EventStream> WindowedStream<S> {
             lo,
             hi,
         }
-    }
-
-    /// The local-time bounds `(lo, hi)` this stream clips to.
-    pub fn bounds(&self) -> (u64, u64) {
-        (self.lo, self.hi)
     }
 }
 
@@ -219,19 +206,6 @@ pub fn partition_by_channel<S: EventStream>(streams: Vec<S>) -> Vec<ChannelGroup
 pub fn distinct_channels(metas: &[RadioMeta]) -> Vec<Channel> {
     let set: std::collections::BTreeSet<Channel> = metas.iter().map(|m| m.channel).collect();
     set.into_iter().collect()
-}
-
-/// A boxed stream, letting the pipeline mix sources.
-pub type BoxedStream = Box<dyn EventStream + Send>;
-
-impl EventStream for BoxedStream {
-    fn meta(&self) -> RadioMeta {
-        (**self).meta()
-    }
-
-    fn next_event(&mut self) -> Result<Option<PhyEvent>, FormatError> {
-        (**self).next_event()
-    }
 }
 
 #[cfg(test)]
@@ -366,7 +340,6 @@ mod tests {
         let events: Vec<PhyEvent> = [10u64, 20, 30, 40, 50].iter().map(|&t| ev(t)).collect();
         let inner = MemoryStream::new(meta(), events);
         let mut w = WindowedStream::new(meta(), Some(inner), 20, 40);
-        assert_eq!(w.bounds(), (20, 40));
         let mut got = Vec::new();
         while let Some(e) = w.next_event().unwrap() {
             got.push(e.ts_local);
@@ -380,14 +353,5 @@ mod tests {
         let mut empty = WindowedStream::<MemoryStream>::new(meta(), None, 0, 100);
         assert_eq!(empty.meta().radio, RadioId(0));
         assert!(empty.next_event().unwrap().is_none());
-    }
-
-    #[test]
-    fn boxed_stream_works() {
-        let s = MemoryStream::new(meta(), vec![ev(1)]);
-        let mut b: BoxedStream = Box::new(s);
-        assert_eq!(b.meta().radio, RadioId(0));
-        assert!(b.next_event().unwrap().is_some());
-        assert!(b.next_event().unwrap().is_none());
     }
 }

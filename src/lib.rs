@@ -143,7 +143,9 @@
 //! contract. The emitted stream is byte-identical to a batch merge of the
 //! same events — for every chunking (the CLI spelling is `repro tail
 //! --corpus <dir> [--chunk-bytes N] [--verify]`, and CI pins the
-//! equivalence at several chunk sizes, serial and sharded):
+//! equivalence at several chunk sizes; `LiveMerger` is the one tail
+//! driver — a sharded run of a finished corpus is `repro analyze
+//! --parallel`):
 //!
 //! ```no_run
 //! use jigsaw::live::{ChunkedFileTail, LiveConfig, LiveMerger, SystemClock};
@@ -166,7 +168,7 @@
 //!     }
 //! }
 //! let report = lm.finish(on_jframe)?;
-//! println!("p99 emission lag: {} µs", report.lag_quantile(0.99));
+//! println!("p99 emission lag: {} µs", report.lag.quantile(0.99));
 //! # Ok(())
 //! # }
 //! ```
