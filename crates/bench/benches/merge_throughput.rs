@@ -6,7 +6,7 @@
 //! merge stage alone at 1..=3 shard threads (`jigsaw_core::shard`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use jigsaw_core::baseline::{naive_merge, yeo_merge};
+use jigsaw_core::baseline::naive_merge;
 use jigsaw_core::pipeline::{Pipeline, PipelineConfig};
 use jigsaw_core::shard::ShardConfig;
 use jigsaw_core::unify::MergeConfig;
@@ -30,16 +30,15 @@ fn bench_mergers(c: &mut Criterion) {
     g.bench_function(BenchmarkId::new("jigsaw_full_pipeline", events), |b| {
         b.iter(|| Pipeline::run(out.memory_streams(), &PipelineConfig::default(), ()).unwrap())
     });
+    let yeo = PipelineConfig {
+        merge: MergeConfig {
+            resync_enabled: false,
+            ..MergeConfig::default()
+        },
+        ..PipelineConfig::default()
+    };
     g.bench_function(BenchmarkId::new("yeo_no_resync", events), |b| {
-        b.iter(|| {
-            yeo_merge(
-                out.memory_streams(),
-                &Default::default(),
-                &MergeConfig::default(),
-                |_| {},
-            )
-            .unwrap()
-        })
+        b.iter(|| Pipeline::merge_only(out.memory_streams(), &yeo, ()).unwrap())
     });
     g.bench_function(BenchmarkId::new("naive_mergecap", events), |b| {
         b.iter(|| naive_merge(out.memory_streams(), 10_000, |_| {}).unwrap())

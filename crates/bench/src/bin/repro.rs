@@ -116,7 +116,7 @@ use jigsaw_bench::{
     minute_bin_us, paper_scenario, practical_minute_us, subset_streams, CorpusSession,
     JframeStreamDigest, SessionError, WindowedStreamDigest,
 };
-use jigsaw_core::baseline::{naive_merge, yeo_merge};
+use jigsaw_core::baseline::naive_merge;
 use jigsaw_core::observer::{OnExchange, OnJFrame};
 use jigsaw_core::pipeline::{Pipeline, PipelineConfig, Reconstruction};
 use jigsaw_core::unify::{MergeConfig, MergeStats};
@@ -1298,7 +1298,8 @@ fn run_sweep(args: &Args) {
                 continue;
             }
         };
-        let status = sweep::check_golden(&run, &golden_dir, args.bless);
+        let status =
+            sweep::check_golden(&run, &golden_dir, args.bless).unwrap_or_else(|e| fail(&e));
         // One stable stdout line per scenario — what CI greps into the
         // step summary.
         println!(
@@ -1360,16 +1361,18 @@ fn run_baselines(seed: u64, scale: f64) {
     let jig_fig = disp.finish();
 
     // Yeo-style: bootstrap once, never resync.
+    let yeo = PipelineConfig {
+        merge: MergeConfig {
+            resync_enabled: false,
+            ..MergeConfig::default()
+        },
+        ..PipelineConfig::default()
+    };
     let mut yeo_disp = DispersionAnalysis::new();
     let t0 = Instant::now();
-    let (yeo_stats, _) = or_fail(
+    let (_, yeo_stats) = or_fail(
         "yeo merge",
-        yeo_merge(
-            out.memory_streams(),
-            &Default::default(),
-            &MergeConfig::default(),
-            |jf| yeo_disp.observe(&jf),
-        ),
+        Pipeline::merge_only(out.memory_streams(), &yeo, &mut yeo_disp),
     );
     let yeo_t = t0.elapsed();
     let yeo_fig = yeo_disp.finish();

@@ -264,22 +264,27 @@ pub fn golden_path(golden_dir: &Path, name: &str) -> PathBuf {
 }
 
 /// Compares a run against its golden file, or blesses it. Only
-/// [`GoldenStatus::Blessed`] writes anything.
-pub fn check_golden(run: &ScenarioRun, golden_dir: &Path, bless: bool) -> GoldenStatus {
+/// [`GoldenStatus::Blessed`] writes anything; a golden that cannot be
+/// written is an `Err` naming the path.
+pub fn check_golden(
+    run: &ScenarioRun,
+    golden_dir: &Path,
+    bless: bool,
+) -> Result<GoldenStatus, String> {
     let path = golden_path(golden_dir, &run.name);
     if bless {
-        std::fs::create_dir_all(golden_dir).expect("create golden dir");
-        std::fs::write(&path, &run.golden_body)
-            .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-        return GoldenStatus::Blessed;
+        std::fs::create_dir_all(golden_dir)
+            .and_then(|()| std::fs::write(&path, &run.golden_body))
+            .map_err(|e| format!("cannot write golden {}: {e}", path.display()))?;
+        return Ok(GoldenStatus::Blessed);
     }
     let Ok(golden) = std::fs::read_to_string(&path) else {
-        return GoldenStatus::Missing(path);
+        return Ok(GoldenStatus::Missing(path));
     };
-    match diff_lines(&golden, &run.golden_body) {
+    Ok(match diff_lines(&golden, &run.golden_body) {
         None => GoldenStatus::Matched,
         Some(diff) => GoldenStatus::Mismatch(diff),
-    }
+    })
 }
 
 /// A readable line-by-line diff, or `None` when the texts are identical.
@@ -376,9 +381,8 @@ mod tests {
         assert!(d.contains("line counts differ: golden 3 vs actual 2"));
     }
 
-    #[test]
-    fn golden_body_round_trips_through_diff() {
-        let run = ScenarioRun {
+    fn sample_run() -> ScenarioRun {
+        ScenarioRun {
             name: "roaming".into(),
             seed: 1,
             events: 10,
@@ -390,12 +394,31 @@ mod tests {
             window_digest: "cc".into(),
             record_lines: "record fig4.p50 1.5\n".into(),
             golden_body: String::new(),
-        };
+        }
+    }
+
+    #[test]
+    fn golden_body_round_trips_through_diff() {
+        let run = sample_run();
         let body = golden_body(&run);
         assert!(body.starts_with("# jigsaw sweep golden — scenario roaming seed 1\n"));
         assert!(body.contains("window 100 200\n"));
         assert!(body.ends_with("record fig4.p50 1.5\n"));
         assert!(diff_lines(&body, &body).is_none());
+    }
+
+    /// `--bless` into a golden dir that cannot exist (its parent is a
+    /// regular file) hands the failure back instead of panicking.
+    #[test]
+    fn unwritable_golden_dir_is_an_error() {
+        let dir = std::env::temp_dir().join(format!("sweep_bless_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let blocker = dir.join("not-a-directory");
+        std::fs::write(&blocker, "a regular file").unwrap();
+        let err = check_golden(&sample_run(), &blocker.join("golden"), true).unwrap_err();
+        assert!(err.starts_with("cannot write golden"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! merge** of the same corpus — same count, same order, same stream digest
 //! — for *every* chunking of the input bytes. One-byte chunks and chunks
 //! straddling trace-block seams are the adversarial cases: they force the
-//! tail reader's partial-block staging and block-boundary resume on nearly
-//! every poll.
+//! tail reader to stage a partial block and resume it on nearly every poll.
 //!
 //! Two corpora: the tiny scenario as simulated, and a longer cut of it
 //! with most radios thinned to a capture in 25 — sparse radios beside a

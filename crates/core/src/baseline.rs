@@ -6,15 +6,16 @@
 //!   duplicates never line up: the output is bloated, misordered, and
 //!   useless for timing analysis. This is the tool the paper's introduction
 //!   implicitly argues against.
-//! * [`yeo_merge`] — a Yeo-et-al.-style merge: synchronize once from
-//!   reference frames (beacons) at the start, then trust the clocks — no
-//!   continuous resynchronization, no skew/drift management. Fine for three
-//!   radios and short traces; the paper's §4.2 explains why it degrades at
-//!   building scale.
+//!
+//! The other baseline, a Yeo-et-al.-style merge — synchronize once from
+//! reference frames (beacons) at the start, then trust the clocks, with no
+//! continuous resynchronization and no skew/drift management — is not a
+//! separate merger: it is [`Pipeline::merge_only`](crate::pipeline::Pipeline::merge_only)
+//! with [`MergeConfig::resync_enabled`](crate::unify::MergeConfig::resync_enabled)
+//! off. Fine for three radios and short traces; the paper's §4.2 explains
+//! why it degrades at building scale.
 
 use crate::jframe::JFrame;
-use crate::sync::bootstrap::{BootstrapConfig, BootstrapReport};
-use crate::unify::{MergeConfig, MergeStats, Merger};
 use jigsaw_trace::format::FormatError;
 use jigsaw_trace::stream::EventStream;
 use jigsaw_trace::PhyEvent;
@@ -127,32 +128,11 @@ pub fn naive_merge<S: EventStream>(
     Ok(stats)
 }
 
-/// Yeo-style merge: bootstrap once (beacon references), then merge with
-/// continuous resynchronization disabled.
-pub fn yeo_merge<S: EventStream>(
-    streams: Vec<S>,
-    bootstrap_cfg: &BootstrapConfig,
-    merge_cfg: &MergeConfig,
-    sink: impl FnMut(JFrame),
-) -> Result<(MergeStats, BootstrapReport), crate::pipeline::PipelineError> {
-    let set = crate::pipeline::SourceSet::open(streams, bootstrap_cfg.window_us)?;
-    let boot = set.bootstrap(bootstrap_cfg)?;
-    let cfg = MergeConfig {
-        resync_enabled: false,
-        ..merge_cfg.clone()
-    };
-    let (streams, seeds, refs) = set.into_merge_input();
-    let mut merger = Merger::new_at(streams, &boot.offsets, &refs, cfg);
-    for (r, seed) in seeds.into_iter().enumerate() {
-        merger.seed_pending(r, seed);
-    }
-    let stats = merger.run(sink)?;
-    Ok((stats, boot))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{Pipeline, PipelineConfig};
+    use crate::unify::MergeConfig;
     use jigsaw_ieee80211::fc::FcFlags;
     use jigsaw_ieee80211::frame::{DataFrame, Frame};
     use jigsaw_ieee80211::wire::serialize_frame;
@@ -223,7 +203,7 @@ mod tests {
     #[test]
     fn yeo_merge_syncs_but_never_resyncs() {
         // Both radios share a reference frame in the first second, then
-        // radio 1 drifts.
+        // radio 1 drifts. Yeo-style is the ordinary merge with resync off.
         let fa = frame_bytes(1);
         let mut ev0 = vec![ev(0, 100, fa.clone())];
         let mut ev1 = vec![ev(1, 700_100, fa)];
@@ -236,13 +216,14 @@ mod tests {
         }
         let s0 = MemoryStream::new(meta(0, 0), ev0);
         let s1 = MemoryStream::new(meta(1, 700_000), ev1);
-        let (stats, boot) = yeo_merge(
-            vec![s0, s1],
-            &BootstrapConfig::default(),
-            &MergeConfig::default(),
-            |_| {},
-        )
-        .unwrap();
+        let cfg = PipelineConfig {
+            merge: MergeConfig {
+                resync_enabled: false,
+                ..MergeConfig::default()
+            },
+            ..PipelineConfig::default()
+        };
+        let (boot, stats) = Pipeline::merge_only(vec![s0, s1], &cfg, ()).unwrap();
         assert_eq!(boot.components, 1);
         assert_eq!(stats.resyncs, 0);
         // Everything still unifies (drift < merge gap over this short run),

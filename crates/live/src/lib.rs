@@ -77,7 +77,7 @@
 //!
 //! * [`source`] — the [`LiveSource`] trait and its implementations:
 //!   [`ChunkedFileTail`] (tail a growing trace file in arbitrary-size
-//!   chunks, resuming decode at block boundaries) and [`ChannelSource`]
+//!   chunks, decoding each block as it completes) and [`ChannelSource`]
 //!   (bounded in-process channel);
 //! * [`merger`] — [`LiveMerger`], the bootstrap → stream → lag → re-anchor
 //!   driver and the only one that tails sources (a finished corpus is

@@ -9,8 +9,8 @@
 //! Two implementations:
 //!
 //! * [`ChunkedFileTail`] — tails a jigdump-format trace file in
-//!   fixed-size chunks through [`jigsaw_trace::tail::TailReader`],
-//!   resuming decode at block boundaries. Two modes: **replay**
+//!   fixed-size chunks through [`jigsaw_trace::tail::TailReader`], which
+//!   decodes each block as soon as its last byte lands. Two modes: **replay**
 //!   ([`ChunkedFileTail::open`]) treats EOF as the end of a finished
 //!   recording — feeding a recorded corpus file through it simulates
 //!   liveness, since the byte stream is identical to what a growing file
@@ -67,8 +67,8 @@ pub trait LiveSource {
 ///   truncation error it would be for the batch reader). Over a finished
 ///   file a replay tail never reports [`SourcePoll::Pending`], yet every
 ///   chunk boundary still exercises the tail reader's partial-block
-///   staging and block-boundary resume — which is what makes the
-///   chunking-invariance contract meaningful.
+///   staging — which is what makes the chunking-invariance contract
+///   meaningful.
 /// * **follow** ([`ChunkedFileTail::follow`]) — the file is still being
 ///   written; EOF is the live edge, reported as [`SourcePoll::Pending`],
 ///   and later polls read whatever the writer appended since (a writer

@@ -16,7 +16,7 @@
 //! * `decode-no-panic` — no `unwrap`/`expect`, no panicking macros
 //!   (`panic!`, `assert!`, `todo!`, …; `debug_assert*` permitted), and no
 //!   slice/array indexing in the untrusted decode path
-//!   (`crates/trace/src/{varint,format,compress,corpus,index}.rs`).
+//!   (`crates/trace/src/{varint,format,compress,corpus,index,tail}.rs`).
 //!   *Rationale:* decoding must surface truncated or corrupt input as
 //!   `Err`, never as a panic — the precondition for the ROADMAP's pcap
 //!   import of arbitrary real-world bytes.

@@ -28,6 +28,7 @@ pub const DECODE_PATH_FILES: &[&str] = &[
     "crates/trace/src/compress.rs",
     "crates/trace/src/corpus.rs",
     "crates/trace/src/index.rs",
+    "crates/trace/src/tail.rs",
 ];
 
 /// Files whose iteration order feeds jframe ordering, figure `records()`,

@@ -65,7 +65,7 @@
 use crate::digest::{Fnv64, HashingWriter};
 use crate::format::{FormatError, TraceReader, TraceWriter};
 use crate::index::{find_block, read_index, write_index, IndexEntry};
-use crate::stream::{CountingReader, ReaderStream, WindowedStream};
+use crate::stream::{CountingReader, WindowedStream};
 use crate::{PhyEvent, RadioMeta};
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Write};
@@ -457,7 +457,7 @@ impl CorpusWriter {
 
 /// The merge stream type corpus sources hand out: a jigdump decode of a
 /// buffered file read, with every byte counted.
-pub type CorpusStream = ReaderStream<CountingReader<BufReader<File>>>;
+pub type CorpusStream = TraceReader<CountingReader<BufReader<File>>>;
 
 /// A corpus stream clipped to a local-time range — what windowed replay
 /// merges from ([`RadioTraceSource::open_stream_range`]).
@@ -484,7 +484,8 @@ impl RadioTraceSource {
         &self.index
     }
 
-    fn open_counted(&self) -> Result<TraceReader<CountingReader<BufReader<File>>>, FormatError> {
+    /// Opens the full merge stream (from the first event).
+    pub fn open_stream(&self) -> Result<CorpusStream, FormatError> {
         let f = File::open(&self.path)?;
         TraceReader::open(CountingReader::new(
             BufReader::new(f),
@@ -524,7 +525,7 @@ impl RadioTraceSource {
         .map(|e| u64::from(e.count))
         .sum();
         let mut out = Vec::with_capacity(cap as usize);
-        let mut reader = self.open_counted()?;
+        let mut reader = self.open_stream()?;
         reader.seek_to_block(first.offset)?;
         while let Some(ev) = reader.next_event()? {
             if ev.ts_local > hi {
@@ -550,11 +551,6 @@ impl RadioTraceSource {
         self.read_window(0, self.meta.anchor_local_us.saturating_add(window_us))
     }
 
-    /// Opens the full merge stream (from the first event).
-    pub fn open_stream(&self) -> Result<CorpusStream, FormatError> {
-        Ok(ReaderStream::new(self.open_counted()?))
-    }
-
     /// Opens a merge stream clipped to `ts_local ∈ [lo, hi]`: the reader
     /// index-seeks to the first block that may overlap the range, events
     /// before `lo` in that block are skipped, and decoding stops inside the
@@ -564,9 +560,9 @@ impl RadioTraceSource {
     pub fn open_stream_range(&self, lo: u64, hi: u64) -> Result<WindowedCorpusStream, FormatError> {
         let inner = match find_block(&self.index, lo).and_then(|b| self.index.get(b)) {
             Some(entry) if entry.first_ts <= hi => {
-                let mut reader = self.open_counted()?;
+                let mut reader = self.open_stream()?;
                 reader.seek_to_block(entry.offset)?;
-                Some(ReaderStream::new(reader))
+                Some(reader)
             }
             _ => None, // no block overlaps [lo, hi]: open nothing
         };
@@ -790,13 +786,8 @@ mod tests {
         (traces, summary)
     }
 
-    fn drain(mut s: CorpusStream) -> Vec<PhyEvent> {
-        use crate::stream::EventStream;
-        let mut out = Vec::new();
-        while let Some(e) = s.next_event().unwrap() {
-            out.push(e);
-        }
-        out
+    fn drain(s: CorpusStream) -> Vec<PhyEvent> {
+        s.map(|e| e.unwrap()).collect()
     }
 
     #[test]

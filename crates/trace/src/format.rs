@@ -14,6 +14,12 @@
 //!
 //! Timestamps are delta-encoded within a block against `first_ts`, so a
 //! block can be skipped (via [`crate::index`]) or decoded in isolation.
+//!
+//! This module is the one owner of that layout on the read side: the
+//! header and block-header parsers and the record cursor below serve both
+//! [`TraceReader`], which pulls each block from a [`Read`], and
+//! [`crate::tail::TailReader`], which stages chunk-fed bytes until a block
+//! is complete.
 
 use crate::compress::{compress, decompress, DecompressError};
 use crate::index::IndexEntry;
@@ -38,6 +44,10 @@ pub const VERSION: u8 = 1;
 pub const BLOCK_TARGET: usize = 64 * 1024;
 /// Hard cap on a block's uncompressed size (decompression bomb guard).
 pub const BLOCK_MAX: usize = 8 * 1024 * 1024;
+/// Length of the file header, bytes.
+pub(crate) const HEADER_LEN: usize = 30;
+/// Length of a block header (comp_len, raw_len, count, first_ts), bytes.
+pub(crate) const BLOCK_HEADER_LEN: usize = 20;
 
 /// Errors from reading a trace.
 #[derive(Debug)]
@@ -129,7 +139,7 @@ impl<W: Write> TraceWriter<W> {
             count: 0,
             first_ts: 0,
             last_ts: 0,
-            bytes_written: 30,
+            bytes_written: HEADER_LEN as u64,
             index: Vec::new(),
             events_total: 0,
         })
@@ -181,7 +191,7 @@ impl<W: Write> TraceWriter<W> {
         self.sink.write_all(&self.count.to_le_bytes())?;
         self.sink.write_all(&self.first_ts.to_le_bytes())?;
         self.sink.write_all(&comp)?;
-        self.bytes_written += 20 + comp.len() as u64;
+        self.bytes_written += (BLOCK_HEADER_LEN + comp.len()) as u64;
         self.raw.clear();
         self.count = 0;
         Ok(())
@@ -200,109 +210,120 @@ impl<W: Write> TraceWriter<W> {
     }
 }
 
-/// Streaming reader for one radio's trace.
-///
-/// Each block is decompressed once into a shared `Arc<[u8]>` buffer;
-/// every event decoded from it carries a [`Payload`] range handle into
-/// that buffer — zero per-event payload allocation on the decode path.
-pub struct TraceReader<R: Read> {
-    source: R,
-    meta: RadioMeta,
-    snaplen: u32,
-    block: Arc<[u8]>,
-    pos: usize,
-    remaining_in_block: u32,
-    ts: u64,
-    eof: bool,
+/// Parses the file header into the radio metadata and the snap length.
+/// Corrupt input surfaces as `Err` — the decode path must never panic
+/// (tidy: `decode-no-panic`), so the fixed-size header is taken apart with
+/// an infallible array pattern instead of slice indexing.
+pub(crate) fn parse_header(hdr: [u8; HEADER_LEN]) -> Result<(RadioMeta, u32), FormatError> {
+    let [m0, m1, m2, m3, ver, r0, r1, n0, n1, ch, s0, s1, s2, s3, w0, w1, w2, w3, w4, w5, w6, w7, l0, l1, l2, l3, l4, l5, l6, l7] =
+        hdr;
+    if [m0, m1, m2, m3] != MAGIC || ver != VERSION {
+        return Err(FormatError::BadHeader);
+    }
+    let meta = RadioMeta {
+        radio: RadioId(u16::from_le_bytes([r0, r1])),
+        monitor: MonitorId(u16::from_le_bytes([n0, n1])),
+        channel: Channel::new(ch).map_err(|_| FormatError::BadHeader)?,
+        anchor_wall_us: u64::from_le_bytes([w0, w1, w2, w3, w4, w5, w6, w7]),
+        anchor_local_us: u64::from_le_bytes([l0, l1, l2, l3, l4, l5, l6, l7]),
+    };
+    Ok((meta, u32::from_le_bytes([s0, s1, s2, s3])))
 }
 
-impl<R: Read> TraceReader<R> {
-    /// Opens a trace, validating the header. Corrupt or truncated input
-    /// surfaces as `Err` — this path must never panic (tidy:
-    /// `decode-no-panic`), so the fixed-size header is taken apart with an
-    /// infallible array pattern instead of slice indexing.
-    pub fn open(mut source: R) -> Result<Self, FormatError> {
-        let mut hdr = [0u8; 30];
-        source.read_exact(&mut hdr)?;
-        let [m0, m1, m2, m3, ver, r0, r1, n0, n1, ch, s0, s1, s2, s3, w0, w1, w2, w3, w4, w5, w6, w7, l0, l1, l2, l3, l4, l5, l6, l7] =
-            hdr;
-        if [m0, m1, m2, m3] != MAGIC || ver != VERSION {
-            return Err(FormatError::BadHeader);
-        }
-        let radio = RadioId(u16::from_le_bytes([r0, r1]));
-        let monitor = MonitorId(u16::from_le_bytes([n0, n1]));
-        let channel = Channel::new(ch).map_err(|_| FormatError::BadHeader)?;
-        let snaplen = u32::from_le_bytes([s0, s1, s2, s3]);
-        let anchor_wall_us = u64::from_le_bytes([w0, w1, w2, w3, w4, w5, w6, w7]);
-        let anchor_local_us = u64::from_le_bytes([l0, l1, l2, l3, l4, l5, l6, l7]);
-        Ok(TraceReader {
-            source,
-            meta: RadioMeta {
-                radio,
-                monitor,
-                channel,
-                anchor_wall_us,
-                anchor_local_us,
-            },
-            snaplen,
-            block: empty_block(),
-            pos: 0,
-            remaining_in_block: 0,
-            ts: 0,
-            eof: false,
-        })
-    }
+/// The 20-byte header framing one compressed block.
+pub(crate) struct BlockHeader {
+    comp_len: usize,
+    raw_len: usize,
+    count: u32,
+    first_ts: u64,
+}
 
-    /// The radio metadata from the header.
-    pub fn meta(&self) -> RadioMeta {
-        self.meta
-    }
-
-    /// The snap length the trace was captured with.
-    pub fn snaplen(&self) -> u32 {
-        self.snaplen
-    }
-
-    fn load_block(&mut self) -> Result<bool, FormatError> {
-        // A clean EOF exactly between blocks ends the trace; EOF anywhere
-        // inside the 20-byte block header is truncation, hence an error.
-        let mut lens = [0u8; 20];
-        let (first, rest) = lens.split_at_mut(1);
-        match self.source.read_exact(first) {
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(false),
-            r => r?,
-        }
-        self.source.read_exact(rest)?;
-        let [c0, c1, c2, c3, r0, r1, r2, r3, k0, k1, k2, k3, f0, f1, f2, f3, f4, f5, f6, f7] = lens;
+impl BlockHeader {
+    /// Parses a block header, checking both lengths against [`BLOCK_MAX`]
+    /// before anyone waits for or allocates the payload: a corrupt length
+    /// is an error now, not a tail stalled on bytes that never arrive.
+    fn parse(hdr: [u8; BLOCK_HEADER_LEN]) -> Result<Self, FormatError> {
+        let [c0, c1, c2, c3, r0, r1, r2, r3, k0, k1, k2, k3, f0, f1, f2, f3, f4, f5, f6, f7] = hdr;
         let comp_len = u32::from_le_bytes([c0, c1, c2, c3]) as usize;
         let raw_len = u32::from_le_bytes([r0, r1, r2, r3]) as usize;
-        let count = u32::from_le_bytes([k0, k1, k2, k3]);
-        let first_ts = u64::from_le_bytes([f0, f1, f2, f3, f4, f5, f6, f7]);
         if raw_len > BLOCK_MAX || comp_len > BLOCK_MAX {
             return Err(FormatError::BadRecord("block too large"));
         }
-        let mut comp = vec![0u8; comp_len];
-        self.source.read_exact(&mut comp)?;
-        self.block = decompress(&comp, raw_len)?.into();
-        if self.block.len() != raw_len {
-            return Err(FormatError::BadRecord("raw length mismatch"));
-        }
-        self.pos = 0;
-        self.remaining_in_block = count;
-        self.ts = first_ts;
-        Ok(true)
+        Ok(BlockHeader {
+            comp_len,
+            raw_len,
+            count: u32::from_le_bytes([k0, k1, k2, k3]),
+            first_ts: u64::from_le_bytes([f0, f1, f2, f3, f4, f5, f6, f7]),
+        })
     }
 
-    /// Reads the next event, or `None` at end of trace.
-    pub fn next_event(&mut self) -> Result<Option<PhyEvent>, FormatError> {
-        if self.eof {
-            return Ok(None);
+    /// Header plus compressed payload: the bytes the block occupies.
+    pub(crate) fn frame_len(&self) -> usize {
+        BLOCK_HEADER_LEN + self.comp_len
+    }
+}
+
+/// Frames the block at the front of `bytes`: its header and compressed
+/// payload, or `None` while either is still incomplete. The lengths are
+/// checked as soon as the header is present (see [`BlockHeader::parse`]).
+pub(crate) fn frame_block(bytes: &[u8]) -> Result<Option<(BlockHeader, &[u8])>, FormatError> {
+    let Some(&hdr) = bytes.first_chunk::<BLOCK_HEADER_LEN>() else {
+        return Ok(None);
+    };
+    let hdr = BlockHeader::parse(hdr)?;
+    Ok(bytes
+        .get(BLOCK_HEADER_LEN..hdr.frame_len())
+        .map(|comp| (hdr, comp)))
+}
+
+/// The record cursor every reader decodes through: one decompressed
+/// block, the position in it, the records left, and the running
+/// timestamp. Each block is decompressed once into a shared `Arc<[u8]>`;
+/// every event decoded from it carries a [`Payload`] range handle into
+/// that buffer — zero per-event payload allocation on the decode path.
+pub(crate) struct BlockCursor {
+    block: Arc<[u8]>,
+    pos: usize,
+    remaining: u32,
+    ts: u64,
+}
+
+impl Default for BlockCursor {
+    fn default() -> Self {
+        BlockCursor {
+            block: empty_block(),
+            pos: 0,
+            remaining: 0,
+            ts: 0,
         }
-        while self.remaining_in_block == 0 {
-            if !self.load_block()? {
-                self.eof = true;
-                return Ok(None);
-            }
+    }
+}
+
+impl BlockCursor {
+    /// Decompresses the payload `hdr` frames and positions the cursor at
+    /// the block's first record.
+    pub(crate) fn load(&mut self, hdr: &BlockHeader, comp: &[u8]) -> Result<(), FormatError> {
+        let block: Arc<[u8]> = decompress(comp, hdr.raw_len)?.into();
+        if block.len() != hdr.raw_len {
+            return Err(FormatError::BadRecord("raw length mismatch"));
+        }
+        *self = BlockCursor {
+            block,
+            pos: 0,
+            remaining: hdr.count,
+            ts: hdr.first_ts,
+        };
+        Ok(())
+    }
+
+    /// Decodes the next record of `meta`'s radio, `None` once the block is
+    /// exhausted.
+    pub(crate) fn next_record(
+        &mut self,
+        meta: &RadioMeta,
+    ) -> Result<Option<PhyEvent>, FormatError> {
+        if self.remaining == 0 {
+            return Ok(None);
         }
         // Every offset below derives from untrusted varint fields, so each
         // access goes through `get` and each advance through `checked_add`:
@@ -353,17 +374,85 @@ impl<R: Read> TraceReader<R> {
             .ok_or(FormatError::BadRecord("timestamp overflow"))?;
         self.ts = ts;
         self.pos += used;
-        self.remaining_in_block -= 1;
+        self.remaining -= 1;
         Ok(Some(PhyEvent {
-            radio: self.meta.radio,
+            radio: meta.radio,
             ts_local: ts,
-            channel: self.meta.channel,
+            channel: meta.channel,
             rate,
             rssi_dbm: rssi as i16,
             status,
             wire_len: wire_len as u32,
             bytes,
         }))
+    }
+}
+
+/// Streaming reader for one radio's trace: reads one block at a time from
+/// its source and decodes it with the record cursor it shares with
+/// [`TailReader`](crate::tail::TailReader). Each block is decompressed
+/// once; every event decoded from it carries a [`Payload`] range handle
+/// into that buffer.
+pub struct TraceReader<R: Read> {
+    source: R,
+    meta: RadioMeta,
+    snaplen: u32,
+    cursor: BlockCursor,
+    eof: bool,
+}
+
+impl<R: Read> TraceReader<R> {
+    /// Opens a trace, validating the header. Corrupt or truncated input
+    /// surfaces as `Err`, never a panic.
+    pub fn open(mut source: R) -> Result<Self, FormatError> {
+        let mut hdr = [0u8; HEADER_LEN];
+        source.read_exact(&mut hdr)?;
+        let (meta, snaplen) = parse_header(hdr)?;
+        Ok(TraceReader {
+            source,
+            meta,
+            snaplen,
+            cursor: BlockCursor::default(),
+            eof: false,
+        })
+    }
+
+    /// The radio metadata from the header.
+    pub fn meta(&self) -> RadioMeta {
+        self.meta
+    }
+
+    /// The snap length the trace was captured with.
+    pub fn snaplen(&self) -> u32 {
+        self.snaplen
+    }
+
+    fn load_block(&mut self) -> Result<bool, FormatError> {
+        // A clean EOF exactly between blocks ends the trace; EOF anywhere
+        // inside the block header is truncation, hence an error.
+        let mut hdr = [0u8; BLOCK_HEADER_LEN];
+        let (first, rest) = hdr.split_at_mut(1);
+        match self.source.read_exact(first) {
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(false),
+            r => r?,
+        }
+        self.source.read_exact(rest)?;
+        let hdr = BlockHeader::parse(hdr)?;
+        let mut comp = vec![0u8; hdr.comp_len];
+        self.source.read_exact(&mut comp)?;
+        self.cursor.load(&hdr, &comp)?;
+        Ok(true)
+    }
+
+    /// Reads the next event, or `None` at end of trace.
+    pub fn next_event(&mut self) -> Result<Option<PhyEvent>, FormatError> {
+        while !self.eof {
+            if let Some(ev) = self.cursor.next_record(&self.meta)? {
+                return Ok(Some(ev));
+            }
+            self.eof = !self.load_block()?;
+        }
+        Ok(None)
     }
 }
 
@@ -375,10 +464,7 @@ impl<R: Read + Seek> TraceReader<R> {
     /// [`TraceReader::next_event`] decodes the target block from scratch.
     pub fn seek_to_block(&mut self, offset: u64) -> Result<(), FormatError> {
         self.source.seek(SeekFrom::Start(offset))?;
-        self.block = empty_block();
-        self.pos = 0;
-        self.remaining_in_block = 0;
-        self.ts = 0;
+        self.cursor = BlockCursor::default();
         self.eof = false;
         Ok(())
     }

@@ -25,8 +25,10 @@
 //!   files so the merger can seek by time;
 //! * [`stream`] — time-sorted event streams consumed by the merger, from
 //!   memory or from disk;
-//! * [`tail`] — incremental decode of a *growing* trace: chunk-fed bytes,
-//!   whole-block commits, and block-boundary resume for live ingest;
+//! * [`tail`] — incremental decode of a *growing* trace for live ingest:
+//!   chunk-fed bytes are staged and each block is decoded, by the same
+//!   decoder [`format::TraceReader`] uses, as soon as it is complete, so a
+//!   tail holds one block rather than the trace;
 //! * [`corpus`] — a recorded deployment on disk: one compressed, indexed
 //!   trace file per radio plus a manifest and digest (see below);
 //! * [`digest`] — FNV-1a content digests backing the golden-corpus CI check;

@@ -69,25 +69,14 @@ impl EventStream for MemoryStream {
     }
 }
 
-/// A stream decoding a jigdump-format trace from any reader.
-pub struct ReaderStream<R: Read> {
-    inner: TraceReader<R>,
-}
-
-impl<R: Read> ReaderStream<R> {
-    /// Wraps a trace reader.
-    pub fn new(inner: TraceReader<R>) -> Self {
-        ReaderStream { inner }
-    }
-}
-
-impl<R: Read> EventStream for ReaderStream<R> {
+/// A jigdump-format trace decoded from any reader.
+impl<R: Read> EventStream for TraceReader<R> {
     fn meta(&self) -> RadioMeta {
-        self.inner.meta()
+        TraceReader::meta(self)
     }
 
     fn next_event(&mut self) -> Result<Option<PhyEvent>, FormatError> {
-        self.inner.next_event()
+        TraceReader::next_event(self)
     }
 }
 
@@ -264,7 +253,8 @@ mod tests {
             w.append(e).unwrap();
         }
         let (buf, _, _) = w.finish().unwrap();
-        let mut rs = ReaderStream::new(TraceReader::open(&buf[..]).unwrap());
+        let mut reader = TraceReader::open(&buf[..]).unwrap();
+        let rs: &mut dyn EventStream = &mut reader;
         assert_eq!(rs.meta(), meta());
         let mut got = Vec::new();
         while let Some(e) = rs.next_event().unwrap() {

@@ -1,93 +1,33 @@
 //! Tailing decode of a growing trace file.
 //!
-//! The batch [`TraceReader`] treats a clean EOF
+//! The batch [`TraceReader`](crate::format::TraceReader) treats a clean EOF
 //! between blocks as *the end of the trace* — correct for a finished corpus,
 //! wrong for a live capture where jigdump is still appending. [`TailReader`]
-//! adapts the same decoder to an **unbounded byte stream fed in arbitrary
-//! chunks**: bytes arrive via [`TailReader::extend`], whole blocks are
-//! committed to an internal buffer as they complete, and decode resumes *at a
-//! block boundary* (via [`TraceReader::seek_to_block`]) whenever the decoder
-//! had drained the committed prefix and new blocks have landed since.
+//! decodes an **unbounded byte stream fed in arbitrary chunks** with the
+//! same block decoder: bytes arrive via [`TailReader::extend`] into a
+//! staging buffer, and each block is decoded as soon as it is complete and
+//! its bytes dropped from the buffer.
 //!
 //! The contract that makes live merge equivalence provable:
 //!
 //! * **Chunking-invariant:** for any partition of a trace file's bytes into
 //!   chunks, the event sequence polled out of a `TailReader` is identical to
 //!   the batch reader's — chunk boundaries are invisible because only
-//!   complete units (the 30-byte header, then whole `20 + comp_len`-byte
-//!   blocks) are ever handed to the decoder.
+//!   complete units (the file header, then whole blocks) are ever decoded.
 //! * **Never a false end:** [`TailReader::poll_event`] returns
 //!   [`TailPoll::Pending`] — not end-of-stream — when it runs out of
-//!   committed bytes before [`TailReader::finish`] is called.
+//!   complete blocks before [`TailReader::finish`] is called.
 //! * **Truncation still surfaces:** after `finish`, leftover bytes that never
 //!   completed a block are a [`FormatError`], exactly as a truncated file is
 //!   for the batch reader.
+//! * **Bounded memory:** a tail holds the one block it is decoding plus the
+//!   bytes of the next one staged so far (and whatever of the last chunk
+//!   lies past it) — never the trace. A block length past
+//!   [`crate::format::BLOCK_MAX`] is an error before any of its payload is
+//!   waited for.
 
-use crate::format::{FormatError, TraceReader, BLOCK_MAX};
+use crate::format::{frame_block, parse_header, BlockCursor, FormatError, HEADER_LEN};
 use crate::{PhyEvent, RadioMeta};
-use std::io::{self, Read, Seek, SeekFrom};
-use std::sync::{Arc, Mutex};
-
-/// Length of the fixed trace file header, bytes.
-const HEADER_LEN: usize = 30;
-/// Length of a block header (comp_len, raw_len, count, first_ts), bytes.
-const BLOCK_HEADER_LEN: usize = 20;
-
-/// A growable byte buffer shared between the committing side (the
-/// [`TailReader`], which appends) and the decoding side (the inner
-/// [`TraceReader`], which reads through a [`SharedBytes`] cursor).
-type SharedBuf = Arc<Mutex<Vec<u8>>>;
-
-/// A `Read + Seek` cursor over the shared grow-only buffer. Each cursor
-/// carries its own position; the underlying bytes are shared, so bytes
-/// committed by the tailer become visible to the decoder's cursor
-/// immediately.
-#[derive(Debug)]
-pub struct SharedBytes {
-    buf: SharedBuf,
-    pos: u64,
-}
-
-impl SharedBytes {
-    fn new(buf: SharedBuf) -> Self {
-        SharedBytes { buf, pos: 0 }
-    }
-
-    fn lock(buf: &SharedBuf) -> io::Result<std::sync::MutexGuard<'_, Vec<u8>>> {
-        buf.lock()
-            .map_err(|_| io::Error::other("shared trace buffer poisoned"))
-    }
-}
-
-impl Read for SharedBytes {
-    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-        let buf = Self::lock(&self.buf)?;
-        let start = self.pos.min(buf.len() as u64) as usize;
-        let n = out.len().min(buf.len() - start);
-        out[..n].copy_from_slice(&buf[start..start + n]);
-        self.pos = (start + n) as u64;
-        Ok(n)
-    }
-}
-
-impl Seek for SharedBytes {
-    fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
-        let len = Self::lock(&self.buf)?.len() as i64;
-        let target = match pos {
-            SeekFrom::Start(o) => o as i64,
-            SeekFrom::End(d) => len + d,
-            SeekFrom::Current(d) => self.pos as i64 + d,
-        };
-        if target < 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "seek before start of shared buffer",
-            ));
-        }
-        self.pos = target as u64;
-        Ok(self.pos)
-    }
-}
 
 /// One poll of a [`TailReader`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,7 +38,7 @@ pub enum TailPoll {
     /// feed more bytes (or call [`TailReader::finish`]) and poll again.
     Pending,
     /// The stream ended cleanly: [`TailReader::finish`] was called and every
-    /// committed byte has been decoded.
+    /// byte fed has been decoded.
     End,
 }
 
@@ -110,19 +50,13 @@ pub enum TailPoll {
 /// the remaining events and then report [`TailPoll::End`] (or a truncation
 /// error if a partial block was left behind).
 pub struct TailReader {
-    /// Whole committed units (header + complete blocks), visible to `reader`.
-    shared: SharedBuf,
-    /// Staging area for bytes that do not yet complete a unit.
-    pending: Vec<u8>,
-    /// The decoder, created once the 30-byte header has committed.
-    reader: Option<TraceReader<SharedBytes>>,
-    /// Total bytes committed to `shared`.
-    committed: u64,
-    /// Committed length at the decoder's last clean end-of-input.
-    consumed: u64,
-    /// True when the decoder has latched EOF at `consumed` and must be
-    /// re-seated with `seek_to_block` before it can see newer blocks.
-    drained: bool,
+    /// Bytes fed but not yet decoded: the header until it parses, then the
+    /// next block so far.
+    staged: Vec<u8>,
+    /// Radio metadata and snap length, once the header has been decoded.
+    header: Option<(RadioMeta, u32)>,
+    /// The block being decoded.
+    cursor: BlockCursor,
     /// True once `finish` was called — no more bytes will arrive.
     finished: bool,
 }
@@ -131,12 +65,9 @@ impl TailReader {
     /// Creates an empty tail reader; no bytes seen yet.
     pub fn new() -> Self {
         TailReader {
-            shared: Arc::new(Mutex::new(Vec::new())),
-            pending: Vec::new(),
-            reader: None,
-            committed: 0,
-            consumed: 0,
-            drained: false,
+            staged: Vec::new(),
+            header: None,
+            cursor: BlockCursor::default(),
             finished: false,
         }
     }
@@ -145,7 +76,7 @@ impl TailReader {
     /// headers, and block payloads at any byte position.
     pub fn extend(&mut self, bytes: &[u8]) {
         debug_assert!(!self.finished, "extend after finish");
-        self.pending.extend_from_slice(bytes);
+        self.staged.extend_from_slice(bytes);
     }
 
     /// Declares the byte stream complete. Subsequent polls drain whatever
@@ -157,104 +88,52 @@ impl TailReader {
 
     /// The radio metadata, once the header has been decoded.
     pub fn meta(&self) -> Option<RadioMeta> {
-        self.reader.as_ref().map(|r| r.meta())
+        self.header.map(|(meta, _)| meta)
     }
 
     /// The snap length, once the header has been decoded.
     pub fn snaplen(&self) -> Option<u32> {
-        self.reader.as_ref().map(|r| r.snaplen())
+        self.header.map(|(_, snaplen)| snaplen)
     }
 
-    /// Bytes committed to the decoder so far (header plus whole blocks).
-    pub fn committed_bytes(&self) -> u64 {
-        self.committed
-    }
-
-    /// Bytes staged but not yet forming a complete unit.
-    pub fn pending_bytes(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Moves every complete unit from `pending` into the shared buffer.
-    fn commit(&mut self) -> Result<(), FormatError> {
-        if self.reader.is_none() {
-            if self.pending.len() < HEADER_LEN {
-                return Ok(());
-            }
-            {
-                let mut buf = SharedBytes::lock(&self.shared)?;
-                buf.extend_from_slice(&self.pending[..HEADER_LEN]);
-            }
-            self.pending.drain(..HEADER_LEN);
-            self.committed = HEADER_LEN as u64;
-            self.consumed = self.committed;
-            // Header validation happens in `open`; a bad magic or version
-            // surfaces here, on the first commit, not at the first poll.
-            self.reader = Some(TraceReader::open(SharedBytes::new(self.shared.clone()))?);
-        }
-        loop {
-            let Some(hdr) = self.pending.get(..BLOCK_HEADER_LEN) else {
-                return Ok(());
-            };
-            let comp_len = u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]) as usize;
-            let raw_len = u32::from_le_bytes([hdr[4], hdr[5], hdr[6], hdr[7]]) as usize;
-            // Validate the sizes *before* waiting for the payload: a corrupt
-            // length must error now, not stall the tail forever waiting for
-            // gigabytes that will never arrive.
-            if comp_len > BLOCK_MAX || raw_len > BLOCK_MAX {
-                return Err(FormatError::BadRecord("block too large"));
-            }
-            let total = BLOCK_HEADER_LEN + comp_len;
-            let Some(block) = self.pending.get(..total) else {
-                return Ok(());
-            };
-            {
-                let mut buf = SharedBytes::lock(&self.shared)?;
-                buf.extend_from_slice(block);
-            }
-            self.pending.drain(..total);
-            self.committed += total as u64;
-        }
-    }
-
-    /// Decodes the next event from the committed bytes, if any.
+    /// Decodes the next event, moving on to the next staged block once the
+    /// current one is exhausted.
     pub fn poll_event(&mut self) -> Result<TailPoll, FormatError> {
-        self.commit()?;
-        let Some(reader) = self.reader.as_mut() else {
-            // Not even a full header yet.
-            if self.finished {
-                return Err(FormatError::BadRecord("truncated header"));
-            }
-            return Ok(TailPoll::Pending);
-        };
-        if self.drained {
-            if self.committed == self.consumed {
-                // Nothing new since the decoder drained.
-                return self.at_end();
-            }
-            // New blocks landed past the decoder's latched EOF: re-seat it at
-            // the boundary where it stopped and clear the latch.
-            reader.seek_to_block(self.consumed)?;
-            self.drained = false;
-        }
-        match reader.next_event()? {
-            Some(ev) => Ok(TailPoll::Event(ev)),
+        let meta = match self.header {
+            Some((meta, _)) => meta,
             None => {
-                self.drained = true;
-                self.consumed = self.committed;
-                self.at_end()
+                let Some(&hdr) = self.staged.first_chunk::<HEADER_LEN>() else {
+                    if self.finished {
+                        return Err(FormatError::BadRecord("truncated header"));
+                    }
+                    return Ok(TailPoll::Pending);
+                };
+                let (meta, snaplen) = parse_header(hdr)?;
+                self.staged.drain(..HEADER_LEN);
+                self.header = Some((meta, snaplen));
+                meta
             }
+        };
+        loop {
+            if let Some(ev) = self.cursor.next_record(&meta)? {
+                return Ok(TailPoll::Event(ev));
+            }
+            let Some((hdr, comp)) = frame_block(&self.staged)? else {
+                return self.at_end();
+            };
+            self.cursor.load(&hdr, comp)?;
+            self.staged.drain(..hdr.frame_len());
         }
     }
 
-    /// The non-event outcome once the decoder has drained the committed
-    /// prefix: `Pending` while the stream is open, `End` after a clean
-    /// finish, truncation error after a finish with a partial unit staged.
+    /// The non-event outcome once every complete block is decoded:
+    /// `Pending` while the stream is open, `End` after a clean finish,
+    /// truncation error after a finish with a partial block staged.
     fn at_end(&self) -> Result<TailPoll, FormatError> {
         if !self.finished {
             return Ok(TailPoll::Pending);
         }
-        if self.pending.is_empty() {
+        if self.staged.is_empty() {
             Ok(TailPoll::End)
         } else {
             Err(FormatError::BadRecord("truncated block at end of stream"))
@@ -383,9 +262,8 @@ mod tests {
 
     #[test]
     fn resumes_after_drain() {
-        // Drain to Pending mid-file, then feed the rest: the decoder must
-        // re-seat at the block boundary and continue (the seek_to_block
-        // resume path).
+        // Drain to Pending mid-file, then feed the rest: decoding must
+        // continue with the block that was left partially staged.
         let (buf, events) = trace_bytes(400, 512);
         let cut = buf.len() / 2;
         let mut tail = TailReader::new();

@@ -3,12 +3,15 @@
 //! manifest — surfaces as a clean `Err` (or a clean end-of-stream), never
 //! as a panic. This is the dynamic twin of tidy's `decode-no-panic` rule:
 //! the rule bans the panicking *constructs*; this test feeds the survivors
-//! hostile bytes.
+//! hostile bytes. The trace sweeps run through both readers: the batch
+//! [`TraceReader`] and the chunk-fed [`TailReader`] at several chunk sizes,
+//! which must also never pend forever once the stream is finished.
 
 use jigsaw_ieee80211::{Channel, PhyRate};
 use jigsaw_trace::corpus::{Corpus, CorpusWriter, Manifest};
 use jigsaw_trace::format::TraceReader;
 use jigsaw_trace::index::read_index;
+use jigsaw_trace::tail::{TailPoll, TailReader};
 use jigsaw_trace::{MonitorId, PhyEvent, PhyStatus, RadioId, RadioMeta};
 use std::io::Cursor;
 use std::path::PathBuf;
@@ -56,14 +59,59 @@ fn record(tag: &str) -> PathBuf {
     dir
 }
 
+/// Tail chunk sizes the sweeps feed: single bytes, an odd size that
+/// straddles every header and block seam, and a page.
+const TAIL_CHUNKS: [usize; 3] = [1, 7, 4096];
+
 /// Drains a reader built over `bytes` until end-of-stream or the first
-/// decode error. Any panic escapes and fails the test.
-fn drain(bytes: Vec<u8>) {
-    let mut r = match TraceReader::open(Cursor::new(bytes)) {
-        Ok(r) => r,
-        Err(_) => return,
-    };
-    while let Ok(Some(_)) = r.next_event() {}
+/// decode error, returning the events decoded before it. Any panic
+/// escapes and fails the test.
+fn drain(bytes: &[u8]) -> Vec<PhyEvent> {
+    let mut got = Vec::new();
+    if let Ok(mut r) = TraceReader::open(Cursor::new(bytes)) {
+        while let Ok(Some(ev)) = r.next_event() {
+            got.push(ev);
+        }
+    }
+    got
+}
+
+/// Feeds `bytes` to a [`TailReader`] in `chunk`-byte pieces, polling after
+/// each, then finishes it and polls until `End` or the first error,
+/// returning the events decoded on the way. `Pending` after `finish` would
+/// leave a live merger waiting forever, so it fails the test.
+fn tail_drain(bytes: &[u8], chunk: usize) -> Vec<PhyEvent> {
+    let mut tail = TailReader::new();
+    let mut got = Vec::new();
+    for piece in bytes.chunks(chunk) {
+        tail.extend(piece);
+        loop {
+            match tail.poll_event() {
+                Ok(TailPoll::Event(ev)) => got.push(ev),
+                Ok(TailPoll::Pending) => break,
+                Ok(TailPoll::End) => panic!("End before finish"),
+                Err(_) => return got,
+            }
+        }
+    }
+    tail.finish();
+    loop {
+        match tail.poll_event() {
+            Ok(TailPoll::Event(ev)) => got.push(ev),
+            Ok(TailPoll::Pending) => panic!("Pending after finish (chunk {chunk})"),
+            Ok(TailPoll::End) | Err(_) => return got,
+        }
+    }
+}
+
+/// Runs `bytes` through the batch reader and the tail at every chunk size:
+/// none may panic or hang, and every tail decodes exactly the events the
+/// batch reader does before the damage stops it.
+fn sweep_both(bytes: &[u8]) {
+    let batch = drain(bytes);
+    for chunk in TAIL_CHUNKS {
+        assert!(tail_drain(bytes, chunk) == batch, "chunk {chunk}");
+    }
 }
 
 #[test]
@@ -73,12 +121,13 @@ fn flipped_trace_bytes_never_panic() {
     // The sane copy decodes fully; then every byte position gets each of
     // three damage patterns. This covers the header, block framing,
     // compressed payloads, and record varints.
-    drain(good.clone());
+    assert_eq!(drain(&good).len(), 80);
+    sweep_both(&good);
     for pos in 0..good.len() {
         for flip in [0xff, 0x80, 0x01] {
             let mut bad = good.clone();
             bad[pos] ^= flip;
-            drain(bad);
+            sweep_both(&bad);
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -89,7 +138,7 @@ fn truncated_trace_bytes_never_panic() {
     let dir = record("trunc");
     let good = std::fs::read(dir.join("r000.jigt")).unwrap();
     for cut in 0..good.len() {
-        drain(good[..cut].to_vec());
+        sweep_both(&good[..cut]);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -159,7 +208,6 @@ fn corrupted_corpus_streams_error_cleanly() {
         "digest must catch the flipped byte"
     );
     for radio in 0..c.manifest().radios.len() {
-        use jigsaw_trace::stream::EventStream;
         let src = c
             .source(radio, std::sync::Arc::new(Default::default()))
             .unwrap();

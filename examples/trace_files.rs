@@ -14,7 +14,6 @@ use jigsaw::sim::scenario::ScenarioConfig;
 use jigsaw::trace::format::{TraceReader, TraceWriter};
 use jigsaw::trace::index::write_index;
 use jigsaw::trace::pcap::PcapWriter;
-use jigsaw::trace::stream::ReaderStream;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::path::PathBuf;
@@ -60,8 +59,7 @@ fn main() -> std::io::Result<()> {
     let mut streams = Vec::new();
     for r in 0..out.traces.len() {
         let path = dir.join(format!("radio{r:03}.jigt"));
-        let reader = TraceReader::open(BufReader::new(File::open(&path)?)).expect("open");
-        streams.push(ReaderStream::new(reader));
+        streams.push(TraceReader::open(BufReader::new(File::open(&path)?)).expect("open"));
     }
     let report = Pipeline::run(streams, &PipelineConfig::default(), ()).expect("pipeline");
     println!(

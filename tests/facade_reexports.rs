@@ -19,11 +19,11 @@ use jigsaw::sim::scenario::ScenarioConfig;
 use jigsaw::trace::format::{TraceReader, TraceWriter};
 use jigsaw::trace::index::write_index;
 use jigsaw::trace::pcap::PcapWriter;
-use jigsaw::trace::stream::{MemoryStream, ReaderStream};
+use jigsaw::trace::stream::MemoryStream;
 
 // Each subsystem's load-bearing types, beyond what the examples happen to
 // touch today.
-use jigsaw::core::baseline::{naive_merge, yeo_merge};
+use jigsaw::core::baseline::naive_merge;
 use jigsaw::core::jframe::JFrame;
 use jigsaw::core::link::exchange::Exchange;
 use jigsaw::core::sync::bootstrap::bootstrap;
@@ -48,12 +48,6 @@ fn facade_surface_resolves() {
     // closure still forces full resolution and type-checking.
     let _ = || {
         let _ = naive_merge(Vec::<MemoryStream>::new(), 0, |_: &JFrame| {});
-        let _ = yeo_merge(
-            Vec::<MemoryStream>::new(),
-            &Default::default(),
-            &MergeConfig::default(),
-            |_: JFrame| {},
-        );
     };
 
     // Types: mention each so the import is load-bearing.
@@ -68,7 +62,6 @@ fn facade_surface_resolves() {
     touch::<ScenarioConfig>();
     touch::<(TraceReader<std::io::Empty>, TraceWriter<Vec<u8>>)>();
     touch::<PcapWriter<Vec<u8>>>();
-    touch::<ReaderStream<std::io::Empty>>();
     touch::<(Exchange, MergeConfig, Merger<MemoryStream>)>();
     touch::<(Msdu, TcpSegment)>();
     touch::<SimOutput>();

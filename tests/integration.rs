@@ -9,7 +9,6 @@ use jigsaw::analysis::tcploss::TcpLossAnalysis;
 use jigsaw::core::pipeline::{Pipeline, PipelineConfig};
 use jigsaw::sim::scenario::ScenarioConfig;
 use jigsaw::trace::format::{TraceReader, TraceWriter};
-use jigsaw::trace::stream::ReaderStream;
 
 #[test]
 fn facade_quickstart_path() {
@@ -36,9 +35,7 @@ fn disk_roundtrip_preserves_pipeline_results() {
             w.append(e).unwrap();
         }
         let (bytes, _, _) = w.finish().unwrap();
-        disk_streams.push(ReaderStream::new(
-            TraceReader::open(std::io::Cursor::new(bytes)).unwrap(),
-        ));
+        disk_streams.push(TraceReader::open(std::io::Cursor::new(bytes)).unwrap());
     }
     let disk_report = Pipeline::run(disk_streams, &PipelineConfig::default(), ()).unwrap();
 
