@@ -59,7 +59,6 @@ fn bench_sharded_merge(c: &mut Criterion) {
         let cfg = PipelineConfig {
             shard: ShardConfig {
                 max_threads: threads,
-                ..ShardConfig::default()
             },
             ..PipelineConfig::default()
         };

@@ -51,10 +51,7 @@ fn bench_parallel_pipeline(c: &mut Criterion) {
         b.iter(|| Pipeline::run(out.memory_streams(), &PipelineConfig::default(), ()).unwrap())
     });
     let cfg = PipelineConfig {
-        shard: ShardConfig {
-            max_threads: 3,
-            ..ShardConfig::default()
-        },
+        shard: ShardConfig { max_threads: 3 },
         ..PipelineConfig::default()
     };
     g.bench_function(BenchmarkId::new("sharded3", events), |b| {

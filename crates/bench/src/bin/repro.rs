@@ -59,8 +59,10 @@
 //!   chunking-invariance gate, pinned at several chunk sizes — naming any
 //!   re-anchors applied and lagged sources (the contract's two documented
 //!   exceptions) when it is not; `--max-buffered N` fails the run if the
-//!   merger ever held more than N events, as for `merge` — watermark-paced
-//!   polling keeps that a search window's worth, whatever the corpus size.
+//!   merger ever held more than N events, as for `merge`. The live merger
+//!   is the batch merger pulling each tail as a stream that can pend,
+//!   seeded with the same bootstrap window, so over a finished corpus its
+//!   `peak buffered` equals `merge`'s, whatever the chunking.
 //!
 //! Timing and allocation measurement is not this binary's job: `benchmark/`
 //! (jigbench + jigtrace, `bash benchmark/run.sh`) measures these
@@ -133,9 +135,9 @@ struct Args {
     scale: f64,
     /// Shard the merge by channel across threads (serial otherwise).
     parallel: bool,
-    /// Shard-thread cap under `--parallel` (0 = one per channel, up to the
-    /// core count).
-    threads: usize,
+    /// Shard-thread cap under `--parallel` (0 or unset = one per channel,
+    /// up to the core count).
+    threads: Option<usize>,
     /// Corpus directory (every corpus subcommand; `sweep`'s output root).
     corpus: Option<String>,
     /// Scenario name: a preset (tiny | small | paper_day) or a sweep-matrix
@@ -229,7 +231,7 @@ static FLAGS: &[ArgSpec<Args>] = &[
     }),
     ArgSpec::switch("--parallel", |a| a.parallel = true),
     ArgSpec::parsed("--threads", "a thread count", |a, v| {
-        cli::assign(&mut a.threads, v)
+        cli::assign_some(&mut a.threads, v)
     }),
     ArgSpec::text("--corpus", |a, v| a.corpus = Some(v)),
     ArgSpec::text("--scenario", |a, v| a.scenario = Some(v)),
@@ -261,7 +263,7 @@ fn parse_args() -> Args {
         seed: 20060124, // the paper's trace date
         scale: 0.25,
         parallel: false,
-        threads: 0,
+        threads: None,
         corpus: None,
         scenario: None,
         golden: None,
@@ -286,11 +288,18 @@ fn parse_args() -> Args {
 }
 
 /// The run's pipeline configuration: serial unless `--parallel` asks for
-/// the channel-sharded merge layout.
+/// the channel-sharded merge layout. `--threads` only caps that layout's
+/// shards, so without `--parallel` it is a usage error, never a flag
+/// silently dropped.
 fn pipeline_config(args: &Args) -> PipelineConfig {
     let mut cfg = PipelineConfig::default();
     if args.parallel {
-        cfg.shard.max_threads = args.threads;
+        cfg.shard.max_threads = args.threads.unwrap_or(0);
+    } else if args.threads.is_some() {
+        let cmd = &args.cmd;
+        usage_error(&format!(
+            "{cmd}: --threads caps the shards of --parallel; pass both or neither"
+        ));
     }
     cfg
 }
@@ -373,6 +382,7 @@ fn run_all(args: &Args) {
 
 /// One shared simulation + pipeline pass feeding every single-trace figure.
 fn run_main_trace(args: &Args, only: Option<&str>) {
+    let cfg = pipeline_config(args);
     let (seed, scale) = (args.seed, args.scale);
     let out = simulate(seed, scale);
     let day = out.duration_us;
@@ -389,7 +399,6 @@ fn run_main_trace(args: &Args, only: Option<&str>) {
     let mut coverage = CoverageAnalysis::new(&out.wired, &ap_lookup, 10_000_000);
     let mut tcploss = TcpLossAnalysis::new();
 
-    let cfg = pipeline_config(args);
     let t0 = Instant::now();
     // One observer tuple wires every analysis into the single pass —
     // multi-hook analyses (interference consumes jframes AND attempts)
@@ -661,10 +670,9 @@ fn run_smoke(args: &Args) {
     // matrix (1/2/4) can pin the serial ≡ sharded assertion at every shard
     // layout, including channels split across fewer shards.
     let channels = jigsaw_trace::stream::distinct_channels(&out.radio_meta).len();
-    let threads = if args.threads == 0 {
-        channels.max(1)
-    } else {
-        args.threads
+    let threads = match args.threads {
+        None | Some(0) => channels.max(1),
+        Some(t) => t,
     };
     let (par_report, par_keys, par_exchanges, par_t) = pass(threads);
 
@@ -831,6 +839,7 @@ fn stream_merge_corpus(
 /// instead asserts it unified exactly what the full replay clipped to the
 /// same window unifies (per-channel count + clock-invariant digest).
 fn run_corpus_merge(args: &Args) {
+    let cfg = pipeline_config(args);
     banner("MERGE — stream an on-disk corpus through unification");
     let session = open_session(args);
     if let Some(window) = or_exit(session.window(args.from, args.to)) {
@@ -838,7 +847,6 @@ fn run_corpus_merge(args: &Args) {
     }
     let corpus = session.corpus();
 
-    let cfg = pipeline_config(args);
     let mut digest = JframeStreamDigest::new();
     let run = stream_merge_corpus(&session, None, &cfg, |jf| digest.observe(jf));
     let events = run.stats.events_in;
@@ -989,9 +997,9 @@ fn run_windowed_merge(args: &Args, session: &CorpusSession, window: TimeWindow) 
 /// `--from/--to` the whole suite runs over a windowed replay (the wired
 /// trace clips to the same `[from, to)`).
 fn run_analyze(args: &Args) {
+    let mut cfg = pipeline_config(args);
     banner("ANALYZE — stream the figure suite off a recorded corpus");
     let session = open_session(args);
-    let mut cfg = pipeline_config(args);
     cfg.window = or_exit(session.window(args.from, args.to));
     let t0 = Instant::now();
     let (report, figures) = or_exit(session.analyze(&cfg));
@@ -1182,9 +1190,9 @@ fn run_tail(args: &Args) {
 /// `fig9.frac_with_interference` at 0.60 and 0.50 against the 0.5 gate in
 /// two more, confirmed three — 12 incidents against 14.
 fn run_diagnose(args: &Args) {
+    let mut cfg = pipeline_config(args);
     banner("DIAGNOSE — evidence-grounded triage over the figure suite");
     let session = open_session(args);
-    let mut cfg = pipeline_config(args);
     cfg.window = or_exit(session.window(args.from, args.to));
 
     let t0 = Instant::now();

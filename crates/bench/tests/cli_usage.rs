@@ -91,6 +91,20 @@ fn tail_shares_the_usage_contract() {
     assert_usage_error(&["tail", "extra-subcommand"]);
 }
 
+/// `--threads` only caps the shards of `--parallel`: without it the flag
+/// would be silently dropped, so it is a usage error — raised before the
+/// corpus is even looked for, so no corpus is needed.
+#[test]
+fn threads_without_parallel_exits_2() {
+    for cmd in ["merge", "analyze", "diagnose"] {
+        let stderr = assert_usage_error(&["--threads", "2", cmd, "--corpus", "no-such-dir"]);
+        assert!(
+            stderr.contains("--threads caps the shards of --parallel"),
+            "{cmd}: {stderr}"
+        );
+    }
+}
+
 /// `tail` has one driver and replays the whole corpus: the sharded-tail
 /// flag, a replay window and the retired lag flag are usage errors — the
 /// first two before the corpus is even looked for, so no corpus is needed.

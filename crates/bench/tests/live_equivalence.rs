@@ -9,9 +9,9 @@
 //! with most radios thinned to a capture in 25 — sparse radios beside a
 //! busy one, the rate skew under which count-paced polling let the sparse
 //! sources race ahead and the merger buffer the difference. On both, the
-//! live driver must also hold its residency bound: the bootstrap window
-//! plus a small multiple of what the batch merge buffers once its own
-//! bootstrap window has drained, whatever the chunking.
+//! live merger must also buffer exactly what the batch merge buffers —
+//! the same merger, pulling the same streams from the same seeds —
+//! whatever the chunking.
 
 mod common;
 
@@ -29,63 +29,33 @@ const SEED: u64 = 20060124;
 /// Small trace blocks so even modest chunk sizes straddle block seams.
 const BLOCK_BYTES: usize = 512;
 
-/// What the batch merge of each fixture buffers after its seeded bootstrap
-/// window has drained. `MergeStats::peak_buffered` no longer shows it — the
-/// seeded window (498 / 182 / 15,466 events, exactly `bootstrap_events`) is
-/// the larger term, and the live bound already adds that one separately —
-/// so the values are pinned as measured when batch sources still replayed
-/// their window through the stream. They keep the bound at 498 + 4×102 =
-/// 906 (tiny) and 182 + 4×52 = 390 (skewed); the live merger holds 507 and
-/// 193. Re-measure only if the simulated worlds change.
-const STEADY_PEAK_TINY: u64 = 102;
-const STEADY_PEAK_SKEWED: u64 = 52;
-const STEADY_PEAK_DIURNAL: u64 = 7_780;
-
 struct Fixture {
     dir: PathBuf,
     events: u64,
     batch_count: u64,
     batch_hex: String,
-    /// The batch merge's steady-state residency: its peak once the
-    /// bootstrap window it is seeded with has drained (`STEADY_PEAK_*`).
+    /// The batch merge's peak residency (`MergeStats::peak_buffered`).
     batch_peak: u64,
-    /// Events the live merger must accumulate before it can bootstrap: each
-    /// radio's first window, plus the one event that proves it complete.
-    bootstrap_events: u64,
 }
 
-/// Records `out` as a corpus and computes the batch reference digest every
-/// chunking of it must reproduce.
-fn record_fixture(tag: &str, out: &SimOutput, block_bytes: usize, steady_peak: u64) -> Fixture {
+/// Records `out` as a corpus and computes the batch reference digest and
+/// residency every chunking of it must reproduce.
+fn record_fixture(tag: &str, out: &SimOutput, block_bytes: usize) -> Fixture {
     let dir = std::env::temp_dir().join(format!("jigsaw-live-equiv-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     record_corpus(out, &dir, tag, SEED, 1.0, 65_535, block_bytes).unwrap();
-    let cfg = PipelineConfig::default();
-    let bootstrap_events = out
-        .radio_meta
-        .iter()
-        .zip(&out.traces)
-        .map(|(m, t)| {
-            let hi = m.anchor_local_us + cfg.bootstrap.window_us;
-            (t.partition_point(|e| e.ts_local <= hi) + 1).min(t.len()) as u64
-        })
-        .sum();
     let session = CorpusSession::open(&dir).unwrap();
     let mut digest = JframeStreamDigest::new();
-    let stats = session.merge(None, &cfg, |jf| digest.observe(jf)).unwrap();
+    let stats = session
+        .merge(None, &PipelineConfig::default(), |jf| digest.observe(jf))
+        .unwrap();
     assert!(digest.count() > 0, "batch reference produced no jframes");
-    assert!(
-        steady_peak <= stats.peak_buffered,
-        "{tag}: pinned steady-state peak {steady_peak} exceeds the whole run's {}",
-        stats.peak_buffered
-    );
     Fixture {
-        batch_peak: steady_peak,
         dir,
         events: stats.events_in,
         batch_count: digest.count(),
         batch_hex: digest.hex(),
-        bootstrap_events,
+        batch_peak: stats.peak_buffered,
     }
 }
 
@@ -93,7 +63,7 @@ fn record_fixture(tag: &str, out: &SimOutput, block_bytes: usize, steady_peak: u
 fn tiny() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
     let out = || ScenarioConfig::tiny(SEED).run();
-    FIX.get_or_init(|| record_fixture("tiny", &out(), BLOCK_BYTES, STEADY_PEAK_TINY))
+    FIX.get_or_init(|| record_fixture("tiny", &out(), BLOCK_BYTES))
 }
 
 /// The skewed-rate cut (`common::skewed_tiny`): per-event polling would
@@ -101,7 +71,7 @@ fn tiny() -> &'static Fixture {
 fn skewed() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
     let out = || common::skewed_tiny(SEED);
-    FIX.get_or_init(|| record_fixture("skewed", &out(), BLOCK_BYTES, STEADY_PEAK_SKEWED))
+    FIX.get_or_init(|| record_fixture("skewed", &out(), BLOCK_BYTES))
 }
 
 fn fixtures() -> [(&'static str, &'static Fixture); 2] {
@@ -142,24 +112,21 @@ fn live_run(f: &Fixture, chunk: usize) -> Run {
     }
 }
 
-/// One chunking: the batch stream exactly, within the residency bound.
-/// `Err` carries the first mismatch.
+/// One chunking: the batch stream exactly, buffering exactly what the
+/// batch merge buffers. `Err` carries the first mismatch.
 fn check_chunking(name: &str, f: &Fixture, chunk: usize) -> Result<(), String> {
     let live = live_run(f, chunk);
-    if (live.events_in, live.jframes, live.hex.as_str())
-        != (f.events, f.batch_count, f.batch_hex.as_str())
+    if (
+        live.events_in,
+        live.jframes,
+        live.hex.as_str(),
+        live.peak_buffered,
+    ) != (f.events, f.batch_count, f.batch_hex.as_str(), f.batch_peak)
     {
         return Err(format!(
-            "{name} live chunk={chunk}: {live:?} != batch ({} events, {} jframes, {})",
-            f.events, f.batch_count, f.batch_hex
-        ));
-    }
-    let bound = f.bootstrap_events + 4 * f.batch_peak;
-    if live.peak_buffered > bound {
-        return Err(format!(
-            "{name} live chunk={chunk}: peak buffered {} of {} events exceeds {bound} \
-             (bootstrap window {} + 4 × steady-state batch peak {})",
-            live.peak_buffered, f.events, f.bootstrap_events, f.batch_peak
+            "{name} live chunk={chunk}: {live:?} != batch ({} events, {} jframes, {}, \
+             peak buffered {})",
+            f.events, f.batch_count, f.batch_hex, f.batch_peak
         ));
     }
     Ok(())
@@ -183,14 +150,14 @@ fn one_byte_and_block_straddling_chunks_match_batch() {
 /// The corpus ISSUE 11 saw diverge (live 1,650,213 jframes, batch
 /// 1,649,488): `paper_day` at scale 0.2 with diurnal sessions on —
 /// 4,028,213 events over 156 radios. Re-anchoring fired there on healthy
-/// clocks; it must not, and the residency bound must hold at 4 M events as
-/// it does at 1,200.
+/// clocks; it must not, and the live merger must buffer what the batch
+/// merge buffers at 4 M events as it does at 1,200.
 #[test]
 #[ignore = "simulates a 4 M-event day and merges it twice (minutes in release): \
             cargo test --release -p jigsaw_bench --test live_equivalence -- --ignored"]
 fn diurnal_day_matches_batch_within_the_residency_bound() {
     let out = jigsaw_bench::paper_scenario(SEED, 0.2).run();
-    let f = record_fixture("diurnal", &out, 0, STEADY_PEAK_DIURNAL);
+    let f = record_fixture("diurnal", &out, 0);
     drop(out);
     let outcome = check_chunking("diurnal", &f, 4096);
     std::fs::remove_dir_all(&f.dir).ok();
@@ -201,7 +168,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Arbitrary chunk sizes — the emitted stream never depends on where
-    /// the byte boundaries fall, and neither does the residency bound.
+    /// the byte boundaries fall, and neither does the residency.
     #[test]
     fn any_chunking_yields_the_batch_stream(chunk in 1usize..4096) {
         for (name, f) in fixtures() {

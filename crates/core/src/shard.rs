@@ -61,7 +61,19 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 
-/// Knobs for the channel-sharded merge.
+/// Jframes per mpsc message: amortizes channel synchronization without
+/// adding meaningful latency (jframes are merged, not displayed).
+const BATCH: usize = 64;
+
+/// Bounded queue depth per shard, in batches — the backpressure window.
+/// With [`BATCH`] it bounds cross-thread buffering: at most
+/// `BATCH × (QUEUE_BATCHES + 2)` jframes per shard are in flight (queue +
+/// one being filled + one being drained), independent of how long the
+/// input traces are. Per-shard *merger* residency is tracked separately in
+/// [`MergeStats::peak_buffered`](crate::unify::MergeStats).
+const QUEUE_BATCHES: usize = 8;
+
+/// How the channel-sharded merge is laid out.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
     /// Maximum merge threads (= shards). `1` (the default) is the serial
@@ -69,26 +81,11 @@ pub struct ShardConfig {
     /// machine's available parallelism. The default never consults the
     /// machine, so a `PipelineConfig::default()` run is the same everywhere.
     pub max_threads: usize,
-    /// Jframes per mpsc message: amortizes channel synchronization without
-    /// adding meaningful latency (jframes are merged, not displayed).
-    pub batch: usize,
-    /// Bounded queue depth per shard, in batches — the backpressure window.
-    /// Together with `batch` this is the knob bounding cross-thread
-    /// buffering: at most `batch × (queue_batches + 2)` jframes per shard
-    /// are in flight (queue + one being filled + one being drained),
-    /// independent of how long the input traces are. Per-shard *merger*
-    /// residency is tracked separately in
-    /// [`MergeStats::peak_buffered`](crate::unify::MergeStats).
-    pub queue_batches: usize,
 }
 
 impl Default for ShardConfig {
     fn default() -> Self {
-        ShardConfig {
-            max_threads: 1,
-            batch: 64,
-            queue_batches: 8,
-        }
+        ShardConfig { max_threads: 1 }
     }
 }
 
@@ -168,7 +165,6 @@ where
         return merger.run(sink);
     }
 
-    let batch_size = cfg.batch.max(1);
     // Raised by a shard that fails, checked by everyone: the consumer
     // stops sinking (mirroring the serial merger, which stops at the
     // error) and the healthy shards stop sending.
@@ -182,14 +178,14 @@ where
         let shard_seeds: Vec<Vec<PhyEvent>> =
             idx.iter().map(|&i| std::mem::take(&mut seeds[i])).collect();
         let merge_cfg = merge_cfg.clone();
-        let (tx, rx) = mpsc::sync_channel::<Vec<JFrame>>(cfg.queue_batches.max(1));
+        let (tx, rx) = mpsc::sync_channel::<Vec<JFrame>>(QUEUE_BATCHES);
         let poison = Arc::clone(&poison);
         let handle = std::thread::spawn(move || -> Result<MergeStats, FormatError> {
             let mut merger = Merger::new_at(shard_streams, &shard_offsets, &shard_refs, merge_cfg);
             for (r, seed) in shard_seeds.into_iter().enumerate() {
                 merger.seed_pending(r, seed);
             }
-            let mut batch = Vec::with_capacity(batch_size);
+            let mut batch = Vec::with_capacity(BATCH);
             // If the receiver hangs up or another shard fails, stop
             // sending and let the merge run dry instead of panicking.
             let mut hung_up = false;
@@ -202,7 +198,7 @@ where
                     return;
                 }
                 batch.push(jf);
-                if batch.len() >= batch_size && tx.send(std::mem::take(&mut batch)).is_err() {
+                if batch.len() >= BATCH && tx.send(std::mem::take(&mut batch)).is_err() {
                     hung_up = true;
                 }
             });
@@ -341,7 +337,9 @@ mod tests {
     fn three_channel_streams() -> Vec<MemoryStream> {
         let chans = [1u8, 6, 1, 6, 11, 11];
         let mut per_radio: Vec<Vec<PhyEvent>> = vec![Vec::new(); chans.len()];
-        for k in 0..40u64 {
+        // 200 jframes per channel: several batches per shard, so the
+        // consumer refills from its queue mid-stream.
+        for k in 0..200u64 {
             for (ci, &c) in [1u8, 6, 11].iter().enumerate() {
                 let t = 2_000 + k * 2_500 + ci as u64 * 13;
                 let bytes = frame_bytes((k % 4000) as u16, c);
@@ -380,12 +378,10 @@ mod tests {
             merger.run(|jf| out.push(jf)).unwrap();
             out
         };
-        assert_eq!(serial.len(), 120);
+        assert_eq!(serial.len(), 600);
         for threads in [1usize, 2, 3, 5] {
             let cfg = ShardConfig {
                 max_threads: threads,
-                batch: 7, // deliberately small: exercise batching + refill
-                queue_batches: 2,
             };
             let mut out = Vec::new();
             let stats = run_sharded(
@@ -418,10 +414,7 @@ mod tests {
             seeds,
             &[],
             &MergeConfig::default(),
-            &ShardConfig {
-                max_threads: 2,
-                ..ShardConfig::default()
-            },
+            &ShardConfig { max_threads: 2 },
             |jf| out.push(jf),
         )
         .unwrap();
@@ -461,10 +454,7 @@ mod tests {
             Vec::new(),
             &[],
             &MergeConfig::default(),
-            &ShardConfig {
-                max_threads: 2,
-                ..ShardConfig::default()
-            },
+            &ShardConfig { max_threads: 2 },
             |jf| sharded.push(jf),
         )
         .unwrap();
@@ -500,7 +490,10 @@ mod tests {
         let f = frame_bytes(2, 5);
         let mut bad_events = Vec::new();
         let mut good_events = Vec::new();
-        for k in 0..50u64 {
+        // One jframe per event, 2,000 per shard: three times the
+        // `BATCH × (QUEUE_BATCHES + 2)` a shard can have in flight, so a
+        // producer still blocks on a full queue before the failure.
+        for k in 0..2_000u64 {
             bad_events.push(ev(
                 0,
                 1_000 + k * 2_000,
@@ -523,11 +516,7 @@ mod tests {
             Vec::new(),
             &[],
             &MergeConfig::default(),
-            &ShardConfig {
-                max_threads: 2,
-                batch: 4,
-                queue_batches: 1,
-            },
+            &ShardConfig { max_threads: 2 },
             |_| {},
         )
         .unwrap_err();
@@ -551,10 +540,7 @@ mod tests {
 
     #[test]
     fn shard_count_planning() {
-        let cfg = ShardConfig {
-            max_threads: 4,
-            ..ShardConfig::default()
-        };
+        let cfg = ShardConfig { max_threads: 4 };
         assert_eq!(cfg.shards_for(3), 3);
         assert_eq!(cfg.shards_for(9), 4);
         assert_eq!(cfg.shards_for(1), 1);

@@ -5,7 +5,13 @@
 //! Mechanics, mirroring the paper:
 //! * a single priority queue holds the earliest pending instance of each
 //!   radio (cost per jframe is linear in the frame's reception range, not
-//!   in the number of radios);
+//!   in the number of radios), and a radio is pulled only when that
+//!   instance is consumed;
+//! * a live stream may answer a pull with [`SourcePoll::Pending`]; until
+//!   it delivers again, its *watermark* (the universal image of its last
+//!   event) holds the merge back. A stored stream never pends, so a batch
+//!   run ([`Merger::run`]) and a live one ([`Merger::advance`]) are one
+//!   algorithm over the same cursors;
 //! * instances within a **channel-local** *search window* of the channel's
 //!   earliest pending instance are candidates (see [`Merger::run`]: window
 //!   boundaries are a pure function of each channel's own event sequence);
@@ -39,7 +45,7 @@ use crate::sync::clock::ClockState;
 use jigsaw_ieee80211::fc::{FrameControl, FrameType, Subtype};
 use jigsaw_ieee80211::{Channel, MacAddr, Micros};
 use jigsaw_trace::format::FormatError;
-use jigsaw_trace::stream::EventStream;
+use jigsaw_trace::stream::{EventStream, SourcePoll};
 use jigsaw_trace::{PhyEvent, PhyStatus};
 use std::cmp::Reverse;
 // tidy:allow-file(hash-order): frame/cursor maps are keyed lookup; emission order comes from the min-heap and explicit sorts on (univ, key)
@@ -140,48 +146,32 @@ pub fn is_sync_quality(ev_bytes: &[u8], wire_len: u32, status: PhyStatus) -> boo
     }
 }
 
+/// Where a radio's stream stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StreamStatus {
+    /// More events may come; while the stream pends, its watermark holds
+    /// the merge back.
+    Live,
+    /// Declared silent by the caller ([`Merger::lag`]): it holds nothing
+    /// back, what it delivers below the emitted horizon less one search
+    /// window is dropped, and an event at or above the horizon makes it
+    /// live again.
+    Lagging,
+    /// The stream ended; once its queue drains, its channel may close.
+    Ended,
+}
+
 struct Cursor<S> {
     stream: S,
     pending: VecDeque<PhyEvent>,
     head: Option<PhyEvent>,
     gen: u64,
-    exhausted: bool,
-    /// Live (push-mode) radio: more events may arrive via [`Merger::feed`]
-    /// even after the underlying stream reports `None`, so an empty cursor
-    /// does **not** mean its channel can close. Batch streams are never
-    /// live; [`Merger::mark_live`] opts a radio in and
-    /// [`Merger::close_radio`] revokes it when the producer ends.
-    live: bool,
-}
-
-impl<S: EventStream> Cursor<S> {
-    /// Fills the head slot; `Ok(true)` when a *new* event was pulled off
-    /// the underlying stream (as opposed to the pending queue), so the
-    /// caller can track resident-event counts.
-    fn refill(&mut self) -> Result<bool, FormatError> {
-        if self.head.is_some() {
-            return Ok(false);
-        }
-        if let Some(ev) = self.pending.pop_front() {
-            self.head = Some(ev);
-            self.gen += 1;
-            return Ok(false);
-        }
-        if self.exhausted {
-            return Ok(false);
-        }
-        match self.stream.next_event()? {
-            Some(ev) => {
-                self.head = Some(ev);
-                self.gen += 1;
-                Ok(true)
-            }
-            None => {
-                self.exhausted = true;
-                Ok(false)
-            }
-        }
-    }
+    status: StreamStatus,
+    /// Local time of the last event the stream delivered (seeded prefixes
+    /// included): nothing earlier can still arrive from it.
+    last_local: Option<Micros>,
+    /// Events a lagging stream delivered below the emitted horizon.
+    late_dropped: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -246,7 +236,10 @@ pub struct Merger<S> {
     // search window, if any.
     live_chans: Vec<Channel>,
     live_pend: Vec<Option<(Micros, Vec<Candidate>)>>,
-    live_started: bool,
+    // Finishing: a stream that pends now has ended.
+    finishing: bool,
+    // The emitted horizon (`Merger::horizon`), as last seen at a flush.
+    horizon: Micros,
     scratch: Scratch,
 }
 
@@ -301,8 +294,9 @@ impl<S: EventStream> Merger<S> {
                 pending: VecDeque::new(),
                 head: None,
                 gen: 0,
-                exhausted: false,
-                live: false,
+                status: StreamStatus::Live,
+                last_local: None,
+                late_dropped: 0,
             })
             .collect();
         Merger {
@@ -320,7 +314,8 @@ impl<S: EventStream> Merger<S> {
             resident: 0,
             live_chans,
             live_pend,
-            live_started: false,
+            finishing: false,
+            horizon: 0,
             scratch: Scratch::default(),
         }
     }
@@ -331,63 +326,56 @@ impl<S: EventStream> Merger<S> {
     }
 
     /// Pre-seeds a radio's cursor with already-read events (the bootstrap
-    /// prefix). Must be called before [`Merger::run`].
+    /// prefix). Must be called before the merge starts.
     pub fn seed_pending(&mut self, radio: usize, events: Vec<PhyEvent>) {
         self.resident += events.len();
-        self.cursors[radio].pending.extend(events);
-    }
-
-    /// Merge statistics so far.
-    pub fn stats(&self) -> &MergeStats {
-        &self.stats
-    }
-
-    /// Marks a radio as *live*: its producer may still [`Merger::feed`] it
-    /// events, so an empty cursor never lets its channel close. Call before
-    /// the first [`Merger::advance`]; revoke with [`Merger::close_radio`].
-    pub fn mark_live(&mut self, radio: usize) {
-        self.cursors[radio].live = true;
-    }
-
-    /// Declares a live radio's producer finished (stream end, or declared
-    /// dead by the caller's lag policy): once its cursor drains, its
-    /// channel may close. Safe to call repeatedly; [`Merger::mark_live`]
-    /// re-admits a radio that caught back up.
-    pub fn close_radio(&mut self, radio: usize) {
-        self.cursors[radio].live = false;
-    }
-
-    /// Pushes freshly arrived events (in nondecreasing `ts_local` order,
-    /// continuing where the previous feed left off) onto a live radio's
-    /// cursor. The push-mode dual of the pull-mode stream: a live driver
-    /// feeds decoded events here and calls [`Merger::advance`] with its
-    /// watermark.
-    pub fn feed(
-        &mut self,
-        radio: usize,
-        events: impl IntoIterator<Item = PhyEvent>,
-    ) -> Result<(), FormatError> {
         let cur = &mut self.cursors[radio];
-        let before = cur.pending.len();
-        cur.pending.extend(events);
-        debug_assert!(
-            cur.pending
-                .iter()
-                .zip(cur.pending.iter().skip(1))
-                .all(|(a, b)| a.ts_local <= b.ts_local),
-            "fed events out of order"
-        );
-        self.resident += self.cursors[radio].pending.len() - before;
-        if self.cursors[radio].head.is_none() {
-            self.push_head(radio)?;
+        if let Some(last) = events.last() {
+            cur.last_local = Some(last.ts_local);
         }
-        Ok(())
+        cur.pending.extend(events);
     }
 
-    /// A radio's current local→universal translation (watermark bookkeeping
-    /// for live drivers).
-    pub fn universal_of(&self, radio: usize, local: Micros) -> Micros {
-        self.univ_of(radio, local)
+    /// A radio's stream (by position).
+    pub fn stream(&self, radio: usize) -> &S {
+        &self.cursors[radio].stream
+    }
+
+    /// Every radio's stream, in position order.
+    pub fn streams_mut(&mut self) -> impl Iterator<Item = &mut S> {
+        self.cursors.iter_mut().map(|c| &mut c.stream)
+    }
+
+    /// Where a radio's stream stands.
+    pub fn status(&self, radio: usize) -> StreamStatus {
+        self.cursors[radio].status
+    }
+
+    /// True while a radio waits on its producer: its last pull pended. One
+    /// whose head waits in the merge is not being pulled.
+    pub fn is_pending(&self, radio: usize) -> bool {
+        let cur = &self.cursors[radio];
+        cur.head.is_none() && cur.status != StreamStatus::Ended
+    }
+
+    /// Events a lagging radio delivered below the emitted horizon, dropped.
+    pub fn late_dropped(&self, radio: usize) -> u64 {
+        self.cursors[radio].late_dropped
+    }
+
+    /// The emitted horizon (universal µs): nothing new can arrive below it,
+    /// and every jframe older than `horizon − 2×search_window` has left.
+    pub fn horizon(&self) -> Micros {
+        self.horizon
+    }
+
+    /// Declares a live radio silent (the caller's wall-clock lag policy):
+    /// see [`StreamStatus::Lagging`]. Other radios are left as they are.
+    pub fn lag(&mut self, radio: usize) {
+        let cur = &mut self.cursors[radio];
+        if cur.status == StreamStatus::Live {
+            cur.status = StreamStatus::Lagging;
+        }
     }
 
     /// Replaces a radio's clock state with a freshly bootstrapped offset
@@ -407,22 +395,36 @@ impl<S: EventStream> Merger<S> {
         }
     }
 
-    /// Incrementally merges everything provably complete given that every
-    /// event not yet fed will land at or above universal time `safe` (the
-    /// caller's watermark: the slowest live radio's last fed event). Emits
-    /// finalized jframes to `sink`; bounded lag means nothing older than
-    /// `2×search_window` below `safe` stays buffered. Call with a
-    /// nondecreasing `safe`; finish with [`Merger::run`].
+    /// Pulls again every stream whose last pull pended — a live driver's
+    /// "what has arrived?" each round; the first call seats every head.
+    pub fn repoll(&mut self) -> Result<(), FormatError> {
+        for r in 0..self.cursors.len() {
+            if self.is_pending(r) {
+                self.push_head(r)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Merges everything that has arrived (call [`Merger::repoll`] first),
+    /// popping nothing past universal time `limit`; a pending live stream
+    /// holds the merge at its watermark. Jframes go to `sink` with the
+    /// emitted horizon as each left ([`Merger::horizon`]). Returns the
+    /// frontier nothing new can arrive below (`Micros::MAX` once all
+    /// ended); at or past `limit`, the merge crossed it.
     pub fn advance(
         &mut self,
-        safe: Micros,
-        sink: &mut impl FnMut(JFrame),
-    ) -> Result<(), FormatError> {
-        self.live_init()?;
-        self.drain(safe, sink)?;
-        let horizon = self.live_horizon(safe);
-        self.flush_out(horizon, sink);
-        Ok(())
+        limit: Micros,
+        mut sink: impl FnMut(JFrame, Micros),
+    ) -> Result<Micros, FormatError> {
+        self.drain(limit, &mut sink)?;
+        let safe = self.safe();
+        if safe < Micros::MAX {
+            // Release what the pending watermarks make final. (A merge
+            // stopped only by `limit` resumes where it stopped.)
+            self.flush_below(safe, &mut sink);
+        }
+        Ok(self.frontier(safe))
     }
 
     /// Clock state access (diagnostics, tests).
@@ -434,14 +436,75 @@ impl<S: EventStream> Merger<S> {
         self.clocks[radio].to_universal(local)
     }
 
-    fn push_head(&mut self, radio: usize) -> Result<(), FormatError> {
-        if self.cursors[radio].refill()? {
-            self.resident += 1;
+    /// The bound nothing new can arrive below: the watermark of every
+    /// pending live stream. Lagging streams hold nothing back — unless no
+    /// live stream is left; then the merge holds at the emitted horizon.
+    fn safe(&self) -> Micros {
+        let (mut bound, mut live, mut lagging) = (Micros::MAX, false, false);
+        for (r, cur) in self.cursors.iter().enumerate() {
+            match cur.status {
+                StreamStatus::Live => {
+                    live = true;
+                    if cur.head.is_none() {
+                        let wm = cur.last_local.map_or(0, |t| self.univ_of(r, t));
+                        bound = bound.min(wm);
+                    }
+                }
+                StreamStatus::Lagging => lagging = true,
+                StreamStatus::Ended => {}
+            }
         }
-        if let Some(ev) = &self.cursors[radio].head {
-            let ts = self.clocks[radio].to_universal(ev.ts_local);
-            let gen = self.cursors[radio].gen;
-            self.heap.push(Reverse((ts, radio, gen)));
+        if lagging && !live {
+            bound.min(self.horizon)
+        } else {
+            bound
+        }
+    }
+
+    /// The earliest universal time anything new can still pop at: the heap
+    /// minimum, bounded by `safe`.
+    fn frontier(&self, safe: Micros) -> Micros {
+        self.heap
+            .peek()
+            .map_or(Micros::MAX, |&Reverse((t, _, _))| t)
+            .min(safe)
+    }
+
+    /// Seats a radio's next head and keys it into the heap: from its queue
+    /// first, else pulled off its stream (a newly resident event) through
+    /// the lagging filter ([`StreamStatus::Lagging`]).
+    fn push_head(&mut self, r: usize) -> Result<(), FormatError> {
+        let cutoff = self.horizon.saturating_sub(self.cfg.search_window_us);
+        let cur = &mut self.cursors[r];
+        if cur.head.is_none() {
+            cur.head = cur.pending.pop_front();
+            while cur.head.is_none() && cur.status != StreamStatus::Ended {
+                match cur.stream.poll_event()? {
+                    SourcePoll::Event(ev) => {
+                        // Even a dropped event advances the watermark.
+                        cur.last_local = Some(ev.ts_local);
+                        if cur.status == StreamStatus::Lagging {
+                            let univ = self.clocks[r].to_universal(ev.ts_local);
+                            if univ < cutoff {
+                                cur.late_dropped += 1;
+                                continue;
+                            }
+                            if univ >= self.horizon {
+                                cur.status = StreamStatus::Live;
+                            }
+                        }
+                        cur.head = Some(ev);
+                        self.resident += 1;
+                    }
+                    SourcePoll::Pending if !self.finishing => break,
+                    SourcePoll::Pending | SourcePoll::End => cur.status = StreamStatus::Ended,
+                }
+            }
+            cur.gen += 1;
+        }
+        if let Some(ev) = &cur.head {
+            let ts = self.clocks[r].to_universal(ev.ts_local);
+            self.heap.push(Reverse((ts, r, cur.gen)));
         }
         Ok(())
     }
@@ -474,12 +537,11 @@ impl<S: EventStream> Merger<S> {
     }
 
     /// No more events can ever arrive for this channel: every one of its
-    /// radios has an empty cursor, an exhausted stream, and no live
-    /// producer that could still [`Merger::feed`] it.
+    /// radios has an empty cursor and an ended stream.
     fn channel_exhausted(&self, ch: Channel) -> bool {
         self.cursors.iter().enumerate().all(|(r, c)| {
             self.channels[r] != ch
-                || (c.head.is_none() && c.pending.is_empty() && c.exhausted && !c.live)
+                || (c.head.is_none() && c.pending.is_empty() && c.status == StreamStatus::Ended)
         })
     }
 
@@ -519,63 +581,48 @@ impl<S: EventStream> Merger<S> {
     /// interleaving come out identical no matter which other channels
     /// share this merger. That invariance is what lets the channel-sharded
     /// driver ([`crate::shard`]) reproduce the serial output exactly.
-    ///
-    /// This also completes a push-driven merge ([`Merger::feed`] /
-    /// [`Merger::advance`]): every live radio must already be closed
-    /// ([`Merger::close_radio`]); what remains — all open windows and the
-    /// reorder buffer — drains exactly as if the fed events had arrived as
-    /// batch streams.
     pub fn run(mut self, mut sink: impl FnMut(JFrame)) -> Result<MergeStats, FormatError> {
-        debug_assert!(
-            self.cursors.iter().all(|c| !c.live),
-            "run with live radios still open"
-        );
-        self.live_init()?;
-        self.drain(Micros::MAX, &mut sink)?;
-        self.flush_out(Micros::MAX, &mut sink);
-        Ok(self.stats)
+        self.finish(|jf, _| sink(jf))
     }
 
-    /// Lazily seats every cursor's first head (the window table itself is
-    /// built at construction). Idempotent; shared by the batch and
-    /// incremental drivers.
-    fn live_init(&mut self) -> Result<(), FormatError> {
-        if self.live_started {
-            return Ok(());
-        }
-        self.live_started = true;
-        for r in 0..self.cursors.len() {
-            self.push_head(r)?;
-        }
-        Ok(())
+    /// [`Merger::run`] after [`Merger::advance`] steps: a pull that pends
+    /// from here on ends its stream, and everything that has arrived drains
+    /// as if stored. Jframes reach `sink` as in `advance`.
+    pub fn finish(
+        &mut self,
+        mut sink: impl FnMut(JFrame, Micros),
+    ) -> Result<MergeStats, FormatError> {
+        self.finishing = true;
+        self.repoll()?;
+        self.drain(Micros::MAX, &mut sink)?;
+        self.flush_out(Micros::MAX, &mut sink);
+        Ok(self.stats.clone())
     }
 
     /// Closes channel window `ci` (if open): processes its candidate batch
     /// and re-keys the channel's heap entries against the possibly-moved
     /// clocks.
-    fn close_window(&mut self, ci: usize, sink: &mut impl FnMut(JFrame)) -> bool {
+    fn close_window(&mut self, ci: usize) -> bool {
         let Some((t0, mut batch)) = self.live_pend[ci].take() else {
             return false;
         };
         let ch = self.live_chans[ci];
         let drained = self.channel_exhausted(ch);
-        self.process_candidates(&mut batch, t0, drained, sink);
+        self.process_candidates(&mut batch, t0, drained);
         self.scratch.spare.push(batch);
         self.refresh_channel_keys(ch);
         true
     }
 
-    /// The flush safety horizon: future jframes can only come from open
-    /// windows, from events still in the heap (including this round's
-    /// pushbacks), or — in live operation — from events not yet fed, which
-    /// all land at or above `safe`. Anything 2×window below all three is
-    /// final.
-    fn live_horizon(&self, safe: Micros) -> Micros {
-        let heap_min = self
-            .heap
-            .peek()
-            .map(|&Reverse((t, _, _))| t)
-            .unwrap_or(Micros::MAX);
+    /// Flushes the reordered output that is final: future jframes can only
+    /// come from open windows, from events in the heap (pushbacks
+    /// included), or from pending streams, which land at or above `safe`.
+    /// Anything 2×window below all three is final. Advances the horizon.
+    fn flush_below(&mut self, safe: Micros, sink: &mut impl FnMut(JFrame, Micros)) {
+        let frontier = self.frontier(safe);
+        if frontier < Micros::MAX {
+            self.horizon = self.horizon.max(frontier);
+        }
         let open_min = self
             .live_pend
             .iter()
@@ -583,27 +630,32 @@ impl<S: EventStream> Merger<S> {
             .map(|(t0, _)| *t0)
             .min()
             .unwrap_or(Micros::MAX);
-        heap_min
+        let final_below = frontier
             .min(open_min)
-            .min(safe)
-            .saturating_sub(2 * self.cfg.search_window_us)
+            .saturating_sub(2 * self.cfg.search_window_us);
+        self.flush_out(final_below, sink);
     }
 
-    /// Pops events in universal-time order up to `safe`, accumulating them
-    /// into channel windows and closing every window a popped trigger event
-    /// proves complete. Returns when the heap is dry or its minimum is past
-    /// `safe` (that event's window could still gain unfed instances).
-    fn pump(&mut self, safe: Micros, sink: &mut impl FnMut(JFrame)) -> Result<(), FormatError> {
+    /// Pops events in universal-time order up to `limit` and the safe
+    /// bound ([`Merger::safe`]), accumulating them into channel windows and
+    /// closing every window a popped trigger event proves complete. Returns
+    /// the safe bound once the heap is dry or its minimum is past a bound.
+    fn pump(
+        &mut self,
+        limit: Micros,
+        sink: &mut impl FnMut(JFrame, Micros),
+    ) -> Result<Micros, FormatError> {
         let window = self.cfg.search_window_us;
+        let mut safe = self.safe();
         loop {
             let Some((ts, r)) = self.pop_valid() else {
-                return Ok(());
+                return Ok(safe);
             };
-            if ts > safe {
+            if ts > safe.min(limit) {
                 // Not provably complete yet: restore the key and stop.
                 let gen = self.cursors[r].gen;
                 self.heap.push(Reverse((ts, r, gen)));
-                return Ok(());
+                return Ok(safe);
             }
             // Close every window that ended before this event.
             let mut to_close = std::mem::take(&mut self.scratch.to_close);
@@ -618,17 +670,24 @@ impl<S: EventStream> Merger<S> {
                 let gen = self.cursors[r].gen;
                 self.heap.push(Reverse((ts, r, gen)));
                 for ci in to_close.drain(..) {
-                    self.close_window(ci, sink);
+                    self.close_window(ci);
                 }
                 self.scratch.to_close = to_close;
-                // Flush reordered output below the safety horizon.
-                let horizon = self.live_horizon(safe);
-                self.flush_out(horizon, sink);
+                if safe < Micros::MAX {
+                    // Corrections may have moved a pending stream's
+                    // watermark.
+                    safe = self.safe();
+                }
+                self.flush_below(safe, sink);
                 continue;
             }
             self.scratch.to_close = to_close;
             let c = self.take_head(r);
             self.push_head(r)?;
+            if self.cursors[r].head.is_none() {
+                // Pended or ended: either can lower the bound.
+                safe = self.safe();
+            }
             let ci = self
                 .live_chans
                 .binary_search(&self.channel_of(c.radio))
@@ -649,33 +708,37 @@ impl<S: EventStream> Merger<S> {
         }
     }
 
-    /// Pumps to `safe`, then sweeps windows that can provably gain no more
-    /// instances: those whose end precedes `safe` (every unfed event lands
-    /// at or above `safe`) and those on fully exhausted channels. Sweeps
-    /// and pumps alternate until a fixpoint because closing a window may
-    /// push candidates back into the cursors.
-    fn drain(&mut self, safe: Micros, sink: &mut impl FnMut(JFrame)) -> Result<(), FormatError> {
+    /// Pumps, then sweeps windows that can provably gain no more
+    /// instances: those ending before the frontier (exactly the windows
+    /// popping the heap minimum would close) and those on fully exhausted
+    /// channels. Sweeps and pumps alternate until a fixpoint because
+    /// closing a window may push candidates back into the cursors.
+    fn drain(
+        &mut self,
+        limit: Micros,
+        sink: &mut impl FnMut(JFrame, Micros),
+    ) -> Result<(), FormatError> {
         let window = self.cfg.search_window_us;
         loop {
-            self.pump(safe, sink)?;
+            let safe = self.pump(limit, sink)?;
+            let frontier = self.frontier(safe);
             let mut any = false;
             for ci in 0..self.live_chans.len() {
                 let closeable = match &self.live_pend[ci] {
                     Some((t0, _)) => {
-                        t0.saturating_add(window) < safe
+                        t0.saturating_add(window) < frontier
                             || self.channel_exhausted(self.live_chans[ci])
                     }
                     None => false,
                 };
-                if closeable && self.close_window(ci, sink) {
+                if closeable && self.close_window(ci) {
                     any = true;
                 }
             }
             if !any {
                 return Ok(());
             }
-            let horizon = self.live_horizon(safe);
-            self.flush_out(horizon, sink);
+            self.flush_below(self.safe(), sink);
         }
     }
 
@@ -698,7 +761,7 @@ impl<S: EventStream> Merger<S> {
         self.stats.jframes_out += 1;
     }
 
-    fn flush_out(&mut self, horizon: Micros, sink: &mut impl FnMut(JFrame)) {
+    fn flush_out(&mut self, horizon: Micros, sink: &mut impl FnMut(JFrame, Micros)) {
         while let Some(&Reverse((ts, _, _, slot))) = self.out.peek() {
             if ts >= horizon {
                 break;
@@ -714,7 +777,7 @@ impl<S: EventStream> Merger<S> {
             );
             self.last_emitted = jf.ts;
             self.resident -= jf.instances.len();
-            sink(jf);
+            sink(jf, self.horizon);
         }
     }
 
@@ -722,13 +785,7 @@ impl<S: EventStream> Merger<S> {
     /// consumed, so the caller can recycle its buffer; all intermediate
     /// storage comes from [`Scratch`] and is returned there emptied —
     /// the steady state of the merge allocates nothing here.
-    fn process_candidates(
-        &mut self,
-        candidates: &mut Vec<Candidate>,
-        t0: Micros,
-        drained: bool,
-        _sink: &mut impl FnMut(JFrame),
-    ) {
+    fn process_candidates(&mut self, candidates: &mut Vec<Candidate>, t0: Micros, drained: bool) {
         // Ties on translated time are broken by the capture's (radio,
         // ts_local) — driver-invariant keys — never by arrival order,
         // which differs between the serial merge (all channels
@@ -910,7 +967,6 @@ impl<S: EventStream> Merger<S> {
                     self.resident += 1; // back into a cursor queue
                     self.cursors[r].pending.push_front(c.ev);
                 }
-                self.cursors[r].gen += 1;
                 let _ = self.push_head(r);
             }
         }
@@ -1518,6 +1574,60 @@ mod tests {
         )
     }
 
+    /// A stream fed by a live producer: `release` lets the next events
+    /// through, a pull past what has been released pends, and after
+    /// `close` the rest flows and the stream ends.
+    struct Trickle {
+        meta: RadioMeta,
+        events: VecDeque<PhyEvent>,
+        released: usize,
+        closed: bool,
+    }
+
+    impl EventStream for Trickle {
+        fn meta(&self) -> RadioMeta {
+            self.meta
+        }
+
+        fn next_event(&mut self) -> Result<Option<PhyEvent>, FormatError> {
+            Ok(self.events.pop_front())
+        }
+
+        fn poll_event(&mut self) -> Result<SourcePoll, FormatError> {
+            if self.released > 0 || self.closed {
+                if let Some(ev) = self.events.pop_front() {
+                    self.released = self.released.saturating_sub(1);
+                    return Ok(SourcePoll::Event(ev));
+                }
+            }
+            Ok(if self.closed {
+                SourcePoll::End
+            } else {
+                SourcePoll::Pending
+            })
+        }
+    }
+
+    fn trickled(meta: RadioMeta, events: Vec<PhyEvent>) -> Trickle {
+        let events = events.into();
+        Trickle {
+            meta,
+            events,
+            released: 0,
+            closed: false,
+        }
+    }
+
+    fn trickle(merger: &mut Merger<Trickle>, radio: usize) -> &mut Trickle {
+        merger.streams_mut().nth(radio).expect("known radio")
+    }
+
+    /// One live round: pull what pended, merge what arrived.
+    fn step(merger: &mut Merger<Trickle>, out: &mut Vec<JFrame>) {
+        merger.repoll().unwrap();
+        merger.advance(Micros::MAX, |jf, _| out.push(jf)).unwrap();
+    }
+
     #[test]
     fn live_feed_advance_matches_batch_run() {
         let scenario = live_scenario();
@@ -1528,51 +1638,29 @@ mod tests {
             .iter()
             .map(|(m, evs)| MemoryStream::new(*m, evs.clone()))
             .collect();
-        let (batch, batch_stats) = run_merge_at(streams, &offsets, MergeConfig::default());
+        let (batch, batch_stats) = run_merge(streams, &offsets, MergeConfig::default());
 
-        // Live: placeholder streams, events pushed in uneven increments.
-        let placeholders: Vec<MemoryStream> = scenario
+        // Live: every stream pends between uneven increments.
+        let streams: Vec<Trickle> = scenario
             .iter()
-            .map(|(m, _)| MemoryStream::new(*m, Vec::new()))
+            .map(|(m, evs)| trickled(*m, evs.clone()))
             .collect();
-        let mut merger = Merger::new(placeholders, &offsets, MergeConfig::default());
+        let mut merger = Merger::new(streams, &offsets, MergeConfig::default());
         let n = scenario.len();
-        for r in 0..n {
-            merger.mark_live(r);
-        }
         let mut next = vec![0usize; n];
-        let mut watermark: Vec<Micros> = (0..n).map(|r| merger.universal_of(r, 0)).collect();
-        let mut live = vec![true; n];
         let mut out = Vec::new();
         let mut round = 0usize;
-        while live.iter().any(|&l| l) {
+        while (0..n).any(|r| next[r] < scenario[r].1.len()) {
             for (r, (_, evs)) in scenario.iter().enumerate() {
-                if !live[r] {
-                    continue;
-                }
-                // Uneven chunk sizes so feed boundaries never line up
+                // Uneven increments so arrival boundaries never line up
                 // with window boundaries.
-                let take = 1 + (round + r) % 3;
-                let lo = next[r];
-                let hi = (lo + take).min(evs.len());
-                merger.feed(r, evs[lo..hi].iter().cloned()).unwrap();
-                next[r] = hi;
-                if let Some(last) = evs[..hi].last() {
-                    watermark[r] = merger.universal_of(r, last.ts_local);
-                }
-                if hi == evs.len() {
-                    live[r] = false;
-                    merger.close_radio(r);
-                }
+                let take = (1 + (round + r) % 3).min(evs.len() - next[r]);
+                next[r] += take;
+                let s = trickle(&mut merger, r);
+                s.released += take;
+                s.closed = next[r] == evs.len();
             }
-            let safe = (0..n)
-                .filter(|&r| live[r])
-                .map(|r| watermark[r])
-                .min()
-                .unwrap_or(Micros::MAX);
-            if safe < Micros::MAX {
-                merger.advance(safe, &mut |jf| out.push(jf)).unwrap();
-            }
+            step(&mut merger, &mut out);
             round += 1;
         }
         let live_stats = merger.run(|jf| out.push(jf)).unwrap();
@@ -1589,46 +1677,32 @@ mod tests {
         assert_eq!(live_stats.resyncs, batch_stats.resyncs);
     }
 
-    fn run_merge_at(
-        streams: Vec<MemoryStream>,
-        offsets: &[i64],
-        cfg: MergeConfig,
-    ) -> (Vec<JFrame>, MergeStats) {
-        let merger = Merger::new(streams, offsets, cfg);
-        let mut out = Vec::new();
-        let stats = merger.run(|jf| out.push(jf)).unwrap();
-        (out, stats)
-    }
-
     #[test]
     fn advance_holds_window_open_for_live_radio() {
         // One live radio: a window must not close (and nothing may emit)
-        // while `safe` sits inside it — unfed events could still join.
-        let m = meta(0);
-        let mut merger = Merger::new(
-            vec![MemoryStream::new(m, Vec::new())],
-            &[0],
-            MergeConfig::default(),
-        );
-        merger.mark_live(0);
+        // while the radio pends inside it — later events could still join.
         let f = frame_bytes(1, 40);
-        merger
-            .feed(0, vec![ev(0, 1_000, f.clone(), PhyStatus::Ok)])
-            .unwrap();
+        let g = frame_bytes(2, 40);
+        let s = trickled(
+            meta(0),
+            vec![
+                ev(0, 1_000, f, PhyStatus::Ok),
+                ev(0, 60_000, g, PhyStatus::Ok),
+            ],
+        );
+        let mut merger = Merger::new(vec![s], &[0], MergeConfig::default());
         let mut out = Vec::new();
-        merger.advance(1_000, &mut |jf| out.push(jf)).unwrap();
+        trickle(&mut merger, 0).released = 1;
+        step(&mut merger, &mut out);
         assert!(out.is_empty(), "emitted inside an open window");
 
-        // An event far beyond the window closes it; the safe horizon
-        // (2×window behind the watermark) then releases the old jframe.
-        let g = frame_bytes(2, 40);
-        merger
-            .feed(0, vec![ev(0, 60_000, g, PhyStatus::Ok)])
-            .unwrap();
-        merger.advance(60_000, &mut |jf| out.push(jf)).unwrap();
+        // An event far beyond the window closes it; the horizon (2×window
+        // behind the watermark) then releases the old jframe.
+        trickle(&mut merger, 0).released = 1;
+        step(&mut merger, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].ts, 1_000);
-        merger.close_radio(0);
+        trickle(&mut merger, 0).closed = true;
         let stats = merger.run(|jf| out.push(jf)).unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(stats.jframes_out, 2);
@@ -1636,35 +1710,39 @@ mod tests {
 
     #[test]
     fn closed_radio_lets_channel_finish() {
-        // Radio 1 dies mid-run (close_radio without stream end): radio 0's
-        // channel must keep emitting once 1 is closed, and the dead
-        // radio's absence must not wedge the final run.
-        let s0 = MemoryStream::new(meta(0), Vec::new());
-        let s1 = MemoryStream::new(meta(1), Vec::new());
+        // Radio 1 dies mid-run — silent, never ending — and the caller's
+        // lag policy declares it: radio 0's channel must keep emitting, and
+        // the dead radio's absence must not wedge the final run.
+        let evs0: Vec<PhyEvent> = (0..40u64)
+            .map(|k| {
+                ev(
+                    0,
+                    1_000 + k * 2_000,
+                    frame_bytes(k as u16, 40),
+                    PhyStatus::Ok,
+                )
+            })
+            .collect();
+        let s0 = trickled(meta(0), evs0);
+        let s1 = trickled(meta(1), Vec::new());
         let mut merger = Merger::new(vec![s0, s1], &[0, 0], MergeConfig::default());
-        merger.mark_live(0);
-        merger.mark_live(1);
         let mut out = Vec::new();
-        for k in 0..40u64 {
-            let f = frame_bytes(k as u16, 40);
-            merger
-                .feed(0, vec![ev(0, 1_000 + k * 2_000, f, PhyStatus::Ok)])
-                .unwrap();
-        }
+        trickle(&mut merger, 0).released = 40;
+        merger.repoll().unwrap();
         // Radio 1 contributed nothing and is declared dead by the caller's
         // lag policy.
-        merger.close_radio(1);
-        let safe = merger.universal_of(0, 1_000 + 39 * 2_000);
-        merger.advance(safe, &mut |jf| out.push(jf)).unwrap();
-        // The safe horizon releases everything 2×window behind the
-        // watermark (modulo emit-guard pushbacks near the edge); a stalled
-        // merge would have emitted nothing.
+        assert!(merger.is_pending(1));
+        merger.lag(1);
+        merger.advance(Micros::MAX, |jf, _| out.push(jf)).unwrap();
+        // The horizon releases everything 2×window behind the watermark
+        // (modulo emit-guard pushbacks near the edge); a stalled merge
+        // would have emitted nothing.
         assert!(
             out.len() >= 20,
             "unification stalled behind a dead radio: {} emitted",
             out.len()
         );
-        merger.close_radio(0);
+        trickle(&mut merger, 0).closed = true;
         let stats = merger.run(|jf| out.push(jf)).unwrap();
         assert_eq!(out.len(), 40);
         assert_eq!(stats.jframes_out, 40);

@@ -224,8 +224,6 @@ proptest! {
 
         let cfg = ShardConfig {
             max_threads: threads,
-            batch: 16,
-            queue_batches: 2,
         };
         let mut sharded = Vec::new();
         let sharded_stats = run_sharded(

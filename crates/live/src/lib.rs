@@ -12,50 +12,47 @@
 //! Per-radio delivery is time-ordered, so once a radio has delivered an
 //! event at local time `t`, nothing earlier can ever arrive from it. Its
 //! **watermark** is the universal image of its last delivered timestamp;
-//! the **safe horizon** is the minimum watermark over all radios that are
-//! *live and not lagging*. The live merger guarantees:
+//! the **safe horizon** is where the merge stands — nothing new can arrive
+//! below the watermark of any *live* radio that is waiting on its producer,
+//! nor below the earliest event already waiting in the merge. The live
+//! merger guarantees:
 //!
 //! 1. **Bounded lag** — every jframe whose timestamp is older than
 //!    `safe − 2×search_window` has been emitted; nothing older stays
 //!    buffered. The `2×` covers a full search window of grouping slack plus
 //!    a window of reorder slack between channels.
-//! 2. **Paced polling** — the merger reads a live radio only up to that
-//!    same `2×search_window` hold-back past the slowest *other* live
-//!    radio's watermark, and stops a read mid-batch at the first event
-//!    beyond it. Nothing past the slowest watermark can be emitted, so
-//!    reading further only moves events from the source into memory. What
-//!    is not read stays in the source: on disk for a file tail, in a
-//!    bounded channel for a [`ChannelSource`], whose [`LiveSender::send`]
-//!    then returns [`SendOutcome::Full`] — explicit back-pressure on the
-//!    producer, never silent growth. Merger residency therefore tracks the
-//!    search window × traffic rate, not stream length or rate skew between
-//!    radios (its floor is the bootstrap window, which every radio must
-//!    accumulate once before offsets exist). The bound is derived, not a
-//!    knob;
-//!    [`LiveConfig::poll_budget`] only caps the work of one round. Lagging
-//!    radios are exempt (they must drain to catch up), as is a lone live
-//!    radio.
-//! 3. **Stall eviction** — a radio that delivers nothing for
+//! 2. **Pulled, never read ahead** — once offsets are bootstrapped, every
+//!    source is one of a [`jigsaw_core::unify::Merger`]'s streams, pulled
+//!    exactly as a batch merge pulls a stored trace: a radio is read only
+//!    when its last event has been consumed, and a pull that finds nothing
+//!    pends, its watermark holding the merge back. What is not read stays
+//!    in the source: on disk for a file tail, in a bounded channel for a
+//!    [`ChannelSource`], whose [`LiveSender::send`] then returns
+//!    [`SendOutcome::Full`] — back-pressure, never silent growth. Residency
+//!    is the batch merge's (the bootstrap window, seeded exactly as batch
+//!    seeds it, or the search window × traffic rate), never stream length
+//!    or rate skew: over a finished corpus, live and batch `peak_buffered`
+//!    are equal. There is no knob.
+//! 3. **Stall eviction** — a live radio that stays pending for
 //!    [`LiveConfig::max_lag_us`] of wall-clock time is declared *lagging*:
-//!    it stops holding the safe horizon back, but its channel stays open.
-//!    A radio the merger is *holding* under clause 2 is not silent: its
-//!    timer restarts when it is released, so the stalled radio everyone
-//!    waits on is the one evicted, not the radios held behind it.
+//!    it stops holding the merge back, but its channel stays open. A radio
+//!    whose event is waiting in the merge is not being read, so it is never
+//!    silent: the stalled radio everyone waits on is the one evicted, not
+//!    the radios waiting behind it.
 //!    This is the only decision in the crate that consults real time, and
 //!    it does so through the [`LiveClock`] trait ([`SystemClock`] in
 //!    production, [`ManualClock`] in tests) — everything *emitted* remains
 //!    a pure function of the trace bytes.
-//! 4. **Re-admission** — a lagging radio rejoins the horizon only once a
-//!    poll round delivers events that survive the horizon filter *and*
-//!    reach the current safe horizon. Until then it stays lagging: catch-up
-//!    events below what has already been emitted are counted
-//!    (`late_dropped`) and discarded, and its stale watermark stays out of
-//!    the horizon minimum — a deep backlog drains under the filter round by
-//!    round, a permanently-behind radio cannot freeze the horizon, and
-//!    emission order is never violated.
+//! 4. **Re-admission** — a lagging radio rejoins the horizon only once it
+//!    delivers an event at or above the current safe horizon. Until then it
+//!    stays lagging: catch-up events below what has already been emitted
+//!    (the horizon less one search window) are counted (`late_dropped`) and
+//!    discarded, and its stale watermark holds nothing back — a deep
+//!    backlog drains under the filter, a permanently-behind radio cannot
+//!    freeze the horizon, and emission order is never violated.
 //! 5. **Re-anchoring** — each time the safe horizon crosses a multiple of
 //!    [`LiveConfig::reanchor_interval_us`] past the bootstrap anchor (a
-//!    trace-time grid, independent of how polling was paced), every radio
+//!    trace-time grid, independent of when sources pended), every radio
 //!    whose clock took **no** resync correction since the previous
 //!    crossing is checked: the offset bootstrap re-runs over the radios'
 //!    recent events and re-anchors those that drifted past
@@ -112,8 +109,8 @@ pub mod merger;
 pub mod source;
 
 pub use clock::{LiveClock, ManualClock, SystemClock};
+pub use jigsaw_trace::stream::SourcePoll;
 pub use merger::{LagStats, LiveConfig, LiveMerger, LiveReport, SourceReport, SourceStatus};
 pub use source::{
-    ChannelSource, ChunkedFileTail, LiveSender, LiveSource, SendOutcome, SourcePoll,
-    CHANNEL_CAPACITY,
+    ChannelSource, ChunkedFileTail, LiveSender, LiveSource, SendOutcome, CHANNEL_CAPACITY,
 };

@@ -4,31 +4,21 @@
 //! stream with **bounded lag**. See the crate docs for the watermark/lag
 //! contract; the short version:
 //!
-//! * each radio's *watermark* is the universal time of its last delivered
-//!   event — nothing older can arrive from it (per-radio delivery is
-//!   time-ordered);
-//! * the *safe horizon* is the minimum watermark over radios that are
-//!   currently live and not lagging; the merger emits every jframe older
-//!   than `safe − 2×search_window` and buffers nothing older than that;
-//! * polling is **watermark-paced**: a live radio is not read — and a read
-//!   stops mid-batch — once its newest event is more than that same
-//!   `2×search_window` hold-back ahead of the slowest *other* live radio.
-//!   Nothing past the slowest watermark can be emitted, so reading further
-//!   would only move events out of the source (a file on disk, a bounded
-//!   channel pushing back on its producer) into memory: what the merger
-//!   buffers tracks the search window, not the length of the stream or the
-//!   rate skew between radios. A radio the merger declines to read is
-//!   *held*, which is not silence — it accrues no lag (below);
-//! * a radio that delivers nothing for [`LiveConfig::max_lag_us`] of
+//! * once offsets are bootstrapped, every source is one of a [`Merger`]'s
+//!   streams, pulled as a batch run pulls: a radio is read only when its
+//!   last event has been consumed;
+//! * a pull may pend. A pending radio's *watermark* — the universal time
+//!   of its last delivered event — holds the merge back, and every jframe
+//!   older than `horizon − 2×search_window` is emitted, where the *safe
+//!   horizon* is the earliest point anything new can still arrive at;
+//! * a radio that stays pending for [`LiveConfig::max_lag_us`] of
 //!   *wall-clock* time (the one decision real time is consulted for — via
-//!   [`LiveClock`]) is declared **lagging**: it stops holding the safe
-//!   horizon back, but its channel stays open so it can catch up. While it
-//!   lags, every batch it delivers is filtered against the already-emitted
-//!   horizon (events below it are counted as `late_dropped` and discarded)
-//!   and its watermark stays out of the safe-horizon minimum; it flips back
-//!   to live only once a poll round retains events *and* its newest event
-//!   reaches the safe horizon. A deep backlog therefore drains under the
-//!   filter round by round, and a permanently-behind radio stays lagging
+//!   [`LiveClock`]) is declared **lagging**: it stops holding the merge
+//!   back, but its channel stays open so it can catch up. While it lags,
+//!   every event it delivers below the emitted horizon (less one search
+//!   window) is counted as `late_dropped` and discarded; the first event at
+//!   or above the horizon makes it live again. A deep backlog therefore
+//!   drains under the filter, and a permanently-behind radio stays lagging
 //!   instead of freezing the horizon — emission order is never violated.
 //!
 //! Periodic re-anchoring (every [`LiveConfig::reanchor_interval_us`] of
@@ -43,14 +33,15 @@
 //! chunk-invariance proptests pin.
 
 use crate::clock::LiveClock;
-use crate::source::{LiveSource, SourcePoll};
+use crate::source::LiveSource;
 use jigsaw_core::pipeline::PipelineError;
 use jigsaw_core::sync::bootstrap::{bootstrap_at, BootstrapConfig};
-use jigsaw_core::unify::{MergeConfig, MergeStats, Merger};
+use jigsaw_core::unify::{MergeConfig, MergeStats, Merger, StreamStatus};
 use jigsaw_core::JFrame;
 use jigsaw_ieee80211::Micros;
-use jigsaw_trace::stream::MemoryStream;
-use jigsaw_trace::{PhyEvent, RadioId};
+use jigsaw_trace::format::FormatError;
+use jigsaw_trace::stream::{EventStream, SourcePoll};
+use jigsaw_trace::{PhyEvent, RadioId, RadioMeta};
 use std::collections::VecDeque;
 
 /// Recent events retained per radio for re-anchor bootstraps.
@@ -76,10 +67,6 @@ pub struct LiveConfig {
     pub reanchor_interval_us: Micros,
     /// Minimum offset disagreement before a re-anchor is applied (µs).
     pub reanchor_drift_us: Micros,
-    /// Work bound for one [`LiveMerger::step`]: at most this many events
-    /// are read from one source per round. It does not pace the sources
-    /// against each other — the watermark rule does (see [`LiveMerger`]).
-    pub poll_budget: usize,
 }
 
 impl Default for LiveConfig {
@@ -90,7 +77,6 @@ impl Default for LiveConfig {
             max_lag_us: 2_000_000,
             reanchor_interval_us: 60_000_000,
             reanchor_drift_us: 5_000,
-            poll_budget: 256,
         }
     }
 }
@@ -226,22 +212,66 @@ impl Default for LagStats {
     }
 }
 
-struct SourceState<S> {
+/// A joined source as the merger pulls it: the source, its header meta,
+/// what it delivered, and the recent events re-anchor bootstraps read.
+struct Joined<S> {
     src: S,
-    /// Events accumulated before the merge exists (bootstrap phase).
-    gathered: Vec<PhyEvent>,
+    meta: RadioMeta,
+    /// Events delivered, bootstrap accumulation included (and any later
+    /// dropped as late).
+    events: u64,
     /// Most recent events, input to re-anchor bootstraps.
     ring: VecDeque<PhyEvent>,
-    last_ts: Option<Micros>,
-    /// Universal time below which this source can deliver nothing new.
-    watermark: Micros,
-    events: u64,
-    late_dropped: u64,
-    lagged: bool,
+}
+
+impl<S> Joined<S> {
+    fn remember(&mut self, ev: &PhyEvent) {
+        if self.ring.len() == REANCHOR_RING {
+            self.ring.pop_front();
+        }
+        self.ring.push_back(ev.clone());
+    }
+}
+
+impl<S: LiveSource> EventStream for Joined<S> {
+    fn meta(&self) -> RadioMeta {
+        self.meta
+    }
+
+    /// A blocking pull; the merger only ever calls `poll_event`.
+    fn next_event(&mut self) -> Result<Option<PhyEvent>, FormatError> {
+        loop {
+            match self.poll_event()? {
+                SourcePoll::Event(ev) => return Ok(Some(ev)),
+                SourcePoll::End => return Ok(None),
+                SourcePoll::Pending => std::thread::yield_now(),
+            }
+        }
+    }
+
+    fn poll_event(&mut self) -> Result<SourcePoll, FormatError> {
+        let poll = self.src.poll()?;
+        if let SourcePoll::Event(ev) = &poll {
+            self.events += 1;
+            self.remember(ev);
+        }
+        Ok(poll)
+    }
+}
+
+struct SourceState<S> {
+    /// The source until it joins the merge (one without a header never
+    /// does).
+    src: Option<S>,
+    /// Events accumulated before the merge exists (bootstrap phase).
+    gathered: Vec<PhyEvent>,
+    /// Status until the source joins; the merger's stream status after.
     status: SourceStatus,
+    lagged: bool,
     /// Bootstrap phase: this source needs no more accumulation.
     ready: bool,
-    /// Clock reading at the last delivered event.
+    /// Clock reading when the source was last seen delivering, or not
+    /// waiting on its producer.
     last_progress: u64,
     /// Index into the merger's radio table (dead sources have none).
     merger_idx: Option<usize>,
@@ -251,18 +281,13 @@ struct SourceState<S> {
     corrections_seen: u64,
 }
 
-impl<S> SourceState<S> {
+impl<S: LiveSource> SourceState<S> {
     fn new(src: S, now: u64) -> Self {
         SourceState {
-            src,
+            src: Some(src),
             gathered: Vec::new(),
-            ring: VecDeque::new(),
-            last_ts: None,
-            watermark: 0,
-            events: 0,
-            late_dropped: 0,
-            lagged: false,
             status: SourceStatus::Live,
+            lagged: false,
             ready: false,
             last_progress: now,
             merger_idx: None,
@@ -273,52 +298,35 @@ impl<S> SourceState<S> {
     fn open(&self) -> bool {
         matches!(self.status, SourceStatus::Live | SourceStatus::Lagging)
     }
-
-    fn remember(&mut self, ev: &PhyEvent) {
-        if self.ring.len() == REANCHOR_RING {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(ev.clone());
-    }
 }
 
-/// The always-on unification service: feeds a [`Merger`] from
-/// [`LiveSource`]s under the watermark/lag contract (crate docs).
+/// The always-on unification service: hands its [`LiveSource`]s to a
+/// [`Merger`] as streams that can pend, under the watermark/lag contract
+/// (crate docs).
 ///
-/// Drive it with [`LiveMerger::step`] (one poll-feed-advance round, for
-/// embedding in a service loop) or [`LiveMerger::run`] (steps until every
-/// source ends — the recorded-corpus replay mode; do not use it with
-/// sources that can stay silent forever).
+/// Drive it with [`LiveMerger::step`] (one round, for embedding in a
+/// service loop) or [`LiveMerger::run`] (steps until every source ends —
+/// the recorded-corpus replay mode; do not use it with sources that can
+/// stay silent forever).
 ///
-/// **Pacing.** Each round reads a live source only up to
-/// `2×search_window` (the emission hold-back — derived, not configurable)
-/// past the slowest *other* live source's watermark, stopping mid-batch at
-/// the first event beyond it; [`LiveConfig::poll_budget`] only bounds the
-/// work of one round. So a round moves the safe horizon by about one
-/// hold-back at most: a service loop should step again at once while
-/// [`LiveMerger::safe_horizon`] advances and idle only when it does not. A
-/// lone live source, and every lagging one, is bound by the budget alone.
-///
-/// **Held is not stalled.** A source the merger declined to read this
-/// round stays where it is — on disk, or in a [`crate::ChannelSource`]
-/// whose sender starts reporting [`crate::SendOutcome::Full`] — and its
-/// `max_lag_us` silence timer restarts from the moment it is released. When
-/// the slowest source stalls, it is that source, not the ones held behind
-/// it, that is declared lagging.
+/// **One round** pulls again every source whose last pull pended, declares
+/// lagging every live source now pending for `max_lag_us` of wall time,
+/// and merges everything that has arrived. A source is read only when its
+/// last event has been consumed, so the rest stays in the source — on
+/// disk, or in a [`crate::ChannelSource`] whose sender reports
+/// [`crate::SendOutcome::Full`] — and a source whose event waits in the
+/// merge never looks silent: the one everyone waits on is declared lagging.
 pub struct LiveMerger<S, C> {
     cfg: LiveConfig,
     clock: C,
     sources: Vec<SourceState<S>>,
-    merger: Option<Merger<MemoryStream>>,
-    last_safe: Micros,
+    merger: Option<Merger<Joined<S>>>,
     /// Safe-horizon value at which the next re-anchor check fires: the
     /// bootstrap anchor plus a whole number of `reanchor_interval_us`.
     next_reanchor: Micros,
     reanchors: u64,
     reanchors_skipped: u64,
     lag: LagStats,
-    /// Poll buffer, recycled across sources and rounds.
-    batch: Vec<PhyEvent>,
 }
 
 impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
@@ -329,12 +337,10 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
             clock,
             sources: Vec::new(),
             merger: None,
-            last_safe: 0,
             next_reanchor: Micros::MAX,
             reanchors: 0,
             reanchors_skipped: 0,
             lag: LagStats::new(),
-            batch: Vec::new(),
         }
     }
 
@@ -358,17 +364,20 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
         self.merger.is_some()
     }
 
-    /// Mutable access to the registered sources, in `add_source` order —
-    /// e.g. to [`crate::ChunkedFileTail::stop`] follow-mode tails once the
-    /// capture processes exit, so [`LiveMerger::run`] can terminate.
+    /// Mutable access to every registered source (in `add_source` order
+    /// until the merge bootstraps; joined sources first after) — e.g. to
+    /// [`crate::ChunkedFileTail::stop`] follow-mode tails once the capture
+    /// processes exit, so [`LiveMerger::run`] can terminate.
     pub fn sources_mut(&mut self) -> impl Iterator<Item = &mut S> {
-        self.sources.iter_mut().map(|s| &mut s.src)
+        let joined = self.merger.iter_mut().flat_map(Merger::streams_mut);
+        let unjoined = self.sources.iter_mut().filter_map(|s| s.src.as_mut());
+        joined.map(|j| &mut j.src).chain(unjoined)
     }
 
     /// The current safe horizon (universal µs): everything older than
     /// `safe − 2×search_window` has been emitted.
     pub fn safe_horizon(&self) -> Micros {
-        self.last_safe
+        self.merger.as_ref().map_or(0, Merger::horizon)
     }
 
     /// Where source `k` (in `add_source` order) currently stands in the
@@ -377,12 +386,21 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
     /// # Panics
     /// Panics if `k` is not a registered source index.
     pub fn source_status(&self, k: usize) -> SourceStatus {
-        self.sources[k].status
+        let s = &self.sources[k];
+        match (s.merger_idx, &self.merger) {
+            (Some(r), Some(m)) => match m.status(r) {
+                StreamStatus::Live => SourceStatus::Live,
+                StreamStatus::Lagging => SourceStatus::Lagging,
+                StreamStatus::Ended => SourceStatus::Ended,
+            },
+            _ => s.status,
+        }
     }
 
-    /// One poll-feed-advance round. Returns `true` while any source is
-    /// still open (live or lagging) — i.e. while there is reason to step
-    /// again; call [`LiveMerger::finish`] once it returns `false`.
+    /// One round: bootstrap accumulation until offsets exist, then
+    /// re-poll → evict → merge. Returns `true` while any source is still
+    /// open (live or lagging) — i.e. while there is reason to step again;
+    /// call [`LiveMerger::finish`] once it returns `false`.
     pub fn step(&mut self, sink: &mut impl FnMut(JFrame)) -> Result<bool, PipelineError> {
         if self.merger.is_none() {
             self.bootstrap_step()?;
@@ -391,7 +409,12 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
             }
         }
         self.stream_step(sink)?;
-        Ok(self.sources.iter().any(|s| s.open()))
+        Ok((0..self.sources.len()).any(|k| {
+            matches!(
+                self.source_status(k),
+                SourceStatus::Live | SourceStatus::Lagging
+            )
+        }))
     }
 
     /// Steps until every source has ended, then finishes. The replay mode:
@@ -402,9 +425,9 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
         self.finish(sink)
     }
 
-    /// Closes every remaining radio, drains all buffered state, and
-    /// reports. Jframes still buffered (the last `2×search_window`) are
-    /// emitted here.
+    /// Ends every remaining source — what has not arrived by now never
+    /// will — drains all buffered state, and reports. Jframes still
+    /// buffered (the last `2×search_window`) are emitted here.
     pub fn finish(mut self, mut sink: impl FnMut(JFrame)) -> Result<LiveReport, PipelineError> {
         // A finish before bootstrap completes (all sources ended inside the
         // bootstrap window — short corpus) must still merge what arrived.
@@ -414,34 +437,42 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
             }
             self.transition()?;
         }
-        let mut merger = self.merger.take().expect("transition sets the merger");
-        for s in &mut self.sources {
-            if let Some(r) = s.merger_idx {
-                merger.close_radio(r);
-            }
-            if s.open() {
-                s.status = SourceStatus::Ended;
-            }
-        }
-        let last_safe = self.last_safe;
+        let merger = self.merger.as_mut().expect("transition sets the merger");
         let lag = &mut self.lag;
-        let merge = merger.run(|jf| {
-            lag.push(last_safe.saturating_sub(jf.ts));
+        let merge = merger.finish(|jf, horizon| {
+            lag.push(horizon.saturating_sub(jf.ts));
             sink(jf);
         })?;
+        let sources = self
+            .sources
+            .iter()
+            .map(|s| match s.merger_idx {
+                Some(r) => {
+                    let joined = merger.stream(r);
+                    SourceReport {
+                        radio: Some(joined.meta.radio),
+                        events: joined.events,
+                        late_dropped: merger.late_dropped(r),
+                        lagged: s.lagged,
+                        status: SourceStatus::Ended,
+                    }
+                }
+                None => SourceReport {
+                    radio: None,
+                    events: s.gathered.len() as u64,
+                    late_dropped: 0,
+                    lagged: s.lagged,
+                    status: if s.open() {
+                        SourceStatus::Ended
+                    } else {
+                        s.status
+                    },
+                },
+            })
+            .collect();
         Ok(LiveReport {
             merge,
-            sources: self
-                .sources
-                .iter()
-                .map(|s| SourceReport {
-                    radio: s.src.meta().map(|m| m.radio),
-                    events: s.events,
-                    late_dropped: s.late_dropped,
-                    lagged: s.lagged,
-                    status: s.status,
-                })
-                .collect(),
+            sources,
             reanchors: self.reanchors,
             reanchors_skipped: self.reanchors_skipped,
             lag: std::mem::take(&mut self.lag),
@@ -452,35 +483,27 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
     /// readiness; transition to streaming once all are ready.
     fn bootstrap_step(&mut self) -> Result<(), PipelineError> {
         let now = self.clock.now_us();
-        let budget = self.cfg.poll_budget.max(1);
         let window_us = self.cfg.bootstrap.window_us;
         for s in &mut self.sources {
             if s.ready || !s.open() {
                 continue;
             }
-            for _ in 0..budget {
-                match s.src.poll()? {
+            let src = s.src.as_mut().expect("sources join only at transition");
+            while !s.ready {
+                match src.poll()? {
                     SourcePoll::Event(ev) => {
-                        s.events += 1;
-                        s.last_ts = Some(ev.ts_local);
                         s.last_progress = now;
                         // Ready once an event lands past the bootstrap
                         // window — the window contents are complete
                         // (per-source delivery is time-ordered).
-                        if let Some(m) = s.src.meta() {
-                            if ev.ts_local > m.anchor_local_us.saturating_add(window_us) {
-                                s.ready = true;
-                            }
+                        if let Some(m) = src.meta() {
+                            s.ready = ev.ts_local > m.anchor_local_us.saturating_add(window_us);
                         }
                         s.gathered.push(ev);
-                        if s.ready {
-                            break;
-                        }
                     }
                     SourcePoll::End => {
                         s.status = SourceStatus::Ended;
                         s.ready = true;
-                        break;
                     }
                     SourcePoll::Pending => break,
                 }
@@ -490,7 +513,7 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
                 // header never arrived has no identity and is dead; one
                 // with a header bootstraps from what it delivered and is
                 // treated as lagging from the start.
-                if s.src.meta().is_none() {
+                if src.meta().is_none() {
                     s.status = SourceStatus::Dead;
                 } else {
                     s.status = SourceStatus::Lagging;
@@ -510,17 +533,18 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
     /// bootstrap prefix is every event with
     /// `ts_local ≤ anchor_local + window_us`, offsets come from
     /// [`bootstrap_at`] windowed at each radio's NTP anchor, clocks are
-    /// referenced there, and **all** accumulated events are fed (replay
-    /// semantics — nothing is seeded).
+    /// referenced there, every source becomes one of the merger's streams,
+    /// and what each accumulated — its window plus the one event that
+    /// proved it complete — is seeded ahead of it, as the batch pipeline
+    /// seeds its bootstrap window and carry.
     fn transition(&mut self) -> Result<(), PipelineError> {
         let window_us = self.cfg.bootstrap.window_us;
-        let active: Vec<usize> = (0..self.sources.len())
-            .filter(|&i| self.sources[i].src.meta().is_some())
-            .collect();
-        let metas: Vec<_> = active
+        let (active, metas): (Vec<usize>, Vec<RadioMeta>) = self
+            .sources
             .iter()
-            .map(|&i| self.sources[i].src.meta().expect("filtered on meta"))
-            .collect();
+            .enumerate()
+            .filter_map(|(i, s)| Some((i, s.src.as_ref()?.meta()?)))
+            .unzip();
         let window_los: Vec<Micros> = metas.iter().map(|m| m.anchor_local_us).collect();
         let prefixes: Vec<&[PhyEvent]> = active
             .iter()
@@ -528,44 +552,43 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
             .map(|(&i, m)| {
                 let g = &self.sources[i].gathered;
                 let hi = m.anchor_local_us.saturating_add(window_us);
-                let end = g.partition_point(|e| e.ts_local <= hi);
-                &g[..end]
+                &g[..g.partition_point(|e| e.ts_local <= hi)]
             })
             .collect();
         let boot = bootstrap_at(&metas, &prefixes, &window_los, &self.cfg.bootstrap)?;
 
-        let placeholders: Vec<MemoryStream> = metas
+        let streams: Vec<Joined<S>> = active
             .iter()
-            .map(|m| MemoryStream::new(*m, Vec::new()))
+            .zip(&metas)
+            .map(|(&i, &meta)| {
+                let s = &mut self.sources[i];
+                let mut joined = Joined {
+                    src: s.src.take().expect("a source joins once"),
+                    meta,
+                    events: s.gathered.len() as u64,
+                    ring: VecDeque::new(),
+                };
+                let recent = s.gathered.len().saturating_sub(REANCHOR_RING);
+                for ev in &s.gathered[recent..] {
+                    joined.remember(ev);
+                }
+                joined
+            })
             .collect();
-        let mut merger = Merger::new_at(
-            placeholders,
-            &boot.offsets,
-            &window_los,
-            self.cfg.merge.clone(),
-        );
+        let mut merger =
+            Merger::new_at(streams, &boot.offsets, &window_los, self.cfg.merge.clone());
         for (r, &i) in active.iter().enumerate() {
             let s = &mut self.sources[i];
             s.merger_idx = Some(r);
-            if s.open() {
-                merger.mark_live(r);
-            }
-            let gathered = std::mem::take(&mut s.gathered);
-            for ev in &gathered {
-                s.remember(ev);
-            }
-            merger.feed(r, gathered)?;
-            if let Some(ts) = s.last_ts {
-                s.watermark = merger.universal_of(r, ts);
-            }
-            if s.status == SourceStatus::Ended {
-                merger.close_radio(r);
+            merger.seed_pending(r, std::mem::take(&mut s.gathered));
+            if s.status == SourceStatus::Lagging {
+                merger.lag(r);
             }
         }
         // Re-anchor checks sit on a trace-time grid rooted at the bootstrap
-        // anchor, so when they fire does not depend on how polling was paced.
+        // anchor, so when they fire does not depend on how sources pended.
         let anchor = (0..active.len())
-            .map(|r| merger.universal_of(r, window_los[r]))
+            .map(|r| merger.clock(r).to_universal(window_los[r]))
             .min()
             .unwrap_or(0);
         self.next_reanchor = anchor.saturating_add(self.cfg.reanchor_interval_us);
@@ -573,139 +596,40 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
         Ok(())
     }
 
-    /// One streaming round: pace → poll → feed → lag policy → re-anchor →
-    /// advance.
+    /// One streaming round: re-poll what pended → evict what has been
+    /// silent → merge everything that has arrived, stopping at each
+    /// re-anchor grid point to check.
     fn stream_step(&mut self, sink: &mut impl FnMut(JFrame)) -> Result<(), PipelineError> {
         let now = self.clock.now_us();
-        let budget = self.cfg.poll_budget.max(1);
         let merger = self.merger.as_mut().expect("stream_step after transition");
-        // Pacing: nothing can be emitted past the slowest live watermark,
-        // so reading a live radio further than the emission hold-back beyond
-        // the slowest *other* live radio only moves events from the source
-        // into memory. (Measuring each radio against the others lets the
-        // slowest one catch up in one round, and leaves a lone live radio
-        // bound by `poll_budget` alone.) Lagging radios are exempt: they
-        // must drain under the horizon filter to catch up.
-        let hold = 2 * self.cfg.merge.search_window_us;
-        let mut slowest: Option<(Micros, usize)> = None;
-        let mut runner_up: Option<Micros> = None;
-        for (i, s) in self.sources.iter().enumerate() {
-            if s.status != SourceStatus::Live {
-                continue;
-            }
-            match slowest {
-                Some((w, _)) if s.watermark >= w => {
-                    runner_up = Some(runner_up.map_or(s.watermark, |n| n.min(s.watermark)));
-                }
-                _ => {
-                    runner_up = slowest.map(|(w, _)| w);
-                    slowest = Some((s.watermark, i));
-                }
-            }
-        }
-        let mut batch = std::mem::take(&mut self.batch);
-        for (i, s) in self.sources.iter_mut().enumerate() {
-            if !s.open() {
-                continue;
-            }
-            let r = s.merger_idx.expect("open sources joined the merge");
-            let read_limit = match (s.status, slowest) {
-                (SourceStatus::Live, Some((_, k))) if k == i => runner_up,
-                (SourceStatus::Live, Some((w, _))) => Some(w),
-                _ => None,
-            }
-            .map_or(Micros::MAX, |w| w.saturating_add(hold));
-            if s.watermark > read_limit {
-                // Held, not stalled: the silence is the merger's choice, so
-                // it must not count toward `max_lag_us`.
+        merger.repoll()?;
+        // Silence counts only while a source waits on its producer: one
+        // whose head is waiting in the merge is not being read. (A pull
+        // that pends is retried only by `repoll`, so a source pending now
+        // delivered nothing since it was last seen not pending.)
+        for s in &mut self.sources {
+            let Some(r) = s.merger_idx else { continue };
+            if !merger.is_pending(r) {
                 s.last_progress = now;
-                continue;
-            }
-            let mut ended = false;
-            for _ in 0..budget {
-                match s.src.poll()? {
-                    SourcePoll::Event(ev) => {
-                        let ahead = merger.universal_of(r, ev.ts_local) > read_limit;
-                        batch.push(ev);
-                        if ahead {
-                            break;
-                        }
-                    }
-                    SourcePoll::Pending => break,
-                    SourcePoll::End => {
-                        ended = true;
-                        break;
-                    }
-                }
-            }
-            if let Some(newest) = batch.last().map(|ev| ev.ts_local) {
-                s.events += batch.len() as u64;
-                s.last_progress = now;
-                if s.status == SourceStatus::Lagging {
-                    // Catch-up: the horizon moved on without this radio.
-                    // Anything below what has already been emitted is
-                    // unusable — count and drop it. The radio stays lagging
-                    // (filter still applied, watermark still excluded from
-                    // the safe horizon) until a round both retains events
-                    // and reaches the horizon itself; flipping earlier
-                    // would feed later stale batches unfiltered and let a
-                    // stale watermark freeze the horizon.
-                    let cutoff = self
-                        .last_safe
-                        .saturating_sub(self.cfg.merge.search_window_us);
-                    let before = batch.len();
-                    batch.retain(|ev| merger.universal_of(r, ev.ts_local) >= cutoff);
-                    s.late_dropped += (before - batch.len()) as u64;
-                    if !batch.is_empty() && merger.universal_of(r, newest) >= self.last_safe {
-                        s.status = SourceStatus::Live;
-                    }
-                }
-                // Even a fully dropped batch advances the watermark —
-                // delivery is time-ordered, so nothing older than `newest`
-                // can still arrive — but a lagging watermark never joins
-                // the safe-horizon minimum.
-                s.last_ts = Some(newest);
-                for ev in &batch {
-                    s.remember(ev);
-                }
-                if !batch.is_empty() {
-                    merger.feed(r, batch.drain(..))?;
-                }
-                s.watermark = merger.universal_of(r, newest);
-            } else if s.status == SourceStatus::Live
-                && !ended
+            } else if merger.status(r) == StreamStatus::Live
                 && now.saturating_sub(s.last_progress) > self.cfg.max_lag_us
             {
-                s.status = SourceStatus::Lagging;
+                merger.lag(r);
                 s.lagged = true;
             }
-            if ended {
-                s.status = SourceStatus::Ended;
-                merger.close_radio(r);
-            }
         }
-        self.batch = batch;
-
-        // The safe horizon: nothing below the slowest live radio's
-        // watermark can still arrive. Lagging radios are excluded — that
-        // is the bounded-lag guarantee; with no live radio left the
-        // horizon holds (never retreats).
-        let safe = self
-            .sources
-            .iter()
-            .filter(|s| s.status == SourceStatus::Live)
-            .map(|s| s.watermark)
-            .min()
-            .map_or(self.last_safe, |m| m.max(self.last_safe));
-        self.maybe_reanchor(safe);
-        let merger = self.merger.as_mut().expect("stream_step after transition");
-        let lag = &mut self.lag;
-        merger.advance(safe, &mut |jf| {
-            lag.push(safe.saturating_sub(jf.ts));
-            sink(jf);
-        })?;
-        self.last_safe = safe;
-        Ok(())
+        loop {
+            let merger = self.merger.as_mut().expect("stream_step after transition");
+            let lag = &mut self.lag;
+            let frontier = merger.advance(self.next_reanchor, |jf, horizon| {
+                lag.push(horizon.saturating_sub(jf.ts));
+                sink(jf);
+            })?;
+            if frontier == Micros::MAX || frontier < self.next_reanchor {
+                return Ok(());
+            }
+            self.maybe_reanchor(frontier);
+        }
     }
 
     /// At every `reanchor_interval_us` boundary of trace time past the
@@ -725,7 +649,7 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
             return;
         }
         // The next boundary past `safe`, staying on the anchor's grid however
-        // far one round moved the horizon.
+        // far the merge moved the horizon.
         let interval = self.cfg.reanchor_interval_us.max(1);
         let crossed = (safe - self.next_reanchor) / interval + 1;
         self.next_reanchor = self
@@ -750,31 +674,22 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
             return;
         }
         let window_us = self.cfg.bootstrap.window_us;
-        let metas: Vec<_> = joined
-            .iter()
-            .map(|&(i, _)| {
-                self.sources[i]
-                    .src
-                    .meta()
-                    .expect("joined sources have metas")
-            })
-            .collect();
+        let metas: Vec<RadioMeta> = joined.iter().map(|&(_, r)| merger.stream(r).meta).collect();
         // Window each radio at the tail of its ring: the freshest
         // bootstrap-window's worth of evidence.
         let window_los: Vec<Micros> = joined
             .iter()
-            .map(|&(i, _)| {
-                let s = &self.sources[i];
-                s.ring
+            .map(|&(_, r)| {
+                merger
+                    .stream(r)
+                    .ring
                     .back()
-                    .map(|e| e.ts_local.saturating_sub(window_us))
-                    .or(s.last_ts)
-                    .unwrap_or(0)
+                    .map_or(0, |e| e.ts_local.saturating_sub(window_us))
             })
             .collect();
         let prefixes: Vec<Vec<PhyEvent>> = joined
             .iter()
-            .map(|&(i, _)| self.sources[i].ring.iter().cloned().collect())
+            .map(|&(_, r)| merger.stream(r).ring.iter().cloned().collect())
             .collect();
         let Ok(boot) = bootstrap_at(&metas, &prefixes, &window_los, &self.cfg.bootstrap) else {
             return;
@@ -787,7 +702,7 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
             // offset, so the clock's current offset at `lo` is the local
             // time minus its universal image.
             let lo = window_los[k];
-            let current = lo as i64 - merger.universal_of(r, lo) as i64;
+            let current = lo as i64 - merger.clock(r).to_universal(lo) as i64;
             let shift = boot.offsets[k] - current;
             if shift.unsigned_abs() <= self.cfg.reanchor_drift_us {
                 continue;
@@ -810,8 +725,8 @@ mod tests {
     use crate::clock::ManualClock;
     use crate::source::{ChannelSource, LiveSender, SendOutcome};
     use jigsaw_ieee80211::{Channel, PhyRate};
-    use jigsaw_trace::format::FormatError;
-    use jigsaw_trace::{MonitorId, PhyStatus, RadioMeta};
+    use jigsaw_trace::stream::MemoryStream;
+    use jigsaw_trace::{MonitorId, PhyStatus};
 
     fn meta(r: u16) -> RadioMeta {
         RadioMeta {
@@ -916,7 +831,7 @@ mod tests {
     }
 
     /// Steps until a round leaves the safe horizon where it was: everything
-    /// the pacing rule lets the merger read has been read.
+    /// that has arrived has been merged.
     fn settle(lm: &mut LiveMerger<ChannelSource, ManualClock>, out: &mut Vec<JFrame>) {
         loop {
             let before = lm.safe_horizon();
@@ -1000,7 +915,8 @@ mod tests {
         drive_to_streaming(&mut lm, &mut out);
         settle(&mut lm, &mut out);
         // Radio 0 keeps going alone — but the merger reads it no further
-        // than the hold-back past radio 1; the rest waits in its channel.
+        // than its first event past radio 1's watermark; the rest waits in
+        // its channel.
         send_all(&tx0, &a[half..90]);
         settle(&mut lm, &mut out);
         let stalled_at = out.len();
@@ -1047,19 +963,17 @@ mod tests {
     }
 
     /// The failure mode the one-batch catch-up test cannot see: a backlog
-    /// much larger than `poll_budget` drains over many poll rounds, and the
-    /// first rounds fall *entirely* below the emitted horizon. The radio
-    /// must stay `Lagging` through those rounds (filter applied, watermark
-    /// excluded) and flip back to live only once a retained round reaches
-    /// the safe horizon — flipping early fed later stale batches unfiltered
-    /// (out-of-order emission) with a stale watermark rejoining the horizon
-    /// minimum.
+    /// arrives over many rounds, and the first rounds fall *entirely* below
+    /// the emitted horizon. The radio must stay `Lagging` through those
+    /// rounds (filter applied, watermark excluded) and flip back to live
+    /// only once it delivers an event that reaches the safe horizon —
+    /// flipping early fed later stale events unfiltered (out-of-order
+    /// emission) with a stale watermark holding the merge back again.
     #[test]
     fn deep_backlog_drains_under_filter_before_readmission() {
         let (a, b) = shared_events(120, 3);
         let cfg = LiveConfig {
             max_lag_us: 1_000_000,
-            poll_budget: 8,
             ..LiveConfig::default()
         };
         let clock = ManualClock::new();
@@ -1076,7 +990,7 @@ mod tests {
         drive_to_streaming(&mut lm, &mut out);
         settle(&mut lm, &mut out);
         // Radio 1 goes silent; radio 0's producer runs far ahead (the
-        // merger holds those events in the channel while radio 1 is live).
+        // merger leaves those events in the channel while radio 1 is live).
         send_all(&tx0, &a[half..110]);
         settle(&mut lm, &mut out);
         // Past max_lag_us, with radio 0 still delivering: radio 1 lags, and
@@ -1090,11 +1004,12 @@ mod tests {
         let horizon_hi = lm.safe_horizon();
         assert!(horizon_hi > 0);
 
-        // The whole backlog arrives at once, but poll_budget = 8 means the
-        // first catch-up round is b[60..68] — hours below the horizon in
-        // trace time. It must be fully dropped WITHOUT flipping the radio
-        // live, and the horizon must not move backwards.
-        send_all(&tx1, &b[half..]);
+        // The backlog arrives eight events a round, so the first catch-up
+        // round is b[60..68] — seconds below the horizon in trace time. It
+        // must be fully dropped WITHOUT flipping the radio live, and the
+        // horizon must not move backwards.
+        let mut backlog = b[half..].chunks(8);
+        send_all(&tx1, backlog.next().unwrap());
         lm.step(&mut |jf| out.push(jf)).unwrap();
         assert_eq!(
             lm.source_status(1),
@@ -1104,7 +1019,8 @@ mod tests {
         assert!(lm.safe_horizon() >= horizon_hi);
         // Drain the rest of the backlog; the radio stays lagging as long
         // as its rounds trail the horizon.
-        for _ in 0..25 {
+        for chunk in backlog {
+            send_all(&tx1, chunk);
             lm.step(&mut |jf| out.push(jf)).unwrap();
         }
         // Fresh events past the horizon: now a retained round reaches the
@@ -1144,7 +1060,6 @@ mod tests {
         let (a, b) = shared_events(200, 3);
         let cfg = LiveConfig {
             max_lag_us: 1_000_000,
-            poll_budget: 8,
             ..LiveConfig::default()
         };
         let clock = ManualClock::new();
@@ -1158,14 +1073,18 @@ mod tests {
         let mut out = Vec::new();
         drive_to_streaming(&mut lm, &mut out);
         settle(&mut lm, &mut out);
+        // One more event from radio 0 consumes radio 1's last one, so
+        // radio 1 now waits on its producer.
+        send(&tx0, a[30].clone());
+        settle(&mut lm, &mut out);
         // Radio 1 stalls past max_lag_us while radio 0 keeps delivering, and
         // is declared lagging.
         clock.advance(1_500_000);
-        send_all(&tx0, &a[30..32]);
+        send(&tx0, a[31].clone());
         lm.step(&mut |jf| out.push(jf)).unwrap();
         assert_eq!(lm.source_status(1), SourceStatus::Lagging);
-        // Radio 0 — the only live radio now, so nothing paces it — pulls 70
-        // events (3.5 s of trace) ahead.
+        // Radio 0 — the only live radio now, so nothing holds it back —
+        // pulls 70 events (3.5 s of trace) ahead.
         send_all(&tx0, &a[32..102]);
         for _ in 0..15 {
             lm.step(&mut |jf| out.push(jf)).unwrap();
@@ -1293,10 +1212,10 @@ mod tests {
         );
     }
 
-    /// A source the merger chose not to read is *held*, not stalled: the
-    /// silence is the merger's doing and must not count toward
-    /// `max_lag_us`. The stalled radio holding everyone back is the one
-    /// that gets evicted.
+    /// A source whose head is waiting in the merge is not being read, so
+    /// it is not stalled: that silence is the merger's doing and must not
+    /// count toward `max_lag_us`. The stalled radio holding everyone back
+    /// is the one that gets evicted.
     #[test]
     fn held_source_is_not_stalled() {
         let (a, b) = shared_events(80, 3);
@@ -1311,8 +1230,8 @@ mod tests {
         lm.add_source(s0);
         lm.add_source(s1);
         // Radio 0 is one event ahead of radio 1 when radio 1 goes silent:
-        // that event is past the hold-back, so radio 0 is held with an
-        // empty channel behind it.
+        // that event is past radio 1's watermark, so it waits in the merge
+        // with an empty channel behind it.
         send_all(&tx0, &a[..41]);
         send_all(&tx1, &b[..40]);
         let mut out = Vec::new();
@@ -1321,9 +1240,9 @@ mod tests {
         let held_at = lm.safe_horizon();
 
         // Wall time passes max_lag_us. The first round evicts the stalled
-        // floor while radio 0 is still held; the second reads radio 0, finds
-        // its channel empty — and must measure that silence from the moment
-        // it was released, not from before the hold.
+        // floor while radio 0's head still waits, then merges it and finds
+        // radio 0's channel empty; the second must measure that silence from
+        // the moment radio 0 was last read, not from before its head waited.
         clock.advance(1_500_000);
         for _ in 0..2 {
             lm.step(&mut |jf| out.push(jf)).unwrap();
@@ -1393,18 +1312,20 @@ mod tests {
     }
 
     /// The live mirror of unify's `peak_buffered_tracks_window_not_trace_length`:
-    /// count-paced polling let the sparse radio race `poll_budget` *events*
-    /// — seconds of trace — ahead of the busy one each round, and all of it
-    /// sat in the merger waiting on the slow watermark, so residency grew
-    /// with the trace. Watermark pacing leaves unread events in the source.
+    /// count-paced polling let the sparse radio race seconds of trace ahead
+    /// of the busy one each round, and all of it sat in the merger waiting
+    /// on the slow watermark, so residency grew with the trace. The merger
+    /// pulls a source only when its last event is consumed, so the rest
+    /// stays in the source.
     #[test]
     fn live_residency_tracks_window_not_length() {
         let short = skewed_rate_peak(20_000);
         let long = skewed_rate_peak(40_000);
         assert_eq!(short, long, "doubling the trace must not move the peak");
-        // The hold-back (20 ms) ahead of the floor plus the same again
-        // awaiting emission behind it, at ~1 event/ms: ~80 events.
-        assert!(short <= 100, "peak residency {short} is not window-bounded");
+        // One head per radio, a search window (10 ms) in flight and the
+        // 2×window reorder slack awaiting emission behind it, at ~1
+        // event/ms: ~34 events.
+        assert!(short <= 50, "peak residency {short} is not window-bounded");
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! Live event sources: where per-radio events trickle in from.
 //!
-//! A [`LiveSource`] is the push-mode sibling of
-//! [`jigsaw_trace::stream::EventStream`]: polling it yields the next
-//! decoded event, *or* [`SourcePoll::Pending`] when the producer simply has
-//! not delivered more bytes yet — which an `EventStream` cannot express
-//! (its `Ok(None)` means the stream is over, permanently).
+//! A [`LiveSource`] is a per-radio event stream whose producer may still
+//! be writing: polling it yields the next decoded event, *or*
+//! [`SourcePoll::Pending`] when the producer simply has not delivered more
+//! bytes yet. Its radio metadata may also arrive late (a file tail learns
+//! it from the trace header). Once the header is known,
+//! [`crate::LiveMerger`] hands the source to the merger as one of its
+//! streams, and the merger pulls it through
+//! [`EventStream::poll_event`](jigsaw_trace::stream::EventStream::poll_event)
+//! exactly as it pulls a stored trace.
 //!
 //! Two implementations:
 //!
@@ -28,23 +32,13 @@
 //! The one consumer of both is [`crate::LiveMerger`].
 
 use jigsaw_trace::format::FormatError;
-use jigsaw_trace::tail::{TailPoll, TailReader};
+use jigsaw_trace::stream::SourcePoll;
+use jigsaw_trace::tail::TailReader;
 use jigsaw_trace::{PhyEvent, RadioMeta};
 use std::fs::File;
 use std::io::Read;
 use std::path::Path;
 use std::sync::mpsc;
-
-/// One poll of a [`LiveSource`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SourcePoll {
-    /// The next event, in nondecreasing `ts_local` order.
-    Event(PhyEvent),
-    /// No event available *yet* — the producer is alive but quiet.
-    Pending,
-    /// The producer is done; no further events will ever arrive.
-    End,
-}
 
 /// An incrementally arriving per-radio event stream.
 pub trait LiveSource {
@@ -52,7 +46,8 @@ pub trait LiveSource {
     /// trace header; an in-process channel knows it upfront).
     fn meta(&self) -> Option<RadioMeta>;
 
-    /// Polls for the next event. Decode errors are terminal.
+    /// Polls for the next event. Decode errors are terminal; once a source
+    /// answers [`SourcePoll::End`], it keeps answering it.
     fn poll(&mut self) -> Result<SourcePoll, FormatError>;
 }
 
@@ -127,33 +122,32 @@ impl LiveSource for ChunkedFileTail {
     fn poll(&mut self) -> Result<SourcePoll, FormatError> {
         loop {
             match self.tail.poll_event()? {
-                TailPoll::Event(ev) => return Ok(SourcePoll::Event(ev)),
-                TailPoll::End => return Ok(SourcePoll::End),
-                TailPoll::Pending => {
-                    debug_assert!(!self.file_done, "Pending after finish");
-                    let n = self.file.read(&mut self.buf)?;
-                    if n == 0 {
-                        if self.follow {
-                            // The live edge: the writer may append more, so
-                            // this is starvation, not the end — the next
-                            // poll re-reads past the current EOF.
-                            return Ok(SourcePoll::Pending);
-                        }
-                        self.file_done = true;
-                        self.tail.finish();
-                    } else {
-                        self.tail.extend(&self.buf[..n]);
-                    }
+                SourcePoll::Pending => {}
+                decoded => return Ok(decoded),
+            }
+            debug_assert!(!self.file_done, "Pending after finish");
+            let n = self.file.read(&mut self.buf)?;
+            if n == 0 {
+                if self.follow {
+                    // The live edge: the writer may append more, so this is
+                    // starvation, not the end — the next poll re-reads past
+                    // the current EOF.
+                    return Ok(SourcePoll::Pending);
                 }
+                self.file_done = true;
+                self.tail.finish();
+            } else {
+                self.tail.extend(&self.buf[..n]);
             }
         }
     }
 }
 
 /// Events a [`ChannelSource`] queues between its producer and the merger. A
-/// fixed bound, not a knob: a source the merger holds back (see the pacing
-/// clause of the crate docs) must push back on its producer, not move the
-/// pile into the channel.
+/// fixed bound, not a knob: the merger pulls a source only when its last
+/// event has been consumed (see the pull clause of the crate docs), so a
+/// radio running ahead of the others must push back on its producer, not
+/// move the pile into the channel.
 pub const CHANNEL_CAPACITY: usize = 1024;
 
 /// What became of one [`LiveSender::send`].
@@ -162,9 +156,10 @@ pub const CHANNEL_CAPACITY: usize = 1024;
 pub enum SendOutcome {
     /// The event is queued for the merger.
     Inserted,
-    /// The channel already holds [`CHANNEL_CAPACITY`] events — the merger is
-    /// holding this radio back, or has not stepped. The event is returned
-    /// unsent: retry it (in order) after the merger's next step.
+    /// The channel already holds [`CHANNEL_CAPACITY`] events — this radio
+    /// is ahead of what the merger can emit yet, or the merger has not
+    /// stepped. The event is returned unsent: retry it (in order) after the
+    /// merger's next step.
     Full(PhyEvent),
     /// The receiving [`ChannelSource`] is gone; nothing will ever be read.
     Closed,

@@ -11,6 +11,17 @@ use std::io::{Read, Seek, SeekFrom};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// One pull of a stream that may be ahead of its producer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SourcePoll {
+    /// The next event, in nondecreasing `ts_local` order.
+    Event(PhyEvent),
+    /// No event available *yet* — the producer is alive but quiet.
+    Pending,
+    /// The producer is done; no further events will ever arrive.
+    End,
+}
+
 /// A stream of [`PhyEvent`]s in non-decreasing `ts_local` order.
 pub trait EventStream {
     /// The radio this stream belongs to.
@@ -18,9 +29,17 @@ pub trait EventStream {
 
     /// Pulls the next event, `Ok(None)` at end of stream.
     fn next_event(&mut self) -> Result<Option<PhyEvent>, FormatError>;
+
+    /// The merger's pull: like `next_event`, but a stream fed by a live
+    /// producer may answer [`SourcePoll::Pending`]. Stored streams never do.
+    fn poll_event(&mut self) -> Result<SourcePoll, FormatError> {
+        Ok(self
+            .next_event()?
+            .map_or(SourcePoll::End, SourcePoll::Event))
+    }
 }
 
-/// An in-memory stream (tests, synthetic scenarios, online operation).
+/// An in-memory stream (tests, synthetic scenarios).
 pub struct MemoryStream {
     meta: RadioMeta,
     events: VecDeque<PhyEvent>,

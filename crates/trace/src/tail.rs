@@ -15,7 +15,7 @@
 //!   the batch reader's — chunk boundaries are invisible because only
 //!   complete units (the file header, then whole blocks) are ever decoded.
 //! * **Never a false end:** [`TailReader::poll_event`] returns
-//!   [`TailPoll::Pending`] — not end-of-stream — when it runs out of
+//!   [`SourcePoll::Pending`] — not end-of-stream — when it runs out of
 //!   complete blocks before [`TailReader::finish`] is called.
 //! * **Truncation still surfaces:** after `finish`, leftover bytes that never
 //!   completed a block are a [`FormatError`], exactly as a truncated file is
@@ -27,27 +27,15 @@
 //!   waited for.
 
 use crate::format::{frame_block, parse_header, BlockCursor, FormatError, HEADER_LEN};
-use crate::{PhyEvent, RadioMeta};
-
-/// One poll of a [`TailReader`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TailPoll {
-    /// The next decoded event.
-    Event(PhyEvent),
-    /// No complete event is buffered yet, but the stream has not ended —
-    /// feed more bytes (or call [`TailReader::finish`]) and poll again.
-    Pending,
-    /// The stream ended cleanly: [`TailReader::finish`] was called and every
-    /// byte fed has been decoded.
-    End,
-}
+use crate::stream::SourcePoll;
+use crate::RadioMeta;
 
 /// Incremental decoder for one radio's trace arriving as a byte stream.
 ///
 /// Feed chunks with [`TailReader::extend`], then drain decoded events with
-/// [`TailReader::poll_event`] until it reports [`TailPoll::Pending`]. Call
+/// [`TailReader::poll_event`] until it reports [`SourcePoll::Pending`]. Call
 /// [`TailReader::finish`] once the producer is done; the final polls drain
-/// the remaining events and then report [`TailPoll::End`] (or a truncation
+/// the remaining events and then report [`SourcePoll::End`] (or a truncation
 /// error if a partial block was left behind).
 pub struct TailReader {
     /// Bytes fed but not yet decoded: the header until it parses, then the
@@ -98,7 +86,7 @@ impl TailReader {
 
     /// Decodes the next event, moving on to the next staged block once the
     /// current one is exhausted.
-    pub fn poll_event(&mut self) -> Result<TailPoll, FormatError> {
+    pub fn poll_event(&mut self) -> Result<SourcePoll, FormatError> {
         let meta = match self.header {
             Some((meta, _)) => meta,
             None => {
@@ -106,7 +94,7 @@ impl TailReader {
                     if self.finished {
                         return Err(FormatError::BadRecord("truncated header"));
                     }
-                    return Ok(TailPoll::Pending);
+                    return Ok(SourcePoll::Pending);
                 };
                 let (meta, snaplen) = parse_header(hdr)?;
                 self.staged.drain(..HEADER_LEN);
@@ -116,7 +104,7 @@ impl TailReader {
         };
         loop {
             if let Some(ev) = self.cursor.next_record(&meta)? {
-                return Ok(TailPoll::Event(ev));
+                return Ok(SourcePoll::Event(ev));
             }
             let Some((hdr, comp)) = frame_block(&self.staged)? else {
                 return self.at_end();
@@ -129,12 +117,12 @@ impl TailReader {
     /// The non-event outcome once every complete block is decoded:
     /// `Pending` while the stream is open, `End` after a clean finish,
     /// truncation error after a finish with a partial block staged.
-    fn at_end(&self) -> Result<TailPoll, FormatError> {
+    fn at_end(&self) -> Result<SourcePoll, FormatError> {
         if !self.finished {
-            return Ok(TailPoll::Pending);
+            return Ok(SourcePoll::Pending);
         }
         if self.staged.is_empty() {
-            Ok(TailPoll::End)
+            Ok(SourcePoll::End)
         } else {
             Err(FormatError::BadRecord("truncated block at end of stream"))
         }
@@ -151,7 +139,7 @@ impl Default for TailReader {
 mod tests {
     use super::*;
     use crate::format::TraceWriter;
-    use crate::{MonitorId, PhyStatus, RadioId};
+    use crate::{MonitorId, PhyEvent, PhyStatus, RadioId};
     use jigsaw_ieee80211::{Channel, PhyRate};
 
     fn meta() -> RadioMeta {
@@ -200,21 +188,21 @@ mod tests {
             tail.extend(piece);
             loop {
                 match tail.poll_event().unwrap() {
-                    TailPoll::Event(e) => got.push(e),
-                    TailPoll::Pending => {
+                    SourcePoll::Event(e) => got.push(e),
+                    SourcePoll::Pending => {
                         pendings += 1;
                         break;
                     }
-                    TailPoll::End => unreachable!("End before finish"),
+                    SourcePoll::End => unreachable!("End before finish"),
                 }
             }
         }
         tail.finish();
         loop {
             match tail.poll_event().unwrap() {
-                TailPoll::Event(e) => got.push(e),
-                TailPoll::Pending => unreachable!("Pending after finish"),
-                TailPoll::End => break,
+                SourcePoll::Event(e) => got.push(e),
+                SourcePoll::Pending => unreachable!("Pending after finish"),
+                SourcePoll::End => break,
             }
         }
         (got, pendings)
@@ -252,10 +240,10 @@ mod tests {
         let (buf, _) = trace_bytes(50, 512);
         let mut tail = TailReader::new();
         tail.extend(&buf[..29]);
-        assert_eq!(tail.poll_event().unwrap(), TailPoll::Pending);
+        assert_eq!(tail.poll_event().unwrap(), SourcePoll::Pending);
         assert_eq!(tail.meta(), None);
         tail.extend(&buf[29..30]);
-        assert_eq!(tail.poll_event().unwrap(), TailPoll::Pending);
+        assert_eq!(tail.poll_event().unwrap(), SourcePoll::Pending);
         assert_eq!(tail.meta(), Some(meta()));
         assert_eq!(tail.snaplen(), Some(200));
     }
@@ -271,21 +259,21 @@ mod tests {
         tail.extend(&buf[..cut]);
         loop {
             match tail.poll_event().unwrap() {
-                TailPoll::Event(e) => got.push(e),
-                TailPoll::Pending => break,
-                TailPoll::End => unreachable!(),
+                SourcePoll::Event(e) => got.push(e),
+                SourcePoll::Pending => break,
+                SourcePoll::End => unreachable!(),
             }
         }
         assert!(!got.is_empty() && got.len() < events.len());
         // Polling again while starved stays Pending (no false end).
-        assert_eq!(tail.poll_event().unwrap(), TailPoll::Pending);
+        assert_eq!(tail.poll_event().unwrap(), SourcePoll::Pending);
         tail.extend(&buf[cut..]);
         tail.finish();
         loop {
             match tail.poll_event().unwrap() {
-                TailPoll::Event(e) => got.push(e),
-                TailPoll::Pending => unreachable!(),
-                TailPoll::End => break,
+                SourcePoll::Event(e) => got.push(e),
+                SourcePoll::Pending => unreachable!(),
+                SourcePoll::End => break,
             }
         }
         assert_eq!(got, events);
@@ -299,9 +287,9 @@ mod tests {
         let mut polls = 0;
         loop {
             match tail.poll_event().unwrap() {
-                TailPoll::Event(_) => polls += 1,
-                TailPoll::Pending => break,
-                TailPoll::End => unreachable!(),
+                SourcePoll::Event(_) => polls += 1,
+                SourcePoll::Pending => break,
+                SourcePoll::End => unreachable!(),
             }
         }
         assert!(polls > 0);
@@ -309,7 +297,7 @@ mod tests {
         // Drain the committed remainder, then hit the truncation error.
         let err = loop {
             match tail.poll_event() {
-                Ok(TailPoll::Event(_)) => {}
+                Ok(SourcePoll::Event(_)) => {}
                 Ok(other) => panic!("expected truncation error, got {other:?}"),
                 Err(e) => break e,
             }
@@ -322,7 +310,7 @@ mod tests {
         let (buf, _) = trace_bytes(200, 512);
         let mut tail = TailReader::new();
         tail.extend(&buf[..12]);
-        assert_eq!(tail.poll_event().unwrap(), TailPoll::Pending);
+        assert_eq!(tail.poll_event().unwrap(), SourcePoll::Pending);
         tail.finish();
         assert!(matches!(
             tail.poll_event(),

@@ -11,7 +11,8 @@ use jigsaw_ieee80211::{Channel, PhyRate};
 use jigsaw_trace::corpus::{Corpus, CorpusWriter, Manifest};
 use jigsaw_trace::format::TraceReader;
 use jigsaw_trace::index::read_index;
-use jigsaw_trace::tail::{TailPoll, TailReader};
+use jigsaw_trace::stream::SourcePoll;
+use jigsaw_trace::tail::TailReader;
 use jigsaw_trace::{MonitorId, PhyEvent, PhyStatus, RadioId, RadioMeta};
 use std::io::Cursor;
 use std::path::PathBuf;
@@ -87,9 +88,9 @@ fn tail_drain(bytes: &[u8], chunk: usize) -> Vec<PhyEvent> {
         tail.extend(piece);
         loop {
             match tail.poll_event() {
-                Ok(TailPoll::Event(ev)) => got.push(ev),
-                Ok(TailPoll::Pending) => break,
-                Ok(TailPoll::End) => panic!("End before finish"),
+                Ok(SourcePoll::Event(ev)) => got.push(ev),
+                Ok(SourcePoll::Pending) => break,
+                Ok(SourcePoll::End) => panic!("End before finish"),
                 Err(_) => return got,
             }
         }
@@ -97,9 +98,9 @@ fn tail_drain(bytes: &[u8], chunk: usize) -> Vec<PhyEvent> {
     tail.finish();
     loop {
         match tail.poll_event() {
-            Ok(TailPoll::Event(ev)) => got.push(ev),
-            Ok(TailPoll::Pending) => panic!("Pending after finish (chunk {chunk})"),
-            Ok(TailPoll::End) | Err(_) => return got,
+            Ok(SourcePoll::Event(ev)) => got.push(ev),
+            Ok(SourcePoll::Pending) => panic!("Pending after finish (chunk {chunk})"),
+            Ok(SourcePoll::End) | Err(_) => return got,
         }
     }
 }

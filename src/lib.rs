@@ -25,11 +25,13 @@
 //!   configuration;
 //! * [`live`] — online ingest: chunk-fed live sources ([`live::LiveSource`])
 //!   and the always-on [`live::LiveMerger`], which unifies streams *while
-//!   they are still being written*, emitting jframes continuously with
-//!   bounded lag (2×search-window behind the slowest live radio) and
-//!   window-bounded memory (watermark-paced polling pushes back on sources
-//!   that run ahead), evicting stalled radios from the emission horizon
-//!   after `max_lag_us`, and re-anchoring clocks resync stopped reaching;
+//!   they are still being written*: the batch merger pulls each source as
+//!   a stream that can pend, so jframes leave continuously with bounded
+//!   lag (2×search-window behind the slowest live radio) and the batch
+//!   merge's memory (a source is read only when its last event is
+//!   consumed; the rest pushes back on its producer), evicting stalled
+//!   radios from the emission horizon after `max_lag_us`, and re-anchoring
+//!   clocks resync stopped reaching;
 //! * [`analysis`] — every table and figure of the paper's evaluation,
 //!   each an [`analysis::Analyzer`] (observer → [`analysis::Figure`]),
 //!   with [`analysis::Suite`] fanning one streaming pass to all of them.
@@ -173,9 +175,10 @@
 //! # }
 //! ```
 //!
-//! The merger reads each live radio only a hold-back (`2×search_window`)
-//! past the slowest other one, so what it buffers tracks the search window,
-//! not the length of the day; what it has not read stays in the source. For
+//! The merger reads a live radio only once its last event has been
+//! consumed — the batch merge's own pull — so what it buffers tracks the
+//! search window, not the length of the day; what it has not read stays in
+//! the source. For
 //! a radio captured in-process that source is a bounded channel, and
 //! `send` reports the back-pressure instead of queueing without limit:
 //!
