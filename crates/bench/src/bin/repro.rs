@@ -14,7 +14,9 @@
 //! ```
 //!
 //! Usage errors — an unknown flag or subcommand, a flag value that does
-//! not parse, a missing required flag, a second subcommand, or a
+//! not parse, a missing required flag, a second subcommand, a flag the
+//! subcommand would silently ignore (`--verify` and `--max-buffered`
+//! outside `merge`/`tail`, `--threads` without `--parallel`), or a
 //! `--corpus` that cannot be opened — exit 2 with a one-line message.
 //! Correctness failures (a corpus that fails its digest check or cannot be
 //! read, verify divergence, `--max-buffered` exceeded, golden mismatch)
@@ -153,11 +155,11 @@ struct Args {
     block_bytes: usize,
     /// Snap length for `record` (sim traces are already capture-snapped).
     snaplen: u32,
-    /// `merge`: re-simulate from the manifest and assert disk ≡ memory.
+    /// `merge`/`tail`: assert disk ≡ memory / live ≡ batch.
     verify: bool,
     /// `merge`/`tail`: fail if peak merger residency (seeded bootstrap
-    /// window included) exceeds this many events (0 = no limit).
-    max_buffered: u64,
+    /// window included) exceeds this many events.
+    max_buffered: Option<u64>,
     /// Replay window start, anchor-universal µs (`merge`/`analyze`/
     /// `diagnose`).
     from: Option<u64>,
@@ -208,11 +210,10 @@ fn or_exit<T>(r: Result<T, SessionError>) -> T {
 /// the bootstrap window (seeded into the merger on every run) and the
 /// search window, never by the corpus.
 fn check_max_buffered(args: &Args, peak: u64) {
-    if args.max_buffered > 0 && peak > args.max_buffered {
+    if let Some(max) = args.max_buffered.filter(|&max| peak > max) {
         fail(&format!(
-            "peak buffered {peak} events exceeds --max-buffered {} — \
-             streaming memory is no longer bounded by the bootstrap and search windows",
-            args.max_buffered
+            "peak buffered {peak} events exceeds --max-buffered {max} — \
+             streaming memory is no longer bounded by the bootstrap and search windows"
         ));
     }
 }
@@ -251,7 +252,7 @@ static FLAGS: &[ArgSpec<Args>] = &[
         cli::assign_some(&mut a.to, v)
     }),
     ArgSpec::parsed("--max-buffered", "an event count", |a, v| {
-        cli::assign(&mut a.max_buffered, v)
+        cli::assign_some(&mut a.max_buffered, v)
     }),
     ArgSpec::parsed("--chunk-bytes", "a chunk size in bytes", |a, v| {
         cli::assign(&mut a.chunk_bytes, v)
@@ -271,7 +272,7 @@ fn parse_args() -> Args {
         block_bytes: 0,
         snaplen: 65_535,
         verify: false,
-        max_buffered: 0,
+        max_buffered: None,
         from: None,
         to: None,
         chunk_bytes: 64 * 1024,
@@ -352,6 +353,14 @@ fn simulate(seed: u64, scale: f64) -> SimOutput {
 
 fn main() {
     let args = parse_args();
+    // Anywhere else the gate flags would check nothing: a CI gate would pass.
+    let gated = args.verify || args.max_buffered.is_some();
+    if gated && !matches!(args.cmd.as_str(), "merge" | "tail") {
+        let cmd = &args.cmd;
+        usage_error(&format!(
+            "{cmd}: --verify and --max-buffered check merge and tail only"
+        ));
+    }
     match args.cmd.as_str() {
         "all" => run_all(&args),
         "table1" | "fig4" | "fig8" | "fig9" | "fig10" | "fig11" | "fig6" | "link-stats" => {

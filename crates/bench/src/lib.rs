@@ -64,28 +64,14 @@ pub fn practical_minute_us(day_us: u64) -> u64 {
     ((60_000_000.0 / (86_400_000_000.0 / day_us as f64)) as u64).max(1)
 }
 
-/// The full paper figure [`Suite`] for a simulated
-/// world, coverage included: Table 1, Figures 4/6/8/9/10/11, and the
-/// station census, all parameterized exactly the way `repro` wires them
-/// ("hour" bins of the represented day, one-minute practical timeout).
+/// The full paper figure [`Suite`], coverage included: Table 1, Figures
+/// 4/6/8/9/10/11, and the station census, all parameterized exactly the way
+/// `repro` wires them ("hour" bins of the represented day, one-minute
+/// practical timeout) — built from a corpus's radio count, duration, wired
+/// trace and AP table, so nothing needs re-simulating.
 ///
-/// The suite holds no borrow of `out` — the coverage expectation index is
-/// built here from the wired trace — so callers may drop the simulation
-/// and stream the pipeline from an on-disk corpus instead.
-pub fn figure_suite(out: &SimOutput) -> Suite {
-    let ap_addrs: Vec<MacAddr> = out.stations.iter().map(|s| s.addr).collect();
-    let ap_lookup = move |sid: u16| ap_addrs[usize::from(sid)];
-    figure_suite_parts(
-        out.radio_meta.len(),
-        out.duration_us,
-        &out.wired,
-        &ap_lookup,
-    )
-}
-
-/// [`figure_suite`] from its raw ingredients — what `repro analyze` builds
-/// when everything (radio count, duration, wired trace, AP table) comes
-/// from a recorded corpus instead of a live simulation.
+/// The suite holds no borrow of `wired` — the coverage expectation index is
+/// built here from it.
 pub fn figure_suite_parts(
     radios: usize,
     duration_us: u64,
@@ -642,7 +628,10 @@ mod tests {
     #[test]
     fn figure_suite_registers_every_paper_figure() {
         let out = ScenarioConfig::tiny(1).run();
-        let suite = figure_suite(&out);
+        let ap_addrs: Vec<MacAddr> = out.stations.iter().map(|s| s.addr).collect();
+        let suite = figure_suite_parts(out.radio_meta.len(), out.duration_us, &out.wired, &|sid| {
+            ap_addrs[usize::from(sid)]
+        });
         assert_eq!(
             suite.names(),
             vec!["table1", "fig4", "fig8", "fig9", "fig10", "stations", "fig11", "fig6"]

@@ -1,7 +1,8 @@
 //! Pins the `repro` binary's exit-code contract: every malformed
 //! invocation — unknown flag or subcommand, a flag value that does not
 //! parse, a missing flag value or required flag, a second subcommand, a
-//! corpus that cannot be opened — exits 2 with a one-line stderr message,
+//! flag the subcommand would silently ignore, a corpus that cannot be
+//! opened — exits 2 with a one-line stderr message,
 //! before any simulation starts. Correctness failures — a corpus that
 //! fails its digest check among them — exit 1, equally in one line; that
 //! split is what CI keys off.
@@ -102,6 +103,24 @@ fn threads_without_parallel_exits_2() {
             stderr.contains("--threads caps the shards of --parallel"),
             "{cmd}: {stderr}"
         );
+    }
+}
+
+/// `--verify` and `--max-buffered` gate `merge` and `tail` only: anywhere
+/// else they would be accepted and check nothing, so a CI gate written with
+/// them would pass vacuously. They are usage errors, raised before the
+/// corpus is looked for or a simulation starts.
+#[test]
+fn gate_flags_outside_merge_and_tail_exit_2() {
+    for cmd in ["analyze", "diagnose", "smoke"] {
+        for flag in [&["--verify"][..], &["--max-buffered", "600"]] {
+            let args = [&[cmd, "--corpus", "no-such-dir"][..], flag].concat();
+            let stderr = assert_usage_error(&args);
+            assert!(
+                stderr.contains(&format!("{cmd}: --verify and --max-buffered check")),
+                "{args:?}: {stderr}"
+            );
+        }
     }
 }
 

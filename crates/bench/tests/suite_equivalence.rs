@@ -52,7 +52,7 @@ fn suite_over_corpus_matches_hand_wired_memory_run() {
     let (dir, session, par_cfg) = recorded("figs", &out, 4096);
 
     // --- Reference: hand-wired analyses over the in-memory serial run,
-    // with exactly the parameters `figure_suite` uses. ---
+    // with exactly the parameters `figure_suite_parts` uses. ---
     let day = out.duration_us;
     let bin = minute_bin_us(day) * 60;
     let mut summary = SummaryBuilder::new(out.radio_meta.len());
@@ -80,7 +80,7 @@ fn suite_over_corpus_matches_hand_wired_memory_run() {
         ),
     )
     .unwrap();
-    // In `figure_suite` registration order: paper suite, then coverage.
+    // In `figure_suite_parts` registration order: paper suite, then coverage.
     let reference: Vec<FigureOutput> = vec![
         output_of(&summary.finish()),
         output_of(&dispersion.finish()),

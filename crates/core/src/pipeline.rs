@@ -15,11 +15,11 @@
 //! [`EventStream`] is a source, and a disk corpus radio ([`CorpusSource`])
 //! is a source that index-seeks its trace file to the range a replay
 //! needs. Either way the stream is consumed exactly once: the bootstrap
-//! window is split off its front and re-seeded into the merger, so every
-//! trace block is decoded once and a day-long corpus is merged with memory
-//! bounded by the bootstrap window plus the search window, never by trace
-//! length ([`MergeStats::peak_buffered`](crate::unify::MergeStats)
-//! measures it).
+//! window is split off its front ([`OpenedRadio`]) and re-seeded into the
+//! merger ([`SourceSet`]), so every trace block is decoded once and a
+//! day-long corpus is merged with memory bounded by the bootstrap window
+//! plus the search window, never by trace length
+//! ([`MergeStats::peak_buffered`](crate::unify::MergeStats) measures it).
 //!
 //! Replays need not start at t = 0: a [`CorpusSource`] given a window
 //! re-anchors the clock bootstrap at any corpus timestamp (index-seeked
@@ -52,7 +52,7 @@ use crate::transport::flow::{FlowRecord, TransportAnalyzer, TransportStats};
 use crate::unify::{MergeConfig, MergeStats};
 use jigsaw_ieee80211::Micros;
 use jigsaw_trace::format::FormatError;
-use jigsaw_trace::stream::EventStream;
+use jigsaw_trace::stream::{EventStream, SourcePoll};
 use jigsaw_trace::{PhyEvent, RadioMeta, TimeWindow};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -127,12 +127,12 @@ impl From<FormatError> for PipelineError {
 
 /// A per-radio supplier of pipeline input.
 ///
-/// Opening a source splits it into the *bootstrap window* (one second of
-/// events, input to offset estimation) and the *merge stream*. Every
-/// source is consumed once: the window events — plus the one past-window
-/// event the split necessarily reads — are handed back for re-seeding into
-/// the merger ahead of the stream. The two implementations differ only in
-/// where the stream starts and where its window sits:
+/// Opening a source splits its *bootstrap window* (input to offset
+/// estimation) off its *merge stream* — an [`OpenedRadio`], pulled once,
+/// which a stored stream completes. Every source is consumed once: the
+/// window events, plus the one past-window event the split necessarily
+/// reads, are re-seeded into the merger ahead of the stream. The two
+/// implementations differ only in where the stream starts and its window sits:
 ///
 /// * any [`EventStream`] is a source (blanket impl), read from its first
 ///   event with the window at the radio's NTP anchor;
@@ -143,22 +143,25 @@ pub trait EventSource {
     type Stream: EventStream;
 
     /// Opens the source, splitting off the bootstrap window.
-    fn open(self, window_us: u64) -> Result<OpenedRadio<Self::Stream>, FormatError>;
+    fn open(self, cfg: &BootstrapConfig) -> Result<OpenedRadio<Self::Stream>, FormatError>;
 }
 
-/// One opened [`EventSource`].
+/// One opened [`EventSource`] — the one bootstrap window rule, for batch
+/// and live sources alike: every event with `ts_local ≤ window_lo +
+/// window_us`, whatever precedes `window_lo` included, is bootstrap input,
+/// and the first event past it completes the window as the carry. The split
+/// resumes: [`OpenedRadio::pull`] reads until the carry or the end of the
+/// stream arrives, or the stream pends.
 pub struct OpenedRadio<S> {
     /// Radio metadata.
     pub meta: RadioMeta,
-    /// Events inside the bootstrap window
-    /// (`window_lo ≤ ts_local ≤ window_lo + window`) — the input to offset
+    /// Events inside the bootstrap window — the input to offset
     /// estimation, and nothing else: one out-of-window reference frame is
     /// enough to skew a synchronization set.
     pub window: Vec<PhyEvent>,
-    /// Events consumed from the stream beyond the window (at most one).
-    /// They must reach the merger ahead of `stream` — dropping them would
-    /// lose events.
-    pub carry: Vec<PhyEvent>,
+    /// The one event read past the window. It must reach the merger ahead
+    /// of `stream` — dropping it would lose an event.
+    pub carry: Option<PhyEvent>,
     /// Local time the bootstrap window starts at: the NTP anchor for a
     /// from-the-start source, or the coarse-local image of the replay
     /// window's read start for a windowed one. Offset estimation windows
@@ -166,40 +169,52 @@ pub struct OpenedRadio<S> {
     pub window_lo: Micros,
     /// The merge stream.
     pub stream: S,
+    /// The last local time inside the window.
+    window_hi: Micros,
+    /// The carry arrived or the stream ended.
+    complete: bool,
 }
 
 impl<S: EventStream> OpenedRadio<S> {
-    /// Splits the bootstrap window — every event up to `window_lo +
-    /// window_us`, whatever precedes `window_lo` included — off the front
-    /// of `stream`. The split reads one event past the window to know it
-    /// is complete; that event is the carry.
-    fn split(mut stream: S, window_lo: Micros, window_us: u64) -> Result<Self, FormatError> {
-        let hi = window_lo.saturating_add(window_us);
-        let mut window = Vec::new();
-        let mut carry = Vec::new();
-        while let Some(ev) = stream.next_event()? {
-            if ev.ts_local > hi {
-                carry.push(ev);
-                break;
-            }
-            window.push(ev);
-        }
-        Ok(OpenedRadio {
+    /// Splits `stream` with its window at `window_lo`, pulling once.
+    fn open(stream: S, window_lo: Micros, cfg: &BootstrapConfig) -> Result<Self, FormatError> {
+        let mut radio = OpenedRadio {
             meta: stream.meta(),
-            window,
-            carry,
+            window: Vec::new(),
+            carry: None,
             window_lo,
             stream,
-        })
+            window_hi: window_lo.saturating_add(cfg.window_us),
+            complete: false,
+        };
+        radio.pull()?;
+        Ok(radio)
+    }
+
+    /// Reads until the window is complete or the stream pends; returns
+    /// whether it is complete. Once it is, the rest is the merger's.
+    pub fn pull(&mut self) -> Result<bool, FormatError> {
+        while !self.complete {
+            match self.stream.poll_event()? {
+                SourcePoll::Event(ev) if ev.ts_local > self.window_hi => {
+                    self.carry = Some(ev);
+                    self.complete = true;
+                }
+                SourcePoll::Event(ev) => self.window.push(ev),
+                SourcePoll::End => self.complete = true,
+                SourcePoll::Pending => break,
+            }
+        }
+        Ok(self.complete)
     }
 }
 
 impl<S: EventStream> EventSource for S {
     type Stream = S;
 
-    fn open(self, window_us: u64) -> Result<OpenedRadio<S>, FormatError> {
+    fn open(self, cfg: &BootstrapConfig) -> Result<OpenedRadio<S>, FormatError> {
         let window_lo = self.meta().anchor_local_us;
-        OpenedRadio::split(self, window_lo, window_us)
+        OpenedRadio::open(self, window_lo, cfg)
     }
 }
 
@@ -249,7 +264,7 @@ impl CorpusSource {
 impl EventSource for CorpusSource {
     type Stream = jigsaw_trace::corpus::WindowedCorpusStream;
 
-    fn open(self, window_us: u64) -> Result<OpenedRadio<Self::Stream>, FormatError> {
+    fn open(self, cfg: &BootstrapConfig) -> Result<OpenedRadio<Self::Stream>, FormatError> {
         let meta = self.source.meta();
         // (read range, bootstrap window start). A full replay reads
         // everything — pre-anchor events included, the merger must see
@@ -262,7 +277,7 @@ impl EventSource for CorpusSource {
                 (lo, hi, lo)
             }
         };
-        OpenedRadio::split(self.source.open_stream_range(lo, hi)?, window_lo, window_us)
+        OpenedRadio::open(self.source.open_stream_range(lo, hi)?, window_lo, cfg)
     }
 }
 
@@ -347,79 +362,68 @@ impl WindowClipper {
     }
 }
 
-/// Every radio's opened source, ready for bootstrap + merge.
-pub(crate) struct SourceSet<S> {
-    pub metas: Vec<RadioMeta>,
-    pub windows: Vec<Vec<PhyEvent>>,
-    pub carries: Vec<Vec<PhyEvent>>,
-    pub window_los: Vec<Micros>,
-    pub streams: Vec<S>,
+/// Every radio's opened source — the one path from opened radios to
+/// bootstrap and merge input, for [`Pipeline::run`] and the live merger
+/// (which builds one from the radios it split as they arrived) alike.
+pub struct SourceSet<S> {
+    /// The opened radios, in radio order.
+    pub radios: Vec<OpenedRadio<S>>,
 }
 
 impl<S: EventStream> SourceSet<S> {
     /// Opens all sources, preserving radio order.
-    pub fn open<I>(sources: Vec<I>, window_us: u64) -> Result<Self, FormatError>
+    pub fn open<I>(sources: Vec<I>, cfg: &BootstrapConfig) -> Result<Self, FormatError>
     where
         I: EventSource<Stream = S>,
     {
-        let n = sources.len();
-        let mut set = SourceSet {
-            metas: Vec::with_capacity(n),
-            windows: Vec::with_capacity(n),
-            carries: Vec::with_capacity(n),
-            window_los: Vec::with_capacity(n),
-            streams: Vec::with_capacity(n),
-        };
-        for src in sources {
-            let opened = src.open(window_us)?;
-            set.metas.push(opened.meta);
-            set.windows.push(opened.window);
-            set.carries.push(opened.carry);
-            set.window_los.push(opened.window_lo);
-            set.streams.push(opened.stream);
-        }
-        Ok(set)
+        let radios = sources
+            .into_iter()
+            .map(|src| src.open(cfg))
+            .collect::<Result<_, _>>()?;
+        Ok(SourceSet { radios })
     }
 
     /// Runs bootstrap over the in-window events only, windowed at each
-    /// source's declared window start.
+    /// radio's window start.
     pub fn bootstrap(&self, cfg: &BootstrapConfig) -> Result<BootstrapReport, BootstrapError> {
-        let views: Vec<&[PhyEvent]> = self.windows.iter().map(|w| w.as_slice()).collect();
-        bootstrap_at(&self.metas, &views, &self.window_los, cfg)
-    }
-
-    /// The window clipper for this radio set, when the config asks for one.
-    pub fn clipper(&self, cfg: &PipelineConfig) -> Option<WindowClipper> {
-        cfg.window.map(|w| WindowClipper::new(&self.metas, w))
+        let metas: Vec<RadioMeta> = self.radios.iter().map(|r| r.meta).collect();
+        let windows: Vec<&[PhyEvent]> = self.radios.iter().map(|r| r.window.as_slice()).collect();
+        let window_los: Vec<Micros> = self.radios.iter().map(|r| r.window_lo).collect();
+        bootstrap_at(&metas, &windows, &window_los, cfg)
     }
 
     /// Splits into merge input: the streams, plus per radio the events to
     /// seed ahead of them (window, then carry) and the local time to
     /// reference the clock EWMA at.
     pub fn into_merge_input(self) -> (Vec<S>, Vec<Vec<PhyEvent>>, Vec<Micros>) {
-        let seeds = self
-            .windows
+        let (streams, (seeds, window_los)) = self
+            .radios
             .into_iter()
-            .zip(self.carries)
-            .map(|(mut window, carry)| {
-                window.extend(carry);
-                window
+            .map(|r| {
+                let mut seed = r.window;
+                seed.extend(r.carry);
+                (r.stream, (seed, r.window_lo))
             })
-            .collect();
-        (self.streams, seeds, self.window_los)
+            .unzip();
+        (streams, seeds, window_los)
     }
 }
 
-/// Everything downstream of unification: attempt assembly → exchange
+/// The post-unification reconstruction chain: attempt assembly → exchange
 /// assembly → transport reconstruction, plus the exchange reorder queue
 /// (exchanges close out of order — a delivered exchange closes at its ACK,
 /// an ambiguous one lingers to the 500 ms timeout — but transport
 /// reconstruction needs transmission-time order, so closed exchanges wait
 /// in a small ordered map until a 1 s watermark passes them).
 ///
-/// Every shard layout feeds this one consumer, so sharded runs reconstruct
-/// exactly what serial runs reconstruct.
-struct Downstream<O> {
+/// [`Pipeline::run`] feeds every shard layout's jframes through one, so
+/// sharded runs reconstruct exactly what serial runs reconstruct. Drivers
+/// that produce jframes *outside* [`Pipeline`] — the live tail driver chief
+/// among them — push unified jframes in emission order via
+/// [`Reconstruction::push`], then finish exactly once: their observer sees
+/// the identical callback stream a batch [`Pipeline::run`] over the same
+/// jframes delivers.
+pub struct Reconstruction<O> {
     attempts: AttemptAssembler,
     exchanges: ExchangeAssembler,
     transport: TransportAnalyzer,
@@ -434,9 +438,10 @@ struct Downstream<O> {
 
 const REORDER_HORIZON_US: u64 = 1_000_000;
 
-impl<O: PipelineObserver> Downstream<O> {
-    fn new(obs: O) -> Self {
-        Downstream {
+impl<O: PipelineObserver> Reconstruction<O> {
+    /// Wraps an observer; see [`Pipeline::run`] for the observer contract.
+    pub fn new(obs: O) -> Self {
+        Reconstruction {
             attempts: AttemptAssembler::new(),
             exchanges: ExchangeAssembler::new(),
             transport: TransportAnalyzer::new(),
@@ -455,7 +460,8 @@ impl<O: PipelineObserver> Downstream<O> {
         }
     }
 
-    fn observe(&mut self, jf: &JFrame) {
+    /// Feeds one unified jframe (must arrive in emission order).
+    pub fn push(&mut self, jf: &JFrame) {
         self.obs.on_jframe(jf);
         self.attempts.push(jf, &mut self.attempt_buf);
         for a in self.attempt_buf.drain(..) {
@@ -475,8 +481,13 @@ impl<O: PipelineObserver> Downstream<O> {
     }
 
     /// Flushes every assembler, delivers the flow records, and hands the
-    /// observer back beside the aggregates.
-    fn finish(mut self) -> (O, Aggregates) {
+    /// observer back beside `(attempts, link, flows, transport)`.
+    fn close(
+        mut self,
+    ) -> (
+        O,
+        (AttemptStats, LinkStats, Vec<FlowRecord>, TransportStats),
+    ) {
         self.attempts.finish(&mut self.attempt_buf);
         for a in self.attempt_buf.drain(..) {
             self.obs.on_attempt(&a);
@@ -498,49 +509,18 @@ impl<O: PipelineObserver> Downstream<O> {
         );
         (self.obs, aggregates)
     }
-}
-
-/// What a finished reconstruction chain reports: `(attempts, link, flows,
-/// transport)`.
-type Aggregates = (AttemptStats, LinkStats, Vec<FlowRecord>, TransportStats);
-
-/// Public handle over the post-unification reconstruction chain (attempt
-/// assembly → exchange assembly → transport reconstruction, with the same
-/// exchange reordering [`Pipeline::run`] applies) for drivers that produce
-/// jframes *outside* [`Pipeline`] — the live tail driver chief among them.
-///
-/// Push unified jframes in emission order via [`Reconstruction::push`], then
-/// call [`Reconstruction::finish`] exactly once. An observer fed this way
-/// sees the identical callback stream it would see from a batch
-/// [`Pipeline::run`] over the same jframes.
-pub struct Reconstruction<O> {
-    inner: Downstream<O>,
-}
-
-impl<O: PipelineObserver> Reconstruction<O> {
-    /// Wraps an observer; see [`Pipeline::run`] for the observer contract.
-    pub fn new(obs: O) -> Self {
-        Reconstruction {
-            inner: Downstream::new(obs),
-        }
-    }
-
-    /// Feeds one unified jframe (must arrive in emission order).
-    pub fn push(&mut self, jf: &JFrame) {
-        self.inner.observe(jf);
-    }
 
     /// Flushes every assembler and delivers the flow records, returning
     /// `(attempts, link, flows, transport)` — the same aggregates
     /// [`PipelineReport`] carries.
     pub fn finish(self) -> (AttemptStats, LinkStats, Vec<FlowRecord>, TransportStats) {
-        self.inner.finish().1
+        self.close().1
     }
 
     /// [`Reconstruction::finish`] for a chain that owns its observer:
     /// flushes and delivers the same way, then hands the observer back.
     pub fn into_observer(self) -> O {
-        self.inner.finish().0
+        self.close().0
     }
 }
 
@@ -691,9 +671,9 @@ impl Pipeline {
         I: EventSource,
         I::Stream: Send + 'static,
     {
-        let mut ds = Downstream::new(obs);
-        let (bootstrap, merge) = Self::drive(sources, cfg, |jf| ds.observe(jf))?;
-        let (_, (attempts, link, flows, transport)) = ds.finish();
+        let mut rec = Reconstruction::new(obs);
+        let (bootstrap, merge) = Self::drive(sources, cfg, |jf| rec.push(jf))?;
+        let (attempts, link, flows, transport) = rec.finish();
         Ok(PipelineReport {
             bootstrap,
             merge,
@@ -732,9 +712,10 @@ impl Pipeline {
         I: EventSource,
         I::Stream: Send + 'static,
     {
-        let set = SourceSet::open(sources, cfg.bootstrap.window_us)?;
+        let set = SourceSet::open(sources, &cfg.bootstrap)?;
         let boot = set.bootstrap(&cfg.bootstrap)?;
-        let clip = set.clipper(cfg);
+        let metas: Vec<RadioMeta> = set.radios.iter().map(|r| r.meta).collect();
+        let clip = cfg.window.map(|w| WindowClipper::new(&metas, w));
         let (streams, seeds, refs) = set.into_merge_input();
         let stats = crate::shard::run_sharded(
             streams,
@@ -827,38 +808,79 @@ mod tests {
         }
     }
 
+    /// A live producer that pends before every event.
+    struct Stutter(MemoryStream, bool);
+
+    impl EventStream for Stutter {
+        fn meta(&self) -> RadioMeta {
+            self.0.meta()
+        }
+
+        fn next_event(&mut self) -> Result<Option<PhyEvent>, FormatError> {
+            self.0.next_event()
+        }
+
+        fn poll_event(&mut self) -> Result<SourcePoll, FormatError> {
+            self.1 = !self.1;
+            if self.1 {
+                return Ok(SourcePoll::Pending);
+            }
+            self.0.poll_event()
+        }
+    }
+
     /// The bootstrap window boundary: an event at exactly `anchor + window`
     /// is bootstrap input; the first event past it is kept for merging but
-    /// excluded from bootstrap.
+    /// excluded from bootstrap. A split resumed across pending pulls comes
+    /// out identical.
     #[test]
     fn bootstrap_window_splits_at_boundary() {
-        let window = BootstrapConfig::default().window_us; // 1 s
-        let streams = vec![
-            MemoryStream::new(
-                meta(0, 0),
-                vec![
-                    ev(0, 100, frame_bytes(1)),
-                    ev(0, window, frame_bytes(2)), // exactly at the edge: in
-                    ev(0, window + 1, frame_bytes(3)), // first past the edge: out
-                    ev(0, window + 50, frame_bytes(4)), // never read as prefix
-                ],
-            ),
-            MemoryStream::new(meta(1, 0), vec![ev(1, 150, frame_bytes(1))]),
-        ];
-        let set = SourceSet::open(streams, window).unwrap();
-        // Radio 0: three events consumed (the loop stops after the first
+        let cfg = BootstrapConfig::default();
+        let window = cfg.window_us; // 1 s
+        let streams = || {
+            vec![
+                MemoryStream::new(
+                    meta(0, 0),
+                    vec![
+                        ev(0, 100, frame_bytes(1)),
+                        ev(0, window, frame_bytes(2)), // exactly at the edge: in
+                        ev(0, window + 1, frame_bytes(3)), // first past the edge: out
+                        ev(0, window + 50, frame_bytes(4)), // never read as prefix
+                    ],
+                ),
+                MemoryStream::new(meta(1, 0), vec![ev(1, 150, frame_bytes(1))]),
+            ]
+        };
+        let set = SourceSet::open(streams(), &cfg).unwrap();
+        // Radio 0: three events consumed (the split stops after the first
         // out-of-window event), only two of them bootstrap input.
-        assert_eq!(set.windows[0].len(), 2);
-        assert_eq!(set.carries[0].len(), 1);
-        assert_eq!(set.windows[1].len(), 1);
-        assert!(set.carries[1].is_empty());
+        assert_eq!(set.radios[0].window.len(), 2);
+        assert!(set.radios[0].carry.is_some());
+        assert_eq!(set.radios[1].window.len(), 1);
+        assert!(set.radios[1].carry.is_none());
         // The stream still holds the unread tail.
-        assert_eq!(set.streams[0].len(), 1);
+        assert_eq!(set.radios[0].stream.len(), 1);
 
         // The out-of-window event is NOT a synchronization candidate...
-        let boot = set.bootstrap(&BootstrapConfig::default()).unwrap();
+        let boot = set.bootstrap(&cfg).unwrap();
         assert_eq!(boot.candidates, 3); // r0: seq 1 + seq 2; r1: seq 1
         assert_eq!(boot.components, 1);
+
+        // The same split, one event per pull.
+        let stutters = streams().into_iter().map(|s| Stutter(s, false)).collect();
+        let mut resumed = SourceSet::open(stutters, &cfg).unwrap();
+        let mut pending_pulls = 0;
+        for radio in &mut resumed.radios {
+            while !radio.pull().unwrap() {
+                pending_pulls += 1;
+            }
+        }
+        assert_eq!(pending_pulls, 3, "a pull pends after every window event");
+        for (radio, one_shot) in resumed.radios.iter().zip(&set.radios) {
+            assert_eq!(radio.window, one_shot.window);
+            assert_eq!(radio.carry, one_shot.carry);
+            assert_eq!(radio.stream.0.len(), one_shot.stream.len());
+        }
 
         // ...but it IS merge input, seeded ahead of the stream.
         let (streams, seeds, refs) = set.into_merge_input();
@@ -868,6 +890,8 @@ mod tests {
         assert_eq!(streams[0].len(), 1);
         // Stream sources reference their clocks at the NTP anchor.
         assert_eq!(refs, vec![0, 0]);
+        let (_, resumed_seeds, resumed_refs) = resumed.into_merge_input();
+        assert_eq!((resumed_seeds, resumed_refs), (seeds, refs));
     }
 
     /// End-to-end: the consumed out-of-window event still reaches the

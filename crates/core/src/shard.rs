@@ -146,13 +146,14 @@ where
         shards[gi % n_shards].extend(g.members);
     }
 
-    let ref_of = |i: usize| clock_refs.get(i).copied().unwrap_or(0);
-
-    if n_shards == 1 {
-        // Degenerate path: one shard ≡ the serial merger, run inline.
-        let (idx, shard_streams): (Vec<usize>, Vec<S>) = shards.pop().unwrap().into_iter().unzip();
+    // One shard's merger over its members, with their offsets and seeds.
+    let mut shard_merger = |members: Vec<(usize, S)>| {
+        let (idx, shard_streams): (Vec<usize>, Vec<S>) = members.into_iter().unzip();
         let shard_offsets: Vec<i64> = idx.iter().map(|&i| offsets[i]).collect();
-        let shard_refs: Vec<u64> = idx.iter().map(|&i| ref_of(i)).collect();
+        let shard_refs: Vec<u64> = idx
+            .iter()
+            .map(|&i| clock_refs.get(i).copied().unwrap_or(0))
+            .collect();
         let mut merger = Merger::new_at(
             shard_streams,
             &shard_offsets,
@@ -162,7 +163,12 @@ where
         for (r, &i) in idx.iter().enumerate() {
             merger.seed_pending(r, std::mem::take(&mut seeds[i]));
         }
-        return merger.run(sink);
+        merger
+    };
+
+    if n_shards == 1 {
+        // Degenerate path: one shard ≡ the serial merger, run inline.
+        return shard_merger(shards.pop().expect("one shard")).run(sink);
     }
 
     // Raised by a shard that fails, checked by everyone: the consumer
@@ -172,19 +178,10 @@ where
     let mut handles = Vec::with_capacity(n_shards);
     let mut cursors = Vec::with_capacity(n_shards);
     for members in shards {
-        let (idx, shard_streams): (Vec<usize>, Vec<S>) = members.into_iter().unzip();
-        let shard_offsets: Vec<i64> = idx.iter().map(|&i| offsets[i]).collect();
-        let shard_refs: Vec<u64> = idx.iter().map(|&i| ref_of(i)).collect();
-        let shard_seeds: Vec<Vec<PhyEvent>> =
-            idx.iter().map(|&i| std::mem::take(&mut seeds[i])).collect();
-        let merge_cfg = merge_cfg.clone();
+        let merger = shard_merger(members);
         let (tx, rx) = mpsc::sync_channel::<Vec<JFrame>>(QUEUE_BATCHES);
         let poison = Arc::clone(&poison);
         let handle = std::thread::spawn(move || -> Result<MergeStats, FormatError> {
-            let mut merger = Merger::new_at(shard_streams, &shard_offsets, &shard_refs, merge_cfg);
-            for (r, seed) in shard_seeds.into_iter().enumerate() {
-                merger.seed_pending(r, seed);
-            }
             let mut batch = Vec::with_capacity(BATCH);
             // If the receiver hangs up or another shard fails, stop
             // sending and let the merge run dry instead of panicking.

@@ -1,10 +1,10 @@
 //! Bootstrap synchronization (paper §4.1), re-anchorable at any trace
 //! position.
 //!
-//! Examines one NTP-delimited second of every radio's trace — the first
-//! second for a from-the-start replay ([`bootstrap`]), or a second starting
-//! at any per-radio window position for a mid-trace replay
-//! ([`bootstrap_at`]) — finds content-unique frames heard by multiple
+//! [`bootstrap_at`] examines one NTP-delimited second of every radio's
+//! trace — the first second for a from-the-start replay, or a second
+//! starting at any per-radio window position for a mid-trace replay —
+//! finds content-unique frames heard by multiple
 //! radios (synchronization sets `Ek`), assembles a connected
 //! synchronization graph `G` from as few large sets as possible, and
 //! BFS-assigns each radio an offset `Tᵢ` such that `universal = local − Tᵢ`
@@ -50,7 +50,7 @@ impl Default for BootstrapConfig {
     }
 }
 
-/// Errors from [`bootstrap`].
+/// Errors from [`bootstrap_at`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BootstrapError {
     /// No radios supplied.
@@ -160,23 +160,6 @@ impl Dsu {
             true
         }
     }
-}
-
-/// Runs bootstrap synchronization over the first-window prefixes of all
-/// radio traces — the t = 0 case of [`bootstrap_at`], with every radio's
-/// window starting at its NTP anchor. `prefixes[i]` must contain radio
-/// `i`'s events with `ts_local` within `[anchor_local, anchor_local +
-/// window]` (events outside the window are defensively skipped — but
-/// callers such as the pipeline's prefix reader are expected to honor the
-/// contract, since they also know which consumed events must still reach
-/// the merger).
-pub fn bootstrap<P: AsRef<[PhyEvent]>>(
-    metas: &[RadioMeta],
-    prefixes: &[P],
-    cfg: &BootstrapConfig,
-) -> Result<BootstrapReport, BootstrapError> {
-    let window_lo: Vec<Micros> = metas.iter().map(|m| m.anchor_local_us).collect();
-    bootstrap_at(metas, prefixes, &window_lo, cfg)
 }
 
 /// Runs bootstrap synchronization over an arbitrary window of every
@@ -320,6 +303,16 @@ mod tests {
     use jigsaw_ieee80211::wire::serialize_frame;
     use jigsaw_ieee80211::{Channel, MacAddr, PhyRate, SeqNum};
     use jigsaw_trace::{MonitorId, RadioId};
+
+    /// The from-the-start bootstrap: every window at its radio's anchor.
+    fn bootstrap(
+        metas: &[RadioMeta],
+        prefixes: &[Vec<PhyEvent>],
+        cfg: &BootstrapConfig,
+    ) -> Result<BootstrapReport, BootstrapError> {
+        let anchors: Vec<Micros> = metas.iter().map(|m| m.anchor_local_us).collect();
+        bootstrap_at(metas, prefixes, &anchors, cfg)
+    }
 
     fn meta(radio: u16, monitor: u16, chan: u8, anchor_local: u64) -> RadioMeta {
         RadioMeta {
@@ -515,7 +508,7 @@ mod tests {
     #[test]
     fn empty_input_errors() {
         assert_eq!(
-            bootstrap::<Vec<PhyEvent>>(&[], &[], &BootstrapConfig::default()).unwrap_err(),
+            bootstrap(&[], &[], &BootstrapConfig::default()).unwrap_err(),
             BootstrapError::NoRadios
         );
         assert_eq!(

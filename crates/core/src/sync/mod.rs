@@ -5,5 +5,5 @@
 pub mod bootstrap;
 pub mod clock;
 
-pub use bootstrap::{bootstrap, BootstrapConfig, BootstrapError, BootstrapReport};
+pub use bootstrap::{bootstrap_at, BootstrapConfig, BootstrapError, BootstrapReport};
 pub use clock::ClockState;

@@ -21,8 +21,9 @@
 //!    `safe − 2×search_window` has been emitted; nothing older stays
 //!    buffered. The `2×` covers a full search window of grouping slack plus
 //!    a window of reorder slack between channels.
-//! 2. **Pulled, never read ahead** — once offsets are bootstrapped, every
-//!    source is one of a [`jigsaw_core::unify::Merger`]'s streams, pulled
+//! 2. **Pulled, never read ahead** — each source first fills the batch
+//!    pipeline's own bootstrap split ([`jigsaw_core::pipeline::OpenedRadio`]),
+//!    then is one of a [`jigsaw_core::unify::Merger`]'s streams, pulled
 //!    exactly as a batch merge pulls a stored trace: a radio is read only
 //!    when its last event has been consumed, and a pull that finds nothing
 //!    pends, its watermark holding the merge back. What is not read stays

@@ -4,9 +4,10 @@
 //! stream with **bounded lag**. See the crate docs for the watermark/lag
 //! contract; the short version:
 //!
-//! * once offsets are bootstrapped, every source is one of a [`Merger`]'s
-//!   streams, pulled as a batch run pulls: a radio is read only when its
-//!   last event has been consumed;
+//! * every source fills the batch pipeline's bootstrap split
+//!   ([`OpenedRadio`]) as its events arrive, then — once offsets are
+//!   bootstrapped — is one of a [`Merger`]'s streams, pulled as a batch run
+//!   pulls: a radio is read only when its last event has been consumed;
 //! * a pull may pend. A pending radio's *watermark* — the universal time
 //!   of its last delivered event — holds the merge back, and every jframe
 //!   older than `horizon − 2×search_window` is emitted, where the *safe
@@ -34,7 +35,7 @@
 
 use crate::clock::LiveClock;
 use crate::source::LiveSource;
-use jigsaw_core::pipeline::PipelineError;
+use jigsaw_core::pipeline::{EventSource, OpenedRadio, PipelineError, SourceSet};
 use jigsaw_core::sync::bootstrap::{bootstrap_at, BootstrapConfig};
 use jigsaw_core::unify::{MergeConfig, MergeStats, Merger, StreamStatus};
 use jigsaw_core::JFrame;
@@ -212,25 +213,19 @@ impl Default for LagStats {
     }
 }
 
-/// A joined source as the merger pulls it: the source, its header meta,
-/// what it delivered, and the recent events re-anchor bootstraps read.
+/// A source with a known header, as its bootstrap split and then the merger
+/// pull it — with what it delivered and the events re-anchoring reads.
 struct Joined<S> {
     src: S,
     meta: RadioMeta,
-    /// Events delivered, bootstrap accumulation included (and any later
-    /// dropped as late).
+    /// The event the source delivered in the poll that revealed its
+    /// header: the first pull returns it.
+    first: Option<PhyEvent>,
+    /// Events delivered, bootstrap window included (and any later dropped
+    /// as late).
     events: u64,
     /// Most recent events, input to re-anchor bootstraps.
     ring: VecDeque<PhyEvent>,
-}
-
-impl<S> Joined<S> {
-    fn remember(&mut self, ev: &PhyEvent) {
-        if self.ring.len() == REANCHOR_RING {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(ev.clone());
-    }
 }
 
 impl<S: LiveSource> EventStream for Joined<S> {
@@ -250,31 +245,40 @@ impl<S: LiveSource> EventStream for Joined<S> {
     }
 
     fn poll_event(&mut self) -> Result<SourcePoll, FormatError> {
-        let poll = self.src.poll()?;
+        let poll = match self.first.take() {
+            Some(ev) => SourcePoll::Event(ev),
+            None => self.src.poll()?,
+        };
         if let SourcePoll::Event(ev) = &poll {
             self.events += 1;
-            self.remember(ev);
+            if self.ring.len() == REANCHOR_RING {
+                self.ring.pop_front();
+            }
+            self.ring.push_back(ev.clone());
         }
         Ok(poll)
     }
 }
 
+/// Where a source is on its way into the merge.
+enum Slot<S> {
+    /// No header yet: not a radio until it has one.
+    Unjoined(S),
+    /// Filling its bootstrap split, the batch pipeline's own.
+    Splitting(Box<OpenedRadio<Joined<S>>>),
+    /// One of the merger's streams, at this index.
+    Merging(usize),
+}
+
 struct SourceState<S> {
-    /// The source until it joins the merge (one without a header never
-    /// does).
-    src: Option<S>,
-    /// Events accumulated before the merge exists (bootstrap phase).
-    gathered: Vec<PhyEvent>,
-    /// Status until the source joins; the merger's stream status after.
+    slot: Slot<S>,
+    /// Status until the source joins the merge; the merger's stream status
+    /// after.
     status: SourceStatus,
     lagged: bool,
-    /// Bootstrap phase: this source needs no more accumulation.
-    ready: bool,
     /// Clock reading when the source was last seen delivering, or not
     /// waiting on its producer.
     last_progress: u64,
-    /// Index into the merger's radio table (dead sources have none).
-    merger_idx: Option<usize>,
     /// The clock's correction count at the previous re-anchor check; one
     /// that has not moved by the next check marks a radio continuous
     /// resynchronization is not reaching.
@@ -282,21 +286,75 @@ struct SourceState<S> {
 }
 
 impl<S: LiveSource> SourceState<S> {
-    fn new(src: S, now: u64) -> Self {
-        SourceState {
-            src: Some(src),
-            gathered: Vec::new(),
-            status: SourceStatus::Live,
-            lagged: false,
-            ready: false,
-            last_progress: now,
-            merger_idx: None,
-            corrections_seen: 0,
+    /// One bootstrap round: joins the source once its header is known (an
+    /// event the revealing poll delivered enters the split first), fills its
+    /// split as far as it has delivered, and applies the stall rule.
+    /// Returns whether the source expects no more bootstrap input.
+    fn bootstrap_round(&mut self, cfg: &LiveConfig, now: u64) -> Result<bool, FormatError> {
+        if self.status != SourceStatus::Live {
+            return Ok(true);
         }
-    }
-
-    fn open(&self) -> bool {
-        matches!(self.status, SourceStatus::Live | SourceStatus::Lagging)
+        let delivered = match &self.slot {
+            Slot::Splitting(radio) => radio.stream.events,
+            Slot::Unjoined(_) | Slot::Merging(_) => 0,
+        };
+        if let Slot::Unjoined(src) = &mut self.slot {
+            // A source that knows its header joins before it is polled.
+            let poll = match src.meta() {
+                Some(_) => SourcePoll::Pending,
+                None => src.poll()?,
+            };
+            match (src.meta(), poll) {
+                // Nothing headerless can be placed in the merge.
+                (None, SourcePoll::Event(_)) => return Err(FormatError::BadHeader),
+                (None, SourcePoll::End) => {
+                    self.status = SourceStatus::Ended;
+                    return Ok(true);
+                }
+                (None, SourcePoll::Pending) => {}
+                (Some(meta), poll) => {
+                    let first = match poll {
+                        SourcePoll::Event(ev) => Some(ev),
+                        SourcePoll::Pending | SourcePoll::End => None,
+                    };
+                    // Always taken: the slot was just matched.
+                    if let Slot::Unjoined(src) = std::mem::replace(&mut self.slot, Slot::Merging(0))
+                    {
+                        let joined = Joined {
+                            src,
+                            meta,
+                            first,
+                            events: 0,
+                            ring: VecDeque::new(),
+                        };
+                        self.slot = Slot::Splitting(Box::new(joined.open(&cfg.bootstrap)?));
+                    }
+                }
+            }
+        }
+        let complete = match &mut self.slot {
+            Slot::Splitting(radio) => {
+                let complete = radio.pull()?;
+                if radio.stream.events > delivered {
+                    self.last_progress = now;
+                }
+                complete
+            }
+            Slot::Unjoined(_) | Slot::Merging(_) => false,
+        };
+        if !complete && now.saturating_sub(self.last_progress) > cfg.max_lag_us {
+            // Stalled inside the bootstrap window: a source whose header
+            // never arrived has no identity and is dead; one with a header
+            // bootstraps from what it delivered and joins lagging.
+            if let Slot::Unjoined(_) = self.slot {
+                self.status = SourceStatus::Dead;
+            } else {
+                self.status = SourceStatus::Lagging;
+                self.lagged = true;
+            }
+            return Ok(true);
+        }
+        Ok(complete)
     }
 }
 
@@ -309,13 +367,17 @@ impl<S: LiveSource> SourceState<S> {
 /// the recorded-corpus replay mode; do not use it with sources that can
 /// stay silent forever).
 ///
-/// **One round** pulls again every source whose last pull pended, declares
-/// lagging every live source now pending for `max_lag_us` of wall time,
-/// and merges everything that has arrived. A source is read only when its
-/// last event has been consumed, so the rest stays in the source — on
-/// disk, or in a [`crate::ChannelSource`] whose sender reports
-/// [`crate::SendOutcome::Full`] — and a source whose event waits in the
-/// merge never looks silent: the one everyone waits on is declared lagging.
+/// **Until offsets are bootstrapped**, a round fills each source's batch
+/// bootstrap split ([`OpenedRadio`]); its only own decisions are wall-clock
+/// ones: no header after `max_lag_us` is dead, a stall inside the window
+/// joins lagging. **After that, one round** pulls again every source whose
+/// last pull pended, declares lagging every live source now pending for
+/// `max_lag_us` of wall time, and merges everything that has arrived. A
+/// source is read only when its last event has been consumed, so the rest
+/// stays in the source — on disk, or in a [`crate::ChannelSource`] whose
+/// sender reports [`crate::SendOutcome::Full`] — and a source whose event
+/// waits in the merge never looks silent: the one everyone waits on is
+/// declared lagging.
 pub struct LiveMerger<S, C> {
     cfg: LiveConfig,
     clock: C,
@@ -355,8 +417,13 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
             self.merger.is_none(),
             "add_source after the merge bootstrapped"
         );
-        let now = self.clock.now_us();
-        self.sources.push(SourceState::new(src, now));
+        self.sources.push(SourceState {
+            slot: Slot::Unjoined(src),
+            status: SourceStatus::Live,
+            lagged: false,
+            last_progress: self.clock.now_us(),
+            corrections_seen: 0,
+        });
     }
 
     /// True once offsets are bootstrapped and the merge is streaming.
@@ -369,9 +436,13 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
     /// [`crate::ChunkedFileTail::stop`] follow-mode tails once the capture
     /// processes exit, so [`LiveMerger::run`] can terminate.
     pub fn sources_mut(&mut self) -> impl Iterator<Item = &mut S> {
-        let joined = self.merger.iter_mut().flat_map(Merger::streams_mut);
-        let unjoined = self.sources.iter_mut().filter_map(|s| s.src.as_mut());
-        joined.map(|j| &mut j.src).chain(unjoined)
+        let merging = self.merger.iter_mut().flat_map(Merger::streams_mut);
+        let rest = self.sources.iter_mut().filter_map(|s| match &mut s.slot {
+            Slot::Unjoined(src) => Some(src),
+            Slot::Splitting(radio) => Some(&mut radio.stream.src),
+            Slot::Merging(_) => None,
+        });
+        merging.map(|j| &mut j.src).chain(rest)
     }
 
     /// The current safe horizon (universal µs): everything older than
@@ -387,8 +458,8 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
     /// Panics if `k` is not a registered source index.
     pub fn source_status(&self, k: usize) -> SourceStatus {
         let s = &self.sources[k];
-        match (s.merger_idx, &self.merger) {
-            (Some(r), Some(m)) => match m.status(r) {
+        match (&s.slot, &self.merger) {
+            (&Slot::Merging(r), Some(m)) => match m.status(r) {
                 StreamStatus::Live => SourceStatus::Live,
                 StreamStatus::Lagging => SourceStatus::Lagging,
                 StreamStatus::Ended => SourceStatus::Ended,
@@ -397,7 +468,7 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
         }
     }
 
-    /// One round: bootstrap accumulation until offsets exist, then
+    /// One round: fill the bootstrap splits until offsets exist, then
     /// re-poll → evict → merge. Returns `true` while any source is still
     /// open (live or lagging) — i.e. while there is reason to step again;
     /// call [`LiveMerger::finish`] once it returns `false`.
@@ -429,12 +500,13 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
     /// will — drains all buffered state, and reports. Jframes still
     /// buffered (the last `2×search_window`) are emitted here.
     pub fn finish(mut self, mut sink: impl FnMut(JFrame)) -> Result<LiveReport, PipelineError> {
-        // A finish before bootstrap completes (all sources ended inside the
-        // bootstrap window — short corpus) must still merge what arrived.
+        // A finish before bootstrap completes (a source still inside its
+        // bootstrap window) must still merge what arrived — once every
+        // source with a header by now has joined.
         if self.merger.is_none() {
-            for s in &mut self.sources {
-                s.ready = true;
-            }
+            self.bootstrap_step()?;
+        }
+        if self.merger.is_none() {
             self.transition()?;
         }
         let merger = self.merger.as_mut().expect("transition sets the merger");
@@ -446,8 +518,8 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
         let sources = self
             .sources
             .iter()
-            .map(|s| match s.merger_idx {
-                Some(r) => {
+            .map(|s| match s.slot {
+                Slot::Merging(r) => {
                     let joined = merger.stream(r);
                     SourceReport {
                         radio: Some(joined.meta.radio),
@@ -457,15 +529,16 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
                         status: SourceStatus::Ended,
                     }
                 }
-                None => SourceReport {
+                Slot::Unjoined(_) | Slot::Splitting(_) => SourceReport {
                     radio: None,
-                    events: s.gathered.len() as u64,
+                    events: 0,
                     late_dropped: 0,
                     lagged: s.lagged,
-                    status: if s.open() {
-                        SourceStatus::Ended
+                    // Headerless: dead, or ended by this finish.
+                    status: if s.status == SourceStatus::Dead {
+                        SourceStatus::Dead
                     } else {
-                        s.status
+                        SourceStatus::Ended
                     },
                 },
             })
@@ -479,115 +552,48 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
         })
     }
 
-    /// Accumulation phase: poll every open source toward bootstrap
-    /// readiness; transition to streaming once all are ready.
+    /// Bootstrap phase: one round per source; transition to streaming once
+    /// no source expects more bootstrap input.
     fn bootstrap_step(&mut self) -> Result<(), PipelineError> {
         let now = self.clock.now_us();
-        let window_us = self.cfg.bootstrap.window_us;
+        let mut all_complete = true;
         for s in &mut self.sources {
-            if s.ready || !s.open() {
-                continue;
-            }
-            let src = s.src.as_mut().expect("sources join only at transition");
-            while !s.ready {
-                match src.poll()? {
-                    SourcePoll::Event(ev) => {
-                        s.last_progress = now;
-                        // Ready once an event lands past the bootstrap
-                        // window — the window contents are complete
-                        // (per-source delivery is time-ordered).
-                        if let Some(m) = src.meta() {
-                            s.ready = ev.ts_local > m.anchor_local_us.saturating_add(window_us);
-                        }
-                        s.gathered.push(ev);
-                    }
-                    SourcePoll::End => {
-                        s.status = SourceStatus::Ended;
-                        s.ready = true;
-                    }
-                    SourcePoll::Pending => break,
-                }
-            }
-            if !s.ready && now.saturating_sub(s.last_progress) > self.cfg.max_lag_us {
-                // Stalled inside the bootstrap window: a source whose
-                // header never arrived has no identity and is dead; one
-                // with a header bootstraps from what it delivered and is
-                // treated as lagging from the start.
-                if src.meta().is_none() {
-                    s.status = SourceStatus::Dead;
-                } else {
-                    s.status = SourceStatus::Lagging;
-                    s.lagged = true;
-                }
-                s.ready = true;
-            }
+            all_complete &= s.bootstrap_round(&self.cfg, now)?;
         }
-        if self.sources.iter().all(|s| s.ready) {
+        if all_complete {
             self.transition()?;
         }
         Ok(())
     }
 
-    /// Bootstraps offsets from the accumulated windows and builds the
-    /// streaming merger, mirroring the batch corpus driver exactly: the
-    /// bootstrap prefix is every event with
-    /// `ts_local ≤ anchor_local + window_us`, offsets come from
-    /// [`bootstrap_at`] windowed at each radio's NTP anchor, clocks are
-    /// referenced there, every source becomes one of the merger's streams,
-    /// and what each accumulated — its window plus the one event that
-    /// proved it complete — is seeded ahead of it, as the batch pipeline
-    /// seeds its bootstrap window and carry.
+    /// Bootstraps offsets and builds the streaming merger exactly as the
+    /// batch pipeline does, from the joined sources' splits as one
+    /// [`SourceSet`]: each becomes one of the merger's streams, seeded with
+    /// its window and carry.
     fn transition(&mut self) -> Result<(), PipelineError> {
-        let window_us = self.cfg.bootstrap.window_us;
-        let (active, metas): (Vec<usize>, Vec<RadioMeta>) = self
-            .sources
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| Some((i, s.src.as_ref()?.meta()?)))
-            .unzip();
-        let window_los: Vec<Micros> = metas.iter().map(|m| m.anchor_local_us).collect();
-        let prefixes: Vec<&[PhyEvent]> = active
-            .iter()
-            .zip(&metas)
-            .map(|(&i, m)| {
-                let g = &self.sources[i].gathered;
-                let hi = m.anchor_local_us.saturating_add(window_us);
-                &g[..g.partition_point(|e| e.ts_local <= hi)]
-            })
-            .collect();
-        let boot = bootstrap_at(&metas, &prefixes, &window_los, &self.cfg.bootstrap)?;
-
-        let streams: Vec<Joined<S>> = active
-            .iter()
-            .zip(&metas)
-            .map(|(&i, &meta)| {
-                let s = &mut self.sources[i];
-                let mut joined = Joined {
-                    src: s.src.take().expect("a source joins once"),
-                    meta,
-                    events: s.gathered.len() as u64,
-                    ring: VecDeque::new(),
-                };
-                let recent = s.gathered.len().saturating_sub(REANCHOR_RING);
-                for ev in &s.gathered[recent..] {
-                    joined.remember(ev);
-                }
-                joined
-            })
-            .collect();
+        let mut radios = Vec::new();
+        for s in &mut self.sources {
+            match std::mem::replace(&mut s.slot, Slot::Merging(radios.len())) {
+                Slot::Splitting(radio) => radios.push(*radio),
+                unjoined => s.slot = unjoined,
+            }
+        }
+        let set = SourceSet { radios };
+        let boot = set.bootstrap(&self.cfg.bootstrap)?;
+        let (streams, seeds, window_los) = set.into_merge_input();
         let mut merger =
             Merger::new_at(streams, &boot.offsets, &window_los, self.cfg.merge.clone());
-        for (r, &i) in active.iter().enumerate() {
-            let s = &mut self.sources[i];
-            s.merger_idx = Some(r);
-            merger.seed_pending(r, std::mem::take(&mut s.gathered));
-            if s.status == SourceStatus::Lagging {
-                merger.lag(r);
+        for (r, seed) in seeds.into_iter().enumerate() {
+            merger.seed_pending(r, seed);
+        }
+        for s in &self.sources {
+            if let (Slot::Merging(r), SourceStatus::Lagging) = (&s.slot, s.status) {
+                merger.lag(*r);
             }
         }
         // Re-anchor checks sit on a trace-time grid rooted at the bootstrap
         // anchor, so when they fire does not depend on how sources pended.
-        let anchor = (0..active.len())
+        let anchor = (0..window_los.len())
             .map(|r| merger.clock(r).to_universal(window_los[r]))
             .min()
             .unwrap_or(0);
@@ -608,7 +614,7 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
         // that pends is retried only by `repoll`, so a source pending now
         // delivered nothing since it was last seen not pending.)
         for s in &mut self.sources {
-            let Some(r) = s.merger_idx else { continue };
+            let Slot::Merging(r) = s.slot else { continue };
             if !merger.is_pending(r) {
                 s.last_progress = now;
             } else if merger.status(r) == StreamStatus::Live
@@ -661,7 +667,10 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
             .sources
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| Some((i, s.merger_idx?)))
+            .filter_map(|(i, s)| match s.slot {
+                Slot::Merging(r) => Some((i, r)),
+                Slot::Unjoined(_) | Slot::Splitting(_) => None,
+            })
             .collect();
         let idle: Vec<bool> = joined
             .iter()
@@ -724,6 +733,8 @@ mod tests {
     use super::*;
     use crate::clock::ManualClock;
     use crate::source::{ChannelSource, LiveSender, SendOutcome};
+    use jigsaw_core::pipeline::{Pipeline, PipelineConfig};
+    use jigsaw_core::OnJFrame;
     use jigsaw_ieee80211::{Channel, PhyRate};
     use jigsaw_trace::stream::MemoryStream;
     use jigsaw_trace::{MonitorId, PhyStatus};
@@ -777,27 +788,35 @@ mod tests {
         (a, b)
     }
 
-    fn batch_reference(a: &[PhyEvent], b: &[PhyEvent], cfg: &LiveConfig) -> Vec<JFrame> {
-        let streams = vec![
-            MemoryStream::new(meta(0), Vec::new()),
-            MemoryStream::new(meta(1), Vec::new()),
-        ];
-        let metas = [meta(0), meta(1)];
-        let window_us = cfg.bootstrap.window_us;
-        let prefixes: Vec<&[PhyEvent]> = [a, b]
-            .iter()
-            .map(|evs| {
-                let end = evs.partition_point(|e| e.ts_local <= window_us);
-                &evs[..end]
-            })
+    /// The batch pipeline over the same per-radio events (radio `r` is
+    /// `radios[r]`): the keys of the jframes it emits, and its merge stats.
+    fn batch_merge(radios: &[&[PhyEvent]], cfg: &LiveConfig) -> (Vec<Key>, MergeStats) {
+        let streams = (0..)
+            .zip(radios)
+            .map(|(r, evs)| MemoryStream::new(meta(r), evs.to_vec()))
             .collect();
-        let boot = bootstrap_at(&metas, &prefixes, &[0, 0], &cfg.bootstrap).unwrap();
-        let mut m = Merger::new_at(streams, &boot.offsets, &[0, 0], cfg.merge.clone());
-        m.seed_pending(0, a.to_vec());
-        m.seed_pending(1, b.to_vec());
-        let mut out = Vec::new();
-        m.run(|jf| out.push(jf)).unwrap();
-        out
+        let cfg = PipelineConfig {
+            bootstrap: cfg.bootstrap.clone(),
+            merge: cfg.merge.clone(),
+            ..Default::default()
+        };
+        let mut keys = Vec::new();
+        let (_, stats) =
+            Pipeline::merge_only(streams, &cfg, OnJFrame(|jf: &JFrame| keys.push(key(jf))))
+                .unwrap();
+        (keys, stats)
+    }
+
+    type Live = LiveMerger<ChannelSource, ManualClock>;
+
+    /// A live merger over channel-fed radios 0 and 1, and their senders.
+    fn two_radios(cfg: LiveConfig, clock: &ManualClock) -> (Live, LiveSender, LiveSender) {
+        let mut lm = LiveMerger::new(cfg, clock.clone());
+        let (tx0, s0) = ChannelSource::new(meta(0));
+        let (tx1, s1) = ChannelSource::new(meta(1));
+        lm.add_source(s0);
+        lm.add_source(s1);
+        (lm, tx0, tx1)
     }
 
     /// Sends one event; the scenarios that use this never fill the channel.
@@ -811,7 +830,10 @@ mod tests {
         }
     }
 
-    fn key(jf: &JFrame) -> (Micros, u8, u64, usize) {
+    /// A jframe's comparable identity.
+    type Key = (Micros, u8, u64, usize);
+
+    fn key(jf: &JFrame) -> Key {
         (
             jf.ts,
             jf.channel.number(),
@@ -820,19 +842,36 @@ mod tests {
         )
     }
 
-    fn drive_to_streaming(lm: &mut LiveMerger<ChannelSource, ManualClock>, out: &mut Vec<JFrame>) {
+    /// The lag-policy scenarios' start: two radios, lagging after 1 s of
+    /// wall-time silence, that delivered `a` and `b` and were merged as far
+    /// as those go. Returns the merger, both senders and what it emitted.
+    fn streaming_after(
+        a: &[PhyEvent],
+        b: &[PhyEvent],
+        clock: &ManualClock,
+    ) -> (Live, LiveSender, LiveSender, Vec<JFrame>) {
+        let cfg = LiveConfig {
+            max_lag_us: 1_000_000,
+            ..LiveConfig::default()
+        };
+        let (mut lm, tx0, tx1) = two_radios(cfg, clock);
+        send_all(&tx0, a);
+        send_all(&tx1, b);
+        let mut out = Vec::new();
         for _ in 0..1_000 {
             if lm.is_streaming() {
-                return;
+                break;
             }
             lm.step(&mut |jf| out.push(jf)).unwrap();
         }
-        panic!("never reached streaming");
+        assert!(lm.is_streaming(), "never reached streaming");
+        settle(&mut lm, &mut out);
+        (lm, tx0, tx1, out)
     }
 
     /// Steps until a round leaves the safe horizon where it was: everything
     /// that has arrived has been merged.
-    fn settle(lm: &mut LiveMerger<ChannelSource, ManualClock>, out: &mut Vec<JFrame>) {
+    fn settle(lm: &mut Live, out: &mut Vec<JFrame>) {
         loop {
             let before = lm.safe_horizon();
             lm.step(&mut |jf| out.push(jf)).unwrap();
@@ -846,14 +885,9 @@ mod tests {
     fn channel_fed_live_matches_batch() {
         let (a, b) = shared_events(80, 7);
         let cfg = LiveConfig::default();
-        let want: Vec<_> = batch_reference(&a, &b, &cfg).iter().map(key).collect();
+        let (want, _) = batch_merge(&[&a, &b], &cfg);
 
-        let clock = ManualClock::new();
-        let mut lm = LiveMerger::new(cfg, clock);
-        let (tx0, s0) = ChannelSource::new(meta(0));
-        let (tx1, s1) = ChannelSource::new(meta(1));
-        lm.add_source(s0);
-        lm.add_source(s1);
+        let (mut lm, tx0, tx1) = two_radios(cfg, &ManualClock::new());
         let mut out = Vec::new();
         // Feed in uneven slices, stepping between them.
         let (mut i, mut j) = (0usize, 0usize);
@@ -876,8 +910,7 @@ mod tests {
         }
         drop(tx0);
         drop(tx1);
-        while lm.step(&mut |jf| out.push(jf)).unwrap() {}
-        let report = lm.finish(|jf| out.push(jf)).unwrap();
+        let report = lm.run(|jf| out.push(jf)).unwrap();
 
         let got: Vec<_> = out.iter().map(key).collect();
         assert_eq!(got, want, "live emission must equal the batch merge");
@@ -896,24 +929,10 @@ mod tests {
     #[test]
     fn killed_radio_lags_then_readmits() {
         let (a, b) = shared_events(120, 3);
-        let cfg = LiveConfig {
-            max_lag_us: 1_000_000,
-            ..LiveConfig::default()
-        };
         let clock = ManualClock::new();
-        let mut lm = LiveMerger::new(cfg, clock.clone());
-        let (tx0, s0) = ChannelSource::new(meta(0));
-        let (tx1, s1) = ChannelSource::new(meta(1));
-        lm.add_source(s0);
-        lm.add_source(s1);
-
         // Both radios deliver the first half; radio 1 then goes silent.
         let half = 60usize;
-        send_all(&tx0, &a[..half]);
-        send_all(&tx1, &b[..half]);
-        let mut out = Vec::new();
-        drive_to_streaming(&mut lm, &mut out);
-        settle(&mut lm, &mut out);
+        let (mut lm, tx0, tx1, mut out) = streaming_after(&a[..half], &b[..half], &clock);
         // Radio 0 keeps going alone — but the merger reads it no further
         // than its first event past radio 1's watermark; the rest waits in
         // its channel.
@@ -944,8 +963,7 @@ mod tests {
         lm.step(&mut |jf| out.push(jf)).unwrap();
         drop(tx0);
         drop(tx1);
-        while lm.step(&mut |jf| out.push(jf)).unwrap() {}
-        let report = lm.finish(|jf| out.push(jf)).unwrap();
+        let report = lm.run(|jf| out.push(jf)).unwrap();
 
         let r1 = &report.sources[1];
         assert!(r1.lagged, "report must flag the stalled radio");
@@ -972,23 +990,9 @@ mod tests {
     #[test]
     fn deep_backlog_drains_under_filter_before_readmission() {
         let (a, b) = shared_events(120, 3);
-        let cfg = LiveConfig {
-            max_lag_us: 1_000_000,
-            ..LiveConfig::default()
-        };
         let clock = ManualClock::new();
-        let mut lm = LiveMerger::new(cfg, clock.clone());
-        let (tx0, s0) = ChannelSource::new(meta(0));
-        let (tx1, s1) = ChannelSource::new(meta(1));
-        lm.add_source(s0);
-        lm.add_source(s1);
-
         let half = 60usize;
-        send_all(&tx0, &a[..half]);
-        send_all(&tx1, &b[..half]);
-        let mut out = Vec::new();
-        drive_to_streaming(&mut lm, &mut out);
-        settle(&mut lm, &mut out);
+        let (mut lm, tx0, tx1, mut out) = streaming_after(&a[..half], &b[..half], &clock);
         // Radio 1 goes silent; radio 0's producer runs far ahead (the
         // merger leaves those events in the channel while radio 1 is live).
         send_all(&tx0, &a[half..110]);
@@ -1040,8 +1044,7 @@ mod tests {
 
         drop(tx0);
         drop(tx1);
-        while lm.step(&mut |jf| out.push(jf)).unwrap() {}
-        let report = lm.finish(|jf| out.push(jf)).unwrap();
+        let report = lm.run(|jf| out.push(jf)).unwrap();
         assert!(report.sources[1].lagged);
         assert!(report.sources[1].late_dropped > 0);
         // The documented guarantee the premature flip used to violate.
@@ -1058,21 +1061,8 @@ mod tests {
     #[test]
     fn permanently_behind_radio_does_not_freeze_horizon() {
         let (a, b) = shared_events(200, 3);
-        let cfg = LiveConfig {
-            max_lag_us: 1_000_000,
-            ..LiveConfig::default()
-        };
         let clock = ManualClock::new();
-        let mut lm = LiveMerger::new(cfg, clock.clone());
-        let (tx0, s0) = ChannelSource::new(meta(0));
-        let (tx1, s1) = ChannelSource::new(meta(1));
-        lm.add_source(s0);
-        lm.add_source(s1);
-        send_all(&tx0, &a[..30]);
-        send_all(&tx1, &b[..30]);
-        let mut out = Vec::new();
-        drive_to_streaming(&mut lm, &mut out);
-        settle(&mut lm, &mut out);
+        let (mut lm, tx0, tx1, mut out) = streaming_after(&a[..30], &b[..30], &clock);
         // One more event from radio 0 consumes radio 1's last one, so
         // radio 1 now waits on its producer.
         send(&tx0, a[30].clone());
@@ -1122,8 +1112,7 @@ mod tests {
         );
         drop(tx0);
         drop(tx1);
-        while lm.step(&mut |jf| out.push(jf)).unwrap() {}
-        let report = lm.finish(|jf| out.push(jf)).unwrap();
+        let report = lm.run(|jf| out.push(jf)).unwrap();
         assert!(report.sources[1].lagged);
         assert!(report.sources[1].late_dropped > 0);
         for w in out.windows(2) {
@@ -1149,11 +1138,7 @@ mod tests {
         // remains at 1500 ppm; widen the dispersion guard so corrected
         // instances unify while uncorrected drift (up to 30 ms) cannot.
         cfg.merge.merge_gap_us = 4_000;
-        let mut lm = LiveMerger::new(cfg, ManualClock::new());
-        let (tx0, s0) = ChannelSource::new(meta(0));
-        let (tx1, s1) = ChannelSource::new(meta(1));
-        lm.add_source(s0);
-        lm.add_source(s1);
+        let (mut lm, tx0, tx1) = two_radios(cfg, &ManualClock::new());
         let mut out = Vec::new();
         for k in 0..400u64 {
             let ts = 10_000 + k * 50_000;
@@ -1166,8 +1151,7 @@ mod tests {
         }
         drop(tx0);
         drop(tx1);
-        while lm.step(&mut |jf| out.push(jf)).unwrap() {}
-        lm.finish(|jf| out.push(jf)).unwrap()
+        lm.run(|jf| out.push(jf)).unwrap()
     }
 
     /// A fast-skewing radio with continuous resync disabled: periodic
@@ -1219,24 +1203,11 @@ mod tests {
     #[test]
     fn held_source_is_not_stalled() {
         let (a, b) = shared_events(80, 3);
-        let cfg = LiveConfig {
-            max_lag_us: 1_000_000,
-            ..LiveConfig::default()
-        };
         let clock = ManualClock::new();
-        let mut lm = LiveMerger::new(cfg, clock.clone());
-        let (tx0, s0) = ChannelSource::new(meta(0));
-        let (tx1, s1) = ChannelSource::new(meta(1));
-        lm.add_source(s0);
-        lm.add_source(s1);
         // Radio 0 is one event ahead of radio 1 when radio 1 goes silent:
         // that event is past radio 1's watermark, so it waits in the merge
         // with an empty channel behind it.
-        send_all(&tx0, &a[..41]);
-        send_all(&tx1, &b[..40]);
-        let mut out = Vec::new();
-        drive_to_streaming(&mut lm, &mut out);
-        settle(&mut lm, &mut out);
+        let (mut lm, tx0, tx1, mut out) = streaming_after(&a[..41], &b[..40], &clock);
         let held_at = lm.safe_horizon();
 
         // Wall time passes max_lag_us. The first round evicts the stalled
@@ -1257,8 +1228,7 @@ mod tests {
         send_all(&tx0, &a[41..]);
         drop(tx0);
         drop(tx1);
-        while lm.step(&mut |jf| out.push(jf)).unwrap() {}
-        let report = lm.finish(|jf| out.push(jf)).unwrap();
+        let report = lm.run(|jf| out.push(jf)).unwrap();
         assert!(!report.sources[0].lagged);
         assert_eq!(report.sources[0].late_dropped, 0);
         assert_eq!(report.sources[0].events, 80);
@@ -1267,16 +1237,20 @@ mod tests {
 
     /// A source that keeps what has not been polled out of memory — the
     /// shape of a file tail, whose unread bytes stay on disk.
+    /// Without a header, it pends forever.
     struct Replay {
-        meta: RadioMeta,
+        meta: Option<RadioMeta>,
         events: std::vec::IntoIter<PhyEvent>,
     }
 
     impl LiveSource for Replay {
         fn meta(&self) -> Option<RadioMeta> {
-            Some(self.meta)
+            self.meta
         }
         fn poll(&mut self) -> Result<SourcePoll, FormatError> {
+            if self.meta.is_none() {
+                return Ok(SourcePoll::Pending);
+            }
             Ok(self
                 .events
                 .next()
@@ -1301,7 +1275,7 @@ mod tests {
         let mut lm = LiveMerger::new(cfg, ManualClock::new());
         for (r, events) in [busy, sparse].into_iter().enumerate() {
             lm.add_source(Replay {
-                meta: meta(r as u16),
+                meta: Some(meta(r as u16)),
                 events: events.into_iter(),
             });
         }
@@ -1353,25 +1327,68 @@ mod tests {
     #[test]
     fn short_corpus_ends_during_bootstrap() {
         // Every event inside the bootstrap window; sources end before the
-        // merge ever transitions — finish() must still merge everything.
+        // merge ever transitions — stepped there or finished without a
+        // single step, everything must still be merged.
         let (a, b) = shared_events(10, 2); // last ts ≈ 460 ms < 1 s window
         let cfg = LiveConfig::default();
-        let want: Vec<_> = batch_reference(&a, &b, &cfg).iter().map(key).collect();
-        let mut lm = LiveMerger::new(cfg, ManualClock::new());
-        let (tx0, s0) = ChannelSource::new(meta(0));
-        let (tx1, s1) = ChannelSource::new(meta(1));
-        lm.add_source(s0);
-        lm.add_source(s1);
-        send_all(&tx0, &a);
-        send_all(&tx1, &b);
+        let (want, _) = batch_merge(&[&a, &b], &cfg);
+        for stepped in [true, false] {
+            let (mut lm, tx0, tx1) = two_radios(cfg.clone(), &ManualClock::new());
+            send_all(&tx0, &a);
+            send_all(&tx1, &b);
+            drop((tx0, tx1));
+            let mut out = Vec::new();
+            while stepped && lm.step(&mut |jf| out.push(jf)).unwrap() {}
+            let report = lm.finish(|jf| out.push(jf)).unwrap();
+            assert_eq!(
+                out.iter().map(key).collect::<Vec<_>>(),
+                want,
+                "stepped: {stepped}"
+            );
+            assert_eq!(report.merge.events_in, 20);
+        }
+    }
+
+    /// The bootstrap split resumes across rounds: radio 0 ends inside the
+    /// window, radio 1 delivers its window over several rounds and, after a
+    /// round with nothing new, the carry that completes it on its own. The
+    /// merge starts only then, and emits and buffers what the batch
+    /// pipeline does.
+    #[test]
+    fn bootstrap_split_resumes_across_rounds() {
+        let (a, b) = shared_events(40, 4);
+        let a = &a[..10]; // last ts 460 ms, inside the 1 s window
+        let carry = 20; // b[20] is radio 1's first event past the window
+        assert!(b[carry - 1].ts_local <= 1_000_000 && b[carry].ts_local > 1_000_000);
+        let cfg = LiveConfig::default();
+        let (want, batch) = batch_merge(&[a, &b], &cfg);
+
+        let (mut lm, tx0, tx1) = two_radios(cfg, &ManualClock::new());
+        send_all(&tx0, a);
         drop(tx0);
-        drop(tx1);
         let mut out = Vec::new();
-        while lm.step(&mut |jf| out.push(jf)).unwrap() {}
-        let report = lm.finish(|jf| out.push(jf)).unwrap();
-        let got: Vec<_> = out.iter().map(key).collect();
-        assert_eq!(got, want);
-        assert_eq!(report.merge.events_in, 20);
+        // The window over four rounds, then a round with nothing new.
+        for window in b[..carry].chunks(6).chain([&b[..0]]) {
+            send_all(&tx1, window);
+            lm.step(&mut |jf| out.push(jf)).unwrap();
+            assert!(!lm.is_streaming(), "the window is not complete yet");
+        }
+        send(&tx1, b[carry].clone());
+        lm.step(&mut |jf| out.push(jf)).unwrap();
+        assert!(lm.is_streaming(), "the carry completes the window");
+        send_all(&tx1, &b[carry + 1..]);
+        drop(tx1);
+        let report = lm.run(|jf| out.push(jf)).unwrap();
+
+        assert_eq!(out.iter().map(key).collect::<Vec<_>>(), want);
+        assert_eq!(report.merge.events_in, batch.events_in);
+        assert_eq!(report.merge.peak_buffered, batch.peak_buffered);
+        let r0 = &report.sources[0];
+        assert_eq!(
+            (r0.status, r0.events, r0.lagged),
+            (SourceStatus::Ended, 10, false)
+        );
+        assert_eq!(report.sources[1].events, 40);
     }
 
     /// An idle radio's trace is a header and nothing else. Tailed beside
@@ -1383,7 +1400,7 @@ mod tests {
         use jigsaw_trace::format::TraceWriter;
         let (a, b) = shared_events(80, 5);
         let cfg = LiveConfig::default();
-        let want: Vec<_> = batch_reference(&a, &b, &cfg).iter().map(key).collect();
+        let (want, _) = batch_merge(&[&a, &b], &cfg);
         let dir = std::env::temp_dir().join(format!("jigsaw_live_idle_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let mut lm = LiveMerger::new(cfg, ManualClock::new());
@@ -1415,33 +1432,6 @@ mod tests {
     fn dead_source_is_excluded_and_flagged() {
         // A source whose header never arrives: declared dead after
         // max_lag_us, the rest of the mesh proceeds without it.
-        struct Headless;
-        impl LiveSource for Headless {
-            fn meta(&self) -> Option<RadioMeta> {
-                None
-            }
-            fn poll(&mut self) -> Result<SourcePoll, FormatError> {
-                Ok(SourcePoll::Pending)
-            }
-        }
-        enum Either {
-            Chan(ChannelSource),
-            Headless(Headless),
-        }
-        impl LiveSource for Either {
-            fn meta(&self) -> Option<RadioMeta> {
-                match self {
-                    Either::Chan(c) => c.meta(),
-                    Either::Headless(h) => h.meta(),
-                }
-            }
-            fn poll(&mut self) -> Result<SourcePoll, FormatError> {
-                match self {
-                    Either::Chan(c) => c.poll(),
-                    Either::Headless(h) => h.poll(),
-                }
-            }
-        }
         let (a, b) = shared_events(60, 0);
         let cfg = LiveConfig {
             max_lag_us: 500_000,
@@ -1449,20 +1439,14 @@ mod tests {
         };
         let clock = ManualClock::new();
         let mut lm = LiveMerger::new(cfg, clock.clone());
-        let (tx0, s0) = ChannelSource::new(meta(0));
-        let (tx1, s1) = ChannelSource::new(meta(1));
-        lm.add_source(Either::Chan(s0));
-        lm.add_source(Either::Headless(Headless));
-        lm.add_source(Either::Chan(s1));
-        send_all(&tx0, &a);
-        send_all(&tx1, &b);
-        drop(tx0);
-        drop(tx1);
+        for (meta, events) in [(Some(meta(0)), a), (None, Vec::new()), (Some(meta(1)), b)] {
+            let events = events.into_iter();
+            lm.add_source(Replay { meta, events });
+        }
         let mut out = Vec::new();
         lm.step(&mut |jf| out.push(jf)).unwrap();
         clock.advance(600_000);
-        while lm.step(&mut |jf| out.push(jf)).unwrap() {}
-        let report = lm.finish(|jf| out.push(jf)).unwrap();
+        let report = lm.run(|jf| out.push(jf)).unwrap();
         assert_eq!(report.sources[1].status, SourceStatus::Dead);
         assert!(report.sources[1].radio.is_none());
         assert_eq!(report.merge.events_in, 120);

@@ -4,11 +4,11 @@
 //! be writing: polling it yields the next decoded event, *or*
 //! [`SourcePoll::Pending`] when the producer simply has not delivered more
 //! bytes yet. Its radio metadata may also arrive late (a file tail learns
-//! it from the trace header). Once the header is known,
-//! [`crate::LiveMerger`] hands the source to the merger as one of its
-//! streams, and the merger pulls it through
+//! it from the trace header, in the poll that may deliver its first event).
+//! Once the header is known, [`crate::LiveMerger`] pulls the source through
 //! [`EventStream::poll_event`](jigsaw_trace::stream::EventStream::poll_event)
-//! exactly as it pulls a stored trace.
+//! as the batch pipeline pulls a stored trace: into its bootstrap split,
+//! then as one of the merger's streams.
 //!
 //! Two implementations:
 //!

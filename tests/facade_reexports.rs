@@ -26,7 +26,7 @@ use jigsaw::trace::stream::MemoryStream;
 use jigsaw::core::baseline::naive_merge;
 use jigsaw::core::jframe::JFrame;
 use jigsaw::core::link::exchange::Exchange;
-use jigsaw::core::sync::bootstrap::bootstrap;
+use jigsaw::core::sync::bootstrap::bootstrap_at;
 use jigsaw::core::unify::{MergeConfig, Merger};
 use jigsaw::ieee80211::{Channel, MacAddr, SeqNum};
 use jigsaw::packet::{Msdu, TcpSegment};
@@ -43,7 +43,7 @@ fn facade_surface_resolves() {
     let _ = tcp_loss_figure as *const ();
     let _ = throughput_headroom as *const ();
     let _ = write_index::<Vec<u8>> as *const ();
-    let _ = bootstrap::<Vec<PhyEvent>> as *const ();
+    let _ = bootstrap_at::<Vec<PhyEvent>> as *const ();
     // `impl Trait` parameters prevent naming these as fn pointers; a dead
     // closure still forces full resolution and type-checking.
     let _ = || {
