@@ -208,9 +208,20 @@ impl ActivityFigure {
             0.0
         }
     }
+}
 
-    /// Renders the per-bin table.
-    pub fn render(&self) -> String {
+impl Figure for ActivityFigure {
+    fn name(&self) -> &'static str {
+        "fig8"
+    }
+
+    fn title(&self) -> &'static str {
+        "FIGURE 8 — diurnal activity time series (paper §7.1)"
+    }
+
+    /// Renders the per-bin table, then the whole trace's broadcast
+    /// airtime share against the paper's.
+    fn render(&self) -> String {
         let mut s =
             String::from("bin  clients  aps  data_B  mgmt_B  beacon_B  arp_B  bcast_air_frac\n");
         let bins = self
@@ -236,21 +247,11 @@ impl ActivityFigure {
                 g(&self.bytes_arp),
             ));
         }
+        s.push_str(&format!(
+            "broadcast airtime share: {:.3} (paper: ~0.10 'as seen by any given monitor')\n",
+            self.broadcast_airtime_fraction()
+        ));
         s
-    }
-}
-
-impl Figure for ActivityFigure {
-    fn name(&self) -> &'static str {
-        "fig8"
-    }
-
-    fn title(&self) -> &'static str {
-        "FIGURE 8 — diurnal activity time series (paper §7.1)"
-    }
-
-    fn render(&self) -> String {
-        ActivityFigure::render(self)
     }
 
     fn records(&self) -> Vec<Record> {

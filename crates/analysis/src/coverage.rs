@@ -285,9 +285,17 @@ impl Analyzer for CoverageAnalysis {
     }
 }
 
-impl CoverageFigure {
+impl Figure for CoverageFigure {
+    fn name(&self) -> &'static str {
+        "fig6"
+    }
+
+    fn title(&self) -> &'static str {
+        "FIGURE 6 — coverage vs wired trace (paper §6)"
+    }
+
     /// Renders the figure's headline rows.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         format!(
             "packets={}  overall={:.3}  ap={:.3}  client={:.3}\n\
              clients: full={:.2} ≥95%={:.2}   aps ≥95%={:.2}\n\
@@ -300,20 +308,6 @@ impl CoverageFigure {
             self.clients_95,
             self.aps_95
         )
-    }
-}
-
-impl Figure for CoverageFigure {
-    fn name(&self) -> &'static str {
-        "fig6"
-    }
-
-    fn title(&self) -> &'static str {
-        "FIGURE 6 — coverage vs wired trace (paper §6)"
-    }
-
-    fn render(&self) -> String {
-        CoverageFigure::render(self)
     }
 
     fn records(&self) -> Vec<Record> {

@@ -235,9 +235,17 @@ impl Analyzer for InterferenceAnalysis {
     }
 }
 
-impl InterferenceFigure {
+impl Figure for InterferenceFigure {
+    fn name(&self) -> &'static str {
+        "fig9"
+    }
+
+    fn title(&self) -> &'static str {
+        "FIGURE 9 — interference loss rate CDF (paper §7.2)"
+    }
+
     /// Renders the CDF plus the paper's headline statistics.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut s = String::from("interference_loss_rate_X  cumulative_fraction\n");
         for (v, f) in self.x_cdf.points(25) {
             s.push_str(&format!("{v:>12.4}    {f:.3}\n"));
@@ -251,21 +259,16 @@ impl InterferenceFigure {
             self.avg_background_loss,
             self.ap_sender_fraction,
         ));
+        s.push_str(
+            "paper: 88% of (s,r) pairs interfered; median X ≤ 0.025; 10% ≥ 0.1; 5% ≥ 0.2; 11% truncated; background loss 0.12; AP senders 56%\n",
+        );
+        s.push_str(&format!(
+            "measured: median X = {:.4}; P[X ≥ 0.1] = {:.2}; P[X ≥ 0.2] = {:.2}\n",
+            self.x_cdf.quantile(0.5).unwrap_or(0.0),
+            self.x_cdf.fraction_at_least(0.1),
+            self.x_cdf.fraction_at_least(0.2),
+        ));
         s
-    }
-}
-
-impl Figure for InterferenceFigure {
-    fn name(&self) -> &'static str {
-        "fig9"
-    }
-
-    fn title(&self) -> &'static str {
-        "FIGURE 9 — interference loss rate CDF (paper §7.2)"
-    }
-
-    fn render(&self) -> String {
-        InterferenceFigure::render(self)
     }
 
     fn records(&self) -> Vec<Record> {

@@ -257,9 +257,17 @@ pub fn throughput_headroom(rate: PhyRate, mss_frame_len: usize) -> f64 {
     (cts + sifs + data + sifs + ack + backoff_bg) / (data + sifs + ack + backoff_g)
 }
 
-impl ProtectionFigure {
+impl Figure for ProtectionFigure {
+    fn name(&self) -> &'static str {
+        "fig10"
+    }
+
+    fn title(&self) -> &'static str {
+        "FIGURE 10 — overprotective APs (paper §7.3)"
+    }
+
     /// Renders the per-bin table.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut s = String::from("bin  protecting_aps  overprotective  g_on_overprot  g_active\n");
         for (b, r) in self.bins.iter().enumerate() {
             s.push_str(&format!(
@@ -275,20 +283,6 @@ impl ProtectionFigure {
             self.throughput_headroom
         ));
         s
-    }
-}
-
-impl Figure for ProtectionFigure {
-    fn name(&self) -> &'static str {
-        "fig10"
-    }
-
-    fn title(&self) -> &'static str {
-        "FIGURE 10 — overprotective APs (paper §7.3)"
-    }
-
-    fn render(&self) -> String {
-        ProtectionFigure::render(self)
     }
 
     fn records(&self) -> Vec<Record> {

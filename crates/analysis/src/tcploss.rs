@@ -104,9 +104,17 @@ impl Analyzer for TcpLossAnalysis {
     }
 }
 
-impl TcpLossFigure {
+impl Figure for TcpLossFigure {
+    fn name(&self) -> &'static str {
+        "fig11"
+    }
+
+    fn title(&self) -> &'static str {
+        "FIGURE 11 — TCP loss rate, wireless vs wired (paper §7.4)"
+    }
+
     /// Renders the three CDFs side by side.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut s = String::from("loss_rate  total_cdf  wireless_cdf  wired_cdf\n");
         for q in [0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99] {
             s.push_str(&format!(
@@ -122,20 +130,6 @@ impl TcpLossFigure {
             self.flows, self.flows_excluded, self.loss_events, self.wireless_share
         ));
         s
-    }
-}
-
-impl Figure for TcpLossFigure {
-    fn name(&self) -> &'static str {
-        "fig11"
-    }
-
-    fn title(&self) -> &'static str {
-        "FIGURE 11 — TCP loss rate, wireless vs wired (paper §7.4)"
-    }
-
-    fn render(&self) -> String {
-        TcpLossFigure::render(self)
     }
 
     fn records(&self) -> Vec<Record> {

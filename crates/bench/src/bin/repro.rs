@@ -1,23 +1,23 @@
-//! `repro` — regenerates every table and figure of the paper's evaluation,
+//! `repro` — regenerates the tables and figures of the paper's evaluation,
 //! and records/re-merges on-disk trace corpora.
 //!
 //! ```text
 //! repro [--seed N] [--scale F] [--parallel] [--threads N]
-//!       [all|smoke|table1|fig4|fig6|fig7|fig8|fig9|fig10|fig11|
-//!        link-stats|coverage-oracle|ablations|baselines|
-//!        record --corpus DIR [--scenario NAME] [--block-bytes N] [--snaplen N]|
-//!        merge --corpus DIR [--from US --to US] [--verify] [--max-buffered N]|
-//!        analyze --corpus DIR [--from US --to US]|
-//!        tail --corpus DIR [--chunk-bytes N] [--verify] [--max-buffered N]|
-//!        diagnose --corpus DIR [--from US --to US] [--golden FILE] [--bless]|
-//!        sweep [--scenario NAME] [--golden DIR] [--corpus DIR] [--bless]]
+//!       smoke|fig7|coverage-oracle|ablations|baselines|
+//!       record --corpus DIR [--scenario NAME] [--block-bytes N] [--snaplen N]|
+//!       merge --corpus DIR [--from US --to US] [--verify] [--max-buffered N]|
+//!       analyze --corpus DIR [--from US --to US]|
+//!       tail --corpus DIR [--chunk-bytes N] [--verify] [--max-buffered N]|
+//!       diagnose --corpus DIR [--from US --to US] [--golden FILE] [--bless]|
+//!       sweep [--scenario NAME] [--golden DIR] [--corpus DIR] [--bless]
 //! ```
 //!
-//! Usage errors — an unknown flag or subcommand, a flag value that does
-//! not parse, a missing required flag, a second subcommand, a flag the
-//! subcommand would silently ignore (`--verify` and `--max-buffered`
-//! outside `merge`/`tail`, `--threads` without `--parallel`), or a
-//! `--corpus` that cannot be opened — exit 2 with a one-line message.
+//! Usage errors — no subcommand, an unknown flag or subcommand, a flag
+//! value that does not parse, a missing required flag, a second
+//! subcommand, a flag the subcommand would silently ignore (`--verify` and
+//! `--max-buffered` outside `merge`/`tail`, `--threads` without
+//! `--parallel`), or a `--corpus` that cannot be opened — exit 2 with a
+//! one-line message.
 //! Correctness failures (a corpus that fails its digest check or cannot be
 //! read, verify divergence, `--max-buffered` exceeded, golden mismatch)
 //! exit 1 with a one-line `FAIL:`.
@@ -43,11 +43,12 @@
 //! * `analyze` streams the **entire figure suite** off a recorded corpus
 //!   through the full pipeline (serial or, with `--parallel`, the
 //!   channel-sharded merge) in one bounded-memory pass — no `Vec<JFrame>`
-//!   is ever materialized. Every figure renders, followed by stable
-//!   machine-readable `record <figure>.<key> <value>` lines. The wired
-//!   distribution-network trace Figure 6 compares against is stored in the
-//!   corpus (`wired.jigw`), so nothing is re-simulated — the whole suite
-//!   runs from disk alone;
+//!   is ever materialized. The §5.1 inference rates print off the run's
+//!   report, every figure renders with the paper's numbers beside it, then
+//!   stable machine-readable `record <figure>.<key> <value>` lines. The
+//!   wired distribution-network trace Figure 6 compares against is stored
+//!   in the corpus (`wired.jigw`), so nothing is re-simulated — the whole
+//!   suite runs from disk alone;
 //! * `tail` replays a recorded corpus through the **live ingest service**
 //!   (`jigsaw_live`): each radio trace is tailed in `--chunk-bytes`-sized
 //!   chunks, exactly the byte stream a still-growing file would deliver,
@@ -98,27 +99,23 @@
 //! changes its shard layout, from the serial default to one merge thread
 //! per channel shard (`--threads` caps them, 0 = up to the core count).
 //!
-//! Each figure subcommand simulates the building (or reuses the shared run
-//! in `all` mode), pushes the traces through the Jigsaw pipeline, and
-//! prints the same rows/series the paper reports, with the paper's numbers
-//! quoted alongside for comparison. Absolute numbers differ (the substrate
+//! The paper's single-trace figures (Table 1, Figures 4, 6, 8–11, the §5.1
+//! inference rates) are `record` then `analyze`: the corpus is the unified
+//! trace every figure reads. `fig7`, `coverage-oracle`, `ablations` and
+//! `baselines` each simulate the building and print their rows with the
+//! paper's numbers quoted alongside. Absolute numbers differ (the substrate
 //! is a simulator, not the UCSD testbed); the shapes are the claim.
 
 // The repro CLI's output *is* stdout; the workspace denial targets library code.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
-use jigsaw_analysis::activity::ActivityAnalysis;
 use jigsaw_analysis::coverage::{pods_subset, radios_of_pods, CoverageAnalysis, OracleCoverage};
 use jigsaw_analysis::dispersion::DispersionAnalysis;
-use jigsaw_analysis::interference::InterferenceAnalysis;
-use jigsaw_analysis::protection::ProtectionAnalysis;
 use jigsaw_analysis::suite::{record_lines, Figure};
-use jigsaw_analysis::summary::SummaryBuilder;
-use jigsaw_analysis::tcploss::TcpLossAnalysis;
 use jigsaw_bench::cli::{self, ArgSpec};
 use jigsaw_bench::{
-    minute_bin_us, paper_scenario, practical_minute_us, subset_streams, CorpusSession,
-    JframeStreamDigest, SessionError, WindowedStreamDigest,
+    paper_scenario, subset_streams, CorpusSession, JframeStreamDigest, SessionError,
+    WindowedStreamDigest,
 };
 use jigsaw_core::baseline::naive_merge;
 use jigsaw_core::observer::{OnExchange, OnJFrame};
@@ -276,15 +273,19 @@ fn parse_args() -> Args {
         from: None,
         to: None,
         chunk_bytes: 64 * 1024,
-        cmd: String::from("all"),
+        cmd: String::new(),
     };
     let parser = cli::Parser {
         program: "repro",
         flags: FLAGS,
     };
-    if let Some(cmd) = parser.parse(std::env::args().skip(1), &mut args) {
-        args.cmd = cmd;
-    }
+    let Some(cmd) = parser.parse(std::env::args().skip(1), &mut args) else {
+        usage_error(
+            "no subcommand (expected smoke | fig7 | coverage-oracle | ablations | baselines | \
+             record | merge | analyze | tail | diagnose | sweep)",
+        );
+    };
+    args.cmd = cmd;
     args
 }
 
@@ -362,10 +363,6 @@ fn main() {
         ));
     }
     match args.cmd.as_str() {
-        "all" => run_all(&args),
-        "table1" | "fig4" | "fig8" | "fig9" | "fig10" | "fig11" | "fig6" | "link-stats" => {
-            run_main_trace(&args, Some(args.cmd.as_str()))
-        }
         "smoke" => run_smoke(&args),
         "fig7" => run_fig7(args.seed, args.scale),
         "coverage-oracle" => run_oracle(args.seed, args.scale),
@@ -378,146 +375,6 @@ fn main() {
         "diagnose" => run_diagnose(&args),
         "sweep" => run_sweep(&args),
         other => usage_error(&format!("unknown subcommand `{other}`")),
-    }
-}
-
-fn run_all(args: &Args) {
-    run_main_trace(args, None);
-    run_fig7(args.seed, args.scale);
-    run_oracle(args.seed, args.scale);
-    run_ablations(args.seed, args.scale);
-    run_baselines(args.seed, args.scale);
-}
-
-/// One shared simulation + pipeline pass feeding every single-trace figure.
-fn run_main_trace(args: &Args, only: Option<&str>) {
-    let cfg = pipeline_config(args);
-    let (seed, scale) = (args.seed, args.scale);
-    let out = simulate(seed, scale);
-    let day = out.duration_us;
-    let bin = minute_bin_us(day) * 60; // "hour" bins for readable tables
-    let practical_timeout = practical_minute_us(day);
-
-    let mut summary = SummaryBuilder::new(out.radio_meta.len());
-    let mut dispersion = DispersionAnalysis::new();
-    let mut activity = ActivityAnalysis::new(0, bin);
-    let mut interference = InterferenceAnalysis::new();
-    let mut protection = ProtectionAnalysis::new(0, bin, practical_timeout);
-    let ap_addrs: Vec<jigsaw_ieee80211::MacAddr> = out.stations.iter().map(|s| s.addr).collect();
-    let ap_lookup = move |sid: u16| ap_addrs[usize::from(sid)];
-    let mut coverage = CoverageAnalysis::new(&out.wired, &ap_lookup, 10_000_000);
-    let mut tcploss = TcpLossAnalysis::new();
-
-    let t0 = Instant::now();
-    // One observer tuple wires every analysis into the single pass —
-    // multi-hook analyses (interference consumes jframes AND attempts)
-    // just implement both hooks, so nothing needs interior mutability.
-    let obs = (
-        &mut summary,
-        &mut dispersion,
-        &mut activity,
-        &mut interference,
-        &mut protection,
-        &mut coverage,
-        &mut tcploss,
-    );
-    let report = or_fail("pipeline", Pipeline::run(out.memory_streams(), &cfg, obs));
-    let elapsed = t0.elapsed();
-    let realtime_factor = day as f64 / 1e6 / elapsed.as_secs_f64();
-    eprintln!(
-        "[pipeline] merged {} events into {} jframes in {:.1?} ({realtime_factor:.1}x faster than real time, {} merge)",
-        report.merge.events_in,
-        report.merge.jframes_out,
-        elapsed,
-        driver_label(args)
-    );
-
-    let run = |name: &str| only.is_none() || only == Some(name);
-
-    if run("table1") {
-        let t = summary.finish();
-        banner(Figure::title(&t));
-        print!("{}", Figure::render(&t));
-        println!(
-            "(paper, full scale: 2.7B events, 47% errors, 1.58B unified, 530M jframes, 2.97 events/jframe, 1026 clients)"
-        );
-    }
-    if run("fig4") {
-        let fig = dispersion.finish();
-        banner(Figure::title(&fig));
-        print!("{}", fig.render(20));
-    }
-    if run("fig6") {
-        let fig = coverage.finish();
-        banner(Figure::title(&fig));
-        print!("{}", fig.render());
-    }
-    if run("fig8") {
-        let fig = activity.finish();
-        banner(Figure::title(&fig));
-        print!("{}", fig.render());
-        println!(
-            "broadcast airtime share: {:.3} (paper: ~0.10 'as seen by any given monitor')",
-            fig.broadcast_airtime_fraction()
-        );
-    }
-    if run("fig9") {
-        let fig = interference.finish();
-        banner(Figure::title(&fig));
-        print!("{}", fig.render());
-        println!(
-            "paper: 88% of (s,r) pairs interfered; median X ≤ 0.025; 10% ≥ 0.1; 5% ≥ 0.2; 11% truncated; background loss 0.12; AP senders 56%"
-        );
-        println!(
-            "measured: median X = {:.4}; P[X ≥ 0.1] = {:.2}; P[X ≥ 0.2] = {:.2}",
-            fig.x_cdf.quantile(0.5).unwrap_or(0.0),
-            fig.x_cdf.fraction_at_least(0.1),
-            fig.x_cdf.fraction_at_least(0.2),
-        );
-    }
-    if run("fig10") {
-        let fig = protection.finish();
-        banner(Figure::title(&fig));
-        print!("{}", fig.render());
-    }
-    if run("fig11") {
-        let fig = tcploss.finish();
-        banner(Figure::title(&fig));
-        print!("{}", fig.render());
-        println!(
-            "loss provenance: original-delivered {} / original-ambiguous {} / unobserved {}",
-            report.transport.losses_original_delivered,
-            report.transport.losses_original_ambiguous,
-            report.transport.losses_no_original
-        );
-    }
-    if run("link-stats") {
-        banner("§5.1 — link-layer inference rates");
-        let a = report.link.attempts.max(1) as f64;
-        let x = report.link.exchanges.max(1) as f64;
-        println!(
-            "attempts: {} ({:.2}% inferred; paper 0.58%)",
-            report.link.attempts,
-            100.0 * report.link.attempts_inferred as f64 / a
-        );
-        println!(
-            "exchanges: {} ({:.2}% inferred; paper 0.14%)",
-            report.link.exchanges,
-            100.0 * report.link.exchanges_inferred as f64 / x
-        );
-        println!(
-            "delivered {} / ambiguous {}; transport resolved {} ambiguous via covering ACKs; {} covered holes",
-            report.link.delivered,
-            report.link.ambiguous,
-            report.transport.ambiguous_resolved,
-            report.transport.covered_holes
-        );
-        println!(
-            "bootstrap: {} components, {} sets, {} coarse radios",
-            report.bootstrap.components,
-            report.bootstrap.sets_used,
-            report.bootstrap.coarse.iter().filter(|&&c| c).count()
-        );
     }
 }
 
@@ -1026,6 +883,33 @@ fn run_analyze(args: &Args) {
         driver_label(args),
         report.merge.peak_buffered,
         session.disk_bytes()
+    );
+    // What the report knows beyond the figures: the §5.1 inference rates
+    // against the paper's, and Figure 11's loss provenance.
+    banner("§5.1 — link-layer inference rates");
+    let (link, transport, boot) = (&report.link, &report.transport, &report.bootstrap);
+    for (what, n, inferred, paper) in [
+        ("attempts", link.attempts, link.attempts_inferred, "0.58"),
+        ("exchanges", link.exchanges, link.exchanges_inferred, "0.14"),
+    ] {
+        let pct = 100.0 * inferred as f64 / n.max(1) as f64;
+        println!("{what}: {n} ({pct:.2}% inferred; paper {paper}%)");
+    }
+    println!(
+        "delivered {} / ambiguous {}; transport resolved {} ambiguous via covering ACKs; {} covered holes",
+        link.delivered, link.ambiguous, transport.ambiguous_resolved, transport.covered_holes
+    );
+    println!(
+        "bootstrap: {} components, {} sets, {} coarse radios",
+        boot.components,
+        boot.sets_used,
+        boot.coarse.iter().filter(|&&c| c).count()
+    );
+    println!(
+        "loss provenance: original-delivered {} / original-ambiguous {} / unobserved {}",
+        transport.losses_original_delivered,
+        transport.losses_original_ambiguous,
+        transport.losses_no_original
     );
     print_figures(&figures);
 }

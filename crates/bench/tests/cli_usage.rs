@@ -1,8 +1,8 @@
 //! Pins the `repro` binary's exit-code contract: every malformed
-//! invocation — unknown flag or subcommand, a flag value that does not
-//! parse, a missing flag value or required flag, a second subcommand, a
-//! flag the subcommand would silently ignore, a corpus that cannot be
-//! opened — exits 2 with a one-line stderr message,
+//! invocation — no subcommand, an unknown flag or subcommand, a flag value
+//! that does not parse, a missing flag value or required flag, a second
+//! subcommand, a flag the subcommand would silently ignore, a corpus that
+//! cannot be opened — exits 2 with a one-line stderr message,
 //! before any simulation starts. Correctness failures — a corpus that
 //! fails its digest check among them — exit 1, equally in one line; that
 //! split is what CI keys off.
@@ -70,6 +70,36 @@ fn unknown_flags_and_subcommands_exit_2() {
     assert_usage_error(&["bench-stream"]);
     assert_usage_error(&["bench-live"]);
     assert_usage_error(&["--out", "BENCH.json", "smoke"]);
+    // The re-simulating figure subcommands are gone too: the paper's
+    // single-trace figures are `record` then `analyze`.
+    for cmd in [
+        "all",
+        "table1",
+        "fig4",
+        "fig6",
+        "fig8",
+        "fig9",
+        "fig10",
+        "fig11",
+        "link-stats",
+    ] {
+        let stderr = assert_usage_error(&[cmd]);
+        assert!(
+            stderr.contains(&format!("unknown subcommand `{cmd}`")),
+            "{stderr}"
+        );
+    }
+}
+
+/// A bare `repro` names the subcommands and exits 2 instead of starting a
+/// long run nobody asked for.
+#[test]
+fn no_subcommand_exits_2() {
+    for args in [&[][..], &["--seed", "7", "--scale", "0.02"]] {
+        let stderr = assert_usage_error(args);
+        assert!(stderr.contains("no subcommand"), "{stderr}");
+        assert!(stderr.contains("analyze"), "{stderr}");
+    }
 }
 
 #[test]

@@ -9,6 +9,7 @@
 // An example's output *is* stdout; the workspace denial targets library code.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 use jigsaw::analysis::interference::InterferenceAnalysis;
+use jigsaw::analysis::suite::Figure;
 use jigsaw::core::pipeline::{Pipeline, PipelineConfig};
 use jigsaw::sim::scenario::ScenarioConfig;
 
