@@ -15,9 +15,9 @@
 //! Usage errors — no subcommand, an unknown flag or subcommand, a flag
 //! value that does not parse, a missing required flag, a second
 //! subcommand, a flag the subcommand would silently ignore (`--verify` and
-//! `--max-buffered` outside `merge`/`tail`, `--threads` without
-//! `--parallel`), or a `--corpus` that cannot be opened — exit 2 with a
-//! one-line message.
+//! `--max-buffered` outside `merge`/`tail`, `--chunk-bytes` outside `tail`,
+//! `--threads` without `--parallel`), a `--chunk-bytes` of 0, or a
+//! `--corpus` that cannot be opened — exit 2 with a one-line message.
 //! Correctness failures (a corpus that fails its digest check or cannot be
 //! read, verify divergence, `--max-buffered` exceeded, golden mismatch)
 //! exit 1 with a one-line `FAIL:`.
@@ -58,11 +58,10 @@
 //!   its one driver (`--parallel` and `--from/--to` are usage errors; a
 //!   sharded run of a finished corpus is `analyze --parallel`); `--verify`
 //!   re-merges the corpus in batch mode and asserts the live jframe
-//!   stream is identical (count + digest) — the
-//!   chunking-invariance gate, pinned at several chunk sizes — naming any
-//!   re-anchors applied and lagged sources (the contract's two documented
-//!   exceptions) when it is not; `--max-buffered N` fails the run if the
-//!   merger ever held more than N events, as for `merge`. The live merger
+//!   stream is identical (count + digest) — the chunking-invariance gate,
+//!   pinned at several chunk sizes; its clock never advances, so no source
+//!   lags and any divergence is a bug. `--max-buffered N` fails the run if
+//!   the merger ever held more than N events, as for `merge`. The live merger
 //!   is the batch merger pulling each tail as a stream that can pend,
 //!   seeded with the same bootstrap window, so over a finished corpus its
 //!   `peak buffered` equals `merge`'s, whatever the chunking.
@@ -162,8 +161,9 @@ struct Args {
     from: Option<u64>,
     /// Replay window end (exclusive), anchor-universal µs.
     to: Option<u64>,
-    /// `tail`: chunk size each trace tail is fed in, bytes.
-    chunk_bytes: usize,
+    /// `tail`: chunk size each trace tail is fed in, bytes (64 KiB when
+    /// not given).
+    chunk_bytes: Option<usize>,
     cmd: String,
 }
 
@@ -252,7 +252,7 @@ static FLAGS: &[ArgSpec<Args>] = &[
         cli::assign_some(&mut a.max_buffered, v)
     }),
     ArgSpec::parsed("--chunk-bytes", "a chunk size in bytes", |a, v| {
-        cli::assign(&mut a.chunk_bytes, v)
+        cli::assign_some(&mut a.chunk_bytes, v)
     }),
 ];
 
@@ -272,7 +272,7 @@ fn parse_args() -> Args {
         max_buffered: None,
         from: None,
         to: None,
-        chunk_bytes: 64 * 1024,
+        chunk_bytes: None,
         cmd: String::new(),
     };
     let parser = cli::Parser {
@@ -361,6 +361,14 @@ fn main() {
         usage_error(&format!(
             "{cmd}: --verify and --max-buffered check merge and tail only"
         ));
+    }
+    match args.chunk_bytes {
+        Some(_) if args.cmd != "tail" => {
+            let cmd = &args.cmd;
+            usage_error(&format!("{cmd}: --chunk-bytes sizes tail's chunks only"));
+        }
+        Some(0) => usage_error("tail: --chunk-bytes must be at least 1"),
+        _ => {}
     }
     match args.cmd.as_str() {
         "smoke" => run_smoke(&args),
@@ -947,10 +955,11 @@ fn corpus_tails(corpus: &Corpus, chunk: usize) -> Vec<ChunkedFileTail> {
 /// `--from/--to` (a tail replays the whole corpus) are usage errors.
 /// `--verify` re-merges the corpus through the batch disk path and asserts
 /// the live jframe stream is identical — count and stream digest — exiting
-/// 1 on divergence (the message names re-anchors applied and lagged
-/// sources, the contract's documented exceptions): the chunking-invariance
-/// contract, checkable at any `--chunk-bytes`. `--max-buffered N` exits 1
-/// if the merger ever held more than N events.
+/// 1 on divergence: the chunking-invariance contract, checkable at any
+/// `--chunk-bytes` (64 KiB unless given). A lagged source is the contract's
+/// one exception, and under the never-advancing clock none can lag, so a
+/// divergence is a bug. `--max-buffered N` exits 1 if the merger ever held
+/// more than N events.
 fn run_tail(args: &Args) {
     if args.parallel {
         usage_error(
@@ -965,7 +974,7 @@ fn run_tail(args: &Args) {
     banner("TAIL — live streaming ingest from a recorded corpus");
     let session = open_session(args);
     let corpus = session.corpus();
-    let chunk = args.chunk_bytes.max(1);
+    let chunk = args.chunk_bytes.unwrap_or(64 * 1024);
 
     let mut digest = JframeStreamDigest::new();
     let t0 = Instant::now();
@@ -1010,12 +1019,6 @@ fn run_tail(args: &Args) {
             if s.lagged { " (lagged)" } else { "" },
         );
     }
-    if report.reanchors + report.reanchors_skipped > 0 {
-        println!(
-            "reanchors: {} applied, {} skipped",
-            report.reanchors, report.reanchors_skipped
-        );
-    }
     check_max_buffered(args, peak);
 
     if args.verify {
@@ -1027,22 +1030,12 @@ fn run_tail(args: &Args) {
             || batch.count() != digest.count()
             || batch.hex() != digest.hex()
         {
-            // Live ≡ batch is promised only while nothing lags and no
-            // re-anchor is applied; say whether either happened, so a
-            // documented exception is distinguishable from a bug.
-            let reanchors = report.reanchors;
-            let lagged = report.sources.iter().filter(|s| s.lagged).count();
             fail(&format!(
-                "live stream diverges from the batch merge: live {} jframes digest {}, batch {} jframes digest {} ({reanchors} re-anchors applied, {lagged} sources lagged{})",
+                "live stream diverges from the batch merge: live {} jframes digest {}, batch {} jframes digest {} — no source can lag under tail's never-advancing clock, so this is a bug",
                 digest.count(),
                 digest.hex(),
                 batch.count(),
                 batch.hex(),
-                if reanchors == 0 && lagged == 0 {
-                    " — outside the contract's documented exceptions"
-                } else {
-                    ""
-                },
             ));
         }
         println!(

@@ -154,6 +154,25 @@ fn gate_flags_outside_merge_and_tail_exit_2() {
     }
 }
 
+/// `--chunk-bytes` sizes `tail`'s chunks only: elsewhere it would be
+/// silently ignored, and a chunk of 0 bytes could never deliver anything.
+/// Both are usage errors, raised before the corpus is looked for.
+#[test]
+fn chunk_bytes_outside_tail_or_zero_exits_2() {
+    for cmd in ["merge", "analyze", "diagnose"] {
+        let stderr = assert_usage_error(&["--chunk-bytes", "4096", cmd, "--corpus", "no-such-dir"]);
+        assert!(
+            stderr.contains(&format!("{cmd}: --chunk-bytes sizes tail's chunks only")),
+            "{cmd}: {stderr}"
+        );
+    }
+    let stderr = assert_usage_error(&["tail", "--chunk-bytes", "0", "--corpus", "no-such-dir"]);
+    assert!(
+        stderr.contains("--chunk-bytes must be at least 1"),
+        "{stderr}"
+    );
+}
+
 /// `tail` has one driver and replays the whole corpus: the sharded-tail
 /// flag, a replay window and the retired lag flag are usage errors — the
 /// first two before the corpus is even looked for, so no corpus is needed.

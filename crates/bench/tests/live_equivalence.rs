@@ -148,12 +148,9 @@ fn one_byte_and_block_straddling_chunks_match_batch() {
 }
 
 /// `paper_day` at scale 0.2 with diurnal sessions on — 4,028,213 events
-/// over 156 radios, once seen to diverge (live 1,650,213 jframes, batch
-/// 1,649,488) when re-anchoring fired on healthy clocks. It is the one
-/// live ≡ batch check that crosses the 60 s re-anchor grid on real data,
-/// so it pins the ring every joined source fills from its first event:
-/// re-anchoring must not fire, and the live merger must buffer exactly
-/// what the batch merge buffers, at 4 M events as at 1,200.
+/// over 156 radios, the largest corpus any test tails. It pins live ≡
+/// batch, and that the live merger buffers exactly what the batch merge
+/// buffers, at 4 M events as at 1,200.
 #[test]
 #[ignore = "simulates a 4 M-event day and merges it twice, ~20 s in release on a 2-core Xeon: \
             cargo test --release -p jigsaw_bench --test live_equivalence -- --ignored"]

@@ -23,8 +23,6 @@ pub struct ClockState {
     skew_ppm: f64,
     /// EWMA weight for new skew measurements.
     alpha: f64,
-    /// Corrections applied (stat).
-    pub corrections: u64,
     /// Total absolute correction applied, µs (stat).
     pub total_abs_correction_us: f64,
 }
@@ -46,7 +44,6 @@ impl ClockState {
             ref_local: ref_local as f64,
             skew_ppm: 0.0,
             alpha,
-            corrections: 0,
             total_abs_correction_us: 0.0,
         }
     }
@@ -88,7 +85,6 @@ impl ClockState {
         }
         self.offset = new_offset;
         self.ref_local = local_f;
-        self.corrections += 1;
         self.total_abs_correction_us += error_us.abs();
     }
 }
@@ -115,7 +111,6 @@ mod tests {
         // Our instance was 8 µs later than the median → we run 8 µs fast.
         c.correct(8.0, 1_000_000);
         assert_eq!(c.to_universal(1_000_000), 1_000_000 - 8);
-        assert_eq!(c.corrections, 1);
     }
 
     #[test]

@@ -378,23 +378,6 @@ impl<S: EventStream> Merger<S> {
         }
     }
 
-    /// Replaces a radio's clock state with a freshly bootstrapped offset
-    /// referenced at `ref_local` — the periodic re-anchoring hook, so live
-    /// clock state never extrapolates unboundedly far from its last
-    /// bootstrap. Accumulated skew/EWMA state is discarded (the new anchor
-    /// subsumes it); the radio's heap key is re-seated under the new
-    /// translation.
-    pub fn reanchor_clock(&mut self, radio: usize, offset_us: i64, ref_local: Micros) {
-        self.clocks[radio] = ClockState::new_at(offset_us, self.cfg.ewma_alpha, ref_local);
-        if let Some(ev) = &self.cursors[radio].head {
-            let ts_local = ev.ts_local;
-            self.cursors[radio].gen += 1;
-            let gen = self.cursors[radio].gen;
-            let ts = self.univ_of(radio, ts_local);
-            self.heap.push(Reverse((ts, radio, gen)));
-        }
-    }
-
     /// Pulls again every stream whose last pull pended — a live driver's
     /// "what has arrived?" each round; the first call seats every head.
     pub fn repoll(&mut self) -> Result<(), FormatError> {
@@ -406,30 +389,17 @@ impl<S: EventStream> Merger<S> {
         Ok(())
     }
 
-    /// Merges everything that has arrived (call [`Merger::repoll`] first),
-    /// popping nothing past universal time `limit`; a pending live stream
-    /// holds the merge at its watermark. Jframes go to `sink` with the
-    /// emitted horizon as each left ([`Merger::horizon`]). Returns the
-    /// frontier nothing new can arrive below (`Micros::MAX` once all
-    /// ended); at or past `limit`, the merge crossed it.
-    pub fn advance(
-        &mut self,
-        limit: Micros,
-        mut sink: impl FnMut(JFrame, Micros),
-    ) -> Result<Micros, FormatError> {
-        self.drain(limit, &mut sink)?;
+    /// Merges everything that has arrived (call [`Merger::repoll`] first);
+    /// a pending live stream holds the merge at its watermark. Jframes go
+    /// to `sink` with the emitted horizon as each left ([`Merger::horizon`]).
+    pub fn advance(&mut self, mut sink: impl FnMut(JFrame, Micros)) -> Result<(), FormatError> {
+        self.drain(&mut sink)?;
         let safe = self.safe();
         if safe < Micros::MAX {
-            // Release what the pending watermarks make final. (A merge
-            // stopped only by `limit` resumes where it stopped.)
+            // Release what the pending watermarks make final.
             self.flush_below(safe, &mut sink);
         }
-        Ok(self.frontier(safe))
-    }
-
-    /// Clock state access (diagnostics, tests).
-    pub fn clock(&self, radio: usize) -> &ClockState {
-        &self.clocks[radio]
+        Ok(())
     }
 
     fn univ_of(&self, radio: usize, local: Micros) -> Micros {
@@ -594,7 +564,7 @@ impl<S: EventStream> Merger<S> {
     ) -> Result<MergeStats, FormatError> {
         self.finishing = true;
         self.repoll()?;
-        self.drain(Micros::MAX, &mut sink)?;
+        self.drain(&mut sink)?;
         self.flush_out(Micros::MAX, &mut sink);
         Ok(self.stats.clone())
     }
@@ -636,22 +606,18 @@ impl<S: EventStream> Merger<S> {
         self.flush_out(final_below, sink);
     }
 
-    /// Pops events in universal-time order up to `limit` and the safe
-    /// bound ([`Merger::safe`]), accumulating them into channel windows and
+    /// Pops events in universal-time order up to the safe bound
+    /// ([`Merger::safe`]), accumulating them into channel windows and
     /// closing every window a popped trigger event proves complete. Returns
-    /// the safe bound once the heap is dry or its minimum is past a bound.
-    fn pump(
-        &mut self,
-        limit: Micros,
-        sink: &mut impl FnMut(JFrame, Micros),
-    ) -> Result<Micros, FormatError> {
+    /// the safe bound once the heap is dry or its minimum is past it.
+    fn pump(&mut self, sink: &mut impl FnMut(JFrame, Micros)) -> Result<Micros, FormatError> {
         let window = self.cfg.search_window_us;
         let mut safe = self.safe();
         loop {
             let Some((ts, r)) = self.pop_valid() else {
                 return Ok(safe);
             };
-            if ts > safe.min(limit) {
+            if ts > safe {
                 // Not provably complete yet: restore the key and stop.
                 let gen = self.cursors[r].gen;
                 self.heap.push(Reverse((ts, r, gen)));
@@ -713,14 +679,10 @@ impl<S: EventStream> Merger<S> {
     /// popping the heap minimum would close) and those on fully exhausted
     /// channels. Sweeps and pumps alternate until a fixpoint because
     /// closing a window may push candidates back into the cursors.
-    fn drain(
-        &mut self,
-        limit: Micros,
-        sink: &mut impl FnMut(JFrame, Micros),
-    ) -> Result<(), FormatError> {
+    fn drain(&mut self, sink: &mut impl FnMut(JFrame, Micros)) -> Result<(), FormatError> {
         let window = self.cfg.search_window_us;
         loop {
-            let safe = self.pump(limit, sink)?;
+            let safe = self.pump(sink)?;
             let frontier = self.frontier(safe);
             let mut any = false;
             for ci in 0..self.live_chans.len() {
@@ -1625,7 +1587,7 @@ mod tests {
     /// One live round: pull what pended, merge what arrived.
     fn step(merger: &mut Merger<Trickle>, out: &mut Vec<JFrame>) {
         merger.repoll().unwrap();
-        merger.advance(Micros::MAX, |jf, _| out.push(jf)).unwrap();
+        merger.advance(|jf, _| out.push(jf)).unwrap();
     }
 
     #[test]
@@ -1733,7 +1695,7 @@ mod tests {
         // lag policy.
         assert!(merger.is_pending(1));
         merger.lag(1);
-        merger.advance(Micros::MAX, |jf, _| out.push(jf)).unwrap();
+        merger.advance(|jf, _| out.push(jf)).unwrap();
         // The horizon releases everything 2×window behind the watermark
         // (modulo emit-guard pushbacks near the edge); a stalled merge
         // would have emitted nothing.

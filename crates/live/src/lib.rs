@@ -51,25 +51,16 @@
 //!    discarded, and its stale watermark holds nothing back — a deep
 //!    backlog drains under the filter, a permanently-behind radio cannot
 //!    freeze the horizon, and emission order is never violated.
-//! 5. **Re-anchoring** — each time the safe horizon crosses a multiple of
-//!    [`LiveConfig::reanchor_interval_us`] past the bootstrap anchor (a
-//!    trace-time grid, independent of when sources pended), every radio
-//!    whose clock took **no** resync correction since the previous
-//!    crossing is checked: the offset bootstrap re-runs over the radios'
-//!    recent events and re-anchors those that drifted past
-//!    [`LiveConfig::reanchor_drift_us`] (shifts of `2×search_window` or
-//!    more are rejected as glitches). A clock continuous resynchronization
-//!    is still correcting is never touched — it is already tracked more
-//!    tightly than a fresh bootstrap can estimate — so on a healthy mesh
-//!    re-anchoring never fires.
-//! 6. **Chunking invariance** — when nothing lags and no re-anchor fires,
+//! 5. **Chunking invariance** — clocks have the batch run's two owners,
+//!    and no other: the offset bootstrap starts them and the merger's
+//!    continuous resynchronization corrects them. So when nothing lags,
 //!    the emitted jframe sequence (count, order,
 //!    [`jigsaw_core::JFrame::stable_digest`]) is identical to a batch merge
-//!    of the same events, for *every* chunking of the input bytes. This is
-//!    the equivalence `repro tail --verify` and the chunk-invariance
-//!    proptests pin in CI; `--verify` names any re-anchors applied and
-//!    lagged sources when it fails, so the two documented exceptions are
-//!    distinguishable from a bug.
+//!    of the same events, for *every* chunking of the input bytes. A lagged
+//!    source is the contract's one exception. This is the equivalence
+//!    `repro tail --verify` and the chunk-invariance proptests pin in CI;
+//!    `tail`'s clock never advances, so no source lags there and any
+//!    divergence is a bug.
 //!
 //! ## Layout
 //!
@@ -77,8 +68,8 @@
 //!   [`ChunkedFileTail`] (tail a growing trace file in arbitrary-size
 //!   chunks, decoding each block as it completes) and [`ChannelSource`]
 //!   (bounded in-process channel);
-//! * [`merger`] — [`LiveMerger`], the bootstrap → stream → lag → re-anchor
-//!   driver and the only one that tails sources (a finished corpus is
+//! * [`merger`] — [`LiveMerger`], the bootstrap → stream → lag driver
+//!   and the only one that tails sources (a finished corpus is
 //!   `Pipeline::run`'s job), and its [`LiveReport`]; it fails with the
 //!   batch pipeline's own [`jigsaw_core::pipeline::PipelineError`];
 //! * [`clock`] — [`LiveClock`] and friends: the wall-clock boundary.

@@ -1,4 +1,4 @@
-//! The always-on unification driver: bootstrap, stream, lag, re-anchor.
+//! The always-on unification driver: bootstrap, stream, lag.
 //!
 //! [`LiveMerger`] turns a set of [`LiveSource`]s into a continuous jframe
 //! stream with **bounded lag**. See the crate docs for the watermark/lag
@@ -22,12 +22,9 @@
 //!   drains under the filter, and a permanently-behind radio stays lagging
 //!   instead of freezing the horizon — emission order is never violated.
 //!
-//! Periodic re-anchoring (every [`LiveConfig::reanchor_interval_us`] of
-//! trace time past the bootstrap anchor) touches only radios whose clock
-//! took no resync correction for a whole interval; on a healthy mesh it
-//! checks and applies nothing.
-//!
-//! When nothing lags and no re-anchor fires, the emitted jframe sequence is
+//! Clocks have the batch run's two owners: the bootstrap starts them and
+//! the merger's continuous resynchronization corrects them. When nothing
+//! lags, the emitted jframe sequence is
 //! **byte-identical** (count, order, [`JFrame::stable_digest`]) to a batch
 //! [`jigsaw_core::Pipeline`] run over the same events, for *every* chunking
 //! of the input bytes — the contract `repro tail --verify` and the
@@ -36,17 +33,13 @@
 use crate::clock::LiveClock;
 use crate::source::LiveSource;
 use jigsaw_core::pipeline::{EventSource, OpenedRadio, PipelineError, SourceSet};
-use jigsaw_core::sync::bootstrap::{bootstrap_at, BootstrapConfig};
+use jigsaw_core::sync::bootstrap::BootstrapConfig;
 use jigsaw_core::unify::{MergeConfig, MergeStats, Merger, StreamStatus};
 use jigsaw_core::JFrame;
 use jigsaw_ieee80211::Micros;
 use jigsaw_trace::format::FormatError;
 use jigsaw_trace::stream::{EventStream, SourcePoll};
 use jigsaw_trace::{PhyEvent, RadioId, RadioMeta};
-use std::collections::VecDeque;
-
-/// Recent events retained per radio for re-anchor bootstraps.
-const REANCHOR_RING: usize = 512;
 
 /// Lag samples retained for quantile estimation. Exact below this; past it,
 /// reservoir sampling keeps a uniform subset at constant memory.
@@ -61,13 +54,6 @@ pub struct LiveConfig {
     pub merge: MergeConfig,
     /// Wall-clock silence after which a radio is declared lagging (µs).
     pub max_lag_us: u64,
-    /// Spacing of re-anchor checks (µs of trace time): a check fires each
-    /// time the safe horizon crosses a multiple of this past the bootstrap
-    /// anchor, and considers only radios whose clock took no resync
-    /// correction since the previous check.
-    pub reanchor_interval_us: Micros,
-    /// Minimum offset disagreement before a re-anchor is applied (µs).
-    pub reanchor_drift_us: Micros,
 }
 
 impl Default for LiveConfig {
@@ -76,8 +62,6 @@ impl Default for LiveConfig {
             bootstrap: BootstrapConfig::default(),
             merge: MergeConfig::default(),
             max_lag_us: 2_000_000,
-            reanchor_interval_us: 60_000_000,
-            reanchor_drift_us: 5_000,
         }
     }
 }
@@ -120,10 +104,10 @@ pub struct LiveReport {
     pub merge: MergeStats,
     /// Per-source liveness outcomes, in `add_source` order.
     pub sources: Vec<SourceReport>,
-    /// Re-anchors applied (drift above threshold, shift within clamp).
+    /// Always 0: the live merger does not re-anchor clocks. Kept only
+    /// because `benchmark/src/bin/jigtrace.rs` reads it for its
+    /// `live.reanchors` metric; it goes when that metric does.
     pub reanchors: u64,
-    /// Re-anchors rejected by the `2×search_window` shift clamp.
-    pub reanchors_skipped: u64,
     /// Emission-lag statistics: safe horizon minus jframe timestamp at the
     /// moment each jframe left the merger (µs).
     pub lag: LagStats,
@@ -214,7 +198,7 @@ impl Default for LagStats {
 }
 
 /// A source with a known header, as its bootstrap split and then the merger
-/// pull it — with what it delivered and the events re-anchoring reads.
+/// pull it — with the count of what it delivered.
 struct Joined<S> {
     src: S,
     meta: RadioMeta,
@@ -224,8 +208,6 @@ struct Joined<S> {
     /// Events delivered, bootstrap window included (and any later dropped
     /// as late).
     events: u64,
-    /// Most recent events, input to re-anchor bootstraps.
-    ring: VecDeque<PhyEvent>,
 }
 
 impl<S: LiveSource> EventStream for Joined<S> {
@@ -249,12 +231,8 @@ impl<S: LiveSource> EventStream for Joined<S> {
             Some(ev) => SourcePoll::Event(ev),
             None => self.src.poll()?,
         };
-        if let SourcePoll::Event(ev) = &poll {
+        if matches!(poll, SourcePoll::Event(_)) {
             self.events += 1;
-            if self.ring.len() == REANCHOR_RING {
-                self.ring.pop_front();
-            }
-            self.ring.push_back(ev.clone());
         }
         Ok(poll)
     }
@@ -279,10 +257,6 @@ struct SourceState<S> {
     /// Clock reading when the source was last seen delivering, or not
     /// waiting on its producer.
     last_progress: u64,
-    /// The clock's correction count at the previous re-anchor check; one
-    /// that has not moved by the next check marks a radio continuous
-    /// resynchronization is not reaching.
-    corrections_seen: u64,
 }
 
 impl<S: LiveSource> SourceState<S> {
@@ -325,7 +299,6 @@ impl<S: LiveSource> SourceState<S> {
                             meta,
                             first,
                             events: 0,
-                            ring: VecDeque::new(),
                         };
                         self.slot = Slot::Splitting(Box::new(joined.open(&cfg.bootstrap)?));
                     }
@@ -383,11 +356,6 @@ pub struct LiveMerger<S, C> {
     clock: C,
     sources: Vec<SourceState<S>>,
     merger: Option<Merger<Joined<S>>>,
-    /// Safe-horizon value at which the next re-anchor check fires: the
-    /// bootstrap anchor plus a whole number of `reanchor_interval_us`.
-    next_reanchor: Micros,
-    reanchors: u64,
-    reanchors_skipped: u64,
     lag: LagStats,
 }
 
@@ -399,9 +367,6 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
             clock,
             sources: Vec::new(),
             merger: None,
-            next_reanchor: Micros::MAX,
-            reanchors: 0,
-            reanchors_skipped: 0,
             lag: LagStats::new(),
         }
     }
@@ -422,7 +387,6 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
             status: SourceStatus::Live,
             lagged: false,
             last_progress: self.clock.now_us(),
-            corrections_seen: 0,
         });
     }
 
@@ -546,8 +510,7 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
         Ok(LiveReport {
             merge,
             sources,
-            reanchors: self.reanchors,
-            reanchors_skipped: self.reanchors_skipped,
+            reanchors: 0,
             lag: std::mem::take(&mut self.lag),
         })
     }
@@ -591,20 +554,12 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
                 merger.lag(*r);
             }
         }
-        // Re-anchor checks sit on a trace-time grid rooted at the bootstrap
-        // anchor, so when they fire does not depend on how sources pended.
-        let anchor = (0..window_los.len())
-            .map(|r| merger.clock(r).to_universal(window_los[r]))
-            .min()
-            .unwrap_or(0);
-        self.next_reanchor = anchor.saturating_add(self.cfg.reanchor_interval_us);
         self.merger = Some(merger);
         Ok(())
     }
 
     /// One streaming round: re-poll what pended → evict what has been
-    /// silent → merge everything that has arrived, stopping at each
-    /// re-anchor grid point to check.
+    /// silent → merge everything that has arrived.
     fn stream_step(&mut self, sink: &mut impl FnMut(JFrame)) -> Result<(), PipelineError> {
         let now = self.clock.now_us();
         let merger = self.merger.as_mut().expect("stream_step after transition");
@@ -624,107 +579,12 @@ impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
                 s.lagged = true;
             }
         }
-        loop {
-            let merger = self.merger.as_mut().expect("stream_step after transition");
-            let lag = &mut self.lag;
-            let frontier = merger.advance(self.next_reanchor, |jf, horizon| {
-                lag.push(horizon.saturating_sub(jf.ts));
-                sink(jf);
-            })?;
-            if frontier == Micros::MAX || frontier < self.next_reanchor {
-                return Ok(());
-            }
-            self.maybe_reanchor(frontier);
-        }
-    }
-
-    /// At every `reanchor_interval_us` boundary of trace time past the
-    /// bootstrap anchor, re-run the offset bootstrap over each radio's
-    /// recent events and re-anchor clocks whose offsets drifted past
-    /// `reanchor_drift_us` — the escape hatch for drift that continuous
-    /// resynchronization missed (e.g. a radio that heard no shared frames
-    /// for a long stretch). Only a radio whose clock took **no** correction
-    /// since the previous boundary is a candidate: a clock the merge is
-    /// still correcting is already tracked to microseconds, and replacing
-    /// it with a coarser ring estimate would fork the stream from the batch
-    /// merge on perfectly healthy clocks. Shifts of `2×search_window` or
-    /// more are rejected as bootstrap glitches (`reanchors_skipped`);
-    /// coarse (NTP-only) estimates are never applied.
-    fn maybe_reanchor(&mut self, safe: Micros) {
-        if safe < self.next_reanchor {
-            return;
-        }
-        // The next boundary past `safe`, staying on the anchor's grid however
-        // far the merge moved the horizon.
-        let interval = self.cfg.reanchor_interval_us.max(1);
-        let crossed = (safe - self.next_reanchor) / interval + 1;
-        self.next_reanchor = self
-            .next_reanchor
-            .saturating_add(interval.saturating_mul(crossed));
-
-        let merger = self.merger.as_mut().expect("re-anchor while streaming");
-        let joined: Vec<(usize, usize)> = self
-            .sources
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| match s.slot {
-                Slot::Merging(r) => Some((i, r)),
-                Slot::Unjoined(_) | Slot::Splitting(_) => None,
-            })
-            .collect();
-        let idle: Vec<bool> = joined
-            .iter()
-            .map(|&(i, r)| {
-                let now = merger.clock(r).corrections;
-                std::mem::replace(&mut self.sources[i].corrections_seen, now) == now
-            })
-            .collect();
-        if !idle.contains(&true) {
-            return;
-        }
-        let window_us = self.cfg.bootstrap.window_us;
-        let metas: Vec<RadioMeta> = joined.iter().map(|&(_, r)| merger.stream(r).meta).collect();
-        // Window each radio at the tail of its ring: the freshest
-        // bootstrap-window's worth of evidence.
-        let window_los: Vec<Micros> = joined
-            .iter()
-            .map(|&(_, r)| {
-                merger
-                    .stream(r)
-                    .ring
-                    .back()
-                    .map_or(0, |e| e.ts_local.saturating_sub(window_us))
-            })
-            .collect();
-        let prefixes: Vec<Vec<PhyEvent>> = joined
-            .iter()
-            .map(|&(_, r)| merger.stream(r).ring.iter().cloned().collect())
-            .collect();
-        let Ok(boot) = bootstrap_at(&metas, &prefixes, &window_los, &self.cfg.bootstrap) else {
-            return;
-        };
-        for (k, &(i, r)) in joined.iter().enumerate() {
-            if !idle[k] || boot.coarse[k] {
-                continue;
-            }
-            // Offset convention (see `bootstrap_at`): universal = local −
-            // offset, so the clock's current offset at `lo` is the local
-            // time minus its universal image.
-            let lo = window_los[k];
-            let current = lo as i64 - merger.clock(r).to_universal(lo) as i64;
-            let shift = boot.offsets[k] - current;
-            if shift.unsigned_abs() <= self.cfg.reanchor_drift_us {
-                continue;
-            }
-            if shift.unsigned_abs() >= 2 * self.cfg.merge.search_window_us {
-                self.reanchors_skipped += 1;
-                continue;
-            }
-            merger.reanchor_clock(r, boot.offsets[k], lo);
-            // The fresh clock state counts its corrections from zero.
-            self.sources[i].corrections_seen = 0;
-            self.reanchors += 1;
-        }
+        let lag = &mut self.lag;
+        merger.advance(|jf, horizon| {
+            lag.push(horizon.saturating_sub(jf.ts));
+            sink(jf);
+        })?;
+        Ok(())
     }
 }
 
@@ -1120,80 +980,37 @@ mod tests {
         }
     }
 
-    /// Runs two radios where radio 1's clock skews 1500 ppm fast, with
-    /// continuous resync on or off, under the given re-anchor settings.
-    fn run_skewed(
-        reanchor_interval_us: Micros,
-        reanchor_drift_us: Micros,
-        resync_enabled: bool,
-    ) -> LiveReport {
-        let mut cfg = LiveConfig {
-            reanchor_interval_us,
-            reanchor_drift_us,
-            ..LiveConfig::default()
-        };
-        cfg.merge.resync_enabled = resync_enabled;
-        // A re-anchor corrects the offset at its bridging frame, up to one
-        // bootstrap window behind the live edge, so ~1.5 ms of skew residual
-        // remains at 1500 ppm; widen the dispersion guard so corrected
-        // instances unify while uncorrected drift (up to 30 ms) cannot.
-        cfg.merge.merge_gap_us = 4_000;
-        let (mut lm, tx0, tx1) = two_radios(cfg, &ManualClock::new());
-        let mut out = Vec::new();
+    /// Live ≡ batch under heavy skew: radio 1's clock runs 1500 ppm fast,
+    /// so every shared frame takes a resync correction, and the live run —
+    /// stepped every four frames — must emit and buffer exactly what the
+    /// batch merge does over the same events.
+    #[test]
+    fn skewed_live_matches_batch() {
+        let cfg = LiveConfig::default();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
         for k in 0..400u64 {
             let ts = 10_000 + k * 50_000;
             let f = frame_bytes(k as u16);
-            send(&tx0, ev(0, ts, f.clone()));
-            send(&tx1, ev(1, ts + (ts * 15) / 10_000, f));
+            a.push(ev(0, ts, f.clone()));
+            b.push(ev(1, ts + (ts * 15) / 10_000, f));
+        }
+        let (want, batch) = batch_merge(&[&a, &b], &cfg);
+
+        let (mut lm, tx0, tx1) = two_radios(cfg, &ManualClock::new());
+        let mut out = Vec::new();
+        for (k, (e0, e1)) in a.into_iter().zip(b).enumerate() {
+            send(&tx0, e0);
+            send(&tx1, e1);
             if k % 4 == 3 {
                 lm.step(&mut |jf| out.push(jf)).unwrap();
             }
         }
-        drop(tx0);
-        drop(tx1);
-        lm.run(|jf| out.push(jf)).unwrap()
-    }
+        drop((tx0, tx1));
+        let report = lm.run(|jf| out.push(jf)).unwrap();
 
-    /// A fast-skewing radio with continuous resync disabled: periodic
-    /// re-anchoring must fire (drift above threshold, shift within the
-    /// clamp) and recover unification that unchecked drift destroys.
-    #[test]
-    fn reanchor_corrects_unresynced_drift() {
-        // By t=10 s radio 1's stamps lead true time by 15 ms — far past
-        // the 2 ms drift threshold, inside the 20 ms shift clamp at each
-        // 3 s checkpoint.
-        let with = run_skewed(3_000_000, 2_000, false);
-        assert!(
-            with.reanchors >= 1,
-            "drift must trigger a re-anchor (got {} applied, {} skipped)",
-            with.reanchors,
-            with.reanchors_skipped
-        );
-        let without = run_skewed(Micros::MAX, 2_000, false);
-        assert_eq!(without.reanchors, 0);
-        assert!(
-            with.merge.instances_unified > without.merge.instances_unified,
-            "re-anchoring must recover unification lost to drift ({} vs {})",
-            with.merge.instances_unified,
-            without.merge.instances_unified
-        );
-    }
-
-    /// The same skew with continuous resync running: every shared frame
-    /// corrects radio 1's clock, so each 3 s check finds its correction
-    /// count advanced and leaves it alone — even though the ring bootstrap,
-    /// up to a window staler than the tracked clock, disagrees with it by
-    /// more than the (here deliberately tight) drift threshold. Re-anchoring
-    /// a clock resync is tracking would fork the stream from the batch merge.
-    #[test]
-    fn reanchor_leaves_resynced_clocks_alone() {
-        let report = run_skewed(3_000_000, 300, true);
+        assert_eq!(out.iter().map(key).collect::<Vec<_>>(), want);
+        assert_eq!(report.merge.peak_buffered, batch.peak_buffered);
         assert!(report.merge.resyncs > 0, "resync must be tracking the skew");
-        assert_eq!(
-            (report.reanchors, report.reanchors_skipped),
-            (0, 0),
-            "a clock continuous resync is correcting must not be re-anchored"
-        );
     }
 
     /// A source whose head is waiting in the merge is not being read, so

@@ -29,9 +29,9 @@
 //!   a stream that can pend, so jframes leave continuously with bounded
 //!   lag (2×search-window behind the slowest live radio) and the batch
 //!   merge's memory (a source is read only when its last event is
-//!   consumed; the rest pushes back on its producer), evicting stalled
-//!   radios from the emission horizon after `max_lag_us`, and re-anchoring
-//!   clocks resync stopped reaching;
+//!   consumed; the rest pushes back on its producer), and evicting
+//!   stalled radios from the emission horizon after `max_lag_us`; its
+//!   clocks are the batch merge's, bootstrapped then resynchronized;
 //! * [`analysis`] — every table and figure of the paper's evaluation,
 //!   each an [`analysis::Analyzer`] (observer → [`analysis::Figure`]),
 //!   with [`analysis::Suite`] fanning one streaming pass to all of them.
