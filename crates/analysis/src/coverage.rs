@@ -20,7 +20,7 @@ use crate::suite::{Analyzer, Figure, Record};
 use jigsaw_core::jframe::JFrame;
 use jigsaw_core::link::exchange::Exchange;
 use jigsaw_core::observer::PipelineObserver;
-use jigsaw_ieee80211::fc::FrameControl;
+use jigsaw_ieee80211::wire::msdu_body;
 use jigsaw_ieee80211::{MacAddr, Micros, Subtype};
 use jigsaw_packet::{ipv4::IpPayload, ArpOp, Msdu};
 use jigsaw_sim::output::TruthRecord;
@@ -151,21 +151,11 @@ impl CoverageAnalysis {
 
     /// Feeds a reconstructed exchange from the wireless trace.
     pub fn observe_exchange(&mut self, x: &Exchange) {
-        if x.subtype != Subtype::Data || x.bytes.len() < 32 {
+        if x.subtype != Subtype::Data {
             return;
         }
-        let Some(fc) = FrameControl::from_u16(u16::from_le_bytes([x.bytes[0], x.bytes[1]])) else {
-            return;
-        };
-        if fc.subtype != Subtype::Data {
-            return;
-        }
-        let end = if x.data_valid && x.bytes.len() as u32 == x.wire_len {
-            x.bytes.len().saturating_sub(4)
-        } else {
-            x.bytes.len()
-        };
-        let Ok(msdu) = Msdu::parse(&x.bytes[24..end]) else {
+        let has_fcs = x.data_valid && x.bytes.len() as u32 == x.wire_len;
+        let Some(Ok(msdu)) = msdu_body(&x.bytes, has_fcs).map(Msdu::parse) else {
             return;
         };
         let key = match &msdu {
@@ -402,10 +392,10 @@ impl OracleCoverage {
         if !jf.valid {
             return;
         }
-        let Some((subtype, ta)) = jf.peek() else {
+        let Some(h) = jf.header() else {
             return;
         };
-        if subtype == Subtype::Ack {
+        if h.subtype == Subtype::Ack {
             // Match the nearest unmatched ACK within the window.
             let mut best: Option<(usize, u64)> = None;
             for (i, (ts, matched)) in self.acks.iter().enumerate() {
@@ -422,13 +412,10 @@ impl OracleCoverage {
             }
             return;
         }
-        let Some(ta) = ta else { return };
-        let seq = if jf.bytes.len() >= 24 && subtype.has_seq_ctrl() {
-            u16::from_le_bytes([jf.bytes[22], jf.bytes[23]]) >> 4
-        } else {
+        let (Some(ta), Some(seq)) = (h.addr2, h.seq) else {
             return;
         };
-        if let Some(list) = self.keyed.get_mut(&(ta, seq, jf.wire_len)) {
+        if let Some(list) = self.keyed.get_mut(&(ta, seq.value(), jf.wire_len)) {
             let mut best: Option<(usize, u64)> = None;
             for (i, (ts, matched)) in list.iter().enumerate() {
                 if *matched {

@@ -98,7 +98,7 @@ impl InterferenceAnalysis {
         if jf.wire_len == 0 {
             return;
         }
-        let tx = jf.peek().and_then(|(_, ta)| ta);
+        let tx = jf.header().and_then(|h| h.addr2);
         self.recent.push_back((jf.ts, jf.end_ts(), tx));
         // Retain a 100 ms horizon — far beyond any frame airtime.
         while let Some(&(start, _, _)) = self.recent.front() {

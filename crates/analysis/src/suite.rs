@@ -115,14 +115,6 @@ impl RecordValue {
             RecordValue::Text(_) => None,
         }
     }
-
-    /// The text, if this is a `Text` value.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            RecordValue::Text(s) => Some(s),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for RecordValue {

@@ -103,8 +103,8 @@ impl SummaryBuilder {
             self.valid_jframes += 1;
             self.events_unified += jf.instance_count() as u64;
             self.bytes_on_air += u64::from(jf.wire_len);
-            if let Some((subtype, _)) = jf.peek() {
-                match subtype.frame_type() {
+            if let Some(h) = jf.header() {
+                match h.subtype.frame_type() {
                     FrameType::Data => self.data_frames += 1,
                     FrameType::Management => self.mgmt_frames += 1,
                     FrameType::Control => self.ctrl_frames += 1,

@@ -2,7 +2,7 @@
 //! heard it (paper §4.2).
 
 use jigsaw_ieee80211::frame::Frame;
-use jigsaw_ieee80211::wire::parse_frame;
+use jigsaw_ieee80211::wire::{parse_frame, FrameHeader};
 use jigsaw_ieee80211::{Channel, Micros, PhyRate};
 use jigsaw_trace::{Payload, PhyStatus, RadioId};
 
@@ -210,7 +210,7 @@ impl JFrame {
     /// Returns `None` for error-only jframes or undecodable contents.
     /// Snap-truncated frames fail the FCS check by construction, so complete
     /// capture is required — analyses that only need headers use
-    /// [`JFrame::peek`] instead.
+    /// [`JFrame::header`] instead.
     pub fn parse(&self) -> Option<Frame> {
         if !self.valid || self.bytes.is_empty() {
             return None;
@@ -218,9 +218,10 @@ impl JFrame {
         parse_frame(&self.bytes).ok()
     }
 
-    /// Best-effort `(subtype, transmitter)` even for corrupt/snapped frames.
-    pub fn peek(&self) -> Option<(jigsaw_ieee80211::Subtype, Option<jigsaw_ieee80211::MacAddr>)> {
-        jigsaw_ieee80211::wire::peek_transmitter(&self.bytes)
+    /// The MAC header of the captured bytes, corrupt or snapped frames
+    /// included (no FCS check).
+    pub fn header(&self) -> Option<FrameHeader> {
+        FrameHeader::decode(&self.bytes)
     }
 
     /// True when the full frame body was captured (no snap truncation).
@@ -484,7 +485,7 @@ mod tests {
     }
 
     #[test]
-    fn peek_works_on_truncated() {
+    fn header_works_on_truncated() {
         let data = Frame::Data(jigsaw_ieee80211::frame::DataFrame {
             duration: 44,
             addr1: MacAddr::local(1, 1),
@@ -500,8 +501,8 @@ mod tests {
         let mut j = jf(bytes[..40].to_vec(), bytes.len() as u32, false);
         j.rate = PhyRate::R54;
         assert!(!j.is_complete());
-        let (st, ta) = j.peek().unwrap();
-        assert_eq!(st, jigsaw_ieee80211::Subtype::Data);
-        assert_eq!(ta, Some(MacAddr::local(2, 2)));
+        let h = j.header().unwrap();
+        assert_eq!(h.subtype, jigsaw_ieee80211::Subtype::Data);
+        assert_eq!(h.addr2, Some(MacAddr::local(2, 2)));
     }
 }

@@ -11,8 +11,8 @@
 //! plainly acknowledged something.
 
 use crate::jframe::JFrame;
-use jigsaw_ieee80211::frame::Frame;
 use jigsaw_ieee80211::timing::{ack_airtime_us, SIFS_US, SLOT_US};
+use jigsaw_ieee80211::wire::FrameHeader;
 use jigsaw_ieee80211::{MacAddr, Micros, PhyRate, SeqNum, Subtype};
 use jigsaw_trace::Payload;
 // tidy:allow-file(hash-order): the pending map is keyed lookup; expirations are collected and sorted by (ts, key) before emission
@@ -72,14 +72,6 @@ impl Attempt {
     /// Whether the attempt was positively acknowledged.
     pub fn acked(&self) -> bool {
         self.outcome == AttemptOutcome::Acked
-    }
-
-    /// Parses the DATA frame when complete.
-    pub fn parse(&self) -> Option<Frame> {
-        if !self.data_valid {
-            return None;
-        }
-        jigsaw_ieee80211::wire::parse_frame(&self.bytes).ok()
     }
 }
 
@@ -141,8 +133,12 @@ impl AttemptAssembler {
             self.stats.error_jframes += 1;
             return;
         }
-        match jf.parse() {
-            Some(Frame::Cts { duration, ra }) => {
+        // CTS and ACK are acted on only when they parse; DATA and
+        // management frames are read from the header, snapped or not.
+        let parsed = jf.parse().is_some();
+        let Some(h) = jf.header() else { return };
+        match (h.subtype, h.duration, h.addr1) {
+            (Subtype::Cts, Some(duration), Some(ra)) if parsed => {
                 // CTS-to-self (or RTS response): `ra` is the upcoming data
                 // transmitter.
                 self.pending_cts.insert(
@@ -153,26 +149,13 @@ impl AttemptAssembler {
                     },
                 );
             }
-            Some(Frame::Ack { ra, .. }) => {
+            (Subtype::Ack, _, Some(ra)) if parsed => {
                 self.handle_ack(ra, jf.ts, out);
             }
-            Some(Frame::Rts { .. }) => {
-                // Not generated by the modeled network; NAV-only.
-            }
-            Some(f @ (Frame::Data(_) | Frame::Mgmt { .. })) => {
-                self.handle_data(jf, &f, out);
-            }
-            None => {
-                // Snap-truncated valid frame: recover headers via peek.
-                if let Some((subtype, _)) = jf.peek() {
-                    let ft = subtype.frame_type();
-                    if ft == jigsaw_ieee80211::FrameType::Data
-                        || ft == jigsaw_ieee80211::FrameType::Management
-                    {
-                        self.handle_data_loose(jf, subtype, out);
-                    }
-                }
-            }
+            // RTS (not generated by the modeled network; NAV-only), and a
+            // CTS or ACK that does not parse.
+            (Subtype::Rts | Subtype::Cts | Subtype::Ack, ..) => {}
+            _ => self.push_data(jf, &h, parsed, out),
         }
     }
 
@@ -218,19 +201,49 @@ impl AttemptAssembler {
         false
     }
 
-    /// Common tail for parsed and loosely-recovered data frames.
-    #[allow(clippy::too_many_arguments)]
-    fn queue_or_emit(&mut self, attempt: Attempt, duration: u16, out: &mut Vec<Attempt>) {
-        if attempt.protected {
+    /// The data path, for complete and snap-truncated frames alike.
+    /// `data_valid` says whether the frame parsed.
+    fn push_data(
+        &mut self,
+        jf: &JFrame,
+        h: &FrameHeader,
+        data_valid: bool,
+        out: &mut Vec<Attempt>,
+    ) {
+        let protected = h
+            .addr2
+            .map(|t| self.take_protection(t, jf.ts))
+            .unwrap_or(false);
+        if protected {
             self.stats.protected += 1;
         }
-        let group = attempt.outcome == AttemptOutcome::NoAckExpected;
-        if group || attempt.transmitter.is_none() {
+        let group = h.addr1.is_some_and(|r| r.is_multicast());
+        let attempt = Attempt {
+            transmitter: h.addr2,
+            receiver: h.addr1,
+            ts: jf.ts,
+            end_ts: jf.end_ts(),
+            rate: jf.rate,
+            seq: h.seq,
+            retry: h.flags.retry,
+            subtype: h.subtype,
+            protected,
+            outcome: if group {
+                AttemptOutcome::NoAckExpected
+            } else {
+                AttemptOutcome::NoAckSeen
+            },
+            inferred_data: false,
+            wire_len: jf.wire_len,
+            bytes: jf.bytes.handle(),
+            data_valid,
+            instance_count: jf.instance_count(),
+        };
+        let Some(t) = h.addr2.filter(|_| !group) else {
             self.stats.attempts += 1;
             out.push(attempt);
             return;
-        }
-        let t = attempt.transmitter.unwrap();
+        };
         // One outstanding unicast attempt per transmitter.
         if let Some(prev) = self.pending_data.remove(&t) {
             self.stats.attempts += 1;
@@ -238,10 +251,9 @@ impl AttemptAssembler {
         }
         // ACK must complete by data_end + Duration (+slack); fall back to
         // SIFS + ACK airtime when the Duration field is implausible.
-        let dur = if duration > 0 && duration < 33_000 {
-            Micros::from(duration)
-        } else {
-            SIFS_US + ack_airtime_us(attempt.rate, jigsaw_ieee80211::timing::Preamble::Long)
+        let dur = match h.duration {
+            Some(d) if d > 0 && d < 33_000 => Micros::from(d),
+            _ => SIFS_US + ack_airtime_us(attempt.rate, jigsaw_ieee80211::timing::Preamble::Long),
         };
         let ack_deadline = attempt.end_ts + dur + ACK_SLACK_US;
         self.pending_data.insert(
@@ -251,91 +263,6 @@ impl AttemptAssembler {
                 ack_deadline,
             },
         );
-    }
-
-    fn handle_data(&mut self, jf: &JFrame, f: &Frame, out: &mut Vec<Attempt>) {
-        let transmitter = f.transmitter();
-        let receiver = f.receiver();
-        let protected = transmitter
-            .map(|t| self.take_protection(t, jf.ts))
-            .unwrap_or(false);
-        let group = receiver.is_multicast();
-        let attempt = Attempt {
-            transmitter,
-            receiver: Some(receiver),
-            ts: jf.ts,
-            end_ts: jf.end_ts(),
-            rate: jf.rate,
-            seq: f.seq(),
-            retry: f.retry(),
-            subtype: f.subtype(),
-            protected,
-            outcome: if group {
-                AttemptOutcome::NoAckExpected
-            } else {
-                AttemptOutcome::NoAckSeen
-            },
-            inferred_data: false,
-            wire_len: jf.wire_len,
-            bytes: jf.bytes.handle(),
-            data_valid: true,
-            instance_count: jf.instance_count(),
-        };
-        self.queue_or_emit(attempt, f.duration(), out);
-    }
-
-    /// Data path for snap-truncated frames that cannot be fully parsed.
-    fn handle_data_loose(&mut self, jf: &JFrame, subtype: Subtype, out: &mut Vec<Attempt>) {
-        let b = &jf.bytes;
-        let addr = |off: usize| -> Option<MacAddr> {
-            if b.len() < off + 6 {
-                return None;
-            }
-            let mut m = [0u8; 6];
-            m.copy_from_slice(&b[off..off + 6]);
-            Some(MacAddr(m))
-        };
-        let receiver = addr(4);
-        let transmitter = addr(10);
-        let seq = if b.len() >= 24 && subtype.has_seq_ctrl() {
-            Some(SeqNum::new(u16::from_le_bytes([b[22], b[23]]) >> 4))
-        } else {
-            None
-        };
-        let retry = jigsaw_ieee80211::fc::FrameControl::from_u16(u16::from_le_bytes([b[0], b[1]]))
-            .map(|fc| fc.flags.retry)
-            .unwrap_or(false);
-        let duration = if b.len() >= 4 {
-            u16::from_le_bytes([b[2], b[3]])
-        } else {
-            0
-        };
-        let group = receiver.map(|r| r.is_multicast()).unwrap_or(false);
-        let protected = transmitter
-            .map(|t| self.take_protection(t, jf.ts))
-            .unwrap_or(false);
-        let attempt = Attempt {
-            transmitter,
-            receiver,
-            ts: jf.ts,
-            end_ts: jf.end_ts(),
-            rate: jf.rate,
-            seq,
-            retry,
-            subtype,
-            protected,
-            outcome: if group {
-                AttemptOutcome::NoAckExpected
-            } else {
-                AttemptOutcome::NoAckSeen
-            },
-            inferred_data: false,
-            wire_len: jf.wire_len,
-            bytes: jf.bytes.handle(),
-            data_valid: false,
-            instance_count: jf.instance_count(),
-        };
-        self.queue_or_emit(attempt, duration, out);
     }
 
     fn handle_ack(&mut self, ra: MacAddr, ack_ts: Micros, out: &mut Vec<Attempt>) {
@@ -391,7 +318,7 @@ mod tests {
     use super::*;
     use crate::jframe::JFrame;
     use jigsaw_ieee80211::fc::FcFlags;
-    use jigsaw_ieee80211::frame::DataFrame;
+    use jigsaw_ieee80211::frame::{DataFrame, Frame};
     use jigsaw_ieee80211::timing::{duration_cts_to_self, duration_data_ack, Preamble};
     use jigsaw_ieee80211::wire::serialize_frame;
 
@@ -604,19 +531,37 @@ mod tests {
 
     #[test]
     fn snapped_data_recovered_loosely() {
-        let mut asm = AttemptAssembler::new();
-        let mut out = Vec::new();
+        // A complete DATA frame and its snap-truncated twin take the one
+        // data path: only `data_valid` (and the captured bytes) differ.
+        let attempt_of = |jf: &JFrame| {
+            let mut asm = AttemptAssembler::new();
+            let mut out = Vec::new();
+            asm.push(jf, &mut out);
+            asm.push(
+                &jframe_of(
+                    &ack_to(MacAddr::local(3, 7)),
+                    jf.end_ts() + SIFS_US,
+                    PhyRate::R2,
+                ),
+                &mut out,
+            );
+            assert_eq!(out.len(), 1);
+            out.remove(0)
+        };
         let d = data_frame(12, false, PhyRate::R11);
-        let full = serialize_frame(&d);
-        let mut jf = jframe_of(&d, 10_000, PhyRate::R11);
-        jf.bytes = full[..60].into(); // snapped below FCS
-        asm.push(&jf, &mut out);
-        asm.finish(&mut out);
-        assert_eq!(out.len(), 1);
-        let a = &out[0];
-        assert!(!a.data_valid);
-        assert_eq!(a.transmitter, Some(MacAddr::local(3, 7)));
-        assert_eq!(a.seq, Some(SeqNum::new(12)));
+        let complete = jframe_of(&d, 10_000, PhyRate::R11);
+        let mut snapped = complete.clone();
+        snapped.bytes = serialize_frame(&d)[..60].into(); // snapped below FCS
+        let whole = attempt_of(&complete);
+        let mut loose = attempt_of(&snapped);
+        assert!(whole.data_valid && !loose.data_valid);
+        assert_eq!(loose.transmitter, Some(MacAddr::local(3, 7)));
+        assert_eq!(loose.seq, Some(SeqNum::new(12)));
+        assert_eq!(loose.outcome, AttemptOutcome::Acked);
+        assert!(whole.bytes.starts_with(&loose.bytes));
+        loose.data_valid = true;
+        loose.bytes = whole.bytes.handle();
+        assert_eq!(format!("{loose:?}"), format!("{whole:?}"));
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!   pods), partitioned radios fall back to their millisecond-accurate NTP
 //!   anchors and are flagged *coarse* rather than dropped.
 
-use jigsaw_ieee80211::fc::{FrameControl, FrameType, Subtype};
+use jigsaw_ieee80211::wire::{FrameHeader, DATA_HEADER_LEN};
 use jigsaw_ieee80211::{Channel, Micros};
 use jigsaw_trace::{PhyEvent, PhyStatus, RadioMeta};
 // tidy:allow-file(hash-order): anchor sets are sorted by (Reverse(len), first element) before the sync graph is built
@@ -87,29 +87,15 @@ pub struct BootstrapReport {
     pub candidates: usize,
 }
 
-/// Is this captured event usable as a bootstrap reference?
-/// Content-unique, non-retry frames only: DATA (non-null) and
-/// beacon/probe-response management frames (unique via their TSF field);
-/// never control frames (identical contents) and never probe requests
-/// (stations that zero their sequence numbers, per the paper).
-fn is_reference_candidate(ev: &PhyEvent) -> bool {
-    if ev.status != PhyStatus::Ok || ev.bytes.len() < 24 {
-        return false;
-    }
-    let fc = match FrameControl::from_u16(u16::from_le_bytes([ev.bytes[0], ev.bytes[1]])) {
-        Some(fc) => fc,
-        None => return false,
-    };
-    if fc.flags.retry {
-        return false;
-    }
-    match fc.subtype.frame_type() {
-        FrameType::Control => false,
-        FrameType::Data => fc.subtype == Subtype::Data && ev.wire_len > 28,
-        FrameType::Management => {
-            matches!(fc.subtype, Subtype::Beacon | Subtype::ProbeResp)
-        }
-    }
+/// Is this captured event a synchronization reference (paper §4.1)? The
+/// one rule behind both the bootstrap's synchronization sets and the
+/// jframes unification resynchronizes on ([`crate::jframe::JFrame::unique`]):
+/// an FCS-valid capture of at least the 24-byte header whose frame
+/// passes [`FrameHeader::is_sync_reference`].
+pub(crate) fn is_sync_reference(ev: &PhyEvent) -> bool {
+    ev.status == PhyStatus::Ok
+        && ev.bytes.len() >= DATA_HEADER_LEN
+        && FrameHeader::decode(&ev.bytes).is_some_and(|h| h.is_sync_reference(ev.wire_len as usize))
 }
 
 /// 64-bit FNV-1a over the captured bytes plus the on-air length and rate —
@@ -198,7 +184,7 @@ pub fn bootstrap_at<P: AsRef<[PhyEvent]>>(
             if ev.ts_local < lo || ev.ts_local > hi {
                 continue;
             }
-            if !is_reference_candidate(ev) {
+            if !is_sync_reference(ev) {
                 continue;
             }
             candidates += 1;
@@ -299,7 +285,7 @@ pub fn bootstrap_at<P: AsRef<[PhyEvent]>>(
 mod tests {
     use super::*;
     use jigsaw_ieee80211::fc::FcFlags;
-    use jigsaw_ieee80211::frame::{DataFrame, Frame};
+    use jigsaw_ieee80211::frame::{DataFrame, Frame, MgmtBody, MgmtHeader};
     use jigsaw_ieee80211::wire::serialize_frame;
     use jigsaw_ieee80211::{Channel, MacAddr, PhyRate, SeqNum};
     use jigsaw_trace::{MonitorId, RadioId};
@@ -457,6 +443,64 @@ mod tests {
     }
 
     #[test]
+    fn sync_reference_rule() {
+        let (a, b) = (MacAddr::local(1, 1), MacAddr::local(2, 2));
+        let data = |null: bool, body: usize| {
+            serialize_frame(&Frame::Data(DataFrame {
+                duration: 44,
+                addr1: a,
+                addr2: b,
+                addr3: MacAddr::local(3, 3),
+                seq: SeqNum::new(9),
+                frag: 0,
+                flags: FcFlags {
+                    to_ds: true,
+                    ..Default::default()
+                },
+                null,
+                body: vec![1; body],
+            }))
+        };
+        let mgmt = |body: MgmtBody| {
+            serialize_frame(&Frame::Mgmt {
+                header: MgmtHeader::new(MacAddr::BROADCAST, a, a, SeqNum::new(1)),
+                body,
+            })
+        };
+        let beacon = mgmt(MgmtBody::Beacon {
+            timestamp: 12345,
+            interval_tu: 100,
+            cap: 0x401,
+            ies: vec![],
+        });
+        let probe_resp = mgmt(MgmtBody::ProbeResp {
+            timestamp: 42,
+            interval_tu: 100,
+            cap: 1,
+            ies: vec![],
+        });
+        let probe_req = mgmt(MgmtBody::ProbeReq { ies: vec![] });
+        let full = |bytes: Vec<u8>| ev(0, 10, 1, bytes);
+        let mut snapped_beacon = full(beacon.clone());
+        snapped_beacon.bytes = beacon[..20].to_vec().into();
+        let mut snapped_data = full(data(false, 40));
+        snapped_data.bytes = data(false, 40)[..24].to_vec().into();
+        let cases = [
+            ("data", full(data(false, 40)), true),
+            ("data snapped to its header", snapped_data, true),
+            ("data without payload", full(data(false, 0)), false),
+            ("NULL-data", full(data(true, 0)), false),
+            ("beacon", full(beacon), true),
+            ("probe response", full(probe_resp), true),
+            ("probe request", full(probe_req), false),
+            ("beacon snapped below 24 bytes", snapped_beacon, false),
+        ];
+        for (name, e, want) in cases {
+            assert_eq!(is_sync_reference(&e), want, "{name}");
+        }
+    }
+
+    #[test]
     fn retries_and_acks_rejected_as_references() {
         // Build a retry frame directly (the retry bit changes the FCS).
         let f = Frame::Data(DataFrame {
@@ -475,24 +519,24 @@ mod tests {
         });
         let retry = serialize_frame(&f);
         let e = ev(0, 10, 1, retry);
-        assert!(!is_reference_candidate(&e));
+        assert!(!is_sync_reference(&e));
 
         let ack = serialize_frame(&Frame::Ack {
             duration: 0,
             ra: MacAddr::local(1, 1),
         });
         let e2 = ev(0, 10, 1, ack);
-        assert!(!is_reference_candidate(&e2));
+        assert!(!is_sync_reference(&e2));
 
         let ok = ev(0, 10, 1, data_frame_bytes(1));
-        assert!(is_reference_candidate(&ok));
+        assert!(is_sync_reference(&ok));
     }
 
     #[test]
     fn corrupt_events_ignored() {
         let mut e = ev(0, 10, 1, data_frame_bytes(1));
         e.status = PhyStatus::FcsError;
-        assert!(!is_reference_candidate(&e));
+        assert!(!is_sync_reference(&e));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! or never reached it).
 
 use crate::link::exchange::{DeliveryStatus, Exchange};
-use jigsaw_ieee80211::fc::FrameControl;
+use jigsaw_ieee80211::wire::msdu_body;
 #[cfg(test)]
 use jigsaw_ieee80211::MacAddr;
 use jigsaw_ieee80211::{Micros, Subtype};
@@ -205,22 +205,12 @@ impl TransportAnalyzer {
     /// Extracts the TCP segment (plus IPs) from an exchange, if it carries
     /// one. Snap-truncated captures are fine — headers suffice.
     fn tcp_of(x: &Exchange) -> Option<(Ipv4Addr, Ipv4Addr, TcpSegment)> {
-        if x.subtype != Subtype::Data || x.bytes.len() < 24 + 8 {
+        if x.subtype != Subtype::Data {
             return None;
         }
-        let fc = FrameControl::from_u16(u16::from_le_bytes([x.bytes[0], x.bytes[1]]))?;
-        if fc.subtype != Subtype::Data {
-            return None;
-        }
-        // Body spans [24 .. len-4] for complete captures (strip FCS), else
-        // everything after the header.
-        let end = if x.data_valid && x.bytes.len() as u32 == x.wire_len {
-            x.bytes.len().saturating_sub(4)
-        } else {
-            x.bytes.len()
-        };
-        let body = &x.bytes[24..end];
-        match Msdu::parse(body).ok()? {
+        // Only a complete, valid capture ends in its FCS.
+        let has_fcs = x.data_valid && x.bytes.len() as u32 == x.wire_len;
+        match Msdu::parse(msdu_body(&x.bytes, has_fcs)?).ok()? {
             Msdu::Ipv4(ip) => match ip.payload {
                 IpPayload::Tcp(seg) => Some((ip.src, ip.dst, seg)),
                 _ => None,

@@ -41,8 +41,9 @@
 //! shard on its own thread and K-way-merges the results.
 
 use crate::jframe::{Instance, Instances, JFrame};
+use crate::sync::bootstrap::is_sync_reference;
 use crate::sync::clock::ClockState;
-use jigsaw_ieee80211::fc::{FrameControl, FrameType, Subtype};
+use jigsaw_ieee80211::wire::FrameHeader;
 use jigsaw_ieee80211::{Channel, MacAddr, Micros};
 use jigsaw_trace::format::FormatError;
 use jigsaw_trace::stream::{EventStream, SourcePoll};
@@ -122,27 +123,6 @@ impl MergeStats {
         // bound on true simultaneous residency — the conservative direction
         // for a memory bound.
         self.peak_buffered += o.peak_buffered;
-    }
-}
-
-/// Is this event content-unique enough to drive synchronization?
-/// (Shared rule with bootstrap: non-retry DATA with payload, or
-/// beacon / probe-response management frames.)
-pub fn is_sync_quality(ev_bytes: &[u8], wire_len: u32, status: PhyStatus) -> bool {
-    if status != PhyStatus::Ok || ev_bytes.len() < 24 {
-        return false;
-    }
-    let fc = match FrameControl::from_u16(u16::from_le_bytes([ev_bytes[0], ev_bytes[1]])) {
-        Some(fc) => fc,
-        None => return false,
-    };
-    if fc.flags.retry {
-        return false;
-    }
-    match fc.subtype.frame_type() {
-        FrameType::Control => false,
-        FrameType::Data => fc.subtype == Subtype::Data && wire_len > 28,
-        FrameType::Management => matches!(fc.subtype, Subtype::Beacon | Subtype::ProbeResp),
     }
 }
 
@@ -841,8 +821,7 @@ impl<S: EventStream> Merger<S> {
         // --- attach corrupted instances by transmitter address ---
         let mut leftover_corrupt = std::mem::take(&mut self.scratch.leftover_corrupt);
         'corrupt: for c in corrupt.drain(..) {
-            let peek = jigsaw_ieee80211::wire::peek_transmitter(&c.ev.bytes);
-            if let Some((_, Some(ta))) = peek {
+            if let Some(ta) = FrameHeader::decode(&c.ev.bytes).and_then(|h| h.addr2) {
                 // Best candidate: same rate, transmitter matches, closest in
                 // time within the merge gap.
                 let mut best: Option<(usize, Micros)> = None;
@@ -976,7 +955,7 @@ impl<S: EventStream> Merger<S> {
             .max_by_key(|c| c.ev.bytes.len())
             .unwrap_or(&group[0]);
         let valid = rep.ev.status == PhyStatus::Ok;
-        let unique = is_sync_quality(&rep.ev.bytes, rep.ev.wire_len, rep.ev.status);
+        let unique = is_sync_reference(&rep.ev);
         // O(1) handle clone, never a byte copy (tidy: payload-no-clone).
         let bytes = rep.ev.bytes.handle();
         let wire_len = rep.ev.wire_len;
@@ -1035,7 +1014,7 @@ impl<S: EventStream> Merger<S> {
 
 fn group_transmitter(g: &[Candidate]) -> Option<MacAddr> {
     g.iter()
-        .find_map(|c| jigsaw_ieee80211::wire::peek_transmitter(&c.ev.bytes).and_then(|(_, ta)| ta))
+        .find_map(|c| FrameHeader::decode(&c.ev.bytes).and_then(|h| h.addr2))
 }
 
 fn singleton_jframe(c: &Candidate, channel: Channel) -> JFrame {

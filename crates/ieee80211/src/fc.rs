@@ -171,18 +171,6 @@ impl FrameControl {
         self
     }
 
-    /// Sets the ToDS bit (builder style).
-    pub fn with_to_ds(mut self, v: bool) -> Self {
-        self.flags.to_ds = v;
-        self
-    }
-
-    /// Sets the FromDS bit (builder style).
-    pub fn with_from_ds(mut self, v: bool) -> Self {
-        self.flags.from_ds = v;
-        self
-    }
-
     /// Encodes to the little-endian on-air representation.
     pub fn to_u16(self) -> u16 {
         let f = self.flags;

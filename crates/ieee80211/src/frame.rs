@@ -324,22 +324,6 @@ impl Frame {
     pub fn is_group_addressed(&self) -> bool {
         self.receiver().is_multicast()
     }
-
-    /// True if this frame is a usable time-synchronization reference
-    /// (paper §4.1): content-unique on the air. Non-retry DATA frames with a
-    /// payload qualify; beacons and probe responses qualify because their
-    /// 64-bit TSF timestamp differs every transmission. Retransmissions,
-    /// ACK/CTS/RTS (content-ambiguous) and NULL-data (often identical) do not.
-    pub fn is_sync_reference(&self) -> bool {
-        match self {
-            Frame::Data(d) => !d.flags.retry && !d.null && !d.body.is_empty(),
-            Frame::Mgmt { header, body } => {
-                !header.retry
-                    && matches!(body, MgmtBody::Beacon { .. } | MgmtBody::ProbeResp { .. })
-            }
-            _ => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -395,13 +379,19 @@ mod tests {
 
     #[test]
     fn sync_reference_classification() {
+        let is_ref = |f: &Frame| {
+            let bytes = crate::wire::serialize_frame(f);
+            crate::wire::FrameHeader::decode(&bytes)
+                .unwrap()
+                .is_sync_reference(bytes.len())
+        };
         let mut d = data_frame(true, false);
-        assert!(Frame::Data(d.clone()).is_sync_reference());
+        assert!(is_ref(&Frame::Data(d.clone())));
         d.flags.retry = true;
-        assert!(!Frame::Data(d.clone()).is_sync_reference());
+        assert!(!is_ref(&Frame::Data(d.clone())));
         d.flags.retry = false;
         d.body.clear();
-        assert!(!Frame::Data(d).is_sync_reference());
+        assert!(!is_ref(&Frame::Data(d)));
 
         let beacon = Frame::Mgmt {
             header: MgmtHeader::new(
@@ -417,13 +407,13 @@ mod tests {
                 ies: vec![],
             },
         };
-        assert!(beacon.is_sync_reference());
+        assert!(is_ref(&beacon));
 
         let ack = Frame::Ack {
             duration: 0,
             ra: MacAddr::local(1, 1),
         };
-        assert!(!ack.is_sync_reference());
+        assert!(!is_ref(&ack));
     }
 
     #[test]

@@ -14,11 +14,14 @@
 //! * PLCP/MAC timing: preambles, SIFS/DIFS/slot, airtime and the
 //!   Duration/ID field ([`timing`]),
 //! * 12-bit wrapping sequence numbers ([`seq`]),
-//! * byte-exact serialization and parsing ([`wire`]).
+//! * byte-exact serialization and parsing ([`wire`]), and the one MAC-header
+//!   reader ([`wire::FrameHeader`]) that every snapped or corrupt capture is
+//!   read through.
 //!
 //! The crate is deliberately synchronous and allocation-light (smoltcp-style):
 //! frames are plain owned structs, parsing returns `Result` with a small error
-//! enum, and nothing panics on untrusted input.
+//! enum, the header reader borrows the capture, and nothing panics on
+//! untrusted input.
 //!
 //! ## Implemented / omitted
 //!

@@ -75,12 +75,6 @@ impl PhyRate {
         u32::from(self.centi_mbps()) * 100
     }
 
-    /// The rate in bits per microsecond, times ten (exact integer arithmetic:
-    /// 5.5 Mbps → 55 bits per 10 µs).
-    pub fn bits_per_10us(self) -> u32 {
-        u32::from(self.centi_mbps())
-    }
-
     /// Decodes from units of 100 kbps.
     pub fn from_centi_mbps(v: u16) -> Option<Self> {
         Some(match v {

@@ -4,15 +4,16 @@
 //! 24-byte data/management headers (no addr4 — the WDS 4-address format is
 //! not used by infrastructure BSS traffic), and a trailing 4-byte FCS.
 //!
-//! Two parsing entry points exist because Jigsaw handles two kinds of
-//! captures:
-//! * [`parse_frame`] — full decode, requires a valid FCS;
-//! * [`peek_transmitter`] — best-effort header sniff for corrupted or
-//!   truncated captures, which unification matches on transmitter address
-//!   only (paper §4.2).
+//! One header reader serves every capture:
+//! * [`FrameHeader::decode`] reads the MAC header of any capture, corrupt
+//!   or snap-truncated ones included (no FCS check). Unification matches
+//!   corrupt instances on its transmitter address (paper §4.2), and
+//!   [`msdu_body`] finds a DATA frame's payload behind it;
+//! * [`parse_frame`] is the full decode of an FCS-valid frame: it reads the
+//!   header through [`FrameHeader`], then the body.
 
 use crate::addr::MacAddr;
-use crate::fc::{FrameControl, FrameType, Subtype};
+use crate::fc::{FcFlags, FrameControl, FrameType, Subtype};
 use crate::fcs;
 use crate::frame::{DataFrame, Frame, MgmtBody, MgmtHeader};
 use crate::ie::Ie;
@@ -179,52 +180,148 @@ pub fn serialize_frame(frame: &Frame) -> Vec<u8> {
     out
 }
 
+/// Length of the data/management MAC header (no addr4): the frame body
+/// starts here.
+pub const DATA_HEADER_LEN: usize = 24;
+
+/// Bytes of LLC/SNAP encapsulation that open every MSDU body.
+const LLC_SNAP_LEN: usize = 8;
+
+/// Length of the trailing frame check sequence.
+const FCS_LEN: usize = 4;
+
+/// The `N` bytes at `off`, when they were captured.
+fn array_at<const N: usize>(bytes: &[u8], off: usize) -> Option<[u8; N]> {
+    bytes.get(off..off.checked_add(N)?)?.try_into().ok()
+}
+
+fn le_u16(bytes: &[u8], off: usize) -> Option<u16> {
+    array_at(bytes, off).map(u16::from_le_bytes)
+}
+
+fn addr_at(bytes: &[u8], off: usize) -> Option<MacAddr> {
+    array_at(bytes, off).map(MacAddr)
+}
+
+/// The MAC header of a capture, read from possibly snap-truncated or
+/// corrupt bytes without checking the FCS.
+///
+/// Every field after the frame-control word is `Some` only when its bytes
+/// were captured and the subtype carries it: `addr2` (the transmitter) for
+/// data, management and RTS frames; `addr3` and sequence control for data
+/// and management frames. Unification attaches corrupt instances by this
+/// header's transmitter (paper §4.2); attempt assembly reads snapped DATA
+/// frames through it (§5.1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameHeader {
+    /// Frame subtype (implies the type).
+    pub subtype: Subtype,
+    /// The frame-control flag bits.
+    pub flags: FcFlags,
+    /// The Duration/ID field.
+    pub duration: Option<u16>,
+    /// Receiver address (addr1).
+    pub addr1: Option<MacAddr>,
+    /// Transmitter address (addr2).
+    pub addr2: Option<MacAddr>,
+    /// addr3: the BSSID or the far-end address, by the DS bits.
+    pub addr3: Option<MacAddr>,
+    /// Sequence number from sequence control.
+    pub seq: Option<SeqNum>,
+    /// Fragment number from sequence control.
+    pub frag: Option<u8>,
+}
+
+impl FrameHeader {
+    /// Decodes the header at the start of `bytes`. `None` when fewer than
+    /// two bytes were captured or the type/subtype code is reserved.
+    // Inlined so that a caller reading one field skips decoding the rest:
+    // unification's transmitter match decodes once per corrupt candidate
+    // and group.
+    #[inline]
+    pub fn decode(bytes: &[u8]) -> Option<FrameHeader> {
+        let fc = FrameControl::from_u16(le_u16(bytes, 0)?)?;
+        let addressed = fc.subtype.has_seq_ctrl();
+        let seq_ctrl = le_u16(bytes, 22).filter(|_| addressed);
+        Some(FrameHeader {
+            subtype: fc.subtype,
+            flags: fc.flags,
+            duration: le_u16(bytes, 2),
+            addr1: addr_at(bytes, 4),
+            addr2: addr_at(bytes, 10).filter(|_| addressed || fc.subtype == Subtype::Rts),
+            addr3: addr_at(bytes, 16).filter(|_| addressed),
+            seq: seq_ctrl.map(|sc| SeqNum::new(sc >> 4)),
+            frag: seq_ctrl.map(|sc| (sc & 0x0f) as u8),
+        })
+    }
+
+    /// Is a frame with this header, `wire_len` bytes on the air (FCS
+    /// included), content-unique and so usable as a time-synchronization
+    /// reference (paper §4.1)? Non-retry DATA frames with a payload, and
+    /// beacons and probe responses, whose 64-bit TSF timestamp differs
+    /// every transmission. Never control frames (identical contents),
+    /// NULL-data, or probe requests (stations that zero their sequence
+    /// numbers, per the paper).
+    // Inlined across crates: bootstrap and unification ask it of every
+    // captured event.
+    #[inline]
+    pub fn is_sync_reference(&self, wire_len: usize) -> bool {
+        !self.flags.retry
+            && match self.subtype {
+                Subtype::Data => wire_len > DATA_HEADER_LEN + FCS_LEN,
+                Subtype::Beacon | Subtype::ProbeResp => true,
+                _ => false,
+            }
+    }
+}
+
+/// The MSDU body of a DATA (not NULL-data) capture: the bytes after the
+/// 24-byte header, less the trailing FCS when `has_fcs`. `None` for other
+/// subtypes and for captures too short to carry the LLC/SNAP header.
+pub fn msdu_body(bytes: &[u8], has_fcs: bool) -> Option<&[u8]> {
+    if bytes.len() < DATA_HEADER_LEN + LLC_SNAP_LEN
+        || FrameHeader::decode(bytes)?.subtype != Subtype::Data
+    {
+        return None;
+    }
+    let end = if has_fcs {
+        bytes.len().saturating_sub(FCS_LEN)
+    } else {
+        bytes.len()
+    };
+    bytes.get(DATA_HEADER_LEN..end)
+}
+
+/// Reads a frame body, past the header.
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn need(&self, n: usize) -> Result<(), ParseError> {
-        if self.buf.len() - self.pos < n {
-            Err(ParseError::TooShort {
-                needed: self.pos + n,
-                got: self.buf.len(),
-            })
-        } else {
-            Ok(())
-        }
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], ParseError> {
+        let b = array_at(self.buf, self.pos).ok_or(ParseError::TooShort {
+            needed: self.pos + N,
+            got: self.buf.len(),
+        })?;
+        self.pos += N;
+        Ok(b)
     }
 
     fn u16(&mut self) -> Result<u16, ParseError> {
-        self.need(2)?;
-        let v = u16::from_le_bytes([self.buf[self.pos], self.buf[self.pos + 1]]);
-        self.pos += 2;
-        Ok(v)
+        self.take().map(u16::from_le_bytes)
     }
 
     fn u64(&mut self) -> Result<u64, ParseError> {
-        self.need(8)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&self.buf[self.pos..self.pos + 8]);
-        self.pos += 8;
-        Ok(u64::from_le_bytes(b))
+        self.take().map(u64::from_le_bytes)
     }
 
     fn addr(&mut self) -> Result<MacAddr, ParseError> {
-        self.need(6)?;
-        let mut b = [0u8; 6];
-        b.copy_from_slice(&self.buf[self.pos..self.pos + 6]);
-        self.pos += 6;
-        Ok(MacAddr(b))
+        self.take().map(MacAddr)
     }
 
     fn rest(&mut self) -> &'a [u8] {
-        let r = &self.buf[self.pos..];
+        let r = self.buf.get(self.pos..).unwrap_or_default();
         self.pos = self.buf.len();
         r
     }
@@ -232,187 +329,154 @@ impl<'a> Reader<'a> {
 
 /// Parses on-air bytes (including FCS) into a [`Frame`].
 ///
-/// The FCS is verified first; corrupted frames yield [`ParseError::BadFcs`]
-/// and should be routed through [`peek_transmitter`] instead.
+/// The FCS is verified first; corrupted or snapped captures yield an error
+/// and are read through [`FrameHeader`] instead.
 pub fn parse_frame(bytes: &[u8]) -> Result<Frame, ParseError> {
-    if bytes.len() < 14 {
-        return Err(ParseError::TooShort {
-            needed: 14,
-            got: bytes.len(),
-        });
-    }
+    let body = match bytes.split_last_chunk::<FCS_LEN>() {
+        Some((body, _)) if bytes.len() >= 14 => body,
+        _ => {
+            return Err(ParseError::TooShort {
+                needed: 14,
+                got: bytes.len(),
+            })
+        }
+    };
     if !fcs::check_fcs(bytes) {
         return Err(ParseError::BadFcs);
     }
-    let body = &bytes[..bytes.len() - 4]; // strip FCS
-    let mut r = Reader::new(body);
-    let fc_word = r.u16()?;
-    let fc =
-        FrameControl::from_u16(fc_word).ok_or(ParseError::ReservedTypeSubtype { fc: fc_word })?;
-
-    match fc.subtype {
-        Subtype::Ack => {
-            let duration = r.u16()?;
-            let ra = r.addr()?;
-            Ok(Frame::Ack { duration, ra })
-        }
-        Subtype::Cts => {
-            let duration = r.u16()?;
-            let ra = r.addr()?;
-            Ok(Frame::Cts { duration, ra })
-        }
+    let h = FrameHeader::decode(body).ok_or_else(|| ParseError::ReservedTypeSubtype {
+        fc: le_u16(body, 0).unwrap_or_default(),
+    })?;
+    let too_short = |needed| ParseError::TooShort {
+        needed,
+        got: body.len(),
+    };
+    let (Some(duration), Some(ra)) = (h.duration, h.addr1) else {
+        return Err(too_short(10));
+    };
+    match h.subtype {
+        Subtype::Ack => return Ok(Frame::Ack { duration, ra }),
+        Subtype::Cts => return Ok(Frame::Cts { duration, ra }),
         Subtype::Rts => {
-            let duration = r.u16()?;
-            let ra = r.addr()?;
-            let ta = r.addr()?;
-            Ok(Frame::Rts { duration, ra, ta })
+            let ta = h.addr2.ok_or(too_short(16))?;
+            return Ok(Frame::Rts { duration, ra, ta });
         }
-        Subtype::Data | Subtype::NullData => {
-            if fc.flags.to_ds && fc.flags.from_ds {
-                return Err(ParseError::WdsUnsupported);
+        _ => {}
+    }
+    if h.subtype.frame_type() == FrameType::Data && h.flags.to_ds && h.flags.from_ds {
+        return Err(ParseError::WdsUnsupported);
+    }
+    let (Some(addr2), Some(addr3), Some(seq), Some(frag)) = (h.addr2, h.addr3, h.seq, h.frag)
+    else {
+        return Err(too_short(DATA_HEADER_LEN));
+    };
+    let mut r = Reader {
+        buf: body,
+        pos: DATA_HEADER_LEN,
+    };
+    if h.subtype.frame_type() == FrameType::Data {
+        return Ok(Frame::Data(DataFrame {
+            duration,
+            addr1: ra,
+            addr2,
+            addr3,
+            seq,
+            frag,
+            flags: h.flags,
+            null: h.subtype == Subtype::NullData,
+            body: r.rest().to_vec(),
+        }));
+    }
+    let header = MgmtHeader {
+        duration,
+        da: ra,
+        sa: addr2,
+        bssid: addr3,
+        seq,
+        frag,
+        retry: h.flags.retry,
+    };
+    let body = match h.subtype {
+        Subtype::Beacon | Subtype::ProbeResp => {
+            let timestamp = r.u64()?;
+            let interval_tu = r.u16()?;
+            let cap = r.u16()?;
+            let ies = Ie::parse_all(r.rest());
+            if h.subtype == Subtype::Beacon {
+                MgmtBody::Beacon {
+                    timestamp,
+                    interval_tu,
+                    cap,
+                    ies,
+                }
+            } else {
+                MgmtBody::ProbeResp {
+                    timestamp,
+                    interval_tu,
+                    cap,
+                    ies,
+                }
             }
-            let duration = r.u16()?;
-            let addr1 = r.addr()?;
-            let addr2 = r.addr()?;
-            let addr3 = r.addr()?;
-            let sc = r.u16()?;
-            Ok(Frame::Data(DataFrame {
-                duration,
-                addr1,
-                addr2,
-                addr3,
-                seq: SeqNum::new(sc >> 4),
-                frag: (sc & 0x0f) as u8,
-                flags: fc.flags,
-                null: fc.subtype == Subtype::NullData,
-                body: r.rest().to_vec(),
-            }))
         }
-        mgmt_subtype => {
-            let duration = r.u16()?;
-            let da = r.addr()?;
-            let sa = r.addr()?;
-            let bssid = r.addr()?;
-            let sc = r.u16()?;
-            let header = MgmtHeader {
-                duration,
-                da,
-                sa,
-                bssid,
-                seq: SeqNum::new(sc >> 4),
-                frag: (sc & 0x0f) as u8,
-                retry: fc.flags.retry,
-            };
-            let body = match mgmt_subtype {
-                Subtype::Beacon | Subtype::ProbeResp => {
-                    let timestamp = r.u64()?;
-                    let interval_tu = r.u16()?;
-                    let cap = r.u16()?;
-                    let ies = Ie::parse_all(r.rest());
-                    if mgmt_subtype == Subtype::Beacon {
-                        MgmtBody::Beacon {
-                            timestamp,
-                            interval_tu,
-                            cap,
-                            ies,
-                        }
-                    } else {
-                        MgmtBody::ProbeResp {
-                            timestamp,
-                            interval_tu,
-                            cap,
-                            ies,
-                        }
-                    }
-                }
-                Subtype::ProbeReq => MgmtBody::ProbeReq {
-                    ies: Ie::parse_all(r.rest()),
-                },
-                Subtype::AssocReq => {
-                    let cap = r.u16()?;
-                    let listen_interval = r.u16()?;
-                    MgmtBody::AssocReq {
-                        cap,
-                        listen_interval,
-                        ies: Ie::parse_all(r.rest()),
-                    }
-                }
-                Subtype::ReassocReq => {
-                    let cap = r.u16()?;
-                    let listen_interval = r.u16()?;
-                    let current_ap = r.addr()?;
-                    MgmtBody::ReassocReq {
-                        cap,
-                        listen_interval,
-                        current_ap,
-                        ies: Ie::parse_all(r.rest()),
-                    }
-                }
-                Subtype::AssocResp | Subtype::ReassocResp => {
-                    let cap = r.u16()?;
-                    let status = r.u16()?;
-                    let aid = r.u16()?;
-                    let ies = Ie::parse_all(r.rest());
-                    if mgmt_subtype == Subtype::AssocResp {
-                        MgmtBody::AssocResp {
-                            cap,
-                            status,
-                            aid,
-                            ies,
-                        }
-                    } else {
-                        MgmtBody::ReassocResp {
-                            cap,
-                            status,
-                            aid,
-                            ies,
-                        }
-                    }
-                }
-                Subtype::Auth => MgmtBody::Auth {
-                    algorithm: r.u16()?,
-                    auth_seq: r.u16()?,
-                    status: r.u16()?,
-                },
-                Subtype::Deauth => MgmtBody::Deauth { reason: r.u16()? },
-                Subtype::Disassoc => MgmtBody::Disassoc { reason: r.u16()? },
-                _ => unreachable!("control/data handled above"),
-            };
-            Ok(Frame::Mgmt { header, body })
-        }
-    }
-}
-
-/// Best-effort transmitter-address extraction from a possibly corrupted or
-/// truncated capture. Returns `(subtype, transmitter)` when the header bytes
-/// are present; the FCS is deliberately **not** checked.
-///
-/// Unification uses this to associate corrupted instances with the jframe of
-/// the intact transmission (matching "on the transmitter's address field",
-/// paper §4.2).
-pub fn peek_transmitter(bytes: &[u8]) -> Option<(Subtype, Option<MacAddr>)> {
-    if bytes.len() < 2 {
-        return None;
-    }
-    let fc = FrameControl::from_u16(u16::from_le_bytes([bytes[0], bytes[1]]))?;
-    let addr = |off: usize| -> Option<MacAddr> {
-        if bytes.len() < off + 6 {
-            return None;
-        }
-        let mut b = [0u8; 6];
-        b.copy_from_slice(&bytes[off..off + 6]);
-        Some(MacAddr(b))
-    };
-    let ta = match fc.subtype.frame_type() {
-        // addr2 at offset 10 for data and management frames.
-        FrameType::Data | FrameType::Management => addr(10),
-        FrameType::Control => match fc.subtype {
-            Subtype::Rts => addr(10),
-            // ACK/CTS carry no transmitter.
-            _ => None,
+        Subtype::ProbeReq => MgmtBody::ProbeReq {
+            ies: Ie::parse_all(r.rest()),
         },
+        Subtype::AssocReq => {
+            let cap = r.u16()?;
+            let listen_interval = r.u16()?;
+            MgmtBody::AssocReq {
+                cap,
+                listen_interval,
+                ies: Ie::parse_all(r.rest()),
+            }
+        }
+        Subtype::ReassocReq => {
+            let cap = r.u16()?;
+            let listen_interval = r.u16()?;
+            let current_ap = r.addr()?;
+            MgmtBody::ReassocReq {
+                cap,
+                listen_interval,
+                current_ap,
+                ies: Ie::parse_all(r.rest()),
+            }
+        }
+        Subtype::AssocResp | Subtype::ReassocResp => {
+            let cap = r.u16()?;
+            let status = r.u16()?;
+            let aid = r.u16()?;
+            let ies = Ie::parse_all(r.rest());
+            if h.subtype == Subtype::AssocResp {
+                MgmtBody::AssocResp {
+                    cap,
+                    status,
+                    aid,
+                    ies,
+                }
+            } else {
+                MgmtBody::ReassocResp {
+                    cap,
+                    status,
+                    aid,
+                    ies,
+                }
+            }
+        }
+        Subtype::Auth => MgmtBody::Auth {
+            algorithm: r.u16()?,
+            auth_seq: r.u16()?,
+            status: r.u16()?,
+        },
+        Subtype::Deauth => MgmtBody::Deauth { reason: r.u16()? },
+        Subtype::Disassoc => MgmtBody::Disassoc { reason: r.u16()? },
+        // Control and data subtypes returned above.
+        _ => {
+            return Err(ParseError::ReservedTypeSubtype {
+                fc: le_u16(body, 0).unwrap_or_default(),
+            })
+        }
     };
-    Some((fc.subtype, ta))
+    Ok(Frame::Mgmt { header, body })
 }
 
 #[cfg(test)]
@@ -589,6 +653,50 @@ mod tests {
         assert_eq!(bytes.len(), crate::timing::RTS_FRAME_LEN);
     }
 
+    /// What a header decoded from the first `n` bytes holds of `field`,
+    /// whose bytes end at offset `end`.
+    fn fits<T>(n: usize, end: usize, field: Option<T>) -> Option<T> {
+        field.filter(|_| n >= end)
+    }
+
+    /// Asserts the header agrees with the owned frame it was parsed into.
+    fn assert_header_matches(h: &FrameHeader, f: &Frame) {
+        assert_eq!(h.subtype, f.subtype());
+        assert_eq!(h.addr2, f.transmitter());
+        assert_eq!(h.addr1, Some(f.receiver()));
+        assert_eq!(h.seq, f.seq());
+        // addr3 rides with sequence control: data and management frames.
+        assert_eq!(h.addr3.is_some(), f.seq().is_some());
+        // The owned control frames carry no flags.
+        assert_eq!(h.flags.retry && h.subtype.has_seq_ctrl(), f.retry());
+        assert_eq!(h.duration, Some(f.duration()));
+    }
+
+    #[test]
+    fn header_fields_present_exactly_when_captured() {
+        for f in sample_frames() {
+            let bytes = serialize_frame(&f);
+            let full = FrameHeader::decode(&bytes).expect("sample frame decodes");
+            assert_header_matches(&full, &f);
+            for n in 0..=bytes.len() {
+                let Some(h) = FrameHeader::decode(&bytes[..n]) else {
+                    assert!(n < 2, "{f:?} cut at {n}");
+                    continue;
+                };
+                let snapped = FrameHeader {
+                    duration: fits(n, 4, full.duration),
+                    addr1: fits(n, 10, full.addr1),
+                    addr2: fits(n, 16, full.addr2),
+                    addr3: fits(n, 22, full.addr3),
+                    seq: fits(n, 24, full.seq),
+                    frag: fits(n, 24, full.frag),
+                    ..full
+                };
+                assert_eq!(h, snapped, "{f:?} cut at {n}");
+            }
+        }
+    }
+
     #[test]
     fn peek_transmitter_on_truncated_data() {
         let f = Frame::Data(DataFrame {
@@ -603,14 +711,12 @@ mod tests {
             body: vec![0; 100],
         });
         let bytes = serialize_frame(&f);
-        // Truncate hard — keep only the first 16 bytes (header cut mid-addr2...
-        // keep 16 so addr2 is complete at offset 10..16).
-        let (st, ta) = peek_transmitter(&bytes[..16]).unwrap();
-        assert_eq!(st, Subtype::Data);
-        assert_eq!(ta, Some(MacAddr::local(2, 7)));
+        // Keep 16 bytes: addr2 is complete at offset 10..16.
+        let h = FrameHeader::decode(&bytes[..16]).unwrap();
+        assert_eq!(h.subtype, Subtype::Data);
+        assert_eq!(h.addr2, Some(MacAddr::local(2, 7)));
         // Cut inside addr2 → no transmitter recoverable.
-        let (_, ta) = peek_transmitter(&bytes[..12]).unwrap();
-        assert_eq!(ta, None);
+        assert_eq!(FrameHeader::decode(&bytes[..12]).unwrap().addr2, None);
     }
 
     #[test]
@@ -619,16 +725,16 @@ mod tests {
             duration: 0,
             ra: MacAddr::local(1, 1),
         });
-        let (st, ta) = peek_transmitter(&bytes).unwrap();
-        assert_eq!(st, Subtype::Ack);
-        assert_eq!(ta, None);
+        let h = FrameHeader::decode(&bytes).unwrap();
+        assert_eq!(h.subtype, Subtype::Ack);
+        assert_eq!(h.addr2, None);
     }
 
     #[test]
     fn short_garbage_rejected() {
         assert!(parse_frame(&[]).is_err());
         assert!(parse_frame(&[0xd4, 0x00]).is_err());
-        assert_eq!(peek_transmitter(&[0xd4]), None);
+        assert_eq!(FrameHeader::decode(&[0xd4]), None);
     }
 
     proptest! {
@@ -641,6 +747,20 @@ mod tests {
                 // original bytes exactly (there is no redundancy in the
                 // format we accept).
                 prop_assert_eq!(serialize_frame(&frame), bytes);
+            }
+        }
+
+        /// The header never panics on any capture, and agrees with every
+        /// frame that parses. A valid FCS is appended so that inputs with a
+        /// known type/subtype and enough bytes parse.
+        #[test]
+        fn header_agrees_with_parse(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
+            let _ = FrameHeader::decode(&bytes);
+            let mut framed = bytes;
+            fcs::append_fcs(&mut framed);
+            let h = FrameHeader::decode(&framed);
+            if let Ok(frame) = parse_frame(&framed) {
+                assert_header_matches(&h.expect("a parsed frame has a header"), &frame);
             }
         }
 

@@ -156,7 +156,7 @@ pub fn data_frame(
 mod tests {
     use super::*;
     use jigsaw_ieee80211::ie;
-    use jigsaw_ieee80211::wire::{parse_frame, serialize_frame};
+    use jigsaw_ieee80211::wire::{parse_frame, serialize_frame, FrameHeader};
 
     #[test]
     fn beacon_roundtrips_and_signals_protection() {
@@ -226,8 +226,9 @@ mod tests {
     fn probe_req_is_sync_ineligible() {
         // Probe requests must not serve as sync references (paper notes
         // some stations zero their probe sequence numbers).
-        let f = probe_req(MacAddr::local(3, 9), false, SeqNum::new(0));
-        assert!(!f.is_sync_reference());
+        let bytes = serialize_frame(&probe_req(MacAddr::local(3, 9), false, SeqNum::new(0)));
+        let h = FrameHeader::decode(&bytes).unwrap();
+        assert!(!h.is_sync_reference(bytes.len()));
     }
 
     #[test]

@@ -76,11 +76,6 @@ impl ApState {
         }
         false
     }
-
-    /// Does any associated client lack ERP (is 802.11b-only)?
-    pub fn has_b_client(&self) -> bool {
-        self.clients.values().any(|c| c.b_only)
-    }
 }
 
 /// Client association phase.

@@ -162,11 +162,6 @@ impl World {
         &self.stations[sid.index()]
     }
 
-    /// Mutable station accessor.
-    pub fn station_mut(&mut self, sid: StationId) -> &mut Station {
-        &mut self.stations[sid.index()]
-    }
-
     /// True when ground truth should record traffic between `a` and `b`.
     pub fn truth_covers(&self, a: Option<MacAddr>, b: Option<MacAddr>) -> bool {
         match self.truth_mode {

@@ -16,7 +16,8 @@
 //! * `decode-no-panic` — no `unwrap`/`expect`, no panicking macros
 //!   (`panic!`, `assert!`, `todo!`, …; `debug_assert*` permitted), and no
 //!   slice/array indexing in the untrusted decode path
-//!   (`crates/trace/src/{varint,format,compress,corpus,index,tail}.rs`).
+//!   (`crates/trace/src/{varint,format,compress,corpus,index,tail}.rs`
+//!   and the 802.11 frame reader `crates/ieee80211/src/wire.rs`).
 //!   *Rationale:* decoding must surface truncated or corrupt input as
 //!   `Err`, never as a panic — the precondition for the ROADMAP's pcap
 //!   import of arbitrary real-world bytes.
@@ -45,7 +46,7 @@
 //!   *Rationale:* the PR 4 `PipelineObserver` trait takes `&mut self`
 //!   precisely so driver code needs no interior-mutability shims.
 //! * `payload-no-clone` — no `.bytes.clone()` / `bytes.to_vec()` in
-//!   `crates/core/src/` or the trace decode-path files. *Rationale:* the
+//!   `crates/core/src/` or the decode-path files. *Rationale:* the
 //!   PR 10 zero-copy payload path decompresses each block once and moves
 //!   only `Payload` *handles* afterwards (`Payload::handle()` is the
 //!   O(1) spelling); a textual byte-copy on the hot path is either a
@@ -108,7 +109,7 @@ pub struct Rule {
 pub const RULES: &[Rule] = &[
     Rule {
         name: "decode-no-panic",
-        summary: "no unwrap/expect/panicking macros/indexing in the trace decode path",
+        summary: "no unwrap/expect/panicking macros/indexing in the decode path",
     },
     Rule {
         name: "hash-order",

@@ -20,9 +20,11 @@ pub struct Violation {
     pub message: String,
 }
 
-/// The trace decode-path files rule 1 guards: every byte they parse may
-/// come from a truncated, corrupted, or hostile file.
+/// The decode-path files rule 1 guards: every byte they parse may come
+/// from a truncated, corrupted, or hostile file — the trace decoders, and
+/// the 802.11 header reader that runs on every captured event.
 pub const DECODE_PATH_FILES: &[&str] = &[
+    "crates/ieee80211/src/wire.rs",
     "crates/trace/src/varint.rs",
     "crates/trace/src/format.rs",
     "crates/trace/src/compress.rs",
@@ -219,7 +221,7 @@ pub fn no_unsafe(rel: &str, tokens: &[Tok]) -> Vec<Violation> {
 }
 
 /// Scope of the `payload-no-clone` rule: the merge hot path
-/// (`crates/core/src/`) plus the trace decode-path files — everywhere a
+/// (`crates/core/src/`) plus the decode-path files — everywhere a
 /// `Payload` flows between block decode and jframe emission.
 pub fn payload_no_clone_scope(rel: &str) -> bool {
     rel.starts_with("crates/core/src/") || DECODE_PATH_FILES.contains(&rel)
