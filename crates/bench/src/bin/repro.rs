@@ -49,22 +49,13 @@
 //!   wired distribution-network trace Figure 6 compares against is stored
 //!   in the corpus (`wired.jigw`), so nothing is re-simulated — the whole
 //!   suite runs from disk alone;
-//! * `tail` replays a recorded corpus through the **live ingest service**
-//!   (`jigsaw_live`): each radio trace is tailed in `--chunk-bytes`-sized
-//!   chunks, exactly the byte stream a still-growing file would deliver,
-//!   and the always-on merger emits jframes continuously under the
-//!   bounded-lag contract, then renders the same figure suite and `record`
-//!   lines as `analyze` — CI diffs them byte for byte. The `LiveMerger` is
-//!   its one driver (`--parallel` and `--from/--to` are usage errors; a
-//!   sharded run of a finished corpus is `analyze --parallel`); `--verify`
-//!   re-merges the corpus in batch mode and asserts the live jframe
-//!   stream is identical (count + digest) — the chunking-invariance gate,
-//!   pinned at several chunk sizes; its clock never advances, so no source
-//!   lags and any divergence is a bug. `--max-buffered N` fails the run if
-//!   the merger ever held more than N events, as for `merge`. The live merger
-//!   is the batch merger pulling each tail as a stream that can pend,
-//!   seeded with the same bootstrap window, so over a finished corpus its
-//!   `peak buffered` equals `merge`'s, whatever the chunking.
+//! * `tail` is `analyze` over the traces tailed in `--chunk-bytes` chunks
+//!   (the byte stream a still-growing file delivers), the one driver
+//!   stepped as a live service steps it — CI diffs its `record` lines
+//!   against `analyze`'s byte for byte. `--parallel` and `--from/--to` are
+//!   usage errors; `--verify` asserts the tailed jframe stream is the
+//!   batch merge's (count + digest) at any chunking, and `--max-buffered N`
+//!   gates residency as for `merge`, whose `peak buffered` it equals.
 //!
 //! Timing and allocation measurement is not this binary's job: `benchmark/`
 //! (jigbench + jigtrace, `bash benchmark/run.sh`) measures these
@@ -118,10 +109,9 @@ use jigsaw_bench::{
 };
 use jigsaw_core::baseline::naive_merge;
 use jigsaw_core::observer::{OnExchange, OnJFrame};
-use jigsaw_core::pipeline::{Pipeline, PipelineConfig, Reconstruction};
+use jigsaw_core::pipeline::{Pipeline, PipelineConfig};
 use jigsaw_core::unify::{MergeConfig, MergeStats};
 use jigsaw_core::JFrame;
-use jigsaw_live::{ChunkedFileTail, LiveConfig, LiveMerger, ManualClock};
 use jigsaw_sim::output::SimOutput;
 use jigsaw_sim::scenario::TruthConfig;
 use jigsaw_trace::corpus::Corpus;
@@ -922,48 +912,20 @@ fn run_analyze(args: &Args) {
     print_figures(&figures);
 }
 
-/// Opens every radio of a corpus as a chunk-fed file tail, in manifest
-/// (radio) order — the byte stream each tail delivers is identical to what
-/// a still-growing trace file would, for any chunk size. A member that
-/// cannot be opened fails the run: the digest check has just read it.
-fn corpus_tails(corpus: &Corpus, chunk: usize) -> Vec<ChunkedFileTail> {
-    corpus
-        .manifest()
-        .radios
-        .iter()
-        .map(|r| {
-            let path = corpus.dir().join(&r.data);
-            ChunkedFileTail::open(&path, chunk)
-                .unwrap_or_else(|e| fail(&format!("open trace tail {}: {e}", path.display())))
-        })
-        .collect()
-}
-
-/// `tail --corpus`: replay a recorded corpus through the live ingest
-/// service (`jigsaw_live`) as if the traces were still being written.
-/// Each radio trace is tailed in `--chunk-bytes`-sized chunks; the
-/// always-on merger bootstraps, streams jframes under the bounded-lag
-/// contract, and the same figure suite as `analyze` observes the stream —
-/// the `record` lines must match `analyze` byte for byte, which is what
-/// CI's live job diffs. Replaying a finished file never starves and the
-/// `ManualClock` stays at zero, so the lag policy is never provoked here
-/// (the crate's channel-source tests exercise it) and `tail` takes the
-/// default `LiveConfig`.
-///
-/// `LiveMerger` is the only tail driver: `--parallel` (a sharded batch run
-/// of a finished corpus is `analyze --corpus DIR --parallel`) and
-/// `--from/--to` (a tail replays the whole corpus) are usage errors.
-/// `--verify` re-merges the corpus through the batch disk path and asserts
-/// the live jframe stream is identical — count and stream digest — exiting
-/// 1 on divergence: the chunking-invariance contract, checkable at any
-/// `--chunk-bytes` (64 KiB unless given). A lagged source is the contract's
-/// one exception, and under the never-advancing clock none can lag, so a
-/// divergence is a bug. `--max-buffered N` exits 1 if the merger ever held
-/// more than N events.
+/// `tail --corpus`: `analyze` over the corpus's traces tailed in
+/// `--chunk-bytes` chunks (64 KiB unless given) as if still being written
+/// (`CorpusSession::tail`): the one driver stepped as a live service steps
+/// it. A replayed file never starves, so nothing lags. Its `record` lines
+/// must match `analyze`'s byte for byte (CI's live and sweep jobs `cmp`
+/// them). Stepping needs the serial merge, so `--parallel` and
+/// `--from/--to` (a window needs seeking tails) are usage errors.
+/// `--verify` asserts the tailed jframe stream is the batch merge's (count
+/// and digest) — the chunking-invariance contract — and `--max-buffered N`
+/// exits 1 if the merger ever held more than N events.
 fn run_tail(args: &Args) {
     if args.parallel {
         usage_error(
-            "tail has one driver, the live merger; for a sharded run use `analyze --corpus DIR --parallel`",
+            "tail steps the serial merge; for a sharded run use `analyze --corpus DIR --parallel`",
         );
     }
     if args.from.is_some() || args.to.is_some() {
@@ -978,26 +940,14 @@ fn run_tail(args: &Args) {
 
     let mut digest = JframeStreamDigest::new();
     let t0 = Instant::now();
-    let mut lm = LiveMerger::new(LiveConfig::default(), ManualClock::new());
-    for tail in corpus_tails(corpus, chunk) {
-        lm.add_source(tail);
-    }
-    let mut suite = or_exit(session.suite(None));
-    let mut rec = Reconstruction::new(&mut suite);
-    let report = lm
-        .run(|jf| {
-            digest.observe(&jf);
-            rec.push(&jf);
-        })
-        .unwrap_or_else(|e| fail(&format!("live merge: {e}")));
-    let (_, link, _, transport) = rec.finish();
-    let figures = suite.finish();
+    let (report, figures) =
+        or_exit(session.tail(chunk, OnJFrame(|jf: &JFrame| digest.observe(jf))));
     let elapsed = t0.elapsed();
     let (events_in, peak) = (report.merge.events_in, report.merge.peak_buffered);
     check_all_events("tail", events_in, corpus);
     println!(
         "tailed {events_in} events -> {} jframes, {} exchanges, {} flows in {elapsed:.1?} (live, chunk {chunk} B, peak buffered {peak} events)",
-        report.merge.jframes_out, link.exchanges, transport.flows
+        report.merge.jframes_out, report.link.exchanges, report.transport.flows
     );
     let lag_q = report.lag.quantiles(&[0.5, 0.99]);
     println!(
@@ -1006,17 +956,11 @@ fn run_tail(args: &Args) {
         lag_q[1],
         report.lag.max(),
     );
-    for (k, s) in report.sources.iter().enumerate() {
-        let radio = match s.radio {
-            Some(r) => format!("{r:?}"),
-            None => "unknown".into(),
-        };
+    // Nothing lags: a replayed tail never pends, so every radio ends.
+    for (k, r) in report.radios.iter().enumerate() {
         println!(
-            "source {k}: {radio}  events {}  late_dropped {}  status {:?}{}",
-            s.events,
-            s.late_dropped,
-            s.status,
-            if s.lagged { " (lagged)" } else { "" },
+            "source {k}: {:?}  events {}  late_dropped {}  status Ended",
+            r.radio, r.events, r.late_dropped
         );
     }
     check_max_buffered(args, peak);
@@ -1031,7 +975,7 @@ fn run_tail(args: &Args) {
             || batch.hex() != digest.hex()
         {
             fail(&format!(
-                "live stream diverges from the batch merge: live {} jframes digest {}, batch {} jframes digest {} — no source can lag under tail's never-advancing clock, so this is a bug",
+                "tailed stream diverges from the batch merge: tail {} jframes digest {}, batch {} jframes digest {} — a replayed tail never lags, so this is a bug",
                 digest.count(),
                 digest.hex(),
                 batch.count(),

@@ -18,6 +18,7 @@ use jigsaw_diagnosis::{
     TileRecords,
 };
 use jigsaw_ieee80211::MacAddr;
+use jigsaw_live::ChunkedFileTail;
 use jigsaw_sim::output::SimOutput;
 use jigsaw_sim::scenario::ScenarioConfig;
 use jigsaw_sim::spec::ScenarioSpec;
@@ -414,6 +415,28 @@ impl CorpusSession {
         cfg: &PipelineConfig,
     ) -> Result<(PipelineReport, Vec<Box<dyn Figure>>), SessionError> {
         self.run_suite(cfg, ())
+    }
+
+    /// [`CorpusSession::analyze`] over the traces tailed in `chunk_bytes`
+    /// chunks ([`ChunkedFileTail`]), the run stepped as a live one is and
+    /// `also` observing beside the suite: `analyze`'s output at any chunking.
+    pub fn tail(
+        &self,
+        chunk_bytes: usize,
+        also: impl PipelineObserver,
+    ) -> Result<(PipelineReport, Vec<Box<dyn Figure>>), SessionError> {
+        let tails = self.corpus.manifest().radios.iter().map(|r| {
+            let path = self.corpus.dir().join(&r.data);
+            ChunkedFileTail::open(&path, chunk_bytes).map_err(|e| fail("open trace tail", e))
+        });
+        let tails = tails.collect::<Result<Vec<_>, _>>()?;
+        let mut suite = self.suite(None)?;
+        let tail = |e| fail("tail", e);
+        let mut run =
+            Pipeline::start(tails, &PipelineConfig::default(), (&mut suite, also)).map_err(tail)?;
+        while run.step(&mut drop).map_err(tail)? {}
+        let report = run.finish(drop).map_err(tail)?;
+        Ok((report, suite.finish()))
     }
 
     /// The suite over `cfg.window`, with `also` observing beside it — the

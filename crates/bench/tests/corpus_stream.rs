@@ -5,6 +5,9 @@
 //! by the window rather than the corpus size and every trace block read
 //! from disk exactly once.
 
+mod common;
+
+use common::Conservation;
 use jigsaw_bench::{record_corpus, sharded_config, CorpusSession, JframeStreamDigest};
 use jigsaw_core::observer::OnJFrame;
 use jigsaw_core::pipeline::{Pipeline, PipelineConfig};
@@ -127,6 +130,53 @@ fn disk_corpus_merge_matches_memory_serial_and_sharded() {
     assert_eq!(serial_stats.peak_buffered, mem_stats.peak_buffered);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The merge's conservation law (`common::Conservation`) at every way a
+/// run is driven, on the tiny corpus and its skewed-rate cut — and the
+/// tiny day of seed 7, whose FCS-error captures attach — from memory and
+/// disk sources, serial and sharded, and a stepped run.
+#[test]
+fn every_run_conserves_every_event() {
+    let seed = 20060124;
+    let mut attached = 0;
+    for (tag, out) in [
+        ("tiny", ScenarioConfig::tiny(seed).run()),
+        ("skewed", common::skewed_tiny(seed)),
+        ("tiny-7", ScenarioConfig::tiny(7).run()),
+    ] {
+        let dir = tmpdir(&format!("conserve-{tag}"));
+        record_corpus(&out, &dir, tag, seed, 1.0, 65_535, 4096).unwrap();
+        let session = CorpusSession::open(&dir).unwrap();
+        let (par_cfg, shards) = sharded_config(&out.radio_meta);
+        assert!(shards >= 2, "the sharded legs would be vacuous");
+        for (layout, cfg) in [("serial", PipelineConfig::default()), ("sharded", par_cfg)] {
+            let mut memory = Conservation::default();
+            let observer = OnJFrame(|jf: &JFrame| memory.observe(jf));
+            let (_, stats) = Pipeline::merge_only(out.memory_streams(), &cfg, observer).unwrap();
+            let what = format!("{tag} memory {layout}");
+            memory
+                .check(&stats)
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            let mut disk = Conservation::default();
+            let stats = session.merge(None, &cfg, |jf| disk.observe(jf)).unwrap();
+            disk.check(&stats)
+                .unwrap_or_else(|e| panic!("{tag} disk {layout}: {e}"));
+        }
+        let mut stepped = Conservation::default();
+        let sources = session.sources(None).unwrap();
+        let cfg = PipelineConfig::default();
+        let mut run =
+            Pipeline::start(sources, &cfg, OnJFrame(|jf: &JFrame| stepped.observe(jf))).unwrap();
+        while run.step(&mut drop).unwrap() {}
+        let report = run.finish(drop).unwrap();
+        attached += report.merge.corrupt_attached;
+        stepped
+            .check(&report.merge)
+            .unwrap_or_else(|e| panic!("{tag} stepped: {e}"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert!(attached > 0, "no corrupt attachment to count");
 }
 
 #[test]

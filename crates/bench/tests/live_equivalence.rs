@@ -1,20 +1,23 @@
 //! Chunk-boundary invariance: the live ingest service (`LiveMerger`, the
-//! one tail driver) must emit a jframe stream **byte-identical to the batch
-//! merge** of the same corpus — same count, same order, same stream digest
+//! pend policy over the one pipeline driver) must emit a jframe stream
+//! **byte-identical to the batch merge** of the same corpus — same count, same order, same stream digest
 //! — for *every* chunking of the input bytes. One-byte chunks and chunks
 //! straddling trace-block seams are the adversarial cases: they force the
 //! tail reader to stage a partial block and resume it on nearly every poll.
 //!
-//! Two corpora: the tiny scenario as simulated, and a longer cut of it
+//! Three corpora: the tiny scenario as simulated (at a second seed too,
+//! whose FCS-error captures attach to jframes), and a longer cut of it
 //! with most radios thinned to a capture in 25 — sparse radios beside a
 //! busy one, the rate skew under which count-paced polling let the sparse
 //! sources race ahead and the merger buffer the difference. On both, the
 //! live merger must also buffer exactly what the batch merge buffers —
 //! the same merger, pulling the same streams from the same seeds —
-//! whatever the chunking.
+//! whatever the chunking — and both must conserve every event
+//! (`common::Conservation`).
 
 mod common;
 
+use common::Conservation;
 use jigsaw_bench::{record_corpus, CorpusSession, JframeStreamDigest};
 use jigsaw_core::pipeline::PipelineConfig;
 use jigsaw_live::{ChunkedFileTail, LiveConfig, LiveMerger, ManualClock};
@@ -40,16 +43,21 @@ struct Fixture {
 
 /// Records `out` as a corpus and computes the batch reference digest and
 /// residency every chunking of it must reproduce.
-fn record_fixture(tag: &str, out: &SimOutput, block_bytes: usize) -> Fixture {
+fn record_fixture(tag: &str, out: &SimOutput, seed: u64, block_bytes: usize) -> Fixture {
     let dir = std::env::temp_dir().join(format!("jigsaw-live-equiv-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    record_corpus(out, &dir, tag, SEED, 1.0, 65_535, block_bytes).unwrap();
+    record_corpus(out, &dir, tag, seed, 1.0, 65_535, block_bytes).unwrap();
     let session = CorpusSession::open(&dir).unwrap();
     let mut digest = JframeStreamDigest::new();
+    let mut conservation = Conservation::default();
     let stats = session
-        .merge(None, &PipelineConfig::default(), |jf| digest.observe(jf))
+        .merge(None, &PipelineConfig::default(), |jf| {
+            digest.observe(jf);
+            conservation.observe(jf);
+        })
         .unwrap();
     assert!(digest.count() > 0, "batch reference produced no jframes");
+    conservation.check(&stats).unwrap();
     Fixture {
         dir,
         events: stats.events_in,
@@ -63,7 +71,7 @@ fn record_fixture(tag: &str, out: &SimOutput, block_bytes: usize) -> Fixture {
 fn tiny() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
     let out = || ScenarioConfig::tiny(SEED).run();
-    FIX.get_or_init(|| record_fixture("tiny", &out(), BLOCK_BYTES))
+    FIX.get_or_init(|| record_fixture("tiny", &out(), SEED, BLOCK_BYTES))
 }
 
 /// The skewed-rate cut (`common::skewed_tiny`): per-event polling would
@@ -71,11 +79,19 @@ fn tiny() -> &'static Fixture {
 fn skewed() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
     let out = || common::skewed_tiny(SEED);
-    FIX.get_or_init(|| record_fixture("skewed", &out(), BLOCK_BYTES))
+    FIX.get_or_init(|| record_fixture("skewed", &out(), SEED, BLOCK_BYTES))
 }
 
-fn fixtures() -> [(&'static str, &'static Fixture); 2] {
-    [("tiny", tiny()), ("skewed", skewed())]
+/// The tiny day of seed 7: FCS-error captures attach to its jframes, so
+/// the corrupt-attach half of the conservation law has something to count.
+fn tiny7() -> &'static Fixture {
+    static FIX: OnceLock<Fixture> = OnceLock::new();
+    let out = || ScenarioConfig::tiny(7).run();
+    FIX.get_or_init(|| record_fixture("tiny7", &out(), 7, BLOCK_BYTES))
+}
+
+fn fixtures() -> [(&'static str, &'static Fixture); 3] {
+    [("tiny", tiny()), ("skewed", skewed()), ("tiny7", tiny7())]
 }
 
 fn tails(dir: &Path, chunk: usize) -> Vec<ChunkedFileTail> {
@@ -95,6 +111,7 @@ struct Run {
     hex: String,
     events_in: u64,
     peak_buffered: u64,
+    conserved: Result<(), String>,
 }
 
 fn live_run(f: &Fixture, chunk: usize) -> Run {
@@ -103,19 +120,30 @@ fn live_run(f: &Fixture, chunk: usize) -> Run {
         lm.add_source(t);
     }
     let mut digest = JframeStreamDigest::new();
-    let report = lm.run(|jf| digest.observe(&jf)).unwrap();
+    let mut conservation = Conservation::default();
+    let report = lm
+        .run(|jf| {
+            digest.observe(&jf);
+            conservation.observe(&jf);
+        })
+        .unwrap();
     Run {
         jframes: digest.count(),
         hex: digest.hex(),
         events_in: report.merge.events_in,
         peak_buffered: report.merge.peak_buffered,
+        conserved: conservation.check(&report.merge),
     }
 }
 
 /// One chunking: the batch stream exactly, buffering exactly what the
-/// batch merge buffers. `Err` carries the first mismatch.
+/// batch merge buffers, every event conserved. `Err` carries the first
+/// mismatch.
 fn check_chunking(name: &str, f: &Fixture, chunk: usize) -> Result<(), String> {
     let live = live_run(f, chunk);
+    if let Err(e) = &live.conserved {
+        return Err(format!("{name} live chunk={chunk}: {e}"));
+    }
     if (
         live.events_in,
         live.jframes,
@@ -156,7 +184,7 @@ fn one_byte_and_block_straddling_chunks_match_batch() {
             cargo test --release -p jigsaw_bench --test live_equivalence -- --ignored"]
 fn diurnal_day_matches_batch_and_its_residency() {
     let out = jigsaw_bench::paper_scenario(SEED, 0.2).run();
-    let f = record_fixture("diurnal", &out, 0);
+    let f = record_fixture("diurnal", &out, SEED, 0);
     drop(out);
     let outcome = check_chunking("diurnal", &f, 4096);
     std::fs::remove_dir_all(&f.dir).ok();

@@ -18,7 +18,9 @@ use jigsaw_analysis::tcploss::TcpLossAnalysis;
 use jigsaw_bench::{
     corpus_wired, minute_bin_us, practical_minute_us, record_corpus, sharded_config, CorpusSession,
 };
+use jigsaw_core::observer::OnJFrame;
 use jigsaw_core::pipeline::{Pipeline, PipelineConfig};
+use jigsaw_core::JFrame;
 use jigsaw_diagnosis::{deep_dive_windows, Thresholds};
 use jigsaw_sim::scenario::ScenarioConfig;
 use jigsaw_trace::TimeWindow;
@@ -135,6 +137,33 @@ fn suite_over_corpus_matches_hand_wired_memory_run() {
         table1.2
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What CI's live job checks with `cmp`, in-process: the corpus tailed in
+/// 1-byte and block-straddling chunks — the one driver stepped over
+/// streams that pend — yields `analyze`'s record lines byte for byte and
+/// its merge, conserving every event.
+#[test]
+fn tail_records_equal_analyze_at_every_chunking() {
+    let out = ScenarioConfig::tiny(SEED).run();
+    let (dir, session, _) = recorded("tail", &out, 4096);
+    let (want, figures) = session.analyze(&PipelineConfig::default()).unwrap();
+    let want_records = record_lines(&figures);
+    assert!(want_records.lines().count() > 50);
+    for chunk in [1, 4095] {
+        let mut conservation = common::Conservation::default();
+        let (report, figures) = session
+            .tail(chunk, OnJFrame(|jf: &JFrame| conservation.observe(jf)))
+            .unwrap();
+        assert_eq!(record_lines(&figures), want_records, "chunk {chunk}");
+        assert_eq!(
+            format!("{:?}", report.merge),
+            format!("{:?}", want.merge),
+            "chunk {chunk}"
+        );
+        conservation.check(&report.merge).unwrap();
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

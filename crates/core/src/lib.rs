@@ -59,7 +59,8 @@ pub mod unify;
 pub use jframe::{Instance, Instances, JFrame};
 pub use observer::{OnAttempt, OnExchange, OnFlows, OnJFrame, PipelineObserver};
 pub use pipeline::{
-    CorpusSource, EventSource, Pipeline, PipelineConfig, PipelineReport, Reconstruction,
+    CorpusSource, EventSource, LagStats, Pipeline, PipelineConfig, PipelineReport, PipelineRun,
+    RadioReport,
 };
 pub use shard::ShardConfig;
 pub use unify::{MergeConfig, Merger};

@@ -32,28 +32,28 @@
 //! be several runs: a [`TileFanout`] observer routes the one merged stream
 //! to disjoint time tiles by the same membership rule.
 //!
-//! There is one driver, [`Pipeline::run`]: open → bootstrap → clip →
-//! merge ([`crate::shard::run_sharded`]) → reconstruct. How the merge is
-//! laid out is configuration, not a second entry point:
-//! [`PipelineConfig::shard`] plans one shard by default — the serial
-//! [`Merger`](crate::unify::Merger) inline on the calling thread — and
-//! with more threads one merge thread per channel shard, with
-//! link/transport reconstruction consuming the K-way-merged jframe stream
-//! on the calling thread (so merging and reconstruction overlap). Output
-//! is jframe-for-jframe identical at every layout.
+//! There is one driver, [`PipelineRun`]: open → bootstrap → merge → clip →
+//! reconstruct, stepped while its sources pend (a live tail) and finished;
+//! [`Pipeline::run`] is [`Pipeline::start`], then finish. How the merge is
+//! laid out is configuration: [`PipelineConfig::shard`] plans one shard by
+//! default — the serial [`Merger`], the only layout that can wait on a
+//! stream that pends — and with more threads one merge thread per channel
+//! shard ([`crate::shard`]), with reconstruction consuming the K-way-merged
+//! jframe stream on the calling thread. Output is jframe-for-jframe
+//! identical at every layout, stepped or not.
 
 use crate::jframe::JFrame;
 use crate::link::attempt::{Attempt, AttemptAssembler, AttemptStats};
 use crate::link::exchange::{Exchange, ExchangeAssembler, LinkStats};
 use crate::observer::{OnExchange, OnJFrame, PipelineObserver};
-use crate::shard::ShardConfig;
+use crate::shard::{seeded_merger, ShardConfig};
 use crate::sync::bootstrap::{bootstrap_at, BootstrapConfig, BootstrapError, BootstrapReport};
 use crate::transport::flow::{FlowRecord, TransportAnalyzer, TransportStats};
-use crate::unify::{MergeConfig, MergeStats};
+use crate::unify::{MergeConfig, MergeStats, Merger, StreamStatus};
 use jigsaw_ieee80211::Micros;
 use jigsaw_trace::format::FormatError;
-use jigsaw_trace::stream::{EventStream, SourcePoll};
-use jigsaw_trace::{PhyEvent, RadioMeta, TimeWindow};
+use jigsaw_trace::stream::{distinct_channels, EventStream, SourcePoll};
+use jigsaw_trace::{PhyEvent, RadioId, RadioMeta, TimeWindow};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Pipeline configuration.
@@ -83,6 +83,10 @@ pub struct PipelineReport {
     pub bootstrap: BootstrapReport,
     /// Merge statistics.
     pub merge: MergeStats,
+    /// Per radio, what its stream delivered (serial merge; else empty).
+    pub radios: Vec<RadioReport>,
+    /// Emission lag of the serial merge (else empty).
+    pub lag: LagStats,
     /// Attempt-assembly statistics.
     pub attempts: AttemptStats,
     /// Exchange-assembly statistics (the paper's §5.1 inference rates).
@@ -100,6 +104,9 @@ pub enum PipelineError {
     Bootstrap(BootstrapError),
     /// Trace decoding failed.
     Format(FormatError),
+    /// A sharded run was stepped, or pended in bootstrap: only the serial
+    /// merger can wait on a stream that pends.
+    ShardedPend,
 }
 
 impl std::fmt::Display for PipelineError {
@@ -107,6 +114,7 @@ impl std::fmt::Display for PipelineError {
         match self {
             PipelineError::Bootstrap(e) => write!(f, "bootstrap: {e}"),
             PipelineError::Format(e) => write!(f, "trace: {e}"),
+            PipelineError::ShardedPend => f.write_str("a sharded merge cannot wait on a pend"),
         }
     }
 }
@@ -122,6 +130,99 @@ impl From<BootstrapError> for PipelineError {
 impl From<FormatError> for PipelineError {
     fn from(e: FormatError) -> Self {
         PipelineError::Format(e)
+    }
+}
+
+/// What one radio's stream delivered over a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RadioReport {
+    /// The radio.
+    pub radio: RadioId,
+    /// Events delivered, bootstrap window and late drops included.
+    pub events: u64,
+    /// Events it delivered while lagging, below the horizon, and dropped.
+    pub late_dropped: u64,
+    /// Whether the run ever declared it lagging ([`PipelineRun::lag`]).
+    pub lagged: bool,
+}
+
+const LAG_RESERVOIR: usize = 4096;
+
+/// Bounded emission-lag accumulator: the merge horizon minus each jframe's
+/// timestamp as it left the merger (µs). Quantiles are exact until 4096
+/// samples, then Algorithm-R reservoir sampling (a fixed-seed SplitMix64
+/// step, so the statistics stay a pure function of the emitted stream)
+/// keeps a uniform subset at constant memory — what an always-on service
+/// needs. Count and max are always exact.
+#[derive(Debug, Clone)]
+pub struct LagStats {
+    samples: Vec<Micros>,
+    count: u64,
+    max: Micros,
+    rng: u64,
+}
+
+impl LagStats {
+    /// An empty accumulator.
+    pub fn new() -> Self {
+        LagStats {
+            samples: Vec::new(),
+            count: 0,
+            max: 0,
+            rng: 0x9e37_79b9_7f4a_7c15,
+        }
+    }
+
+    fn push(&mut self, lag: Micros) {
+        self.count += 1;
+        self.max = self.max.max(lag);
+        if self.samples.len() < LAG_RESERVOIR {
+            self.samples.push(lag);
+            return;
+        }
+        // Algorithm R: the n-th sample replaces a reservoir slot with
+        // probability reservoir/n, keeping the subset uniform.
+        self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.rng;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        let slot = (z % self.count) as usize;
+        if let Some(s) = self.samples.get_mut(slot) {
+            *s = lag;
+        }
+    }
+
+    /// Total jframes observed (not capped by the reservoir).
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Worst-case lag (µs); 0 when nothing was emitted.
+    pub fn max(&self) -> Micros {
+        self.max
+    }
+
+    /// The requested quantiles (`0.5` = p50), from a single sort of the
+    /// reservoir; all zeros when nothing was emitted.
+    pub fn quantiles(&self, qs: &[f64]) -> Vec<Micros> {
+        if self.samples.is_empty() {
+            return vec![0; qs.len()];
+        }
+        let mut s = self.samples.clone();
+        s.sort_unstable();
+        qs.iter()
+            .map(|&q| {
+                let idx = ((s.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
+                s[idx.min(s.len() - 1)]
+            })
+            .collect()
+    }
+}
+
+impl Default for LagStats {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -363,8 +464,7 @@ impl WindowClipper {
 }
 
 /// Every radio's opened source — the one path from opened radios to
-/// bootstrap and merge input, for [`Pipeline::run`] and the live merger
-/// (which builds one from the radios it split as they arrived) alike.
+/// bootstrap and merge input.
 pub struct SourceSet<S> {
     /// The opened radios, in radio order.
     pub radios: Vec<OpenedRadio<S>>,
@@ -416,14 +516,10 @@ impl<S: EventStream> SourceSet<S> {
 /// reconstruction needs transmission-time order, so closed exchanges wait
 /// in a small ordered map until a 1 s watermark passes them).
 ///
-/// [`Pipeline::run`] feeds every shard layout's jframes through one, so
-/// sharded runs reconstruct exactly what serial runs reconstruct. Drivers
-/// that produce jframes *outside* [`Pipeline`] — the live tail driver chief
-/// among them — push unified jframes in emission order via
-/// [`Reconstruction::push`], then finish exactly once: their observer sees
-/// the identical callback stream a batch [`Pipeline::run`] over the same
-/// jframes delivers.
-pub struct Reconstruction<O> {
+/// A [`PipelineRun`] feeds every shard layout's jframes through one, so
+/// sharded runs reconstruct exactly what serial runs reconstruct, and each
+/// [`TileFanout`] tile owns one.
+struct Reconstruction<O> {
     attempts: AttemptAssembler,
     exchanges: ExchangeAssembler,
     transport: TransportAnalyzer,
@@ -440,7 +536,7 @@ const REORDER_HORIZON_US: u64 = 1_000_000;
 
 impl<O: PipelineObserver> Reconstruction<O> {
     /// Wraps an observer; see [`Pipeline::run`] for the observer contract.
-    pub fn new(obs: O) -> Self {
+    fn new(obs: O) -> Self {
         Reconstruction {
             attempts: AttemptAssembler::new(),
             exchanges: ExchangeAssembler::new(),
@@ -461,7 +557,7 @@ impl<O: PipelineObserver> Reconstruction<O> {
     }
 
     /// Feeds one unified jframe (must arrive in emission order).
-    pub fn push(&mut self, jf: &JFrame) {
+    fn push(&mut self, jf: &JFrame) {
         self.obs.on_jframe(jf);
         self.attempts.push(jf, &mut self.attempt_buf);
         for a in self.attempt_buf.drain(..) {
@@ -481,7 +577,9 @@ impl<O: PipelineObserver> Reconstruction<O> {
     }
 
     /// Flushes every assembler, delivers the flow records, and hands the
-    /// observer back beside `(attempts, link, flows, transport)`.
+    /// observer back beside `(attempts, link, flows, transport)` — the
+    /// aggregates [`PipelineReport`] carries.
+    #[allow(clippy::type_complexity)]
     fn close(
         mut self,
     ) -> (
@@ -509,19 +607,6 @@ impl<O: PipelineObserver> Reconstruction<O> {
         );
         (self.obs, aggregates)
     }
-
-    /// Flushes every assembler and delivers the flow records, returning
-    /// `(attempts, link, flows, transport)` — the same aggregates
-    /// [`PipelineReport`] carries.
-    pub fn finish(self) -> (AttemptStats, LinkStats, Vec<FlowRecord>, TransportStats) {
-        self.close().1
-    }
-
-    /// [`Reconstruction::finish`] for a chain that owns its observer:
-    /// flushes and delivers the same way, then hands the observer back.
-    pub fn into_observer(self) -> O {
-        self.close().0
-    }
 }
 
 /// One finished tile of a [`TileFanout`].
@@ -541,7 +626,7 @@ pub struct Tile<R> {
 ///
 /// Hand it to [`Pipeline::run`] beside (in a tuple with) any other
 /// observer. Each jframe's [`AnchorKey`] is computed once and the jframe is
-/// pushed into the [`Reconstruction`] of the tile whose window contains the
+/// pushed into the reconstruction chain of the tile whose window contains the
 /// key, so a tile's observer sees **exactly the callback stream a run of
 /// the same sources with [`PipelineConfig::window`] set to that tile
 /// delivers** — the reference side of the windowed ≡ clipped-full contract,
@@ -601,7 +686,7 @@ impl<O: PipelineObserver, R, F: FnMut(O) -> R> TileFanout<O, R, F> {
             self.closed.push(Tile {
                 window: self.windows[self.closed.len()],
                 jframes,
-                output: (self.close)(chain.into_observer()),
+                output: (self.close)(chain.close().0),
             });
         }
     }
@@ -641,12 +726,252 @@ impl<O: PipelineObserver, R, F: FnMut(O) -> R> PipelineObserver for TileFanout<O
     }
 }
 
+/// Where each merged jframe goes: the replay window clips it, then the
+/// reconstruction chain (if the run has one) and the caller's sink take it.
+struct Outlet<O> {
+    clip: Option<WindowClipper>,
+    rec: Option<Reconstruction<O>>,
+    lag: LagStats,
+}
+
+impl<O: PipelineObserver> Outlet<O> {
+    /// A merged jframe, with the horizon as it left a serial merger.
+    fn take(&mut self, jf: JFrame, horizon: Option<Micros>, out: &mut impl FnMut(JFrame)) {
+        if let Some(horizon) = horizon {
+            self.lag.push(horizon.saturating_sub(jf.ts));
+        }
+        if self.clip.as_ref().is_none_or(|c| c.admits(&jf)) {
+            if let Some(rec) = &mut self.rec {
+                rec.push(&jf);
+            }
+            out(jf);
+        }
+    }
+}
+
+/// One run of the pipeline, [`Pipeline::start`]'s: stepped
+/// ([`PipelineRun::step`]) while its sources pend, then finished. Until the
+/// clocks are bootstrapped a step resumes every bootstrap split
+/// ([`OpenedRadio::pull`]); once all are complete it bootstraps and builds
+/// the serial [`Merger`] from the [`SourceSet`] — the one place that
+/// happens — and from then on pulls again every stream that pended and
+/// merges what has arrived ([`Merger::repoll`], [`Merger::advance`]). Each
+/// jframe the replay window admits goes through the reconstruction chain
+/// into the observer, then by value to the step's `out`: exactly what the
+/// same sources finished in one go emit. A live service's wall-clock rules
+/// are the caller's, applied between steps through [`PipelineRun::lag`].
+pub struct PipelineRun<S, O> {
+    cfg: PipelineConfig,
+    metas: Vec<RadioMeta>,
+    /// The bootstrap splits, until the merge (and its bootstrap) begins.
+    splits: SourceSet<S>,
+    merge: Option<(Merger<S>, BootstrapReport)>,
+    /// Radios ever declared lagging.
+    lagged: Vec<bool>,
+    sharded: bool,
+    outlet: Outlet<O>,
+}
+
+impl<S: EventStream + Send + 'static, O: PipelineObserver> PipelineRun<S, O> {
+    /// Opens every source, splitting off its bootstrap window. With
+    /// `Some(obs)` the run reconstructs into `obs` ([`Pipeline::run`]'s
+    /// observer contract); with `None` it merges only.
+    pub fn open<I: EventSource<Stream = S>>(
+        sources: Vec<I>,
+        cfg: &PipelineConfig,
+        obs: Option<O>,
+    ) -> Result<Self, PipelineError> {
+        let splits = SourceSet::open(sources, &cfg.bootstrap)?;
+        let metas: Vec<RadioMeta> = splits.radios.iter().map(|r| r.meta).collect();
+        Ok(PipelineRun {
+            sharded: cfg.shard.shards_for(distinct_channels(&metas).len()) > 1,
+            outlet: Outlet {
+                clip: cfg.window.map(|w| WindowClipper::new(&metas, w)),
+                rec: obs.map(Reconstruction::new),
+                lag: LagStats::new(),
+            },
+            lagged: vec![false; metas.len()],
+            cfg: cfg.clone(),
+            metas,
+            splits,
+            merge: None,
+        })
+    }
+
+    /// One step (type docs); whether any radio is still open — live,
+    /// lagging, or in its bootstrap window. A sharded run cannot step.
+    pub fn step(&mut self, out: &mut impl FnMut(JFrame)) -> Result<bool, PipelineError> {
+        if self.sharded {
+            return Err(PipelineError::ShardedPend);
+        }
+        if self.merge.is_none() && !self.pull_splits()? {
+            return Ok(true);
+        }
+        self.begin()?;
+        let (merger, _) = self.merge.as_mut().expect("the merge began");
+        let outlet = &mut self.outlet;
+        merger.repoll()?;
+        merger.advance(|jf, horizon| outlet.take(jf, Some(horizon), out))?;
+        Ok((0..merger.radios()).any(|r| merger.status(r) != StreamStatus::Ended))
+    }
+
+    /// Ends the run — each stream ends at its next pend, a split still open
+    /// bootstraps from what it holds — drains it into `out`, and reports.
+    pub fn finish(mut self, mut out: impl FnMut(JFrame)) -> Result<PipelineReport, PipelineError> {
+        let complete = self.merge.is_some() || self.pull_splits()?;
+        let (bootstrap, merge, radios) = if self.sharded {
+            if !complete {
+                return Err(PipelineError::ShardedPend);
+            }
+            let (bootstrap, (streams, seeds, refs)) = self.merge_input()?;
+            let (offsets, outlet, cfg) = (&bootstrap.offsets, &mut self.outlet, &self.cfg);
+            let merge = crate::shard::run_sharded(
+                streams,
+                offsets,
+                seeds,
+                &refs,
+                &cfg.merge,
+                &cfg.shard,
+                |jf| outlet.take(jf, None, &mut out),
+            )?;
+            (bootstrap, merge, Vec::new())
+        } else {
+            self.begin()?;
+            let (mut merger, bootstrap) = self.merge.take().expect("the merge began");
+            let outlet = &mut self.outlet;
+            let merge = merger.finish(|jf, horizon| outlet.take(jf, Some(horizon), &mut out))?;
+            let radios = self.metas.iter().enumerate().map(|(r, m)| RadioReport {
+                radio: m.radio,
+                events: merger.delivered(r),
+                late_dropped: merger.late_dropped(r),
+                lagged: self.lagged[r],
+            });
+            (bootstrap, merge, radios.collect())
+        };
+        let rec = self.outlet.rec.map(|rec| rec.close().1);
+        let (attempts, link, flows, transport) = rec.unwrap_or_default();
+        Ok(PipelineReport {
+            bootstrap,
+            merge,
+            radios,
+            lag: self.outlet.lag,
+            attempts,
+            link,
+            flows,
+            transport,
+        })
+    }
+
+    /// Resumes every split whose radio is not lagging; returns whether all
+    /// are complete.
+    fn pull_splits(&mut self) -> Result<bool, FormatError> {
+        let mut complete = true;
+        for (radio, &lagged) in self.splits.radios.iter_mut().zip(&self.lagged) {
+            complete &= lagged || radio.pull()?;
+        }
+        Ok(complete)
+    }
+
+    /// Bootstraps the clocks over the splits and takes their merge input.
+    #[allow(clippy::type_complexity)]
+    fn merge_input(
+        &mut self,
+    ) -> Result<(BootstrapReport, (Vec<S>, Vec<Vec<PhyEvent>>, Vec<Micros>)), BootstrapError> {
+        let set = std::mem::replace(&mut self.splits, SourceSet { radios: Vec::new() });
+        Ok((set.bootstrap(&self.cfg.bootstrap)?, set.into_merge_input()))
+    }
+
+    /// Bootstraps and builds the serial merger, once, lagging the radios
+    /// lagged during bootstrap.
+    fn begin(&mut self) -> Result<(), PipelineError> {
+        if self.merge.is_none() {
+            let (bootstrap, (streams, mut seeds, refs)) = self.merge_input()?;
+            let radios = streams.into_iter().enumerate().collect();
+            let cfg = &self.cfg.merge;
+            let mut merger = seeded_merger(radios, &bootstrap.offsets, &mut seeds, &refs, cfg);
+            for r in (0..self.lagged.len()).filter(|&r| self.lagged[r]) {
+                merger.lag(r);
+            }
+            self.merge = Some((merger, bootstrap));
+        }
+        Ok(())
+    }
+
+    /// True once the clocks are bootstrapped and the merge has begun.
+    pub fn is_streaming(&self) -> bool {
+        self.merge.is_some()
+    }
+
+    /// The merge's emitted horizon ([`Merger::horizon`]); 0 before it began.
+    pub fn horizon(&self) -> Micros {
+        self.merge.as_ref().map_or(0, |(m, _)| m.horizon())
+    }
+
+    /// Where radio `r`'s stream stands; before the merge began, a split
+    /// is live unless lagged.
+    pub fn status(&self, r: usize) -> StreamStatus {
+        match &self.merge {
+            Some((m, _)) => m.status(r),
+            None if self.lagged[r] => StreamStatus::Lagging,
+            None => StreamStatus::Live,
+        }
+    }
+
+    /// True while radio `r` waits on its producer: its split, or its last
+    /// pull, pended. A stream whose head waits in the merge is not pulled.
+    pub fn is_pending(&self, r: usize) -> bool {
+        match &self.merge {
+            Some((m, _)) => m.is_pending(r),
+            None => !self.lagged[r] && !self.splits.radios[r].complete,
+        }
+    }
+
+    /// Events radio `r` delivered so far ([`RadioReport::events`]).
+    pub fn delivered(&self, r: usize) -> u64 {
+        match &self.merge {
+            Some((m, _)) => m.delivered(r),
+            None => {
+                let split = &self.splits.radios[r];
+                split.window.len() as u64 + u64::from(split.carry.is_some())
+            }
+        }
+    }
+
+    /// Declares a live radio silent: its split stops being waited for (it
+    /// bootstraps from what it delivered), and in the merge it holds nothing
+    /// back until it catches up ([`StreamStatus::Lagging`]).
+    pub fn lag(&mut self, r: usize) {
+        if self.status(r) == StreamStatus::Live {
+            self.lagged[r] = true;
+            if let Some((m, _)) = &mut self.merge {
+                m.lag(r);
+            }
+        }
+    }
+}
+
 /// The pipeline driver.
 pub struct Pipeline;
 
 impl Pipeline {
+    /// Starts a run delivering every output stream to `obs`
+    /// ([`Pipeline::run`]): step it while its sources pend, then finish it.
+    pub fn start<I, O>(
+        sources: Vec<I>,
+        cfg: &PipelineConfig,
+        obs: O,
+    ) -> Result<PipelineRun<I::Stream, O>, PipelineError>
+    where
+        I: EventSource,
+        I::Stream: Send + 'static,
+        O: PipelineObserver,
+    {
+        PipelineRun::open(sources, cfg, Some(obs))
+    }
+
     /// Runs the full pipeline over per-radio sources (streams or disk
-    /// corpus radios), delivering every output stream to `obs`.
+    /// corpus radios), delivering every output stream to `obs`: a run
+    /// started, then finished.
     ///
     /// The observer receives every unified jframe, every transmission
     /// attempt (the paper's §7.2 interference analysis operates on
@@ -671,17 +996,7 @@ impl Pipeline {
         I: EventSource,
         I::Stream: Send + 'static,
     {
-        let mut rec = Reconstruction::new(obs);
-        let (bootstrap, merge) = Self::drive(sources, cfg, |jf| rec.push(jf))?;
-        let (attempts, link, flows, transport) = rec.finish();
-        Ok(PipelineReport {
-            bootstrap,
-            merge,
-            attempts,
-            link,
-            flows,
-            transport,
-        })
+        Self::start(sources, cfg, obs)?.finish(drop)
     }
 
     /// Bootstrap + merge only — no link/transport reconstruction, so only
@@ -697,40 +1012,9 @@ impl Pipeline {
         I: EventSource,
         I::Stream: Send + 'static,
     {
-        Self::drive(sources, cfg, |jf| obs.on_jframe(jf))
-    }
-
-    /// The one path every run takes: open the sources, bootstrap the
-    /// clocks, and merge at the configured shard layout, handing `emit`
-    /// each jframe the replay window (if any) admits.
-    fn drive<I>(
-        sources: Vec<I>,
-        cfg: &PipelineConfig,
-        mut emit: impl FnMut(&JFrame),
-    ) -> Result<(BootstrapReport, MergeStats), PipelineError>
-    where
-        I: EventSource,
-        I::Stream: Send + 'static,
-    {
-        let set = SourceSet::open(sources, &cfg.bootstrap)?;
-        let boot = set.bootstrap(&cfg.bootstrap)?;
-        let metas: Vec<RadioMeta> = set.radios.iter().map(|r| r.meta).collect();
-        let clip = cfg.window.map(|w| WindowClipper::new(&metas, w));
-        let (streams, seeds, refs) = set.into_merge_input();
-        let stats = crate::shard::run_sharded(
-            streams,
-            &boot.offsets,
-            seeds,
-            &refs,
-            &cfg.merge,
-            &cfg.shard,
-            |jf| {
-                if clip.as_ref().is_none_or(|c| c.admits(&jf)) {
-                    emit(&jf);
-                }
-            },
-        )?;
-        Ok((boot, stats))
+        let run = PipelineRun::<_, ()>::open(sources, cfg, None)?;
+        let report = run.finish(|jf| obs.on_jframe(&jf))?;
+        Ok((report.bootstrap, report.merge))
     }
 
     /// Convenience wrapper that materializes jframes and exchanges
@@ -1111,38 +1395,113 @@ mod tests {
         TileFanout::new(&[meta(0, 0)], tiles, |()| ());
     }
 
+    /// Four radios on three channels, 400 events each over 1.6 s: the
+    /// first second is bootstrap window, the rest arrives through the merge
+    /// stream.
+    fn four_radio_streams() -> Vec<MemoryStream> {
+        let chans = [1u8, 6, 11, 1];
+        (0..chans.len())
+            .map(|r| {
+                let events = (0..400u64)
+                    .map(|k| {
+                        let mut e = ev(
+                            r as u16,
+                            1_000 + k * 4_000 + r as u64,
+                            frame_bytes(k as u16),
+                        );
+                        e.channel = Channel::of(chans[r]);
+                        e
+                    })
+                    .collect();
+                let meta = RadioMeta {
+                    channel: Channel::of(chans[r]),
+                    ..meta(r as u16, 0)
+                };
+                MemoryStream::new(meta, events)
+            })
+            .collect()
+    }
+
+    /// Live ≡ batch inside the one driver: a run stepped over streams that
+    /// pend before every event — bootstrap splits resumed a pull at a time,
+    /// then the merge held at every watermark — delivers the jframes,
+    /// exchanges and report counters of `Pipeline::run` over the same
+    /// streams finished in one go. A sharded layout refuses to step.
+    #[test]
+    fn stepped_run_matches_run() {
+        let (want_jframes, want_xs, want) =
+            Pipeline::run_collect(four_radio_streams(), &PipelineConfig::default()).unwrap();
+        assert!(!want_xs.is_empty(), "the comparison needs exchanges");
+
+        let (mut jframes, mut xs) = (Vec::new(), Vec::new());
+        let stutters: Vec<Stutter> = four_radio_streams()
+            .into_iter()
+            .map(|s| Stutter(s, false))
+            .collect();
+        let obs = (
+            OnJFrame(|jf: &JFrame| jframes.push(jf.clone())),
+            OnExchange(|x: &Exchange| xs.push(x.clone())),
+        );
+        let mut run = Pipeline::start(stutters, &PipelineConfig::default(), obs).unwrap();
+        let (mut steps, mut out) = (0, 0u64);
+        while run.step(&mut |_| out += 1).unwrap() {
+            steps += 1;
+        }
+        assert!(steps >= 400, "every event pends first: {steps} steps");
+        let got = run.finish(|_| out += 1).unwrap();
+        assert_eq!(format!("{jframes:?}"), format!("{want_jframes:?}"));
+        assert_eq!(format!("{xs:?}"), format!("{want_xs:?}"));
+        assert_eq!(out, got.merge.jframes_out, "`out` takes every jframe");
+        let counters = |r: &PipelineReport| {
+            let (b, m, a, l, t) = (&r.bootstrap, &r.merge, &r.attempts, &r.link, &r.transport);
+            format!("{b:?}\n{m:?}\n{:?}\n{a:?}\n{l:?}\n{t:?}", r.radios)
+        };
+        assert_eq!(counters(&got), counters(&want));
+        assert_eq!(got.radios.iter().map(|r| r.events).sum::<u64>(), 1_600);
+
+        let mut cfg = PipelineConfig::default();
+        cfg.shard.max_threads = 2;
+        let mut sharded = Pipeline::start(four_radio_streams(), &cfg, ()).unwrap();
+        assert!(matches!(
+            sharded.step(&mut drop),
+            Err(PipelineError::ShardedPend)
+        ));
+    }
+
+    #[test]
+    fn lag_stats_bounded_and_exact_below_reservoir() {
+        let mut st = LagStats::new();
+        for lag in 0..100u64 {
+            st.push(lag);
+        }
+        assert_eq!(st.count(), 100);
+        assert_eq!(st.max(), 99);
+        // Exact while below the reservoir bound; one sort serves them all.
+        assert_eq!(st.quantiles(&[0.0, 0.5, 1.0]), vec![0, 50, 99]);
+        // Past the bound: memory stays constant, count/max stay exact, and
+        // quantiles stay in-range estimates.
+        for lag in 100..3 * LAG_RESERVOIR as u64 {
+            st.push(lag);
+        }
+        assert_eq!(st.count(), 3 * LAG_RESERVOIR as u64);
+        assert_eq!(st.max(), 3 * LAG_RESERVOIR as u64 - 1);
+        assert_eq!(st.samples.len(), LAG_RESERVOIR);
+        let p50 = st.quantiles(&[0.5])[0];
+        assert!(p50 > 0 && p50 < st.max());
+    }
+
     /// The one driver is layout-invariant end to end: at every shard
     /// layout (serial, channels sharing a shard, one shard per channel,
     /// auto), with the bootstrap prefix seeded back into the merger, it
     /// delivers identical jframes, exchanges and merge counters.
     #[test]
     fn parallel_pipeline_matches_serial() {
-        let chans = [1u8, 6, 11, 1];
-        // 1.6 s of traffic: the first second is bootstrap prefix, the
-        // rest arrives through the merge stream.
-        let events = |r: usize| -> Vec<PhyEvent> {
-            (0..400u64)
-                .map(|k| {
-                    let mut e = ev(
-                        r as u16,
-                        1_000 + k * 4_000 + r as u64,
-                        frame_bytes(k as u16),
-                    );
-                    e.channel = Channel::of(chans[r]);
-                    e
-                })
-                .collect()
-        };
-        let meta_of = |r: usize| RadioMeta {
-            channel: Channel::of(chans[r]),
-            ..meta(r as u16, 0)
-        };
         // Everything a run delivers, in comparable form.
         let run = |threads: usize| {
             let mut cfg = PipelineConfig::default();
             cfg.shard.max_threads = threads;
-            let sources = (0..chans.len()).map(|r| MemoryStream::new(meta_of(r), events(r)));
-            let (jframes, xs, mut report) = Pipeline::run_collect(sources.collect(), &cfg).unwrap();
+            let (jframes, xs, mut report) =
+                Pipeline::run_collect(four_radio_streams(), &cfg).unwrap();
             assert_eq!(report.merge.events_in, 1_600, "every event merged");
             assert!(!xs.is_empty(), "the comparison needs exchanges");
             // The one layout-dependent counter: shard peaks sum.

@@ -46,10 +46,6 @@
 //! * **More channels than threads**: channels are assigned round-robin to
 //!   shards; a multi-channel shard is still correct because the `Merger`
 //!   itself is channel-aware.
-//!
-//! Per-shard NUMA/affinity placement is an open experiment (see
-//! `ROADMAP.md`): shards share nothing but the output channel, so pinning
-//! them to cores/nodes is straightforward.
 
 use crate::jframe::JFrame;
 use crate::unify::{MergeConfig, MergeStats, Merger};
@@ -146,25 +142,8 @@ where
         shards[gi % n_shards].extend(g.members);
     }
 
-    // One shard's merger over its members, with their offsets and seeds.
-    let mut shard_merger = |members: Vec<(usize, S)>| {
-        let (idx, shard_streams): (Vec<usize>, Vec<S>) = members.into_iter().unzip();
-        let shard_offsets: Vec<i64> = idx.iter().map(|&i| offsets[i]).collect();
-        let shard_refs: Vec<u64> = idx
-            .iter()
-            .map(|&i| clock_refs.get(i).copied().unwrap_or(0))
-            .collect();
-        let mut merger = Merger::new_at(
-            shard_streams,
-            &shard_offsets,
-            &shard_refs,
-            merge_cfg.clone(),
-        );
-        for (r, &i) in idx.iter().enumerate() {
-            merger.seed_pending(r, std::mem::take(&mut seeds[i]));
-        }
-        merger
-    };
+    let mut shard_merger =
+        |members| seeded_merger(members, offsets, &mut seeds, clock_refs, merge_cfg);
 
     if n_shards == 1 {
         // Degenerate path: one shard ≡ the serial merger, run inline.
@@ -257,6 +236,28 @@ where
         Some(e) => Err(e),
         None => Ok(stats),
     }
+}
+
+/// A merger over `members` (stream index, stream), seeded from the merge
+/// input by stream index — the one way a run builds one, serial or a shard.
+pub(crate) fn seeded_merger<S: EventStream>(
+    members: Vec<(usize, S)>,
+    offsets: &[i64],
+    seeds: &mut [Vec<PhyEvent>],
+    clock_refs: &[u64],
+    cfg: &MergeConfig,
+) -> Merger<S> {
+    let (idx, streams): (Vec<usize>, Vec<S>) = members.into_iter().unzip();
+    let offsets: Vec<i64> = idx.iter().map(|&i| offsets[i]).collect();
+    let refs: Vec<u64> = idx
+        .iter()
+        .map(|&i| clock_refs.get(i).copied().unwrap_or(0))
+        .collect();
+    let mut merger = Merger::new_at(streams, &offsets, &refs, cfg.clone());
+    for (r, &i) in idx.iter().enumerate() {
+        merger.seed_pending(r, std::mem::take(&mut seeds[i]));
+    }
+    merger
 }
 
 struct ShardCursor {

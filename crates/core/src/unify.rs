@@ -93,11 +93,11 @@ pub struct MergeStats {
     pub instances_unified: u64,
     /// Clock corrections applied.
     pub resyncs: u64,
-    /// Corrupted instances attached to a valid jframe by transmitter match.
+    /// Corrupted instances attached to valid jframes, counted as built.
     pub corrupt_attached: u64,
     /// Error events that became singleton jframes.
     pub singleton_errors: u64,
-    /// Groups pushed back past the emit guard (re-processed next round).
+    /// Deferrals of groups past the emit guard; deferred twice counts twice.
     pub pushbacks: u64,
     /// Peak number of events simultaneously buffered inside the merger:
     /// cursor queues (seeded prefixes + heads), the in-flight candidate
@@ -152,6 +152,8 @@ struct Cursor<S> {
     last_local: Option<Micros>,
     /// Events a lagging stream delivered below the emitted horizon.
     late_dropped: u64,
+    /// Events the stream delivered, seeded prefix and late drops included.
+    delivered: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -277,6 +279,7 @@ impl<S: EventStream> Merger<S> {
                 status: StreamStatus::Live,
                 last_local: None,
                 late_dropped: 0,
+                delivered: 0,
             })
             .collect();
         Merger {
@@ -310,15 +313,16 @@ impl<S: EventStream> Merger<S> {
     pub fn seed_pending(&mut self, radio: usize, events: Vec<PhyEvent>) {
         self.resident += events.len();
         let cur = &mut self.cursors[radio];
+        cur.delivered += events.len() as u64;
         if let Some(last) = events.last() {
             cur.last_local = Some(last.ts_local);
         }
         cur.pending.extend(events);
     }
 
-    /// A radio's stream (by position).
-    pub fn stream(&self, radio: usize) -> &S {
-        &self.cursors[radio].stream
+    /// How many radios the merger holds.
+    pub fn radios(&self) -> usize {
+        self.cursors.len()
     }
 
     /// Every radio's stream, in position order.
@@ -341,6 +345,11 @@ impl<S: EventStream> Merger<S> {
     /// Events a lagging radio delivered below the emitted horizon, dropped.
     pub fn late_dropped(&self, radio: usize) -> u64 {
         self.cursors[radio].late_dropped
+    }
+
+    /// Events a radio delivered so far, seeded prefix and late drops in.
+    pub fn delivered(&self, radio: usize) -> u64 {
+        self.cursors[radio].delivered
     }
 
     /// The emitted horizon (universal µs): nothing new can arrive below it,
@@ -431,6 +440,7 @@ impl<S: EventStream> Merger<S> {
             while cur.head.is_none() && cur.status != StreamStatus::Ended {
                 match cur.stream.poll_event()? {
                     SourcePoll::Event(ev) => {
+                        cur.delivered += 1;
                         // Even a dropped event advances the watermark.
                         cur.last_local = Some(ev.ts_local);
                         if cur.status == StreamStatus::Lagging {
@@ -850,8 +860,8 @@ impl<S: EventStream> Merger<S> {
                     }
                 }
                 if let Some((gi, _)) = best {
+                    // Counted in `finish_group`: a deferred group re-attaches.
                     groups[gi].push(c);
-                    self.stats.corrupt_attached += 1;
                     continue 'corrupt;
                 }
             }
@@ -987,6 +997,8 @@ impl<S: EventStream> Merger<S> {
         if n >= 2 {
             self.stats.instances_unified += ok_count as u64;
         }
+        // Groups hold FCS-valid instances and the corrupt ones attached.
+        self.stats.corrupt_attached += (n - ok_count) as u64;
         let instances = group
             .drain(..)
             .map(|c| Instance {
@@ -1402,6 +1414,42 @@ mod tests {
         assert_eq!(stats.corrupt_attached, 1);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].instance_count(), 3);
+    }
+
+    /// A group with a corrupt attachment that straddles the emit guard goes
+    /// back to its cursors and is re-attached next round: the attachment is
+    /// counted once, as the jframe holding it is built, not once per round.
+    #[test]
+    fn corrupt_attachment_deferred_past_the_guard_counts_once() {
+        let (a, b, c) = (frame_bytes(1, 40), frame_bytes(2, 40), frame_bytes(3, 40));
+        let mut corrupted = b.clone();
+        let n = corrupted.len();
+        corrupted[n - 6] ^= 0xff;
+        // The window opens at 1 000; `b` at 7 000 is past its guard
+        // (1 000 + 10 000 / 2), and `c` keeps the streams from draining.
+        let s0 = MemoryStream::new(
+            meta(0),
+            vec![
+                ev(0, 1_000, a, PhyStatus::Ok),
+                ev(0, 7_000, b, PhyStatus::Ok),
+                ev(0, 50_000, c, PhyStatus::Ok),
+            ],
+        );
+        let s1 = MemoryStream::new(meta(1), vec![ev(1, 7_003, corrupted, PhyStatus::FcsError)]);
+        let (out, stats) = run_merge(vec![s0, s1], &[0, 0], MergeConfig::default());
+        assert!(stats.pushbacks >= 1, "the group must straddle the guard");
+        assert_eq!(out.len(), 3);
+        assert_eq!(out[1].instance_count(), 2);
+        assert_eq!(stats.corrupt_attached, 1);
+        let held: usize = out
+            .iter()
+            .filter(|jf| jf.valid)
+            .flat_map(|jf| jf.instances.iter())
+            .filter(|i| i.status == PhyStatus::FcsError)
+            .count();
+        assert_eq!(stats.corrupt_attached, held as u64);
+        let instances: usize = out.iter().map(JFrame::instance_count).sum();
+        assert_eq!(stats.events_in, instances as u64);
     }
 
     #[test]

@@ -21,29 +21,26 @@
 //!    `safe − 2×search_window` has been emitted; nothing older stays
 //!    buffered. The `2×` covers a full search window of grouping slack plus
 //!    a window of reorder slack between channels.
-//! 2. **Pulled, never read ahead** — each source first fills the batch
-//!    pipeline's own bootstrap split ([`jigsaw_core::pipeline::OpenedRadio`]),
-//!    then is one of a [`jigsaw_core::unify::Merger`]'s streams, pulled
-//!    exactly as a batch merge pulls a stored trace: a radio is read only
-//!    when its last event has been consumed, and a pull that finds nothing
-//!    pends, its watermark holding the merge back. What is not read stays
-//!    in the source: on disk for a file tail, in a bounded channel for a
-//!    [`ChannelSource`], whose [`LiveSender::send`] then returns
-//!    [`SendOutcome::Full`] — back-pressure, never silent growth. Residency
-//!    is the batch merge's (the bootstrap window, seeded exactly as batch
-//!    seeds it, or the search window × traffic rate), never stream length
-//!    or rate skew: over a finished corpus, live and batch `peak_buffered`
-//!    are equal. There is no knob.
+//! 2. **Pulled, never read ahead** — each source is a stream of the
+//!    pipeline's one steppable driver ([`jigsaw_core::PipelineRun`]),
+//!    pulled into its bootstrap split, then by the serial merger, exactly
+//!    as a batch run pulls a stored trace: a radio is read only when its
+//!    last event has been consumed, and a pull that finds nothing pends,
+//!    its watermark holding the merge back. What is not read stays in the
+//!    source — on disk, or in a bounded channel whose
+//!    [`LiveSender::send`] returns [`SendOutcome::Full`] — so residency is
+//!    the batch merge's: over a finished corpus, live and batch
+//!    `peak_buffered` are equal.
 //! 3. **Stall eviction** — a live radio that stays pending for
 //!    [`LiveConfig::max_lag_us`] of wall-clock time is declared *lagging*:
 //!    it stops holding the merge back, but its channel stays open. A radio
 //!    whose event is waiting in the merge is not being read, so it is never
-//!    silent: the stalled radio everyone waits on is the one evicted, not
-//!    the radios waiting behind it.
-//!    This is the only decision in the crate that consults real time, and
-//!    it does so through the [`LiveClock`] trait ([`SystemClock`] in
-//!    production, [`ManualClock`] in tests) — everything *emitted* remains
-//!    a pure function of the trace bytes.
+//!    silent: the stalled radio everyone waits on is the one evicted.
+//!    With the bootstrap rules (no header within `max_lag_us`: dead; a
+//!    stall inside the bootstrap window: joins lagging) this is all the
+//!    crate decides on real time, asked through [`LiveClock`]
+//!    ([`SystemClock`] in production, [`ManualClock`] in tests) once per
+//!    step — everything *emitted* remains a function of the trace bytes.
 //! 4. **Re-admission** — a lagging radio rejoins the horizon only once it
 //!    delivers an event at or above the current safe horizon. Until then it
 //!    stays lagging: catch-up events below what has already been emitted
@@ -58,20 +55,21 @@
 //!    [`jigsaw_core::JFrame::stable_digest`]) is identical to a batch merge
 //!    of the same events, for *every* chunking of the input bytes. A lagged
 //!    source is the contract's one exception. This is the equivalence
-//!    `repro tail --verify` and the chunk-invariance proptests pin in CI;
-//!    `tail`'s clock never advances, so no source lags there and any
-//!    divergence is a bug.
+//!    `repro tail --verify` (the same driver stepped over replayed tails,
+//!    which never stall) and the chunk-invariance proptests pin in CI.
 //!
 //! ## Layout
 //!
 //! * [`source`] — the [`LiveSource`] trait and its implementations:
 //!   [`ChunkedFileTail`] (tail a growing trace file in arbitrary-size
-//!   chunks, decoding each block as it completes) and [`ChannelSource`]
+//!   chunks, decoding each block as it completes; once its header is
+//!   readable it is also a pipeline source, which is how `repro tail`
+//!   steps the driver over a recorded corpus) and [`ChannelSource`]
 //!   (bounded in-process channel);
-//! * [`merger`] — [`LiveMerger`], the bootstrap → stream → lag driver
-//!   and the only one that tails sources (a finished corpus is
-//!   `Pipeline::run`'s job), and its [`LiveReport`]; it fails with the
-//!   batch pipeline's own [`jigsaw_core::pipeline::PipelineError`];
+//! * [`merger`] — [`LiveMerger`], the wall-clock pend policy over a
+//!   merge-only [`jigsaw_core::PipelineRun`], and its [`LiveReport`],
+//!   which derefs to the run's [`jigsaw_core::PipelineReport`]; it fails
+//!   with the pipeline's own [`jigsaw_core::pipeline::PipelineError`];
 //! * [`clock`] — [`LiveClock`] and friends: the wall-clock boundary.
 //!
 //! ## Quickstart
@@ -84,8 +82,8 @@
 //! for name in ["r000.jigt", "r001.jigt"] {
 //!     // `open` replays a finished recording (EOF = end); for files still
 //!     // being written, use `ChunkedFileTail::follow` (EOF = live edge),
-//!     // drive with `LiveMerger::step`, and `stop()` the tails via
-//!     // `LiveMerger::sources_mut` once the writers exit.
+//!     // drive with `LiveMerger::step`, and `finish` once the writers
+//!     // exit: it reads what they left, then ends.
 //!     lm.add_source(ChunkedFileTail::open(Path::new(name), 64 * 1024)?);
 //! }
 //! let report = lm.run(|jframe| {
@@ -102,7 +100,7 @@ pub mod source;
 
 pub use clock::{LiveClock, ManualClock, SystemClock};
 pub use jigsaw_trace::stream::SourcePoll;
-pub use merger::{LagStats, LiveConfig, LiveMerger, LiveReport, SourceReport, SourceStatus};
+pub use merger::{LiveConfig, LiveMerger, LiveReport, SourceReport, SourceStatus};
 pub use source::{
     ChannelSource, ChunkedFileTail, LiveSender, LiveSource, SendOutcome, CHANNEL_CAPACITY,
 };

@@ -1,49 +1,17 @@
-//! The always-on unification driver: bootstrap, stream, lag.
-//!
-//! [`LiveMerger`] turns a set of [`LiveSource`]s into a continuous jframe
-//! stream with **bounded lag**. See the crate docs for the watermark/lag
-//! contract; the short version:
-//!
-//! * every source fills the batch pipeline's bootstrap split
-//!   ([`OpenedRadio`]) as its events arrive, then — once offsets are
-//!   bootstrapped — is one of a [`Merger`]'s streams, pulled as a batch run
-//!   pulls: a radio is read only when its last event has been consumed;
-//! * a pull may pend. A pending radio's *watermark* — the universal time
-//!   of its last delivered event — holds the merge back, and every jframe
-//!   older than `horizon − 2×search_window` is emitted, where the *safe
-//!   horizon* is the earliest point anything new can still arrive at;
-//! * a radio that stays pending for [`LiveConfig::max_lag_us`] of
-//!   *wall-clock* time (the one decision real time is consulted for — via
-//!   [`LiveClock`]) is declared **lagging**: it stops holding the merge
-//!   back, but its channel stays open so it can catch up. While it lags,
-//!   every event it delivers below the emitted horizon (less one search
-//!   window) is counted as `late_dropped` and discarded; the first event at
-//!   or above the horizon makes it live again. A deep backlog therefore
-//!   drains under the filter, and a permanently-behind radio stays lagging
-//!   instead of freezing the horizon — emission order is never violated.
-//!
-//! Clocks have the batch run's two owners: the bootstrap starts them and
-//! the merger's continuous resynchronization corrects them. When nothing
-//! lags, the emitted jframe sequence is
-//! **byte-identical** (count, order, [`JFrame::stable_digest`]) to a batch
-//! [`jigsaw_core::Pipeline`] run over the same events, for *every* chunking
-//! of the input bytes — the contract `repro tail --verify` and the
-//! chunk-invariance proptests pin.
+//! [`LiveMerger`]: the wall-clock pend policy over the pipeline's one
+//! steppable driver ([`PipelineRun`]), checked once per step through
+//! [`LiveClock`] (crate docs: the watermark/lag contract). No header within
+//! [`LiveConfig::max_lag_us`]: the source is dead. A stall inside the
+//! bootstrap window: it joins lagging. Pending past `max_lag_us` in the
+//! merge: it is lagged ([`PipelineRun::lag`]).
 
 use crate::clock::LiveClock;
-use crate::source::LiveSource;
-use jigsaw_core::pipeline::{EventSource, OpenedRadio, PipelineError, SourceSet};
+use crate::source::{Joined, LiveSource};
+use jigsaw_core::pipeline::{PipelineConfig, PipelineError, PipelineReport, PipelineRun};
 use jigsaw_core::sync::bootstrap::BootstrapConfig;
-use jigsaw_core::unify::{MergeConfig, MergeStats, Merger, StreamStatus};
+use jigsaw_core::unify::{MergeConfig, StreamStatus};
 use jigsaw_core::JFrame;
-use jigsaw_ieee80211::Micros;
-use jigsaw_trace::format::FormatError;
-use jigsaw_trace::stream::{EventStream, SourcePoll};
-use jigsaw_trace::{PhyEvent, RadioId, RadioMeta};
-
-/// Lag samples retained for quantile estimation. Exact below this; past it,
-/// reservoir sampling keeps a uniform subset at constant memory.
-const LAG_RESERVOIR: usize = 4096;
+use jigsaw_trace::RadioId;
 
 /// Live-merge configuration.
 #[derive(Debug, Clone)]
@@ -71,10 +39,9 @@ impl Default for LiveConfig {
 pub enum SourceStatus {
     /// Delivering events; holds the safe horizon back.
     Live,
-    /// Silent past `max_lag_us`; excluded from the safe horizon but its
-    /// channel stays open — it re-admits on catch-up.
+    /// Silent past `max_lag_us`; holds nothing back, re-admits on catch-up.
     Lagging,
-    /// Producer finished cleanly; its channel may close.
+    /// Producer finished cleanly.
     Ended,
     /// Never produced a decodable header; excluded from the merge.
     Dead,
@@ -83,13 +50,11 @@ pub enum SourceStatus {
 /// Per-source outcome in the final report.
 #[derive(Debug, Clone)]
 pub struct SourceReport {
-    /// The radio, once its header decoded ([`SourceStatus::Dead`] sources
-    /// have none).
+    /// The radio, once its header decoded.
     pub radio: Option<RadioId>,
     /// Events delivered (including any later dropped as late).
     pub events: u64,
-    /// Catch-up events discarded because they fell below the
-    /// already-emitted horizon.
+    /// Catch-up events discarded below the already-emitted horizon.
     pub late_dropped: u64,
     /// Whether the radio was ever declared lagging.
     pub lagged: bool,
@@ -97,494 +62,189 @@ pub struct SourceReport {
     pub status: SourceStatus,
 }
 
-/// Everything a completed live merge reports.
+/// A completed live merge: the run's report (merge, per-radio delivery,
+/// emission lag), which it derefs to, plus per-source liveness.
 #[derive(Debug)]
 pub struct LiveReport {
-    /// Unification statistics (identical semantics to the batch merger's).
-    pub merge: MergeStats,
+    /// The run's report.
+    pub pipeline: PipelineReport,
     /// Per-source liveness outcomes, in `add_source` order.
     pub sources: Vec<SourceReport>,
-    /// Always 0: the live merger does not re-anchor clocks. Kept only
-    /// because `benchmark/src/bin/jigtrace.rs` reads it for its
-    /// `live.reanchors` metric; it goes when that metric does.
+    /// Always 0: nothing re-anchors clocks. Kept only for the benchmark's
+    /// `live.reanchors` metric (`benchmark/src/bin/jigtrace.rs`).
     pub reanchors: u64,
-    /// Emission-lag statistics: safe horizon minus jframe timestamp at the
-    /// moment each jframe left the merger (µs).
-    pub lag: LagStats,
 }
 
-/// Bounded emission-lag accumulator for the always-on service.
-///
-/// Holds at most `LAG_RESERVOIR` (4096) samples: quantiles are exact until
-/// the reservoir fills, then classic Algorithm-R reservoir sampling (driven by a
-/// fixed-seed SplitMix64 step — no wall-clock entropy, so the statistics
-/// stay a pure function of the emitted stream) keeps a uniform subset at
-/// constant memory. Count and max are always exact.
-#[derive(Debug, Clone)]
-pub struct LagStats {
-    samples: Vec<Micros>,
-    count: u64,
-    max: Micros,
-    rng: u64,
-}
+impl std::ops::Deref for LiveReport {
+    type Target = PipelineReport;
 
-impl LagStats {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        LagStats {
-            samples: Vec::new(),
-            count: 0,
-            max: 0,
-            rng: 0x9e37_79b9_7f4a_7c15,
-        }
-    }
-
-    fn push(&mut self, lag: Micros) {
-        self.count += 1;
-        self.max = self.max.max(lag);
-        if self.samples.len() < LAG_RESERVOIR {
-            self.samples.push(lag);
-            return;
-        }
-        // Algorithm R: the n-th sample replaces a reservoir slot with
-        // probability reservoir/n, keeping the subset uniform.
-        self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        let slot = (z % self.count) as usize;
-        if let Some(s) = self.samples.get_mut(slot) {
-            *s = lag;
-        }
-    }
-
-    /// Total jframes observed (not capped by the reservoir).
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Worst-case lag (µs); 0 when nothing was emitted.
-    pub fn max(&self) -> Micros {
-        self.max
-    }
-
-    /// The requested quantiles (`0.5` = p50), from a single sort of the
-    /// reservoir; all zeros when nothing was emitted.
-    pub fn quantiles(&self, qs: &[f64]) -> Vec<Micros> {
-        if self.samples.is_empty() {
-            return vec![0; qs.len()];
-        }
-        let mut s = self.samples.clone();
-        s.sort_unstable();
-        qs.iter()
-            .map(|&q| {
-                let idx = ((s.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-                s[idx.min(s.len() - 1)]
-            })
-            .collect()
-    }
-
-    /// One quantile; see [`LagStats::quantiles`].
-    pub fn quantile(&self, q: f64) -> Micros {
-        self.quantiles(&[q])[0]
+    fn deref(&self) -> &PipelineReport {
+        &self.pipeline
     }
 }
 
-impl Default for LagStats {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// A source with a known header, as its bootstrap split and then the merger
-/// pull it — with the count of what it delivered.
-struct Joined<S> {
-    src: S,
-    meta: RadioMeta,
-    /// The event the source delivered in the poll that revealed its
-    /// header: the first pull returns it.
-    first: Option<PhyEvent>,
-    /// Events delivered, bootstrap window included (and any later dropped
-    /// as late).
-    events: u64,
-}
-
-impl<S: LiveSource> EventStream for Joined<S> {
-    fn meta(&self) -> RadioMeta {
-        self.meta
-    }
-
-    /// A blocking pull; the merger only ever calls `poll_event`.
-    fn next_event(&mut self) -> Result<Option<PhyEvent>, FormatError> {
-        loop {
-            match self.poll_event()? {
-                SourcePoll::Event(ev) => return Ok(Some(ev)),
-                SourcePoll::End => return Ok(None),
-                SourcePoll::Pending => std::thread::yield_now(),
-            }
-        }
-    }
-
-    fn poll_event(&mut self) -> Result<SourcePoll, FormatError> {
-        let poll = match self.first.take() {
-            Some(ev) => SourcePoll::Event(ev),
-            None => self.src.poll()?,
-        };
-        if matches!(poll, SourcePoll::Event(_)) {
-            self.events += 1;
-        }
-        Ok(poll)
-    }
-}
-
-/// Where a source is on its way into the merge.
+/// Where a source is on its way into the run.
 enum Slot<S> {
-    /// No header yet: not a radio until it has one.
-    Unjoined(S),
-    /// Filling its bootstrap split, the batch pipeline's own.
-    Splitting(Box<OpenedRadio<Joined<S>>>),
-    /// One of the merger's streams, at this index.
-    Merging(usize),
+    /// No header yet, waiting since this clock reading.
+    Unjoined(S, u64),
+    /// Header known: joins the run once every source has one.
+    Joined(Joined<S>),
+    /// The run's radio at this index.
+    Radio(usize),
+    /// Ended, or dead, without a header.
+    Headerless(SourceStatus),
 }
 
-struct SourceState<S> {
-    slot: Slot<S>,
-    /// Status until the source joins the merge; the merger's stream status
-    /// after.
-    status: SourceStatus,
-    lagged: bool,
-    /// Clock reading when the source was last seen delivering, or not
-    /// waiting on its producer.
-    last_progress: u64,
-}
-
-impl<S: LiveSource> SourceState<S> {
-    /// One bootstrap round: joins the source once its header is known (an
-    /// event the revealing poll delivered enters the split first), fills its
-    /// split as far as it has delivered, and applies the stall rule.
-    /// Returns whether the source expects no more bootstrap input.
-    fn bootstrap_round(&mut self, cfg: &LiveConfig, now: u64) -> Result<bool, FormatError> {
-        if self.status != SourceStatus::Live {
-            return Ok(true);
-        }
-        let delivered = match &self.slot {
-            Slot::Splitting(radio) => radio.stream.events,
-            Slot::Unjoined(_) | Slot::Merging(_) => 0,
-        };
-        if let Slot::Unjoined(src) = &mut self.slot {
-            // A source that knows its header joins before it is polled.
-            let poll = match src.meta() {
-                Some(_) => SourcePoll::Pending,
-                None => src.poll()?,
-            };
-            match (src.meta(), poll) {
-                // Nothing headerless can be placed in the merge.
-                (None, SourcePoll::Event(_)) => return Err(FormatError::BadHeader),
-                (None, SourcePoll::End) => {
-                    self.status = SourceStatus::Ended;
-                    return Ok(true);
-                }
-                (None, SourcePoll::Pending) => {}
-                (Some(meta), poll) => {
-                    let first = match poll {
-                        SourcePoll::Event(ev) => Some(ev),
-                        SourcePoll::Pending | SourcePoll::End => None,
-                    };
-                    // Always taken: the slot was just matched.
-                    if let Slot::Unjoined(src) = std::mem::replace(&mut self.slot, Slot::Merging(0))
-                    {
-                        let joined = Joined {
-                            src,
-                            meta,
-                            first,
-                            events: 0,
-                        };
-                        self.slot = Slot::Splitting(Box::new(joined.open(&cfg.bootstrap)?));
-                    }
-                }
-            }
-        }
-        let complete = match &mut self.slot {
-            Slot::Splitting(radio) => {
-                let complete = radio.pull()?;
-                if radio.stream.events > delivered {
-                    self.last_progress = now;
-                }
-                complete
-            }
-            Slot::Unjoined(_) | Slot::Merging(_) => false,
-        };
-        if !complete && now.saturating_sub(self.last_progress) > cfg.max_lag_us {
-            // Stalled inside the bootstrap window: a source whose header
-            // never arrived has no identity and is dead; one with a header
-            // bootstraps from what it delivered and joins lagging.
-            if let Slot::Unjoined(_) = self.slot {
-                self.status = SourceStatus::Dead;
-            } else {
-                self.status = SourceStatus::Lagging;
-                self.lagged = true;
-            }
-            return Ok(true);
-        }
-        Ok(complete)
-    }
-}
-
-/// The always-on unification service: hands its [`LiveSource`]s to a
-/// [`Merger`] as streams that can pend, under the watermark/lag contract
-/// (crate docs).
-///
-/// Drive it with [`LiveMerger::step`] (one round, for embedding in a
-/// service loop) or [`LiveMerger::run`] (steps until every source ends —
-/// the recorded-corpus replay mode; do not use it with sources that can
-/// stay silent forever).
-///
-/// **Until offsets are bootstrapped**, a round fills each source's batch
-/// bootstrap split ([`OpenedRadio`]); its only own decisions are wall-clock
-/// ones: no header after `max_lag_us` is dead, a stall inside the window
-/// joins lagging. **After that, one round** pulls again every source whose
-/// last pull pended, declares lagging every live source now pending for
-/// `max_lag_us` of wall time, and merges everything that has arrived. A
-/// source is read only when its last event has been consumed, so the rest
-/// stays in the source — on disk, or in a [`crate::ChannelSource`] whose
-/// sender reports [`crate::SendOutcome::Full`] — and a source whose event
-/// waits in the merge never looks silent: the one everyone waits on is
-/// declared lagging.
+/// The always-on unification service: its [`LiveSource`]s are the streams,
+/// which can pend, of a merge-only [`PipelineRun`] that starts once every
+/// source has a header or is dead. Drive it with [`LiveMerger::step`], then
+/// [`LiveMerger::finish`]; or [`LiveMerger::run`] it to the sources' end.
 pub struct LiveMerger<S, C> {
     cfg: LiveConfig,
     clock: C,
-    sources: Vec<SourceState<S>>,
-    merger: Option<Merger<Joined<S>>>,
-    lag: LagStats,
+    slots: Vec<Slot<S>>,
+    run: Option<PipelineRun<Joined<S>, ()>>,
+    /// Per radio: the clock reading and delivery count at its last progress.
+    progress: Vec<(u64, u64)>,
 }
 
-impl<S: LiveSource, C: LiveClock> LiveMerger<S, C> {
+impl<S: LiveSource + Send + 'static, C: LiveClock> LiveMerger<S, C> {
     /// A live merger with no sources yet.
     pub fn new(cfg: LiveConfig, clock: C) -> Self {
         LiveMerger {
             cfg,
             clock,
-            sources: Vec::new(),
-            merger: None,
-            lag: LagStats::new(),
+            slots: Vec::new(),
+            run: None,
+            progress: Vec::new(),
         }
     }
 
-    /// Registers a radio. Sources join during the bootstrap phase — before
-    /// the first event crosses the bootstrap window; a source added after
-    /// the merge is running is a programmer error.
-    ///
-    /// # Panics
-    /// Panics if the merge has already bootstrapped.
+    /// Registers a radio; panics once the run has started.
     pub fn add_source(&mut self, src: S) {
-        assert!(
-            self.merger.is_none(),
-            "add_source after the merge bootstrapped"
-        );
-        self.sources.push(SourceState {
-            slot: Slot::Unjoined(src),
-            status: SourceStatus::Live,
-            lagged: false,
-            last_progress: self.clock.now_us(),
-        });
+        assert!(self.run.is_none(), "add_source after the run started");
+        self.slots.push(Slot::Unjoined(src, self.clock.now_us()));
     }
 
     /// True once offsets are bootstrapped and the merge is streaming.
     pub fn is_streaming(&self) -> bool {
-        self.merger.is_some()
+        self.run.as_ref().is_some_and(PipelineRun::is_streaming)
     }
 
-    /// Mutable access to every registered source (in `add_source` order
-    /// until the merge bootstraps; joined sources first after) — e.g. to
-    /// [`crate::ChunkedFileTail::stop`] follow-mode tails once the capture
-    /// processes exit, so [`LiveMerger::run`] can terminate.
-    pub fn sources_mut(&mut self) -> impl Iterator<Item = &mut S> {
-        let merging = self.merger.iter_mut().flat_map(Merger::streams_mut);
-        let rest = self.sources.iter_mut().filter_map(|s| match &mut s.slot {
-            Slot::Unjoined(src) => Some(src),
-            Slot::Splitting(radio) => Some(&mut radio.stream.src),
-            Slot::Merging(_) => None,
-        });
-        merging.map(|j| &mut j.src).chain(rest)
+    /// The safe horizon (µs): all older than `safe − 2×search_window` left.
+    pub fn safe_horizon(&self) -> u64 {
+        self.run.as_ref().map_or(0, PipelineRun::horizon)
     }
 
-    /// The current safe horizon (universal µs): everything older than
-    /// `safe − 2×search_window` has been emitted.
-    pub fn safe_horizon(&self) -> Micros {
-        self.merger.as_ref().map_or(0, Merger::horizon)
-    }
-
-    /// Where source `k` (in `add_source` order) currently stands in the
-    /// liveness state machine — service observability and test hook.
-    ///
-    /// # Panics
-    /// Panics if `k` is not a registered source index.
+    /// Where source `k` (in `add_source` order) stands; panics past the last.
     pub fn source_status(&self, k: usize) -> SourceStatus {
-        let s = &self.sources[k];
-        match (&s.slot, &self.merger) {
-            (&Slot::Merging(r), Some(m)) => match m.status(r) {
+        match (&self.slots[k], &self.run) {
+            (&Slot::Radio(r), Some(run)) => match run.status(r) {
                 StreamStatus::Live => SourceStatus::Live,
                 StreamStatus::Lagging => SourceStatus::Lagging,
                 StreamStatus::Ended => SourceStatus::Ended,
             },
-            _ => s.status,
+            (Slot::Headerless(status), _) => *status,
+            _ => SourceStatus::Live,
         }
     }
 
-    /// One round: fill the bootstrap splits until offsets exist, then
-    /// re-poll → evict → merge. Returns `true` while any source is still
-    /// open (live or lagging) — i.e. while there is reason to step again;
-    /// call [`LiveMerger::finish`] once it returns `false`.
+    /// One round: join what has a header, step the run, apply the stall
+    /// rule. `true` while any source is open (live or lagging) — then finish.
     pub fn step(&mut self, sink: &mut impl FnMut(JFrame)) -> Result<bool, PipelineError> {
-        if self.merger.is_none() {
-            self.bootstrap_step()?;
-            if self.merger.is_none() {
-                return Ok(true);
+        let now = self.clock.now_us();
+        if !self.join(now, false)? {
+            return Ok(true);
+        }
+        let run = self.run.as_mut().expect("joined");
+        let open = run.step(sink)?;
+        // Silence counts only while a radio waits on its producer and has
+        // delivered nothing since it was last seen.
+        for (r, (last, seen)) in self.progress.iter_mut().enumerate() {
+            if run.delivered(r) > *seen || !run.is_pending(r) {
+                (*last, *seen) = (now, run.delivered(r));
+            } else if now.saturating_sub(*last) > self.cfg.max_lag_us {
+                run.lag(r);
             }
         }
-        self.stream_step(sink)?;
-        Ok((0..self.sources.len()).any(|k| {
-            matches!(
-                self.source_status(k),
-                SourceStatus::Live | SourceStatus::Lagging
-            )
-        }))
+        Ok(open)
     }
 
-    /// Steps until every source has ended, then finishes. The replay mode:
-    /// with sources that always progress (file tails over a recorded
-    /// corpus) this terminates; a forever-silent channel source would not.
+    /// Steps until every source has ended, then finishes.
     pub fn run(mut self, mut sink: impl FnMut(JFrame)) -> Result<LiveReport, PipelineError> {
         while self.step(&mut sink)? {}
         self.finish(sink)
     }
 
-    /// Ends every remaining source — what has not arrived by now never
-    /// will — drains all buffered state, and reports. Jframes still
-    /// buffered (the last `2×search_window`) are emitted here.
-    pub fn finish(mut self, mut sink: impl FnMut(JFrame)) -> Result<LiveReport, PipelineError> {
-        // A finish before bootstrap completes (a source still inside its
-        // bootstrap window) must still merge what arrived — once every
-        // source with a header by now has joined.
-        if self.merger.is_none() {
-            self.bootstrap_step()?;
-        }
-        if self.merger.is_none() {
-            self.transition()?;
-        }
-        let merger = self.merger.as_mut().expect("transition sets the merger");
-        let lag = &mut self.lag;
-        let merge = merger.finish(|jf, horizon| {
-            lag.push(horizon.saturating_sub(jf.ts));
-            sink(jf);
-        })?;
-        let sources = self
-            .sources
-            .iter()
-            .map(|s| match s.slot {
-                Slot::Merging(r) => {
-                    let joined = merger.stream(r);
-                    SourceReport {
-                        radio: Some(joined.meta.radio),
-                        events: joined.events,
-                        late_dropped: merger.late_dropped(r),
-                        lagged: s.lagged,
-                        status: SourceStatus::Ended,
-                    }
-                }
-                Slot::Unjoined(_) | Slot::Splitting(_) => SourceReport {
-                    radio: None,
-                    events: 0,
-                    late_dropped: 0,
-                    lagged: s.lagged,
-                    // Headerless: dead, or ended by this finish.
-                    status: if s.status == SourceStatus::Dead {
-                        SourceStatus::Dead
-                    } else {
-                        SourceStatus::Ended
-                    },
-                },
-            })
-            .collect();
+    /// Ends every source (one still without a header ends headerless) —
+    /// what has not arrived by now never will — drains the merge, reports.
+    pub fn finish(mut self, sink: impl FnMut(JFrame)) -> Result<LiveReport, PipelineError> {
+        self.join(self.clock.now_us(), true)?;
+        let pipeline = self.run.take().expect("started").finish(sink)?;
+        let sources = self.slots.iter().map(|slot| {
+            let (radio, status) = match *slot {
+                Slot::Radio(r) => (Some(pipeline.radios[r]), SourceStatus::Ended),
+                Slot::Headerless(status) => (None, status),
+                _ => unreachable!("the run started"),
+            };
+            SourceReport {
+                radio: radio.map(|r| r.radio),
+                events: radio.map_or(0, |r| r.events),
+                late_dropped: radio.map_or(0, |r| r.late_dropped),
+                lagged: radio.is_some_and(|r| r.lagged),
+                status,
+            }
+        });
         Ok(LiveReport {
-            merge,
-            sources,
+            sources: sources.collect(),
+            pipeline,
             reanchors: 0,
-            lag: std::mem::take(&mut self.lag),
         })
     }
 
-    /// Bootstrap phase: one round per source; transition to streaming once
-    /// no source expects more bootstrap input.
-    fn bootstrap_step(&mut self) -> Result<(), PipelineError> {
-        let now = self.clock.now_us();
-        let mut all_complete = true;
-        for s in &mut self.sources {
-            all_complete &= s.bootstrap_round(&self.cfg, now)?;
+    /// Joins every source whose header has arrived, and marks one still
+    /// without a header past `max_lag_us` dead — or, `ending`, ended. Once
+    /// none waits, starts the run over the joined ones; returns whether the
+    /// run has started.
+    fn join(&mut self, now: u64, ending: bool) -> Result<bool, PipelineError> {
+        if self.run.is_some() {
+            return Ok(true);
         }
-        if all_complete {
-            self.transition()?;
+        let max_lag = self.cfg.max_lag_us;
+        for slot in std::mem::take(&mut self.slots) {
+            let slot = match slot {
+                Slot::Unjoined(src, since) => match Joined::join(src)? {
+                    Ok(joined) => Slot::Joined(joined),
+                    Err((_, true)) => Slot::Headerless(SourceStatus::Ended),
+                    Err(_) if now.saturating_sub(since) > max_lag => {
+                        Slot::Headerless(SourceStatus::Dead)
+                    }
+                    Err(_) if ending => Slot::Headerless(SourceStatus::Ended),
+                    Err((src, false)) => Slot::Unjoined(src, since),
+                },
+                other => other,
+            };
+            self.slots.push(slot);
         }
-        Ok(())
-    }
-
-    /// Bootstraps offsets and builds the streaming merger exactly as the
-    /// batch pipeline does, from the joined sources' splits as one
-    /// [`SourceSet`]: each becomes one of the merger's streams, seeded with
-    /// its window and carry.
-    fn transition(&mut self) -> Result<(), PipelineError> {
-        let mut radios = Vec::new();
-        for s in &mut self.sources {
-            match std::mem::replace(&mut s.slot, Slot::Merging(radios.len())) {
-                Slot::Splitting(radio) => radios.push(*radio),
-                unjoined => s.slot = unjoined,
+        if self.slots.iter().any(|s| matches!(s, Slot::Unjoined(..))) {
+            return Ok(false);
+        }
+        let mut joined = Vec::new();
+        for slot in &mut self.slots {
+            if let Slot::Joined(_) = slot {
+                if let Slot::Joined(j) = std::mem::replace(slot, Slot::Radio(joined.len())) {
+                    joined.push(j);
+                }
             }
         }
-        let set = SourceSet { radios };
-        let boot = set.bootstrap(&self.cfg.bootstrap)?;
-        let (streams, seeds, window_los) = set.into_merge_input();
-        let mut merger =
-            Merger::new_at(streams, &boot.offsets, &window_los, self.cfg.merge.clone());
-        for (r, seed) in seeds.into_iter().enumerate() {
-            merger.seed_pending(r, seed);
-        }
-        for s in &self.sources {
-            if let (Slot::Merging(r), SourceStatus::Lagging) = (&s.slot, s.status) {
-                merger.lag(*r);
-            }
-        }
-        self.merger = Some(merger);
-        Ok(())
-    }
-
-    /// One streaming round: re-poll what pended → evict what has been
-    /// silent → merge everything that has arrived.
-    fn stream_step(&mut self, sink: &mut impl FnMut(JFrame)) -> Result<(), PipelineError> {
-        let now = self.clock.now_us();
-        let merger = self.merger.as_mut().expect("stream_step after transition");
-        merger.repoll()?;
-        // Silence counts only while a source waits on its producer: one
-        // whose head is waiting in the merge is not being read. (A pull
-        // that pends is retried only by `repoll`, so a source pending now
-        // delivered nothing since it was last seen not pending.)
-        for s in &mut self.sources {
-            let Slot::Merging(r) = s.slot else { continue };
-            if !merger.is_pending(r) {
-                s.last_progress = now;
-            } else if merger.status(r) == StreamStatus::Live
-                && now.saturating_sub(s.last_progress) > self.cfg.max_lag_us
-            {
-                merger.lag(r);
-                s.lagged = true;
-            }
-        }
-        let lag = &mut self.lag;
-        merger.advance(|jf, horizon| {
-            lag.push(horizon.saturating_sub(jf.ts));
-            sink(jf);
-        })?;
-        Ok(())
+        self.progress = vec![(now, 0); joined.len()];
+        let cfg = PipelineConfig {
+            bootstrap: self.cfg.bootstrap.clone(),
+            merge: self.cfg.merge.clone(),
+            ..PipelineConfig::default()
+        };
+        self.run = Some(PipelineRun::open(joined, &cfg, None)?);
+        Ok(true)
     }
 }
 
@@ -593,11 +253,14 @@ mod tests {
     use super::*;
     use crate::clock::ManualClock;
     use crate::source::{ChannelSource, LiveSender, SendOutcome};
-    use jigsaw_core::pipeline::{Pipeline, PipelineConfig};
+    use jigsaw_core::pipeline::Pipeline;
+    use jigsaw_core::unify::MergeStats;
     use jigsaw_core::OnJFrame;
+    use jigsaw_ieee80211::Micros;
     use jigsaw_ieee80211::{Channel, PhyRate};
-    use jigsaw_trace::stream::MemoryStream;
-    use jigsaw_trace::{MonitorId, PhyStatus};
+    use jigsaw_trace::format::FormatError;
+    use jigsaw_trace::stream::{MemoryStream, SourcePoll};
+    use jigsaw_trace::{MonitorId, PhyEvent, PhyStatus, RadioMeta};
 
     fn meta(r: u16) -> RadioMeta {
         RadioMeta {
@@ -1117,28 +780,6 @@ mod tests {
         // 2×window reorder slack awaiting emission behind it, at ~1
         // event/ms: ~34 events.
         assert!(short <= 50, "peak residency {short} is not window-bounded");
-    }
-
-    #[test]
-    fn lag_stats_bounded_and_exact_below_reservoir() {
-        let mut st = LagStats::new();
-        for lag in 0..100u64 {
-            st.push(lag);
-        }
-        assert_eq!(st.count(), 100);
-        assert_eq!(st.max(), 99);
-        // Exact while below the reservoir bound; one sort serves them all.
-        assert_eq!(st.quantiles(&[0.0, 0.5, 1.0]), vec![0, 50, 99]);
-        // Past the bound: memory stays constant, count/max stay exact, and
-        // quantiles stay in-range estimates.
-        for lag in 100..3 * LAG_RESERVOIR as u64 {
-            st.push(lag);
-        }
-        assert_eq!(st.count(), 3 * LAG_RESERVOIR as u64);
-        assert_eq!(st.max(), 3 * LAG_RESERVOIR as u64 - 1);
-        assert_eq!(st.samples.len(), LAG_RESERVOIR);
-        let p50 = st.quantile(0.5);
-        assert!(p50 > 0 && p50 < st.max());
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! [`SourcePoll::Pending`] when the producer simply has not delivered more
 //! bytes yet. Its radio metadata may also arrive late (a file tail learns
 //! it from the trace header, in the poll that may deliver its first event).
-//! Once the header is known, [`crate::LiveMerger`] pulls the source through
-//! [`EventStream::poll_event`](jigsaw_trace::stream::EventStream::poll_event)
-//! as the batch pipeline pulls a stored trace: into its bootstrap split,
-//! then as one of the merger's streams.
+//! Once the header is known the source is an [`EventStream`] (`Joined`),
+//! and the live merger's pipeline run pulls it through
+//! [`EventStream::poll_event`] as a batch run pulls a stored trace: into
+//! its bootstrap split, then as one of the merger's streams.
 //!
 //! Two implementations:
 //!
@@ -29,10 +29,12 @@
 //!   reports every send as a [`SendOutcome`], so a full channel is explicit
 //!   back-pressure on the producer, never silent growth.
 //!
-//! The one consumer of both is [`crate::LiveMerger`].
+//! Both feed a [`crate::LiveMerger`]; a tail is also a pipeline source.
 
+use jigsaw_core::pipeline::{EventSource, OpenedRadio};
+use jigsaw_core::sync::bootstrap::BootstrapConfig;
 use jigsaw_trace::format::FormatError;
-use jigsaw_trace::stream::SourcePoll;
+use jigsaw_trace::stream::{EventStream, SourcePoll};
 use jigsaw_trace::tail::TailReader;
 use jigsaw_trace::{PhyEvent, RadioMeta};
 use std::fs::File;
@@ -139,6 +141,75 @@ impl LiveSource for ChunkedFileTail {
             } else {
                 self.tail.extend(&self.buf[..n]);
             }
+        }
+    }
+}
+
+/// A [`LiveSource`] whose header is known, as a pipeline stream; `first`
+/// is the event the poll revealing the header delivered, which the first
+/// pull returns.
+pub struct Joined<S> {
+    src: S,
+    meta: RadioMeta,
+    first: Option<PhyEvent>,
+}
+
+impl<S: LiveSource> Joined<S> {
+    /// Joins `src` once its header is known, polling it first if needed
+    /// (that poll may deliver its first event); hands it back while it has
+    /// none, flagged when it ended headerless.
+    pub(crate) fn join(mut src: S) -> Result<Result<Self, (S, bool)>, FormatError> {
+        let poll = match src.meta() {
+            Some(_) => SourcePoll::Pending,
+            None => src.poll()?,
+        };
+        let ended = poll == SourcePoll::End;
+        let first = match poll {
+            SourcePoll::Event(ev) => Some(ev),
+            SourcePoll::Pending | SourcePoll::End => None,
+        };
+        Ok(match (src.meta(), first) {
+            (Some(meta), first) => Ok(Joined { src, meta, first }),
+            // Nothing headerless can be placed in the merge.
+            (None, Some(_)) => return Err(FormatError::BadHeader),
+            (None, None) => Err((src, ended)),
+        })
+    }
+}
+
+/// A tail whose header is readable — a replayed recording, or a followed
+/// file whose writer has written it — is a pipeline source: opening it
+/// reads up to its header.
+impl EventSource for ChunkedFileTail {
+    type Stream = Joined<ChunkedFileTail>;
+
+    fn open(self, cfg: &BootstrapConfig) -> Result<OpenedRadio<Self::Stream>, FormatError> {
+        Joined::join(self)?
+            .map_err(|_| FormatError::BadHeader)?
+            .open(cfg)
+    }
+}
+
+impl<S: LiveSource> EventStream for Joined<S> {
+    fn meta(&self) -> RadioMeta {
+        self.meta
+    }
+
+    /// A blocking pull; the run only ever calls `poll_event`.
+    fn next_event(&mut self) -> Result<Option<PhyEvent>, FormatError> {
+        loop {
+            match self.poll_event()? {
+                SourcePoll::Event(ev) => return Ok(Some(ev)),
+                SourcePoll::End => return Ok(None),
+                SourcePoll::Pending => std::thread::yield_now(),
+            }
+        }
+    }
+
+    fn poll_event(&mut self) -> Result<SourcePoll, FormatError> {
+        match self.first.take() {
+            Some(ev) => Ok(SourcePoll::Event(ev)),
+            None => self.src.poll(),
         }
     }
 }

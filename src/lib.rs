@@ -18,20 +18,19 @@
 //! * [`core`] — the paper's contribution: bootstrap synchronization,
 //!   continuous clock management, frame unification, link-layer and
 //!   transport-layer reconstruction, plus baseline mergers; the one
-//!   driver, [`core::pipeline::Pipeline::run`], takes one
+//!   driver, [`core::pipeline::Pipeline::run`] (a
+//!   [`core::PipelineRun`] started and finished; stepped between for
+//!   sources that pend), takes one
 //!   [`core::observer::PipelineObserver`] with default-no-op hooks for
 //!   jframes, attempts, exchanges, and flows, and its merge layout (serial
 //!   by default, channel-sharded across threads on request) is
 //!   configuration;
 //! * [`live`] — online ingest: chunk-fed live sources ([`live::LiveSource`])
 //!   and the always-on [`live::LiveMerger`], which unifies streams *while
-//!   they are still being written*: the batch merger pulls each source as
-//!   a stream that can pend, so jframes leave continuously with bounded
-//!   lag (2×search-window behind the slowest live radio) and the batch
-//!   merge's memory (a source is read only when its last event is
-//!   consumed; the rest pushes back on its producer), and evicting
-//!   stalled radios from the emission horizon after `max_lag_us`; its
-//!   clocks are the batch merge's, bootstrapped then resynchronized;
+//!   they are still being written*: it steps the pipeline's one driver
+//!   ([`core::PipelineRun`]) over sources that can pend — jframes leave
+//!   with bounded lag and the batch merge's memory — and adds only the
+//!   wall-clock rules: dead without a header, lagged after `max_lag_us`;
 //! * [`analysis`] — every table and figure of the paper's evaluation,
 //!   each an [`analysis::Analyzer`] (observer → [`analysis::Figure`]),
 //!   with [`analysis::Suite`] fanning one streaming pass to all of them.
@@ -136,18 +135,18 @@
 //! # }
 //! ```
 //!
-//! The corpus need not even be finished: the **live tail driver** merges
-//! traces while they are still being written. Each radio file is tailed in
+//! The corpus need not even be finished: the **live merger** merges traces
+//! while they are still being written. Each radio file is tailed in
 //! arbitrary-size chunks — `ChunkedFileTail::follow` treats EOF as the live
 //! edge, picking up the writer's appends on later polls ( `open` is the
 //! replay mode for finished recordings, where EOF is the end) — and the
-//! always-on merger emits jframes continuously under the bounded-lag
-//! contract. The emitted stream is byte-identical to a batch merge of the
-//! same events — for every chunking (the CLI spelling is `repro tail
-//! --corpus <dir> [--chunk-bytes N] [--verify]`, and CI pins the
-//! equivalence at several chunk sizes; `LiveMerger` is the one tail
-//! driver — a sharded run of a finished corpus is `repro analyze
-//! --parallel`):
+//! merger steps the one pipeline driver, emitting jframes continuously
+//! under the bounded-lag contract. The emitted stream is byte-identical to
+//! a batch merge of the same events — for every chunking (`repro tail
+//! --corpus <dir> [--chunk-bytes N] [--verify]` steps the same driver over
+//! a recorded corpus, and CI pins the equivalence at several chunk sizes;
+//! stepping needs the serial merge — a sharded run of a finished corpus is
+//! `repro analyze --parallel`):
 //!
 //! ```no_run
 //! use jigsaw::live::{ChunkedFileTail, LiveConfig, LiveMerger, SystemClock};
@@ -163,14 +162,12 @@
 //!     // behind the slowest live radio.
 //!     let _ = jframe.ts;
 //! };
-//! while lm.step(&mut on_jframe)? {
-//!     if capture_is_over() {
-//!         // Writers are done: let the tails drain to their real end.
-//!         lm.sources_mut().for_each(ChunkedFileTail::stop);
-//!     }
+//! while !capture_is_over() {
+//!     lm.step(&mut on_jframe)?;
 //! }
+//! // Writers are done: `finish` reads what they left, then ends.
 //! let report = lm.finish(on_jframe)?;
-//! println!("p99 emission lag: {} µs", report.lag.quantile(0.99));
+//! println!("p99 emission lag: {} µs", report.lag.quantiles(&[0.99])[0]);
 //! # Ok(())
 //! # }
 //! ```
