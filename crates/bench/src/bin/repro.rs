@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! repro [--seed N] [--scale F] [--parallel] [--threads N]
-//!       smoke|fig7|coverage-oracle|ablations|baselines|
+//!       smoke|fig7|coverage-oracle|ablations|
 //!       record --corpus DIR [--scenario NAME] [--block-bytes N] [--snaplen N]|
 //!       merge --corpus DIR [--from US --to US] [--verify] [--max-buffered N]|
 //!       analyze --corpus DIR [--from US --to US]|
@@ -25,7 +25,15 @@
 //! `smoke` is the CI entry point: a seconds-long `ScenarioConfig::tiny`
 //! run through the full pipeline — once serial and once with the merge
 //! channel-sharded (`--threads` caps the shards), asserting both produce
-//! the same jframe stream — failing loudly if anything degenerates.
+//! the same jframe stream (count + order + content) — failing loudly if
+//! anything degenerates.
+//!
+//! Every "these runs emitted the same stream" decision — `smoke`, `merge
+//! --verify` (full and windowed), `tail --verify` and the sweep's legs —
+//! reads one `jigsaw_bench::StreamDigest` per run and hands the readings to
+//! `jigsaw_bench::agree`, whose first disagreement is the `FAIL:` line; the
+//! sweep and `diagnose --golden` compare or bless through one
+//! `jigsaw_bench::sweep::check_golden`.
 //!
 //! The corpus subcommands reproduce the paper's actual deployment shape, where
 //! day-long jigdump traces lived on disk and the merger streamed them:
@@ -91,10 +99,12 @@
 //!
 //! The paper's single-trace figures (Table 1, Figures 4, 6, 8–11, the §5.1
 //! inference rates) are `record` then `analyze`: the corpus is the unified
-//! trace every figure reads. `fig7`, `coverage-oracle`, `ablations` and
-//! `baselines` each simulate the building and print their rows with the
-//! paper's numbers quoted alongside. Absolute numbers differ (the substrate
-//! is a simulator, not the UCSD testbed); the shapes are the claim.
+//! trace every figure reads. `fig7`, `coverage-oracle` and `ablations` each
+//! simulate the building and print their rows with the paper's numbers
+//! quoted alongside; `ablations` scores the sync design choices and the
+//! naive (mergecap-style) baseline on one simulated world. Absolute
+//! numbers differ (the substrate is a simulator, not the UCSD testbed);
+//! the shapes are the claim.
 
 // The repro CLI's output *is* stdout; the workspace denial targets library code.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
@@ -103,9 +113,9 @@ use jigsaw_analysis::coverage::{pods_subset, radios_of_pods, CoverageAnalysis, O
 use jigsaw_analysis::dispersion::DispersionAnalysis;
 use jigsaw_analysis::suite::{record_lines, Figure};
 use jigsaw_bench::cli::{self, ArgSpec};
+use jigsaw_bench::sweep::{self, GoldenStatus};
 use jigsaw_bench::{
-    paper_scenario, subset_streams, CorpusSession, JframeStreamDigest, SessionError,
-    WindowedStreamDigest,
+    agree, paper_scenario, subset_streams, CorpusSession, SessionError, StreamDigest,
 };
 use jigsaw_core::baseline::naive_merge;
 use jigsaw_core::observer::{OnExchange, OnJFrame};
@@ -271,8 +281,8 @@ fn parse_args() -> Args {
     };
     let Some(cmd) = parser.parse(std::env::args().skip(1), &mut args) else {
         usage_error(
-            "no subcommand (expected smoke | fig7 | coverage-oracle | ablations | baselines | \
-             record | merge | analyze | tail | diagnose | sweep)",
+            "no subcommand (expected smoke | fig7 | coverage-oracle | ablations | record | \
+             merge | analyze | tail | diagnose | sweep)",
         );
     };
     args.cmd = cmd;
@@ -365,7 +375,6 @@ fn main() {
         "fig7" => run_fig7(args.seed, args.scale),
         "coverage-oracle" => run_oracle(args.seed, args.scale),
         "ablations" => run_ablations(args.seed, args.scale),
-        "baselines" => run_baselines(args.seed, args.scale),
         "record" => run_record(&args),
         "merge" => run_corpus_merge(&args),
         "analyze" => run_analyze(&args),
@@ -431,7 +440,9 @@ fn run_oracle(seed: u64, scale: f64) {
     );
 }
 
-/// Design-choice ablations called out in DESIGN.md.
+/// Design-choice ablations called out in DESIGN.md, plus the naive
+/// (mergecap-style) baseline on the same world. The `jigsaw (full)` and
+/// `no resync (Yeo-style)` rows are the Jigsaw and Yeo-style mergers.
 fn run_ablations(seed: u64, scale: f64) {
     banner("ABLATIONS — sync design choices (quality metrics)");
     let out = simulate(seed, (scale * 0.5).max(0.05));
@@ -494,6 +505,23 @@ fn run_ablations(seed: u64, scale: f64) {
             report.merge.resyncs,
         );
     }
+    // Naive: no synchronization at all.
+    let naive = or_fail(
+        "naive merge",
+        naive_merge(out.memory_streams(), 10_000, |_| {}),
+    );
+    println!(
+        "{:<22} {:>9} {:>9.2} {:>8} {:>9} {:>8}",
+        "naive merge",
+        naive.jframes_out,
+        naive.events_in as f64 / naive.jframes_out.max(1) as f64,
+        "n/a",
+        "n/a",
+        "n/a",
+    );
+    println!(
+        "(naive merging cannot unify duplicates across unsynchronized clocks: jframes ≈ events)"
+    );
 }
 
 /// CI smoke: the tiny scenario through the whole sim → merge → analysis
@@ -511,7 +539,7 @@ fn run_smoke(args: &Args) {
         let mut cfg = PipelineConfig::default();
         cfg.shard.max_threads = max_threads;
         let mut exchanges = 0u64;
-        let mut keys: Vec<(u64, u8, u32)> = Vec::new();
+        let mut digest = StreamDigest::new();
         let t = Instant::now();
         let report = or_fail(
             "pipeline",
@@ -519,14 +547,14 @@ fn run_smoke(args: &Args) {
                 out.memory_streams(),
                 &cfg,
                 (
-                    OnJFrame(|jf: &JFrame| keys.push((jf.ts, jf.channel.number(), jf.wire_len))),
+                    &mut digest,
                     OnExchange(|_: &jigsaw_core::link::exchange::Exchange| exchanges += 1),
                 ),
             ),
         );
-        (report, keys, exchanges, t.elapsed())
+        (report, digest.ordered(), exchanges, t.elapsed())
     };
-    let (report, serial_keys, exchanges, serial_t) = pass(1);
+    let (report, serial, exchanges, serial_t) = pass(1);
 
     // Sharded pass: by default force one shard thread per channel even on
     // small machines — CI must exercise the threaded path, not the
@@ -538,7 +566,7 @@ fn run_smoke(args: &Args) {
         None | Some(0) => channels.max(1),
         Some(t) => t,
     };
-    let (par_report, par_keys, par_exchanges, par_t) = pass(threads);
+    let (par_report, sharded, par_exchanges, par_t) = pass(threads);
 
     println!(
         "events {events}  jframes {}  exchanges {exchanges}  flows {}  serial {serial_t:.1?}  sharded({channels} ch, {threads} thr) {par_t:.1?}  total {:.1?}",
@@ -564,25 +592,16 @@ fn run_smoke(args: &Args) {
             par_report.merge.events_in, report.merge.events_in
         ),
     );
-    ensure(
-        par_report.merge.jframes_out == report.merge.jframes_out,
-        &format!(
-            "sharded merge jframe count diverged from serial: {} vs {}",
-            par_report.merge.jframes_out, report.merge.jframes_out
-        ),
-    );
-    ensure(
-        par_keys == serial_keys,
-        "sharded merge jframe stream diverged from serial",
-    );
+    let agreed = agree(&[("serial", serial), ("sharded", sharded)]).unwrap_or_else(|e| {
+        fail(&format!(
+            "sharded merge jframe stream diverged from serial: {e}"
+        ))
+    });
     ensure(
         par_exchanges == exchanges,
         &format!("downstream reconstruction diverged: {par_exchanges} vs {exchanges} exchanges"),
     );
-    println!(
-        "smoke OK (serial == sharded, {} jframes)",
-        serial_keys.len()
-    );
+    println!("smoke OK (serial == sharded, {} jframes)", agreed.count);
 }
 
 /// The corpus directory or a usage error (the corpus subcommands are
@@ -711,21 +730,20 @@ fn run_corpus_merge(args: &Args) {
     }
     let corpus = session.corpus();
 
-    let mut digest = JframeStreamDigest::new();
+    let mut digest = StreamDigest::new();
     let run = stream_merge_corpus(&session, None, &cfg, |jf| digest.observe(jf));
+    let disk = digest.ordered();
     let events = run.stats.events_in;
     println!(
         "merged {events} events -> {} jframes in {:.1?} ({}, {:.0} events/s)",
-        digest.count(),
+        disk.count,
         run.elapsed,
         driver_label(args),
         events as f64 / run.elapsed.as_secs_f64().max(1e-12)
     );
     println!(
         "stream digest {}  peak buffered {} events  disk bytes in {}",
-        digest.hex(),
-        run.stats.peak_buffered,
-        run.disk_bytes
+        disk.hex, run.stats.peak_buffered, run.disk_bytes
     );
     check_all_events("merge", events, corpus);
     check_max_buffered(args, run.stats.peak_buffered);
@@ -740,40 +758,25 @@ fn run_corpus_merge(args: &Args) {
         };
         eprintln!("[verify] re-simulating {} at seed {}…", m.scenario, m.seed);
         let out = cfg_sim.run();
-        let layouts = [
-            ("serial", PipelineConfig::default()),
-            ("sharded", jigsaw_bench::sharded_config(&out.radio_meta).0),
-        ];
-
-        let mut ok = true;
-        for (name, mem_cfg) in layouts {
-            let mut mem = JframeStreamDigest::new();
+        let memory = |cfg: &PipelineConfig| {
+            let mut mem = StreamDigest::new();
             or_fail(
                 "in-memory merge",
-                Pipeline::merge_only(
-                    out.memory_streams(),
-                    &mem_cfg,
-                    OnJFrame(|jf: &JFrame| mem.observe(jf)),
-                ),
+                Pipeline::merge_only(out.memory_streams(), cfg, &mut mem),
             );
-            if mem.count() != digest.count() || mem.hex() != digest.hex() {
-                eprintln!(
-                    "FAIL: disk stream ({} jframes, {}) != in-memory {name} ({} jframes, {})",
-                    digest.count(),
-                    digest.hex(),
-                    mem.count(),
-                    mem.hex()
-                );
-                ok = false;
-            }
-        }
-        if !ok {
-            std::process::exit(1);
-        }
+            mem.ordered()
+        };
+        let serial = memory(&PipelineConfig::default());
+        let sharded = memory(&jigsaw_bench::sharded_config(&out.radio_meta).0);
+        let agreed = agree(&[
+            ("disk stream", disk),
+            ("in-memory serial", serial),
+            ("in-memory sharded", sharded),
+        ])
+        .unwrap_or_else(|e| fail(&e));
         println!(
             "verify OK: disk == in-memory serial == in-memory sharded ({} jframes, digest {})",
-            digest.count(),
-            digest.hex()
+            agreed.count, agreed.hex
         );
     }
 }
@@ -785,19 +788,20 @@ fn run_windowed_merge(args: &Args, session: &CorpusSession, window: TimeWindow) 
     let corpus = session.corpus();
     let mut cfg = pipeline_config(args);
     cfg.window = Some(window);
-    let mut digest = WindowedStreamDigest::new();
+    let mut digest = StreamDigest::new();
     let run = stream_merge_corpus(session, Some(window), &cfg, |jf| digest.observe(jf));
+    let windowed = digest.invariant();
     let events = run.stats.events_in;
     println!(
         "window {window}: merged {events} events -> {} in-window jframes in {:.1?} ({}, {:.0} events/s)",
-        digest.count(),
+        windowed.count,
         run.elapsed,
         driver_label(args),
         events as f64 / run.elapsed.as_secs_f64().max(1e-12)
     );
     println!(
         "window digest {}  peak buffered {} events  disk bytes in {} (corpus holds {})",
-        digest.hex(),
+        windowed.hex,
         run.stats.peak_buffered,
         run.disk_bytes,
         corpus.data_bytes().unwrap_or(0)
@@ -818,17 +822,13 @@ fn run_windowed_merge(args: &Args, session: &CorpusSession, window: TimeWindow) 
             window: Some(window),
             ..PipelineConfig::default()
         };
-        let mut full = WindowedStreamDigest::new();
+        let mut full = StreamDigest::new();
         let full_run = stream_merge_corpus(session, None, &full_cfg, |jf| full.observe(jf));
-        if full.count() != digest.count() || full.hex() != digest.hex() {
-            fail(&format!(
-                "windowed replay ({} jframes, {}) != clipped-full replay ({} jframes, {})",
-                digest.count(),
-                digest.hex(),
-                full.count(),
-                full.hex()
-            ));
-        }
+        let agreed = agree(&[
+            ("clipped-full replay", full.invariant()),
+            ("windowed replay", windowed),
+        ])
+        .unwrap_or_else(|e| fail(&e));
         if run.disk_bytes >= full_run.disk_bytes {
             // Not fatal (a window covering the whole span legitimately
             // reads everything), but worth shouting about in CI logs.
@@ -840,8 +840,8 @@ fn run_windowed_merge(args: &Args, session: &CorpusSession, window: TimeWindow) 
         }
         println!(
             "verify OK: windowed == clipped-full ({} jframes, digest {}); disk bytes {} vs full scan {}",
-            digest.count(),
-            digest.hex(),
+            agreed.count,
+            agreed.hex,
             run.disk_bytes,
             full_run.disk_bytes
         );
@@ -938,10 +938,18 @@ fn run_tail(args: &Args) {
     let corpus = session.corpus();
     let chunk = args.chunk_bytes.unwrap_or(64 * 1024);
 
-    let mut digest = JframeStreamDigest::new();
+    // Only `--verify` reads the digest, so only `--verify` pays for it.
+    let mut digest = StreamDigest::new();
+    let verify = args.verify;
     let t0 = Instant::now();
-    let (report, figures) =
-        or_exit(session.tail(chunk, OnJFrame(|jf: &JFrame| digest.observe(jf))));
+    let (report, figures) = or_exit(session.tail(
+        chunk,
+        OnJFrame(|jf: &JFrame| {
+            if verify {
+                digest.observe(jf);
+            }
+        }),
+    ));
     let elapsed = t0.elapsed();
     let (events_in, peak) = (report.merge.events_in, report.merge.peak_buffered);
     check_all_events("tail", events_in, corpus);
@@ -965,27 +973,21 @@ fn run_tail(args: &Args) {
     }
     check_max_buffered(args, peak);
 
-    if args.verify {
-        let mut batch = JframeStreamDigest::new();
+    if verify {
+        let mut batch = StreamDigest::new();
         let run = stream_merge_corpus(&session, None, &PipelineConfig::default(), |jf| {
             batch.observe(jf)
         });
-        if run.stats.events_in != events_in
-            || batch.count() != digest.count()
-            || batch.hex() != digest.hex()
-        {
-            fail(&format!(
-                "tailed stream diverges from the batch merge: tail {} jframes digest {}, batch {} jframes digest {} — a replayed tail never lags, so this is a bug",
-                digest.count(),
-                digest.hex(),
-                batch.count(),
-                batch.hex(),
-            ));
-        }
+        check_all_events("batch merge", run.stats.events_in, corpus);
+        let agreed = agree(&[("batch", batch.ordered()), ("tail", digest.ordered())])
+            .unwrap_or_else(|e| {
+                fail(&format!(
+                    "tailed stream diverges from the batch merge: {e} — a replayed tail never lags, so this is a bug"
+                ))
+            });
         println!(
             "verify OK: live ≡ batch — {} jframes, digest {}",
-            digest.count(),
-            digest.hex()
+            agreed.count, agreed.hex
         );
     }
     print_figures(&figures);
@@ -1058,34 +1060,23 @@ fn run_diagnose(args: &Args) {
     // Golden comparison is opt-in: the golden pins one specific corpus
     // (CI's tiny golden corpus), so arbitrary-corpus runs only print.
     if let Some(golden) = &args.golden {
-        let path = std::path::Path::new(golden);
         let body = format!(
             "# jigsaw diagnose golden — scenario {} seed {}\n{lines}",
             m.scenario, m.seed
         );
-        if args.bless {
-            let written = path
-                .parent()
-                .map_or(Ok(()), std::fs::create_dir_all)
-                .and_then(|()| std::fs::write(path, &body));
-            if let Err(e) = written {
-                fail(&format!("cannot write golden {golden}: {e}"));
-            }
-            println!("diagnose golden BLESSED: {golden}");
-        } else {
-            match std::fs::read_to_string(path) {
-                Ok(expected) => match jigsaw_bench::sweep::diff_lines(&expected, &body) {
-                    None => println!("diagnose golden MATCHED: {golden}"),
-                    Some(diff) => fail(&format!(
-                        "diagnosis drifted from {golden}:\n{diff}(intentional change? re-bless with `repro diagnose --corpus {} --golden {golden} --bless`)",
-                        dir.display()
-                    )),
-                },
-                Err(_) => fail(&format!(
-                    "no diagnosis golden at {golden} (bless with `repro diagnose --corpus {} --golden {golden} --bless`)",
-                    dir.display()
-                )),
-            }
+        let path = std::path::Path::new(golden);
+        let bless = format!(
+            "`repro diagnose --corpus {} --golden {golden} --bless`",
+            dir.display()
+        );
+        match sweep::check_golden(path, &body, args.bless).unwrap_or_else(|e| fail(&e)) {
+            GoldenStatus::Mismatch(diff) => fail(&format!(
+                "diagnosis drifted from {golden}:\n{diff}(intentional change? re-bless with {bless})"
+            )),
+            GoldenStatus::Missing(_) => fail(&format!(
+                "no diagnosis golden at {golden} (bless with {bless})"
+            )),
+            status => println!("diagnose golden {}: {golden}", status.label()),
         }
     }
 }
@@ -1098,7 +1089,6 @@ fn run_diagnose(args: &Args) {
 /// cross-check divergence or golden drift exits 1; `--bless` rewrites the
 /// goldens instead of comparing.
 fn run_sweep(args: &Args) {
-    use jigsaw_bench::sweep::{self, GoldenStatus};
     banner("SWEEP — golden-record scenario matrix");
     let golden_dir = std::path::PathBuf::from(args.golden.as_deref().unwrap_or(sweep::GOLDEN_DIR));
     let out_root = std::path::PathBuf::from(args.corpus.as_deref().unwrap_or("target/sweep"));
@@ -1136,8 +1126,9 @@ fn run_sweep(args: &Args) {
                 continue;
             }
         };
+        let path = sweep::golden_path(&golden_dir, &run.name);
         let status =
-            sweep::check_golden(&run, &golden_dir, args.bless).unwrap_or_else(|e| fail(&e));
+            sweep::check_golden(&path, &run.golden_body, args.bless).unwrap_or_else(|e| fail(&e));
         // One stable stdout line per scenario — what CI greps into the
         // step summary.
         println!(
@@ -1154,7 +1145,7 @@ fn run_sweep(args: &Args) {
             GoldenStatus::Mismatch(diff) => eprintln!(
                 "FAIL: `{}` drifted from {}:\n{diff}(intentional change? re-bless with `repro sweep --bless`)",
                 run.name,
-                sweep::golden_path(&golden_dir, &run.name).display()
+                path.display()
             ),
             GoldenStatus::Missing(path) => eprintln!(
                 "FAIL: `{}` has no golden at {} (bless with `repro sweep --bless`)",
@@ -1180,67 +1171,4 @@ fn run_sweep(args: &Args) {
         std::process::exit(1);
     }
     println!("sweep OK: {} scenario(s)", specs.len());
-}
-
-/// Baseline mergers vs Jigsaw.
-fn run_baselines(seed: u64, scale: f64) {
-    banner("BASELINES — naive (mergecap-style) and Yeo-style merging");
-    let out = simulate(seed, (scale * 0.5).max(0.05));
-    let events = out.total_events();
-
-    // Jigsaw.
-    let mut disp = DispersionAnalysis::new();
-    let t0 = Instant::now();
-    let report = or_fail(
-        "pipeline",
-        Pipeline::run(out.memory_streams(), &PipelineConfig::default(), &mut disp),
-    );
-    let jig_t = t0.elapsed();
-    let jig_fig = disp.finish();
-
-    // Yeo-style: bootstrap once, never resync.
-    let yeo = PipelineConfig {
-        merge: MergeConfig {
-            resync_enabled: false,
-            ..MergeConfig::default()
-        },
-        ..PipelineConfig::default()
-    };
-    let mut yeo_disp = DispersionAnalysis::new();
-    let t0 = Instant::now();
-    let (_, yeo_stats) = or_fail(
-        "yeo merge",
-        Pipeline::merge_only(out.memory_streams(), &yeo, &mut yeo_disp),
-    );
-    let yeo_t = t0.elapsed();
-    let yeo_fig = yeo_disp.finish();
-
-    // Naive: no synchronization at all.
-    let t0 = Instant::now();
-    let naive_stats = or_fail(
-        "naive merge",
-        naive_merge(out.memory_streams(), 10_000, |_| {}),
-    );
-    let naive_t = t0.elapsed();
-
-    println!("merger   events  jframes  unified_evts  p99_disp_us  time");
-    println!(
-        "jigsaw  {events:>8} {:>8} {:>12} {:>12.0} {jig_t:>9.1?}",
-        report.merge.jframes_out,
-        report.merge.instances_unified,
-        jig_fig.cdf.quantile(0.99).unwrap_or(0.0),
-    );
-    println!(
-        "yeo     {events:>8} {:>8} {:>12} {:>12.0} {yeo_t:>9.1?}",
-        yeo_stats.jframes_out,
-        yeo_stats.instances_unified,
-        yeo_fig.cdf.quantile(0.99).unwrap_or(0.0),
-    );
-    println!(
-        "naive   {events:>8} {:>8} {:>12} {:>12} {naive_t:>9.1?}",
-        naive_stats.jframes_out, naive_stats.instances_unified, "n/a",
-    );
-    println!(
-        "(naive merging cannot unify duplicates across unsynchronized clocks: jframes ≈ events)"
-    );
 }

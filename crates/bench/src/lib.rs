@@ -1,9 +1,11 @@
 //! # jigsaw-bench
 //!
 //! The reproduction harness: scenario presets scaled to a CPU/RAM budget,
-//! the [`CorpusSession`] every corpus-backed run goes through, and the
-//! `repro` binary that regenerates every table and figure of the paper's
-//! evaluation. Criterion micro-benchmarks live under `benches/`; the
+//! the [`CorpusSession`] every corpus-backed run goes through, the
+//! equivalence harness that owns every "these runs emitted the same thing"
+//! decision — one [`StreamDigest`], one [`agree`] leg check and one
+//! [`sweep::check_golden`] — and the `repro` binary that regenerates every
+//! table and figure of the paper's evaluation. Criterion micro-benchmarks live under `benches/`; the
 //! repo's measurement surface is `benchmark/` (jigbench + jigtrace).
 
 use jigsaw_analysis::suite::{Figure, Suite};
@@ -525,16 +527,48 @@ pub struct TiledAnalysis<R> {
     pub tiles: Vec<Tile<R>>,
 }
 
-/// A running digest over a jframe stream: count + order + content. Two
-/// pipeline runs emitted the same stream iff count and digest both match —
-/// what `repro merge --verify` and the golden-corpus CI step compare.
-#[derive(Debug, Clone, Default)]
-pub struct JframeStreamDigest {
-    hasher: Fnv64,
-    count: u64,
+/// One reading of a jframe stream: how many jframes it held and their
+/// digest. Two runs emitted the same stream, under that reading, iff the
+/// readings are equal.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Reading {
+    /// Jframes observed.
+    pub count: u64,
+    /// The digest as 16-char hex.
+    pub hex: String,
 }
 
-impl JframeStreamDigest {
+impl std::fmt::Display for Reading {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} jframes, {}", self.count, self.hex)
+    }
+}
+
+/// The one running digest over a jframe stream. Each jframe folds in once
+/// and the digest reads two ways:
+///
+/// * [`StreamDigest::ordered`] — count + order + every field
+///   ([`JFrame::digest_into`]). Two full runs emitted the same stream iff
+///   it matches: serial ≡ sharded ≡ disk ≡ live, and each sweep golden's
+///   `stream_digest`.
+/// * [`StreamDigest::invariant`] — per channel, the count and the
+///   commutative sum of [`JFrame::stable_digest`] (capture-side fields
+///   only), folded in channel order. This is the windowed-replay
+///   contract's comparison object. A replay re-anchored mid-trace
+///   reproduces the full replay's *unification* exactly — same groups,
+///   same instances, same per-channel streams — but its universal timeline
+///   is re-derived from the NTP anchors at the window, so merged
+///   timestamps (and with them the cross-channel emission interleaving)
+///   agree only to the re-anchor tolerance. Per channel, the *multiset* of
+///   clock-invariant jframe identities plus the count is what is exact:
+///   windowed ≡ clipped-full, and each sweep golden's `window_digest`.
+#[derive(Debug, Clone, Default)]
+pub struct StreamDigest {
+    ordered: Fnv64,
+    channels: BTreeMap<u8, (u64, u64)>, // channel → (count, commutative sum)
+}
+
+impl StreamDigest {
     /// An empty stream digest.
     pub fn new() -> Self {
         Self::default()
@@ -542,51 +576,10 @@ impl JframeStreamDigest {
 
     /// Folds the next jframe of the stream.
     pub fn observe(&mut self, jf: &JFrame) {
-        jf.digest_into(&mut self.hasher);
-        self.count += 1;
-    }
-
-    /// Jframes observed.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// The digest as 16-char hex.
-    pub fn hex(&self) -> String {
-        self.hasher.hex()
-    }
-}
-
-/// A clock-invariant digest over a *windowed* jframe stream, per channel:
-/// each jframe folds in as its [`JFrame::stable_digest`] (capture-side
-/// fields only), accumulated commutatively within its channel.
-///
-/// This is the comparison object of the windowed-replay contract. A replay
-/// re-anchored mid-trace reproduces the full replay's *unification* exactly
-/// — same groups, same instances, same per-channel streams — but its
-/// universal timeline is re-derived from the NTP anchors at the window, so
-/// merged timestamps (and with them the cross-channel emission interleaving)
-/// agree only to the re-anchor tolerance. Hence the comparison that is
-/// exact, and therefore pinnable in CI: per channel, the *multiset* of
-/// clock-invariant jframe identities, plus the count. Equal hex means the
-/// windowed replay unified byte-for-byte what the clipped full replay
-/// unified.
-#[derive(Debug, Clone, Default)]
-pub struct WindowedStreamDigest {
-    channels: BTreeMap<u8, (u64, u64)>, // channel → (count, commutative sum)
-}
-
-impl WindowedStreamDigest {
-    /// An empty digest.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds the next jframe of the stream.
-    pub fn observe(&mut self, jf: &JFrame) {
-        let e = self.channels.entry(jf.channel.number()).or_insert((0, 0));
-        e.0 += 1;
-        e.1 = e.1.wrapping_add(jf.stable_digest());
+        jf.digest_into(&mut self.ordered);
+        let (count, sum) = self.channels.entry(jf.channel.number()).or_default();
+        *count += 1;
+        *sum = sum.wrapping_add(jf.stable_digest());
     }
 
     /// Jframes observed across all channels.
@@ -594,15 +587,47 @@ impl WindowedStreamDigest {
         self.channels.values().map(|&(c, _)| c).sum()
     }
 
-    /// The digest as 16-char hex (channels folded in channel order).
-    pub fn hex(&self) -> String {
+    /// The count + order + content reading, for full runs.
+    pub fn ordered(&self) -> Reading {
+        Reading {
+            count: self.count(),
+            hex: self.ordered.hex(),
+        }
+    }
+
+    /// The per-channel clock-invariant reading, for windowed runs.
+    pub fn invariant(&self) -> Reading {
         let mut h = Fnv64::new();
         for (chan, &(count, sum)) in &self.channels {
             h.update(&[*chan]);
             h.update_u64(count);
             h.update_u64(sum);
         }
-        h.hex()
+        Reading {
+            count: self.count(),
+            hex: h.hex(),
+        }
+    }
+}
+
+impl PipelineObserver for StreamDigest {
+    fn on_jframe(&mut self, jf: &JFrame) {
+        self.observe(jf);
+    }
+}
+
+/// The one agreement check over named runs that must have emitted the
+/// same stream: every leg's reading must equal the first leg's, and `Ok`
+/// is that agreed reading. `Err` is the first disagreement as one line
+/// naming both legs with their counts and digests — the text a caller
+/// prints after `FAIL:`.
+pub fn agree(legs: &[(impl std::fmt::Display, Reading)]) -> Result<Reading, String> {
+    let Some(((base_leg, base), rest)) = legs.split_first() else {
+        return Err("no runs to compare".into());
+    };
+    match rest.iter().find(|(_, r)| r != base) {
+        None => Ok(base.clone()),
+        Some((leg, r)) => Err(format!("{leg} ({r}) != {base_leg} ({base})")),
     }
 }
 
@@ -740,35 +765,74 @@ mod tests {
             valid: true,
             unique: true,
         };
+        let digest = |frames: &mut dyn Iterator<Item = JFrame>| {
+            let mut d = StreamDigest::new();
+            frames.for_each(|f| d.observe(&f));
+            d
+        };
         let frames = [jf(1, 1, 1), jf(2, 6, 2), jf(3, 1, 3)];
-        let mut fwd = WindowedStreamDigest::new();
-        frames.iter().for_each(|f| fwd.observe(f));
-        // Same multiset, different interleaving: equal digests.
-        let mut rev = WindowedStreamDigest::new();
-        frames.iter().rev().for_each(|f| rev.observe(f));
+        let fwd = digest(&mut frames.iter().cloned());
         assert_eq!(fwd.count(), 3);
-        assert_eq!(fwd.hex(), rev.hex());
-        // Clock-derived fields do not move it...
-        let mut shifted = WindowedStreamDigest::new();
-        for f in &frames {
+        // Same multiset, different cross-channel interleaving: only the
+        // ordered reading moves.
+        let rev = digest(&mut frames.iter().rev().cloned());
+        assert_eq!(fwd.invariant(), rev.invariant());
+        assert_ne!(fwd.ordered().hex, rev.ordered().hex);
+        assert_eq!(fwd.ordered().count, rev.ordered().count);
+        // Clock-derived fields move the ordered reading only...
+        let shifted = digest(&mut frames.iter().map(|f| {
             let mut f = f.clone();
             f.ts += 1_000;
             f.instances[0].ts_universal += 1_000;
-            shifted.observe(&f);
-        }
-        assert_eq!(fwd.hex(), shifted.hex());
-        // ...but content, channel, and count do.
-        let mut dropped = WindowedStreamDigest::new();
-        frames.iter().take(2).for_each(|f| dropped.observe(f));
-        assert_ne!(fwd.hex(), dropped.hex());
-        let mut moved = WindowedStreamDigest::new();
-        for (i, f) in frames.iter().enumerate() {
+            f
+        }));
+        assert_eq!(fwd.invariant(), shifted.invariant());
+        assert_ne!(fwd.ordered(), shifted.ordered());
+        // ...while content, channel and count move both.
+        let flipped = digest(&mut frames.iter().enumerate().map(|(i, f)| {
+            let mut f = f.clone();
+            if i == 1 {
+                let mut bytes = f.bytes.to_vec();
+                bytes[7] ^= 1;
+                f.bytes = bytes.into();
+            }
+            f
+        }));
+        assert_ne!(fwd.invariant(), flipped.invariant());
+        assert_ne!(fwd.ordered(), flipped.ordered());
+        let dropped = digest(&mut frames.iter().take(2).cloned());
+        assert_ne!(fwd.invariant(), dropped.invariant());
+        assert_ne!(fwd.ordered(), dropped.ordered());
+        let moved = digest(&mut frames.iter().enumerate().map(|(i, f)| {
             let mut f = f.clone();
             if i == 0 {
                 f.channel = Channel::of(11);
             }
-            moved.observe(&f);
-        }
-        assert_ne!(fwd.hex(), moved.hex());
+            f
+        }));
+        assert_ne!(fwd.invariant().hex, moved.invariant().hex);
+        assert_ne!(fwd.ordered().hex, moved.ordered().hex);
+    }
+
+    #[test]
+    fn agreement_names_the_first_disagreeing_leg() {
+        let reading = |count, hex: &str| Reading {
+            count,
+            hex: hex.into(),
+        };
+        let none: [(&str, Reading); 0] = [];
+        assert!(agree(&none).is_err());
+        let same = [("a", reading(3, "x")), ("b", reading(3, "x"))];
+        assert_eq!(agree(&same), Ok(reading(3, "x")));
+        let legs = [
+            ("serial", reading(3, "aa")),
+            ("sharded", reading(3, "aa")),
+            ("disk", reading(4, "bb")),
+            ("live", reading(3, "cc")),
+        ];
+        assert_eq!(
+            agree(&legs),
+            Err("disk (4 jframes, bb) != serial (3 jframes, aa)".into())
+        );
     }
 }

@@ -9,15 +9,16 @@
 //!
 //! * the four full merges (mem-serial, mem-sharded, disk-serial,
 //!   disk-sharded) must emit the identical jframe stream
-//!   ([`crate::JframeStreamDigest`]: count + order + content);
+//!   ([`crate::StreamDigest::ordered`]: count + order + content);
 //! * the figure suite's machine `record` lines must be byte-identical
 //!   between the serial and sharded layouts;
 //! * the windowed replay (seek-bounded, mid-trace clock bootstrap) must be
-//!   identical between the two layouts ([`crate::WindowedStreamDigest`]),
-//!   and its digest is pinned by the golden file. Windowed-vs-clipped-full
-//!   equality is *not* asserted here — adversarial scenarios starve radios
-//!   of sync corrections long enough that the replays' extrapolated clocks
-//!   legitimately part ways; that tame-scenario contract lives in
+//!   identical between the two layouts
+//!   ([`crate::StreamDigest::invariant`]), and its digest is pinned by the
+//!   golden file. Windowed-vs-clipped-full equality is *not* asserted
+//!   here — adversarial scenarios starve radios of sync corrections long
+//!   enough that the replays' extrapolated clocks legitimately part ways;
+//!   that tame-scenario contract lives in
 //!   `crates/bench/tests/windowed_replay.rs`.
 //!
 //! The surviving facts — corpus digest, stream digest, window digest, and
@@ -27,14 +28,14 @@
 //! behavioral drift in the simulator, the trace format, the merger, or an
 //! analysis shows up as a named line in a named scenario. Intentional
 //! changes re-bless with `repro sweep --bless`.
+//!
+//! Every leg comparison goes through [`crate::agree`], and
+//! [`check_golden`] is the one golden compare-or-bless — `repro diagnose
+//! --golden` uses it too.
 
-use crate::{
-    record_corpus, sharded_config, CorpusSession, JframeStreamDigest, WindowedStreamDigest,
-};
+use crate::{agree, record_corpus, sharded_config, CorpusSession, StreamDigest};
 use jigsaw_analysis::suite::record_lines;
-use jigsaw_core::observer::OnJFrame;
 use jigsaw_core::pipeline::{Pipeline, PipelineConfig};
-use jigsaw_core::JFrame;
 use jigsaw_sim::spec::ScenarioSpec;
 use jigsaw_trace::TimeWindow;
 use std::collections::BTreeSet;
@@ -133,38 +134,23 @@ pub fn run_scenario(
     // Leg 1 — the four full merges must agree byte-for-byte.
     let mut merges = Vec::new();
     for (layout, cfg) in layouts {
-        let mut digest = JframeStreamDigest::new();
-        Pipeline::merge_only(
-            out.memory_streams(),
-            cfg,
-            OnJFrame(|jf: &JFrame| digest.observe(jf)),
-        )
-        .map_err(|e| format!("{name}: in-memory {layout} merge: {e}"))?;
-        merges.push((format!("mem-{layout}"), digest));
+        let mut digest = StreamDigest::new();
+        Pipeline::merge_only(out.memory_streams(), cfg, &mut digest)
+            .map_err(|e| format!("{name}: in-memory {layout} merge: {e}"))?;
+        merges.push((format!("mem-{layout}"), digest.ordered()));
     }
     drop(out);
 
     let session = CorpusSession::open(&dir).map_err(|e| format!("{name}: {e}"))?;
     for (layout, cfg) in layouts {
-        let mut digest = JframeStreamDigest::new();
+        let mut digest = StreamDigest::new();
         session
             .merge(None, cfg, |jf| digest.observe(jf))
             .map_err(|e| format!("{name}: disk {layout} {e}"))?;
-        merges.push((format!("disk-{layout}"), digest));
+        merges.push((format!("disk-{layout}"), digest.ordered()));
     }
-    let mem_serial = merges[0].1.clone();
-    for (leg, d) in &merges[1..] {
-        if d.count() != mem_serial.count() || d.hex() != mem_serial.hex() {
-            return Err(format!(
-                "{name}: {leg} merge diverged: {} jframes / {} vs mem-serial {} jframes / {}",
-                d.count(),
-                d.hex(),
-                mem_serial.count(),
-                mem_serial.hex()
-            ));
-        }
-    }
-    if mem_serial.count() == 0 {
+    let mem_serial = agree(&merges).map_err(|e| format!("{name}: full merges diverged: {e}"))?;
+    if mem_serial.count == 0 {
         return Err(format!("{name}: merges produced no jframes"));
     }
 
@@ -195,14 +181,13 @@ pub fn run_scenario(
             window: Some(window),
             ..cfg.clone()
         };
-        let mut digest = WindowedStreamDigest::new();
+        let mut digest = StreamDigest::new();
         session
             .merge(Some(window), &cfg, |jf| digest.observe(jf))
             .map_err(|e| format!("{name}: windowed {layout} {e}"))?;
-        Ok::<_, String>(digest)
+        Ok::<_, String>((format!("windowed {layout}"), digest.invariant()))
     };
-    let win_serial = windowed("serial", &serial)?;
-    let win_sharded = windowed("sharded", &sharded)?;
+    let legs = [windowed("serial", &serial)?, windowed("sharded", &sharded)?];
     // Both layouts must agree on the windowed replay exactly; the digest
     // itself is then pinned by the golden file. (Equality with a
     // clipped-full replay is deliberately NOT asserted here: it holds only
@@ -212,26 +197,19 @@ pub fn run_scenario(
     // replays' extrapolated clocks legitimately disagree. The tame-scenario
     // windowed-vs-clipped contract stays pinned in
     // `crates/bench/tests/windowed_replay.rs`.)
-    if win_serial.count() != win_sharded.count() || win_serial.hex() != win_sharded.hex() {
-        return Err(format!(
-            "{name}: windowed replay diverged between layouts: serial {} jframes / {} vs sharded {} jframes / {}",
-            win_serial.count(),
-            win_serial.hex(),
-            win_sharded.count(),
-            win_sharded.hex()
-        ));
-    }
+    let win = agree(&legs)
+        .map_err(|e| format!("{name}: windowed replay diverged between layouts: {e}"))?;
 
     let mut run = ScenarioRun {
         name,
         seed,
         events: summary.events,
-        jframes: mem_serial.count(),
-        stream_digest: mem_serial.hex(),
+        jframes: mem_serial.count,
+        stream_digest: mem_serial.hex,
         corpus_digest: summary.digest,
         window,
-        window_jframes: win_serial.count(),
-        window_digest: win_serial.hex(),
+        window_jframes: win.count,
+        window_digest: win.hex,
         record_lines: lines_serial,
         golden_body: String::new(),
     };
@@ -263,25 +241,23 @@ pub fn golden_path(golden_dir: &Path, name: &str) -> PathBuf {
     golden_dir.join(format!("{name}.golden"))
 }
 
-/// Compares a run against its golden file, or blesses it. Only
-/// [`GoldenStatus::Blessed`] writes anything; a golden that cannot be
-/// written is an `Err` naming the path.
-pub fn check_golden(
-    run: &ScenarioRun,
-    golden_dir: &Path,
-    bless: bool,
-) -> Result<GoldenStatus, String> {
-    let path = golden_path(golden_dir, &run.name);
+/// The one golden compare-or-bless: compares `body` against the golden
+/// file at `path`, or with `bless` (re)writes it, creating its directory.
+/// Only [`GoldenStatus::Blessed`] writes anything; a golden that cannot be
+/// written is an `Err` naming the path. The sweep and `repro diagnose
+/// --golden` both go through here and word their own `FAIL:` lines.
+pub fn check_golden(path: &Path, body: &str, bless: bool) -> Result<GoldenStatus, String> {
     if bless {
-        std::fs::create_dir_all(golden_dir)
-            .and_then(|()| std::fs::write(&path, &run.golden_body))
+        path.parent()
+            .map_or(Ok(()), std::fs::create_dir_all)
+            .and_then(|()| std::fs::write(path, body))
             .map_err(|e| format!("cannot write golden {}: {e}", path.display()))?;
         return Ok(GoldenStatus::Blessed);
     }
-    let Ok(golden) = std::fs::read_to_string(&path) else {
-        return Ok(GoldenStatus::Missing(path));
+    let Ok(golden) = std::fs::read_to_string(path) else {
+        return Ok(GoldenStatus::Missing(path.to_path_buf()));
     };
-    Ok(match diff_lines(&golden, &run.golden_body) {
+    Ok(match diff_lines(&golden, body) {
         None => GoldenStatus::Matched,
         Some(diff) => GoldenStatus::Mismatch(diff),
     })
@@ -416,7 +392,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let blocker = dir.join("not-a-directory");
         std::fs::write(&blocker, "a regular file").unwrap();
-        let err = check_golden(&sample_run(), &blocker.join("golden"), true).unwrap_err();
+        let run = sample_run();
+        let path = golden_path(&blocker.join("golden"), &run.name);
+        let err = check_golden(&path, &golden_body(&run), true).unwrap_err();
         assert!(err.starts_with("cannot write golden"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -91,6 +91,21 @@ fn unknown_flags_and_subcommands_exit_2() {
     }
 }
 
+/// `baselines` folded into `ablations` (its Jigsaw and Yeo-style rows were
+/// ablation rows; the naive merge is one more): the name is unknown now,
+/// and a bare `repro` no longer offers it.
+#[test]
+fn baselines_is_an_unknown_subcommand() {
+    let stderr = assert_usage_error(&["baselines"]);
+    assert!(
+        stderr.contains("unknown subcommand `baselines`"),
+        "{stderr}"
+    );
+    let stderr = assert_usage_error(&[]);
+    assert!(!stderr.contains("baselines"), "{stderr}");
+    assert!(stderr.contains("ablations"), "{stderr}");
+}
+
 /// A bare `repro` names the subcommands and exits 2 instead of starting a
 /// long run nobody asked for.
 #[test]

@@ -8,7 +8,7 @@
 mod common;
 
 use common::Conservation;
-use jigsaw_bench::{record_corpus, sharded_config, CorpusSession, JframeStreamDigest};
+use jigsaw_bench::{agree, record_corpus, sharded_config, CorpusSession, StreamDigest};
 use jigsaw_core::observer::OnJFrame;
 use jigsaw_core::pipeline::{Pipeline, PipelineConfig};
 use jigsaw_core::JFrame;
@@ -42,14 +42,9 @@ fn disk_corpus_merge_matches_memory_serial_and_sharded() {
 
     // In-memory references: serial and channel-sharded.
     let run_mem = |cfg: &PipelineConfig| {
-        let mut digest = JframeStreamDigest::new();
-        let (_, stats) = Pipeline::merge_only(
-            out.memory_streams(),
-            cfg,
-            OnJFrame(|jf: &JFrame| digest.observe(jf)),
-        )
-        .unwrap();
-        (digest, stats)
+        let mut digest = StreamDigest::new();
+        let (_, stats) = Pipeline::merge_only(out.memory_streams(), cfg, &mut digest).unwrap();
+        (digest.ordered(), stats)
     };
     let (mem_serial, mem_stats) = run_mem(&cfg);
     let (mem_sharded, _) = run_mem(&par_cfg);
@@ -59,27 +54,22 @@ fn disk_corpus_merge_matches_memory_serial_and_sharded() {
     let session = CorpusSession::open(&dir).unwrap();
     let run_disk = |cfg: &PipelineConfig| {
         let before = session.disk_bytes();
-        let mut digest = JframeStreamDigest::new();
+        let mut digest = StreamDigest::new();
         let stats = session.merge(None, cfg, |jf| digest.observe(jf)).unwrap();
-        (digest, stats, session.disk_bytes() - before)
+        (digest.ordered(), stats, session.disk_bytes() - before)
     };
     let (disk_serial, serial_stats, bytes_serial) = run_disk(&cfg);
     let (disk_sharded, sharded_stats, _) = run_disk(&par_cfg);
     drop(out);
 
     // Identical streams: count + order + content, across all four runs.
-    assert_eq!(mem_serial.count(), disk_serial.count());
-    assert_eq!(mem_serial.hex(), disk_serial.hex(), "disk serial diverged");
-    assert_eq!(
-        mem_serial.hex(),
-        mem_sharded.hex(),
-        "memory sharded diverged"
-    );
-    assert_eq!(
-        mem_serial.hex(),
-        disk_sharded.hex(),
-        "disk sharded diverged"
-    );
+    agree(&[
+        ("memory serial", mem_serial),
+        ("disk serial", disk_serial),
+        ("memory sharded", mem_sharded),
+        ("disk sharded", disk_sharded),
+    ])
+    .unwrap();
     assert_eq!(serial_stats.events_in, events);
     assert_eq!(sharded_stats.events_in, events);
 

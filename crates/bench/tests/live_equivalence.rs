@@ -18,7 +18,7 @@
 mod common;
 
 use common::Conservation;
-use jigsaw_bench::{record_corpus, CorpusSession, JframeStreamDigest};
+use jigsaw_bench::{agree, record_corpus, CorpusSession, Reading, StreamDigest};
 use jigsaw_core::pipeline::PipelineConfig;
 use jigsaw_live::{ChunkedFileTail, LiveConfig, LiveMerger, ManualClock};
 use jigsaw_sim::output::SimOutput;
@@ -35,8 +35,8 @@ const BLOCK_BYTES: usize = 512;
 struct Fixture {
     dir: PathBuf,
     events: u64,
-    batch_count: u64,
-    batch_hex: String,
+    /// The batch merge's ordered stream reading.
+    batch: Reading,
     /// The batch merge's peak residency (`MergeStats::peak_buffered`).
     batch_peak: u64,
 }
@@ -48,7 +48,7 @@ fn record_fixture(tag: &str, out: &SimOutput, seed: u64, block_bytes: usize) -> 
     let _ = std::fs::remove_dir_all(&dir);
     record_corpus(out, &dir, tag, seed, 1.0, 65_535, block_bytes).unwrap();
     let session = CorpusSession::open(&dir).unwrap();
-    let mut digest = JframeStreamDigest::new();
+    let mut digest = StreamDigest::new();
     let mut conservation = Conservation::default();
     let stats = session
         .merge(None, &PipelineConfig::default(), |jf| {
@@ -61,8 +61,7 @@ fn record_fixture(tag: &str, out: &SimOutput, seed: u64, block_bytes: usize) -> 
     Fixture {
         dir,
         events: stats.events_in,
-        batch_count: digest.count(),
-        batch_hex: digest.hex(),
+        batch: digest.ordered(),
         batch_peak: stats.peak_buffered,
     }
 }
@@ -107,8 +106,7 @@ fn tails(dir: &Path, chunk: usize) -> Vec<ChunkedFileTail> {
 /// What the live merger made of a corpus at one chunking.
 #[derive(Debug)]
 struct Run {
-    jframes: u64,
-    hex: String,
+    stream: Reading,
     events_in: u64,
     peak_buffered: u64,
     conserved: Result<(), String>,
@@ -119,7 +117,7 @@ fn live_run(f: &Fixture, chunk: usize) -> Run {
     for t in tails(&f.dir, chunk) {
         lm.add_source(t);
     }
-    let mut digest = JframeStreamDigest::new();
+    let mut digest = StreamDigest::new();
     let mut conservation = Conservation::default();
     let report = lm
         .run(|jf| {
@@ -128,8 +126,7 @@ fn live_run(f: &Fixture, chunk: usize) -> Run {
         })
         .unwrap();
     Run {
-        jframes: digest.count(),
-        hex: digest.hex(),
+        stream: digest.ordered(),
         events_in: report.merge.events_in,
         peak_buffered: report.merge.peak_buffered,
         conserved: conservation.check(&report.merge),
@@ -144,17 +141,12 @@ fn check_chunking(name: &str, f: &Fixture, chunk: usize) -> Result<(), String> {
     if let Err(e) = &live.conserved {
         return Err(format!("{name} live chunk={chunk}: {e}"));
     }
-    if (
-        live.events_in,
-        live.jframes,
-        live.hex.as_str(),
-        live.peak_buffered,
-    ) != (f.events, f.batch_count, f.batch_hex.as_str(), f.batch_peak)
-    {
+    agree(&[("batch", f.batch.clone()), ("live", live.stream.clone())])
+        .map_err(|e| format!("{name} chunk={chunk}: {e}"))?;
+    if (live.events_in, live.peak_buffered) != (f.events, f.batch_peak) {
         return Err(format!(
-            "{name} live chunk={chunk}: {live:?} != batch ({} events, {} jframes, {}, \
-             peak buffered {})",
-            f.events, f.batch_count, f.batch_hex, f.batch_peak
+            "{name} live chunk={chunk}: {live:?} != batch ({} events, peak buffered {})",
+            f.events, f.batch_peak
         ));
     }
     Ok(())

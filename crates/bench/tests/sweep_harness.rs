@@ -11,10 +11,8 @@
 //!   jframe stream exactly.
 
 use jigsaw_bench::sweep::SWEEP_SEED;
-use jigsaw_bench::{record_corpus, sharded_config, CorpusSession, JframeStreamDigest};
-use jigsaw_core::observer::OnJFrame;
+use jigsaw_bench::{agree, record_corpus, sharded_config, CorpusSession, StreamDigest};
 use jigsaw_core::pipeline::{Pipeline, PipelineConfig};
-use jigsaw_core::JFrame;
 use jigsaw_sim::scenario::{ScenarioConfig, TruthConfig};
 use jigsaw_sim::spec::{CoChannel, HiddenTerminals, QosMix, Roaming, ScenarioSpec, SessionChurn};
 use proptest::prelude::*;
@@ -101,14 +99,11 @@ fn matrix_scenarios_survive_record_and_dual_driver_merge() {
         assert!(summary.events > 0, "{}: empty corpus", spec.name);
 
         // The reference stream: in-memory serial merge.
-        let mut mem = JframeStreamDigest::new();
-        Pipeline::merge_only(
-            out.memory_streams(),
-            &PipelineConfig::default(),
-            OnJFrame(|jf: &JFrame| mem.observe(jf)),
-        )
-        .expect("in-memory merge");
-        assert!(mem.count() > 0, "{}: no jframes", spec.name);
+        let mut mem = StreamDigest::new();
+        Pipeline::merge_only(out.memory_streams(), &PipelineConfig::default(), &mut mem)
+            .expect("in-memory merge");
+        let mem = mem.ordered();
+        assert!(mem.count > 0, "{}: no jframes", spec.name);
         let (sharded_cfg, shards) = sharded_config(&out.radio_meta);
         assert!(
             shards >= 2,
@@ -123,16 +118,14 @@ fn matrix_scenarios_survive_record_and_dual_driver_merge() {
             ("serial", &PipelineConfig::default()),
             ("sharded", &sharded_cfg),
         ] {
-            let mut disk = JframeStreamDigest::new();
+            let mut disk = StreamDigest::new();
             session
                 .merge(None, cfg, |jf| disk.observe(jf))
                 .expect("merge");
-            assert_eq!(
-                (disk.count(), disk.hex()),
-                (mem.count(), mem.hex()),
-                "{}: disk {layout} merge diverged from in-memory serial",
-                spec.name
-            );
+            let legs = [("in-memory serial", mem.clone()), ("disk", disk.ordered())];
+            if let Err(e) = agree(&legs) {
+                panic!("{} {layout}: {e}", spec.name);
+            }
         }
     }
     let _ = std::fs::remove_dir_all(&root);

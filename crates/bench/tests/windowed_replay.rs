@@ -18,7 +18,7 @@
 //!    replay's disk reads are bounded by the window's blocks, not the
 //!    corpus.
 
-use jigsaw_bench::{record_corpus, sharded_config, CorpusSession, WindowedStreamDigest};
+use jigsaw_bench::{agree, record_corpus, sharded_config, CorpusSession, Reading, StreamDigest};
 use jigsaw_core::pipeline::{PipelineConfig, WindowClipper};
 use jigsaw_core::JFrame;
 use jigsaw_sim::scenario::ScenarioConfig;
@@ -81,10 +81,11 @@ fn clipped_full_jframes(session: &CorpusSession, window: TimeWindow) -> (Vec<JFr
     merged_jframes(session, None, &leg_cfg(session, window, false))
 }
 
-fn digest_of(frames: &[JFrame]) -> WindowedStreamDigest {
-    let mut d = WindowedStreamDigest::new();
+/// The per-channel clock-invariant reading of a jframe stream.
+fn invariant_of(frames: &[JFrame]) -> Reading {
+    let mut d = StreamDigest::new();
     frames.iter().for_each(|f| d.observe(f));
-    d
+    d.invariant()
 }
 
 /// Pretty-prints the jframes whose stable identities appear in one stream
@@ -144,12 +145,16 @@ fn windowed_replay_matches_clipped_full_replay() {
 
     // Contract #2: identical per-channel multisets of clock-invariant
     // jframe identities.
-    assert_eq!(
-        digest_of(&win_serial).hex(),
-        digest_of(&full).hex(),
-        "windowed unification diverged from clipped-full:\n{}",
-        describe_diff(&win_serial, &full)
-    );
+    let legs = [
+        ("clipped-full", invariant_of(&full)),
+        ("windowed", invariant_of(&win_serial)),
+    ];
+    if let Err(e) = agree(&legs) {
+        panic!(
+            "windowed unification diverged: {e}\n{}",
+            describe_diff(&win_serial, &full)
+        );
+    }
     assert_eq!(win_serial.len(), full.len());
 
     // Contract #3: matching jframes' merged timestamps agree within the

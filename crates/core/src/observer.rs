@@ -19,6 +19,7 @@
 //! * the [`OnJFrame`] / [`OnAttempt`] / [`OnExchange`] / [`OnFlows`]
 //!   adapters lift a plain closure into a single-hook observer, keeping
 //!   the old sink-closure ergonomics;
+//! * [`Collect`] materializes the jframes and exchanges of a small run;
 //! * `()` is the null observer.
 //!
 //! ```
@@ -131,6 +132,25 @@ pub struct OnFlows<F>(pub F);
 impl<F: FnMut(&[FlowRecord])> PipelineObserver for OnFlows<F> {
     fn on_flows(&mut self, flows: &[FlowRecord]) {
         (self.0)(flows);
+    }
+}
+
+/// Materializes every jframe and exchange a run emits — small runs and
+/// tests only: `Pipeline::run(sources, &cfg, &mut collect)`.
+#[derive(Debug, Default)]
+pub struct Collect {
+    /// Every unified frame, in emission order.
+    pub jframes: Vec<JFrame>,
+    /// Every closed exchange, in emission order.
+    pub exchanges: Vec<Exchange>,
+}
+
+impl PipelineObserver for Collect {
+    fn on_jframe(&mut self, jf: &JFrame) {
+        self.jframes.push(jf.clone());
+    }
+    fn on_exchange(&mut self, x: &Exchange) {
+        self.exchanges.push(x.clone());
     }
 }
 

@@ -45,7 +45,7 @@
 use crate::jframe::JFrame;
 use crate::link::attempt::{Attempt, AttemptAssembler, AttemptStats};
 use crate::link::exchange::{Exchange, ExchangeAssembler, LinkStats};
-use crate::observer::{OnExchange, OnJFrame, PipelineObserver};
+use crate::observer::PipelineObserver;
 use crate::shard::{seeded_merger, ShardConfig};
 use crate::sync::bootstrap::{bootstrap_at, BootstrapConfig, BootstrapError, BootstrapReport};
 use crate::transport::flow::{FlowRecord, TransportAnalyzer, TransportStats};
@@ -978,8 +978,9 @@ impl Pipeline {
     /// attempts, which are distinct from frame exchanges), every closed
     /// exchange, and — once, at the end — the reconstructed flow records.
     /// Pass `()` for no observation, a closure adapter such as
-    /// [`OnJFrame`] for one stream, a tuple to fan out to several
-    /// analyses, or `&mut analysis` to keep the analysis afterwards.
+    /// [`OnJFrame`](crate::observer::OnJFrame) for one stream, a tuple to
+    /// fan out to several analyses, or `&mut analysis` to keep the
+    /// analysis afterwards.
     ///
     /// The merge runs at the layout [`PipelineConfig::shard`] plans
     /// (bootstrap is global either way — monitor clocks bridge channels);
@@ -1016,34 +1017,12 @@ impl Pipeline {
         let report = run.finish(|jf| obs.on_jframe(&jf))?;
         Ok((report.bootstrap, report.merge))
     }
-
-    /// Convenience wrapper that materializes jframes and exchanges
-    /// (small runs and tests only).
-    pub fn run_collect<I>(
-        sources: Vec<I>,
-        cfg: &PipelineConfig,
-    ) -> Result<(Vec<JFrame>, Vec<Exchange>, PipelineReport), PipelineError>
-    where
-        I: EventSource,
-        I::Stream: Send + 'static,
-    {
-        let mut jframes = Vec::new();
-        let mut xs = Vec::new();
-        let report = Self::run(
-            sources,
-            cfg,
-            (
-                OnJFrame(|jf: &JFrame| jframes.push(jf.clone())),
-                OnExchange(|x: &Exchange| xs.push(x.clone())),
-            ),
-        )?;
-        Ok((jframes, xs, report))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observer::{Collect, OnExchange, OnJFrame};
     use jigsaw_ieee80211::fc::FcFlags;
     use jigsaw_ieee80211::frame::{DataFrame, Frame};
     use jigsaw_ieee80211::wire::serialize_frame;
@@ -1193,11 +1172,11 @@ mod tests {
             ),
             MemoryStream::new(meta(1, 0), vec![ev(1, 102, frame_bytes(1))]),
         ];
-        let (jframes, _, report) =
-            Pipeline::run_collect(streams, &PipelineConfig::default()).unwrap();
+        let mut collect = Collect::default();
+        let report = Pipeline::run(streams, &PipelineConfig::default(), &mut collect).unwrap();
         assert_eq!(report.merge.events_in, 3);
-        assert_eq!(jframes.len(), 2);
-        assert!(jframes.iter().any(|j| j.ts == window + 1));
+        assert_eq!(collect.jframes.len(), 2);
+        assert!(collect.jframes.iter().any(|j| j.ts == window + 1));
     }
 
     /// One observer sees every stream the pipeline emits, with `on_flows`
@@ -1429,8 +1408,14 @@ mod tests {
     /// streams finished in one go. A sharded layout refuses to step.
     #[test]
     fn stepped_run_matches_run() {
-        let (want_jframes, want_xs, want) =
-            Pipeline::run_collect(four_radio_streams(), &PipelineConfig::default()).unwrap();
+        let mut collect = Collect::default();
+        let want = Pipeline::run(
+            four_radio_streams(),
+            &PipelineConfig::default(),
+            &mut collect,
+        )
+        .unwrap();
+        let (want_jframes, want_xs) = (collect.jframes, collect.exchanges);
         assert!(!want_xs.is_empty(), "the comparison needs exchanges");
 
         let (mut jframes, mut xs) = (Vec::new(), Vec::new());
@@ -1500,8 +1485,9 @@ mod tests {
         let run = |threads: usize| {
             let mut cfg = PipelineConfig::default();
             cfg.shard.max_threads = threads;
-            let (jframes, xs, mut report) =
-                Pipeline::run_collect(four_radio_streams(), &cfg).unwrap();
+            let mut collect = Collect::default();
+            let mut report = Pipeline::run(four_radio_streams(), &cfg, &mut collect).unwrap();
+            let (jframes, xs) = (collect.jframes, collect.exchanges);
             assert_eq!(report.merge.events_in, 1_600, "every event merged");
             assert!(!xs.is_empty(), "the comparison needs exchanges");
             // The one layout-dependent counter: shard peaks sum.

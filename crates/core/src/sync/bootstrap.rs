@@ -32,20 +32,21 @@ use jigsaw_trace::{PhyEvent, PhyStatus, RadioMeta};
 // tidy:allow-file(hash-order): anchor sets are sorted by (Reverse(len), first element) before the sync graph is built
 use std::collections::HashMap;
 
+/// Minimum radios a reference set must span to be usable: one radio's
+/// hearing of a frame relates its clock to nothing.
+const MIN_SET_SIZE: usize = 2;
+
 /// Bootstrap parameters.
 #[derive(Debug, Clone)]
 pub struct BootstrapConfig {
     /// Width of the bootstrap window after each trace's anchor (paper: 1 s).
     pub window_us: Micros,
-    /// Minimum radios a set must span to be usable.
-    pub min_set_size: usize,
 }
 
 impl Default for BootstrapConfig {
     fn default() -> Self {
         BootstrapConfig {
             window_us: 1_000_000,
-            min_set_size: 2,
         }
     }
 }
@@ -218,10 +219,8 @@ pub fn bootstrap_at<P: AsRef<[PhyEvent]>>(
         }
     }
 
-    let mut set_list: Vec<&Vec<(usize, Micros)>> = sets
-        .values()
-        .filter(|v| v.len() >= cfg.min_set_size)
-        .collect();
+    let mut set_list: Vec<&Vec<(usize, Micros)>> =
+        sets.values().filter(|v| v.len() >= MIN_SET_SIZE).collect();
     // Largest sets first; ties broken deterministically (HashMap iteration
     // order must never influence the synchronization graph).
     set_list.sort_by_key(|v| (std::cmp::Reverse(v.len()), v[0].0, v[0].1));

@@ -325,11 +325,6 @@ impl<S: EventStream> Merger<S> {
         self.cursors.len()
     }
 
-    /// Every radio's stream, in position order.
-    pub fn streams_mut(&mut self) -> impl Iterator<Item = &mut S> {
-        self.cursors.iter_mut().map(|c| &mut c.stream)
-    }
-
     /// Where a radio's stream stands.
     pub fn status(&self, radio: usize) -> StreamStatus {
         self.cursors[radio].status
@@ -1608,7 +1603,7 @@ mod tests {
     }
 
     fn trickle(merger: &mut Merger<Trickle>, radio: usize) -> &mut Trickle {
-        merger.streams_mut().nth(radio).expect("known radio")
+        &mut merger.cursors[radio].stream
     }
 
     /// One live round: pull what pended, merge what arrived.

@@ -3,6 +3,7 @@
 //! real system never had.
 
 use jigsaw_core::link::exchange::DeliveryStatus;
+use jigsaw_core::observer::Collect;
 use jigsaw_core::pipeline::{Pipeline, PipelineConfig};
 use jigsaw_ieee80211::Subtype;
 use jigsaw_sim::scenario::ScenarioConfig;
@@ -14,7 +15,9 @@ fn pipeline_reconstructs_tiny_world() {
     let events_total = out.total_events();
     let streams = out.memory_streams();
     let cfg = PipelineConfig::default();
-    let (jframes, exchanges, report) = Pipeline::run_collect(streams, &cfg).unwrap();
+    let mut collect = Collect::default();
+    let report = Pipeline::run(streams, &cfg, &mut collect).unwrap();
+    let Collect { jframes, exchanges } = collect;
 
     // --- merge sanity ---
     assert_eq!(report.merge.events_in, events_total);
@@ -94,8 +97,9 @@ fn retry_exchanges_reconstructed() {
     // The small world has enough contention/interference for link retries.
     let out = ScenarioConfig::small(13).run();
     let streams = out.memory_streams();
-    let (_, exchanges, report) =
-        Pipeline::run_collect(streams, &PipelineConfig::default()).unwrap();
+    let mut collect = Collect::default();
+    let report = Pipeline::run(streams, &PipelineConfig::default(), &mut collect).unwrap();
+    let exchanges = collect.exchanges;
 
     let with_retries = exchanges.iter().filter(|x| x.retries() > 0).count();
     assert!(with_retries > 0, "no multi-attempt exchanges reconstructed");
@@ -115,7 +119,9 @@ fn per_station_seq_continuity_in_exchanges() {
     // consecutive sequence numbers (gaps mean the monitors missed MSDUs).
     let out = ScenarioConfig::tiny(29).run();
     let streams = out.memory_streams();
-    let (_, exchanges, _) = Pipeline::run_collect(streams, &PipelineConfig::default()).unwrap();
+    let mut collect = Collect::default();
+    Pipeline::run(streams, &PipelineConfig::default(), &mut collect).unwrap();
+    let exchanges = collect.exchanges;
 
     let mut per_tx: HashMap<_, Vec<(u64, u16)>> = HashMap::new();
     for x in &exchanges {
@@ -153,10 +159,18 @@ fn per_station_seq_continuity_in_exchanges() {
 #[test]
 fn pipeline_deterministic() {
     let out = ScenarioConfig::tiny(55).run();
-    let (j1, x1, r1) =
-        Pipeline::run_collect(out.memory_streams(), &PipelineConfig::default()).unwrap();
-    let (j2, x2, r2) =
-        Pipeline::run_collect(out.memory_streams(), &PipelineConfig::default()).unwrap();
+    let run = || {
+        let mut collect = Collect::default();
+        let report = Pipeline::run(
+            out.memory_streams(),
+            &PipelineConfig::default(),
+            &mut collect,
+        )
+        .unwrap();
+        (collect.jframes, collect.exchanges, report)
+    };
+    let (j1, x1, r1) = run();
+    let (j2, x2, r2) = run();
     assert_eq!(j1.len(), j2.len());
     assert_eq!(x1.len(), x2.len());
     assert_eq!(r1.merge.resyncs, r2.merge.resyncs);

@@ -7,6 +7,7 @@
 
 // An example's output *is* stdout; the workspace denial targets library code.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
+use jigsaw::core::observer::Collect;
 use jigsaw::core::pipeline::{Pipeline, PipelineConfig};
 use jigsaw::sim::scenario::ScenarioConfig;
 
@@ -30,8 +31,14 @@ fn main() {
 
     // 2. Run the Jigsaw pipeline: bootstrap sync → unification →
     //    link-layer → transport reconstruction, in one streaming pass.
-    let (jframes, exchanges, report) =
-        Pipeline::run_collect(out.memory_streams(), &PipelineConfig::default()).expect("pipeline");
+    let mut collect = Collect::default();
+    let report = Pipeline::run(
+        out.memory_streams(),
+        &PipelineConfig::default(),
+        &mut collect,
+    )
+    .expect("pipeline");
+    let Collect { jframes, exchanges } = collect;
 
     println!("\n-- synchronization --");
     println!(

@@ -39,15 +39,17 @@
 //!
 //! ```
 //! use jigsaw::sim::scenario::ScenarioConfig;
+//! use jigsaw::core::observer::Collect;
 //! use jigsaw::core::pipeline::{Pipeline, PipelineConfig};
 //!
-//! // Simulate a small building and merge its traces.
+//! // Simulate a small building, merge its traces, and keep what it emits.
 //! let out = ScenarioConfig::tiny(42).run();
-//! let (jframes, exchanges, report) =
-//!     Pipeline::run_collect(out.memory_streams(), &PipelineConfig::default()).unwrap();
+//! let mut collect = Collect::default();
+//! let report =
+//!     Pipeline::run(out.memory_streams(), &PipelineConfig::default(), &mut collect).unwrap();
 //! assert!(report.merge.jframes_out > 0);
-//! assert!(!jframes.is_empty());
-//! assert!(!exchanges.is_empty());
+//! assert!(!collect.jframes.is_empty());
+//! assert!(!collect.exchanges.is_empty());
 //! ```
 //!
 //! Analyses subscribe to the pipeline's streams through one observer —

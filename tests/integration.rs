@@ -6,6 +6,7 @@ use jigsaw::analysis::coverage::{pods_subset, radios_of_pods, CoverageAnalysis};
 use jigsaw::analysis::dispersion::DispersionAnalysis;
 use jigsaw::analysis::summary::SummaryBuilder;
 use jigsaw::analysis::tcploss::TcpLossAnalysis;
+use jigsaw::core::observer::Collect;
 use jigsaw::core::pipeline::{Pipeline, PipelineConfig};
 use jigsaw::sim::scenario::ScenarioConfig;
 use jigsaw::trace::format::{TraceReader, TraceWriter};
@@ -13,10 +14,15 @@ use jigsaw::trace::format::{TraceReader, TraceWriter};
 #[test]
 fn facade_quickstart_path() {
     let out = ScenarioConfig::tiny(1).run();
-    let (jframes, exchanges, report) =
-        Pipeline::run_collect(out.memory_streams(), &PipelineConfig::default()).unwrap();
-    assert!(!jframes.is_empty());
-    assert!(!exchanges.is_empty());
+    let mut collect = Collect::default();
+    let report = Pipeline::run(
+        out.memory_streams(),
+        &PipelineConfig::default(),
+        &mut collect,
+    )
+    .unwrap();
+    assert!(!collect.jframes.is_empty());
+    assert!(!collect.exchanges.is_empty());
     assert!(report.transport.flows > 0);
 }
 
