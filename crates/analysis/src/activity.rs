@@ -13,7 +13,6 @@ use crate::stations::StationLearner;
 use crate::stats::TimeSeries;
 use crate::suite::{Analyzer, Figure, Record};
 use jigsaw_core::jframe::JFrame;
-use jigsaw_core::observer::PipelineObserver;
 use jigsaw_ieee80211::frame::{Frame, MgmtBody};
 use jigsaw_ieee80211::timing::{airtime_us, Preamble};
 use jigsaw_ieee80211::{MacAddr, Micros};
@@ -61,7 +60,6 @@ pub struct ActivityFigure {
 pub struct ActivityAnalysis {
     origin: Micros,
     bin_us: Micros,
-    stations: StationLearner,
     clients_per_bin: Vec<HashSet<MacAddr>>,
     aps_per_bin: Vec<HashSet<MacAddr>>,
     fig: ActivityFigure,
@@ -73,7 +71,6 @@ impl ActivityAnalysis {
         ActivityAnalysis {
             origin,
             bin_us,
-            stations: StationLearner::new(),
             clients_per_bin: Vec::new(),
             aps_per_bin: Vec::new(),
             fig: ActivityFigure {
@@ -117,11 +114,11 @@ impl ActivityAnalysis {
             }
         }
     }
+}
 
-    /// Feeds one jframe.
-    pub fn observe(&mut self, jf: &JFrame) {
-        self.stations.observe(jf);
-        let Some(frame) = jf.parse() else { return };
+impl Analyzer for ActivityAnalysis {
+    fn on_jframe(&mut self, jf: &JFrame, frame: Option<&Frame>, _: &StationLearner) {
+        let Some(frame) = frame else { return };
         let bin = ((jf.ts.saturating_sub(self.origin)) / self.bin_us) as usize;
         let bytes = f64::from(jf.wire_len);
         let air = airtime_us(jf.rate, jf.wire_len as usize, Preamble::Long) as f64;
@@ -129,7 +126,7 @@ impl ActivityAnalysis {
         if frame.receiver().is_multicast() {
             self.fig.broadcast_airtime.add(jf.ts, air);
         }
-        match Self::categorize(&frame) {
+        match Self::categorize(frame) {
             Category::Data => self.fig.bytes_data.add(jf.ts, bytes),
             Category::Management => self.fig.bytes_mgmt.add(jf.ts, bytes),
             Category::Beacon => self.fig.bytes_beacon.add(jf.ts, bytes),
@@ -138,7 +135,7 @@ impl ActivityAnalysis {
 
         // Activity: a client is active when communicating with an AP or
         // associating; the AP it talks to becomes active as well.
-        match &frame {
+        match frame {
             Frame::Data(d) if !d.null => {
                 if d.flags.to_ds {
                     Self::mark_active(&mut self.clients_per_bin, bin, d.addr2);
@@ -165,8 +162,7 @@ impl ActivityAnalysis {
         }
     }
 
-    /// Finalizes the figure.
-    pub fn finish(mut self) -> ActivityFigure {
+    fn into_figure(mut self: Box<Self>, stations: &StationLearner) -> Box<dyn Figure> {
         // Only count as clients things that never beaconed (an AP's FromDS
         // data frames name it in mark_active's AP map already).
         let n = self.clients_per_bin.len().max(self.aps_per_bin.len());
@@ -175,26 +171,10 @@ impl ActivityAnalysis {
         self.fig.active_clients = self
             .clients_per_bin
             .iter()
-            .map(|s| s.iter().filter(|a| !self.stations.is_ap(**a)).count())
+            .map(|s| s.iter().filter(|a| !stations.is_ap(**a)).count())
             .collect();
         self.fig.active_aps = self.aps_per_bin.iter().map(|s| s.len()).collect();
-        self.fig
-    }
-}
-
-impl PipelineObserver for ActivityAnalysis {
-    fn on_jframe(&mut self, jf: &JFrame) {
-        self.observe(jf);
-    }
-}
-
-impl Analyzer for ActivityAnalysis {
-    fn name(&self) -> &'static str {
-        "fig8"
-    }
-
-    fn into_figure(self: Box<Self>) -> Box<dyn Figure> {
-        Box::new((*self).finish())
+        Box::new(self.fig)
     }
 }
 
@@ -280,6 +260,8 @@ impl Figure for ActivityFigure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite::tests::only_figure;
+    use crate::suite::Suite;
     use jigsaw_core::pipeline::{Pipeline, PipelineConfig};
     use jigsaw_sim::scenario::ScenarioConfig;
 
@@ -288,9 +270,9 @@ mod tests {
         let out = ScenarioConfig::tiny(9).run();
         let day = out.duration_us;
         let bin = day / 8;
-        let mut a = ActivityAnalysis::new(0, bin);
-        Pipeline::run(out.memory_streams(), &PipelineConfig::default(), &mut a).unwrap();
-        let fig = a.finish();
+        let mut suite = Suite::new().register(ActivityAnalysis::new(0, bin));
+        Pipeline::run(out.memory_streams(), &PipelineConfig::default(), &mut suite).unwrap();
+        let fig: ActivityFigure = only_figure(suite);
         // Both clients become active at some point.
         let peak_clients = fig.active_clients.iter().copied().max().unwrap_or(0);
         assert!(peak_clients >= 1, "no active clients seen");

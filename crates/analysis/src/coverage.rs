@@ -15,11 +15,12 @@
 //!    [`pods_subset`] picks which pods survive, mimicking the paper's
 //!    "visual redundancy" removal.
 
+use crate::stations::StationLearner;
 use crate::stats::{Cdf, SealedCdf};
 use crate::suite::{Analyzer, Figure, Record};
 use jigsaw_core::jframe::JFrame;
 use jigsaw_core::link::exchange::Exchange;
-use jigsaw_core::observer::PipelineObserver;
+use jigsaw_ieee80211::frame::Frame;
 use jigsaw_ieee80211::wire::msdu_body;
 use jigsaw_ieee80211::{MacAddr, Micros, Subtype};
 use jigsaw_packet::{ipv4::IpPayload, ArpOp, Msdu};
@@ -148,9 +149,11 @@ impl CoverageAnalysis {
             window_us,
         }
     }
+}
 
-    /// Feeds a reconstructed exchange from the wireless trace.
-    pub fn observe_exchange(&mut self, x: &Exchange) {
+impl Analyzer for CoverageAnalysis {
+    /// Matches a reconstructed exchange against the wired trace.
+    fn on_exchange(&mut self, x: &Exchange) {
         if x.subtype != Subtype::Data {
             return;
         }
@@ -186,8 +189,7 @@ impl CoverageAnalysis {
         }
     }
 
-    /// Finalizes Figure 6.
-    pub fn finish(self) -> CoverageFigure {
+    fn into_figure(self: Box<Self>, _: &StationLearner) -> Box<dyn Figure> {
         let mut by_station: HashMap<MacAddr, StationCoverage> = HashMap::new();
         let mut total = 0u64;
         let mut hit = 0u64;
@@ -233,7 +235,7 @@ impl CoverageAnalysis {
         for c in &clients {
             client_cdf.add(c.coverage());
         }
-        CoverageFigure {
+        Box::new(CoverageFigure {
             overall: if total > 0 {
                 hit as f64 / total as f64
             } else {
@@ -255,23 +257,7 @@ impl CoverageAnalysis {
             stations,
             client_cdf: client_cdf.seal(),
             packets: total,
-        }
-    }
-}
-
-impl PipelineObserver for CoverageAnalysis {
-    fn on_exchange(&mut self, x: &Exchange) {
-        self.observe_exchange(x);
-    }
-}
-
-impl Analyzer for CoverageAnalysis {
-    fn name(&self) -> &'static str {
-        "fig6"
-    }
-
-    fn into_figure(self: Box<Self>) -> Box<dyn Figure> {
-        Box::new((*self).finish())
+        })
     }
 }
 
@@ -386,9 +372,11 @@ impl OracleCoverage {
             window_us,
         }
     }
+}
 
-    /// Feeds one merged jframe.
-    pub fn observe(&mut self, jf: &JFrame) {
+impl Analyzer for OracleCoverage {
+    /// Matches one merged jframe against the oracle's truth.
+    fn on_jframe(&mut self, jf: &JFrame, _: Option<&Frame>, _: &StationLearner) {
         if !jf.valid {
             return;
         }
@@ -432,8 +420,7 @@ impl OracleCoverage {
         }
     }
 
-    /// Finalizes the oracle comparison.
-    pub fn finish(self) -> OracleFigure {
+    fn into_figure(self: Box<Self>, _: &StationLearner) -> Box<dyn Figure> {
         let mut total = 0u64;
         let mut hit = 0u64;
         for v in self.keyed.values() {
@@ -451,28 +438,11 @@ impl OracleCoverage {
         } else {
             1.0
         };
-        OracleFigure {
+        Box::new(OracleFigure {
             expected: total,
             observed: hit,
             coverage: cov,
-        }
-    }
-}
-
-impl PipelineObserver for OracleCoverage {
-    fn on_jframe(&mut self, jf: &JFrame) {
-        self.observe(jf);
-    }
-}
-
-impl Analyzer for OracleCoverage {
-    // tidy:allow(figure-golden): oracle only registers when ground truth is recorded; the sweep goldens run without it
-    fn name(&self) -> &'static str {
-        "oracle"
-    }
-
-    fn into_figure(self: Box<Self>) -> Box<dyn Figure> {
-        Box::new((*self).finish())
+        })
     }
 }
 
@@ -488,6 +458,7 @@ pub struct OracleFigure {
 }
 
 impl Figure for OracleFigure {
+    // tidy:allow(figure-golden): oracle only registers when ground truth is recorded; the sweep goldens run without it
     fn name(&self) -> &'static str {
         "oracle"
     }
@@ -541,7 +512,10 @@ mod tests {
     // matching mechanics here.
     #[test]
     fn coverage_matching_mechanics() {
+        use crate::suite::tests::only_figure;
+        use crate::suite::Suite;
         use jigsaw_core::link::exchange::DeliveryStatus;
+        use jigsaw_core::PipelineObserver;
         use jigsaw_ieee80211::fc::FcFlags;
         use jigsaw_ieee80211::frame::{DataFrame, Frame};
         use jigsaw_ieee80211::wire::serialize_frame;
@@ -566,7 +540,7 @@ mod tests {
             msdu: msdu.clone(),
         }];
         let ap_addr = move |_sid: u16| ap;
-        let mut cov = CoverageAnalysis::new(&wired, &ap_addr, 5_000_000);
+        let cov = CoverageAnalysis::new(&wired, &ap_addr, 5_000_000);
 
         // The corresponding wireless exchange.
         let frame = Frame::Data(DataFrame {
@@ -603,8 +577,9 @@ mod tests {
             data_valid: true,
             instance_count: 2,
         };
-        cov.observe_exchange(&x);
-        let fig = cov.finish();
+        let mut suite = Suite::new().register(cov);
+        suite.on_exchange(&x);
+        let fig: CoverageFigure = only_figure(suite);
         assert_eq!(fig.packets, 1);
         assert_eq!(fig.overall, 1.0);
         assert_eq!(fig.client_coverage, 1.0);
@@ -612,9 +587,8 @@ mod tests {
         assert!(!fig.stations[0].is_ap);
 
         // A second analysis with no wireless observation: coverage 0.
-        let mut cov2 = CoverageAnalysis::new(&wired, &ap_addr, 5_000_000);
-        let _ = &mut cov2;
-        let fig2 = cov2.finish();
+        let cov2 = CoverageAnalysis::new(&wired, &ap_addr, 5_000_000);
+        let fig2: CoverageFigure = only_figure(Suite::new().register(cov2));
         assert_eq!(fig2.overall, 0.0);
     }
 }

@@ -6,10 +6,11 @@
 //! dispersion values (multi-instance jframes only — a singleton has no
 //! dispersion by definition).
 
+use crate::stations::StationLearner;
 use crate::stats::{Cdf, SealedCdf};
 use crate::suite::{Analyzer, Figure, Record};
 use jigsaw_core::jframe::JFrame;
-use jigsaw_core::observer::PipelineObserver;
+use jigsaw_ieee80211::frame::Frame;
 
 /// Streaming Figure-4 builder.
 #[derive(Debug, Default)]
@@ -36,9 +37,10 @@ impl DispersionAnalysis {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Feeds one jframe.
-    pub fn observe(&mut self, jf: &JFrame) {
+impl Analyzer for DispersionAnalysis {
+    fn on_jframe(&mut self, jf: &JFrame, _: Option<&Frame>, _: &StationLearner) {
         if jf.instance_count() >= 2 && jf.valid {
             self.cdf.add(jf.dispersion as f64);
         } else {
@@ -46,33 +48,16 @@ impl DispersionAnalysis {
         }
     }
 
-    /// Finalizes the figure.
-    pub fn finish(self) -> DispersionFigure {
+    fn into_figure(self: Box<Self>, _: &StationLearner) -> Box<dyn Figure> {
         let cdf = self.cdf.seal();
         let frac_below_10us = cdf.fraction_below(10.0);
         let frac_below_20us = cdf.fraction_below(20.0);
-        DispersionFigure {
+        Box::new(DispersionFigure {
             cdf,
             singletons: self.singletons,
             frac_below_10us,
             frac_below_20us,
-        }
-    }
-}
-
-impl PipelineObserver for DispersionAnalysis {
-    fn on_jframe(&mut self, jf: &JFrame) {
-        self.observe(jf);
-    }
-}
-
-impl Analyzer for DispersionAnalysis {
-    fn name(&self) -> &'static str {
-        "fig4"
-    }
-
-    fn into_figure(self: Box<Self>) -> Box<dyn Figure> {
-        Box::new((*self).finish())
+        })
     }
 }
 
@@ -114,15 +99,18 @@ impl Figure for DispersionFigure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite::tests::only_figure;
+    use crate::suite::Suite;
     use jigsaw_core::pipeline::{Pipeline, PipelineConfig};
+    use jigsaw_core::PipelineObserver;
     use jigsaw_sim::scenario::ScenarioConfig;
 
     #[test]
     fn tiny_world_matches_paper_shape() {
         let out = ScenarioConfig::tiny(17).run();
-        let mut d = DispersionAnalysis::new();
-        Pipeline::run(out.memory_streams(), &PipelineConfig::default(), &mut d).unwrap();
-        let fig = d.finish();
+        let mut suite = Suite::new().register(DispersionAnalysis::new());
+        Pipeline::run(out.memory_streams(), &PipelineConfig::default(), &mut suite).unwrap();
+        let fig: DispersionFigure = only_figure(suite);
         assert!(fig.cdf.len() > 50, "too few multi-instance jframes");
         // The paper's headline: 90% < 10 µs, 99% < 20 µs. Our synthetic
         // clocks should meet or beat that.
@@ -143,7 +131,7 @@ mod tests {
 
     #[test]
     fn singletons_excluded() {
-        let mut d = DispersionAnalysis::new();
+        let mut suite = Suite::new().register(DispersionAnalysis::new());
         let jf = JFrame {
             ts: 0,
             bytes: Default::default(),
@@ -155,8 +143,8 @@ mod tests {
             valid: false,
             unique: false,
         };
-        d.observe(&jf);
-        let fig = d.finish();
+        suite.on_jframe(&jf);
+        let fig: DispersionFigure = only_figure(suite);
         assert_eq!(fig.singletons, 1);
         assert_eq!(fig.cdf.len(), 0);
         assert_eq!(Figure::records(&fig)[1], Record::u64("singletons", 1));

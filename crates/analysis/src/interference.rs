@@ -19,7 +19,7 @@ use crate::stats::{Cdf, SealedCdf};
 use crate::suite::{Analyzer, Figure, Record};
 use jigsaw_core::jframe::JFrame;
 use jigsaw_core::link::attempt::{Attempt, AttemptOutcome};
-use jigsaw_core::observer::PipelineObserver;
+use jigsaw_ieee80211::frame::Frame;
 use jigsaw_ieee80211::{MacAddr, Micros, Subtype};
 // tidy:allow-file(hash-order): the pair map is drained into a Vec and sorted before emission; in-map access is keyed lookup
 use std::collections::{HashMap, VecDeque};
@@ -75,7 +75,6 @@ pub struct InterferenceFigure {
 pub struct InterferenceAnalysis {
     /// Minimum transmissions for a pair to qualify (paper: 100).
     pub min_packets: u64,
-    stations: StationLearner,
     counts: HashMap<(MacAddr, MacAddr), PairCounts>,
     /// Recent transmissions on the air: (start, end, transmitter).
     recent: VecDeque<(Micros, Micros, Option<MacAddr>)>,
@@ -86,15 +85,21 @@ impl InterferenceAnalysis {
     pub fn new() -> Self {
         InterferenceAnalysis {
             min_packets: 100,
-            stations: StationLearner::new(),
             counts: HashMap::new(),
             recent: VecDeque::new(),
         }
     }
+}
 
-    /// Feeds every jframe (to track what is on the air and learn stations).
-    pub fn observe_jframe(&mut self, jf: &JFrame) {
-        self.stations.observe(jf);
+impl Default for InterferenceAnalysis {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Analyzer for InterferenceAnalysis {
+    /// Tracks what is on the air.
+    fn on_jframe(&mut self, jf: &JFrame, _: Option<&Frame>, _: &StationLearner) {
         if jf.wire_len == 0 {
             return;
         }
@@ -110,8 +115,8 @@ impl InterferenceAnalysis {
         }
     }
 
-    /// Feeds each unicast DATA transmission attempt.
-    pub fn observe_attempt(&mut self, a: &Attempt) {
+    /// Counts each unicast DATA transmission attempt.
+    fn on_attempt(&mut self, a: &Attempt) {
         if a.subtype != Subtype::Data || a.inferred_data {
             return;
         }
@@ -143,8 +148,7 @@ impl InterferenceAnalysis {
         }
     }
 
-    /// Finalizes Figure 9.
-    pub fn finish(self) -> InterferenceFigure {
+    fn into_figure(self: Box<Self>, stations: &StationLearner) -> Box<dyn Figure> {
         let mut pairs = Vec::new();
         let mut excluded = 0usize;
         for ((s, r), c) in &self.counts {
@@ -190,14 +194,14 @@ impl InterferenceAnalysis {
         let avg_background_loss = pairs.iter().map(|p| p.background_loss).sum::<f64>() / total;
         let ap_senders = interfered
             .iter()
-            .filter(|p| self.stations.is_ap(p.sender))
+            .filter(|p| stations.is_ap(p.sender))
             .count();
         let ap_sender_fraction = if interfered.is_empty() {
             0.0
         } else {
             ap_senders as f64 / interfered.len() as f64
         };
-        InterferenceFigure {
+        Box::new(InterferenceFigure {
             pairs,
             x_cdf: x_cdf.seal(),
             frac_with_interference,
@@ -205,33 +209,7 @@ impl InterferenceAnalysis {
             avg_background_loss,
             ap_sender_fraction,
             pairs_excluded: excluded,
-        }
-    }
-}
-
-impl Default for InterferenceAnalysis {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PipelineObserver for InterferenceAnalysis {
-    fn on_jframe(&mut self, jf: &JFrame) {
-        self.observe_jframe(jf);
-    }
-
-    fn on_attempt(&mut self, a: &Attempt) {
-        self.observe_attempt(a);
-    }
-}
-
-impl Analyzer for InterferenceAnalysis {
-    fn name(&self) -> &'static str {
-        "fig9"
-    }
-
-    fn into_figure(self: Box<Self>) -> Box<dyn Figure> {
-        Box::new((*self).finish())
+        })
     }
 }
 
@@ -288,6 +266,7 @@ impl Figure for InterferenceFigure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite::tests::downcast;
 
     fn attempt(s: u32, r: u32, ts: Micros, acked: bool) -> Attempt {
         Attempt {
@@ -313,6 +292,10 @@ mod tests {
         }
     }
 
+    fn finish(a: InterferenceAnalysis) -> InterferenceFigure {
+        downcast(Box::new(a).into_figure(&StationLearner::new()))
+    }
+
     fn on_air(a: &mut InterferenceAnalysis, ts: Micros, end: Micros, tx: u32) {
         a.recent.push_back((ts, end, Some(MacAddr::local(7, tx))));
     }
@@ -330,9 +313,9 @@ mod tests {
                 on_air(&mut a, t - 100, t + 700, 99);
             }
             let lost = sim && k % 5 < 4 && k % 10 < 8 && (k / 2) % 5 < 2; // 40%ish of sim
-            a.observe_attempt(&attempt(1, 1, t, !lost));
+            a.on_attempt(&attempt(1, 1, t, !lost));
         }
-        let fig = a.finish();
+        let fig = finish(a);
         assert_eq!(fig.pairs.len(), 1);
         let p = &fig.pairs[0];
         assert!(p.pi_raw > 0.1, "pi {}", p.pi_raw);
@@ -353,9 +336,9 @@ mod tests {
                 on_air(&mut a, t - 100, t + 700, 99);
             }
             let lost = k % 5 == 0;
-            a.observe_attempt(&attempt(1, 1, t, !lost));
+            a.on_attempt(&attempt(1, 1, t, !lost));
         }
-        let fig = a.finish();
+        let fig = finish(a);
         assert_eq!(fig.pairs.len(), 1);
         assert!(
             fig.pairs[0].pi_raw.abs() < 0.1,
@@ -377,9 +360,9 @@ mod tests {
                 on_air(&mut a, t - 100, t + 700, 99);
             }
             let lost = !sim && k % 4 == 0;
-            a.observe_attempt(&attempt(1, 1, t, !lost));
+            a.on_attempt(&attempt(1, 1, t, !lost));
         }
-        let fig = a.finish();
+        let fig = finish(a);
         assert_eq!(fig.pairs.len(), 1);
         assert!(fig.pairs[0].pi_raw < 0.0);
         assert_eq!(fig.pairs[0].x, 0.0);
@@ -390,9 +373,9 @@ mod tests {
     fn small_pairs_excluded() {
         let mut a = InterferenceAnalysis::new();
         for k in 0..50 {
-            a.observe_attempt(&attempt(2, 2, k * 1_000, true));
+            a.on_attempt(&attempt(2, 2, k * 1_000, true));
         }
-        let fig = a.finish();
+        let fig = finish(a);
         assert!(fig.pairs.is_empty());
         assert_eq!(fig.pairs_excluded, 1);
     }
@@ -406,9 +389,9 @@ mod tests {
         let mut t = 0;
         for _ in 0..150 {
             t += 5_000;
-            a.observe_attempt(&attempt(1, 1, t, true));
+            a.on_attempt(&attempt(1, 1, t, true));
         }
-        let fig = a.finish();
+        let fig = finish(a);
         // All transmissions counted as clean (n0), none simultaneous → the
         // pair is excluded for nx == 0.
         assert!(fig.pairs.is_empty());

@@ -17,7 +17,6 @@
 use crate::stations::{Capability, StationLearner};
 use crate::suite::{Analyzer, Figure, Record};
 use jigsaw_core::jframe::JFrame;
-use jigsaw_core::observer::PipelineObserver;
 use jigsaw_ieee80211::frame::Frame;
 use jigsaw_ieee80211::timing::{
     ack_airtime_us, airtime_us, mean_backoff_us, Preamble, CW_MIN_B, CW_MIN_G, SIFS_US,
@@ -57,7 +56,6 @@ pub struct ProtectionAnalysis {
     bin_us: Micros,
     /// The "practical" timeout for b-client sightings (paper: one minute).
     pub practical_timeout_us: Micros,
-    stations: StationLearner,
     /// Pending CTS-to-self by reserving station (ra == transmitter).
     pending_cts: HashMap<MacAddr, Micros>,
     /// Last b-client sighting per AP.
@@ -66,7 +64,7 @@ pub struct ProtectionAnalysis {
     per_bin_protecting: Vec<HashSet<MacAddr>>,
     per_bin_g_clients: Vec<HashMap<MacAddr, Option<MacAddr>>>,
     /// Rolling per-AP b-sighting history for bin evaluation:
-    /// (bin, ap) entries are resolved in finish().
+    /// (bin, ap) entries are resolved in `into_figure`.
     cts_events: Vec<(Micros, MacAddr)>,
     b_sightings: Vec<(Micros, MacAddr)>,
 }
@@ -79,7 +77,6 @@ impl ProtectionAnalysis {
             origin,
             bin_us,
             practical_timeout_us,
-            stations: StationLearner::new(),
             pending_cts: HashMap::new(),
             last_b_sighting: HashMap::new(),
             per_bin_protecting: Vec::new(),
@@ -102,20 +99,21 @@ impl ProtectionAnalysis {
 
     /// The AP responsible for a protecting station (itself if it is an AP,
     /// else its association).
-    fn bss_ap(&self, sta: MacAddr) -> Option<MacAddr> {
-        if self.stations.is_ap(sta) {
+    fn bss_ap(stations: &StationLearner, sta: MacAddr) -> Option<MacAddr> {
+        if stations.is_ap(sta) {
             Some(sta)
         } else {
-            self.stations.assoc.get(&sta).copied()
+            stations.assoc.get(&sta).copied()
         }
     }
+}
 
-    /// Feeds one jframe.
-    pub fn observe(&mut self, jf: &JFrame) {
-        self.stations.observe(jf);
-        let Some(frame) = jf.parse() else { return };
+impl Analyzer for ProtectionAnalysis {
+    /// Reads the census mid-stream: the suite has already fed it `jf`.
+    fn on_jframe(&mut self, jf: &JFrame, frame: Option<&Frame>, stations: &StationLearner) {
+        let Some(frame) = frame else { return };
         let ts = jf.ts;
-        match &frame {
+        match frame {
             Frame::Cts { ra, .. } => {
                 // Remember: if OFDM data follows from `ra`, this was
                 // CTS-to-self protection.
@@ -129,7 +127,7 @@ impl ProtectionAnalysis {
                 if !jf.rate.is_b_compatible() {
                     if let Some(&cts_end) = self.pending_cts.get(&tx) {
                         if ts >= cts_end && ts <= cts_end + SIFS_US + 400 {
-                            if let Some(ap) = self.bss_ap(tx) {
+                            if let Some(ap) = Self::bss_ap(stations, tx) {
                                 self.per_bin_protecting[b].insert(ap);
                                 self.cts_events.push((ts, ap));
                             }
@@ -139,7 +137,7 @@ impl ProtectionAnalysis {
                 }
                 // b-client sighting: CCK data from a b-only client.
                 if d.flags.to_ds && !d.null {
-                    let cap = self.stations.capability_of(tx);
+                    let cap = stations.capability_of(tx);
                     if cap == Capability::BOnly {
                         let ap = d.addr1;
                         self.last_b_sighting.insert(ap, ts);
@@ -152,7 +150,7 @@ impl ProtectionAnalysis {
                 }
                 if d.flags.from_ds && d.addr1.is_unicast() {
                     // Downstream traffic marks the client active too.
-                    let cap = self.stations.capability_of(d.addr1);
+                    let cap = stations.capability_of(d.addr1);
                     if cap == Capability::G {
                         self.per_bin_g_clients[b]
                             .entry(d.addr1)
@@ -172,7 +170,7 @@ impl ProtectionAnalysis {
                 if let jigsaw_ieee80211::frame::MgmtBody::ProbeResp { .. } = body {
                     // An AP answering a b-only prober has that b client in
                     // range (the paper's probe-response range inference).
-                    if self.stations.capability_of(header.da) == Capability::BOnly {
+                    if stations.capability_of(header.da) == Capability::BOnly {
                         self.b_sightings.push((ts, header.sa));
                     }
                 }
@@ -181,8 +179,7 @@ impl ProtectionAnalysis {
         }
     }
 
-    /// Finalizes Figure 10.
-    pub fn finish(self) -> ProtectionFigure {
+    fn into_figure(self: Box<Self>, _: &StationLearner) -> Box<dyn Figure> {
         let nbins = self.per_bin_protecting.len();
         let mut bins = vec![ProtectionBin::default(); nbins];
         // Sort sightings once; per (ap, bin) decide whether a b client was
@@ -221,27 +218,11 @@ impl ProtectionAnalysis {
                 .filter(|ap| ap.map(|a| overprotective.contains(&a)).unwrap_or(false))
                 .count();
         }
-        ProtectionFigure {
+        Box::new(ProtectionFigure {
             bin_us: self.bin_us,
             bins,
             throughput_headroom: throughput_headroom(PhyRate::R54, 1500),
-        }
-    }
-}
-
-impl PipelineObserver for ProtectionAnalysis {
-    fn on_jframe(&mut self, jf: &JFrame) {
-        self.observe(jf);
-    }
-}
-
-impl Analyzer for ProtectionAnalysis {
-    fn name(&self) -> &'static str {
-        "fig10"
-    }
-
-    fn into_figure(self: Box<Self>) -> Box<dyn Figure> {
-        Box::new((*self).finish())
+        })
     }
 }
 
@@ -305,6 +286,9 @@ impl Figure for ProtectionFigure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite::tests::only_figure;
+    use crate::suite::Suite;
+    use jigsaw_core::PipelineObserver;
 
     #[test]
     fn headroom_matches_footnote7() {
@@ -325,7 +309,7 @@ mod tests {
         use jigsaw_ieee80211::wire::serialize_frame;
         use jigsaw_ieee80211::SeqNum;
         let bin = 1_000_000u64;
-        let mut p = ProtectionAnalysis::new(0, bin, 2_000_000);
+        let mut p = Suite::new().register(ProtectionAnalysis::new(0, bin, 2_000_000));
         let ap = MacAddr::local(0, 1);
         let g_client = MacAddr::local(3, 1);
 
@@ -346,21 +330,21 @@ mod tests {
         };
 
         // Learn the AP and a g client association.
-        p.observe(&mk(
+        p.on_jframe(&mk(
             &jigsaw_sim::frames::beacon(ap, b"x", 1, true, 5, SeqNum::new(0)),
             10,
             PhyRate::R1,
         ));
         // g client sends OFDM data with CTS-to-self in bin 0.
         let g_probe = jigsaw_sim::frames::probe_req(g_client, false, SeqNum::new(0));
-        p.observe(&mk(&g_probe, 20, PhyRate::R1));
+        p.on_jframe(&mk(&g_probe, 20, PhyRate::R1));
         let cts = Frame::Cts {
             duration: 400,
             ra: g_client,
         };
         let cts_jf = mk(&cts, 100_000, PhyRate::R2);
         let cts_end = cts_jf.end_ts();
-        p.observe(&cts_jf);
+        p.on_jframe(&cts_jf);
         let data = jigsaw_sim::frames::data_frame(
             ap,
             g_client,
@@ -373,9 +357,9 @@ mod tests {
             Preamble::Long,
             vec![0; 200],
         );
-        p.observe(&mk(&data, cts_end + SIFS_US, PhyRate::R54));
+        p.on_jframe(&mk(&data, cts_end + SIFS_US, PhyRate::R54));
 
-        let fig = p.finish();
+        let fig: ProtectionFigure = only_figure(p);
         assert!(!fig.bins.is_empty());
         let b0 = &fig.bins[0];
         assert_eq!(b0.protecting_aps, 1);
@@ -390,7 +374,7 @@ mod tests {
         use jigsaw_ieee80211::wire::serialize_frame;
         use jigsaw_ieee80211::SeqNum;
         let bin = 1_000_000u64;
-        let mut p = ProtectionAnalysis::new(0, bin, 5_000_000);
+        let mut p = Suite::new().register(ProtectionAnalysis::new(0, bin, 5_000_000));
         let ap = MacAddr::local(0, 1);
         let b_client = MacAddr::local(3, 9);
         let g_client = MacAddr::local(3, 1);
@@ -411,13 +395,13 @@ mod tests {
             }
         };
 
-        p.observe(&mk(
+        p.on_jframe(&mk(
             &jigsaw_sim::frames::beacon(ap, b"x", 1, true, 5, SeqNum::new(0)),
             10,
             PhyRate::R1,
         ));
         // A b-only client probes and sends CCK data to the AP.
-        p.observe(&mk(
+        p.on_jframe(&mk(
             &jigsaw_sim::frames::probe_req(b_client, true, SeqNum::new(0)),
             50,
             PhyRate::R1,
@@ -434,9 +418,9 @@ mod tests {
             Preamble::Long,
             vec![0; 100],
         );
-        p.observe(&mk(&bdata, 60_000, PhyRate::R11));
+        p.on_jframe(&mk(&bdata, 60_000, PhyRate::R11));
         // Then protected OFDM traffic in the same bin.
-        p.observe(&mk(
+        p.on_jframe(&mk(
             &jigsaw_sim::frames::probe_req(g_client, false, SeqNum::new(0)),
             70_000,
             PhyRate::R1,
@@ -447,7 +431,7 @@ mod tests {
         };
         let cj = mk(&cts, 100_000, PhyRate::R2);
         let ce = cj.end_ts();
-        p.observe(&cj);
+        p.on_jframe(&cj);
         let gdata = jigsaw_sim::frames::data_frame(
             ap,
             g_client,
@@ -460,9 +444,9 @@ mod tests {
             Preamble::Long,
             vec![0; 200],
         );
-        p.observe(&mk(&gdata, ce + SIFS_US, PhyRate::R54));
+        p.on_jframe(&mk(&gdata, ce + SIFS_US, PhyRate::R54));
 
-        let fig = p.finish();
+        let fig: ProtectionFigure = only_figure(p);
         let b0 = &fig.bins[0];
         assert_eq!(b0.protecting_aps, 1);
         // b client recently seen → NOT overprotective.

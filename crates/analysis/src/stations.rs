@@ -3,10 +3,13 @@
 //! addresses that beacon; clients are addresses that probe, associate, or
 //! send ToDS data; b-only clients are those whose rate-set IEs carry no
 //! ERP-OFDM rates (and that never transmit OFDM).
+//!
+//! There is one census per pass: the [`Suite`](crate::suite::Suite) owns
+//! the only [`StationLearner`], feeds it each decoded jframe, and lends it
+//! to every analyzer; [`StationsAnalysis`] is the census read as a figure.
 
 use crate::suite::{Analyzer, Figure, Record};
 use jigsaw_core::jframe::JFrame;
-use jigsaw_core::observer::PipelineObserver;
 use jigsaw_ieee80211::frame::{Frame, MgmtBody};
 use jigsaw_ieee80211::{ie, MacAddr, Micros};
 // tidy:allow-file(hash-order): maps and sets feed membership and count queries only; no iteration order reaches records
@@ -71,10 +74,9 @@ impl StationLearner {
         }
     }
 
-    /// Feeds one jframe.
-    pub fn observe(&mut self, jf: &JFrame) {
-        let Some(frame) = jf.parse() else { return };
-        match &frame {
+    /// Feeds one valid jframe and its decoded frame.
+    pub fn observe(&mut self, jf: &JFrame, frame: &Frame) {
+        match frame {
             Frame::Mgmt { header, body } => match body {
                 MgmtBody::Beacon { ies, .. } => {
                     let ssid = ie::find_ssid(ies).unwrap_or(b"").to_vec();
@@ -134,56 +136,27 @@ impl StationLearner {
 
 /// The station census as a figure of its own: who is on the air, learned
 /// purely from observed frames (the paper's Table-1 AP/client counts plus
-/// the b/g capability split that drives §7.3).
-#[derive(Debug, Default)]
-pub struct StationsAnalysis {
-    learner: StationLearner,
-}
+/// the b/g capability split that drives §7.3). Stateless: the figure is
+/// read off the suite's census at finish time.
+#[derive(Debug)]
+pub struct StationsAnalysis;
 
-impl StationsAnalysis {
-    /// Empty census.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Feeds one jframe.
-    pub fn observe(&mut self, jf: &JFrame) {
-        self.learner.observe(jf);
-    }
-
-    /// Finalizes the census.
-    pub fn finish(self) -> StationsFigure {
-        let l = &self.learner;
+impl Analyzer for StationsAnalysis {
+    fn into_figure(self: Box<Self>, l: &StationLearner) -> Box<dyn Figure> {
         let cap = |want: Capability| {
             l.clients
                 .iter()
                 .filter(|c| l.capability_of(**c) == want)
                 .count()
         };
-        StationsFigure {
+        Box::new(StationsFigure {
             aps: l.aps.len(),
             clients: l.clients.len(),
             g_clients: cap(Capability::G),
             b_only_clients: cap(Capability::BOnly),
             unknown_clients: cap(Capability::Unknown),
             associations: l.assoc.len(),
-        }
-    }
-}
-
-impl PipelineObserver for StationsAnalysis {
-    fn on_jframe(&mut self, jf: &JFrame) {
-        self.observe(jf);
-    }
-}
-
-impl Analyzer for StationsAnalysis {
-    fn name(&self) -> &'static str {
-        "stations"
-    }
-
-    fn into_figure(self: Box<Self>) -> Box<dyn Figure> {
-        Box::new((*self).finish())
+        })
     }
 }
 
@@ -261,6 +234,12 @@ mod tests {
         }
     }
 
+    /// Feeds `frame` the way the suite does: captured, then decoded.
+    fn feed(l: &mut StationLearner, frame: &Frame, ts: u64, rate: PhyRate) {
+        let jf = jf_of(frame, ts, rate);
+        l.observe(&jf, &jf.parse().expect("a valid frame"));
+    }
+
     fn beacon(ap: MacAddr) -> Frame {
         jigsaw_sim::frames::beacon(ap, b"net", 6, false, 123, SeqNum::new(0))
     }
@@ -269,7 +248,7 @@ mod tests {
     fn beacons_identify_aps() {
         let mut l = StationLearner::new();
         let ap = MacAddr::local(0, 3);
-        l.observe(&jf_of(&beacon(ap), 100, PhyRate::R1));
+        feed(&mut l, &beacon(ap), 100, PhyRate::R1);
         assert!(l.is_ap(ap));
         assert_eq!(l.aps[&ap], b"net".to_vec());
     }
@@ -281,8 +260,8 @@ mod tests {
         let g_client = MacAddr::local(3, 2);
         let pb = jigsaw_sim::frames::probe_req(b_client, true, SeqNum::new(0));
         let pg = jigsaw_sim::frames::probe_req(g_client, false, SeqNum::new(0));
-        l.observe(&jf_of(&pb, 10, PhyRate::R1));
-        l.observe(&jf_of(&pg, 20, PhyRate::R1));
+        feed(&mut l, &pb, 10, PhyRate::R1);
+        feed(&mut l, &pg, 20, PhyRate::R1);
         assert_eq!(l.capability_of(b_client), Capability::BOnly);
         assert_eq!(l.capability_of(g_client), Capability::G);
         assert_eq!(l.capability_of(MacAddr::local(3, 99)), Capability::Unknown);
@@ -297,7 +276,7 @@ mod tests {
             header: MgmtHeader::new(client, ap, ap, SeqNum::new(1)),
             body: jigsaw_sim::frames::assoc_resp(3),
         };
-        l.observe(&jf_of(&resp, 50, PhyRate::R2));
+        feed(&mut l, &resp, 50, PhyRate::R2);
         assert_eq!(l.assoc.get(&client), Some(&ap));
     }
 
@@ -320,7 +299,7 @@ mod tests {
             null: false,
             body: vec![0; 40],
         });
-        l.observe(&jf_of(&d, 99, PhyRate::R54));
+        feed(&mut l, &d, 99, PhyRate::R54);
         assert_eq!(l.capability_of(client), Capability::G);
         assert_eq!(l.assoc.get(&client), Some(&ap));
         assert!(l.clients.contains(&client));
@@ -330,11 +309,12 @@ mod tests {
     fn activity_window() {
         let mut l = StationLearner::new();
         let c = MacAddr::local(3, 1);
-        l.observe(&jf_of(
+        feed(
+            &mut l,
             &jigsaw_sim::frames::probe_req(c, false, SeqNum::new(0)),
             5_000,
             PhyRate::R1,
-        ));
+        );
         assert_eq!(l.active_clients_between(0, 10_000), 1);
         assert_eq!(l.active_clients_between(10_000, 20_000), 0);
     }

@@ -5,24 +5,31 @@
 //! Every paper figure used to be a bespoke struct with its own
 //! `observe`/`finish`/`render` shape; the trait pair makes them uniform:
 //!
-//! * an [`Analyzer`] is a [`PipelineObserver`] — it
-//!   subscribes to exactly the pipeline streams it needs (jframes,
-//!   attempts, exchanges, flows) via default-no-op hooks — plus a name
-//!   and a way to finish into a figure;
+//! * an [`Analyzer`] subscribes to exactly the pipeline streams it needs
+//!   (jframes, attempts, exchanges, flows) via default-no-op hooks, and
+//!   finishes into a figure;
 //! * a [`Figure`] renders (`&self`, immutably — CDFs are sealed at finish
 //!   time) and exposes machine-readable key/value [`Figure::records`],
 //!   which is what the equivalence tests and CI summaries compare;
-//! * a [`Suite`] owns boxed analyzers and implements `PipelineObserver`
-//!   itself, so `Pipeline::run(sources, &cfg, &mut suite)` streams every
-//!   registered analysis in a single pass — including straight off a
-//!   disk corpus, with no `Vec<JFrame>` ever materialized.
+//! * a [`Suite`] owns boxed analyzers and is the one
+//!   [`PipelineObserver`], so `Pipeline::run(sources, &cfg, &mut suite)`
+//!   streams every registered analysis in a single pass — including
+//!   straight off a disk corpus, with no `Vec<JFrame>` ever materialized.
+//!
+//! The suite is also the only reader of a jframe's frame: it decodes each
+//! jframe once (`JFrame::parse`), feeds the result to its one
+//! [`StationLearner`] — the station census — and hands both the decoded
+//! frame and the updated census to every analyzer's `on_jframe`; the final
+//! census reaches [`Analyzer::into_figure`]. An analyzer run alone in a
+//! one-analyzer suite therefore sees exactly what it sees in the full one.
 //!
 //! Records are **typed**: a [`Record`] pairs a [`RecordKey`] with a
 //! [`RecordValue`] (`U64`/`F64`/`Text`), so downstream consumers — the
 //! diagnosis detectors above all — threshold real numbers instead of
 //! reparsing strings. Rendering is centralized in the `Display` impls
 //! (one canonical formatting per value class), so every record line in a
-//! golden file is byte-stable by construction.
+//! golden file is byte-stable by construction. A caller that needs a
+//! figure's typed fields downcasts it (`Figure: Any`).
 //!
 //! ```
 //! use jigsaw_analysis::dispersion::DispersionAnalysis;
@@ -40,12 +47,15 @@
 //! }
 //! ```
 
+use crate::stations::StationLearner;
 use jigsaw_core::jframe::JFrame;
 use jigsaw_core::link::attempt::Attempt;
 use jigsaw_core::link::exchange::Exchange;
 use jigsaw_core::observer::PipelineObserver;
 use jigsaw_core::transport::flow::FlowRecord;
+use jigsaw_ieee80211::frame::Frame;
 use jigsaw_ieee80211::Micros;
+use std::any::Any;
 
 /// The key of one machine record: a short stable identifier
 /// (`"jframes"`, `"p99_us"`, …), scoped by the figure name when the
@@ -175,8 +185,9 @@ impl std::fmt::Display for Record {
 }
 
 /// A finished, immutable analysis product: one table or figure of the
-/// paper's evaluation.
-pub trait Figure {
+/// paper's evaluation. `Any`, so a caller that needs typed fields can
+/// downcast a `Box<dyn Figure>` to the concrete figure.
+pub trait Figure: Any {
     /// Short stable key (`"table1"`, `"fig4"`, …) — used in machine
     /// records and the `repro` CLI.
     fn name(&self) -> &'static str;
@@ -196,25 +207,41 @@ pub trait Figure {
     fn records(&self) -> Vec<Record>;
 }
 
-/// A streaming analysis: subscribes to pipeline streams (via its
-/// [`PipelineObserver`] supertrait) and finishes into a [`Figure`].
-pub trait Analyzer: PipelineObserver {
-    /// The name of the figure this analysis produces.
-    fn name(&self) -> &'static str;
+/// A streaming analysis: subscribes to the pipeline streams it needs via
+/// default-no-op hooks, and finishes into a [`Figure`]. Only a [`Suite`]
+/// drives it.
+pub trait Analyzer {
+    /// One unified frame, with the suite's one decode of it (`None` when
+    /// the jframe is invalid or does not parse) and the station census,
+    /// already updated with this jframe.
+    fn on_jframe(&mut self, _jf: &JFrame, _frame: Option<&Frame>, _stations: &StationLearner) {}
 
-    /// Consumes the analysis and produces its figure.
-    fn into_figure(self: Box<Self>) -> Box<dyn Figure>;
+    /// One reconstructed transmission attempt.
+    fn on_attempt(&mut self, _at: &Attempt) {}
+
+    /// One reconstructed frame exchange.
+    fn on_exchange(&mut self, _x: &Exchange) {}
+
+    /// The reconstructed flow records, once at the end of a run.
+    fn on_flows(&mut self, _flows: &[FlowRecord]) {}
+
+    /// Consumes the analysis and produces its figure, given the final
+    /// station census.
+    fn into_figure(self: Box<Self>, stations: &StationLearner) -> Box<dyn Figure>;
 }
 
-/// A registry of analyzers sharing one streaming pass.
+/// A registry of analyzers sharing one streaming pass and one station
+/// census.
 ///
-/// `Suite` implements [`PipelineObserver`], fanning every hook out to
-/// each registered analyzer in registration order — hand `&mut suite` to
-/// any pipeline driver (serial, channel-sharded, in-memory, or disk
-/// corpus) and call [`Suite::finish`] afterwards.
+/// `Suite` implements [`PipelineObserver`]: it decodes each jframe once,
+/// updates its [`StationLearner`], and fans every hook out to each
+/// registered analyzer in registration order — hand `&mut suite` to any
+/// pipeline driver (serial, channel-sharded, in-memory, or disk corpus)
+/// and call [`Suite::finish`] afterwards.
 #[derive(Default)]
 pub struct Suite {
     analyzers: Vec<Box<dyn Analyzer>>,
+    stations: StationLearner,
 }
 
 impl Suite {
@@ -239,16 +266,12 @@ impl Suite {
         self.analyzers.is_empty()
     }
 
-    /// Names of the registered analyzers, in registration order.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.analyzers.iter().map(|a| a.name()).collect()
-    }
-
     /// Finishes every analyzer into its figure, in registration order.
     pub fn finish(self) -> Vec<Box<dyn Figure>> {
+        let stations = self.stations;
         self.analyzers
             .into_iter()
-            .map(|a| a.into_figure())
+            .map(|a| a.into_figure(&stations))
             .collect()
     }
 
@@ -270,7 +293,7 @@ impl Suite {
                 p.bin_us,
                 p.practical_timeout_us.max(1),
             ))
-            .register(crate::stations::StationsAnalysis::new())
+            .register(crate::stations::StationsAnalysis)
             .register(crate::tcploss::TcpLossAnalysis::new())
     }
 }
@@ -291,8 +314,12 @@ pub struct PaperParams {
 
 impl PipelineObserver for Suite {
     fn on_jframe(&mut self, jf: &JFrame) {
+        let frame = jf.parse();
+        if let Some(f) = &frame {
+            self.stations.observe(jf, f);
+        }
         for a in &mut self.analyzers {
-            a.on_jframe(jf);
+            a.on_jframe(jf, frame.as_ref(), &self.stations);
         }
     }
 
@@ -322,37 +349,56 @@ pub fn record_lines(figures: &[Box<dyn Figure>]) -> String {
     let mut s = String::new();
     for f in figures {
         for r in f.records() {
-            s.push_str(&format!("record {}.{r}\n", Figure::name(&**f)));
+            s.push_str(&format!("record {}.{r}\n", f.name()));
         }
     }
     s
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use jigsaw_core::pipeline::{Pipeline, PipelineConfig};
     use jigsaw_sim::scenario::ScenarioConfig;
 
-    #[test]
-    fn paper_suite_streams_every_figure_in_one_pass() {
-        let out = ScenarioConfig::tiny(3).run();
+    /// Test support: a finished figure as its concrete type.
+    pub(crate) fn downcast<F: Figure>(figure: Box<dyn Figure>) -> F {
+        let figure: Box<dyn Any> = figure;
+        *figure.downcast().expect("the analyzer's own figure type")
+    }
+
+    /// Test support: finishes a one-analyzer suite into its concrete figure.
+    pub(crate) fn only_figure<F: Figure>(suite: Suite) -> F {
+        let mut figures = suite.finish();
+        assert_eq!(figures.len(), 1, "a one-analyzer suite");
+        downcast(figures.pop().expect("one figure"))
+    }
+
+    fn tiny_params(out: &jigsaw_sim::output::SimOutput) -> PaperParams {
         let day = out.duration_us;
-        let params = PaperParams {
+        PaperParams {
             radios: out.radio_meta.len(),
             origin: 0,
             bin_us: (day / 8).max(1),
             practical_timeout_us: day,
-        };
-        let mut suite = Suite::paper(&params);
+        }
+    }
+
+    fn run(out: &jigsaw_sim::output::SimOutput, mut suite: Suite) -> Vec<Box<dyn Figure>> {
+        Pipeline::run(out.memory_streams(), &PipelineConfig::default(), &mut suite).unwrap();
+        suite.finish()
+    }
+
+    #[test]
+    fn paper_suite_streams_every_figure_in_one_pass() {
+        let out = ScenarioConfig::tiny(3).run();
+        let suite = Suite::paper(&tiny_params(&out));
         assert_eq!(suite.len(), 7);
+        let figs = run(&out, suite);
         assert_eq!(
-            suite.names(),
+            figs.iter().map(|f| f.name()).collect::<Vec<_>>(),
             vec!["table1", "fig4", "fig8", "fig9", "fig10", "stations", "fig11"]
         );
-        Pipeline::run(out.memory_streams(), &PipelineConfig::default(), &mut suite).unwrap();
-        let figs = suite.finish();
-        assert_eq!(figs.len(), 7);
         for f in &figs {
             assert!(!f.render().is_empty(), "{} rendered empty", f.name());
             assert!(!f.records().is_empty(), "{} has no records", f.name());
@@ -394,20 +440,44 @@ mod tests {
         assert_eq!(RecordValue::Text("x".into()).as_f64(), None);
     }
 
+    /// The one census is shared, never leaked between analyzers: each
+    /// analyzer of the whole single-trace evaluation (`Suite::paper` plus
+    /// coverage, what `jigsaw_bench::figure_suite_parts` registers), run
+    /// alone in a one-analyzer suite, renders and records exactly what it
+    /// does inside the full suite.
     #[test]
-    fn suite_runs_identical_to_hand_wiring() {
-        // The suite is pure fan-out: a figure produced through the suite
-        // must equal the same analysis hand-wired as the only observer.
-        let out = ScenarioConfig::tiny(11).run();
-        let mut solo = crate::dispersion::DispersionAnalysis::new();
-        Pipeline::run(out.memory_streams(), &PipelineConfig::default(), &mut solo).unwrap();
-        let solo_fig = solo.finish();
-
-        let mut suite = Suite::new().register(crate::dispersion::DispersionAnalysis::new());
-        Pipeline::run(out.memory_streams(), &PipelineConfig::default(), &mut suite).unwrap();
-        let figs = suite.finish();
-        assert_eq!(figs.len(), 1);
-        assert_eq!(figs[0].render(), Figure::render(&solo_fig));
-        assert_eq!(figs[0].records(), Figure::records(&solo_fig));
+    fn each_analyzer_alone_equals_itself_in_the_full_suite() {
+        for seed in [11, 20060124] {
+            let out = ScenarioConfig::tiny(seed).run();
+            let ap_addrs: Vec<_> = out.stations.iter().map(|s| s.addr).collect();
+            let full = || {
+                let coverage = crate::coverage::CoverageAnalysis::new(
+                    &out.wired,
+                    &|sid| ap_addrs[usize::from(sid)],
+                    10_000_000,
+                );
+                Suite::paper(&tiny_params(&out)).register(coverage)
+            };
+            let together = run(&out, full());
+            let alone: Vec<_> = full()
+                .analyzers
+                .into_iter()
+                .flat_map(|a| {
+                    let one = Suite {
+                        analyzers: vec![a],
+                        ..Suite::default()
+                    };
+                    run(&out, one)
+                })
+                .collect();
+            assert_eq!(together.len(), 8);
+            assert_eq!(alone.len(), together.len());
+            for (a, t) in alone.iter().zip(&together) {
+                assert_eq!(a.name(), t.name(), "seed {seed}");
+                assert_eq!(a.render(), t.render(), "{} seed {seed}", t.name());
+                assert_eq!(a.records(), t.records(), "{} seed {seed}", t.name());
+            }
+            assert!(record_lines(&together).contains("record stations.clients "));
+        }
     }
 }

@@ -9,18 +9,17 @@
 use crate::stations::StationLearner;
 use crate::suite::{Analyzer, Figure, Record};
 use jigsaw_core::jframe::JFrame;
-use jigsaw_core::observer::PipelineObserver;
 use jigsaw_core::transport::flow::FlowRecord;
+use jigsaw_ieee80211::frame::Frame;
 use jigsaw_ieee80211::{FrameType, Micros};
 use jigsaw_trace::PhyStatus;
 
 /// Accumulates Table-1 statistics from the jframe stream (flow counts
-/// arrive through `on_flows`, so the builder is a self-contained
-/// [`Analyzer`]).
+/// arrive through `on_flows`, the AP and client counts from the suite's
+/// station census).
 #[derive(Debug, Default)]
 pub struct SummaryBuilder {
     radios: usize,
-    stations: StationLearner,
     events_total: u64,
     events_phy_err: u64,
     events_fcs_err: u64,
@@ -87,9 +86,10 @@ impl SummaryBuilder {
             ..Self::default()
         }
     }
+}
 
-    /// Feeds one jframe.
-    pub fn observe(&mut self, jf: &JFrame) {
+impl Analyzer for SummaryBuilder {
+    fn on_jframe(&mut self, jf: &JFrame, _: Option<&Frame>, _: &StationLearner) {
         self.jframes += 1;
         self.events_total += jf.instance_count() as u64;
         for i in &jf.instances {
@@ -115,19 +115,16 @@ impl SummaryBuilder {
             self.first_ts = Some(jf.ts);
         }
         self.last_ts = self.last_ts.max(jf.ts);
-        self.stations.observe(jf);
     }
 
-    /// Feeds the finished flow records (fires once, at the end of a run).
-    pub fn observe_flows(&mut self, flows: &[FlowRecord]) {
+    fn on_flows(&mut self, flows: &[FlowRecord]) {
         self.flows = flows.len() as u64;
         self.flows_established = flows.iter().filter(|f| f.established).count() as u64;
     }
 
-    /// Finalizes the table.
-    pub fn finish(self) -> TraceSummary {
+    fn into_figure(self: Box<Self>, stations: &StationLearner) -> Box<dyn Figure> {
         let err = self.events_phy_err + self.events_fcs_err;
-        TraceSummary {
+        Box::new(TraceSummary {
             duration_us: self.last_ts.saturating_sub(self.first_ts.unwrap_or(0)),
             radios: self.radios,
             events_total: self.events_total,
@@ -150,31 +147,11 @@ impl SummaryBuilder {
             mgmt_frames: self.mgmt_frames,
             ctrl_frames: self.ctrl_frames,
             bytes_on_air: self.bytes_on_air,
-            aps_observed: self.stations.aps.len(),
-            clients_observed: self.stations.clients.len(),
+            aps_observed: stations.aps.len(),
+            clients_observed: stations.clients.len(),
             flows: self.flows,
             flows_established: self.flows_established,
-        }
-    }
-}
-
-impl PipelineObserver for SummaryBuilder {
-    fn on_jframe(&mut self, jf: &JFrame) {
-        self.observe(jf);
-    }
-
-    fn on_flows(&mut self, flows: &[FlowRecord]) {
-        self.observe_flows(flows);
-    }
-}
-
-impl Analyzer for SummaryBuilder {
-    fn name(&self) -> &'static str {
-        "table1"
-    }
-
-    fn into_figure(self: Box<Self>) -> Box<dyn Figure> {
-        Box::new((*self).finish())
+        })
     }
 }
 
@@ -257,16 +234,18 @@ impl Figure for TraceSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite::tests::only_figure;
+    use crate::suite::Suite;
     use jigsaw_core::pipeline::{Pipeline, PipelineConfig};
     use jigsaw_sim::scenario::ScenarioConfig;
 
     #[test]
     fn summary_from_tiny_world() {
         let out = ScenarioConfig::tiny(3).run();
-        let mut b = SummaryBuilder::new(out.radio_meta.len());
+        let mut suite = Suite::new().register(SummaryBuilder::new(out.radio_meta.len()));
         let report =
-            Pipeline::run(out.memory_streams(), &PipelineConfig::default(), &mut b).unwrap();
-        let t = b.finish();
+            Pipeline::run(out.memory_streams(), &PipelineConfig::default(), &mut suite).unwrap();
+        let t: TraceSummary = only_figure(suite);
         assert_eq!(t.radios, report.bootstrap.offsets.len());
         assert_eq!(t.flows, report.transport.flows);
         assert_eq!(t.flows_established, report.transport.established);

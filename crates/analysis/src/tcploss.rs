@@ -8,9 +8,9 @@
 //! being reproduced: the wireless hop dominates TCP loss in an
 //! enterprise WLAN.
 
+use crate::stations::StationLearner;
 use crate::stats::{Cdf, SealedCdf};
 use crate::suite::{Analyzer, Figure, Record};
-use jigsaw_core::observer::PipelineObserver;
 use jigsaw_core::transport::flow::FlowRecord;
 
 /// The finished Figure 11.
@@ -81,26 +81,16 @@ impl TcpLossAnalysis {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Finalizes Figure 11 (empty if no flow records ever arrived).
-    pub fn finish(self) -> TcpLossFigure {
-        self.fig.unwrap_or_else(|| tcp_loss_figure(&[]))
-    }
-}
-
-impl PipelineObserver for TcpLossAnalysis {
-    fn on_flows(&mut self, flows: &[FlowRecord]) {
-        self.fig = Some(tcp_loss_figure(flows));
-    }
 }
 
 impl Analyzer for TcpLossAnalysis {
-    fn name(&self) -> &'static str {
-        "fig11"
+    fn on_flows(&mut self, flows: &[FlowRecord]) {
+        self.fig = Some(tcp_loss_figure(flows));
     }
 
-    fn into_figure(self: Box<Self>) -> Box<dyn Figure> {
-        Box::new((*self).finish())
+    /// Figure 11 (empty if no flow records ever arrived).
+    fn into_figure(self: Box<Self>, _: &StationLearner) -> Box<dyn Figure> {
+        Box::new(self.fig.unwrap_or_else(|| tcp_loss_figure(&[])))
     }
 }
 
@@ -147,7 +137,10 @@ impl Figure for TcpLossFigure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite::tests::only_figure;
+    use crate::suite::Suite;
     use jigsaw_core::transport::flow::FlowKey;
+    use jigsaw_core::PipelineObserver;
     use std::net::Ipv4Addr;
 
     fn flow(established: bool, segs: u64, wl: u64, wd: u64) -> FlowRecord {
@@ -200,14 +193,14 @@ mod tests {
     #[test]
     fn analyzer_on_flows_matches_post_hoc() {
         let flows = vec![flow(true, 100, 8, 2), flow(false, 10, 5, 5)];
-        let mut a = TcpLossAnalysis::new();
-        a.on_flows(&flows);
-        let via_trait = a.finish();
+        let mut suite = Suite::new().register(TcpLossAnalysis::new());
+        suite.on_flows(&flows);
+        let via_trait: TcpLossFigure = only_figure(suite);
         let post_hoc = tcp_loss_figure(&flows);
-        assert_eq!(Figure::render(&via_trait), Figure::render(&post_hoc));
-        assert_eq!(Figure::records(&via_trait), Figure::records(&post_hoc));
+        assert_eq!(via_trait.render(), post_hoc.render());
+        assert_eq!(via_trait.records(), post_hoc.records());
         // Never fed → the empty figure.
-        let empty = TcpLossAnalysis::new().finish();
+        let empty: TcpLossFigure = only_figure(Suite::new().register(TcpLossAnalysis::new()));
         assert_eq!(empty.flows, 0);
     }
 

@@ -109,9 +109,11 @@
 // The repro CLI's output *is* stdout; the workspace denial targets library code.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
-use jigsaw_analysis::coverage::{pods_subset, radios_of_pods, CoverageAnalysis, OracleCoverage};
-use jigsaw_analysis::dispersion::DispersionAnalysis;
-use jigsaw_analysis::suite::{record_lines, Figure};
+use jigsaw_analysis::coverage::{
+    pods_subset, radios_of_pods, CoverageAnalysis, CoverageFigure, OracleCoverage, OracleFigure,
+};
+use jigsaw_analysis::dispersion::{DispersionAnalysis, DispersionFigure};
+use jigsaw_analysis::suite::{record_lines, Analyzer, Figure, Suite};
 use jigsaw_bench::cli::{self, ArgSpec};
 use jigsaw_bench::sweep::{self, GoldenStatus};
 use jigsaw_bench::{
@@ -119,13 +121,15 @@ use jigsaw_bench::{
 };
 use jigsaw_core::baseline::naive_merge;
 use jigsaw_core::observer::{OnExchange, OnJFrame};
-use jigsaw_core::pipeline::{Pipeline, PipelineConfig};
+use jigsaw_core::pipeline::{Pipeline, PipelineConfig, PipelineReport};
 use jigsaw_core::unify::{MergeConfig, MergeStats};
 use jigsaw_core::JFrame;
 use jigsaw_sim::output::SimOutput;
 use jigsaw_sim::scenario::TruthConfig;
 use jigsaw_trace::corpus::Corpus;
+use jigsaw_trace::stream::MemoryStream;
 use jigsaw_trace::TimeWindow;
+use std::any::Any;
 use std::time::{Duration, Instant};
 
 struct Args {
@@ -385,6 +389,20 @@ fn main() {
     }
 }
 
+/// Runs `analyzer` alone in a one-analyzer [`Suite`] and returns the run's
+/// report with the analyzer's figure as its concrete type `F`.
+fn run_alone<F: Figure>(
+    sources: Vec<MemoryStream>,
+    cfg: &PipelineConfig,
+    analyzer: impl Analyzer + 'static,
+) -> (PipelineReport, Box<F>) {
+    let mut suite = Suite::new().register(analyzer);
+    let report = or_fail("pipeline", Pipeline::run(sources, cfg, &mut suite));
+    let figure: Box<dyn Any> = suite.finish().pop().expect("one analyzer, one figure");
+    let figure = figure.downcast().expect("the analyzer's own figure type");
+    (report, figure)
+}
+
 /// Figure 7: coverage under pod reduction (39 → 30 → 20 → 10 pods).
 fn run_fig7(seed: u64, scale: f64) {
     banner("FIGURE 7 — coverage vs number of sensor pods (paper §6)");
@@ -397,12 +415,9 @@ fn run_fig7(seed: u64, scale: f64) {
         let streams = subset_streams(&out, &radios);
         let ap_addrs = ap_addrs.clone();
         let ap_lookup = move |sid: u16| ap_addrs[usize::from(sid)];
-        let mut coverage = CoverageAnalysis::new(&out.wired, &ap_lookup, 10_000_000);
-        let report = or_fail(
-            "pipeline",
-            Pipeline::run(streams, &PipelineConfig::default(), &mut coverage),
-        );
-        let fig = coverage.finish();
+        let coverage = CoverageAnalysis::new(&out.wired, &ap_lookup, 10_000_000);
+        let (report, fig): (_, Box<CoverageFigure>) =
+            run_alone(streams, &PipelineConfig::default(), coverage);
         println!(
             "{keep:>4} {:>7} {:>20} {:>12.3} {:>16.3}",
             radios.len(),
@@ -424,16 +439,9 @@ fn run_oracle(seed: u64, scale: f64) {
         fail("the oracle scenario simulated no client");
     };
     let oracle_addr = oracle_client.addr;
-    let mut oracle = OracleCoverage::new(&out.truth.transmissions, oracle_addr, 5_000);
-    or_fail(
-        "pipeline",
-        Pipeline::run(
-            out.memory_streams(),
-            &PipelineConfig::default(),
-            &mut oracle,
-        ),
-    );
-    let fig = oracle.finish();
+    let oracle = OracleCoverage::new(&out.truth.transmissions, oracle_addr, 5_000);
+    let (_, fig): (_, Box<OracleFigure>) =
+        run_alone(out.memory_streams(), &PipelineConfig::default(), oracle);
     println!(
         "oracle client {oracle_addr}: {}/{} link events captured = {:.3} (paper: 0.95; prior work 0.80-0.97)",
         fig.observed, fig.expected, fig.coverage
@@ -490,12 +498,8 @@ fn run_ablations(seed: u64, scale: f64) {
             merge,
             ..PipelineConfig::default()
         };
-        let mut disp = DispersionAnalysis::new();
-        let report = or_fail(
-            "pipeline",
-            Pipeline::run(out.memory_streams(), &cfg, &mut disp),
-        );
-        let fig = disp.finish();
+        let (report, fig): (_, Box<DispersionFigure>) =
+            run_alone(out.memory_streams(), &cfg, DispersionAnalysis::new());
         println!(
             "{name:<22} {:>9} {:>9.2} {:>8.0} {:>9.0} {:>8}",
             report.merge.jframes_out,

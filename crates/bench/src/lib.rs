@@ -680,8 +680,9 @@ mod tests {
         let suite = figure_suite_parts(out.radio_meta.len(), out.duration_us, &out.wired, &|sid| {
             ap_addrs[usize::from(sid)]
         });
+        let figures = suite.finish();
         assert_eq!(
-            suite.names(),
+            figures.iter().map(|f| f.name()).collect::<Vec<_>>(),
             vec!["table1", "fig4", "fig8", "fig9", "fig10", "stations", "fig11", "fig6"]
         );
     }

@@ -1,7 +1,8 @@
 //! The figure-suite acceptance test: the `Suite` streamed off a recorded
 //! disk corpus must produce figure-for-figure identical output — rendered
-//! text AND machine records — to the in-memory, hand-wired serial run, at
-//! both the serial and the channel-sharded merge layouts. This is what
+//! text AND machine records — to each analysis run alone over the
+//! in-memory serial run, at both the serial and the channel-sharded merge
+//! layouts. This is what
 //! lets `repro analyze --corpus` be the paper's single-trace evaluation.
 
 mod common;
@@ -12,7 +13,7 @@ use jigsaw_analysis::dispersion::DispersionAnalysis;
 use jigsaw_analysis::interference::InterferenceAnalysis;
 use jigsaw_analysis::protection::ProtectionAnalysis;
 use jigsaw_analysis::stations::StationsAnalysis;
-use jigsaw_analysis::suite::{record_lines, Figure};
+use jigsaw_analysis::suite::{record_lines, Analyzer, Figure, Suite};
 use jigsaw_analysis::summary::SummaryBuilder;
 use jigsaw_analysis::tcploss::TcpLossAnalysis;
 use jigsaw_bench::{
@@ -22,6 +23,7 @@ use jigsaw_core::observer::OnJFrame;
 use jigsaw_core::pipeline::{Pipeline, PipelineConfig};
 use jigsaw_core::JFrame;
 use jigsaw_diagnosis::{deep_dive_windows, Thresholds};
+use jigsaw_sim::output::SimOutput;
 use jigsaw_sim::scenario::ScenarioConfig;
 use jigsaw_trace::TimeWindow;
 use std::path::PathBuf;
@@ -47,51 +49,45 @@ fn output_of(f: &dyn Figure) -> FigureOutput {
     (f.name().to_string(), f.render(), f.records())
 }
 
+/// `analyzer` alone in a one-analyzer suite over `out`'s in-memory serial
+/// run.
+fn alone(out: &SimOutput, analyzer: impl Analyzer + 'static) -> FigureOutput {
+    let mut suite = Suite::new().register(analyzer);
+    Pipeline::run(out.memory_streams(), &PipelineConfig::default(), &mut suite).unwrap();
+    let figures = suite.finish();
+    assert_eq!(figures.len(), 1);
+    output_of(figures[0].as_ref())
+}
+
 #[test]
-fn suite_over_corpus_matches_hand_wired_memory_run() {
+fn suite_over_corpus_matches_each_analyzer_alone_in_memory() {
     let out = ScenarioConfig::tiny(SEED).run();
     let events = out.total_events();
     let (dir, session, par_cfg) = recorded("figs", &out, 4096);
 
-    // --- Reference: hand-wired analyses over the in-memory serial run,
-    // with exactly the parameters `figure_suite_parts` uses. ---
+    // --- Reference: each analysis alone in a one-analyzer suite over the
+    // in-memory serial run, with exactly the parameters
+    // `figure_suite_parts` uses, in its registration order (paper suite,
+    // then coverage). ---
     let day = out.duration_us;
     let bin = minute_bin_us(day) * 60;
-    let mut summary = SummaryBuilder::new(out.radio_meta.len());
-    let mut dispersion = DispersionAnalysis::new();
-    let mut activity = ActivityAnalysis::new(0, bin);
-    let mut interference = InterferenceAnalysis::new();
-    let mut protection = ProtectionAnalysis::new(0, bin, practical_minute_us(day));
-    let mut stations = StationsAnalysis::new();
-    let mut tcploss = TcpLossAnalysis::new();
     let ap_addrs: Vec<_> = out.stations.iter().map(|s| s.addr).collect();
     let ap_lookup = move |sid: u16| ap_addrs[usize::from(sid)];
-    let mut coverage = CoverageAnalysis::new(&out.wired, &ap_lookup, 10_000_000);
-    Pipeline::run(
-        out.memory_streams(),
-        &PipelineConfig::default(),
-        (
-            &mut summary,
-            &mut dispersion,
-            &mut activity,
-            &mut interference,
-            &mut protection,
-            &mut stations,
-            &mut tcploss,
-            &mut coverage,
-        ),
-    )
-    .unwrap();
-    // In `figure_suite_parts` registration order: paper suite, then coverage.
     let reference: Vec<FigureOutput> = vec![
-        output_of(&summary.finish()),
-        output_of(&dispersion.finish()),
-        output_of(&activity.finish()),
-        output_of(&interference.finish()),
-        output_of(&protection.finish()),
-        output_of(&stations.finish()),
-        output_of(&tcploss.finish()),
-        output_of(&coverage.finish()),
+        alone(&out, SummaryBuilder::new(out.radio_meta.len())),
+        alone(&out, DispersionAnalysis::new()),
+        alone(&out, ActivityAnalysis::new(0, bin)),
+        alone(&out, InterferenceAnalysis::new()),
+        alone(
+            &out,
+            ProtectionAnalysis::new(0, bin, practical_minute_us(day)),
+        ),
+        alone(&out, StationsAnalysis),
+        alone(&out, TcpLossAnalysis::new()),
+        alone(
+            &out,
+            CoverageAnalysis::new(&out.wired, &ap_lookup, 10_000_000),
+        ),
     ];
 
     // --- Suite runs streaming off the disk corpus, both layouts. The

@@ -293,10 +293,22 @@ impl JFrame {
         h.update_u64(u64::from(self.rate.centi_mbps()));
         h.update_u64(self.bytes.len() as u64);
         h.update(&self.bytes);
-        h.update_u64(self.instances.len() as u64);
-        let mut order: Vec<usize> = (0..self.instances.len()).collect();
-        order.sort_by_key(|&k| (self.instances[k].radio, self.instances[k].ts_local));
-        for k in order {
+        let n = self.instances.len();
+        h.update_u64(n as u64);
+        // The canonical order lives on the stack up to the inline capacity;
+        // only a spilled instance list pays for a heap index. The index
+        // tie-break keeps equal keys in vector order, as a stable sort would.
+        let mut inline = [0; INLINE_INSTANCES];
+        let mut spilled = Vec::new();
+        let order = if n <= INLINE_INSTANCES {
+            &mut inline[..n]
+        } else {
+            spilled.resize(n, 0);
+            &mut spilled[..]
+        };
+        order.iter_mut().enumerate().for_each(|(k, slot)| *slot = k);
+        order.sort_unstable_by_key(|&k| (self.instances[k].radio, self.instances[k].ts_local, k));
+        for &k in order.iter() {
             let i = &self.instances[k];
             h.update_u64(u64::from(i.radio.0));
             h.update_u64(i.ts_local);
@@ -430,6 +442,45 @@ mod tests {
         let mut chan = base.clone();
         chan.channel = Channel::of(6);
         assert_ne!(d, chan.stable_digest());
+    }
+
+    /// The stack-ordered fold hashes exactly what a stable sort of an
+    /// index vector did — inline and spilled lists, tied keys included.
+    #[test]
+    fn stable_digest_order_matches_a_stable_index_sort() {
+        let reference = |f: &JFrame| {
+            let mut h = jigsaw_trace::digest::Fnv64::new();
+            h.update(&[f.channel.number(), f.valid as u8, f.unique as u8]);
+            h.update_u64(u64::from(f.wire_len));
+            h.update_u64(u64::from(f.rate.centi_mbps()));
+            h.update_u64(f.bytes.len() as u64);
+            h.update(&f.bytes);
+            h.update_u64(f.instances.len() as u64);
+            let mut order: Vec<usize> = (0..f.instances.len()).collect();
+            order.sort_by_key(|&k| (f.instances[k].radio, f.instances[k].ts_local));
+            for k in order {
+                let i = &f.instances[k];
+                h.update_u64(u64::from(i.radio.0));
+                h.update_u64(i.ts_local);
+                h.update_u64(i.rssi_dbm as u64);
+                h.update(&[i.status.code()]);
+            }
+            h.finish()
+        };
+        let mut f = jf(vec![7, 8], 2, true);
+        assert_eq!(f.stable_digest(), reference(&f));
+        // Radios 3, 1, 3 (a tie on (radio, ts_local) told apart by RSSI),
+        // 0, 2, 1: checked at every length, inline through spilled.
+        for (k, r) in [3u16, 1, 3, 0, 2, 1].into_iter().enumerate() {
+            f.instances.push(Instance {
+                radio: RadioId(r),
+                ts_local: 100 - u64::from(r),
+                ts_universal: 0,
+                rssi_dbm: -40 - k as i16,
+                status: PhyStatus::Ok,
+            });
+            assert_eq!(f.stable_digest(), reference(&f), "{} instances", k + 1);
+        }
     }
 
     #[test]

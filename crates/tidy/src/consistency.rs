@@ -238,8 +238,7 @@ fn figure_golden(root: &Path, files: &[SourceFile], out: &mut Vec<Violation>) {
         return;
     }
 
-    // Figure names: the string literal a `fn name(…)` body returns.
-    // (Analyzer and Figure impls share the name; the set dedups.)
+    // Figure names: the string literal a `Figure::name` body returns.
     let mut names: Vec<(String, String, u32)> = Vec::new(); // (name, file, line)
     for f in &analysis {
         let toks = &f.stripped;

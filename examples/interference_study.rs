@@ -8,10 +8,11 @@
 
 // An example's output *is* stdout; the workspace denial targets library code.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
-use jigsaw::analysis::interference::InterferenceAnalysis;
-use jigsaw::analysis::suite::Figure;
+use jigsaw::analysis::interference::{InterferenceAnalysis, InterferenceFigure};
+use jigsaw::analysis::suite::{Figure, Suite};
 use jigsaw::core::pipeline::{Pipeline, PipelineConfig};
 use jigsaw::sim::scenario::ScenarioConfig;
+use std::any::Any;
 
 fn main() {
     let seed = std::env::args()
@@ -34,18 +35,15 @@ fn main() {
     );
 
     // The analysis subscribes to both the jframe and the attempt stream
-    // through its PipelineObserver hooks — one borrowed observer, no
-    // interior mutability.
+    // through its Analyzer hooks; a one-analyzer Suite is the pipeline
+    // observer driving it.
     let mut analysis = InterferenceAnalysis::new();
     analysis.min_packets = 50; // smaller trace, smaller bar
-    Pipeline::run(
-        out.memory_streams(),
-        &PipelineConfig::default(),
-        &mut analysis,
-    )
-    .expect("pipeline");
+    let mut suite = Suite::new().register(analysis);
+    Pipeline::run(out.memory_streams(), &PipelineConfig::default(), &mut suite).expect("pipeline");
 
-    let fig = analysis.finish();
+    let fig: Box<dyn Any> = suite.finish().pop().expect("one figure");
+    let fig = fig.downcast::<InterferenceFigure>().expect("fig9");
     println!("\n{}", fig.render());
     println!("top interfered pairs:");
     for p in fig.pairs.iter().rev().take(8) {

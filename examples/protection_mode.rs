@@ -8,11 +8,12 @@
 
 // An example's output *is* stdout; the workspace denial targets library code.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
-use jigsaw::analysis::protection::{throughput_headroom, ProtectionAnalysis};
-use jigsaw::analysis::suite::Figure;
+use jigsaw::analysis::protection::{throughput_headroom, ProtectionAnalysis, ProtectionFigure};
+use jigsaw::analysis::suite::{Figure, Suite};
 use jigsaw::core::pipeline::{Pipeline, PipelineConfig};
 use jigsaw::ieee80211::PhyRate;
 use jigsaw::sim::scenario::ScenarioConfig;
+use std::any::Any;
 
 fn main() {
     let seed = std::env::args()
@@ -32,14 +33,10 @@ fn main() {
 
     let bin = day / 12;
     let practical = 2_000_000; // the paper's "one minute", compressed
-    let mut analysis = ProtectionAnalysis::new(0, bin, practical);
-    Pipeline::run(
-        out.memory_streams(),
-        &PipelineConfig::default(),
-        &mut analysis,
-    )
-    .expect("pipeline");
-    let fig = analysis.finish();
+    let mut suite = Suite::new().register(ProtectionAnalysis::new(0, bin, practical));
+    Pipeline::run(out.memory_streams(), &PipelineConfig::default(), &mut suite).expect("pipeline");
+    let fig: Box<dyn Any> = suite.finish().pop().expect("one figure");
+    let fig = fig.downcast::<ProtectionFigure>().expect("fig10");
     println!("{}", fig.render());
 
     println!("footnote-7 arithmetic (protected vs bare exchange airtime):");

@@ -32,8 +32,10 @@
 //!   with bounded lag and the batch merge's memory — and adds only the
 //!   wall-clock rules: dead without a header, lagged after `max_lag_us`;
 //! * [`analysis`] — every table and figure of the paper's evaluation,
-//!   each an [`analysis::Analyzer`] (observer → [`analysis::Figure`]),
-//!   with [`analysis::Suite`] fanning one streaming pass to all of them.
+//!   each an [`analysis::Analyzer`] finishing into an [`analysis::Figure`].
+//!   Analyzers are not observers: [`analysis::Suite`] is the one observer
+//!   fanning a streaming pass to all of them, and it decodes each jframe
+//!   once and owns the one station census they share.
 //!
 //! ## Quickstart
 //!
@@ -52,8 +54,8 @@
 //! assert!(!collect.exchanges.is_empty());
 //! ```
 //!
-//! Analyses subscribe to the pipeline's streams through one observer —
-//! several at once via a tuple, or a whole registered [`analysis::Suite`]:
+//! Analyses subscribe to the pipeline's streams through a registered
+//! [`analysis::Suite`] — one analyzer or all of them, one observer:
 //!
 //! ```
 //! use jigsaw::analysis::dispersion::DispersionAnalysis;

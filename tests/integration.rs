@@ -2,14 +2,22 @@
 //! way a downstream user would, spanning simulator → storage → pipeline →
 //! analyses.
 
-use jigsaw::analysis::coverage::{pods_subset, radios_of_pods, CoverageAnalysis};
-use jigsaw::analysis::dispersion::DispersionAnalysis;
-use jigsaw::analysis::summary::SummaryBuilder;
-use jigsaw::analysis::tcploss::TcpLossAnalysis;
+use jigsaw::analysis::coverage::{pods_subset, radios_of_pods, CoverageAnalysis, CoverageFigure};
+use jigsaw::analysis::dispersion::{DispersionAnalysis, DispersionFigure};
+use jigsaw::analysis::summary::{SummaryBuilder, TraceSummary};
+use jigsaw::analysis::tcploss::{TcpLossAnalysis, TcpLossFigure};
+use jigsaw::analysis::{Figure, Suite};
 use jigsaw::core::observer::Collect;
 use jigsaw::core::pipeline::{Pipeline, PipelineConfig};
 use jigsaw::sim::scenario::ScenarioConfig;
 use jigsaw::trace::format::{TraceReader, TraceWriter};
+use std::any::Any;
+
+/// A finished figure as its concrete type.
+fn downcast<F: Figure>(figure: Box<dyn Figure>) -> F {
+    let figure: Box<dyn Any> = figure;
+    *figure.downcast().expect("the analyzer's own figure type")
+}
 
 #[test]
 fn facade_quickstart_path() {
@@ -57,26 +65,33 @@ fn disk_roundtrip_preserves_pipeline_results() {
 #[test]
 fn analyses_compose_over_one_pass() {
     let out = ScenarioConfig::small(9).run();
-    let mut summary = SummaryBuilder::new(out.radio_meta.len());
-    let mut dispersion = DispersionAnalysis::new();
     let ap_addrs: Vec<_> = out.stations.iter().map(|s| s.addr).collect();
     let lookup = move |sid: u16| ap_addrs[usize::from(sid)];
-    let mut coverage = CoverageAnalysis::new(&out.wired, &lookup, 10_000_000);
-    let mut tcploss = TcpLossAnalysis::new();
 
-    // One observer tuple, one streaming pass, four analyses.
-    Pipeline::run(
-        out.memory_streams(),
-        &PipelineConfig::default(),
-        (&mut summary, &mut dispersion, &mut coverage, &mut tcploss),
-    )
-    .unwrap();
+    // One suite, one streaming pass, four analyses.
+    let mut suite = Suite::new()
+        .register(SummaryBuilder::new(out.radio_meta.len()))
+        .register(DispersionAnalysis::new())
+        .register(CoverageAnalysis::new(&out.wired, &lookup, 10_000_000))
+        .register(TcpLossAnalysis::new());
+    Pipeline::run(out.memory_streams(), &PipelineConfig::default(), &mut suite).unwrap();
+    let mut figures = suite.finish().into_iter();
+    let mut next = || figures.next().expect("one figure per analyzer");
+    let (table, fig4, fig6, fig11): (
+        TraceSummary,
+        DispersionFigure,
+        CoverageFigure,
+        TcpLossFigure,
+    ) = (
+        downcast(next()),
+        downcast(next()),
+        downcast(next()),
+        downcast(next()),
+    );
 
-    let table = summary.finish();
     assert_eq!(table.events_total, out.total_events());
     assert!(table.events_per_jframe > 1.0);
 
-    let fig4 = dispersion.finish();
     assert!(
         fig4.frac_below_20us > 0.8,
         "p<20us {}",
@@ -84,11 +99,9 @@ fn analyses_compose_over_one_pass() {
     );
     assert!(fig4.cdf.len() > 100);
 
-    let fig6 = coverage.finish();
     assert!(fig6.packets > 100);
     assert!(fig6.overall > 0.8, "coverage {}", fig6.overall);
 
-    let fig11 = tcploss.finish();
     assert!(fig11.flows > 0);
     assert!(fig11.loss_cdf.quantile(0.5).unwrap_or(1.0) < 0.2);
 }
@@ -111,9 +124,11 @@ fn pod_reduction_degrades_client_coverage_monotonically() {
             .collect();
         let ap_addrs = ap_addrs.clone();
         let lookup = move |sid: u16| ap_addrs[usize::from(sid)];
-        let mut coverage = CoverageAnalysis::new(&out.wired, &lookup, 10_000_000);
-        Pipeline::run(streams, &PipelineConfig::default(), &mut coverage).unwrap();
-        coverages.push(coverage.finish().client_coverage);
+        let mut suite =
+            Suite::new().register(CoverageAnalysis::new(&out.wired, &lookup, 10_000_000));
+        Pipeline::run(streams, &PipelineConfig::default(), &mut suite).unwrap();
+        let fig: CoverageFigure = downcast(suite.finish().pop().unwrap());
+        coverages.push(fig.client_coverage);
     }
     // The paper's Figure 7: fewer pods, less client coverage.
     assert!(
